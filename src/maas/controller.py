@@ -125,8 +125,13 @@ class SupernetState:
 
 @dataclass
 class ScoreVector:
+    """One layer's forward pass: scores from logits, plus the input feature
+    and tanh hidden state the gradient backpropagates through."""
+
     logits: np.ndarray
     scores: np.ndarray
+    hidden: np.ndarray | None = None
+    feature: np.ndarray | None = None
 
 
 @dataclass
@@ -171,8 +176,10 @@ def score_layer(state: SupernetState, layer_index: int, feature: np.ndarray) -> 
             f"layer {layer_index} expects feature of length {expected},"
             f" got {feature.shape}"
         )
-    _, logits = kernels.ffn_forward(ctrl.W1, ctrl.b1, ctrl.W2, ctrl.b2, feature)
-    return ScoreVector(logits=logits, scores=kernels.softmax(logits))
+    hidden, logits = kernels.ffn_forward(ctrl.W1, ctrl.b1, ctrl.W2, ctrl.b2, feature)
+    return ScoreVector(
+        logits=logits, scores=kernels.softmax(logits), hidden=hidden, feature=feature
+    )
 
 
 def select_deterministic(score_vec: ScoreVector, thres: float) -> list[int]:
@@ -229,18 +236,21 @@ def grad_log_prob(
 ) -> LayerGrad:
     """Exact gradient of the selection's prefix log-probability w.r.t. the
     layer's parameters (through softmax and the two-layer network)."""
+    score_vec = score_layer(state, layer_index, feature)
+    return backward(state, layer_index, score_vec, selected)
+
+
+def backward(
+    state: SupernetState, layer_index: int, score_vec: ScoreVector, selected
+) -> LayerGrad:
+    """The gradient of `grad_log_prob` from a forward pass already taken:
+    `score_vec` must come from `score_layer` at the current parameters."""
     ctrl = state.layer(layer_index)
-    feature = np.ascontiguousarray(feature, dtype=np.float64)
-    if feature.shape != (ctrl.W1.shape[1],):
-        raise DimensionMismatch(
-            f"layer {layer_index} expects feature of length {ctrl.W1.shape[1]},"
-            f" got {feature.shape}"
-        )
     selected = np.asarray(selected, dtype=np.int64)
     if selected.size and (selected.min() < 0 or selected.max() >= ctrl.W2.shape[0]):
         raise ShapeMismatch("selection index out of range")
-    h, logits = kernels.ffn_forward(ctrl.W1, ctrl.b1, ctrl.W2, ctrl.b2, feature)
-    scores = kernels.softmax(logits)
-    g_logits = kernels.pl_grad_logits(scores, selected)
-    gW1, gb1, gW2, gb2 = kernels.ffn_backward(ctrl.W2, feature, h, g_logits)
+    g_logits = kernels.pl_grad_logits(score_vec.scores, selected)
+    gW1, gb1, gW2, gb2 = kernels.ffn_backward(
+        ctrl.W2, score_vec.feature, score_vec.hidden, g_logits
+    )
     return LayerGrad(W1=gW1, b1=gb1, W2=gW2, b2=gb2, layer_index=layer_index)

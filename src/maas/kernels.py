@@ -3,8 +3,7 @@
 These four functions dominate training time (they run once per layer per
 sampled architecture per step), so they are JIT-compiled with numba by
 default. Set ``MAAS_NO_NUMBA=1`` to use the pure-numpy implementations
-instead; both paths compute identical values. ``benchmarks/bench_kernels.py``
-compares the two.
+instead; both paths compute identical values.
 """
 
 from __future__ import annotations
@@ -13,15 +12,6 @@ import os
 
 import numpy as np
 
-_PY_FUNCS = {}
-
-
-def _register(fn):
-    _PY_FUNCS[fn.__name__.lstrip("_")] = fn
-    return fn
-
-
-@_register
 def _ffn_forward(W1, b1, W2, b2, x):
     """Two-layer tanh network: returns (hidden, logits)."""
     h = np.tanh(W1 @ x + b1)
@@ -29,14 +19,12 @@ def _ffn_forward(W1, b1, W2, b2, x):
     return h, logits
 
 
-@_register
 def _softmax(logits):
     shifted = logits - np.max(logits)
     e = np.exp(shifted)
     return e / np.sum(e)
 
 
-@_register
 def _pl_grad_logits(scores, selected):
     """Gradient of the sequential without-replacement (prefix) log-probability
     w.r.t. the softmax logits, for a fixed drawn index sequence.
@@ -64,7 +52,6 @@ def _pl_grad_logits(scores, selected):
     return g_logits
 
 
-@_register
 def _ffn_backward(W2, x, h, g_logits):
     """Backprop g_logits through the two-layer tanh network.
 
@@ -103,5 +90,3 @@ else:
     softmax = _softmax
     pl_grad_logits = _pl_grad_logits
     ffn_backward = _ffn_backward
-
-numpy_impls = dict(_PY_FUNCS)

@@ -2,23 +2,29 @@
 
 Each training step samples K architectures for one query, executes them,
 weights each sample by normalized utility minus a cost-penalty term, and
-takes one likelihood-ratio ascent step on the controller parameters. On a
-fixed cadence the operator set itself is revised through textual patches:
-either a deterministic mock mutator (used by all automated tests) or an
-LLM-backed mutator that proposes prompt/temperature/structure edits.
+takes one likelihood-ratio ascent step on the controller parameters. The
+query is embedded once per step, and each sample's gradient backpropagates
+through the forward pass the sampler recorded, so every sampled layer runs
+its scoring network once. On a fixed cadence the operator set itself is
+revised through textual patches: either a deterministic mock mutator (used
+by all automated tests) or an LLM-backed mutator that proposes
+prompt/temperature/structure edits.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import controller as ctl
 from . import sampler
-from .embedding import HashingEmbedder, layer_feature
+# layer_feature is unused here but kept importable: perfbench/tracer.py wraps
+# it at every module that binds the name.
+from .embedding import HashingEmbedder, layer_feature  # noqa: F401
 from .errors import (
+    DataError,
     MutatorUnavailable,
     NonpositiveCost,
     ShapeMismatch,
@@ -26,7 +32,7 @@ from .errors import (
     UnparseableMutation,
 )
 from .executor import execute, live_call
-from .registry import KIND_EARLY_EXIT, OperatorPatch
+from .registry import KIND_EARLY_EXIT, KIND_GENERATIVE, OperatorPatch, OperatorSpec
 
 MOCK_PATCH_SENTENCE = "\nDouble-check each intermediate step before answering."
 TEMPERATURE_STEP = 0.1
@@ -66,19 +72,7 @@ class TrainConfig:
             raise ValueError("lr must be > 0")
 
     def to_dict(self):
-        return {
-            "num_layers": self.num_layers,
-            "thres": self.thres,
-            "cost_lambda": self.cost_lambda,
-            "samples_k": self.samples_k,
-            "lr": self.lr,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "patch_every": self.patch_every,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "mutator": self.mutator,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -104,21 +98,19 @@ def importance_weights(utilities, costs, cost_lambda):
     return [u_terms[i] - cost_lambda * costs[i] / c_sum for i in range(k)]
 
 
-def trace_gradients(state, registry, query_text, arch, embedder=None):
-    """Per-layer log-probability gradients for one sampled architecture."""
+def trace_gradients(state, arch):
+    """Per-layer log-probability gradients for one sampled architecture,
+    backpropagated through the forward passes recorded while sampling it."""
     if arch.params_version != state.version:
         raise StaleArchitecture("parameters changed since sampling")
-    if embedder is None:
-        embedder = HashingEmbedder(state.embed_dim)
-    query_vec = embedder.embed(query_text)
-    executed = arch.layers if arch.exit_layer != 1 else []
-    grads = []
-    for ell, selected in enumerate(arch.selections, start=1):
-        feature = layer_feature(
-            query_vec, sampler._layer_sums(registry, embedder, executed[: ell - 1])
+    if len(arch.forward) != len(arch.selections):
+        raise ValueError("architecture carries no recorded forward pass")
+    return [
+        ctl.backward(state, ell, score_vec, selected)
+        for ell, (score_vec, selected) in enumerate(
+            zip(arch.forward, arch.selections), start=1
         )
-        grads.append(ctl.grad_log_prob(state, ell, feature, selected))
-    return grads
+    ]
 
 
 def update_distribution(state: ctl.SupernetState, batch: BatchSample, weights, lr):
@@ -223,6 +215,20 @@ Reply with a single JSON object with keys "thought" (your analysis), \
 changes only; do not propose executable code.
 """
 
+# The mutator's own chat call: the whole prompt is the input. Each mutator
+# binds its model with `replace`.
+MUTATOR_SPEC = OperatorSpec(
+    id="mutator",
+    name="Mutator",
+    prompt="{input}",
+    model_binding="default",
+    temperature=1.0,
+    tools=(),
+    agent_count=1,
+    profile_text="",
+    kind=KIND_GENERATIVE,
+)
+
 
 class LLMMutator:
     """Textual-gradient mutator backed by a chat-completions endpoint."""
@@ -249,16 +255,8 @@ class LLMMutator:
             ),
             failures=json.dumps(failures, indent=2),
         )
-
-        class _PromptSpec:
-            id = "mutator"
-            model_binding = self.model
-            temperature = 1.0
-            prompt = "{input}"
-            tools = ()
-
         content, _, _ = live_call(
-            _PromptSpec,
+            replace(MUTATOR_SPEC, model_binding=self.model),
             prompt,
             base_url=self.base_url,
             api_key=self.api_key,
@@ -325,6 +323,7 @@ class Trainer:
         cfg = self.config
         traces = []
         grads = []
+        query_vec = self.embedder.embed(query.query)
         for _ in range(cfg.samples_k):
             arch = sampler.sample_architecture(
                 self.state,
@@ -334,13 +333,10 @@ class Trainer:
                 sampler.MODE_TRAIN,
                 self.rng,
                 self.embedder,
+                query_vec=query_vec,
             )
             trace = execute(arch, query, self.env, self.registry, self.rng)
-            grads.append(
-                trace_gradients(
-                    self.state, self.registry, query.query, arch, self.embedder
-                )
-            )
+            grads.append(trace_gradients(self.state, arch))
             traces.append(trace)
 
         weights = importance_weights(
@@ -349,17 +345,15 @@ class Trainer:
         update_distribution(
             self.state, BatchSample(traces, grads), weights, cfg.lr
         )
-        self.window.extend(traces)
         self.step_count += 1
 
         patches_applied = 0
-        if (
-            self.mutator != "none"
-            and cfg.patch_every is not None
-            and self.step_count % cfg.patch_every == 0
-        ):
-            patches_applied = self._apply_patches()
-            self.window.clear()
+        if self.mutator != "none" and cfg.patch_every is not None:
+            # only the mutator reads the window: kept only while patching is on
+            self.window.extend(traces)
+            if self.step_count % cfg.patch_every == 0:
+                patches_applied = self._apply_patches()
+                self.window.clear()
 
         histogram = {}
         for t in traces:
@@ -375,11 +369,18 @@ class Trainer:
         }
 
     def _apply_patches(self) -> int:
+        """Apply the mutator's patches. An unparseable proposal, or a patch
+        the registry rejects (leaving itself as it was), is skipped and not
+        counted."""
+        try:
+            patches = textual_gradient(self.registry, self.window, self.mutator)
+        except UnparseableMutation:
+            return 0
         applied = 0
-        for patch in textual_gradient(self.registry, self.window, self.mutator):
+        for patch in patches:
             try:
                 change = self.registry.apply_patch(patch)
-            except UnparseableMutation:
+            except DataError:
                 continue
             if change is not None:
                 if change.action == "split":

@@ -184,7 +184,10 @@ class OperatorRegistry:
         return self
 
     def apply_patch(self, patch: OperatorPatch) -> StructuralChange | None:
-        """Apply one patch in place; returns index bookkeeping for split/merge."""
+        """Apply one patch in place; returns index bookkeeping for split/merge.
+
+        Every check runs before the first write, so a patch that raises
+        leaves the registry unchanged."""
         patch.validate()
         if patch.target_id not in self._by_id:
             raise UnknownTarget(f"no operator {patch.target_id!r}")
@@ -198,16 +201,17 @@ class OperatorRegistry:
         if patch.new_temperature is not None:
             target = replace(target, temperature=patch.new_temperature)
         target.validate()
-        self._specs[idx] = target
 
-        change = None
         if patch.structure_action == "split":
             if target.kind == KIND_DIRECT_IO:
                 raise ProtectedOperator("cannot split the direct-io operator")
             clone = replace(target, id=target.id + "-b", name=target.name + " (b)")
+            if clone.id in self._by_id:
+                raise DuplicateId(f"operator id {clone.id!r} already registered")
             self.register(clone)
-            change = StructuralChange("split", parent_index=idx)
-        elif patch.structure_action == "merge":
+            self._specs[idx] = target
+            return StructuralChange("split", parent_index=idx)
+        if patch.structure_action == "merge":
             partner_id = patch.merge_with_id
             if partner_id not in self._by_id:
                 raise MergeUnknownPartner(f"no operator {partner_id!r}")
@@ -217,17 +221,17 @@ class OperatorRegistry:
             if partner.kind in (KIND_EARLY_EXIT, KIND_DIRECT_IO):
                 raise ProtectedOperator(f"cannot merge away {partner_id!r}")
             removed = self._by_id[partner_id]
-            merged = replace(
-                self._specs[idx], prompt=self._specs[idx].prompt + "\n" + partner.prompt
+            self._specs[idx] = replace(
+                target, prompt=target.prompt + "\n" + partner.prompt
             )
-            self._specs[idx] = merged
             del self._specs[removed]
             self._by_id = {s.id: i for i, s in enumerate(self._specs)}
             self.rewire_ids.discard(partner_id)
-            change = StructuralChange("merge", removed_index=removed)
-        elif patch.structure_action == "rewire":
+            return StructuralChange("merge", removed_index=removed)
+        self._specs[idx] = target
+        if patch.structure_action == "rewire":
             self.rewire_ids.add(target.id)
-        return change
+        return None
 
     # -- serialization -----------------------------------------------------
 

@@ -6,6 +6,11 @@ mode, deterministic in eval mode). Selecting the early-exit operator stops
 sampling at that layer: co-selected operators are discarded and, when the
 exit fires at the very first layer, the architecture degenerates to a single
 direct-io call so the query still gets answered.
+
+Sampling records each layer's forward pass (feature, tanh hidden state and
+scores) on the architecture, so the policy gradient reuses it instead of
+running the layer again. Each layer's profile sum is built once, when the
+next layer needs it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ class Architecture:
     log_prob: float
     params_version: int
     per_layer_scores: list = field(default_factory=list)
+    # one controller.ScoreVector per entry of `selections`; not serialized
+    forward: list = field(default_factory=list, repr=False, compare=False)
 
     def node_name(self, layer_number: int, op_id: str) -> str:
         return f"L{layer_number}:{op_id}"
@@ -50,14 +57,11 @@ class Architecture:
         }
 
 
-def _layer_sums(registry, embedder, layers):
-    sums = []
-    for ids in layers:
-        total = np.zeros(embedder.dim, dtype=np.float64)
-        for op_id in ids:
-            total += embedder.embed(registry.get(op_id).profile_text)
-        sums.append(total)
-    return sums
+def _profile_sum(registry, embedder, op_ids):
+    total = np.zeros(embedder.dim, dtype=np.float64)
+    for op_id in op_ids:
+        total += embedder.embed(registry.get(op_id).profile_text)
+    return total
 
 
 def sample_architecture(
@@ -69,7 +73,11 @@ def sample_architecture(
     rng: np.random.Generator | None = None,
     embedder=None,
     record_scores: bool = False,
+    query_vec: np.ndarray | None = None,
 ) -> Architecture:
+    """Sample (train) or select (eval) one architecture for the query.
+    `query_vec`, when given, is the query's embedding, so callers drawing
+    several samples for one query embed it once."""
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == MODE_TRAIN and rng is None:
@@ -81,17 +89,23 @@ def sample_architecture(
 
     ids = registry.ids()
     exit_idx = registry.index_of(registry.early_exit_id)
-    query_vec = embedder.embed(query)
+    if query_vec is None:
+        query_vec = embedder.embed(query)
 
     layers: list[list[str]] = []
+    layer_sums: list[np.ndarray] = []
     selections: list[list[int]] = []
+    forward: list[ctl.ScoreVector] = []
     score_log: list[list[float]] = []
     exit_layer = None
     log_prob = 0.0
 
     for ell in range(1, state.num_layers + 1):
-        feature = layer_feature(query_vec, _layer_sums(registry, embedder, layers))
+        if layers:
+            layer_sums.append(_profile_sum(registry, embedder, layers[-1]))
+        feature = layer_feature(query_vec, layer_sums)
         score_vec = ctl.score_layer(state, ell, feature)
+        forward.append(score_vec)
         if record_scores:
             score_log.append(score_vec.scores.tolist())
         if mode == MODE_TRAIN:
@@ -116,6 +130,7 @@ def sample_architecture(
         log_prob=log_prob,
         params_version=state.version,
         per_layer_scores=score_log,
+        forward=forward,
     )
     arch.edges = build_dag(arch, registry)
     return arch
@@ -139,7 +154,8 @@ def architecture_log_prob(
     log_prob = 0.0
     for ell, selected in enumerate(arch.selections, start=1):
         feature = layer_feature(
-            query_vec, _layer_sums(registry, embedder, executed[: ell - 1])
+            query_vec,
+            [_profile_sum(registry, embedder, ids) for ids in executed[: ell - 1]],
         )
         score_vec = ctl.score_layer(state, ell, feature)
         log_prob += ctl.selection_log_prob(score_vec, selected)

@@ -1,15 +1,19 @@
 """Optimizer: importance weights, distribution updates, textual gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maas.controller import init_params
-from maas.embedding import HashingEmbedder
+from maas import kernels, sampler
+from maas.controller import grad_log_prob, init_params, score_layer
+from maas.embedding import HashingEmbedder, layer_feature
 from maas.errors import (
     MutatorUnavailable,
     NonpositiveCost,
     ShapeMismatch,
+    StaleArchitecture,
     UnparseableMutation,
 )
 from maas.executor import ExecutionTrace, QueryRecord, SyntheticEnv, \
@@ -27,7 +31,12 @@ from maas.optimizer import (
     update_distribution,
 )
 from maas.registry import OperatorPatch, builtin_registry
-from maas.sampler import MODE_TRAIN, architecture_log_prob, sample_architecture
+from maas.sampler import (
+    MODE_TRAIN,
+    Architecture,
+    architecture_log_prob,
+    sample_architecture,
+)
 
 
 class TestImportanceWeights:
@@ -71,12 +80,76 @@ class TestImportanceWeights:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def scratch_features(registry, embedder, query_text, arch):
+    """Each sampled layer's feature, rebuilt from the query and profile texts."""
+    q = embedder.embed(query_text)
+    executed = arch.layers if arch.exit_layer != 1 else []
+    features = []
+    for ell in range(1, len(arch.selections) + 1):
+        sums = []
+        for ids in executed[: ell - 1]:
+            total = np.zeros(embedder.dim)
+            for op_id in ids:
+                total += embedder.embed(registry.get(op_id).profile_text)
+            sums.append(total)
+        features.append(layer_feature(q, sums))
+    return features
+
+
+def replayed(state, registry, query_text, arch, embedder):
+    """The architecture with its forward passes re-run at the current
+    parameters, as if it had been sampled now."""
+    features = scratch_features(registry, embedder, query_text, arch)
+    return replace(
+        arch,
+        params_version=state.version,
+        forward=[score_layer(state, ell, f) for ell, f in enumerate(features, start=1)],
+    )
+
+
+class TestTraceGradients:
+    def test_bitwise_equal_to_grad_log_prob_on_scratch_features(self):
+        reg = builtin_registry()
+        emb = HashingEmbedder(16)
+        for seed in range(4):
+            state = init_params(seed, 16, 8, 4, len(reg))
+            rng = np.random.default_rng(seed)
+            for text in ("add 1 and 2", "prove the lemma", ""):
+                arch = sample_architecture(state, reg, text, 0.3, MODE_TRAIN, rng, emb)
+                grads = trace_gradients(state, arch)
+                features = scratch_features(reg, emb, text, arch)
+                assert len(grads) == len(arch.selections) == len(features)
+                for ell, (g, f, sel) in enumerate(
+                        zip(grads, features, arch.selections), start=1):
+                    ref = grad_log_prob(state, ell, f, sel)
+                    assert g.layer_index == ell
+                    for a, b in zip((g.W1, g.b1, g.W2, g.b2),
+                                    (ref.W1, ref.b1, ref.W2, ref.b2)):
+                        assert np.array_equal(a, b)
+
+    def test_stale_architecture_rejected(self):
+        reg = builtin_registry()
+        state = init_params(0, 8, 8, 2, len(reg))
+        arch = sample_architecture(state, reg, "q", 0.3, MODE_TRAIN,
+                                   np.random.default_rng(0), HashingEmbedder(8))
+        state.bump_version()
+        with pytest.raises(StaleArchitecture):
+            trace_gradients(state, arch)
+
+    def test_architecture_without_forward_pass_rejected(self):
+        state = init_params(0, 8, 8, 2, 9)
+        arch = Architecture(layers=[["cot"]], selections=[[0], [7]], exit_layer=2,
+                            edges=[], log_prob=0.0, params_version=state.version)
+        with pytest.raises(ValueError):
+            trace_gradients(state, arch)
+
+
 def sampled_batch(state, registry, query_text, k, rng, embedder):
     traces, grads = [], []
     for _ in range(k):
         arch = sample_architecture(state, registry, query_text, 0.3, MODE_TRAIN,
                                    rng, embedder)
-        grads.append(trace_gradients(state, registry, query_text, arch, embedder))
+        grads.append(trace_gradients(state, arch))
         traces.append(ExecutionTrace(arch, {}, "", 1.0, 1.0, 1))
     return BatchSample(traces, grads)
 
@@ -103,10 +176,10 @@ class TestUpdateDistribution:
         arch = sample_architecture(state, reg, "boost me", 0.3, MODE_TRAIN, rng, emb)
         prev = arch.log_prob
         for _ in range(100):
-            grads = trace_gradients(state, reg, "boost me", arch, emb)
+            grads = trace_gradients(state, arch)
             batch = BatchSample([ExecutionTrace(arch, {}, "", 1.0, 1.0, 1)], [grads])
             update_distribution(state, batch, [1.0], 0.05)
-            arch.params_version = state.version
+            arch = replayed(state, reg, "boost me", arch, emb)
             lp = architecture_log_prob(state, reg, "boost me", arch, emb)
             assert lp >= prev - 1e-12
             prev = lp
@@ -121,8 +194,8 @@ class TestUpdateDistribution:
         if a1.selections == a2.selections:
             pytest.skip("rng drew identical architectures")
         gap_before = a1.log_prob - a2.log_prob
-        g1 = trace_gradients(state, reg, "pair", a1, emb)
-        g2 = trace_gradients(state, reg, "pair", a2, emb)
+        g1 = trace_gradients(state, a1)
+        g2 = trace_gradients(state, a2)
         batch = BatchSample(
             [ExecutionTrace(a1, {}, "", 1.0, 1.0, 1),
              ExecutionTrace(a2, {}, "", 0.0, 1.0, 1)],
@@ -315,6 +388,103 @@ class TestTrainer:
         ]
         assert all(step % 3 == 0 for step in patched_steps)
         assert patched_steps  # the mock mutator fires on a lossy env
+
+    def test_one_forward_pass_per_sampled_layer_and_one_query_embed(
+            self, monkeypatch):
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=4, embed_dim=8, hidden_dim=8, patch_every=None)
+        state = init_params(0, 8, 8, 4, len(reg))
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          embedder=HashingEmbedder(8))
+        forward_calls, texts, archs = [], [], []
+        ffn_forward = kernels.ffn_forward
+        embed = HashingEmbedder.embed
+        sample = sampler.sample_architecture
+
+        def counting_forward(*args):
+            forward_calls.append(1)
+            return ffn_forward(*args)
+
+        def recording_embed(self, text):
+            texts.append(text)
+            return embed(self, text)
+
+        def recording_sample(*args, **kwargs):
+            archs.append(sample(*args, **kwargs))
+            return archs[-1]
+
+        monkeypatch.setattr(kernels, "ffn_forward", counting_forward)
+        monkeypatch.setattr(HashingEmbedder, "embed", recording_embed)
+        monkeypatch.setattr(sampler, "sample_architecture", recording_sample)
+        for i in range(5):
+            q = query(f"q{i}")
+            forward_calls.clear()
+            texts.clear()
+            archs.clear()
+            trainer.step(q)
+            assert len(archs) == cfg.samples_k
+            assert len(forward_calls) == sum(len(a.selections) for a in archs)
+            assert texts.count(q.query) == 1
+            # each executed layer's operators are embedded once, for the next layer
+            assert len(texts) - 1 == sum(
+                len(ids) for a in archs for ids in a.layers[: len(a.selections) - 1]
+            )
+
+    @pytest.mark.parametrize("mutator,patch_every", [
+        ("none", 2), ("mock", None),
+    ])
+    def test_window_stays_empty_without_patching(self, mutator, patch_every):
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=mutator,
+                          patch_every=patch_every)
+        state = init_params(0, 8, 8, 2, len(reg))
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          embedder=HashingEmbedder(8))
+        for i in range(5):
+            trainer.step(query(f"q{i}"))
+        assert trainer.window == []
+
+    @pytest.mark.parametrize("bad_patch", [
+        OperatorPatch("nope", new_prompt="x {input}"),  # UnknownTarget
+        OperatorPatch("cot", structure_action="split"),  # DuplicateId (cot-b exists)
+        OperatorPatch("direct_io", new_prompt="x {input}",
+                      structure_action="split"),  # ProtectedOperator
+        OperatorPatch("cot"),  # InvalidPatch: sets nothing
+    ])
+    def test_rejected_patch_is_skipped_not_fatal(self, bad_patch):
+        reg = builtin_registry()
+        reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
+        state = init_params(0, 8, 8, 2, len(reg))
+        good = OperatorPatch("react", new_temperature=0.5)
+
+        def mutator(registry, traces):
+            return [bad_patch, good]
+
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          embedder=HashingEmbedder(8), mutator=mutator)
+        before = reg.to_json()
+        assert trainer.step(query())["patches_applied"] == 1
+        after = builtin_registry()
+        after.apply_patch(OperatorPatch("cot", structure_action="split"))
+        after.apply_patch(good)
+        assert reg.to_json() == after.to_json() != before
+        assert state.n_ops == len(reg)
+        trainer.step(query("q2"))
+
+    def test_unparseable_proposal_is_skipped_not_fatal(self):
+        reg = builtin_registry()
+        before = reg.to_json()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
+        state = init_params(0, 8, 8, 2, len(reg))
+
+        def mutator(registry, traces):
+            return [parse_mutation("not json")]
+
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          embedder=HashingEmbedder(8), mutator=mutator)
+        assert trainer.step(query())["patches_applied"] == 0
+        assert reg.to_json() == before
 
     def test_structural_patch_remaps_controller(self):
         reg = builtin_registry()

@@ -170,6 +170,24 @@ class TestApplyPatch:
                 OperatorPatch("direct_io", structure_action="split")
             )
 
+    @pytest.mark.parametrize("patch,error", [
+        (OperatorPatch("direct_io", new_prompt="edited {input}",
+                       structure_action="split"), ProtectedOperator),
+        (OperatorPatch("cot", new_prompt="edited {input}", new_temperature=0.2,
+                       structure_action="split"), DuplicateId),
+        (OperatorPatch("cot", new_prompt="edited {input}", structure_action="merge",
+                       merge_with_id="direct_io"), ProtectedOperator),
+        (OperatorPatch("cot", new_prompt="edited {input}", structure_action="merge",
+                       merge_with_id="nope"), MergeUnknownPartner),
+    ])
+    def test_rejected_patch_leaves_registry_unchanged(self, patch, error):
+        reg = builtin_registry()
+        reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        before = reg.to_json()
+        with pytest.raises(error):
+            reg.apply_patch(patch)
+        assert reg.to_json() == before
+
     def test_merge_away_protected_rejected(self):
         with pytest.raises(ProtectedOperator):
             builtin_registry().apply_patch(
