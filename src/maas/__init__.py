@@ -20,7 +20,6 @@ from .executor import (
     execute,
 )
 from .optimizer import (
-    BatchSample,
     TrainConfig,
     Trainer,
     importance_weights,

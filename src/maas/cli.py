@@ -6,12 +6,11 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from . import checkpoint as ckpt
 from . import sampler
 from .errors import BackendError, DataError, MaasError
-from .executor import SyntheticEnv, LiveEnv, execute
+from .executor import SyntheticEnv, LiveEnv
 from .harness import run_eval, run_train
 from .optimizer import TrainConfig, LLMMutator
 
@@ -141,12 +140,11 @@ def sample(checkpoint_path, query, explain):
     def body():
         state, registry, config = ckpt.restore(ckpt.load(checkpoint_path))
         arch = sampler.sample_architecture(
-            state, registry, query, config.thres, sampler.MODE_EVAL,
-            record_scores=explain,
+            state, registry, query, config.thres, sampler.MODE_EVAL
         )
         out = arch.to_dict()
-        if not explain:
-            out.pop("per_layer_scores")
+        if explain:
+            out["per_layer_scores"] = [sv.scores.tolist() for sv in arch.forward]
         click.echo(json.dumps(out, sort_keys=True, indent=2))
 
     _guarded(body)
@@ -164,12 +162,10 @@ def inspect(checkpoint_path):
         counts = {}
         for q in PROBE_QUERIES:
             arch = sampler.sample_architecture(
-                state, registry, q, config.thres, sampler.MODE_EVAL,
-                record_scores=True,
+                state, registry, q, config.thres, sampler.MODE_EVAL
             )
-            for ell, scores in enumerate(arch.per_layer_scores, start=1):
-                vec = np.asarray(scores)
-                sums[ell] = sums.get(ell, 0.0) + vec
+            for ell, sv in enumerate(arch.forward, start=1):
+                sums[ell] = sums.get(ell, 0.0) + sv.scores
                 counts[ell] = counts.get(ell, 0) + 1
         report = {
             "operator_ids": registry.ids(),

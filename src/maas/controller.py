@@ -142,11 +142,6 @@ class LayerGrad:
     b2: np.ndarray
     layer_index: int
 
-    def scaled(self, c: float) -> "LayerGrad":
-        return LayerGrad(
-            self.W1 * c, self.b1 * c, self.W2 * c, self.b2 * c, self.layer_index
-        )
-
 
 def init_params(seed, d, h, num_layers, n_ops) -> SupernetState:
     """Initialize all layer controllers i.i.d. uniform in [-0.1, 0.1]."""

@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import (
     BackendUnavailable,
@@ -23,7 +21,10 @@ from .errors import (
     EmptyArchitecture,
     MalformedResponse,
 )
-from .sampler import SOURCE, SINK
+from .sampler import SOURCE
+
+MAX_ATTEMPTS = 3
+BACKOFF_BASE_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,14 @@ class SyntheticEnv:
         return cls(profiles, overrides, data.get("checker", "exact_match"))
 
     def profile_for(self, spec) -> SyntheticOperatorProfile:
-        if spec.id in self.profiles:
-            return self.profiles[spec.id]
-        # split clones ("x-b") inherit the parent profile
-        base = spec.id.rsplit("-", 1)[0]
-        if base in self.profiles:
-            return self.profiles[base]
-        raise DataError(f"no synthetic profile for operator {spec.id!r}")
+        # split clones ("x-b", and "x-b-b" for a clone's clone) inherit the
+        # profile of their nearest ancestor that has one
+        op_id = spec.id
+        while op_id not in self.profiles:
+            if "-" not in op_id:
+                raise DataError(f"no synthetic profile for operator {spec.id!r}")
+            op_id = op_id.rsplit("-", 1)[0]
+        return self.profiles[op_id]
 
     def _effective_base(self, spec, profile):
         for ov in self.overrides:
@@ -152,14 +154,12 @@ class LiveEnv:
     """Executes operators through an OpenAI-compatible chat endpoint."""
 
     def __init__(self, base_url=None, api_key=None, checker="exact_match",
-                 transport=None, sleep=time.sleep, max_attempts=3, backoff_base=1.0):
+                 transport=None, sleep=time.sleep):
         self.base_url = (base_url or os.environ.get("MAAS_BASE_URL", "")).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get("MAAS_API_KEY", "")
         self.checker = checker
         self._transport = transport if transport is not None else _requests_transport
         self._sleep = sleep
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
 
     def run_node(self, spec, query: QueryRecord, predecessor_outputs, rng):
         prompt = render_prompt(spec, query.query, predecessor_outputs)
@@ -170,8 +170,6 @@ class LiveEnv:
             api_key=self.api_key,
             transport=self._transport,
             sleep=self._sleep,
-            max_attempts=self.max_attempts,
-            backoff_base=self.backoff_base,
         )
         return content.strip(), float(prompt_tokens + completion_tokens), spec.agent_count
 
@@ -191,9 +189,12 @@ def render_prompt(spec, query_text, predecessor_outputs):
 
 
 def live_call(spec, rendered_prompt, base_url, api_key, transport=None,
-              sleep=time.sleep, max_attempts=3, backoff_base=1.0):
-    """POST a chat completion with retries; returns (content, prompt_tokens,
-    completion_tokens)."""
+              sleep=time.sleep):
+    """POST a chat completion; returns (content, prompt_tokens,
+    completion_tokens). A transport error, 429 or 5xx is retried, up to
+    MAX_ATTEMPTS calls in all, with a sleep of BACKOFF_BASE_S seconds that
+    doubles after each failure; any other status and a malformed reply raise
+    at once."""
     if transport is None:
         transport = _requests_transport
     url = base_url + "/v1/chat/completions"
@@ -204,19 +205,20 @@ def live_call(spec, rendered_prompt, base_url, api_key, transport=None,
     }
     headers = {"Authorization": f"Bearer {api_key}"}
     last_error = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         try:
             status, body = transport(url, payload, headers)
-            if status != 200:
-                raise BackendUnavailable(f"chat endpoint returned {status}")
-            return _parse_chat_response(body)
-        except MalformedResponse:
-            raise
         except Exception as exc:
             last_error = exc
-            if attempt < max_attempts - 1:
-                sleep(backoff_base * (2**attempt))
-    raise BackendUnavailable(f"chat endpoint failed after {max_attempts} attempts: {last_error}")
+        else:
+            if status == 200:
+                return _parse_chat_response(body)
+            last_error = BackendUnavailable(f"chat endpoint returned {status}")
+            if status != 429 and not 500 <= status < 600:
+                raise last_error
+        if attempt < MAX_ATTEMPTS - 1:
+            sleep(BACKOFF_BASE_S * (2**attempt))
+    raise BackendUnavailable(f"chat endpoint failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 def _parse_chat_response(body):
@@ -228,7 +230,7 @@ def _parse_chat_response(body):
             int(usage.get("prompt_tokens", 0)),
             int(usage.get("completion_tokens", 0)),
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
         raise MalformedResponse(f"bad chat completion payload: {exc}") from exc
 
 

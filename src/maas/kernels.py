@@ -1,31 +1,29 @@
-"""Hot numeric kernels for the controller.
+"""Numeric kernels for the controller, in numpy.
 
-These four functions dominate training time (they run once per layer per
-sampled architecture per step), so they are JIT-compiled with numba by
-default. Set ``MAAS_NO_NUMBA=1`` to use the pure-numpy implementations
-instead; both paths compute identical values.
+They run once per sampled layer: the forward pass and softmax while
+sampling, the prefix log-probability gradient and the backward pass while
+taking the policy gradient.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-def _ffn_forward(W1, b1, W2, b2, x):
+
+def ffn_forward(W1, b1, W2, b2, x):
     """Two-layer tanh network: returns (hidden, logits)."""
     h = np.tanh(W1 @ x + b1)
     logits = W2 @ h + b2
     return h, logits
 
 
-def _softmax(logits):
+def softmax(logits):
     shifted = logits - np.max(logits)
     e = np.exp(shifted)
     return e / np.sum(e)
 
 
-def _pl_grad_logits(scores, selected):
+def pl_grad_logits(scores, selected):
     """Gradient of the sequential without-replacement (prefix) log-probability
     w.r.t. the softmax logits, for a fixed drawn index sequence.
 
@@ -52,7 +50,7 @@ def _pl_grad_logits(scores, selected):
     return g_logits
 
 
-def _ffn_backward(W2, x, h, g_logits):
+def ffn_backward(W2, x, h, g_logits):
     """Backprop g_logits through the two-layer tanh network.
 
     Returns (gW1, gb1, gW2, gb2) in parameter shapes.
@@ -65,28 +63,3 @@ def _ffn_backward(W2, x, h, g_logits):
     gb1 = g_z1
     return gW1, gb1, gW2, gb2
 
-
-def _want_numba():
-    flag = os.environ.get("MAAS_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
-USE_NUMBA = False
-if _want_numba():
-    try:
-        from numba import njit
-
-        USE_NUMBA = True
-    except ImportError:
-        USE_NUMBA = False
-
-if USE_NUMBA:
-    ffn_forward = njit(cache=True)(_ffn_forward)
-    softmax = njit(cache=True)(_softmax)
-    pl_grad_logits = njit(cache=True)(_pl_grad_logits)
-    ffn_backward = njit(cache=True)(_ffn_backward)
-else:
-    ffn_forward = _ffn_forward
-    softmax = _softmax
-    pl_grad_logits = _pl_grad_logits
-    ffn_backward = _ffn_backward

@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from . import controller as ctl
 from . import sampler
 # layer_feature is unused here but kept importable: perfbench/tracer.py wraps
@@ -37,12 +35,6 @@ from .registry import KIND_EARLY_EXIT, KIND_GENERATIVE, OperatorPatch, OperatorS
 MOCK_PATCH_SENTENCE = "\nDouble-check each intermediate step before answering."
 TEMPERATURE_STEP = 0.1
 TEMPERATURE_TARGET = 0.5
-
-
-@dataclass
-class BatchSample:
-    traces: list
-    log_prob_grads: list  # per trace: list of LayerGrad, one per sampled layer
 
 
 @dataclass
@@ -113,18 +105,22 @@ def trace_gradients(state, arch):
     ]
 
 
-def update_distribution(state: ctl.SupernetState, batch: BatchSample, weights, lr):
+def update_distribution(state: ctl.SupernetState, log_prob_grads, weights, lr):
     """Ascent on the weighted selection log-likelihood: parameters move by
-    (lr / K) * sum_k m_k * grad log p(arch_k)."""
-    if len(weights) != len(batch.traces) or len(weights) != len(batch.log_prob_grads):
-        raise ShapeMismatch("weights / traces / gradients length mismatch")
+    (lr / K) * sum_k m_k * grad log p(arch_k). `log_prob_grads` holds one
+    list of per-layer `LayerGrad`s per sample, as `trace_gradients` returns
+    it, and `weights` one m_k per sample."""
+    if len(weights) != len(log_prob_grads):
+        raise ShapeMismatch("weights / gradients length mismatch")
     k = len(weights)
     deltas = {}
-    for m_k, grads in zip(weights, batch.log_prob_grads):
+    for m_k, grads in zip(weights, log_prob_grads):
         for g in grads:
             acc = deltas.get(g.layer_index)
             if acc is None:
-                deltas[g.layer_index] = g.scaled(m_k)
+                deltas[g.layer_index] = ctl.LayerGrad(
+                    m_k * g.W1, m_k * g.b1, m_k * g.W2, m_k * g.b2, g.layer_index
+                )
             else:
                 acc.W1 += m_k * g.W1
                 acc.b1 += m_k * g.b1
@@ -342,9 +338,7 @@ class Trainer:
         weights = importance_weights(
             [t.utility for t in traces], [t.cost for t in traces], cfg.cost_lambda
         )
-        update_distribution(
-            self.state, BatchSample(traces, grads), weights, cfg.lr
-        )
+        update_distribution(self.state, grads, weights, cfg.lr)
         self.step_count += 1
 
         patches_applied = 0

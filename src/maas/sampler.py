@@ -38,7 +38,6 @@ class Architecture:
     edges: list  # (from node, to node) pairs; nodes are "L{layer}:{op_id}"
     log_prob: float
     params_version: int
-    per_layer_scores: list = field(default_factory=list)
     # one controller.ScoreVector per entry of `selections`; not serialized
     forward: list = field(default_factory=list, repr=False, compare=False)
 
@@ -53,7 +52,6 @@ class Architecture:
             "edges": [list(e) for e in self.edges],
             "log_prob": self.log_prob,
             "params_version": self.params_version,
-            "per_layer_scores": self.per_layer_scores,
         }
 
 
@@ -72,7 +70,6 @@ def sample_architecture(
     mode: str,
     rng: np.random.Generator | None = None,
     embedder=None,
-    record_scores: bool = False,
     query_vec: np.ndarray | None = None,
 ) -> Architecture:
     """Sample (train) or select (eval) one architecture for the query.
@@ -96,7 +93,6 @@ def sample_architecture(
     layer_sums: list[np.ndarray] = []
     selections: list[list[int]] = []
     forward: list[ctl.ScoreVector] = []
-    score_log: list[list[float]] = []
     exit_layer = None
     log_prob = 0.0
 
@@ -106,8 +102,6 @@ def sample_architecture(
         feature = layer_feature(query_vec, layer_sums)
         score_vec = ctl.score_layer(state, ell, feature)
         forward.append(score_vec)
-        if record_scores:
-            score_log.append(score_vec.scores.tolist())
         if mode == MODE_TRAIN:
             selected, lp = ctl.sample_selection(score_vec, thres, rng)
         else:
@@ -129,7 +123,6 @@ def sample_architecture(
         edges=[],
         log_prob=log_prob,
         params_version=state.version,
-        per_layer_scores=score_log,
         forward=forward,
     )
     arch.edges = build_dag(arch, registry)

@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from maas.cli import main
+from maas import checkpoint as ckpt
+from maas.cli import PROBE_QUERIES, main
 from maas.datagen import _profile_dicts, default_profiles, make_mixed_dataset
+from maas.sampler import MODE_EVAL, sample_architecture
 
 
 @pytest.fixture
@@ -107,6 +110,20 @@ class TestSampleCommand:
         assert scored["per_layer_scores"]
         assert len(scored["per_layer_scores"][0]) == 9
 
+    def test_explain_scores_are_the_forward_pass(self, workdir):
+        runner = CliRunner()
+        assert runner.invoke(main, train_args(workdir)).exit_code == 0
+        query = "what is 14 plus 9"
+        result = runner.invoke(main, [
+            "sample", "--checkpoint", str(workdir / "ckpt.json"),
+            "--query", query, "--explain",
+        ])
+        assert result.exit_code == 0, result.output
+        arch = sample_from(workdir, query)
+        assert json.loads(result.output)["per_layer_scores"] == [
+            sv.scores.tolist() for sv in arch.forward
+        ]
+
     def test_deterministic_across_calls(self, workdir):
         runner = CliRunner()
         assert runner.invoke(main, train_args(workdir)).exit_code == 0
@@ -129,3 +146,26 @@ class TestInspectCommand:
         assert "1" in scores
         assert len(scores["1"]) == 9
         assert abs(sum(scores["1"]) - 1.0) < 1e-9
+
+    def test_inspect_means_the_probe_scores(self, workdir):
+        runner = CliRunner()
+        assert runner.invoke(main, train_args(workdir)).exit_code == 0
+        result = runner.invoke(main, [
+            "inspect", "--checkpoint", str(workdir / "ckpt.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        by_layer = {}
+        for q in PROBE_QUERIES:
+            for ell, sv in enumerate(sample_from(workdir, q).forward, start=1):
+                by_layer.setdefault(str(ell), []).append(sv.scores)
+        means = json.loads(result.output)["mean_scores_by_layer"]
+        assert sorted(means) == sorted(by_layer)
+        for ell, rows in by_layer.items():
+            np.testing.assert_allclose(means[ell], np.mean(rows, axis=0),
+                                       rtol=1e-12, atol=0)
+
+
+def sample_from(workdir, query):
+    """The eval-mode architecture the trained checkpoint selects for `query`."""
+    state, registry, config = ckpt.restore(ckpt.load(str(workdir / "ckpt.json")))
+    return sample_architecture(state, registry, query, config.thres, MODE_EVAL)

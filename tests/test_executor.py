@@ -16,7 +16,14 @@ from maas.executor import (
     live_call,
     render_prompt,
 )
-from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, OperatorRegistry
+from maas.datagen import default_env
+from maas.registry import (
+    KIND_DIRECT_IO,
+    KIND_EARLY_EXIT,
+    OperatorPatch,
+    OperatorRegistry,
+    builtin_registry,
+)
 from maas.sampler import Architecture, build_dag
 from tests.test_registry import make_spec
 
@@ -84,6 +91,13 @@ class TestSyntheticFormula:
         )
         assert out == "42"
         assert cost == 7.0
+
+    def test_clone_of_clone_inherits_root_profile(self):
+        reg = builtin_registry()
+        reg.apply_patch(OperatorPatch(target_id="cot", structure_action="split"))
+        reg.apply_patch(OperatorPatch(target_id="cot-b", structure_action="split"))
+        profile = default_env().profile_for(reg.get("cot-b-b"))
+        assert profile.operator_id == "cot"
 
     def test_missing_profile(self):
         env = SyntheticEnv([])
@@ -254,6 +268,33 @@ class TestLiveCall:
             live_call(make_spec("op"), "p", "http://x", "k",
                       transport=lambda *a: (503, {}), sleep=lambda s: None)
 
+    def test_client_error_not_retried(self):
+        calls = {"n": 0}
+
+        def unauthorized(url, payload, headers):
+            calls["n"] += 1
+            return 401, {}
+
+        slept = []
+        with pytest.raises(BackendUnavailable):
+            live_call(make_spec("op"), "p", "http://x", "k",
+                      transport=unauthorized, sleep=slept.append)
+        assert calls["n"] == 1
+        assert slept == []
+
+    def test_rate_limit_retried(self):
+        statuses = [429, 200]
+
+        def limited(url, payload, headers):
+            return statuses.pop(0), self.BODY
+
+        slept = []
+        content, _, _ = live_call(make_spec("op"), "p", "http://x", "k",
+                                  transport=limited, sleep=slept.append)
+        assert content == "the answer"
+        assert statuses == []
+        assert slept == [1.0]
+
     def test_malformed_response_not_retried(self):
         calls = {"n": 0}
 
@@ -264,6 +305,19 @@ class TestLiveCall:
         with pytest.raises(MalformedResponse):
             live_call(make_spec("op"), "p", "http://x", "k",
                       transport=bad, sleep=lambda s: None)
+        assert calls["n"] == 1
+
+    def test_bad_usage_is_malformed_not_retried(self):
+        calls = {"n": 0}
+
+        def bad_usage(url, payload, headers):
+            calls["n"] += 1
+            return 200, {"choices": [{"message": {"content": "x"}}],
+                         "usage": {"prompt_tokens": "many"}}
+
+        with pytest.raises(MalformedResponse):
+            live_call(make_spec("op"), "p", "http://x", "k",
+                      transport=bad_usage, sleep=lambda s: None)
         assert calls["n"] == 1
 
     def test_payload_carries_operator_binding(self):

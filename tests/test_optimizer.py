@@ -20,7 +20,6 @@ from maas.executor import ExecutionTrace, QueryRecord, SyntheticEnv, \
     SyntheticOperatorProfile
 from maas.optimizer import (
     MOCK_PATCH_SENTENCE,
-    BatchSample,
     TrainConfig,
     Trainer,
     importance_weights,
@@ -144,14 +143,13 @@ class TestTraceGradients:
             trace_gradients(state, arch)
 
 
-def sampled_batch(state, registry, query_text, k, rng, embedder):
-    traces, grads = [], []
+def sampled_grads(state, registry, query_text, k, rng, embedder):
+    grads = []
     for _ in range(k):
         arch = sample_architecture(state, registry, query_text, 0.3, MODE_TRAIN,
                                    rng, embedder)
         grads.append(trace_gradients(state, arch))
-        traces.append(ExecutionTrace(arch, {}, "", 1.0, 1.0, 1))
-    return BatchSample(traces, grads)
+    return grads
 
 
 class TestUpdateDistribution:
@@ -160,10 +158,10 @@ class TestUpdateDistribution:
         state = init_params(0, 8, 8, 2, len(reg))
         emb = HashingEmbedder(8)
         rng = np.random.default_rng(0)
-        batch = sampled_batch(state, reg, "q", 3, rng, emb)
+        grads = sampled_grads(state, reg, "q", 3, rng, emb)
         before = state.to_dict()
         v0 = state.version
-        update_distribution(state, batch, [0.0, 0.0, 0.0], 0.1)
+        update_distribution(state, grads, [0.0, 0.0, 0.0], 0.1)
         after = state.to_dict()
         assert after["layers"] == before["layers"]
         assert state.version == v0 + 1
@@ -177,8 +175,7 @@ class TestUpdateDistribution:
         prev = arch.log_prob
         for _ in range(100):
             grads = trace_gradients(state, arch)
-            batch = BatchSample([ExecutionTrace(arch, {}, "", 1.0, 1.0, 1)], [grads])
-            update_distribution(state, batch, [1.0], 0.05)
+            update_distribution(state, [grads], [1.0], 0.05)
             arch = replayed(state, reg, "boost me", arch, emb)
             lp = architecture_log_prob(state, reg, "boost me", arch, emb)
             assert lp >= prev - 1e-12
@@ -196,12 +193,7 @@ class TestUpdateDistribution:
         gap_before = a1.log_prob - a2.log_prob
         g1 = trace_gradients(state, a1)
         g2 = trace_gradients(state, a2)
-        batch = BatchSample(
-            [ExecutionTrace(a1, {}, "", 1.0, 1.0, 1),
-             ExecutionTrace(a2, {}, "", 0.0, 1.0, 1)],
-            [g1, g2],
-        )
-        update_distribution(state, batch, [1.0, -1.0], 0.05)
+        update_distribution(state, [g1, g2], [1.0, -1.0], 0.05)
         a1.params_version = a2.params_version = state.version
         gap_after = architecture_log_prob(state, reg, "pair", a1, emb) \
             - architecture_log_prob(state, reg, "pair", a2, emb)
@@ -212,11 +204,11 @@ class TestUpdateDistribution:
         state = init_params(3, 8, 8, 1, len(reg))
         emb = HashingEmbedder(8)
         rng = np.random.default_rng(3)
-        batch = sampled_batch(state, reg, "q", 2, rng, emb)
+        grads = sampled_grads(state, reg, "q", 2, rng, emb)
         lr = 1e-4
         grad_norm = sum(
             max(float(np.abs(arr).max()) for arr in (g.W1, g.b1, g.W2, g.b2))
-            for grads in batch.log_prob_grads for g in grads
+            for sample in grads for g in sample
         )
         bound = (lr / 2) * grad_norm  # m_k = 1 for both samples
 
@@ -228,7 +220,7 @@ class TestUpdateDistribution:
             }
 
         before = flatten(state.to_dict())
-        update_distribution(state, batch, [1.0, 1.0], lr)
+        update_distribution(state, grads, [1.0, 1.0], lr)
         after = flatten(state.to_dict())
         for k in before:
             assert np.abs(after[k] - before[k]).max() <= bound + 1e-15
@@ -236,10 +228,10 @@ class TestUpdateDistribution:
     def test_length_mismatch(self):
         reg = builtin_registry()
         state = init_params(0, 8, 8, 1, len(reg))
-        batch = sampled_batch(state, reg, "q", 2, np.random.default_rng(0),
+        grads = sampled_grads(state, reg, "q", 2, np.random.default_rng(0),
                               HashingEmbedder(8))
         with pytest.raises(ShapeMismatch):
-            update_distribution(state, batch, [1.0], 0.05)
+            update_distribution(state, grads, [1.0], 0.05)
 
 
 def trace_for(layers, utility):
