@@ -20,6 +20,8 @@ from .errors import DimensionMismatch, ShapeMismatch
 
 INIT_SCALE = 0.1
 SPLIT_NOISE_SCALE = 0.01
+# the tolerance `Generator.choice` allows on the sum of its probabilities
+_CDF_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass
@@ -195,7 +197,12 @@ def select_deterministic(score_vec: ScoreVector, thres: float) -> list[int]:
 def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Generator):
     """Draw operators sequentially without replacement in proportion to their
     scores; stop once the drawn set's original score mass strictly exceeds
-    thres. Returns (index sequence, prefix log-probability)."""
+    thres. Returns (index sequence, prefix log-probability).
+
+    Each draw is the one `rng.choice(n, p=weights / total)` makes (inverse
+    CDF of one `rng.random()`), inlined without its argument handling: the
+    same indices and the same generator state afterwards. Raises ValueError
+    when the normalized weights are NaN or do not sum to 1."""
     scores = score_vec.scores
     n = scores.shape[0]
     remaining = np.ones(n, dtype=bool)
@@ -206,7 +213,11 @@ def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Genera
     while cum <= thres:
         weights = np.where(remaining, scores, 0.0)
         total = weights.sum()
-        idx = int(rng.choice(n, p=weights / total))
+        cdf = (weights / total).cumsum()
+        if not abs(cdf[-1] - 1.0) <= _CDF_ATOL:  # also catches NaN
+            raise ValueError("selection probabilities are NaN or do not sum to 1")
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
         log_prob += float(np.log(scores[idx] / rem_mass))
         drawn.append(idx)
         remaining[idx] = False

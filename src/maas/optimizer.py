@@ -3,7 +3,8 @@
 Each training step samples K architectures for one query, executes them,
 weights each sample by normalized utility minus a cost-penalty term, and
 takes one likelihood-ratio ascent step on the controller parameters. The
-query is embedded once per step, and each sample's gradient backpropagates
+query is embedded once per step and each operator profile text once per
+run (`Trainer.profile_cache`), and each sample's gradient backpropagates
 through the forward pass the sampler recorded, so every sampled layer runs
 its scoring network once. On a fixed cadence the operator set itself is
 revised through textual patches: either a deterministic mock mutator (used
@@ -300,7 +301,15 @@ def textual_gradient(registry, traces, mutator="mock"):
 
 
 class Trainer:
-    """Stateful training loop over (controller parameters, operator registry)."""
+    """Stateful training loop over (controller parameters, operator registry).
+
+    Each step embeds its query once. The trainer owns one profile cache for
+    its whole life (`profile_cache`, profile text -> read-only embedding) and
+    passes it to every sample, so each distinct operator profile text is
+    embedded once per run. Keyed on text, it needs no invalidation when a
+    patch edits, splits or merges operators; it holds one entry per distinct
+    profile text (patches leave profile texts alone, and split clones copy
+    their parent's)."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, embedder=None,
                  mutator=None):
@@ -314,6 +323,7 @@ class Trainer:
         self.mutator = mutator if mutator is not None else config.mutator
         self.step_count = 0
         self.window = []
+        self.profile_cache = {}
 
     def step(self, query) -> dict:
         cfg = self.config
@@ -330,6 +340,7 @@ class Trainer:
                 self.rng,
                 self.embedder,
                 query_vec=query_vec,
+                profile_cache=self.profile_cache,
             )
             trace = execute(arch, query, self.env, self.registry, self.rng)
             grads.append(trace_gradients(self.state, arch))

@@ -10,7 +10,7 @@ indices moved and the controller remaps its output rows accordingly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, replace, asdict
 
 from .errors import (
     DuplicateId,
@@ -187,7 +187,9 @@ class OperatorRegistry:
         """Apply one patch in place; returns index bookkeeping for split/merge.
 
         Every check runs before the first write, so a patch that raises
-        leaves the registry unchanged."""
+        leaves the registry unchanged. A split appends a clone of the target
+        under the first free id of `<id>-b`, `<id>-b2`, `<id>-b3`, ..., so an
+        operator can be split any number of times."""
         patch.validate()
         if patch.target_id not in self._by_id:
             raise UnknownTarget(f"no operator {patch.target_id!r}")
@@ -205,9 +207,9 @@ class OperatorRegistry:
         if patch.structure_action == "split":
             if target.kind == KIND_DIRECT_IO:
                 raise ProtectedOperator("cannot split the direct-io operator")
-            clone = replace(target, id=target.id + "-b", name=target.name + " (b)")
-            if clone.id in self._by_id:
-                raise DuplicateId(f"operator id {clone.id!r} already registered")
+            suffix = self._clone_suffix(target.id)
+            clone = replace(target, id=f"{target.id}-{suffix}",
+                            name=f"{target.name} ({suffix})")
             self.register(clone)
             self._specs[idx] = target
             return StructuralChange("split", parent_index=idx)
@@ -232,6 +234,15 @@ class OperatorRegistry:
         if patch.structure_action == "rewire":
             self.rewire_ids.add(target.id)
         return None
+
+    def _clone_suffix(self, op_id) -> str:
+        """"b", "b2", "b3", ...: the first that makes `<op_id>-<suffix>` a
+        free id."""
+        suffix, n = "b", 1
+        while f"{op_id}-{suffix}" in self._by_id:
+            n += 1
+            suffix = f"b{n}"
+        return suffix
 
     # -- serialization -----------------------------------------------------
 

@@ -10,7 +10,9 @@ direct-io call so the query still gets answered.
 Sampling records each layer's forward pass (feature, tanh hidden state and
 scores) on the architecture, so the policy gradient reuses it instead of
 running the layer again. Each layer's profile sum is built once, when the
-next layer needs it.
+next layer needs it, from operator profile embeddings looked up by text in
+a `profile_cache`: a caller that passes one dict to every call (as
+`Trainer` does) embeds each distinct profile text once.
 """
 
 from __future__ import annotations
@@ -55,10 +57,19 @@ class Architecture:
         }
 
 
-def _profile_sum(registry, embedder, op_ids):
+def _profile_sum(registry, embedder, op_ids, profile_cache):
+    """Sum of the operators' profile embeddings, added in drawn order. Each
+    embedding is taken from `profile_cache` (profile text -> read-only
+    vector), and embedded and stored there on a miss."""
     total = np.zeros(embedder.dim, dtype=np.float64)
     for op_id in op_ids:
-        total += embedder.embed(registry.get(op_id).profile_text)
+        text = registry.get(op_id).profile_text
+        vec = profile_cache.get(text)
+        if vec is None:
+            vec = embedder.embed(text)
+            vec.setflags(write=False)
+            profile_cache[text] = vec
+        total += vec
     return total
 
 
@@ -71,10 +82,15 @@ def sample_architecture(
     rng: np.random.Generator | None = None,
     embedder=None,
     query_vec: np.ndarray | None = None,
+    profile_cache: dict | None = None,
 ) -> Architecture:
     """Sample (train) or select (eval) one architecture for the query.
     `query_vec`, when given, is the query's embedding, so callers drawing
-    several samples for one query embed it once."""
+    several samples for one query embed it once. `profile_cache` maps
+    profile text to its read-only embedding; pass the same dict to every
+    call to embed each profile text once, or None to use a fresh dict for
+    this call only. Keyed on text, it needs no invalidation when operators
+    are patched, split or merged."""
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == MODE_TRAIN and rng is None:
@@ -88,6 +104,8 @@ def sample_architecture(
     exit_idx = registry.index_of(registry.early_exit_id)
     if query_vec is None:
         query_vec = embedder.embed(query)
+    if profile_cache is None:
+        profile_cache = {}
 
     layers: list[list[str]] = []
     layer_sums: list[np.ndarray] = []
@@ -98,7 +116,9 @@ def sample_architecture(
 
     for ell in range(1, state.num_layers + 1):
         if layers:
-            layer_sums.append(_profile_sum(registry, embedder, layers[-1]))
+            layer_sums.append(
+                _profile_sum(registry, embedder, layers[-1], profile_cache)
+            )
         feature = layer_feature(query_vec, layer_sums)
         score_vec = ctl.score_layer(state, ell, feature)
         forward.append(score_vec)
@@ -148,7 +168,7 @@ def architecture_log_prob(
     for ell, selected in enumerate(arch.selections, start=1):
         feature = layer_feature(
             query_vec,
-            [_profile_sum(registry, embedder, ids) for ids in executed[: ell - 1]],
+            [_profile_sum(registry, embedder, ids, {}) for ids in executed[: ell - 1]],
         )
         score_vec = ctl.score_layer(state, ell, feature)
         log_prob += ctl.selection_log_prob(score_vec, selected)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from maas.controller import (
     ScoreVector,
@@ -200,6 +199,70 @@ class TestSampleSelection:
             abs(counts.get(seq, 0) / n - p) for seq, p in analytic.items()
         )
         assert tv < 0.02
+
+
+def choice_selection(scores, thres, rng):
+    """`sample_selection` as written with `rng.choice`, the reference for
+    the inlined draw."""
+    n = scores.shape[0]
+    remaining = np.ones(n, dtype=bool)
+    drawn = []
+    cum = 0.0
+    rem_mass = 1.0
+    log_prob = 0.0
+    while cum <= thres:
+        weights = np.where(remaining, scores, 0.0)
+        idx = int(rng.choice(n, p=weights / weights.sum()))
+        log_prob += float(np.log(scores[idx] / rem_mass))
+        drawn.append(idx)
+        remaining[idx] = False
+        cum += scores[idx]
+        rem_mass -= scores[idx]
+    return drawn, log_prob
+
+
+def draw_cases():
+    """Score vectors from near one-hot through uniform to random."""
+    eps = 1e-9
+    cases = [
+        np.full(9, 1.0 / 9),
+        np.asarray([0.5, 0.5]),
+        np.asarray([1.0 - 8 * eps] + [eps] * 8),
+        np.asarray([eps] * 4 + [1.0 - 8 * eps] + [eps] * 4),
+        np.asarray([0.3, 0.3, 0.3, 0.1 - 1e-12, 1e-12]),
+    ]
+    rng = np.random.default_rng(2024)
+    for n in (3, 9, 12):
+        for concentration in (0.05, 1.0, 20.0):
+            raw = rng.gamma(concentration, size=n) + 1e-300
+            cases.append(raw / raw.sum())
+    return cases
+
+
+class TestInlinedDraw:
+    def test_matches_rng_choice_indices_and_generator_state(self):
+        for scores in draw_cases():
+            sv = scores_vec(scores)
+            for thres in (0.05, 0.3, 0.9):
+                for seed in range(40):
+                    rng = np.random.default_rng(seed)
+                    ref_rng = np.random.default_rng(seed)
+                    for _ in range(5):
+                        got = sample_selection(sv, thres, rng)
+                        want = choice_selection(scores, thres, ref_rng)
+                        assert got == want
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scores", [
+        [math.nan, 0.5, 0.5],
+        [0.5, math.nan, 0.5],
+        [0.0, 0.0, 0.0],  # all mass gone: 0 / 0
+    ])
+    def test_nan_scores_raise(self, scores):
+        sv = ScoreVector(logits=np.zeros(3), scores=np.asarray(scores))
+        with pytest.raises(ValueError):
+            sample_selection(sv, 0.3, np.random.default_rng(0))
 
 
 class TestGradLogProb:

@@ -384,10 +384,16 @@ class TestTrainer:
     def test_one_forward_pass_per_sampled_layer_and_one_query_embed(
             self, monkeypatch):
         reg = builtin_registry()
-        cfg = TrainConfig(num_layers=4, embed_dim=8, hidden_dim=8, patch_every=None)
+        cfg = TrainConfig(num_layers=4, embed_dim=8, hidden_dim=8, patch_every=1)
         state = init_params(0, 8, 8, 4, len(reg))
+
+        def split_cot_once(registry, traces):
+            if "cot-b" in registry:
+                return []
+            return [OperatorPatch("cot", structure_action="split")]
+
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8))
+                          embedder=HashingEmbedder(8), mutator=split_cot_once)
         forward_calls, texts, archs = [], [], []
         ffn_forward = kernels.ffn_forward
         embed = HashingEmbedder.embed
@@ -408,7 +414,9 @@ class TestTrainer:
         monkeypatch.setattr(kernels, "ffn_forward", counting_forward)
         monkeypatch.setattr(HashingEmbedder, "embed", recording_embed)
         monkeypatch.setattr(sampler, "sample_architecture", recording_sample)
-        for i in range(5):
+        profile_embeds = []
+        summed_ops = set()  # operators whose profile fed a later layer
+        for i in range(30):
             q = query(f"q{i}")
             forward_calls.clear()
             texts.clear()
@@ -417,10 +425,18 @@ class TestTrainer:
             assert len(archs) == cfg.samples_k
             assert len(forward_calls) == sum(len(a.selections) for a in archs)
             assert texts.count(q.query) == 1
-            # each executed layer's operators are embedded once, for the next layer
-            assert len(texts) - 1 == sum(
-                len(ids) for a in archs for ids in a.layers[: len(a.selections) - 1]
-            )
+            profile_embeds += [t for t in texts if t != q.query]
+            summed_ops.update(op_id for a in archs
+                              for ids in a.layers[: len(a.selections) - 1]
+                              for op_id in ids)
+        # each distinct profile text is embedded at most once over the run
+        assert len(profile_embeds) == len(set(profile_embeds))
+        assert set(profile_embeds) == set(trainer.profile_cache)
+        assert {reg.get(op_id).profile_text for op_id in summed_ops} \
+            == set(trainer.profile_cache)
+        # the split clone was summed into a layer feature, on its parent's text
+        assert "cot-b" in summed_ops
+        assert reg.get("cot-b").profile_text == reg.get("cot").profile_text
 
     @pytest.mark.parametrize("mutator,patch_every", [
         ("none", 2), ("mock", None),
@@ -438,7 +454,7 @@ class TestTrainer:
 
     @pytest.mark.parametrize("bad_patch", [
         OperatorPatch("nope", new_prompt="x {input}"),  # UnknownTarget
-        OperatorPatch("cot", structure_action="split"),  # DuplicateId (cot-b exists)
+        OperatorPatch("early_exit", new_prompt="x {input}"),  # PatchOnExitOperator
         OperatorPatch("direct_io", new_prompt="x {input}",
                       structure_action="split"),  # ProtectedOperator
         OperatorPatch("cot"),  # InvalidPatch: sets nothing
@@ -495,6 +511,40 @@ class TestTrainer:
         assert state.n_ops == 10
         # next step samples fine with the widened controller
         trainer.step(query("q2"))
+
+
+    def test_operator_split_twice(self):
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
+        state = init_params(0, 8, 8, 2, len(reg))
+        env = simple_env()
+
+        def split_cot_twice(registry, traces):
+            if "cot-b2" in registry:
+                return []
+            return [OperatorPatch("cot", structure_action="split")]
+
+        trainer = Trainer(state, reg, env, cfg, np.random.default_rng(0),
+                          embedder=HashingEmbedder(8), mutator=split_cot_twice)
+        ran = []
+        run_node = env.run_node
+
+        def recording_run_node(spec, *args):
+            ran.append(spec.id)
+            return run_node(spec, *args)
+
+        env.run_node = recording_run_node
+        assert [trainer.step(query(f"q{i}"))["patches_applied"]
+                for i in range(3)] == [1, 1, 0]
+        assert reg.ids()[-2:] == ["cot-b", "cot-b2"]
+        assert state.n_ops == len(reg) == 11
+        assert all(ctrl.W2.shape[0] == ctrl.b2.shape[0] == len(reg)
+                   for ctrl in state.layers)
+        for clone_id in ("cot-b", "cot-b2"):
+            assert env.profile_for(reg.get(clone_id)) is env.profile_for(reg.get("cot"))
+        for i in range(3, 60):
+            trainer.step(query(f"q{i}"))
+        assert {"cot-b", "cot-b2"} <= set(ran)
 
 
 class TestTrainConfig:

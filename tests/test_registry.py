@@ -126,6 +126,21 @@ class TestApplyPatch:
         # untouched indices stable
         assert reg.index_of("debate") == 1
 
+    def test_repeated_split_takes_first_free_clone_id(self):
+        reg = builtin_registry()
+        for _ in range(3):
+            reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        reg.apply_patch(OperatorPatch("cot-b", structure_action="split"))
+        assert reg.ids()[-4:] == ["cot-b", "cot-b2", "cot-b3", "cot-b-b"]
+        assert [reg.get(i).name for i in ("cot-b", "cot-b2")] \
+            == ["Chain-of-Thought (b)", "Chain-of-Thought (b2)"]
+        reg.apply_patch(OperatorPatch("cot", structure_action="merge",
+                                      merge_with_id="cot-b"))
+        change = reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        assert reg.ids()[-1] == "cot-b"  # freed by the merge
+        assert change.parent_index == reg.index_of("cot")
+        assert len(set(reg.ids())) == len(reg) == 13
+
     def test_merge_removes_partner_and_concatenates(self):
         reg = builtin_registry()
         cot_prompt = reg.get("cot").prompt
@@ -174,7 +189,7 @@ class TestApplyPatch:
         (OperatorPatch("direct_io", new_prompt="edited {input}",
                        structure_action="split"), ProtectedOperator),
         (OperatorPatch("cot", new_prompt="edited {input}", new_temperature=0.2,
-                       structure_action="split"), DuplicateId),
+                       structure_action="merge", merge_with_id="cot"), InvalidPatch),
         (OperatorPatch("cot", new_prompt="edited {input}", structure_action="merge",
                        merge_with_id="direct_io"), ProtectedOperator),
         (OperatorPatch("cot", new_prompt="edited {input}", structure_action="merge",
@@ -220,7 +235,7 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
                 reg.apply_patch(OperatorPatch("react", new_temperature=0.7))
             else:
                 reg.apply_patch(OperatorPatch("testing", structure_action="rewire"))
-        except (DuplicateId, MergeUnknownPartner, UnknownTarget):
+        except (MergeUnknownPartner, UnknownTarget):
             continue
     specs = reg.specs()
     assert sum(s.kind == KIND_EARLY_EXIT for s in specs) == 1

@@ -127,6 +127,52 @@ class TestSampleArchitecture:
             sample_architecture(state, reg, "q", 0.3, "test")
 
 
+class TestProfileCache:
+    def test_warm_cache_is_bitwise_equal_to_no_cache(self):
+        reg = builtin_registry()
+        emb = HashingEmbedder(16)
+        state = init_params(5, 16, 8, 4, len(reg))
+        cache = {}
+        warm_rng = np.random.default_rng(99)
+        for _ in range(20):
+            sample_architecture(state, reg, "warm up", 0.3, MODE_TRAIN, warm_rng,
+                                emb, profile_cache=cache)
+        assert cache
+        for seed in range(30):
+            for text in ("add 1 and 2", "prove the lemma"):
+                cached = sample_architecture(
+                    state, reg, text, 0.3, MODE_TRAIN, np.random.default_rng(seed),
+                    emb, profile_cache=cache)
+                fresh = sample_architecture(
+                    state, reg, text, 0.3, MODE_TRAIN, np.random.default_rng(seed),
+                    emb)
+                assert cached.selections == fresh.selections
+                assert cached.layers == fresh.layers
+                assert cached.log_prob.hex() == fresh.log_prob.hex()
+                assert len(cached.forward) == len(fresh.forward)
+                for a, b in zip(cached.forward, fresh.forward):
+                    assert np.array_equal(a.feature, b.feature)
+                    assert np.array_equal(a.hidden, b.hidden)
+                    assert np.array_equal(a.scores, b.scores)
+
+    def test_cached_vectors_are_read_only_embeddings_keyed_by_text(self):
+        reg = builtin_registry()
+        emb = HashingEmbedder(16)
+        state = init_params(5, 16, 8, 4, len(reg))
+        cache = {}
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            sample_architecture(state, reg, "q", 0.3, MODE_TRAIN, rng, emb,
+                                profile_cache=cache)
+        profiles = {s.profile_text for s in reg.specs()}
+        assert cache and set(cache) <= profiles
+        for text, vec in cache.items():
+            assert np.array_equal(vec, emb.embed(text))
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] = 1.0
+
+
 class TestArchitectureLogProb:
     def test_recompute_matches_stored(self):
         reg = builtin_registry()
