@@ -9,7 +9,7 @@ from .controller import (
     score_layer,
     select_deterministic,
 )
-from .embedding import HashingEmbedder, RemoteEmbedder, layer_feature
+from .embedding import HashingEmbedder, layer_feature
 from .executor import (
     ExecutionTrace,
     LiveEnv,

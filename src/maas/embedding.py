@@ -1,21 +1,19 @@
-"""Text embedding providers and layer-feature construction.
+"""Text embedding and layer-feature construction.
 
-The fallback provider is a signed feature hasher: tokens are hashed into a
-fixed number of buckets with a +/-1 sign drawn from a second hash, then the
+The embedder is a signed feature hasher: tokens are hashed into a fixed
+number of buckets with a +/-1 sign drawn from a second hash, then the
 bucket counts are L2-normalized. It is deterministic across processes and
-needs no model weights. A remote provider targets any OpenAI-compatible
-``/v1/embeddings`` endpoint.
+needs no model weights.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 
 import numpy as np
 
-from .errors import DimensionMismatch, RemoteUnavailable, MalformedResponse
+from .errors import DimensionMismatch
 
 DEFAULT_DIM = 64
 
@@ -51,52 +49,6 @@ class HashingEmbedder:
         if norm > 0.0:
             vec /= norm
         return vec
-
-
-class RemoteEmbedder:
-    """Client for an OpenAI-compatible embeddings endpoint.
-
-    ``transport`` is a callable (url, payload, headers) -> (status, body dict)
-    so tests can stub the network.
-    """
-
-    def __init__(self, base_url, model, dim, transport=None, api_key=None):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.dim = dim
-        self.api_key = api_key if api_key is not None else os.environ.get("MAAS_API_KEY", "")
-        self._transport = transport if transport is not None else _requests_transport
-
-    def embed(self, text: str) -> np.ndarray:
-        url = self.base_url + "/v1/embeddings"
-        payload = {"model": self.model, "input": text}
-        headers = {"Authorization": f"Bearer {self.api_key}"}
-        try:
-            status, body = self._transport(url, payload, headers)
-        except Exception as exc:
-            raise RemoteUnavailable(str(exc)) from exc
-        if status != 200:
-            raise RemoteUnavailable(f"embeddings endpoint returned {status}")
-        try:
-            values = body["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedResponse(f"bad embeddings payload: {exc}") from exc
-        vec = np.asarray(values, dtype=np.float64)
-        if vec.ndim != 1 or vec.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"remote embedding has dimension {vec.shape}, expected ({self.dim},)"
-            )
-        norm = np.linalg.norm(vec)
-        if norm > 0.0:
-            vec = vec / norm
-        return vec
-
-
-def _requests_transport(url, payload, headers):
-    import requests
-
-    resp = requests.post(url, json=payload, headers=headers, timeout=30)
-    return resp.status_code, resp.json()
 
 
 def layer_feature(query_vec: np.ndarray, layer_sums) -> np.ndarray:

@@ -10,7 +10,7 @@ class DataError(MaasError):
 
 
 class BackendError(MaasError):
-    """Remote backend failures (LLM or embedding endpoints)."""
+    """Remote backend failures (chat-completions endpoints)."""
 
 
 # registry
@@ -52,10 +52,6 @@ class InvalidPatch(DataError):
 
 # embedding / controller
 class DimensionMismatch(MaasError):
-    pass
-
-
-class RemoteUnavailable(BackendError):
     pass
 
 

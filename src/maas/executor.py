@@ -21,7 +21,6 @@ from .errors import (
     EmptyArchitecture,
     MalformedResponse,
 )
-from .sampler import SOURCE
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 1.0
@@ -278,34 +277,25 @@ def _majority_vote(outputs, registry, layer_ids):
 
 
 def execute(arch, query: QueryRecord, env, registry, rng) -> ExecutionTrace:
-    """Topologically execute the architecture's DAG; each node sees the query
-    plus all predecessor outputs, and the sink majority-votes the final
-    layer."""
+    """Run the architecture layer by layer; each node sees the query plus the
+    previous layer's outputs in drawn order (layer 1 sees none), and the sink
+    majority-votes the final layer."""
     if not arch.layers:
         raise EmptyArchitecture("architecture has no layers")
-    predecessors = {}
-    for src, dst in arch.edges:
-        predecessors.setdefault(dst, []).append(src)
-
     node_outputs = {}
     total_cost = 0.0
     llm_calls = 0
+    outputs = []
     for number, layer_ids in enumerate(arch.layers, start=1):
+        preds, outputs = outputs, []
         for op_id in layer_ids:
-            node = arch.node_name(number, op_id)
-            preds = [
-                node_outputs[p] for p in predecessors.get(node, []) if p != SOURCE
-            ]
-            spec = registry.get(op_id)
-            output, cost, calls = env.run_node(spec, query, preds, rng)
-            node_outputs[node] = output
+            output, cost, calls = env.run_node(registry.get(op_id), query, preds, rng)
+            node_outputs[arch.node_name(number, op_id)] = output
+            outputs.append(output)
             total_cost += cost
             llm_calls += calls
 
-    last_number = len(arch.layers)
-    last_ids = arch.layers[-1]
-    final_outputs = [node_outputs[arch.node_name(last_number, i)] for i in last_ids]
-    final_answer = _majority_vote(final_outputs, registry, last_ids)
+    final_answer = _majority_vote(outputs, registry, arch.layers[-1])
     utility = env.score(final_answer, query)
     return ExecutionTrace(
         architecture=arch,

@@ -207,8 +207,8 @@ performs better on the observed failures.
 # Output instruction
 Reply with a single JSON object with keys "thought" (your analysis), \
 "target_id" (the operator to revise), and any of "new_prompt", \
-"new_temperature", "structure_action" (one of "none", "split", "merge", \
-"rewire"), "merge_with_id". Propose prompt, temperature, or structure \
+"new_temperature", "structure_action" (one of "none", "split", "merge"), \
+"merge_with_id". Propose prompt, temperature, or structure \
 changes only; do not propose executable code.
 """
 
@@ -228,19 +228,21 @@ MUTATOR_SPEC = OperatorSpec(
 
 
 class LLMMutator:
-    """Textual-gradient mutator backed by a chat-completions endpoint."""
+    """Textual-gradient mutator backed by a chat-completions endpoint. It
+    raises `MutatorUnavailable` at construction when no base URL is given,
+    by argument or by `MAAS_BASE_URL`."""
 
     def __init__(self, model="default", base_url=None, api_key=None, transport=None):
         import os
 
         self.model = model
         self.base_url = (base_url or os.environ.get("MAAS_BASE_URL", "")).rstrip("/")
+        if not self.base_url:
+            raise MutatorUnavailable("no base URL configured for the LLM mutator")
         self.api_key = api_key if api_key is not None else os.environ.get("MAAS_API_KEY", "")
         self._transport = transport
 
     def __call__(self, registry, traces):
-        if not self.base_url:
-            raise MutatorUnavailable("no base URL configured for the LLM mutator")
         rates = _success_rates(registry, traces)
         failures = [
             {"operator_id": op_id, "success_rate": round(rate, 4)}
@@ -309,7 +311,8 @@ class Trainer:
     embedded once per run. Keyed on text, it needs no invalidation when a
     patch edits, splits or merges operators; it holds one entry per distinct
     profile text (patches leave profile texts alone, and split clones copy
-    their parent's)."""
+    their parent's). The mutator is "mock", "none" or a callable; anything
+    else raises `MutatorUnavailable` before the first step."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, embedder=None,
                  mutator=None):
@@ -321,6 +324,8 @@ class Trainer:
         self.rng = rng
         self.embedder = embedder if embedder is not None else HashingEmbedder(config.embed_dim)
         self.mutator = mutator if mutator is not None else config.mutator
+        if not callable(self.mutator) and self.mutator not in ("mock", "none"):
+            raise MutatorUnavailable(f"unknown mutator {self.mutator!r}")
         self.step_count = 0
         self.window = []
         self.profile_cache = {}

@@ -91,7 +91,7 @@ class OperatorPatch:
     target_id: str
     new_prompt: str | None = None
     new_temperature: float | None = None
-    structure_action: str = "none"  # none | split | merge | rewire
+    structure_action: str = "none"  # none | split | merge
     merge_with_id: str | None = None
     rationale: str = ""
 
@@ -106,7 +106,7 @@ class OperatorPatch:
             raise InvalidTemperature(
                 f"patch temperature {self.new_temperature} outside [0, 2]"
             )
-        if self.structure_action not in {"none", "split", "merge", "rewire"}:
+        if self.structure_action not in {"none", "split", "merge"}:
             raise InvalidPatch(f"unknown structure_action {self.structure_action!r}")
         if self.structure_action == "merge" and not self.merge_with_id:
             raise InvalidPatch("merge requires merge_with_id")
@@ -131,7 +131,6 @@ class OperatorRegistry:
     def __init__(self):
         self._specs: list[OperatorSpec] = []
         self._by_id: dict[str, int] = {}
-        self.rewire_ids: set[str] = set()
 
     # -- queries -----------------------------------------------------------
 
@@ -228,11 +227,8 @@ class OperatorRegistry:
             )
             del self._specs[removed]
             self._by_id = {s.id: i for i, s in enumerate(self._specs)}
-            self.rewire_ids.discard(partner_id)
             return StructuralChange("merge", removed_index=removed)
         self._specs[idx] = target
-        if patch.structure_action == "rewire":
-            self.rewire_ids.add(target.id)
         return None
 
     def _clone_suffix(self, op_id) -> str:
@@ -247,17 +243,14 @@ class OperatorRegistry:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self):
-        return {
-            "operators": [s.to_dict() for s in self._specs],
-            "rewire_ids": sorted(self.rewire_ids),
-        }
+        return {"operators": [s.to_dict() for s in self._specs]}
 
     @classmethod
     def from_dict(cls, d):
+        """An older checkpoint's `rewire_ids` key is ignored."""
         reg = cls()
         for spec_d in d["operators"]:
             reg.register(OperatorSpec.from_dict(spec_d))
-        reg.rewire_ids = set(d.get("rewire_ids", ()))
         return reg
 
     def to_json(self) -> str:

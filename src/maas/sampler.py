@@ -145,7 +145,7 @@ def sample_architecture(
         params_version=state.version,
         forward=forward,
     )
-    arch.edges = build_dag(arch, registry)
+    arch.edges = build_dag(arch)
     return arch
 
 
@@ -175,10 +175,10 @@ def architecture_log_prob(
     return log_prob
 
 
-def build_dag(arch: Architecture, registry) -> list:
+def build_dag(arch: Architecture) -> list:
     """Source into layer 1, complete bipartite between consecutive layers,
-    final layer into the sink; rewire-flagged operators get an extra skip
-    edge from the source."""
+    final layer into the sink. `maas sample` prints these edges; `execute`
+    follows the same wiring straight from `arch.layers`."""
     edges = []
     if not arch.layers:
         return edges
@@ -192,9 +192,4 @@ def build_dag(arch: Architecture, registry) -> list:
     last_num, last_layer = numbered[-1]
     for op_id in last_layer:
         edges.append((arch.node_name(last_num, op_id), SINK))
-    if registry.rewire_ids:
-        for num, layer in numbered[1:]:
-            for op_id in layer:
-                if op_id in registry.rewire_ids:
-                    edges.append((SOURCE, arch.node_name(num, op_id)))
     return edges

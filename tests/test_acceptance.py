@@ -316,7 +316,7 @@ class TestCriterion9LiveSmoke:
                 layers=[["direct_io"]], selections=[], exit_layer=1, edges=[],
                 log_prob=0.0, params_version=state.version,
             )
-            arch.edges = sampler.build_dag(arch, reg)
+            arch.edges = sampler.build_dag(arch)
             q = QueryRecord(rec["id"], rec["query"], rec["answer"],
                             rec["domain"], rec["difficulty"])
             baseline_hits += execute(arch, q, env, reg, rng).utility

@@ -74,6 +74,14 @@ class TestTrainCommand:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 3
 
+    def test_llm_mutator_without_url_fails_before_training(self, workdir,
+                                                           monkeypatch):
+        monkeypatch.delenv("MAAS_BASE_URL", raising=False)
+        result = CliRunner().invoke(main, train_args(workdir, ["--mutator", "llm"]))
+        assert result.exit_code == 4
+        assert "base URL" in result.output
+        assert not (workdir / "ckpt.json").exists()
+
 
 class TestEvalCommand:
     def test_eval_report(self, workdir):

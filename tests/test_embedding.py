@@ -1,4 +1,4 @@
-"""Embedding: hashing oracle, layer features, remote client contract."""
+"""Embedding: hashing oracle and layer features."""
 
 import hashlib
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maas.embedding import HashingEmbedder, RemoteEmbedder, layer_feature
-from maas.errors import DimensionMismatch, MalformedResponse, RemoteUnavailable
+from maas.embedding import HashingEmbedder, layer_feature
+from maas.errors import DimensionMismatch
 from maas.registry import builtin_catalog
 
 
@@ -114,33 +114,3 @@ class TestLayerFeature:
         out = layer_feature(np.zeros(d), [np.zeros(d)] * n_sums)
         assert out.shape == (d * (1 + n_sums),)
 
-
-class TestRemoteEmbedder:
-    def _transport(self, values, status=200):
-        def transport(url, payload, headers):
-            return status, {"data": [{"embedding": values}]}
-
-        return transport
-
-    def test_parses_and_normalizes(self):
-        emb = RemoteEmbedder(
-            "http://x", "m", 3, transport=self._transport([3.0, 0.0, 4.0])
-        )
-        np.testing.assert_allclose(emb.embed("q"), [0.6, 0.0, 0.8])
-
-    def test_http_error(self):
-        emb = RemoteEmbedder(
-            "http://x", "m", 3, transport=self._transport([1, 2, 3], status=500)
-        )
-        with pytest.raises(RemoteUnavailable):
-            emb.embed("q")
-
-    def test_malformed_body(self):
-        emb = RemoteEmbedder("http://x", "m", 3, transport=lambda *a: (200, {}))
-        with pytest.raises(MalformedResponse):
-            emb.embed("q")
-
-    def test_wrong_dimension(self):
-        emb = RemoteEmbedder("http://x", "m", 4, transport=self._transport([1.0, 2.0]))
-        with pytest.raises(DimensionMismatch):
-            emb.embed("q")

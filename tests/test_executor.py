@@ -45,8 +45,7 @@ def registry_with(ids):
 def arch_of(layers):
     arch = Architecture(layers=layers, selections=[], exit_layer=None, edges=[],
                         log_prob=0.0, params_version=0)
-    member_ids = {o for l in layers for o in l} - {"io", "exit"}
-    arch.edges = build_dag(arch, registry_with(sorted(member_ids)))
+    arch.edges = build_dag(arch)
     return arch
 
 
@@ -176,6 +175,39 @@ class TestExecute:
         t2 = execute(arch, record(), env, reg, np.random.default_rng(9))
         assert t1.node_outputs == t2.node_outputs
         assert t1.utility == t2.utility
+
+    def test_each_node_sees_the_previous_layer_in_drawn_order(self):
+        class RecordingEnv:
+            def __init__(self):
+                self.seen = []
+
+            def run_node(self, spec, query, predecessor_outputs, rng):
+                output = f"out{len(self.seen)}:{spec.id}"
+                self.seen.append((output, list(predecessor_outputs)))
+                return output, 1.0, 1
+
+            def score(self, final_answer, query):
+                return 0.0
+
+        layers = [["b", "a"], ["c", "a"], ["b"]]
+        env = RecordingEnv()
+        trace = execute(arch_of(layers), record(), env,
+                        registry_with(["a", "b", "c"]), np.random.default_rng(0))
+        assert env.seen == [
+            ("out0:b", []), ("out1:a", []),
+            ("out2:c", ["out0:b", "out1:a"]), ("out3:a", ["out0:b", "out1:a"]),
+            ("out4:b", ["out2:c", "out3:a"]),
+        ]
+        assert trace.final_answer == "out4:b"
+        # the same predecessors, in the same order, as the architecture's DAG
+        arch = arch_of(layers)
+        preds = {}
+        for src, dst in arch.edges:
+            preds.setdefault(dst, []).append(trace.node_outputs.get(src))
+        names = [arch.node_name(n, op) for n, ids in enumerate(layers, 1) for op in ids]
+        assert [p for _, p in env.seen] == [
+            [o for o in preds[name] if o is not None] for name in names
+        ]
 
 
 def OperatorSpec_with_agents(spec, n):

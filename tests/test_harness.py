@@ -127,6 +127,16 @@ class TestCheckpoint:
         r2 = run_eval(ckpt.load(path), mix_path, default_env())
         assert r1 == r2
 
+    def test_old_rewire_ids_key_restores(self, mix_path):
+        cfg = TrainConfig(iterations=1, num_layers=2, embed_dim=8, hidden_dim=8)
+        checkpoint, _ = run_train(cfg, mix_path, default_env())
+        old = json.loads(ckpt.dumps(checkpoint))
+        old["registry"]["rewire_ids"] = ["react"]
+        state, registry, config = ckpt.restore(old)
+        rebuilt = ckpt.build_checkpoint(state, registry, config,
+                                        checkpoint["metrics_summary"])
+        assert ckpt.dumps(rebuilt) == ckpt.dumps(checkpoint)
+
 
 class TestRunTrain:
     def test_iterations_zero_keeps_initial_state(self, mix_path):

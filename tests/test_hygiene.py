@@ -1,12 +1,19 @@
-"""Source hygiene: no module imports a name it never reads.
+"""Repository hygiene.
 
-pyflakes and ruff are not dependencies, so this is a small AST check over
-`src/maas/*.py` (without `__init__.py`, whose imports are its exports) and
-`tests/*.py`. An import line carrying `# noqa: F401` is exempt.
+- No module imports a name it never reads. pyflakes and ruff are not
+  dependencies, so this is a small AST check over `src/maas/*.py` (without
+  `__init__.py`, whose imports are its exports) and `tests/*.py`. An import
+  line carrying `# noqa: F401` is exempt.
+- The files under `data/` are what `maas.datagen` writes today.
+- Every function `perfbench/tracer.py` wraps still exists where it looks
+  it up, so a rename in `src/` fails here rather than in a traced run.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from maas import datagen
 
 ROOT = Path(__file__).resolve().parent.parent
 NOQA = "# noqa: F401"
@@ -59,3 +66,24 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert offenders == []
+
+
+SHIPPED = ("synthetic_mix.jsonl", "synthetic_profiles.json", "sabotaged_profiles.json")
+
+
+def test_shipped_data_is_what_datagen_writes(tmp_path):
+    datagen.write_shipped_files(tmp_path)
+    for name in SHIPPED:
+        assert (tmp_path / name).read_bytes() == (ROOT / "data" / name).read_bytes(), name
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    places = [(span, owner, attr) for span, where in tracer.TARGETS.items()
+              for owner, attr in where]
+    assert places
+    missing = [f"{span}: {getattr(owner, '__name__', owner)}.{attr}"
+               for span, owner, attr in places
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []

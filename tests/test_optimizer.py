@@ -20,6 +20,7 @@ from maas.executor import ExecutionTrace, QueryRecord, SyntheticEnv, \
     SyntheticOperatorProfile
 from maas.optimizer import (
     MOCK_PATCH_SENTENCE,
+    LLMMutator,
     TrainConfig,
     Trainer,
     importance_weights,
@@ -494,6 +495,31 @@ class TestTrainer:
         assert trainer.step(query())["patches_applied"] == 0
         assert reg.to_json() == before
 
+    def test_rewire_reply_is_skipped(self):
+        reg = builtin_registry()
+        before = reg.to_json()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
+        state = init_params(0, 8, 8, 2, len(reg))
+        mutator = LLMMutator(base_url="http://stub", transport=chat_reply(
+            '{"target_id": "react", "structure_action": "rewire"}'))
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          embedder=HashingEmbedder(8), mutator=mutator)
+        assert trainer.step(query())["patches_applied"] == 0
+        assert reg.to_json() == before
+        assert state.n_ops == len(reg)
+
+    @pytest.mark.parametrize("mutator", ["llm", "mock2", 3])
+    def test_unusable_mutator_fails_before_first_step(self, mutator):
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
+        state = init_params(0, 8, 8, 2, len(reg))
+        with pytest.raises(MutatorUnavailable):
+            Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                    mutator=mutator)
+        with pytest.raises(MutatorUnavailable):
+            Trainer(state, reg, simple_env(), replace(cfg, mutator=mutator),
+                    np.random.default_rng(0))
+
     def test_structural_patch_remaps_controller(self):
         reg = builtin_registry()
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
@@ -545,6 +571,48 @@ class TestTrainer:
         for i in range(3, 60):
             trainer.step(query(f"q{i}"))
         assert {"cot-b", "cot-b2"} <= set(ran)
+
+
+def chat_reply(content):
+    """A stub transport that answers every chat completion with `content`."""
+    calls = []
+
+    def transport(url, payload, headers):
+        calls.append((url, payload))
+        return 200, {"choices": [{"message": {"content": content}}],
+                     "usage": {"prompt_tokens": 3, "completion_tokens": 2}}
+
+    transport.calls = calls
+    return transport
+
+
+class TestLLMMutator:
+    def test_reply_becomes_one_patch(self):
+        transport = chat_reply(
+            '{"thought": "too hot", "target_id": "react", "new_temperature": 0.4}'
+        )
+        mutator = LLMMutator(model="m", base_url="http://stub/", transport=transport)
+        patches = mutator(builtin_registry(), [trace_for([["react"]], 0.0)])
+        assert patches == [OperatorPatch("react", new_temperature=0.4,
+                                         rationale="too hot")]
+        (url, payload), = transport.calls
+        assert url == "http://stub/v1/chat/completions"
+        assert payload["model"] == "m"
+        assert '"id": "react"' in payload["messages"][0]["content"]
+
+    def test_non_json_reply_unparseable(self):
+        mutator = LLMMutator(base_url="http://stub", transport=chat_reply("cot is weak"))
+        with pytest.raises(UnparseableMutation):
+            mutator(builtin_registry(), [trace_for([["cot"]], 0.0)])
+
+    def test_missing_url_raises_at_construction(self, monkeypatch):
+        monkeypatch.delenv("MAAS_BASE_URL", raising=False)
+        with pytest.raises(MutatorUnavailable):
+            LLMMutator()
+
+    def test_url_from_environment(self, monkeypatch):
+        monkeypatch.setenv("MAAS_BASE_URL", "http://env/")
+        assert LLMMutator().base_url == "http://env"
 
 
 class TestTrainConfig:

@@ -156,11 +156,6 @@ class TestApplyPatch:
         # indices past the removed one shift down by one
         assert reg.index_of("react") == 5
 
-    def test_rewire_sets_flag(self):
-        reg = builtin_registry()
-        assert reg.apply_patch(OperatorPatch("react", structure_action="rewire")) is None
-        assert "react" in reg.rewire_ids
-
     def test_patch_on_exit_rejected(self):
         with pytest.raises(PatchOnExitOperator):
             builtin_registry().apply_patch(OperatorPatch("early_exit", new_prompt="x"))
@@ -234,7 +229,10 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
             elif act == "temp":
                 reg.apply_patch(OperatorPatch("react", new_temperature=0.7))
             else:
-                reg.apply_patch(OperatorPatch("testing", structure_action="rewire"))
+                before = reg.to_json()
+                with pytest.raises(InvalidPatch):
+                    reg.apply_patch(OperatorPatch("testing", structure_action="rewire"))
+                assert reg.to_json() == before
         except (MergeUnknownPartner, UnknownTarget):
             continue
     specs = reg.specs()
@@ -244,6 +242,7 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
 
 def test_round_trip_serialization():
     reg = builtin_registry()
-    reg.apply_patch(OperatorPatch("react", structure_action="rewire"))
+    reg.apply_patch(OperatorPatch("react", structure_action="split"))
     restored = OperatorRegistry.from_dict(reg.to_dict())
     assert restored.to_json() == reg.to_json()
+

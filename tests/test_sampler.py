@@ -260,38 +260,31 @@ class TestBuildDag:
                             edges=[], log_prob=0.0, params_version=0)
 
     def test_single_chain(self):
-        edges = build_dag(self._arch([["a"], ["b"]]), builtin_registry())
+        edges = build_dag(self._arch([["a"], ["b"]]))
         assert edges == [(SOURCE, "L1:a"), ("L1:a", "L2:b"), ("L2:b", SINK)]
 
     def test_bipartite(self):
-        edges = build_dag(self._arch([["a", "b"], ["c"]]), builtin_registry())
+        edges = build_dag(self._arch([["a", "b"], ["c"]]))
         assert set(edges) == {
             (SOURCE, "L1:a"), (SOURCE, "L1:b"),
             ("L1:a", "L2:c"), ("L1:b", "L2:c"), ("L2:c", SINK),
         }
 
     def test_edge_count_formula(self):
-        edges = build_dag(self._arch([["a"], ["b", "c"]]), builtin_registry())
+        edges = build_dag(self._arch([["a"], ["b", "c"]]))
         assert len(edges) == 1 + 2 + 2
-
-    def test_rewire_adds_skip_edges(self):
-        reg = builtin_registry()
-        reg.rewire_ids.add("react")
-        edges = build_dag(self._arch([["cot"], ["react"]]), reg)
-        assert (SOURCE, "L2:react") in edges
 
     def test_random_architectures_acyclic(self):
         rng = np.random.default_rng(0)
         ops = ["a", "b", "c", "d", "e"]
-        reg = builtin_registry()
         for _ in range(10_000):
             depth = int(rng.integers(1, 5))
             layers = [
                 list(rng.choice(ops, size=int(rng.integers(1, 4)), replace=False))
                 for _ in range(depth)
             ]
-            edges = build_dag(self._arch(layers), reg)
+            edges = build_dag(self._arch(layers))
             assert topological_sort_succeeds(edges)
 
     def test_empty_architecture_no_edges(self):
-        assert build_dag(self._arch([]), builtin_registry()) == []
+        assert build_dag(self._arch([])) == []

@@ -1,0 +1,105 @@
+"""Self-edit loop: random sequences of mutator replies through `Trainer`.
+
+Each rule is one patch round: the scripted mutator answers with one reply
+text, parsed as the LLM mutator parses it, and `Trainer.step` trains on a
+query and applies what parses. Whatever the replies, the registry keeps
+exactly one early-exit and one direct-io operator and the controller keeps
+one output row per operator.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from maas.controller import init_params
+from maas.datagen import default_env, make_mixed_dataset
+from maas.embedding import HashingEmbedder
+from maas.executor import QueryRecord
+from maas.optimizer import TrainConfig, Trainer, parse_mutation
+from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, builtin_registry
+
+RECORDS = [QueryRecord(**r) for r in make_mixed_dataset(2, 2)]
+# the first operators in the catalogue, split clones of `cot` (present once
+# it has been split), the protected pair and an id that never exists
+OP_IDS = st.sampled_from(["cot", "cot", "debate", "react", "cot-b", "cot-b2",
+                           "cot-b-b", "early_exit", "direct_io", "ghost"])
+UNPARSEABLE = st.sampled_from([
+    "not json", "[]", '{"new_prompt": "x"}', '{"target_id": "cot"}',
+    '{"target_id": "cot", "new_temperature": 5.0}',
+    '{"target_id": "cot", "structure_action": "merge"}',
+])
+
+
+class SelfEditMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.registry = builtin_registry()
+        self.state = init_params(0, 8, 8, 2, len(self.registry))
+        config = TrainConfig(num_layers=2, samples_k=2, patch_every=1,
+                             embed_dim=8, hidden_dim=8)
+        self.trainer = Trainer(self.state, self.registry, default_env(), config,
+                               np.random.default_rng(0), embedder=HashingEmbedder(8),
+                               mutator=self._reply)
+        self.reply_text = None
+
+    def _reply(self, registry, traces):
+        return [parse_mutation(self.reply_text)]
+
+    def _round(self, reply):
+        """One training step whose patch round answers with `reply` (a dict
+        is sent as JSON); returns the step's `patches_applied`."""
+        self.reply_text = reply if isinstance(reply, str) else json.dumps(reply)
+        query = RECORDS[self.trainer.step_count % len(RECORDS)]
+        return self.trainer.step(query)["patches_applied"]
+
+    def _round_changes_nothing(self, reply):
+        before = self.registry.to_json()
+        assert self._round(reply) == 0
+        assert self.registry.to_json() == before
+
+    @rule(op_id=OP_IDS, marker=st.sampled_from(["Be brief.", "Check twice."]))
+    def edit_prompt(self, op_id, marker):
+        self._round({"target_id": op_id, "new_prompt": marker + "\n{input}"})
+
+    @rule(op_id=OP_IDS, temperature=st.floats(0.0, 2.0))
+    def edit_temperature(self, op_id, temperature):
+        self._round({"target_id": op_id, "new_temperature": temperature})
+
+    @rule(op_id=OP_IDS)
+    def split(self, op_id):
+        self._round({"target_id": op_id, "structure_action": "split"})
+
+    @rule(op_id=OP_IDS, partner=OP_IDS)
+    def merge(self, op_id, partner):
+        self._round({"target_id": op_id, "structure_action": "merge",
+                     "merge_with_id": partner})
+
+    @rule(op_id=OP_IDS)
+    def rewire(self, op_id):
+        self._round_changes_nothing({"target_id": op_id,
+                                     "structure_action": "rewire"})
+
+    @rule(reply=UNPARSEABLE)
+    def unparseable(self, reply):
+        self._round_changes_nothing(reply)
+
+    @invariant()
+    def one_exit_and_one_direct_io(self):
+        kinds = [s.kind for s in self.registry.specs()]
+        assert kinds.count(KIND_EARLY_EXIT) == 1
+        assert kinds.count(KIND_DIRECT_IO) == 1
+
+    @invariant()
+    def controller_rows_match_registry(self):
+        n = len(self.registry)
+        assert self.state.n_ops == n
+        for ctrl in self.state.layers:
+            assert ctrl.W2.shape[0] == ctrl.b2.shape[0] == n
+
+
+SelfEditMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=12, deadline=None
+)
+TestSelfEditMachine = SelfEditMachine.TestCase
