@@ -201,17 +201,16 @@ def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Genera
 
     Each draw is the one `rng.choice(n, p=weights / total)` makes (inverse
     CDF of one `rng.random()`), inlined without its argument handling: the
-    same indices and the same generator state afterwards. Raises ValueError
+    same indices and the same generator state afterwards. One weight array
+    serves every draw, with each drawn operator's weight zeroed. Raises ValueError
     when the normalized weights are NaN or do not sum to 1."""
     scores = score_vec.scores
-    n = scores.shape[0]
-    remaining = np.ones(n, dtype=bool)
+    weights = scores.copy()  # drawn operators zeroed
     drawn = []
     cum = 0.0
     rem_mass = 1.0
     log_prob = 0.0
     while cum <= thres:
-        weights = np.where(remaining, scores, 0.0)
         total = weights.sum()
         cdf = (weights / total).cumsum()
         if not abs(cdf[-1] - 1.0) <= _CDF_ATOL:  # also catches NaN
@@ -220,7 +219,7 @@ def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Genera
         idx = int(cdf.searchsorted(rng.random(), side="right"))
         log_prob += float(np.log(scores[idx] / rem_mass))
         drawn.append(idx)
-        remaining[idx] = False
+        weights[idx] = 0.0
         cum += scores[idx]
         rem_mass -= scores[idx]
     return drawn, log_prob

@@ -329,12 +329,14 @@ class Trainer:
         self.step_count = 0
         self.window = []
         self.profile_cache = {}
+        self.query_cache = {}
 
     def step(self, query) -> dict:
         cfg = self.config
         traces = []
         grads = []
-        query_vec = self.embedder.embed(query.query)
+        query_vec = sampler.cached_embed(self.embedder, query.query, self.query_cache)
+        first = ctl.score_layer(self.state, 1, query_vec)
         for _ in range(cfg.samples_k):
             arch = sampler.sample_architecture(
                 self.state,
@@ -344,7 +346,7 @@ class Trainer:
                 sampler.MODE_TRAIN,
                 self.rng,
                 self.embedder,
-                query_vec=query_vec,
+                first=first,
                 profile_cache=self.profile_cache,
             )
             trace = execute(arch, query, self.env, self.registry, self.rng)

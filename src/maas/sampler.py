@@ -23,7 +23,7 @@ import numpy as np
 
 from . import controller as ctl
 from .embedding import layer_feature
-from .errors import StaleArchitecture
+from .errors import DimensionMismatch, StaleArchitecture
 
 SOURCE = "__source__"
 SINK = "__sink__"
@@ -57,19 +57,23 @@ class Architecture:
         }
 
 
+def cached_embed(embedder, text, cache):
+    """The embedding of `text` from `cache` (text -> read-only vector),
+    embedded and stored there on a miss."""
+    vec = cache.get(text)
+    if vec is None:
+        vec = embedder.embed(text)
+        vec.setflags(write=False)
+        cache[text] = vec
+    return vec
+
+
 def _profile_sum(registry, embedder, op_ids, profile_cache):
-    """Sum of the operators' profile embeddings, added in drawn order. Each
-    embedding is taken from `profile_cache` (profile text -> read-only
-    vector), and embedded and stored there on a miss."""
+    """Sum of the operators' profile embeddings from `profile_cache`, added
+    in drawn order."""
     total = np.zeros(embedder.dim, dtype=np.float64)
     for op_id in op_ids:
-        text = registry.get(op_id).profile_text
-        vec = profile_cache.get(text)
-        if vec is None:
-            vec = embedder.embed(text)
-            vec.setflags(write=False)
-            profile_cache[text] = vec
-        total += vec
+        total += cached_embed(embedder, registry.get(op_id).profile_text, profile_cache)
     return total
 
 
@@ -81,12 +85,14 @@ def sample_architecture(
     mode: str,
     rng: np.random.Generator | None = None,
     embedder=None,
-    query_vec: np.ndarray | None = None,
+    first: ctl.ScoreVector | None = None,
     profile_cache: dict | None = None,
 ) -> Architecture:
     """Sample (train) or select (eval) one architecture for the query.
-    `query_vec`, when given, is the query's embedding, so callers drawing
-    several samples for one query embed it once. `profile_cache` maps
+    `first`, when given, is layer 1's forward pass (`score_layer` on the
+    query embedding, its `.feature`), so callers drawing several samples
+    for one query at the same parameters embed and score it once; a
+    feature of the wrong length raises `DimensionMismatch`. `profile_cache` maps
     profile text to its read-only embedding; pass the same dict to every
     call to embed each profile text once, or None to use a fresh dict for
     this call only. Keyed on text, it needs no invalidation when operators
@@ -102,8 +108,14 @@ def sample_architecture(
 
     ids = registry.ids()
     exit_idx = registry.index_of(registry.early_exit_id)
-    if query_vec is None:
-        query_vec = embedder.embed(query)
+    if first is None:
+        first = ctl.score_layer(state, 1, embedder.embed(query))
+    elif first.feature.shape != (state.embed_dim,):
+        raise DimensionMismatch(
+            f"layer 1 feature has shape {first.feature.shape},"
+            f" expected ({state.embed_dim},)"
+        )
+    query_vec = first.feature
     if profile_cache is None:
         profile_cache = {}
 
@@ -115,12 +127,13 @@ def sample_architecture(
     log_prob = 0.0
 
     for ell in range(1, state.num_layers + 1):
-        if layers:
+        if ell == 1:
+            score_vec = first
+        else:
             layer_sums.append(
                 _profile_sum(registry, embedder, layers[-1], profile_cache)
             )
-        feature = layer_feature(query_vec, layer_sums)
-        score_vec = ctl.score_layer(state, ell, feature)
+            score_vec = ctl.score_layer(state, ell, layer_feature(query_vec, layer_sums))
         forward.append(score_vec)
         if mode == MODE_TRAIN:
             selected, lp = ctl.sample_selection(score_vec, thres, rng)

@@ -415,7 +415,7 @@ class TestTrainer:
         monkeypatch.setattr(kernels, "ffn_forward", counting_forward)
         monkeypatch.setattr(HashingEmbedder, "embed", recording_embed)
         monkeypatch.setattr(sampler, "sample_architecture", recording_sample)
-        profile_embeds = []
+        query_embeds, profile_embeds = [], []
         summed_ops = set()  # operators whose profile fed a later layer
         for i in range(30):
             q = query(f"q{i}")
@@ -424,12 +424,15 @@ class TestTrainer:
             archs.clear()
             trainer.step(q)
             assert len(archs) == cfg.samples_k
-            assert len(forward_calls) == sum(len(a.selections) for a in archs)
-            assert texts.count(q.query) == 1
+            # layer 1 once per step, every later sampled layer once
+            assert len(forward_calls) == 1 + sum(len(a.selections) - 1 for a in archs)
+            query_embeds += [t for t in texts if t == q.query]
             profile_embeds += [t for t in texts if t != q.query]
             summed_ops.update(op_id for a in archs
                               for ids in a.layers[: len(a.selections) - 1]
                               for op_id in ids)
+        # the query text, repeated every step, is embedded once over the run
+        assert query_embeds == [query().query]
         # each distinct profile text is embedded at most once over the run
         assert len(profile_embeds) == len(set(profile_embeds))
         assert set(profile_embeds) == set(trainer.profile_cache)
