@@ -240,22 +240,15 @@ def grad_log_prob(
     state: SupernetState, layer_index: int, feature: np.ndarray, selected
 ) -> LayerGrad:
     """Exact gradient of the selection's prefix log-probability w.r.t. the
-    layer's parameters (through softmax and the two-layer network)."""
+    layer's parameters (through softmax and the two-layer network), from a
+    fresh forward pass: the one-row case of the training update's backward."""
     score_vec = score_layer(state, layer_index, feature)
-    return backward(state, layer_index, score_vec, selected)
-
-
-def backward(
-    state: SupernetState, layer_index: int, score_vec: ScoreVector, selected
-) -> LayerGrad:
-    """The gradient of `grad_log_prob` from a forward pass already taken:
-    `score_vec` must come from `score_layer` at the current parameters."""
     ctrl = state.layer(layer_index)
     selected = np.asarray(selected, dtype=np.int64)
     if selected.size and (selected.min() < 0 or selected.max() >= ctrl.W2.shape[0]):
         raise ShapeMismatch("selection index out of range")
     g_logits = kernels.pl_grad_logits(score_vec.scores, selected)
     gW1, gb1, gW2, gb2 = kernels.ffn_backward(
-        ctrl.W2, score_vec.feature, score_vec.hidden, g_logits
+        ctrl.W2, score_vec.feature[None], score_vec.hidden[None], g_logits[None]
     )
     return LayerGrad(W1=gW1, b1=gb1, W2=gW2, b2=gb2, layer_index=layer_index)

@@ -1,8 +1,9 @@
 """Numeric kernels for the controller, in numpy.
 
-They run once per sampled layer: the forward pass and softmax while
-sampling, the prefix log-probability gradient and the backward pass while
-taking the policy gradient.
+The forward pass and softmax run once per sampled layer while sampling (layer
+1 once per training step), the prefix log-probability gradient once per
+sampled layer of each sample, and the backward pass once per layer per
+training step, over the rows of every sample that reached the layer.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def pl_grad_logits(scores, selected):
     log p = sum_j [ log s_{i_j} - log(1 - sum_{t<j} s_{i_t}) ]
     """
     n = scores.shape[0]
-    t_len = selected.shape[0]
+    t_len = len(selected)
     g_s = np.zeros(n)
     for j in range(t_len):
         g_s[selected[j]] += 1.0 / scores[selected[j]]
@@ -50,16 +51,16 @@ def pl_grad_logits(scores, selected):
     return g_logits
 
 
-def ffn_backward(W2, x, h, g_logits):
-    """Backprop g_logits through the two-layer tanh network.
+def ffn_backward(W2, X, H, G):
+    """Backprop logit gradients through the two-layer tanh network, summed
+    over rows: row r of X (features), H (tanh hidden states) and G (logit
+    gradients) is one forward pass.
 
     Returns (gW1, gb1, gW2, gb2) in parameter shapes.
     """
-    gW2 = g_logits.reshape(-1, 1) * h.reshape(1, -1)
-    gb2 = g_logits.copy()
-    g_h = W2.T @ g_logits
-    g_z1 = g_h * (1.0 - h * h)
-    gW1 = g_z1.reshape(-1, 1) * x.reshape(1, -1)
-    gb1 = g_z1
+    gW2 = G.T @ H
+    gb2 = G.sum(axis=0)
+    g_z1 = (G @ W2) * (1.0 - H * H)
+    gW1 = g_z1.T @ X
+    gb1 = g_z1.sum(axis=0)
     return gW1, gb1, gW2, gb2
-

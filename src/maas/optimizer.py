@@ -2,14 +2,16 @@
 
 Each training step samples K architectures for one query, executes them,
 weights each sample by normalized utility minus a cost-penalty term, and
-takes one likelihood-ratio ascent step on the controller parameters. The
-query is embedded once per step and each operator profile text once per
-run (`Trainer.profile_cache`), and each sample's gradient backpropagates
-through the forward pass the sampler recorded, so every sampled layer runs
-its scoring network once. On a fixed cadence the operator set itself is
-revised through textual patches: either a deterministic mock mutator (used
-by all automated tests) or an LLM-backed mutator that proposes
-prompt/temperature/structure edits.
+takes one likelihood-ratio ascent step on the controller parameters. Each
+query text and each operator profile text is embedded once per run
+(`Trainer.query_cache`, `Trainer.profile_cache`); layer 1 is scored once per
+step and its forward pass shared by the K samples; and the gradient
+backpropagates through the forward passes the sampler recorded, with one
+backward per layer over the rows of every sample that reached it. So every
+sampled layer runs its scoring network once. On a fixed cadence the
+operator set itself is revised through textual patches: either a
+deterministic mock mutator (used by all automated tests) or an LLM-backed
+mutator that proposes prompt/temperature/structure edits.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 
+import numpy as np
+
 from . import controller as ctl
-from . import sampler
+from . import kernels, sampler
 # layer_feature is unused here but kept importable: perfbench/tracer.py wraps
 # it at every module that binds the name.
 from .embedding import HashingEmbedder, layer_feature  # noqa: F401
@@ -91,47 +95,41 @@ def importance_weights(utilities, costs, cost_lambda):
     return [u_terms[i] - cost_lambda * costs[i] / c_sum for i in range(k)]
 
 
-def trace_gradients(state, arch):
-    """Per-layer log-probability gradients for one sampled architecture,
-    backpropagated through the forward passes recorded while sampling it."""
-    if arch.params_version != state.version:
-        raise StaleArchitecture("parameters changed since sampling")
-    if len(arch.forward) != len(arch.selections):
-        raise ValueError("architecture carries no recorded forward pass")
-    return [
-        ctl.backward(state, ell, score_vec, selected)
+def trace_gradients(state, archs, weights):
+    """sum_k m_k * grad log p(arch_k), one `LayerGrad` per layer any sample
+    reached, backpropagated through the forward passes recorded while
+    sampling. Each layer stacks one row per sample that reached it (feature,
+    hidden state and m_k times the logit gradient) and runs one backward."""
+    rows = {}  # layer index -> [(feature, hidden, m_k * g_logits)], layers ascending
+    for arch, m_k in zip(archs, weights):
+        if arch.params_version != state.version:
+            raise StaleArchitecture("parameters changed since sampling")
+        if len(arch.forward) != len(arch.selections):
+            raise ValueError("architecture carries no recorded forward pass")
         for ell, (score_vec, selected) in enumerate(
-            zip(arch.forward, arch.selections), start=1
-        )
-    ]
+                zip(arch.forward, arch.selections), start=1):
+            g_logits = kernels.pl_grad_logits(score_vec.scores, selected)
+            rows.setdefault(ell, []).append(
+                (score_vec.feature, score_vec.hidden, m_k * g_logits))
+    grads = []
+    for ell, layer_rows in rows.items():
+        X, H, G = (np.array(col) for col in zip(*layer_rows))
+        gW1, gb1, gW2, gb2 = kernels.ffn_backward(state.layer(ell).W2, X, H, G)
+        grads.append(ctl.LayerGrad(gW1, gb1, gW2, gb2, ell))
+    return grads
 
 
-def update_distribution(state: ctl.SupernetState, log_prob_grads, weights, lr):
+def update_distribution(state: ctl.SupernetState, archs, weights, lr):
     """Ascent on the weighted selection log-likelihood: parameters move by
-    (lr / K) * sum_k m_k * grad log p(arch_k). `log_prob_grads` holds one
-    list of per-layer `LayerGrad`s per sample, as `trace_gradients` returns
-    it, and `weights` one m_k per sample."""
-    if len(weights) != len(log_prob_grads):
-        raise ShapeMismatch("weights / gradients length mismatch")
-    k = len(weights)
-    deltas = {}
-    for m_k, grads in zip(weights, log_prob_grads):
-        for g in grads:
-            acc = deltas.get(g.layer_index)
-            if acc is None:
-                deltas[g.layer_index] = ctl.LayerGrad(
-                    m_k * g.W1, m_k * g.b1, m_k * g.W2, m_k * g.b2, g.layer_index
-                )
-            else:
-                acc.W1 += m_k * g.W1
-                acc.b1 += m_k * g.b1
-                acc.W2 += m_k * g.W2
-                acc.b2 += m_k * g.b2
-    scale = lr / k
-    for layer_index, g in deltas.items():
-        ctrl = state.layer(layer_index)
+    (lr / K) * sum_k m_k * grad log p(arch_k), for the K sampled
+    architectures `archs` and one m_k per sample in `weights`."""
+    if len(weights) != len(archs):
+        raise ShapeMismatch("weights / architectures length mismatch")
+    scale = lr / len(weights)
+    for g in trace_gradients(state, archs, weights):
+        ctrl = state.layer(g.layer_index)
         if ctrl.W1.shape != g.W1.shape or ctrl.W2.shape != g.W2.shape:
-            raise ShapeMismatch(f"gradient shape mismatch at layer {layer_index}")
+            raise ShapeMismatch(f"gradient shape mismatch at layer {g.layer_index}")
         ctrl.W1 += scale * g.W1
         ctrl.b1 += scale * g.b1
         ctrl.W2 += scale * g.W2
@@ -305,12 +303,13 @@ def textual_gradient(registry, traces, mutator="mock"):
 class Trainer:
     """Stateful training loop over (controller parameters, operator registry).
 
-    Each step embeds its query once. The trainer owns one profile cache for
-    its whole life (`profile_cache`, profile text -> read-only embedding) and
-    passes it to every sample, so each distinct operator profile text is
-    embedded once per run. Keyed on text, it needs no invalidation when a
-    patch edits, splits or merges operators; it holds one entry per distinct
-    profile text (patches leave profile texts alone, and split clones copy
+    The trainer owns a query cache (`query_cache`) and a profile cache
+    (`profile_cache`) for its whole life, each text -> read-only embedding,
+    so each distinct query text and operator profile text is embedded once
+    per run. Each step scores layer 1 once and hands that forward pass to
+    its K samples. Keyed on text, the caches need no invalidation when a
+    patch edits, splits or merges operators; the profile cache holds one
+    entry per distinct profile text (patches leave profile texts alone, and split clones copy
     their parent's). The mutator is "mock", "none" or a callable; anything
     else raises `MutatorUnavailable` before the first step."""
 
@@ -334,7 +333,6 @@ class Trainer:
     def step(self, query) -> dict:
         cfg = self.config
         traces = []
-        grads = []
         query_vec = sampler.cached_embed(self.embedder, query.query, self.query_cache)
         first = ctl.score_layer(self.state, 1, query_vec)
         for _ in range(cfg.samples_k):
@@ -349,14 +347,14 @@ class Trainer:
                 first=first,
                 profile_cache=self.profile_cache,
             )
-            trace = execute(arch, query, self.env, self.registry, self.rng)
-            grads.append(trace_gradients(self.state, arch))
-            traces.append(trace)
+            traces.append(execute(arch, query, self.env, self.registry, self.rng))
 
         weights = importance_weights(
             [t.utility for t in traces], [t.cost for t in traces], cfg.cost_lambda
         )
-        update_distribution(self.state, grads, weights, cfg.lr)
+        update_distribution(
+            self.state, [t.architecture for t in traces], weights, cfg.lr
+        )
         self.step_count += 1
 
         patches_applied = 0

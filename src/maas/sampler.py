@@ -9,10 +9,12 @@ direct-io call so the query still gets answered.
 
 Sampling records each layer's forward pass (feature, tanh hidden state and
 scores) on the architecture, so the policy gradient reuses it instead of
-running the layer again. Each layer's profile sum is built once, when the
+running the layer again. Layer 1's forward pass depends on the query alone,
+so a caller drawing K samples at the same parameters can score it once and
+pass it in as `first`. Each layer's profile sum is built once, when the
 next layer needs it, from operator profile embeddings looked up by text in
-a `profile_cache`: a caller that passes one dict to every call (as
-`Trainer` does) embeds each distinct profile text once.
+a `profile_cache`: a caller that passes one dict to every call embeds each
+distinct profile text once. `Trainer` does both.
 """
 
 from __future__ import annotations

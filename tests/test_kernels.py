@@ -102,11 +102,16 @@ def test_pl_grad_parity():
 
 
 def test_backward_parity():
+    """One row per forward pass; the kernel sums the rows' gradients."""
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        W1, b1, W2, b2, x = random_instance(rng)
-        h, _ = ref_ffn_forward(W1, b1, W2, b2, x)
-        g = rng.normal(size=W2.shape[0])
-        for got, ref in zip(kernels.ffn_backward(W2, x, h, g),
-                            ref_ffn_backward(W2, x, h, g)):
-            np.testing.assert_allclose(got, ref, rtol=0, atol=TOL)
+    for i in range(20):
+        W1, b1, W2, b2, _ = random_instance(rng)
+        rows = []
+        for _ in range(1 + i % 4):
+            x = rng.normal(size=W1.shape[1])
+            h, _ = ref_ffn_forward(W1, b1, W2, b2, x)
+            rows.append((x, h, rng.normal(size=W2.shape[0])))
+        X, H, G = (np.array(col) for col in zip(*rows))
+        refs = [ref_ffn_backward(W2, x, h, g) for x, h, g in rows]
+        for got, *ref in zip(kernels.ffn_backward(W2, X, H, G), *refs):
+            np.testing.assert_allclose(got, sum(ref), rtol=0, atol=TOL)

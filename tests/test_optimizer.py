@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maas import kernels, sampler
+from maas import optimizer as optimizer_module
 from maas.controller import grad_log_prob, init_params, score_layer
 from maas.embedding import HashingEmbedder, layer_feature
 from maas.errors import (
@@ -116,7 +117,7 @@ class TestTraceGradients:
             rng = np.random.default_rng(seed)
             for text in ("add 1 and 2", "prove the lemma", ""):
                 arch = sample_architecture(state, reg, text, 0.3, MODE_TRAIN, rng, emb)
-                grads = trace_gradients(state, arch)
+                grads = trace_gradients(state, [arch], [1.0])
                 features = scratch_features(reg, emb, text, arch)
                 assert len(grads) == len(arch.selections) == len(features)
                 for ell, (g, f, sel) in enumerate(
@@ -134,23 +135,24 @@ class TestTraceGradients:
                                    np.random.default_rng(0), HashingEmbedder(8))
         state.bump_version()
         with pytest.raises(StaleArchitecture):
-            trace_gradients(state, arch)
+            trace_gradients(state, [arch], [1.0])
+        with pytest.raises(StaleArchitecture):
+            update_distribution(state, [arch], [1.0], 0.05)
 
     def test_architecture_without_forward_pass_rejected(self):
         state = init_params(0, 8, 8, 2, 9)
         arch = Architecture(layers=[["cot"]], selections=[[0], [7]], exit_layer=2,
                             edges=[], log_prob=0.0, params_version=state.version)
         with pytest.raises(ValueError):
-            trace_gradients(state, arch)
+            trace_gradients(state, [arch], [1.0])
 
 
-def sampled_grads(state, registry, query_text, k, rng, embedder):
-    grads = []
-    for _ in range(k):
-        arch = sample_architecture(state, registry, query_text, 0.3, MODE_TRAIN,
-                                   rng, embedder)
-        grads.append(trace_gradients(state, arch))
-    return grads
+def sampled_archs(state, registry, query_text, k, rng, embedder):
+    return [
+        sample_architecture(state, registry, query_text, 0.3, MODE_TRAIN, rng,
+                            embedder)
+        for _ in range(k)
+    ]
 
 
 class TestUpdateDistribution:
@@ -159,10 +161,10 @@ class TestUpdateDistribution:
         state = init_params(0, 8, 8, 2, len(reg))
         emb = HashingEmbedder(8)
         rng = np.random.default_rng(0)
-        grads = sampled_grads(state, reg, "q", 3, rng, emb)
+        archs = sampled_archs(state, reg, "q", 3, rng, emb)
         before = state.to_dict()
         v0 = state.version
-        update_distribution(state, grads, [0.0, 0.0, 0.0], 0.1)
+        update_distribution(state, archs, [0.0, 0.0, 0.0], 0.1)
         after = state.to_dict()
         assert after["layers"] == before["layers"]
         assert state.version == v0 + 1
@@ -175,8 +177,7 @@ class TestUpdateDistribution:
         arch = sample_architecture(state, reg, "boost me", 0.3, MODE_TRAIN, rng, emb)
         prev = arch.log_prob
         for _ in range(100):
-            grads = trace_gradients(state, arch)
-            update_distribution(state, [grads], [1.0], 0.05)
+            update_distribution(state, [arch], [1.0], 0.05)
             arch = replayed(state, reg, "boost me", arch, emb)
             lp = architecture_log_prob(state, reg, "boost me", arch, emb)
             assert lp >= prev - 1e-12
@@ -192,9 +193,7 @@ class TestUpdateDistribution:
         if a1.selections == a2.selections:
             pytest.skip("rng drew identical architectures")
         gap_before = a1.log_prob - a2.log_prob
-        g1 = trace_gradients(state, a1)
-        g2 = trace_gradients(state, a2)
-        update_distribution(state, [g1, g2], [1.0, -1.0], 0.05)
+        update_distribution(state, [a1, a2], [1.0, -1.0], 0.05)
         a1.params_version = a2.params_version = state.version
         gap_after = architecture_log_prob(state, reg, "pair", a1, emb) \
             - architecture_log_prob(state, reg, "pair", a2, emb)
@@ -205,11 +204,11 @@ class TestUpdateDistribution:
         state = init_params(3, 8, 8, 1, len(reg))
         emb = HashingEmbedder(8)
         rng = np.random.default_rng(3)
-        grads = sampled_grads(state, reg, "q", 2, rng, emb)
+        archs = sampled_archs(state, reg, "q", 2, rng, emb)
         lr = 1e-4
         grad_norm = sum(
             max(float(np.abs(arr).max()) for arr in (g.W1, g.b1, g.W2, g.b2))
-            for sample in grads for g in sample
+            for arch in archs for g in trace_gradients(state, [arch], [1.0])
         )
         bound = (lr / 2) * grad_norm  # m_k = 1 for both samples
 
@@ -221,7 +220,7 @@ class TestUpdateDistribution:
             }
 
         before = flatten(state.to_dict())
-        update_distribution(state, grads, [1.0, 1.0], lr)
+        update_distribution(state, archs, [1.0, 1.0], lr)
         after = flatten(state.to_dict())
         for k in before:
             assert np.abs(after[k] - before[k]).max() <= bound + 1e-15
@@ -229,10 +228,121 @@ class TestUpdateDistribution:
     def test_length_mismatch(self):
         reg = builtin_registry()
         state = init_params(0, 8, 8, 1, len(reg))
-        grads = sampled_grads(state, reg, "q", 2, np.random.default_rng(0),
+        archs = sampled_archs(state, reg, "q", 2, np.random.default_rng(0),
                               HashingEmbedder(8))
         with pytest.raises(ShapeMismatch):
-            update_distribution(state, grads, [1.0], 0.05)
+            update_distribution(state, archs, [1.0], 0.05)
+
+
+class TestBatchedUpdate:
+    """The one-backward-per-layer update against a per-sample reference:
+    sum_k m_k * grad_log_prob on from-scratch features, scaled by lr / K."""
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_equals_per_sample_reference(self, k):
+        reg = builtin_registry()
+        emb = HashingEmbedder(16)
+        lr = 0.05
+        depths = set()
+        for seed in range(6):
+            state = init_params(seed, 16, 8, 4, len(reg))
+            rng = np.random.default_rng(seed)
+            text = ("add 1 and 2", "prove the lemma", "")[seed % 3]
+            first = score_layer(state, 1, emb.embed(text))
+            archs = [sample_architecture(state, reg, text, 0.3, MODE_TRAIN, rng,
+                                         emb, first=first) for _ in range(k)]
+            depths.update(a.exit_layer for a in archs)
+            weights = rng.normal(size=k).tolist()
+            weights[0] = 0.0
+            weights[1] = -abs(weights[1])
+            ref = {}
+            for arch, m_k in zip(archs, weights):
+                features = scratch_features(reg, emb, text, arch)
+                for ell, (f, sel) in enumerate(zip(features, arch.selections),
+                                               start=1):
+                    g = grad_log_prob(state, ell, f, sel)
+                    acc = ref.setdefault(ell, [np.zeros_like(a) for a in
+                                               (g.W1, g.b1, g.W2, g.b2)])
+                    for a, b in zip(acc, (g.W1, g.b1, g.W2, g.b2)):
+                        a += m_k * b
+            grads = trace_gradients(state, archs, weights)
+            assert [g.layer_index for g in grads] == sorted(ref)
+            for g in grads:
+                for got, want in zip((g.W1, g.b1, g.W2, g.b2), ref[g.layer_index]):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            before = [ctrl.param_arrays() for ctrl in state.layers]
+            before = [[a.copy() for a in params] for params in before]
+            update_distribution(state, archs, weights, lr)
+            for ell, (ctrl, old) in enumerate(zip(state.layers, before), start=1):
+                deltas = ref.get(ell, [np.zeros_like(a) for a in old])
+                for got, o, d in zip(ctrl.param_arrays(), old, deltas):
+                    np.testing.assert_allclose(got, o + (lr / k) * d,
+                                               rtol=1e-12, atol=1e-15)
+        # mixed depths, including samples that exit at layer 1
+        assert 1 in depths and len(depths) >= 3
+
+    def test_one_backward_per_layer_and_one_layer1_forward_per_step(
+            self, monkeypatch):
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=4, embed_dim=8, hidden_dim=8, samples_k=6)
+        state = init_params(0, 8, 8, 4, len(reg))
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          embedder=HashingEmbedder(8))
+        backward_calls, layer1_forwards, archs = [], [], []
+        ffn_forward, ffn_backward = kernels.ffn_forward, kernels.ffn_backward
+        update = optimizer_module.update_distribution
+
+        def counting_forward(W1, *args):
+            if W1.shape[1] == cfg.embed_dim:
+                layer1_forwards.append(1)
+            return ffn_forward(W1, *args)
+
+        def counting_backward(*args):
+            backward_calls.append(1)
+            return ffn_backward(*args)
+
+        def recording_update(state, step_archs, weights, lr):
+            archs.extend(step_archs)
+            return update(state, step_archs, weights, lr)
+
+        monkeypatch.setattr(kernels, "ffn_forward", counting_forward)
+        monkeypatch.setattr(kernels, "ffn_backward", counting_backward)
+        monkeypatch.setattr(optimizer_module, "update_distribution",
+                            recording_update)
+        for i in range(20):
+            backward_calls.clear()
+            layer1_forwards.clear()
+            archs.clear()
+            trainer.step(query(f"q{i}"))
+            assert len(archs) == cfg.samples_k
+            assert len(layer1_forwards) == 1
+            assert len(backward_calls) == max(len(a.selections) for a in archs)
+
+
+class TestQueryCache:
+    def test_repeated_query_embedded_once_and_read_only(self, monkeypatch):
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
+        emb = HashingEmbedder(8)
+        trainer = Trainer(init_params(0, 8, 8, 2, len(reg)), reg, simple_env(),
+                          cfg, np.random.default_rng(0), embedder=emb)
+        texts = []
+        embed = HashingEmbedder.embed
+
+        def recording_embed(self, text):
+            texts.append(text)
+            return embed(self, text)
+
+        monkeypatch.setattr(HashingEmbedder, "embed", recording_embed)
+        q = query()
+        trainer.step(q)
+        trainer.step(q)
+        assert texts.count(q.query) == 1
+        vec = trainer.query_cache[q.query]
+        assert np.array_equal(vec, embed(emb, q.query))
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
 
 
 def trace_for(layers, utility):

@@ -5,7 +5,7 @@ import pytest
 
 from maas.controller import init_params, score_layer, select_deterministic
 from maas.embedding import HashingEmbedder, layer_feature
-from maas.errors import StaleArchitecture
+from maas.errors import DimensionMismatch, StaleArchitecture
 from maas.registry import (
     KIND_DIRECT_IO,
     KIND_EARLY_EXIT,
@@ -125,6 +125,35 @@ class TestSampleArchitecture:
         state = init_params(0, 8, 8, 1, len(reg))
         with pytest.raises(ValueError):
             sample_architecture(state, reg, "q", 0.3, "test")
+
+    def test_given_first_is_bitwise_equal_to_own(self):
+        reg = builtin_registry()
+        emb = HashingEmbedder(16)
+        state = init_params(4, 16, 8, 4, len(reg))
+        for seed in range(20):
+            first = score_layer(state, 1, emb.embed("add 1 and 2"))
+            given = sample_architecture(state, reg, "add 1 and 2", 0.3, MODE_TRAIN,
+                                        np.random.default_rng(seed), emb,
+                                        first=first)
+            own = sample_architecture(state, reg, "add 1 and 2", 0.3, MODE_TRAIN,
+                                      np.random.default_rng(seed), emb)
+            assert given.forward[0] is first
+            assert given.selections == own.selections
+            assert given.log_prob.hex() == own.log_prob.hex()
+            for a, b in zip(given.forward, own.forward):
+                assert np.array_equal(a.feature, b.feature)
+                assert np.array_equal(a.scores, b.scores)
+
+    @pytest.mark.parametrize("num_layers", [1, 3])
+    def test_first_with_wrong_length_feature_rejected(self, num_layers):
+        reg = tiny_registry()
+        state = init_params(0, 8, 8, num_layers, len(reg))
+        wide = init_params(0, 16, 8, 1, len(reg))
+        first = score_layer(wide, 1, HashingEmbedder(16).embed("q"))
+        with pytest.raises(DimensionMismatch):
+            sample_architecture(state, reg, "q", 0.3, MODE_TRAIN,
+                                np.random.default_rng(0), HashingEmbedder(8),
+                                first=first)
 
 
 class TestProfileCache:
