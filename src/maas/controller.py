@@ -202,8 +202,8 @@ def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Genera
     Each draw is the one `rng.choice(n, p=weights / total)` makes (inverse
     CDF of one `rng.random()`), inlined without its argument handling: the
     same indices and the same generator state afterwards. One weight array
-    serves every draw, with each drawn operator's weight zeroed. Raises ValueError
-    when the normalized weights are NaN or do not sum to 1."""
+    serves every draw, with each drawn operator's weight zeroed. Raises
+    ValueError when the normalized weights are NaN or do not sum to 1."""
     scores = score_vec.scores
     weights = scores.copy()  # drawn operators zeroed
     drawn = []

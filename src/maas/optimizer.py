@@ -309,9 +309,10 @@ class Trainer:
     per run. Each step scores layer 1 once and hands that forward pass to
     its K samples. Keyed on text, the caches need no invalidation when a
     patch edits, splits or merges operators; the profile cache holds one
-    entry per distinct profile text (patches leave profile texts alone, and split clones copy
-    their parent's). The mutator is "mock", "none" or a callable; anything
-    else raises `MutatorUnavailable` before the first step."""
+    entry per distinct profile text (patches leave profile texts alone, and
+    split clones copy their parent's). The mutator is "mock", "none" or a
+    callable; anything else raises `MutatorUnavailable` before the first
+    step."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, embedder=None,
                  mutator=None):

@@ -94,11 +94,11 @@ def sample_architecture(
     `first`, when given, is layer 1's forward pass (`score_layer` on the
     query embedding, its `.feature`), so callers drawing several samples
     for one query at the same parameters embed and score it once; a
-    feature of the wrong length raises `DimensionMismatch`. `profile_cache` maps
-    profile text to its read-only embedding; pass the same dict to every
-    call to embed each profile text once, or None to use a fresh dict for
-    this call only. Keyed on text, it needs no invalidation when operators
-    are patched, split or merged."""
+    feature of the wrong length raises `DimensionMismatch`.
+    `profile_cache` maps profile text to its read-only embedding; pass the
+    same dict to every call to embed each profile text once, or None to use
+    a fresh dict for this call only. Keyed on text, it needs no
+    invalidation when operators are patched, split or merged."""
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == MODE_TRAIN and rng is None:

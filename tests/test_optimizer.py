@@ -270,8 +270,7 @@ class TestBatchedUpdate:
             for g in grads:
                 for got, want in zip((g.W1, g.b1, g.W2, g.b2), ref[g.layer_index]):
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-            before = [ctrl.param_arrays() for ctrl in state.layers]
-            before = [[a.copy() for a in params] for params in before]
+            before = [[a.copy() for a in ctrl.param_arrays()] for ctrl in state.layers]
             update_distribution(state, archs, weights, lr)
             for ell, (ctrl, old) in enumerate(zip(state.layers, before), start=1):
                 deltas = ref.get(ell, [np.zeros_like(a) for a in old])
