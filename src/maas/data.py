@@ -38,8 +38,6 @@ def load_dataset(path) -> list[QueryRecord]:
                     difficulty=float(obj["difficulty"]),
                 )
                 record.validate()
-            except (TypeError, ValueError) as exc:
-                raise ParseError(line_no, str(exc)) from exc
             except Exception as exc:
                 raise ParseError(line_no, str(exc)) from exc
             if record.id in seen:

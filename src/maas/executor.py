@@ -44,12 +44,10 @@ class QueryRecord:
 @dataclass
 class ExecutionTrace:
     architecture: object
-    node_outputs: dict
     final_answer: str
     utility: float
     cost: float
     llm_calls: int
-    query_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -154,8 +152,7 @@ class LiveEnv:
 
     def __init__(self, base_url=None, api_key=None, checker="exact_match",
                  transport=None, sleep=time.sleep):
-        self.base_url = (base_url or os.environ.get("MAAS_BASE_URL", "")).rstrip("/")
-        self.api_key = api_key if api_key is not None else os.environ.get("MAAS_API_KEY", "")
+        self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
         self.checker = checker
         self._transport = transport if transport is not None else _requests_transport
         self._sleep = sleep
@@ -174,6 +171,15 @@ class LiveEnv:
 
     def score(self, final_answer: str, query: QueryRecord) -> float:
         return evaluate_answer(final_answer, query.answer, self.checker)
+
+
+def resolve_endpoint(base_url, api_key):
+    """(base URL without a trailing slash, API key) of the chat endpoint:
+    each argument given wins over `MAAS_BASE_URL` / `MAAS_API_KEY`, and an
+    unset one is ""."""
+    base_url = (base_url or os.environ.get("MAAS_BASE_URL", "")).rstrip("/")
+    api_key = api_key if api_key is not None else os.environ.get("MAAS_API_KEY", "")
+    return base_url, api_key
 
 
 def render_prompt(spec, query_text, predecessor_outputs):
@@ -279,18 +285,16 @@ def _majority_vote(outputs, registry, layer_ids):
 def execute(arch, query: QueryRecord, env, registry, rng) -> ExecutionTrace:
     """Run the architecture layer by layer; each node sees the query plus the
     previous layer's outputs in drawn order (layer 1 sees none), and the sink
-    majority-votes the final layer."""
+    majority-votes the final layer: the wiring `build_dag` prints."""
     if not arch.layers:
         raise EmptyArchitecture("architecture has no layers")
-    node_outputs = {}
     total_cost = 0.0
     llm_calls = 0
     outputs = []
-    for number, layer_ids in enumerate(arch.layers, start=1):
+    for layer_ids in arch.layers:
         preds, outputs = outputs, []
         for op_id in layer_ids:
             output, cost, calls = env.run_node(registry.get(op_id), query, preds, rng)
-            node_outputs[arch.node_name(number, op_id)] = output
             outputs.append(output)
             total_cost += cost
             llm_calls += calls
@@ -299,10 +303,8 @@ def execute(arch, query: QueryRecord, env, registry, rng) -> ExecutionTrace:
     utility = env.score(final_answer, query)
     return ExecutionTrace(
         architecture=arch,
-        node_outputs=node_outputs,
         final_answer=final_answer,
         utility=utility,
         cost=total_cost,
         llm_calls=llm_calls,
-        query_id=query.id,
     )

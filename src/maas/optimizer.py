@@ -34,7 +34,7 @@ from .errors import (
     StaleArchitecture,
     UnparseableMutation,
 )
-from .executor import execute, live_call
+from .executor import execute, live_call, resolve_endpoint
 from .registry import KIND_EARLY_EXIT, KIND_GENERATIVE, OperatorPatch, OperatorSpec
 
 MOCK_PATCH_SENTENCE = "\nDouble-check each intermediate step before answering."
@@ -231,13 +231,10 @@ class LLMMutator:
     by argument or by `MAAS_BASE_URL`."""
 
     def __init__(self, model="default", base_url=None, api_key=None, transport=None):
-        import os
-
         self.model = model
-        self.base_url = (base_url or os.environ.get("MAAS_BASE_URL", "")).rstrip("/")
+        self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
         if not self.base_url:
             raise MutatorUnavailable("no base URL configured for the LLM mutator")
-        self.api_key = api_key if api_key is not None else os.environ.get("MAAS_API_KEY", "")
         self._transport = transport
 
     def __call__(self, registry, traces):

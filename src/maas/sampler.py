@@ -1,11 +1,14 @@
-"""Per-query architecture sampling and DAG construction.
+"""Per-query architecture sampling.
 
-Layer by layer, the controller scores every operator against the query and
-the previously selected layers, then selects a subset (stochastic in train
-mode, deterministic in eval mode). Selecting the early-exit operator stops
-sampling at that layer: co-selected operators are discarded and, when the
-exit fires at the very first layer, the architecture degenerates to a single
-direct-io call so the query still gets answered.
+An architecture is its layered operator selection: `execute` runs it layer
+by layer, and `build_dag` derives the paper's DAG wiring from it only for
+`maas sample` to print. Layer by layer, the controller scores every
+operator against the query and the previously selected layers, then
+selects a subset (stochastic in train mode, deterministic in eval mode).
+Selecting the early-exit operator stops sampling at that layer: co-selected
+operators are discarded and, when the exit fires at the very first layer,
+the architecture degenerates to a single direct-io call so the query still
+gets answered.
 
 Sampling records each layer's forward pass (feature, tanh hidden state and
 scores) on the architecture, so the policy gradient reuses it instead of
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import controller as ctl
-from .embedding import layer_feature
+from .embedding import HashingEmbedder, layer_feature
 from .errors import DimensionMismatch, StaleArchitecture
 
 SOURCE = "__source__"
@@ -39,21 +42,17 @@ class Architecture:
     layers: list  # list of lists of operator ids, in drawn order
     selections: list  # raw per-layer drawn index sequences (incl. exit draws)
     exit_layer: int | None
-    edges: list  # (from node, to node) pairs; nodes are "L{layer}:{op_id}"
     log_prob: float
     params_version: int
     # one controller.ScoreVector per entry of `selections`; not serialized
     forward: list = field(default_factory=list, repr=False, compare=False)
-
-    def node_name(self, layer_number: int, op_id: str) -> str:
-        return f"L{layer_number}:{op_id}"
 
     def to_dict(self):
         return {
             "layers": self.layers,
             "selections": self.selections,
             "exit_layer": self.exit_layer,
-            "edges": [list(e) for e in self.edges],
+            "edges": [list(e) for e in build_dag(self)],
             "log_prob": self.log_prob,
             "params_version": self.params_version,
         }
@@ -104,8 +103,6 @@ def sample_architecture(
     if mode == MODE_TRAIN and rng is None:
         raise ValueError("train mode needs an rng")
     if embedder is None:
-        from .embedding import HashingEmbedder
-
         embedder = HashingEmbedder(state.embed_dim)
 
     ids = registry.ids()
@@ -142,7 +139,7 @@ def sample_architecture(
         else:
             selected = ctl.select_deterministic(score_vec, thres)
             lp = ctl.selection_log_prob(score_vec, selected)
-        selections.append(list(selected))
+        selections.append(selected)
         log_prob += lp
         if exit_idx in selected:
             exit_layer = ell
@@ -151,17 +148,14 @@ def sample_architecture(
             break
         layers.append([ids[i] for i in selected])
 
-    arch = Architecture(
+    return Architecture(
         layers=layers,
         selections=selections,
         exit_layer=exit_layer,
-        edges=[],
         log_prob=log_prob,
         params_version=state.version,
         forward=forward,
     )
-    arch.edges = build_dag(arch)
-    return arch
 
 
 def architecture_log_prob(
@@ -174,8 +168,6 @@ def architecture_log_prob(
             f" parameters now at {state.version}"
         )
     if embedder is None:
-        from .embedding import HashingEmbedder
-
         embedder = HashingEmbedder(state.embed_dim)
     query_vec = embedder.embed(query)
     executed = arch.layers if arch.exit_layer != 1 else []
@@ -191,20 +183,22 @@ def architecture_log_prob(
 
 
 def build_dag(arch: Architecture) -> list:
-    """Source into layer 1, complete bipartite between consecutive layers,
-    final layer into the sink. `maas sample` prints these edges; `execute`
-    follows the same wiring straight from `arch.layers`."""
+    """The architecture's DAG as (from, to) node pairs, nodes named
+    "L{layer}:{op_id}": source into layer 1, complete bipartite between
+    consecutive layers, final layer into the sink. Only `maas sample`
+    prints it; `execute` follows the same wiring straight from
+    `arch.layers`."""
     edges = []
     if not arch.layers:
         return edges
     numbered = list(enumerate(arch.layers, start=1))
     for op_id in arch.layers[0]:
-        edges.append((SOURCE, arch.node_name(1, op_id)))
+        edges.append((SOURCE, f"L1:{op_id}"))
     for (num_a, layer_a), (num_b, layer_b) in zip(numbered, numbered[1:]):
         for a in layer_a:
             for b in layer_b:
-                edges.append((arch.node_name(num_a, a), arch.node_name(num_b, b)))
+                edges.append((f"L{num_a}:{a}", f"L{num_b}:{b}"))
     last_num, last_layer = numbered[-1]
     for op_id in last_layer:
-        edges.append((arch.node_name(last_num, op_id), SINK))
+        edges.append((f"L{last_num}:{op_id}", SINK))
     return edges

@@ -313,10 +313,9 @@ class TestCriterion9LiveSmoke:
         rng = np.random.default_rng(0)
         for rec in records:
             arch = sampler.Architecture(
-                layers=[["direct_io"]], selections=[], exit_layer=1, edges=[],
+                layers=[["direct_io"]], selections=[], exit_layer=1,
                 log_prob=0.0, params_version=state.version,
             )
-            arch.edges = sampler.build_dag(arch)
             q = QueryRecord(rec["id"], rec["query"], rec["answer"],
                             rec["domain"], rec["difficulty"])
             baseline_hits += execute(arch, q, env, reg, rng).utility

@@ -7,8 +7,14 @@ import pytest
 from click.testing import CliRunner
 
 from maas import checkpoint as ckpt
+from maas import sampler
 from maas.cli import PROBE_QUERIES, main
-from maas.datagen import _profile_dicts, default_profiles, make_mixed_dataset
+from maas.controller import init_params
+from maas.data import load_dataset
+from maas.datagen import _profile_dicts, default_env, default_profiles, make_mixed_dataset
+from maas.harness import run_eval
+from maas.optimizer import TrainConfig, Trainer
+from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
 
 
@@ -177,3 +183,49 @@ def sample_from(workdir, query):
     """The eval-mode architecture the trained checkpoint selects for `query`."""
     state, registry, config = ckpt.restore(ckpt.load(str(workdir / "ckpt.json")))
     return sample_architecture(state, registry, query, config.thres, MODE_EVAL)
+
+
+class TestDagOnlyWhenPrinted:
+    """`sampler.build_dag` runs once per architecture `maas sample` prints
+    and never while training, evaluating or inspecting."""
+
+    @pytest.fixture
+    def dag_calls(self, monkeypatch):
+        calls = []
+        build = sampler.build_dag
+
+        def counting(arch):
+            calls.append(build(arch))
+            return calls[-1]
+
+        monkeypatch.setattr(sampler, "build_dag", counting)
+        return calls
+
+    def test_training_steps_and_eval_build_no_dag(self, workdir, dag_calls):
+        registry = builtin_registry()
+        cfg = TrainConfig(num_layers=3, embed_dim=16, hidden_dim=16, patch_every=2)
+        state = init_params(0, 16, 16, 3, len(registry))
+        trainer = Trainer(state, registry, default_env(), cfg, np.random.default_rng(0))
+        records = load_dataset(workdir / "mix.jsonl")
+        for record in records[:6]:
+            trainer.step(record)
+        assert trainer.step_count == 6
+        report = run_eval(ckpt.build_checkpoint(state, registry, cfg),
+                          workdir / "mix.jsonl", default_env())
+        assert report["n_records"] == len(records)
+        assert dag_calls == []
+
+    def test_sample_builds_one_dag_per_printed_architecture(self, workdir, dag_calls):
+        runner = CliRunner()
+        assert runner.invoke(main, train_args(workdir)).exit_code == 0
+        path = str(workdir / "ckpt.json")
+        assert runner.invoke(main, ["inspect", "--checkpoint", path]).exit_code == 0
+        assert dag_calls == []
+        printed = []
+        for query in ("add 2 and 3", "what is 14 plus 9"):
+            for extra in ([], ["--explain"]):
+                result = runner.invoke(
+                    main, ["sample", "--checkpoint", path, "--query", query, *extra])
+                assert result.exit_code == 0, result.output
+                printed.append(json.loads(result.output)["edges"])
+        assert printed == [[list(e) for e in edges] for edges in dag_calls]

@@ -43,10 +43,28 @@ def registry_with(ids):
 
 
 def arch_of(layers):
-    arch = Architecture(layers=layers, selections=[], exit_layer=None, edges=[],
+    return Architecture(layers=layers, selections=[], exit_layer=None,
                         log_prob=0.0, params_version=0)
-    arch.edges = build_dag(arch)
-    return arch
+
+
+class RecordingEnv:
+    """Wraps an env (or, without one, names each output after its call
+    number) and records each node's (output, predecessor outputs)."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.seen = []
+
+    def run_node(self, spec, query, predecessor_outputs, rng):
+        if self.inner is None:
+            result = f"out{len(self.seen)}:{spec.id}", 1.0, 1
+        else:
+            result = self.inner.run_node(spec, query, predecessor_outputs, rng)
+        self.seen.append((result[0], list(predecessor_outputs)))
+        return result
+
+    def score(self, final_answer, query):
+        return 0.0 if self.inner is None else self.inner.score(final_answer, query)
 
 
 class TestSyntheticFormula:
@@ -171,24 +189,15 @@ class TestExecute:
         reg = registry_with(["a", "b", "c"])
         env = self._env(base=0.5)
         arch = arch_of([["a", "b"], ["c"]])
-        t1 = execute(arch, record(), env, reg, np.random.default_rng(9))
-        t2 = execute(arch, record(), env, reg, np.random.default_rng(9))
-        assert t1.node_outputs == t2.node_outputs
-        assert t1.utility == t2.utility
+        env1, env2 = RecordingEnv(env), RecordingEnv(env)
+        t1 = execute(arch, record(), env1, reg, np.random.default_rng(9))
+        t2 = execute(arch, record(), env2, reg, np.random.default_rng(9))
+        assert len(env1.seen) == 3
+        assert env1.seen == env2.seen
+        assert (t1.final_answer, t1.utility, t1.cost) == \
+            (t2.final_answer, t2.utility, t2.cost)
 
     def test_each_node_sees_the_previous_layer_in_drawn_order(self):
-        class RecordingEnv:
-            def __init__(self):
-                self.seen = []
-
-            def run_node(self, spec, query, predecessor_outputs, rng):
-                output = f"out{len(self.seen)}:{spec.id}"
-                self.seen.append((output, list(predecessor_outputs)))
-                return output, 1.0, 1
-
-            def score(self, final_answer, query):
-                return 0.0
-
         layers = [["b", "a"], ["c", "a"], ["b"]]
         env = RecordingEnv()
         trace = execute(arch_of(layers), record(), env,
@@ -200,11 +209,11 @@ class TestExecute:
         ]
         assert trace.final_answer == "out4:b"
         # the same predecessors, in the same order, as the architecture's DAG
-        arch = arch_of(layers)
+        names = [f"L{n}:{op}" for n, ids in enumerate(layers, 1) for op in ids]
+        node_outputs = {name: out for name, (out, _) in zip(names, env.seen)}
         preds = {}
-        for src, dst in arch.edges:
-            preds.setdefault(dst, []).append(trace.node_outputs.get(src))
-        names = [arch.node_name(n, op) for n, ids in enumerate(layers, 1) for op in ids]
+        for src, dst in build_dag(arch_of(layers)):
+            preds.setdefault(dst, []).append(node_outputs.get(src))
         assert [p for _, p in env.seen] == [
             [o for o in preds[name] if o is not None] for name in names
         ]

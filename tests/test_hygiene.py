@@ -7,6 +7,9 @@
 - The files under `data/` are what `maas.datagen` writes today.
 - Every function `perfbench/tracer.py` wraps still exists where it looks
   it up, so a rename in `src/` fails here rather than in a traced run.
+- Every field of a `@dataclass` in `src/maas` is read as an attribute
+  somewhere in `src/maas` or `perfbench/`, so no object carries state that
+  nothing reads. Fields are matched by name, whatever the object.
 """
 
 import ast
@@ -17,6 +20,11 @@ from maas import datagen
 
 ROOT = Path(__file__).resolve().parent.parent
 NOQA = "# noqa: F401"
+# dataclass fields that nothing in src/maas or perfbench/ reads, and why
+UNREAD_FIELDS_KEPT = {
+    "ScoreVector.logits": "the tests pin it as the forward pass's oracle",
+    "OperatorPatch.rationale": "ROADMAP item 5 stores patch rationales",
+}
 
 
 def unused_imports(source):
@@ -66,6 +74,59 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert offenders == []
+
+
+def is_dataclass_decorator(node):
+    func = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(func, ast.Name) and func.id == "dataclass") or (
+        isinstance(func, ast.Attribute) and func.attr == "dataclass")
+
+
+def unread_fields(defining, reading):
+    """`Class.field` of each annotated field of a `@dataclass` class in the
+    `defining` sources that no source in `reading` loads as an attribute."""
+    read = {node.attr for source in reading for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [
+        f"{cls.name}.{stmt.target.id}"
+        for source in defining
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        and any(is_dataclass_decorator(d) for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+
+
+def test_checker_flags_unread_dataclass_fields():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    written: int = 0\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    unread: str\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+        "def f(a):\n"
+        "    a.written = a.read\n"
+    )
+    assert unread_fields([source], [source]) == ["A.written", "B.unread"]
+    assert unread_fields([source], [source, "x.unread\n"]) == ["A.written"]
+
+
+def test_every_dataclass_field_is_read():
+    src = sorted((ROOT / "src" / "maas").glob("*.py"))
+    readers = src + sorted((ROOT / "perfbench").glob("*.py"))
+    unread = unread_fields([p.read_text() for p in src],
+                           [p.read_text() for p in readers])
+    assert [name for name in unread if name not in UNREAD_FIELDS_KEPT] == []
+    # a kept field that something now reads must leave UNREAD_FIELDS_KEPT too
+    assert [name for name in UNREAD_FIELDS_KEPT if name not in unread] == []
 
 
 SHIPPED = ("synthetic_mix.jsonl", "synthetic_profiles.json", "sabotaged_profiles.json")

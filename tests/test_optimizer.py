@@ -142,7 +142,7 @@ class TestTraceGradients:
     def test_architecture_without_forward_pass_rejected(self):
         state = init_params(0, 8, 8, 2, 9)
         arch = Architecture(layers=[["cot"]], selections=[[0], [7]], exit_layer=2,
-                            edges=[], log_prob=0.0, params_version=state.version)
+                            log_prob=0.0, params_version=state.version)
         with pytest.raises(ValueError):
             trace_gradients(state, [arch], [1.0])
 
@@ -347,9 +347,9 @@ class TestQueryCache:
 def trace_for(layers, utility):
     from maas.sampler import Architecture
 
-    arch = Architecture(layers=layers, selections=[], exit_layer=None, edges=[],
+    arch = Architecture(layers=layers, selections=[], exit_layer=None,
                         log_prob=0.0, params_version=0)
-    return ExecutionTrace(arch, {}, "", utility, 1.0, 1)
+    return ExecutionTrace(arch, "", utility, 1.0, 1)
 
 
 class TestMockMutator:

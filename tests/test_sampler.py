@@ -50,7 +50,7 @@ class TestSampleArchitecture:
         arch = sample_architecture(state, reg, "q", 0.3, MODE_EVAL)
         assert arch.exit_layer == 1
         assert arch.layers == [["io"]]
-        assert arch.edges == [(SOURCE, "L1:io"), ("L1:io", SINK)]
+        assert arch.to_dict()["edges"] == [[SOURCE, "L1:io"], ["L1:io", SINK]]
 
     def test_exit_never_selected_runs_full_depth(self):
         reg = tiny_registry()
@@ -286,7 +286,7 @@ def topological_sort_succeeds(edges):
 class TestBuildDag:
     def _arch(self, layers, exit_layer=None):
         return Architecture(layers=layers, selections=[], exit_layer=exit_layer,
-                            edges=[], log_prob=0.0, params_version=0)
+                            log_prob=0.0, params_version=0)
 
     def test_single_chain(self):
         edges = build_dag(self._arch([["a"], ["b"]]))
