@@ -7,10 +7,15 @@ greedily by descending score until the cumulative mass strictly exceeds the
 threshold (deterministic rule), or drawn sequentially without replacement
 in proportion to their scores with the same cumulative-mass stopping rule
 (stochastic rule, with closed-form log-probability and exact gradients).
+Both rules walk about one score per operator, so they run on Python floats
+from one `tolist()` per score vector, with the float operations and RNG
+calls of their numpy form in the same order: bitwise the same results.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,17 +186,54 @@ def score_layer(state: SupernetState, layer_index: int, feature: np.ndarray) -> 
 
 def select_deterministic(score_vec: ScoreVector, thres: float) -> list[int]:
     """Minimal descending-score prefix whose cumulative mass strictly exceeds
-    thres; ties broken by ascending operator index."""
+    thres; ties broken by ascending operator index. Raises ValueError when a
+    NaN score enters the prefix (NaN sorts last)."""
     scores = score_vec.scores
-    order = np.argsort(-scores, kind="stable")
+    values = scores.tolist()
     cum = 0.0
     chosen = []
-    for idx in order:
-        chosen.append(int(idx))
-        cum += scores[idx]
+    for idx in np.argsort(-scores, kind="stable").tolist():
+        chosen.append(idx)
+        cum += values[idx]
         if cum > thres:
-            break
+            return chosen
+    if math.isnan(cum):
+        raise ValueError("selection scores are NaN")
     return chosen
+
+
+def _pairwise_sum(values):
+    """`np.add.reduce` of a float64 vector, bitwise, on a list of Python
+    floats: numpy adds to its 0.0 identity, in pairwise order, eight
+    accumulators over the leading multiple of 8 (up to 128 values), then a
+    running sum of the rest; longer vectors split at a multiple of 8."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total = 0.0
+    tail = 0
+    if n >= 8:
+        r = values[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[tail:]:
+        total += v
+    return total
+
+
+def _prefix_log_prob(scores, selected) -> float:
+    """sum_j log(s_{i_j} / (1 - sum_{t<j} s_{i_t})) for a list of scores, in
+    draw order. `np.log`, since `math.log` differs in the last bit on about
+    one value in a thousand."""
+    log_prob = 0.0
+    rem = 1.0
+    for idx in selected:
+        log_prob += float(np.log(kernels.divide(scores[idx], rem)))
+        rem -= scores[idx]
+    return log_prob
 
 
 def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Generator):
@@ -200,40 +242,37 @@ def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Genera
     thres. Returns (index sequence, prefix log-probability).
 
     Each draw is the one `rng.choice(n, p=weights / total)` makes (inverse
-    CDF of one `rng.random()`), inlined without its argument handling: the
-    same indices and the same generator state afterwards. One weight array
-    serves every draw, with each drawn operator's weight zeroed. Raises
-    ValueError when the normalized weights are NaN or do not sum to 1."""
-    scores = score_vec.scores
+    CDF of one `rng.random()`), inlined without its argument handling and
+    run on Python floats: numpy's pairwise sum, a running cumsum and
+    `bisect_right` for `searchsorted`, so the same indices and the same
+    generator state afterwards. One weight list serves every draw, with
+    each drawn operator's weight zeroed. Raises ValueError when no mass is
+    left or the normalized weights are NaN or do not sum to 1."""
+    scores = score_vec.scores.tolist()
     weights = scores.copy()  # drawn operators zeroed
     drawn = []
     cum = 0.0
-    rem_mass = 1.0
-    log_prob = 0.0
     while cum <= thres:
-        total = weights.sum()
-        cdf = (weights / total).cumsum()
-        if not abs(cdf[-1] - 1.0) <= _CDF_ATOL:  # also catches NaN
+        total = _pairwise_sum(weights)
+        if total == 0.0:  # numpy divides 0 / 0 into NaN weights
+            raise ValueError("no selection mass left to draw from")
+        cdf = []
+        acc = 0.0
+        for w in weights:
+            acc += w / total
+            cdf.append(acc)
+        if not abs(acc - 1.0) <= _CDF_ATOL:  # also catches NaN
             raise ValueError("selection probabilities are NaN or do not sum to 1")
-        cdf /= cdf[-1]
-        idx = int(cdf.searchsorted(rng.random(), side="right"))
-        log_prob += float(np.log(scores[idx] / rem_mass))
+        idx = bisect_right([c / acc for c in cdf], rng.random())
         drawn.append(idx)
         weights[idx] = 0.0
         cum += scores[idx]
-        rem_mass -= scores[idx]
-    return drawn, log_prob
+    return drawn, _prefix_log_prob(scores, drawn)
 
 
 def selection_log_prob(score_vec: ScoreVector, selected) -> float:
     """Prefix log-probability of a fixed drawn sequence under the scores."""
-    scores = score_vec.scores
-    rem = 1.0
-    log_prob = 0.0
-    for idx in selected:
-        log_prob += float(np.log(scores[idx] / rem))
-        rem -= scores[idx]
-    return log_prob
+    return _prefix_log_prob(score_vec.scores.tolist(), selected)
 
 
 def grad_log_prob(

@@ -1,9 +1,15 @@
-"""Numeric kernels for the controller, in numpy.
+"""Numeric kernels for the controller.
 
 The forward pass and softmax run once per sampled layer while sampling (layer
 1 once per training step), the prefix log-probability gradient once per
 sampled layer of each sample, and the backward pass once per layer per
 training step, over the rows of every sample that reached the layer.
+
+The forward and backward passes and softmax run in numpy. The prefix
+gradient walks about one score per operator, so it runs on Python floats
+from one `tolist()`: the float operations it ran on numpy scalars, in the
+same order, hence bitwise the same values without numpy's per-call overhead.
+`divide` keeps numpy's ±inf or NaN where a Python division by zero raises.
 """
 
 from __future__ import annotations
@@ -19,9 +25,17 @@ def ffn_forward(W1, b1, W2, b2, x):
 
 
 def softmax(logits):
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def divide(a, b):
+    """a / b on Python floats; at b == 0, numpy's ±inf or NaN, with its
+    warning, instead of Python's ZeroDivisionError."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return float(np.divide(a, b))
 
 
 def pl_grad_logits(scores, selected):
@@ -30,25 +44,23 @@ def pl_grad_logits(scores, selected):
 
     log p = sum_j [ log s_{i_j} - log(1 - sum_{t<j} s_{i_t}) ]
     """
-    n = scores.shape[0]
+    s = scores.tolist()
+    n = len(s)
     t_len = len(selected)
-    g_s = np.zeros(n)
+    g_s = [0.0] * n
     for j in range(t_len):
-        g_s[selected[j]] += 1.0 / scores[selected[j]]
+        g_s[selected[j]] += divide(1.0, s[selected[j]])
     rem = 1.0
     for j in range(1, t_len):
-        rem -= scores[selected[j - 1]]
-        coef = 1.0 / rem
+        rem -= s[selected[j - 1]]
+        coef = divide(1.0, rem)
         for t in range(j):
             g_s[selected[t]] += coef
     # chain through softmax: dL/dz_n = s_n (g_n - <g, s>)
     inner = 0.0
     for m in range(n):
-        inner += g_s[m] * scores[m]
-    g_logits = np.empty(n)
-    for m in range(n):
-        g_logits[m] = scores[m] * (g_s[m] - inner)
-    return g_logits
+        inner += g_s[m] * s[m]
+    return np.array([s[m] * (g_s[m] - inner) for m in range(n)])
 
 
 def ffn_backward(W2, X, H, G):

@@ -1,6 +1,10 @@
 """CLI surface: commands, outputs, exit codes."""
 
+import hashlib
 import json
+import platform
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,18 @@ from maas.harness import run_eval
 from maas.optimizer import TrainConfig, Trainer
 from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# `maas train` on the shipped data, 3 iterations at seed 7, and where the
+# checkpoint's hash was recorded: its floats come from numpy's kernels, which
+# differ between numpy versions and between the SIMD targets a CPU runs.
+GOLDEN_CHECKPOINT = {
+    "sha256": "88f0a238fb3bb74e966166b968ef8a1f0b82ed03dada509f4787c155584446d1",
+    "numpy": "2.4.6",
+    "platform": "linux-x86_64",
+    "simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+}
 
 
 @pytest.fixture
@@ -229,3 +245,34 @@ class TestDagOnlyWhenPrinted:
                 assert result.exit_code == 0, result.output
                 printed.append(json.loads(result.output)["edges"])
         assert printed == [[list(e) for e in edges] for edges in dag_calls]
+
+
+def numpy_simd_targets():
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+
+
+def test_seed7_checkpoint_is_byte_identical(tmp_path):
+    """Pins the RNG stream and every float operation of training: a change
+    to either changes this hash."""
+    here = f"{sys.platform}-{platform.machine()}"
+    if np.__version__ != GOLDEN_CHECKPOINT["numpy"] or here != GOLDEN_CHECKPOINT["platform"]:
+        pytest.skip(f"hash recorded on numpy {GOLDEN_CHECKPOINT['numpy']},"
+                    f" {GOLDEN_CHECKPOINT['platform']}; this is numpy"
+                    f" {np.__version__}, {here}")
+    if numpy_simd_targets() != GOLDEN_CHECKPOINT["simd"]:
+        pytest.skip(f"hash recorded with numpy SIMD targets {GOLDEN_CHECKPOINT['simd']};"
+                    f" this CPU runs {numpy_simd_targets()}")
+    path = tmp_path / "ckpt.json"
+    result = CliRunner().invoke(main, [
+        "train",
+        "--dataset", str(ROOT / "data" / "synthetic_mix.jsonl"),
+        "--env", "synthetic",
+        "--env-profile", str(ROOT / "data" / "synthetic_profiles.json"),
+        "--iterations", "3",
+        "--seed", "7",
+        "--checkpoint", str(path),
+    ])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT["sha256"]

@@ -1,12 +1,19 @@
-"""Controller: init, forward oracle, selection rules, exact gradients."""
+"""Controller: init, forward oracle, selection rules, exact gradients.
+
+The selection rules run on Python floats; `numpy_select_deterministic`,
+`numpy_selection_log_prob` and `choice_selection` are the same rules on numpy
+scalars and arrays, and the rules must equal them bitwise.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maas.controller import (
     ScoreVector,
+    _pairwise_sum,
     grad_log_prob,
     init_params,
     sample_selection,
@@ -232,7 +239,7 @@ def draw_cases():
         np.asarray([0.3, 0.3, 0.3, 0.1 - 1e-12, 1e-12]),
     ]
     rng = np.random.default_rng(2024)
-    for n in (3, 9, 12):
+    for n in (3, 9, 12, 16, 24, 40, 130):
         for concentration in (0.05, 1.0, 20.0):
             raw = rng.gamma(concentration, size=n) + 1e-300
             cases.append(raw / raw.sum())
@@ -243,8 +250,9 @@ class TestInlinedDraw:
     def test_matches_rng_choice_indices_and_generator_state(self):
         for scores in draw_cases():
             sv = scores_vec(scores)
+            seeds = range(40 if len(scores) <= 12 else 10)  # long draws cost more
             for thres in (0.05, 0.3, 0.9):
-                for seed in range(40):
+                for seed in seeds:
                     rng = np.random.default_rng(seed)
                     ref_rng = np.random.default_rng(seed)
                     for _ in range(5):
@@ -263,6 +271,103 @@ class TestInlinedDraw:
         sv = ScoreVector(logits=np.zeros(3), scores=np.asarray(scores))
         with pytest.raises(ValueError):
             sample_selection(sv, 0.3, np.random.default_rng(0))
+
+    def test_mass_running_out_before_threshold_raises(self):
+        # the first draw takes all the mass (0.2) and leaves cum below 0.3
+        sv = ScoreVector(logits=np.zeros(3), scores=np.asarray([0.2, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            sample_selection(sv, 0.3, np.random.default_rng(0))
+
+
+def numpy_select_deterministic(scores, thres):
+    """`select_deterministic` on numpy scalars, the bitwise reference."""
+    order = np.argsort(-scores, kind="stable")
+    cum = 0.0
+    chosen = []
+    for idx in order:
+        chosen.append(int(idx))
+        cum += scores[idx]
+        if cum > thres:
+            break
+    return chosen
+
+
+def numpy_selection_log_prob(scores, selected):
+    """`selection_log_prob` on numpy scalars, the bitwise reference."""
+    rem = 1.0
+    log_prob = 0.0
+    for idx in selected:
+        log_prob += float(np.log(scores[idx] / rem))
+        rem -= scores[idx]
+    return log_prob
+
+
+# lists of floats with zeros of both signs, subnormals and non-finite values
+_sum_elements = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormal or zero
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+class TestFloatLoopsMatchNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_sum_elements, min_size=1, max_size=300))
+    def test_pairwise_sum_is_add_reduce(self, values):
+        got = _pairwise_sum(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.add.reduce(np.asarray(values, dtype=np.float64)))
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_pairwise_sum_at_block_edges(self):
+        rng = np.random.default_rng(8)
+        for n in (*range(1, 20), 127, 128, 129, 135, 136, 255, 256, 257, 999):
+            v = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+            assert _pairwise_sum(v.tolist()) == np.add.reduce(v)
+            zeros = np.full(n, -0.0)
+            assert (np.float64(_pairwise_sum(zeros.tolist())).tobytes()
+                    == np.add.reduce(zeros).tobytes())
+
+    def test_rules_equal_numpy_scalar_references(self):
+        for scores in draw_cases():
+            sv = scores_vec(scores)
+            for thres in (0.05, 0.3, 0.9):
+                chosen = select_deterministic(sv, thres)
+                assert chosen == numpy_select_deterministic(scores, thres)
+                assert selection_log_prob(sv, chosen) == numpy_selection_log_prob(
+                    scores, chosen)
+                rng = np.random.default_rng(int(thres * 100))
+                for _ in range(5):
+                    drawn, lp = sample_selection(sv, thres, rng)
+                    assert lp == numpy_selection_log_prob(scores, drawn)
+                    assert selection_log_prob(sv, drawn) == lp
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_zero_scores_give_numpy_infinities(self):
+        scores = np.asarray([0.5, 0.5, 0.0])
+        sv = scores_vec(scores)
+        for selected in ([2], [0, 2], [0, 1, 2], [0, 1]):
+            got = selection_log_prob(sv, selected)
+            want = numpy_selection_log_prob(scores, selected)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+        assert selection_log_prob(sv, [2]) == -math.inf
+
+    def test_select_deterministic_nan_scores_raise(self):
+        # at numpy scalars, cum never exceeded thres and every index came back
+        for scores in ([math.nan] * 4, [0.1, 0.1, math.nan]):
+            with pytest.raises(ValueError):
+                select_deterministic(scores_vec(scores), 0.3)
+
+    def test_select_deterministic_nan_after_the_prefix_is_not_read(self):
+        # NaN sorts last, so a prefix that exceeds thres first never sees it
+        sv = ScoreVector(logits=np.zeros(3), scores=np.asarray([math.nan, 0.5, 0.5]))
+        assert select_deterministic(sv, 0.3) == [1]
 
 
 class TestGradLogProb:

@@ -1,12 +1,15 @@
 """Kernels against plain-loop references kept here.
 
-The references use scalar Python arithmetic in another summation order, so
-values agree to a float64 tolerance fixed up front, not bitwise.
+The `ref_*` references use scalar Python arithmetic in another summation
+order, so values agree to a float64 tolerance fixed up front, not bitwise.
+The `numpy_*` references are the same kernels on numpy scalars and numpy's
+reductions; the kernels, which run on Python floats, must equal them bitwise.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from maas import kernels
 
@@ -54,6 +57,33 @@ def ref_pl_grad_logits(scores, selected):
             for m in range(n):
                 g[m] += scores[t] * ((1.0 if m == t else 0.0) - scores[m]) / rem
     return np.array(g)
+
+
+def numpy_softmax(logits):
+    shifted = logits - np.max(logits)
+    e = np.exp(shifted)
+    return e / np.sum(e)
+
+
+def numpy_pl_grad_logits(scores, selected):
+    n = scores.shape[0]
+    t_len = len(selected)
+    g_s = np.zeros(n)
+    for j in range(t_len):
+        g_s[selected[j]] += 1.0 / scores[selected[j]]
+    rem = 1.0
+    for j in range(1, t_len):
+        rem -= scores[selected[j - 1]]
+        coef = 1.0 / rem
+        for t in range(j):
+            g_s[selected[t]] += coef
+    inner = 0.0
+    for m in range(n):
+        inner += g_s[m] * scores[m]
+    g_logits = np.empty(n)
+    for m in range(n):
+        g_logits[m] = scores[m] * (g_s[m] - inner)
+    return g_logits
 
 
 def ref_ffn_backward(W2, x, h, g_logits):
@@ -115,3 +145,36 @@ def test_backward_parity():
         refs = [ref_ffn_backward(W2, x, h, g) for x, h, g in rows]
         for got, *ref in zip(kernels.ffn_backward(W2, X, H, G), *refs):
             np.testing.assert_allclose(got, sum(ref), rtol=0, atol=TOL)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_softmax_and_pl_grad_equal_numpy_references_bitwise():
+    """Spread 30 gives one-hot scores, where drawing all of them leaves no
+    mass: both sides then give the same inf and NaN."""
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 9, 16, 40, 130):
+        for spread in (0.1, 3.0, 30.0):
+            logits = rng.normal(size=n) * spread
+            scores = kernels.softmax(logits)
+            assert np.array_equal(scores, numpy_softmax(logits))
+            for _ in range(10):
+                k = int(rng.integers(1, n + 1))
+                selected = rng.permutation(n)[:k]
+                want = numpy_pl_grad_logits(scores, selected)
+                for sel in (selected, selected.tolist()):
+                    got = kernels.pl_grad_logits(scores, sel)
+                    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pl_grad_zero_divisors_give_numpy_values():
+    """A zero selected score (1 / 0) or no mass left (1 / rem at rem == 0)
+    gives numpy's inf, and from it NaN gradients, not ZeroDivisionError."""
+    scores = np.asarray([0.5, 0.5, 0.0])
+    for selected in ([2], [0, 2], [0, 1, 2]):
+        got = kernels.pl_grad_logits(scores, selected)
+        assert np.isnan(got).all()
+        assert np.array_equal(got, numpy_pl_grad_logits(scores, selected), equal_nan=True)
+    assert kernels.divide(1.0, -0.0) == -math.inf
