@@ -224,22 +224,11 @@ def _pairwise_sum(values):
     return total
 
 
-def _prefix_log_prob(scores, selected) -> float:
-    """sum_j log(s_{i_j} / (1 - sum_{t<j} s_{i_t})) for a list of scores, in
-    draw order. `np.log`, since `math.log` differs in the last bit on about
-    one value in a thousand."""
-    log_prob = 0.0
-    rem = 1.0
-    for idx in selected:
-        log_prob += float(np.log(kernels.divide(scores[idx], rem)))
-        rem -= scores[idx]
-    return log_prob
-
-
 def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Generator):
     """Draw operators sequentially without replacement in proportion to their
     scores; stop once the drawn set's original score mass strictly exceeds
-    thres. Returns (index sequence, prefix log-probability).
+    thres. Returns the drawn index sequence; `selection_log_prob` gives its
+    prefix log-probability, which training does not read.
 
     Each draw is the one `rng.choice(n, p=weights / total)` makes (inverse
     CDF of one `rng.random()`), inlined without its argument handling and
@@ -267,12 +256,21 @@ def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Genera
         drawn.append(idx)
         weights[idx] = 0.0
         cum += scores[idx]
-    return drawn, _prefix_log_prob(scores, drawn)
+    return drawn
 
 
 def selection_log_prob(score_vec: ScoreVector, selected) -> float:
-    """Prefix log-probability of a fixed drawn sequence under the scores."""
-    return _prefix_log_prob(score_vec.scores.tolist(), selected)
+    """sum_j log(s_{i_j} / (1 - sum_{t<j} s_{i_t})), the prefix
+    log-probability of a fixed drawn sequence under the scores, in draw
+    order. `np.log`, since `math.log` differs in the last bit on about one
+    value in a thousand."""
+    scores = score_vec.scores.tolist()
+    log_prob = 0.0
+    rem = 1.0
+    for idx in selected:
+        log_prob += float(np.log(kernels.divide(scores[idx], rem)))
+        rem -= scores[idx]
+    return log_prob
 
 
 def grad_log_prob(
@@ -288,6 +286,6 @@ def grad_log_prob(
         raise ShapeMismatch("selection index out of range")
     g_logits = kernels.pl_grad_logits(score_vec.scores, selected)
     gW1, gb1, gW2, gb2 = kernels.ffn_backward(
-        ctrl.W2, score_vec.feature[None], score_vec.hidden[None], g_logits[None]
+        ctrl.W2, score_vec.feature[None], score_vec.hidden[None], np.array([g_logits])
     )
     return LayerGrad(W1=gW1, b1=gb1, W2=gW2, b2=gb2, layer_index=layer_index)

@@ -132,9 +132,7 @@ class SyntheticEnv:
     def run_node(self, spec, query: QueryRecord, predecessor_outputs, rng):
         profile = self.profile_for(spec)
         base = self._effective_base(spec, profile)
-        bonus = profile.combine_bonus if any(
-            out == query.answer for out in predecessor_outputs
-        ) else 0.0
+        bonus = profile.combine_bonus if query.answer in predecessor_outputs else 0.0
         p = base - profile.difficulty_slope * query.difficulty + bonus
         p = min(max(p, 0.0), 1.0)
         if rng.random() < p:
@@ -268,6 +266,8 @@ def _parse_decimal(text):
 def _majority_vote(outputs, registry, layer_ids):
     """Majority over exact strings; ties go to the output of the operator
     with the lowest registry index."""
+    if len(outputs) == 1:
+        return outputs[0]
     counts = {}
     for out in outputs:
         counts[out] = counts.get(out, 0) + 1

@@ -5,11 +5,18 @@ The forward pass and softmax run once per sampled layer while sampling (layer
 sampled layer of each sample, and the backward pass once per layer per
 training step, over the rows of every sample that reached the layer.
 
-The forward and backward passes and softmax run in numpy. The prefix
-gradient walks about one score per operator, so it runs on Python floats
-from one `tolist()`: the float operations it ran on numpy scalars, in the
-same order, hence bitwise the same values without numpy's per-call overhead.
-`divide` keeps numpy's ±inf or NaN where a Python division by zero raises.
+The forward and backward passes and softmax run in numpy, on the ufuncs
+and `np.dot` themselves: `logits.max()` and `e.sum()` go through Python
+wrappers around the same reductions, and `@` leaves BLAS when its inner
+dimension is 1, as it is when one sample reaches a layer, where `np.dot`
+stays in it with the same values. (BLAS's fused multiply-add keeps the sign
+of a product that underflows to zero, which `@` makes +0.0; a parameter it
+is added to stays the same unless it is itself zero.) The prefix gradient
+walks about one score per operator, so it runs on Python floats from one
+`tolist()` and returns its row as a list: the float operations it ran on
+numpy scalars, in the same order, hence bitwise the same values without
+numpy's per-call overhead. `divide` keeps numpy's ±inf or NaN where a
+Python division by zero raises.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ def ffn_forward(W1, b1, W2, b2, x):
 
 
 def softmax(logits):
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    e = np.exp(logits - np.maximum.reduce(logits))
+    return e / np.add.reduce(e)
 
 
 def divide(a, b):
@@ -40,7 +47,8 @@ def divide(a, b):
 
 def pl_grad_logits(scores, selected):
     """Gradient of the sequential without-replacement (prefix) log-probability
-    w.r.t. the softmax logits, for a fixed drawn index sequence.
+    w.r.t. the softmax logits, for a fixed drawn index sequence, as a list of
+    Python floats.
 
     log p = sum_j [ log s_{i_j} - log(1 - sum_{t<j} s_{i_t}) ]
     """
@@ -60,7 +68,7 @@ def pl_grad_logits(scores, selected):
     inner = 0.0
     for m in range(n):
         inner += g_s[m] * s[m]
-    return np.array([s[m] * (g_s[m] - inner) for m in range(n)])
+    return [s[m] * (g_s[m] - inner) for m in range(n)]
 
 
 def ffn_backward(W2, X, H, G):
@@ -70,9 +78,9 @@ def ffn_backward(W2, X, H, G):
 
     Returns (gW1, gb1, gW2, gb2) in parameter shapes.
     """
-    gW2 = G.T @ H
+    gW2 = np.dot(G.T, H)
     gb2 = G.sum(axis=0)
     g_z1 = (G @ W2) * (1.0 - H * H)
-    gW1 = g_z1.T @ X
+    gW1 = np.dot(g_z1.T, X)
     gb1 = g_z1.sum(axis=0)
     return gW1, gb1, gW2, gb2

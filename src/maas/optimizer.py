@@ -110,7 +110,7 @@ def trace_gradients(state, archs, weights):
                 zip(arch.forward, arch.selections), start=1):
             g_logits = kernels.pl_grad_logits(score_vec.scores, selected)
             rows.setdefault(ell, []).append(
-                (score_vec.feature, score_vec.hidden, m_k * g_logits))
+                (score_vec.feature, score_vec.hidden, [m_k * g for g in g_logits]))
     grads = []
     for ell, layer_rows in rows.items():
         X, H, G = (np.array(col) for col in zip(*layer_rows))
@@ -130,10 +130,9 @@ def update_distribution(state: ctl.SupernetState, archs, weights, lr):
         ctrl = state.layer(g.layer_index)
         if ctrl.W1.shape != g.W1.shape or ctrl.W2.shape != g.W2.shape:
             raise ShapeMismatch(f"gradient shape mismatch at layer {g.layer_index}")
-        ctrl.W1 += scale * g.W1
-        ctrl.b1 += scale * g.b1
-        ctrl.W2 += scale * g.W2
-        ctrl.b2 += scale * g.b2
+        for param, grad in zip(ctrl.param_arrays(), (g.W1, g.b1, g.W2, g.b2)):
+            grad *= scale
+            param += grad
     state.bump_version()
     return state
 

@@ -10,7 +10,7 @@ indices moved and the controller remaps its output rows accordingly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, replace
 
 from .errors import (
     DuplicateId,
@@ -65,9 +65,9 @@ class OperatorSpec:
             raise DataError(f"profile_text required for non-exit operator {self.id!r}")
 
     def to_dict(self):
-        d = asdict(self)
-        d["tools"] = list(self.tools)
-        return d
+        # the fields in declaration order, as `asdict` gives them, without
+        # its deep copy (every value but `tools` is an immutable scalar)
+        return {**vars(self), "tools": list(self.tools)}
 
     @classmethod
     def from_dict(cls, d):

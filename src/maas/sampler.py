@@ -12,12 +12,15 @@ gets answered.
 
 Sampling records each layer's forward pass (feature, tanh hidden state and
 scores) on the architecture, so the policy gradient reuses it instead of
-running the layer again. Layer 1's forward pass depends on the query alone,
+running the layer again. The selection log-probability is derived from
+those forward passes when `Architecture.log_prob` is read; training and
+eval do not read it. Layer 1's forward pass depends on the query alone,
 so a caller drawing K samples at the same parameters can score it once and
-pass it in as `first`. Each layer's profile sum is built once, when the
-next layer needs it, from operator profile embeddings looked up by text in
-a `profile_cache`: a caller that passes one dict to every call embeds each
-distinct profile text once. `Trainer` does both.
+pass it in as `first`. Each next layer's feature is the previous feature
+with the selected operators' profile sum appended, built from profile
+embeddings looked up by text in a `profile_cache`: a caller that passes
+one dict to every call embeds each distinct profile text once. `Trainer`
+does both.
 """
 
 from __future__ import annotations
@@ -42,10 +45,18 @@ class Architecture:
     layers: list  # list of lists of operator ids, in drawn order
     selections: list  # raw per-layer drawn index sequences (incl. exit draws)
     exit_layer: int | None
-    log_prob: float
     params_version: int
     # one controller.ScoreVector per entry of `selections`; not serialized
     forward: list = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def log_prob(self):
+        """The selections' log-probability under the recorded forward
+        passes: each layer's `selection_log_prob` added in layer order."""
+        log_prob = 0.0
+        for score_vec, selected in zip(self.forward, self.selections):
+            log_prob += ctl.selection_log_prob(score_vec, selected)
+        return log_prob
 
     def to_dict(self):
         return {
@@ -114,33 +125,27 @@ def sample_architecture(
             f"layer 1 feature has shape {first.feature.shape},"
             f" expected ({state.embed_dim},)"
         )
-    query_vec = first.feature
     if profile_cache is None:
         profile_cache = {}
 
     layers: list[list[str]] = []
-    layer_sums: list[np.ndarray] = []
     selections: list[list[int]] = []
     forward: list[ctl.ScoreVector] = []
     exit_layer = None
-    log_prob = 0.0
 
     for ell in range(1, state.num_layers + 1):
         if ell == 1:
             score_vec = first
         else:
-            layer_sums.append(
-                _profile_sum(registry, embedder, layers[-1], profile_cache)
-            )
-            score_vec = ctl.score_layer(state, ell, layer_feature(query_vec, layer_sums))
+            profile_sum = _profile_sum(registry, embedder, layers[-1], profile_cache)
+            score_vec = ctl.score_layer(
+                state, ell, np.concatenate([score_vec.feature, profile_sum]))
         forward.append(score_vec)
         if mode == MODE_TRAIN:
-            selected, lp = ctl.sample_selection(score_vec, thres, rng)
+            selected = ctl.sample_selection(score_vec, thres, rng)
         else:
             selected = ctl.select_deterministic(score_vec, thres)
-            lp = ctl.selection_log_prob(score_vec, selected)
         selections.append(selected)
-        log_prob += lp
         if exit_idx in selected:
             exit_layer = ell
             if ell == 1:
@@ -152,7 +157,6 @@ def sample_architecture(
         layers=layers,
         selections=selections,
         exit_layer=exit_layer,
-        log_prob=log_prob,
         params_version=state.version,
         forward=forward,
     )

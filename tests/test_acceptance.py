@@ -52,7 +52,7 @@ class TestCriterion1GradientCorrectness:
             state = init_params(int(rng.integers(0, 10**6)), d, h, ell, n_ops)
             feature = rng.normal(size=d * ell)
             sv = score_layer(state, ell, feature)
-            selected, _ = sample_selection(sv, 0.3, rng)
+            selected = sample_selection(sv, 0.3, rng)
             g = grad_log_prob(state, ell, feature, selected)
             ctrl = state.layer(ell)
             for arr, g_arr in zip(ctrl.param_arrays(), (g.W1, g.b1, g.W2, g.b2)):
@@ -314,7 +314,7 @@ class TestCriterion9LiveSmoke:
         for rec in records:
             arch = sampler.Architecture(
                 layers=[["direct_io"]], selections=[], exit_layer=1,
-                log_prob=0.0, params_version=state.version,
+                params_version=state.version,
             )
             q = QueryRecord(rec["id"], rec["query"], rec["answer"],
                             rec["domain"], rec["difficulty"])

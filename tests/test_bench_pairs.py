@@ -1,0 +1,127 @@
+"""tools/bench_pairs.py: its summary of canned `perfbench/run.py` output.
+
+Nothing here starts a process: `collect` takes the runner as an argument.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+DIRECTIONS = {"throughput_per_s": "higher", "latency_p50_ms": "lower"}
+
+
+def run_output(throughput, p50, sha="aa", failed=0, attempted=100, counts=None):
+    """What `perfbench/run.py` prints: metric lines, `info`, then the JSON."""
+    metrics = {"throughput_per_s": {"value": throughput, "unit": "1/s"},
+               "latency_p50_ms": {"value": p50, "unit": "ms"}}
+    for name, (value, unit) in (counts or {}).items():
+        metrics[name] = {"value": value, "unit": unit}
+    info = {"checkpoint_sha256": sha, "traced_units": attempted,
+            "environment": {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6",
+                            "blas_threads_env": "1"}}
+    return "\n".join([
+        f"train_mix throughput_per_s (train_steps_per_s) = {throughput:.6g} 1/s",
+        f"train_mix failed_frac = 0 frac ({failed} of {attempted} steps)",
+        "info " + json.dumps(info, sort_keys=True),
+        json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,
+                    "metrics": metrics}),
+    ]) + "\n"
+
+
+def test_parse_run_reads_the_result_and_info_lines():
+    run = bench_pairs.parse_run(run_output(1000.5, 0.5, sha="ff", failed=1))
+    assert run["metrics"] == {"throughput_per_s": 1000.5, "latency_p50_ms": 0.5}
+    assert run["units"]["latency_p50_ms"] == "ms"
+    assert (run["failed"], run["attempted"]) == (1, 100)
+    assert run["info"]["checkpoint_sha256"] == "ff"
+
+
+def test_parse_seeds_and_pair_order():
+    assert bench_pairs.parse_seeds("31-34") == [31, 32, 33, 34]
+    assert bench_pairs.parse_seeds("1,3,5-6") == [1, 3, 5, 6]
+    assert bench_pairs.pair_order(31) == ("parent", "change")
+    assert bench_pairs.pair_order(32) == ("change", "parent")
+
+
+def test_summarize_pairs_counts_wins_by_direction_and_ties_apart():
+    seeds = [1, 2, 3, 4]
+    parent = [bench_pairs.parse_run(run_output(t, p, sha=f"s{i}"))
+              for i, (t, p) in enumerate([(100, 1.0), (110, 1.0), (90, 2.0), (120, 1.5)])]
+    change = [bench_pairs.parse_run(run_output(t, p, sha=f"s{i}"))
+              for i, (t, p) in enumerate([(130, 0.9), (110, 1.0), (95, 2.5), (140, 1.0)])]
+    out = bench_pairs.summarize_pairs(seeds, {"parent": parent, "change": change},
+                                      DIRECTIONS)
+    assert out["pairs"] == 4 and out["seeds"] == seeds
+    assert out["parent"]["throughput_per_s"] == 105.0
+    assert out["change"]["throughput_per_s"] == 120.0
+    assert out["change_over_parent"]["throughput_per_s"] == round(120 / 105, 4)
+    assert out["pairs_change_better"] == {"throughput_per_s": 3, "latency_p50_ms": 2}
+    assert out["pairs_equal"] == {"throughput_per_s": 1, "latency_p50_ms": 1}
+    # inclusive quartiles of 90, 100, 110, 120
+    assert out["quartiles"]["parent"]["throughput_per_s"] == [97.5, 112.5]
+    assert out["parent_throughput_iqr"] == 15.0
+    assert out["parent"]["attempted"] == 400 and out["change"]["failed"] == 0
+    assert out["change"]["checkpoint_sha256_step100"] == {
+        "1": "s0", "2": "s1", "3": "s2", "4": "s3"}
+
+
+def test_summarize_trace_compares_counts_only():
+    counts = {"executor.execute.calls": (800, "count"),
+              "embedding.embed.repeat_frac": (0.5, "frac"),
+              "sampler.depth_mean": (2.5, "layers")}
+    parent = bench_pairs.parse_run(run_output(100, 1.0, counts=counts))
+    faster = bench_pairs.parse_run(run_output(120, 0.8, counts=counts))
+    out = bench_pairs.summarize_trace(parent, faster)
+    assert out["counts_compared"] == ["embedding.embed.repeat_frac",
+                                      "executor.execute.calls", "sampler.depth_mean"]
+    assert out["counts_equal"] is True
+    assert out["change"]["throughput_per_s"] == 120
+    moved = bench_pairs.parse_run(run_output(
+        120, 0.8, counts={**counts, "executor.execute.calls": (801, "count")}))
+    assert bench_pairs.summarize_trace(parent, moved)["counts_equal"] is False
+    failing = bench_pairs.parse_run(run_output(120, 0.8, failed=1, counts=counts))
+    assert bench_pairs.summarize_trace(parent, failing)["counts_equal"] is False
+
+
+def test_collect_alternates_pair_order_then_traces():
+    calls = []
+
+    def fake_run(side, workload, seed, trace):
+        calls.append((side, workload, seed, trace))
+        return {"side": side, "seed": seed}
+
+    paired, traced = bench_pairs.collect([("train_mix", [1, 2]), ("eval_fresh", [3])],
+                                         2, fake_run)
+    assert calls == [
+        ("parent", "train_mix", 1, 0), ("change", "train_mix", 1, 0),
+        ("change", "train_mix", 2, 0), ("parent", "train_mix", 2, 0),
+        ("parent", "eval_fresh", 3, 0), ("change", "eval_fresh", 3, 0),
+        ("parent", "train_mix", 2, 1), ("change", "train_mix", 2, 1),
+        ("parent", "eval_fresh", 2, 1), ("change", "eval_fresh", 2, 1),
+    ]
+    assert [r["seed"] for r in paired["train_mix"]["change"]] == [1, 2]
+    assert traced["eval_fresh"]["change"] == {"side": "change", "seed": 2}
+
+
+@pytest.mark.parametrize("tail", ["259 passed, 1 skipped in 44.95s",
+                                  "===== 259 passed, 1 skipped in 44.95s ====="])
+def test_parse_tier1_sums_each_criterion(tail):
+    out = "\n".join([
+        "....",
+        "============================= slowest durations =============================",
+        "10.24s call     tests/test_acceptance.py::TestCriterion4Thing::test_a",
+        "0.50s setup    tests/test_acceptance.py::TestCriterion4Thing::test_a",
+        "7.07s call     tests/test_acceptance.py::TestCriterion2Other::test_b",
+        "1.00s call     tests/test_cli.py::test_seed7",
+        tail,
+    ])
+    got = bench_pairs.parse_tier1(out)
+    assert got == {"wall_s": 44.95, "result": "259 passed, 1 skipped",
+                   "criterion_s": {"2": 7.07, "4": 10.74}}

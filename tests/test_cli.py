@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from maas import checkpoint as ckpt
-from maas import sampler
+from maas import controller, sampler
 from maas.cli import PROBE_QUERIES, main
 from maas.controller import init_params
 from maas.data import load_dataset
@@ -31,6 +31,12 @@ GOLDEN_CHECKPOINT = {
     "numpy": "2.4.6",
     "platform": "linux-x86_64",
     "simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+}
+# `maas train` on the shipped data, 100 iterations at seed 3, with its
+# metrics; recorded where GOLDEN_CHECKPOINT was
+GOLDEN_SEED3 = {
+    "checkpoint": "2ae8b07c6ee99424e57b6081947f7fb8f104037ebc08cc48350362f018017d63",
+    "metrics": "876f935f499d9421ae9b9e99fce58e9809b1fa7b88ac5dc64dcbbb58597db4b6",
 }
 
 
@@ -247,15 +253,59 @@ class TestDagOnlyWhenPrinted:
         assert printed == [[list(e) for e in edges] for edges in dag_calls]
 
 
+class TestLogProbOnlyWhenRead:
+    """`controller.selection_log_prob` runs once per layer when
+    `Architecture.log_prob` is read, and never while training or
+    evaluating, which do not read it."""
+
+    @pytest.fixture
+    def log_prob_calls(self, monkeypatch):
+        calls = []
+        selection_log_prob = controller.selection_log_prob
+
+        def counting(score_vec, selected):
+            calls.append(selected)
+            return selection_log_prob(score_vec, selected)
+
+        monkeypatch.setattr(controller, "selection_log_prob", counting)
+        return calls
+
+    def test_training_steps_and_eval_compute_no_log_prob(self, workdir, log_prob_calls):
+        registry = builtin_registry()
+        cfg = TrainConfig(num_layers=3, embed_dim=16, hidden_dim=16, patch_every=2)
+        state = init_params(0, 16, 16, 3, len(registry))
+        trainer = Trainer(state, registry, default_env(), cfg, np.random.default_rng(0))
+        records = load_dataset(workdir / "mix.jsonl")
+        for record in records[:6]:
+            trainer.step(record)
+        assert trainer.step_count == 6
+        report = run_eval(ckpt.build_checkpoint(state, registry, cfg),
+                          workdir / "mix.jsonl", default_env())
+        assert report["n_records"] == len(records)
+        assert log_prob_calls == []
+
+    @pytest.mark.parametrize("mode", [sampler.MODE_TRAIN, MODE_EVAL])
+    def test_reading_log_prob_runs_one_per_layer(self, log_prob_calls, mode):
+        registry = builtin_registry()
+        state = init_params(0, 16, 16, 4, len(registry))
+        rng = np.random.default_rng(0)
+        for text in ("add 2 and 3", "what is 14 plus 9", "prove the lemma"):
+            arch = sample_architecture(state, registry, text, 0.3, mode, rng)
+            assert log_prob_calls == []
+            assert isinstance(arch.log_prob, float)
+            assert log_prob_calls == arch.selections
+            log_prob_calls.clear()
+
+
 def numpy_simd_targets():
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     return [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
 
 
-def test_seed7_checkpoint_is_byte_identical(tmp_path):
-    """Pins the RNG stream and every float operation of training: a change
-    to either changes this hash."""
+def skip_unless_golden_numpy():
+    """Skip, with the reason, unless numpy, the platform and the SIMD
+    targets are those the golden hashes were recorded with."""
     here = f"{sys.platform}-{platform.machine()}"
     if np.__version__ != GOLDEN_CHECKPOINT["numpy"] or here != GOLDEN_CHECKPOINT["platform"]:
         pytest.skip(f"hash recorded on numpy {GOLDEN_CHECKPOINT['numpy']},"
@@ -264,6 +314,12 @@ def test_seed7_checkpoint_is_byte_identical(tmp_path):
     if numpy_simd_targets() != GOLDEN_CHECKPOINT["simd"]:
         pytest.skip(f"hash recorded with numpy SIMD targets {GOLDEN_CHECKPOINT['simd']};"
                     f" this CPU runs {numpy_simd_targets()}")
+
+
+def test_seed7_checkpoint_is_byte_identical(tmp_path):
+    """Pins the RNG stream and every float operation of training: a change
+    to either changes this hash."""
+    skip_unless_golden_numpy()
     path = tmp_path / "ckpt.json"
     result = CliRunner().invoke(main, [
         "train",
@@ -276,3 +332,24 @@ def test_seed7_checkpoint_is_byte_identical(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT["sha256"]
+
+
+def test_seed3_checkpoint_and_metrics_are_byte_identical(tmp_path):
+    """1,000 steps with 100 patch rounds, and many layers reached by one
+    sample only: pins the one-row backward, the update and the patch
+    rounds over a longer run than the seed-7 pin."""
+    skip_unless_golden_numpy()
+    path, metrics = tmp_path / "ckpt.json", tmp_path / "metrics.jsonl"
+    result = CliRunner().invoke(main, [
+        "train",
+        "--dataset", str(ROOT / "data" / "synthetic_mix.jsonl"),
+        "--env", "synthetic",
+        "--env-profile", str(ROOT / "data" / "synthetic_profiles.json"),
+        "--iterations", "100",
+        "--seed", "3",
+        "--checkpoint", str(path),
+        "--metrics-out", str(metrics),
+    ])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SEED3["checkpoint"]
+    assert hashlib.sha256(metrics.read_bytes()).hexdigest() == GOLDEN_SEED3["metrics"]

@@ -168,16 +168,18 @@ class TestSampleSelection:
         rng = np.random.default_rng(0)
         hits = 0
         for _ in range(200):
-            sel, lp = sample_selection(sv, 0.3, rng)
+            sel = sample_selection(sv, 0.3, rng)
             if sel == [0]:
                 hits += 1
+                lp = selection_log_prob(sv, sel)
                 assert abs(lp - math.log(1.0 - 2 * eps)) < 1e-12
         assert hits == 200  # probability >= 1 - 3e-6 per draw
 
     def test_single_op_log_prob_zero(self):
-        sel, lp = sample_selection(scores_vec([1.0]), 0.3, np.random.default_rng(0))
+        sv = scores_vec([1.0])
+        sel = sample_selection(sv, 0.3, np.random.default_rng(0))
         assert sel == [0]
-        assert lp == 0.0
+        assert selection_log_prob(sv, sel) == 0.0
 
     def test_enumeration_sums_to_one(self):
         for scores in ([0.4, 0.35, 0.25], [0.7, 0.1, 0.1, 0.1], [0.5, 0.5]):
@@ -185,12 +187,16 @@ class TestSampleSelection:
             assert abs(total - 1.0) < 1e-12
 
     def test_log_prob_matches_selection_log_prob(self):
+        """Each drawn sequence's `selection_log_prob` is the log of its
+        probability by enumeration."""
         rng = np.random.default_rng(9)
         raw = rng.random(5) + 1e-6
-        sv = scores_vec(raw / raw.sum())
+        scores = raw / raw.sum()
+        sv = scores_vec(scores)
+        analytic = dict(enumerate_sequences(scores, 0.3))
         for _ in range(50):
-            sel, lp = sample_selection(sv, 0.3, rng)
-            assert abs(lp - selection_log_prob(sv, sel)) < 1e-12
+            sel = sample_selection(sv, 0.3, rng)
+            assert abs(selection_log_prob(sv, sel) - math.log(analytic[tuple(sel)])) < 1e-12
 
     def test_empirical_matches_analytic(self):
         scores = np.asarray([0.4, 0.35, 0.25])
@@ -200,7 +206,7 @@ class TestSampleSelection:
         counts = {}
         n = 20000
         for _ in range(n):
-            sel, _ = sample_selection(sv, 0.3, rng)
+            sel = sample_selection(sv, 0.3, rng)
             counts[tuple(sel)] = counts.get(tuple(sel), 0) + 1
         tv = 0.5 * sum(
             abs(counts.get(seq, 0) / n - p) for seq, p in analytic.items()
@@ -256,7 +262,8 @@ class TestInlinedDraw:
                     rng = np.random.default_rng(seed)
                     ref_rng = np.random.default_rng(seed)
                     for _ in range(5):
-                        got = sample_selection(sv, thres, rng)
+                        drawn = sample_selection(sv, thres, rng)
+                        got = drawn, selection_log_prob(sv, drawn)
                         want = choice_selection(scores, thres, ref_rng)
                         assert got == want
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -343,9 +350,9 @@ class TestFloatLoopsMatchNumpy:
                     scores, chosen)
                 rng = np.random.default_rng(int(thres * 100))
                 for _ in range(5):
-                    drawn, lp = sample_selection(sv, thres, rng)
-                    assert lp == numpy_selection_log_prob(scores, drawn)
-                    assert selection_log_prob(sv, drawn) == lp
+                    drawn = sample_selection(sv, thres, rng)
+                    assert selection_log_prob(sv, drawn) == numpy_selection_log_prob(
+                        scores, drawn)
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -395,7 +402,7 @@ class TestGradLogProb:
         for ell in (1, 2):
             feature = rng.normal(size=4 * ell)
             sv = score_layer(state, ell, feature)
-            selected, _ = sample_selection(sv, 0.3, rng)
+            selected = sample_selection(sv, 0.3, rng)
             g = grad_log_prob(state, ell, feature, selected)
             fd = self._fd_grad(state, ell, feature, selected)
             for analytic, numeric in zip((g.W1, g.b1, g.W2, g.b2), fd):

@@ -44,7 +44,7 @@ def registry_with(ids):
 
 def arch_of(layers):
     return Architecture(layers=layers, selections=[], exit_layer=None,
-                        log_prob=0.0, params_version=0)
+                        params_version=0)
 
 
 class RecordingEnv:

@@ -4,12 +4,17 @@ The `ref_*` references use scalar Python arithmetic in another summation
 order, so values agree to a float64 tolerance fixed up front, not bitwise.
 The `numpy_*` references are the same kernels on numpy scalars and numpy's
 reductions; the kernels, which run on Python floats, must equal them bitwise.
+`matmul_ffn_backward` and `method_softmax` are the backward pass with `@`
+and softmax with the `max()`/`sum()` methods, which the kernels must equal
+bitwise, the sign of zero included.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maas import kernels
 
@@ -178,3 +183,78 @@ def test_pl_grad_zero_divisors_give_numpy_values():
         assert np.isnan(got).all()
         assert np.array_equal(got, numpy_pl_grad_logits(scores, selected), equal_nan=True)
     assert kernels.divide(1.0, -0.0) == -math.inf
+
+
+def matmul_ffn_backward(W2, X, H, G):
+    gW2 = G.T @ H
+    gb2 = G.sum(axis=0)
+    g_z1 = (G @ W2) * (1.0 - H * H)
+    gW1 = g_z1.T @ X
+    gb1 = g_z1.sum(axis=0)
+    return gW1, gb1, gW2, gb2
+
+
+def method_softmax(logits):
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def bitwise_equal(a, b):
+    """Equal values and the same sign bits, so -0.0 differs from 0.0."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def signed_values(rng, shape, zero_frac):
+    """Random signs, magnitudes log-uniform in [1e-60, 4] (no product of
+    two of them, nor of a cancelled sum and one of them, underflows to
+    zero), and about `zero_frac` of the entries zeros of either sign."""
+    mag = 10.0 ** rng.uniform(-60.0, 0.6, size=shape)
+    mag[rng.random(shape) < zero_frac] = 0.0
+    return np.where(rng.random(shape) < 0.5, -mag, mag)
+
+
+@st.composite
+def backward_cases(draw):
+    """1-4 rows; at least half of each feature row is zeros of either sign,
+    as the profile-sum blocks of an early layer are."""
+    rows = draw(st.integers(1, 4))
+    n, h, d = draw(st.integers(2, 12)), draw(st.integers(1, 9)), draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = signed_values(rng, (rows, d), 0.0)
+    for row in X:
+        zeros = rng.permutation(d)[: draw(st.integers((d + 1) // 2, d))]
+        row[zeros] = np.where(rng.random(zeros.size) < 0.5, -0.0, 0.0)
+    H = np.tanh(signed_values(rng, (rows, h), 0.1))
+    G = signed_values(rng, (rows, n), draw(st.sampled_from([0.0, 0.3, 1.0])))
+    W2 = signed_values(rng, (n, h), 0.1)
+    return W2, X, H, G
+
+
+@settings(max_examples=300, deadline=None)
+@given(backward_cases())
+def test_ffn_backward_equals_matmul_form_bitwise(case):
+    for got, want in zip(kernels.ffn_backward(*case), matmul_ffn_backward(*case)):
+        assert bitwise_equal(got, want)
+
+
+def test_ffn_backward_underflowing_product_equals_matmul_form_in_value():
+    """The one place the forms part: on one row, where a product of two
+    nonzero entries underflows to zero, `np.dot` runs BLAS, whose fused
+    multiply-add keeps the product's sign (-0.0), and `@` adds the product
+    to +0.0 (giving +0.0). The values are equal, and a parameter moved by
+    either stays the same unless it is itself a zero."""
+    W2 = np.ones((2, 1))
+    X = np.array([[1e-200, 1.0]])
+    H = np.array([[1e-200]])
+    G = np.array([[-1e-200, 3.0]])
+    for got, want in zip(kernels.ffn_backward(W2, X, H, G),
+                         matmul_ffn_backward(W2, X, H, G)):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(2, 39),
+                  elements=st.floats(-60.0, 60.0, allow_subnormal=False)))
+def test_softmax_equals_method_form_bitwise(logits):
+    assert bitwise_equal(kernels.softmax(logits), method_softmax(logits))

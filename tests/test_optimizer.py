@@ -1,6 +1,7 @@
 """Optimizer: importance weights, distribution updates, textual gradients."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, strategies as st
 from maas import kernels, sampler
 from maas import optimizer as optimizer_module
 from maas.controller import grad_log_prob, init_params, score_layer
+from maas.data import load_dataset
+from maas.datagen import default_env
 from maas.embedding import HashingEmbedder, layer_feature
 from maas.errors import (
     MutatorUnavailable,
@@ -38,6 +41,9 @@ from maas.sampler import (
     architecture_log_prob,
     sample_architecture,
 )
+from tests.test_kernels import bitwise_equal
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestImportanceWeights:
@@ -142,7 +148,7 @@ class TestTraceGradients:
     def test_architecture_without_forward_pass_rejected(self):
         state = init_params(0, 8, 8, 2, 9)
         arch = Architecture(layers=[["cot"]], selections=[[0], [7]], exit_layer=2,
-                            log_prob=0.0, params_version=state.version)
+                            params_version=state.version)
         with pytest.raises(ValueError):
             trace_gradients(state, [arch], [1.0])
 
@@ -318,6 +324,64 @@ class TestBatchedUpdate:
             assert len(backward_calls) == max(len(a.selections) for a in archs)
 
 
+def numpy_rows_trace_gradients(state, archs, weights):
+    """`trace_gradients` on numpy rows, as it was: `m_k * np.array(...)` of
+    each logit gradient and the backward pass with `@`. Layer index -> the
+    gradients (W1, b1, W2, b2)."""
+    rows = {}
+    for arch, m_k in zip(archs, weights):
+        for ell, (score_vec, selected) in enumerate(
+                zip(arch.forward, arch.selections), start=1):
+            g_logits = m_k * np.array(kernels.pl_grad_logits(score_vec.scores, selected))
+            rows.setdefault(ell, []).append((score_vec.feature, score_vec.hidden, g_logits))
+    grads = {}
+    for ell, layer_rows in rows.items():
+        X, H, G = (np.array(col) for col in zip(*layer_rows))
+        g_z1 = (G @ state.layer(ell).W2) * (1.0 - H * H)
+        grads[ell] = (g_z1.T @ X, g_z1.sum(axis=0), G.T @ H, G.sum(axis=0))
+    return grads
+
+
+class TestFloatRowsAndInPlaceUpdate:
+    def test_recorded_steps_equal_numpy_rows_and_temporary_update(self, monkeypatch):
+        """On recorded training steps, the gradients equal the numpy-row form
+        bitwise, and the in-place update leaves every parameter as
+        `param + (lr / K) * grad` does."""
+        reg = builtin_registry()
+        # K = 3, so that lr / K is no power of two
+        cfg = TrainConfig(embed_dim=16, hidden_dim=16, patch_every=5, samples_k=3)
+        state = init_params(0, 16, 16, cfg.num_layers, len(reg))
+        trainer = Trainer(state, reg, default_env(), cfg, np.random.default_rng(0))
+        update = optimizer_module.update_distribution
+        single_rows = set()  # layers some step reached with one sample only
+
+        def checked_update(state, archs, weights, lr):
+            want = numpy_rows_trace_gradients(state, archs, weights)
+            got = trace_gradients(state, archs, weights)
+            assert [g.layer_index for g in got] == list(want)
+            for g in got:
+                for a, b in zip((g.W1, g.b1, g.W2, g.b2), want[g.layer_index]):
+                    assert bitwise_equal(a, b)
+            single_rows.update(ell for ell in want
+                               if sum(len(a.selections) >= ell for a in archs) == 1)
+            scale = lr / len(weights)
+            expected = [[p + scale * d for p, d in zip(ctrl.param_arrays(), want[ell])]
+                        if ell in want else [p.copy() for p in ctrl.param_arrays()]
+                        for ell, ctrl in enumerate(state.layers, start=1)]
+            result = update(state, archs, weights, lr)
+            for ctrl, params in zip(state.layers, expected):
+                for a, b in zip(ctrl.param_arrays(), params):
+                    assert bitwise_equal(a, b)
+            return result
+
+        monkeypatch.setattr(optimizer_module, "update_distribution", checked_update)
+        records = load_dataset(ROOT / "data" / "synthetic_mix.jsonl")
+        for record in records[:40]:
+            trainer.step(record)
+        assert trainer.step_count == 40
+        assert {3, 4} <= single_rows
+
+
 class TestQueryCache:
     def test_repeated_query_embedded_once_and_read_only(self, monkeypatch):
         reg = builtin_registry()
@@ -348,7 +412,7 @@ def trace_for(layers, utility):
     from maas.sampler import Architecture
 
     arch = Architecture(layers=layers, selections=[], exit_layer=None,
-                        log_prob=0.0, params_version=0)
+                        params_version=0)
     return ExecutionTrace(arch, "", utility, 1.0, 1)
 
 

@@ -1,5 +1,8 @@
 """Registry: catalog contents, patch semantics, structural invariants."""
 
+import json
+from dataclasses import asdict, replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,6 +102,24 @@ class TestRegister:
         assert reg.ids() == [s.id for s in builtin_catalog()]
         assert reg.index_of("cot") == 0
         assert reg.index_of("direct_io") == 8
+
+
+class TestSpecToDict:
+    def test_equals_asdict_form_for_builtin_specs_and_a_split_clone(self):
+        reg = builtin_registry()
+        reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        reg.apply_patch(OperatorPatch("cot-b", new_prompt="again {input}",
+                                      new_temperature=0.3))
+        specs = [*reg.specs(), replace(reg.get("cot-b"), tools=("search", "calc"))]
+        assert "cot-b" in reg.ids()
+        for spec in specs:
+            want = asdict(spec)
+            want["tools"] = list(spec.tools)
+            got = spec.to_dict()
+            assert list(got) == list(want)  # field order, so JSON bytes too
+            assert got == want
+            assert json.dumps(got) == json.dumps(want)
+            assert OperatorSpec.from_dict(got) == spec
 
 
 class TestApplyPatch:

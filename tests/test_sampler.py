@@ -202,7 +202,48 @@ class TestProfileCache:
                 vec[0] = 1.0
 
 
+def running_sum_log_prob(arch):
+    """The log-probability as the sampler summed it while drawing: each
+    layer's prefix log-probability on numpy scalars, added in layer order."""
+    log_prob = 0.0
+    for score_vec, selected in zip(arch.forward, arch.selections):
+        scores = score_vec.scores
+        layer_lp = 0.0
+        rem = 1.0
+        for idx in selected:
+            layer_lp += float(np.log(scores[idx] / rem))
+            rem -= scores[idx]
+        log_prob += layer_lp
+    return log_prob
+
+
 class TestArchitectureLogProb:
+    @pytest.mark.parametrize("mode", [MODE_TRAIN, MODE_EVAL])
+    def test_derived_on_read_equals_running_sum_bitwise(self, mode):
+        """`log_prob` read off the forward passes has the bits of the running
+        sum, and each layer's feature, built by appending one profile sum to
+        the last, has the bits of `layer_feature` over all of them."""
+        reg = builtin_registry()
+        emb = HashingEmbedder(16)
+        depths = set()
+        for seed in range(40):
+            state = init_params(seed, 16, 8, 4, len(reg))
+            rng = np.random.default_rng(seed)
+            text = ("add 1 and 2", "prove the lemma", "", "count the words")[seed % 4]
+            arch = sample_architecture(state, reg, text, 0.3, mode, rng, emb)
+            depths.add(len(arch.selections))
+            assert arch.log_prob.hex() == running_sum_log_prob(arch).hex()
+            sums = []
+            for ids in arch.layers:
+                total = np.zeros(16)
+                for op_id in ids:
+                    total += emb.embed(reg.get(op_id).profile_text)
+                sums.append(total)
+            for ell, score_vec in enumerate(arch.forward[1:], start=1):
+                want = layer_feature(emb.embed(text), sums[:ell])
+                assert np.array_equal(score_vec.feature, want)
+        assert depths >= {1, 2, 3}
+
     def test_recompute_matches_stored(self):
         reg = builtin_registry()
         state = init_params(3, 16, 8, 3, len(reg))
@@ -286,7 +327,7 @@ def topological_sort_succeeds(edges):
 class TestBuildDag:
     def _arch(self, layers, exit_layer=None):
         return Architecture(layers=layers, selections=[], exit_layer=exit_layer,
-                            log_prob=0.0, params_version=0)
+                            params_version=0)
 
     def test_single_chain(self):
         edges = build_dag(self._arch([["a"], ["b"]]))

@@ -1,0 +1,272 @@
+"""Paired benchmark runs of a parent commit and the working tree, as BENCH_<n>.json.
+
+Run from the root of a checkout:
+
+    python3 tools/bench_pairs.py --parent HEAD --out BENCH_9.json \\
+        --what "what the change does" --workload train_mix:31-40 \\
+        --workload eval_fresh:31-33 --workload selfedit_live:31-33
+
+The parent commit is exported with `git archive` into a temporary directory,
+so the run adds no worktree to the repository. Each pair runs
+`perfbench/run.py --trace 0` for the `run_seconds` of `BENCHMARK.json` on one
+seed in both trees, one after the other: the parent first on odd seeds and
+the change first on even seeds. Then one `--trace 1` run of each tree per
+workload, at seed 2, parent first, checks that every count-valued metric is
+unchanged, and the tier-1 suite runs once in each tree, for its wall time
+and the time of each acceptance criterion. The record holds, per workload,
+the medians, the quartiles, how many pairs the change won and tied, the
+checkpoint sha256 per seed, and the traced metrics with `counts_equal`.
+"""
+
+import argparse
+import json
+import os
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+# traced metrics that count events: equal on both sides unless the work
+# itself changed
+COUNT_UNITS = ("count", "layers", "chars")
+COUNT_FRACS = ("embedding.embed.repeat_frac",)
+TRACE_SEED = 2
+PAIRING = ("parent and change on the same seed, one after the other, the parent"
+           " first on odd seeds and the change first on even seeds; medians and"
+           " quartiles over the pairs; ties count in pairs_equal, not in"
+           " pairs_change_better")
+
+
+def parse_seeds(text):
+    """"31-40" or "1,3,5" (or both, comma-separated) -> list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def pair_order(seed):
+    return ("parent", "change") if seed % 2 else ("change", "parent")
+
+
+def parse_run(stdout):
+    """The result of one `perfbench/run.py` run from its standard output:
+    the last line's JSON and the `info` line."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    info = next(json.loads(line[len("info "):]) for line in lines
+                if line.startswith("info "))
+    return {
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "units": {k: v["unit"] for k, v in result["metrics"].items()},
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        "info": info,
+    }
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def summarize_pairs(seeds, runs, directions):
+    """BENCH record of one workload. `runs[side][i]` is the parsed run of
+    `seeds[i]` on side "parent" or "change"; `directions` maps each
+    end-to-end metric to "higher" or "lower" (which is better)."""
+    out = {"seeds": list(seeds), "pairs": len(seeds)}
+    for side in ("parent", "change"):
+        side_runs = runs[side]
+        summary = {name: statistics.median(r["metrics"][name] for r in side_runs)
+                   for name in directions}
+        summary["failed"] = sum(r["failed"] for r in side_runs)
+        summary["attempted"] = sum(r["attempted"] for r in side_runs)
+        summary["checkpoint_sha256_step100"] = {
+            str(seed): r["info"]["checkpoint_sha256"] for seed, r in zip(seeds, side_runs)}
+        out[side] = summary
+    out["change_over_parent"] = {
+        name: round(out["change"][name] / out["parent"][name], 4)
+        if out["parent"][name] else None for name in directions}
+    better, equal = {}, {}
+    for name, direction in directions.items():
+        pairs = [(p["metrics"][name], c["metrics"][name])
+                 for p, c in zip(runs["parent"], runs["change"])]
+        equal[name] = sum(p == c for p, c in pairs)
+        better[name] = sum((c > p) if direction == "higher" else (c < p) for p, c in pairs)
+    out["pairs_change_better"] = better
+    out["pairs_equal"] = equal
+    out["quartiles"] = {
+        side: {name: _quartiles([r["metrics"][name] for r in runs[side]])
+               for name in directions}
+        for side in ("parent", "change")}
+    q1, q3 = out["quartiles"]["parent"]["throughput_per_s"]
+    out["parent_throughput_iqr"] = q3 - q1
+    return out
+
+
+def count_metrics(units):
+    return sorted(name for name, unit in units.items()
+                  if unit in COUNT_UNITS or name in COUNT_FRACS)
+
+
+def summarize_trace(parent, change):
+    """Traced metrics of both sides, and whether every count-valued one (and
+    `failed`) is equal."""
+    counts = count_metrics(parent["units"])
+    sides = {}
+    for side, run in (("parent", parent), ("change", change)):
+        sides[side] = {"failed": run["failed"],
+                       "traced_units": run["info"].get("traced_units"),
+                       **run["metrics"]}
+    equal = (parent["failed"] == change["failed"]
+             and count_metrics(change["units"]) == counts
+             and all(parent["metrics"][k] == change["metrics"][k] for k in counts))
+    return {**sides, "counts_compared": counts, "counts_equal": equal}
+
+
+def collect(workloads, trace_seed, run):
+    """Every run the record needs, in order. `run(side, workload, seed,
+    trace)` returns one parsed run. Returns ({workload: {side: [runs]}},
+    {workload: {side: traced run}})."""
+    paired, traced = {}, {}
+    for workload, seeds in workloads:
+        runs = {"parent": [], "change": []}
+        for seed in seeds:
+            for side in pair_order(seed):
+                runs[side].append(run(side, workload, seed, 0))
+        paired[workload] = runs
+    for workload, _ in workloads:
+        traced[workload] = {side: run(side, workload, trace_seed, 1)
+                            for side in ("parent", "change")}
+    return paired, traced
+
+
+def parse_tier1(stdout):
+    """Wall time, the result line and the seconds per acceptance criterion
+    from `pytest -q --durations=0` output."""
+    criterion_s = {}
+    for m in re.finditer(r"^([\d.]+)s \w+\s+\S*TestCriterion(\d+)", stdout, re.M):
+        criterion_s[m.group(2)] = round(criterion_s.get(m.group(2), 0.0)
+                                        + float(m.group(1)), 2)
+    last = stdout.strip().splitlines()[-1].strip("= ")
+    wall = re.search(r" in ([\d.]+)s", last)
+    return {"wall_s": float(wall.group(1)) if wall else None,
+            "result": last.split(" in ")[0],
+            "criterion_s": dict(sorted(criterion_s.items(), key=lambda kv: int(kv[0])))}
+
+
+def src_lines(tree):
+    src = os.path.join(tree, "src", "maas")
+    total = 0
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                total += sum(1 for _ in fh)
+    return total
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def _perfbench(tree, workload, seed, seconds, trace):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:"
+                           f"\n{proc.stderr[-2000:]}")
+    return parse_run(proc.stdout)
+
+
+def _tier1(tree):
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "--durations=0"],
+        cwd=tree, capture_output=True, text=True, env=env)
+    return parse_tier1(proc.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="commit to compare against")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    parser.add_argument("--what", required=True, help="one line on the change")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="<name>:<seeds>, seeds as 31-40 or 1,3,5; repeatable")
+    args = parser.parse_args(argv)
+
+    workloads = [(name, parse_seeds(seeds))
+                 for name, _, seeds in (w.partition(":") for w in args.workload)]
+    with open("BENCHMARK.json") as fh:
+        benchmark = json.load(fh)
+    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
+    commit = subprocess.run(["git", "rev-parse", "--short", args.parent],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    tmp = tempfile.mkdtemp(prefix="bench-parent-")
+    trees = {"parent": os.path.join(tmp, "tree"), "change": os.getcwd()}
+    try:
+        os.makedirs(trees["parent"])
+        archive = subprocess.run(["git", "archive", args.parent], capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", trees["parent"]], input=archive, check=True)
+
+        def run(side, workload, seed, trace):
+            print(f"bench_pairs: {side} {workload} seed {seed} trace {trace}",
+                  file=sys.stderr, flush=True)
+            return _perfbench(trees[side], workload, seed, seconds, trace)
+
+        paired, traced = collect(workloads, TRACE_SEED, run)
+        tier1 = {side: _tier1(trees[side]) for side in ("parent", "change")}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    env = next(iter(paired.values()))["change"][0]["info"]["environment"]
+    record = {
+        "what": args.what,
+        "parent_commit": commit,
+        "machine": {"cpu": f"{_cpu_model()}, {env['nproc']} vCPU",
+                    "python": env["python"], "numpy": env["numpy"],
+                    "blas_threads": int(env["blas_threads_env"])},
+        "command": (f"python3 perfbench/run.py --workload <w> --seed <n>"
+                    f" --seconds {seconds:g} --trace 0"),
+        "pairing": PAIRING,
+        "trace_command": (f"python3 perfbench/run.py --workload <w> --seed"
+                          f" {TRACE_SEED} --seconds {seconds:g} --trace 1,"
+                          " parent then change; counts_equal compares every"
+                          " count-valued metric (unit count, layers or chars, and"
+                          " embed.repeat_frac) plus failed"),
+    }
+    record["tier1"] = {
+        "command": ("PYTHONPATH=src python -m pytest -q"
+                    " --continue-on-collection-errors --durations=0"),
+        **tier1,
+        "note": "one run each, parent then change, on the same host"}
+    record["src_maas_lines"] = lines
+    record["workloads"] = {
+        name: summarize_pairs(seeds, paired[name], directions) for name, seeds in workloads}
+    record[f"trace_seed{TRACE_SEED}"] = {
+        name: summarize_trace(t["parent"], t["change"]) for name, t in traced.items()}
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
