@@ -266,8 +266,6 @@ def _parse_decimal(text):
 def _majority_vote(outputs, registry, layer_ids):
     """Majority over exact strings; ties go to the output of the operator
     with the lowest registry index."""
-    if len(outputs) == 1:
-        return outputs[0]
     counts = {}
     for out in outputs:
         counts[out] = counts.get(out, 0) + 1
