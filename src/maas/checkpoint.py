@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 from .controller import SupernetState
+from .errors import DataError
 from .optimizer import TrainConfig
 from .registry import OperatorRegistry
 
@@ -17,13 +18,13 @@ FORMAT_VERSION = 1
 
 
 def build_checkpoint(state: SupernetState, registry: OperatorRegistry,
-                     config: TrainConfig, metrics_summary=None, rng_state=None):
+                     config: TrainConfig, metrics_summary=None):
     return {
         "format_version": FORMAT_VERSION,
         "config": config.to_dict(),
         "registry": registry.to_dict(),
         "controllers": state.to_dict(),
-        "rng_state": rng_state,
+        "rng_state": None,
         "metrics_summary": metrics_summary or {},
     }
 
@@ -39,12 +40,18 @@ def save(checkpoint: dict, path):
 
 def load(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise DataError(f"checkpoint {path} is not JSON: {exc}") from exc
 
 
 def restore(checkpoint: dict):
-    """Rebuild (state, registry, config) from a checkpoint dict."""
-    state = SupernetState.from_dict(checkpoint["controllers"])
-    registry = OperatorRegistry.from_dict(checkpoint["registry"])
-    config = TrainConfig.from_dict(checkpoint["config"])
+    """Rebuild (state, registry, config) from a checkpoint dict; DataError if malformed."""
+    try:
+        state = SupernetState.from_dict(checkpoint["controllers"])
+        registry = OperatorRegistry.from_dict(checkpoint["registry"])
+        config = TrainConfig.from_dict(checkpoint["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
     return state, registry, config

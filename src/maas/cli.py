@@ -29,7 +29,7 @@ def _make_env(env_name, env_profile, checker):
     if env_name == "synthetic":
         if not env_profile:
             raise DataError("--env synthetic requires --env-profile")
-        return SyntheticEnv.from_file(env_profile)
+        return SyntheticEnv.from_file(env_profile, checker)
     if env_name == "live":
         return LiveEnv(checker=checker)
     raise DataError(f"unknown env {env_name!r}")
@@ -91,6 +91,10 @@ def train(dataset, env_name, env_profile, layers, thres, cost_lambda, samples_k,
             patch_every=patch_every or None,
             mutator=mutator,
         )
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
         env = _make_env(env_name, env_profile, checker)
         mut = LLMMutator() if mutator == "llm" else mutator
         checkpoint, metrics = run_train(

@@ -31,6 +31,8 @@ _CDF_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 @dataclass
 class LayerController:
+    """A layer's scoring-network parameters, or a gradient in their shapes."""
+
     W1: np.ndarray  # (h, d*layer)
     b1: np.ndarray  # (h,)
     W2: np.ndarray  # (n_ops, h)
@@ -139,15 +141,6 @@ class ScoreVector:
     scores: np.ndarray
     hidden: np.ndarray | None = None
     feature: np.ndarray | None = None
-
-
-@dataclass
-class LayerGrad:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    layer_index: int
 
 
 def init_params(seed, d, h, num_layers, n_ops) -> SupernetState:
@@ -275,7 +268,7 @@ def selection_log_prob(score_vec: ScoreVector, selected) -> float:
 
 def grad_log_prob(
     state: SupernetState, layer_index: int, feature: np.ndarray, selected
-) -> LayerGrad:
+) -> LayerController:
     """Exact gradient of the selection's prefix log-probability w.r.t. the
     layer's parameters (through softmax and the two-layer network), from a
     fresh forward pass: the one-row case of the training update's backward."""
@@ -288,4 +281,4 @@ def grad_log_prob(
     gW1, gb1, gW2, gb2 = kernels.ffn_backward(
         ctrl.W2, score_vec.feature[None], score_vec.hidden[None], np.array([g_logits])
     )
-    return LayerGrad(W1=gW1, b1=gb1, W2=gW2, b2=gb2, layer_index=layer_index)
+    return LayerController(W1=gW1, b1=gb1, W2=gW2, b2=gb2, layer_index=layer_index)

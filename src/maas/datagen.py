@@ -10,6 +10,7 @@ to regenerate ``data/``.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .executor import PromptSuccessOverride, SyntheticEnv, SyntheticOperatorProfile
 from .optimizer import MOCK_PATCH_SENTENCE
@@ -80,17 +81,15 @@ def default_profiles():
     return profiles
 
 
-def sabotaged_profiles(target_id="cot", restored_success=0.9):
-    """Like default_profiles but with one operator made useless everywhere;
-    the mock mutator's appended sentence restores it via a prompt override."""
+def sabotaged_profiles():
+    """Like default_profiles but with cot made useless everywhere; the mock
+    mutator's appended sentence restores it to 0.9 via a prompt override."""
     profiles = [
-        p if p.operator_id != target_id
-        else SyntheticOperatorProfile(p.operator_id, 0.02, 0.0, p.unit_cost, 0.0)
+        p if p.operator_id != "cot"
+        else SyntheticOperatorProfile("cot", 0.02, 0.0, p.unit_cost, 0.0)
         for p in default_profiles()
     ]
-    overrides = [
-        PromptSuccessOverride(target_id, MOCK_PATCH_SENTENCE.strip(), restored_success)
-    ]
+    overrides = [PromptSuccessOverride("cot", MOCK_PATCH_SENTENCE.strip(), 0.9)]
     return profiles, overrides
 
 
@@ -98,33 +97,13 @@ def default_env() -> SyntheticEnv:
     return SyntheticEnv(default_profiles())
 
 
-def sabotaged_env(target_id="cot", restored_success=0.9) -> SyntheticEnv:
-    profiles, overrides = sabotaged_profiles(target_id, restored_success)
-    return SyntheticEnv(profiles, overrides)
+def sabotaged_env() -> SyntheticEnv:
+    return SyntheticEnv(*sabotaged_profiles())
 
 
 def _profile_dicts(profiles, overrides=()):
-    return {
-        "profiles": [
-            {
-                "operator_id": p.operator_id,
-                "base_success": p.base_success,
-                "difficulty_slope": p.difficulty_slope,
-                "unit_cost": p.unit_cost,
-                "combine_bonus": p.combine_bonus,
-            }
-            for p in profiles
-        ],
-        "prompt_success_overrides": [
-            {
-                "operator_id": o.operator_id,
-                "substring": o.substring,
-                "base_success": o.base_success,
-            }
-            for o in overrides
-        ],
-        "checker": "exact_match",
-    }
+    return {"profiles": [asdict(p) for p in profiles],
+            "prompt_success_overrides": [asdict(o) for o in overrides]}
 
 
 def write_shipped_files(data_dir):

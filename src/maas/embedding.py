@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-DEFAULT_DIM = 64
-
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 
@@ -33,7 +31,7 @@ def _token_bucket_sign(token: str, dim: int):
 class HashingEmbedder:
     """Deterministic signed-feature-hashing embedder."""
 
-    def __init__(self, dim: int = DEFAULT_DIM):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
@@ -60,6 +58,4 @@ def layer_feature(query_vec: np.ndarray, layer_sums) -> np.ndarray:
             raise DimensionMismatch(
                 f"layer sum has shape {s.shape}, expected ({d},)"
             )
-    if not layer_sums:
-        return query_vec.copy()
     return np.concatenate([query_vec, *layer_sums])

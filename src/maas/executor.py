@@ -97,11 +97,11 @@ class SyntheticEnv:
         self.checker = checker
 
     @classmethod
-    def from_file(cls, path):
+    def from_file(cls, path, checker):
+        """The environment in a profile file as `maas.datagen` writes it,
+        scored by `checker`."""
         with open(path) as fh:
             data = json.load(fh)
-        if isinstance(data, list):  # bare profile array
-            data = {"profiles": data}
         profiles = [SyntheticOperatorProfile.from_dict(d) for d in data["profiles"]]
         overrides = [
             PromptSuccessOverride(
@@ -111,7 +111,7 @@ class SyntheticEnv:
             )
             for d in data.get("prompt_success_overrides", ())
         ]
-        return cls(profiles, overrides, data.get("checker", "exact_match"))
+        return cls(profiles, overrides, checker)
 
     def profile_for(self, spec) -> SyntheticOperatorProfile:
         # split clones ("x-b", and "x-b-b" for a clone's clone) inherit the
@@ -152,7 +152,7 @@ class LiveEnv:
                  transport=None, sleep=time.sleep):
         self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
         self.checker = checker
-        self._transport = transport if transport is not None else _requests_transport
+        self._transport = transport
         self._sleep = sleep
 
     def run_node(self, spec, query: QueryRecord, predecessor_outputs, rng):
@@ -193,11 +193,12 @@ def render_prompt(spec, query_text, predecessor_outputs):
 
 def live_call(spec, rendered_prompt, base_url, api_key, transport=None,
               sleep=time.sleep):
-    """POST a chat completion; returns (content, prompt_tokens,
-    completion_tokens). A transport error, 429 or 5xx is retried, up to
+    """POST a chat completion (through requests when `transport` is None);
+    returns (content, prompt_tokens, completion_tokens). A transport error
+    (an `OSError`, as every requests error is), 429 or 5xx is retried, up to
     MAX_ATTEMPTS calls in all, with a sleep of BACKOFF_BASE_S seconds that
-    doubles after each failure; any other status and a malformed reply raise
-    at once."""
+    doubles after each failure; any other status, a malformed reply and any
+    other exception raise at once."""
     if transport is None:
         transport = _requests_transport
     url = base_url + "/v1/chat/completions"
@@ -211,7 +212,7 @@ def live_call(spec, rendered_prompt, base_url, api_key, transport=None,
     for attempt in range(MAX_ATTEMPTS):
         try:
             status, body = transport(url, payload, headers)
-        except Exception as exc:
+        except OSError as exc:
             last_error = exc
         else:
             if status == 200:
@@ -269,15 +270,9 @@ def _majority_vote(outputs, registry, layer_ids):
     counts = {}
     for out in outputs:
         counts[out] = counts.get(out, 0) + 1
-    best_count = max(counts.values())
-    tied = {out for out, c in counts.items() if c == best_count}
-    if len(tied) == 1:
-        return next(iter(tied))
-    for op_id in sorted(layer_ids, key=registry.index_of):
-        out = outputs[layer_ids.index(op_id)]
-        if out in tied:
-            return out
-    return outputs[0]
+    best = max(counts.values())
+    return min((registry.index_of(op_id), out)
+               for op_id, out in zip(layer_ids, outputs) if counts[out] == best)[1]
 
 
 def execute(arch, query: QueryRecord, env, registry, rng) -> ExecutionTrace:

@@ -18,7 +18,7 @@ from .registry import builtin_registry
 EVAL_RNG_OFFSET = 1_000_003
 
 
-def run_train(config: TrainConfig, dataset_path, env, registry=None, mutator=None,
+def run_train(config: TrainConfig, dataset_path, env, mutator=None,
               checkpoint_path=None, metrics_path=None):
     """Train over the train split for config.iterations shuffled passes.
 
@@ -28,8 +28,7 @@ def run_train(config: TrainConfig, dataset_path, env, registry=None, mutator=Non
     records = load_dataset(dataset_path)
     train, _ = split_dataset(records, config.seed)
 
-    if registry is None:
-        registry = builtin_registry()
+    registry = builtin_registry()
     state = init_params(
         config.seed, config.embed_dim, config.hidden_dim, config.num_layers,
         len(registry),

@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError("samples_k must be >= 2")
         if self.lr <= 0.0:
             raise ValueError("lr must be > 0")
+        if self.patch_every is not None and self.patch_every < 1:
+            raise ValueError("patch_every must be >= 1, or None for no patching")
 
     def to_dict(self):
         return asdict(self)
@@ -96,8 +98,8 @@ def importance_weights(utilities, costs, cost_lambda):
 
 
 def trace_gradients(state, archs, weights):
-    """sum_k m_k * grad log p(arch_k), one `LayerGrad` per layer any sample
-    reached, backpropagated through the forward passes recorded while
+    """sum_k m_k * grad log p(arch_k) as one `LayerController` per layer any
+    sample reached, backpropagated through the forward passes recorded while
     sampling. Each layer stacks one row per sample that reached it (feature,
     hidden state and m_k times the logit gradient) and runs one backward."""
     rows = {}  # layer index -> [(feature, hidden, m_k * g_logits)], layers ascending
@@ -115,7 +117,7 @@ def trace_gradients(state, archs, weights):
     for ell, layer_rows in rows.items():
         X, H, G = (np.array(col) for col in zip(*layer_rows))
         gW1, gb1, gW2, gb2 = kernels.ffn_backward(state.layer(ell).W2, X, H, G)
-        grads.append(ctl.LayerGrad(gW1, gb1, gW2, gb2, ell))
+        grads.append(ctl.LayerController(gW1, gb1, gW2, gb2, ell))
     return grads
 
 
@@ -130,7 +132,7 @@ def update_distribution(state: ctl.SupernetState, archs, weights, lr):
         ctrl = state.layer(g.layer_index)
         if ctrl.W1.shape != g.W1.shape or ctrl.W2.shape != g.W2.shape:
             raise ShapeMismatch(f"gradient shape mismatch at layer {g.layer_index}")
-        for param, grad in zip(ctrl.param_arrays(), (g.W1, g.b1, g.W2, g.b2)):
+        for param, grad in zip(ctrl.param_arrays(), g.param_arrays()):
             grad *= scale
             param += grad
     state.bump_version()
@@ -285,15 +287,10 @@ def parse_mutation(reply_text) -> OperatorPatch:
     return patch
 
 
-def textual_gradient(registry, traces, mutator="mock"):
-    """Produce operator patches from a window of execution traces."""
-    if not traces:
-        return []
-    if mutator == "mock":
-        return mock_mutator(registry, traces)
-    if callable(mutator):
-        return mutator(registry, traces)
-    raise MutatorUnavailable(f"unknown mutator {mutator!r}")
+def textual_gradient(registry, traces, mutator):
+    """The patches `mutator(registry, traces)` proposes from a window of
+    execution traces; none from an empty window."""
+    return mutator(registry, traces) if traces else []
 
 
 class Trainer:
@@ -306,22 +303,25 @@ class Trainer:
     its K samples. Keyed on text, the caches need no invalidation when a
     patch edits, splits or merges operators; the profile cache holds one
     entry per distinct profile text (patches leave profile texts alone, and
-    split clones copy their parent's). The mutator is "mock", "none" or a
-    callable; anything else raises `MutatorUnavailable` before the first
-    step."""
+    split clones copy their parent's). The mutator (`config.mutator` when
+    None) resolves once, here: "mock" to `mock_mutator`, and "none" or a None
+    `patch_every` to None; a callable stays, and anything else raises
+    `MutatorUnavailable` before the first step."""
 
-    def __init__(self, state, registry, env, config: TrainConfig, rng, embedder=None,
-                 mutator=None):
+    def __init__(self, state, registry, env, config: TrainConfig, rng, mutator=None):
         config.validate()
         self.state = state
         self.registry = registry
         self.env = env
         self.config = config
         self.rng = rng
-        self.embedder = embedder if embedder is not None else HashingEmbedder(config.embed_dim)
-        self.mutator = mutator if mutator is not None else config.mutator
-        if not callable(self.mutator) and self.mutator not in ("mock", "none"):
-            raise MutatorUnavailable(f"unknown mutator {self.mutator!r}")
+        self.embedder = HashingEmbedder(config.embed_dim)
+        mutator = config.mutator if mutator is None else mutator
+        if mutator == "mock":
+            mutator = mock_mutator
+        elif mutator != "none" and not callable(mutator):
+            raise MutatorUnavailable(f"unknown mutator {mutator!r}")
+        self.mutator = None if mutator == "none" or config.patch_every is None else mutator
         self.step_count = 0
         self.window = []
         self.profile_cache = {}
@@ -355,7 +355,7 @@ class Trainer:
         self.step_count += 1
 
         patches_applied = 0
-        if self.mutator != "none" and cfg.patch_every is not None:
+        if self.mutator is not None:
             # only the mutator reads the window: kept only while patching is on
             self.window.extend(traces)
             if self.step_count % cfg.patch_every == 0:

@@ -110,6 +110,14 @@ class TestTrainCommand:
         assert "base URL" in result.output
         assert not (workdir / "ckpt.json").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--thres", "2"), ("--samples-k", "1"), ("--patch-every", "-3"),
+    ])
+    def test_out_of_range_hyperparameter_is_usage_error(self, workdir, flag, value):
+        result = CliRunner().invoke(main, train_args(workdir, [flag, value]))
+        assert result.exit_code == 2, result.output
+        assert not (workdir / "ckpt.json").exists()
+
 
 class TestEvalCommand:
     def test_eval_report(self, workdir):
@@ -126,6 +134,46 @@ class TestEvalCommand:
         report = json.loads(result.output)
         assert report["n_records"] == 20
         assert json.loads((workdir / "report.json").read_text()) == report
+
+    def test_checker_reaches_the_synthetic_env(self, workdir):
+        runner = CliRunner()
+        assert runner.invoke(main, train_args(workdir)).exit_code == 0
+        yes = workdir / "yes.jsonl"
+        with open(yes, "w") as fh:
+            for rec in make_mixed_dataset(5, 5):
+                fh.write(json.dumps({**rec, "answer": "yes"}) + "\n")
+        accuracy = {}
+        for checker in ("exact_match", "numeric"):
+            result = runner.invoke(main, [
+                "eval",
+                "--checkpoint", str(workdir / "ckpt.json"),
+                "--dataset", str(yes),
+                "--env-profile", str(workdir / "profiles.json"),
+                "--checker", checker,
+            ])
+            assert result.exit_code == 0, result.output
+            accuracy[checker] = json.loads(result.output)["accuracy"]
+        # the synthetic env answers "yes" when it succeeds: no number to parse
+        assert accuracy["exact_match"] > 0.0
+        assert accuracy["numeric"] == 0.0
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("text", ['{"format_version": 1}\n', "{broken\n"],
+                             ids=["no_controllers", "not_json"])
+    @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
+    def test_is_data_error(self, workdir, command, text):
+        path = workdir / "bad.json"
+        path.write_text(text)
+        extra = {
+            "eval": ["--dataset", str(workdir / "mix.jsonl"),
+                     "--env-profile", str(workdir / "profiles.json")],
+            "sample": ["--query", "add 2 and 3"],
+            "inspect": [],
+        }[command]
+        result = CliRunner().invoke(main, [command, "--checkpoint", str(path), *extra])
+        assert result.exit_code == 3, result.output
+        assert "data error" in result.output
 
 
 class TestSampleCommand:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import requests
+from hypothesis import given, strategies as st
 
 from maas.errors import BackendUnavailable, DataError, MalformedResponse
 from maas.executor import (
@@ -241,6 +243,31 @@ class TestMajorityVote:
         assert _majority_vote(["x", "y", "z"], reg, ["a", "b", "c"]) == "x"
         assert _majority_vote(["z", "y", "x"], reg, ["c", "b", "a"]) == "x"
 
+    @given(st.data())
+    def test_equals_the_sort_and_scan_reference(self, data):
+        reg = builtin_registry()
+        outputs = data.draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=6))
+        layer_ids = data.draw(st.permutations(reg.ids()))[: len(outputs)]
+        assert _majority_vote(outputs, reg, layer_ids) \
+            == reference_majority_vote(outputs, reg, layer_ids)
+
+
+def reference_majority_vote(outputs, registry, layer_ids):
+    """The vote as it was written with an early return for a single top
+    output and a scan of the layer's operators in registry order."""
+    counts = {}
+    for out in outputs:
+        counts[out] = counts.get(out, 0) + 1
+    best_count = max(counts.values())
+    tied = {out for out, c in counts.items() if c == best_count}
+    if len(tied) == 1:
+        return next(iter(tied))
+    for op_id in sorted(layer_ids, key=registry.index_of):
+        out = outputs[layer_ids.index(op_id)]
+        if out in tied:
+            return out
+    return outputs[0]
+
 
 class TestEvaluateAnswer:
     def test_exact_match(self):
@@ -278,13 +305,16 @@ class TestLiveCall:
         assert content == "the answer"
         assert p + c == 200
 
-    def test_retry_then_success(self):
+    @pytest.mark.parametrize("error", [
+        ConnectionError, requests.ConnectionError, TimeoutError,
+    ])
+    def test_retry_then_success(self, error):
         calls = {"n": 0}
 
         def flaky(url, payload, headers):
             calls["n"] += 1
             if calls["n"] < 3:
-                raise ConnectionError("down")
+                raise error("down")
             return 200, self.BODY
 
         slept = []
@@ -295,6 +325,20 @@ class TestLiveCall:
         assert content == "the answer"
         assert calls["n"] == 3
         assert slept == [1.0, 2.0]  # exponential backoff, base 1s
+
+    def test_bug_in_transport_not_retried(self):
+        calls = {"n": 0}
+
+        def buggy(url, payload, headers):
+            calls["n"] += 1
+            raise TypeError("transport bug")
+
+        slept = []
+        with pytest.raises(TypeError, match="transport bug"):
+            live_call(make_spec("op"), "p", "http://x", "k",
+                      transport=buggy, sleep=slept.append)
+        assert calls["n"] == 1
+        assert slept == []
 
     def test_exhausted_retries(self):
         def dead(url, payload, headers):

@@ -10,6 +10,10 @@
 - Every field of a `@dataclass` in `src/maas` is read as an attribute
   somewhere in `src/maas` or `perfbench/`, so no object carries state that
   nothing reads. Fields are matched by name, whatever the object.
+- Every defaulted parameter of a function or method in `src/maas` is passed,
+  by keyword or by position, by some call in `src/maas` or `perfbench/`, so
+  no parameter keeps a value that no caller changes. Callees are matched by
+  name.
 """
 
 import ast
@@ -24,6 +28,11 @@ NOQA = "# noqa: F401"
 UNREAD_FIELDS_KEPT = {
     "ScoreVector.logits": "the tests pin it as the forward pass's oracle",
     "OperatorPatch.rationale": "ROADMAP item 5 stores patch rationales",
+}
+# defaulted parameters that no call in src/maas or perfbench/ passes, and why
+DEFAULTS_KEPT = {
+    "make_mixed_dataset.n_easy": "tests build smaller mixes",
+    "make_mixed_dataset.n_hard": "tests build smaller mixes",
 }
 
 
@@ -127,6 +136,96 @@ def test_every_dataclass_field_is_read():
     assert [name for name in unread if name not in UNREAD_FIELDS_KEPT] == []
     # a kept field that something now reads must leave UNREAD_FIELDS_KEPT too
     assert [name for name in UNREAD_FIELDS_KEPT if name not in unread] == []
+
+
+def is_named(node, name):
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def calls_by_callee(sources):
+    """Callee name -> the calls to it: `f(...)` and `x.f(...)` call `f`, and
+    `cls(...)` inside a classmethod calls the method's class."""
+    calls = {}
+    for tree in map(ast.parse, sources):
+        owner = {
+            id(node): cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and any(is_named(d, "classmethod") for d in fn.decorator_list)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and is_named(node.func, "cls")
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = owner.get(id(node)) or getattr(
+                    node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call, name, position):
+    """Whether `call` passes parameter `name`, at `position` among the
+    positional arguments (None for keyword-only)."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_defaults(defining, calling):
+    """`function.parameter` (`Class.parameter` for `__init__`) of each
+    defaulted parameter of a module-level function or method in the
+    `defining` sources that no call in the `calling` sources passes. A
+    class's name calls its `__init__`."""
+    calls = calls_by_callee(calling)
+    unset = []
+    for tree in map(ast.parse, defining):
+        defs = [(None, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        defs += [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for owner, fn in defs:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            bound = owner is not None  # a method's self or cls is not passed
+            first = len(positional) - len(args.defaults)
+            params = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+            params += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            init = fn.name == "__init__"
+            callee = owner if init else fn.name
+            label = owner if init else ".".join(filter(None, (owner, fn.name)))
+            unset += [f"{label}.{name}" for name, position in params
+                      if not any(passes(c, name, position) for c in calls.get(callee, ()))]
+    return unset
+
+
+def test_checker_flags_defaults_no_call_passes():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    pass\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0, z=0):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def make(cls, w=0):\n"
+        "        return cls(1, 2)\n"
+        "    def m(self, v=0):\n"
+        "        pass\n"
+        "f(0, 5, e=6)\n"
+        "C.make(w=1)\n"
+    )
+    assert unset_defaults([source], [source]) == ["f.c", "f.d", "C.z", "C.m.v"]
+    assert unset_defaults([source], [source, "o.m(1)\nf(*xs, **kw)\nC(*xs)\n"]) == []
+
+
+def test_every_default_is_passed_by_some_call():
+    src = sorted((ROOT / "src" / "maas").glob("*.py"))
+    callers = src + sorted((ROOT / "perfbench").glob("*.py"))
+    unset = unset_defaults([p.read_text() for p in src],
+                           [p.read_text() for p in callers])
+    assert [name for name in unset if name not in DEFAULTS_KEPT] == []
+    # a kept default that some call now passes must leave DEFAULTS_KEPT too
+    assert [name for name in DEFAULTS_KEPT if name not in unset] == []
 
 
 SHIPPED = ("synthetic_mix.jsonl", "synthetic_profiles.json", "sabotaged_profiles.json")

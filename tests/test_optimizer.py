@@ -291,8 +291,7 @@ class TestBatchedUpdate:
         reg = builtin_registry()
         cfg = TrainConfig(num_layers=4, embed_dim=8, hidden_dim=8, samples_k=6)
         state = init_params(0, 8, 8, 4, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8))
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
         backward_calls, layer1_forwards, archs = [], [], []
         ffn_forward, ffn_backward = kernels.ffn_forward, kernels.ffn_backward
         update = optimizer_module.update_distribution
@@ -386,9 +385,8 @@ class TestQueryCache:
     def test_repeated_query_embedded_once_and_read_only(self, monkeypatch):
         reg = builtin_registry()
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
-        emb = HashingEmbedder(8)
         trainer = Trainer(init_params(0, 8, 8, 2, len(reg)), reg, simple_env(),
-                          cfg, np.random.default_rng(0), embedder=emb)
+                          cfg, np.random.default_rng(0))
         texts = []
         embed = HashingEmbedder.embed
 
@@ -402,7 +400,7 @@ class TestQueryCache:
         trainer.step(q)
         assert texts.count(q.query) == 1
         vec = trainer.query_cache[q.query]
-        assert np.array_equal(vec, embed(emb, q.query))
+        assert np.array_equal(vec, embed(trainer.embedder, q.query))
         assert not vec.flags.writeable
         with pytest.raises(ValueError):
             vec[0] = 1.0
@@ -449,11 +447,7 @@ class TestMockMutator:
         assert mock_mutator(reg, [trace_for([["cot"]], 0.0)]) == []
 
     def test_no_traces_no_patches(self):
-        assert textual_gradient(builtin_registry(), [], "mock") == []
-
-    def test_unknown_mutator(self):
-        with pytest.raises(MutatorUnavailable):
-            textual_gradient(builtin_registry(), [trace_for([["cot"]], 0.0)], "llm2")
+        assert textual_gradient(builtin_registry(), [], mock_mutator) == []
 
 
 class TestParseMutation:
@@ -509,8 +503,7 @@ class TestTrainer:
         reg = builtin_registry()
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
         state = init_params(0, 8, 8, 2, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8))
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
         metrics = trainer.step(query())
         assert metrics["step"] == 1
         assert metrics["query_id"] == "q1"
@@ -524,8 +517,7 @@ class TestTrainer:
             cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
             state = init_params(0, 8, 8, 2, len(reg))
             trainer = Trainer(state, reg, simple_env(), cfg,
-                              np.random.default_rng(0),
-                              embedder=HashingEmbedder(8))
+                              np.random.default_rng(0))
             return [trainer.step(query(f"q{i}")) for i in range(12)]
 
         assert run() == run()
@@ -536,8 +528,7 @@ class TestTrainer:
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator="none",
                           patch_every=2)
         state = init_params(0, 8, 8, 2, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8))
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
         for i in range(6):
             assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
         assert reg.to_json() == before
@@ -546,8 +537,7 @@ class TestTrainer:
         reg = builtin_registry()
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=3)
         state = init_params(0, 8, 8, 2, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8))
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
         patched_steps = [
             i for i in range(1, 7)
             if trainer.step(query(f"q{i}"))["patches_applied"] > 0
@@ -567,7 +557,7 @@ class TestTrainer:
             return [OperatorPatch("cot", structure_action="split")]
 
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8), mutator=split_cot_once)
+                          mutator=split_cot_once)
         forward_calls, texts, archs = [], [], []
         ffn_forward = kernels.ffn_forward
         embed = HashingEmbedder.embed
@@ -623,11 +613,19 @@ class TestTrainer:
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=mutator,
                           patch_every=patch_every)
         state = init_params(0, 8, 8, 2, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8))
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+        assert trainer.mutator is None
         for i in range(5):
             trainer.step(query(f"q{i}"))
         assert trainer.window == []
+
+    def test_mock_resolves_to_mock_mutator(self):
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator="mock",
+                          patch_every=2)
+        trainer = Trainer(init_params(0, 8, 8, 2, len(reg)), reg, simple_env(), cfg,
+                          np.random.default_rng(0))
+        assert trainer.mutator is mock_mutator
 
     @pytest.mark.parametrize("bad_patch", [
         OperatorPatch("nope", new_prompt="x {input}"),  # UnknownTarget
@@ -647,7 +645,7 @@ class TestTrainer:
             return [bad_patch, good]
 
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8), mutator=mutator)
+                          mutator=mutator)
         before = reg.to_json()
         assert trainer.step(query())["patches_applied"] == 1
         after = builtin_registry()
@@ -667,7 +665,7 @@ class TestTrainer:
             return [parse_mutation("not json")]
 
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8), mutator=mutator)
+                          mutator=mutator)
         assert trainer.step(query())["patches_applied"] == 0
         assert reg.to_json() == before
 
@@ -679,7 +677,7 @@ class TestTrainer:
         mutator = LLMMutator(base_url="http://stub", transport=chat_reply(
             '{"target_id": "react", "structure_action": "rewire"}'))
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8), mutator=mutator)
+                          mutator=mutator)
         assert trainer.step(query())["patches_applied"] == 0
         assert reg.to_json() == before
         assert state.n_ops == len(reg)
@@ -707,7 +705,7 @@ class TestTrainer:
             return [OperatorPatch("cot", structure_action="split")]
 
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8), mutator=splitting_mutator)
+                          mutator=splitting_mutator)
         trainer.step(query())
         assert len(reg) == 10
         assert state.n_ops == 10
@@ -727,7 +725,7 @@ class TestTrainer:
             return [OperatorPatch("cot", structure_action="split")]
 
         trainer = Trainer(state, reg, env, cfg, np.random.default_rng(0),
-                          embedder=HashingEmbedder(8), mutator=split_cot_twice)
+                          mutator=split_cot_twice)
         ran = []
         run_node = env.run_node
 
@@ -804,6 +802,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("num_layers", 0), ("thres", 0.0), ("thres", 1.0),
         ("cost_lambda", -1.0), ("samples_k", 1), ("lr", 0.0),
+        ("patch_every", 0), ("patch_every", -3),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from maas.controller import init_params
 from maas.datagen import default_env, make_mixed_dataset
-from maas.embedding import HashingEmbedder
 from maas.executor import QueryRecord
 from maas.optimizer import TrainConfig, Trainer, parse_mutation
 from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, builtin_registry
@@ -40,8 +39,7 @@ class SelfEditMachine(RuleBasedStateMachine):
         config = TrainConfig(num_layers=2, samples_k=2, patch_every=1,
                              embed_dim=8, hidden_dim=8)
         self.trainer = Trainer(self.state, self.registry, default_env(), config,
-                               np.random.default_rng(0), embedder=HashingEmbedder(8),
-                               mutator=self._reply)
+                               np.random.default_rng(0), mutator=self._reply)
         self.reply_text = None
 
     def _reply(self, registry, traces):
