@@ -305,10 +305,16 @@ class TestLiveCall:
         assert content == "the answer"
         assert p + c == 200
 
+    def test_retry_then_success(self):
+        self._check_retry_then_success(ConnectionError)
+
     @pytest.mark.parametrize("error", [
-        ConnectionError, requests.ConnectionError, TimeoutError,
+        requests.ConnectionError, TimeoutError,
     ])
-    def test_retry_then_success(self, error):
+    def test_other_network_errors_retried(self, error):
+        self._check_retry_then_success(error)
+
+    def _check_retry_then_success(self, error):
         calls = {"n": 0}
 
         def flaky(url, payload, headers):
