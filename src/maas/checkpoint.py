@@ -47,11 +47,27 @@ def load(path) -> dict:
 
 
 def restore(checkpoint: dict):
-    """Rebuild (state, registry, config) from a checkpoint dict; DataError if malformed."""
+    """Rebuild (state, registry, config) from a checkpoint dict; `DataError`
+    if it is malformed, in a format other than FORMAT_VERSION, or its
+    controllers do not fit its config (embed_dim d, hidden_dim h) and
+    registry (n operators): layer l holds W1 (h, d*l), b1 (h,), W2 (n, h), b2 (n,)."""
     try:
+        version = checkpoint["format_version"]
         state = SupernetState.from_dict(checkpoint["controllers"])
         registry = OperatorRegistry.from_dict(checkpoint["registry"])
         config = TrainConfig.from_dict(checkpoint["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
+    if version != FORMAT_VERSION:
+        raise DataError(f"checkpoint format {version!r}, expected {FORMAT_VERSION}")
+    d, h, n = config.embed_dim, config.hidden_dim, len(registry)
+    if (state.embed_dim, state.hidden_dim) != (d, h):
+        raise DataError(f"checkpoint controllers have dims {state.embed_dim}x"
+                        f"{state.hidden_dim}, its config {d}x{h}")
+    for ell, ctrl in enumerate(state.layers, start=1):
+        shapes = [a.shape for a in ctrl.param_arrays()]
+        expected = [(h, d * ell), (h,), (n, h), (n,)]
+        if shapes != expected:
+            raise DataError(f"checkpoint layer {ell} has shapes {shapes}, expected"
+                            f" {expected} for {n} registry operators")
     return state, registry, config

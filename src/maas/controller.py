@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import MaasError
 
 INIT_SCALE = 0.1
 SPLIT_NOISE_SCALE = 0.01
@@ -84,7 +84,7 @@ class SupernetState:
 
     def layer(self, layer_index: int) -> LayerController:
         if not 1 <= layer_index <= len(self.layers):
-            raise DimensionMismatch(f"no layer {layer_index}")
+            raise MaasError(f"no layer {layer_index}")
         return self.layers[layer_index - 1]
 
     def bump_version(self):
@@ -167,7 +167,7 @@ def score_layer(state: SupernetState, layer_index: int, feature: np.ndarray) -> 
     expected = ctrl.W1.shape[1]
     feature = np.ascontiguousarray(feature, dtype=np.float64)
     if feature.shape != (expected,):
-        raise DimensionMismatch(
+        raise MaasError(
             f"layer {layer_index} expects feature of length {expected},"
             f" got {feature.shape}"
         )
@@ -276,7 +276,7 @@ def grad_log_prob(
     ctrl = state.layer(layer_index)
     selected = np.asarray(selected, dtype=np.int64)
     if selected.size and (selected.min() < 0 or selected.max() >= ctrl.W2.shape[0]):
-        raise ShapeMismatch("selection index out of range")
+        raise MaasError("selection index out of range")
     g_logits = kernels.pl_grad_logits(score_vec.scores, selected)
     gW1, gb1, gW2, gb2 = kernels.ffn_backward(
         ctrl.W2, score_vec.feature[None], score_vec.hidden[None], np.array([g_logits])

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import DuplicateQueryId, ParseError, TooFewRecords
+from .errors import DataError
 from .executor import QueryRecord
 
 REQUIRED_FIELDS = ("id", "query", "answer", "domain", "difficulty")
@@ -25,10 +25,10 @@ def load_dataset(path) -> list[QueryRecord]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
+                raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
             for field in REQUIRED_FIELDS:
                 if field not in obj:
-                    raise ParseError(line_no, f"missing field {field!r}")
+                    raise DataError(f"line {line_no}: missing field {field!r}")
             try:
                 record = QueryRecord(
                     id=str(obj["id"]),
@@ -39,9 +39,9 @@ def load_dataset(path) -> list[QueryRecord]:
                 )
                 record.validate()
             except Exception as exc:
-                raise ParseError(line_no, str(exc)) from exc
+                raise DataError(f"line {line_no}: {exc}") from exc
             if record.id in seen:
-                raise DuplicateQueryId(f"duplicate query id {record.id!r}")
+                raise DataError(f"duplicate query id {record.id!r}")
             seen.add(record.id)
             records.append(record)
     return records
@@ -52,7 +52,7 @@ def split_dataset(records, seed):
     test (a 1:4 ratio)."""
     n = len(records)
     if n < 5:
-        raise TooFewRecords(f"need at least 5 records, got {n}")
+        raise DataError(f"need at least 5 records, got {n}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = math.ceil(n / 5)

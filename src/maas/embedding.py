@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import MaasError
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -55,7 +55,7 @@ def layer_feature(query_vec: np.ndarray, layer_sums) -> np.ndarray:
     d = query_vec.shape[0]
     for s in layer_sums:
         if s.shape != (d,):
-            raise DimensionMismatch(
+            raise MaasError(
                 f"layer sum has shape {s.shape}, expected ({d},)"
             )
     return np.concatenate([query_vec, *layer_sums])

@@ -1,105 +1,17 @@
-"""Exception hierarchy for the maas package."""
+"""The three maas errors, one per way the CLI handles an error: a `DataError`
+exits 3, a `BackendError` exits 4 and any other `MaasError` exits 1."""
 
 
 class MaasError(Exception):
-    """Base class for all maas errors."""
+    """The base of the other two, raised itself for a broken contract inside
+    the library, such as a dimension, a shape or a stale architecture; exit 1."""
 
 
 class DataError(MaasError):
-    """Bad input data (datasets, profiles, patches)."""
+    """Bad input from outside the program: a dataset, a profile file, a
+    checkpoint or a mutator's patch; exit 3."""
 
 
 class BackendError(MaasError):
-    """Remote backend failures (chat-completions endpoints)."""
-
-
-# registry
-class DuplicateId(DataError):
-    pass
-
-
-class InvalidTemperature(DataError):
-    pass
-
-
-class SecondEarlyExit(DataError):
-    pass
-
-
-class SecondDirectIO(DataError):
-    pass
-
-
-class UnknownTarget(DataError):
-    pass
-
-
-class PatchOnExitOperator(DataError):
-    pass
-
-
-class ProtectedOperator(DataError):
-    """Structural patch would destroy the early-exit / direct-io invariant."""
-
-
-class MergeUnknownPartner(DataError):
-    pass
-
-
-class InvalidPatch(DataError):
-    pass
-
-
-# embedding / controller
-class DimensionMismatch(MaasError):
-    pass
-
-
-# sampler
-class StaleArchitecture(MaasError):
-    """Architecture was sampled under a different parameter version."""
-
-
-# executor
-class BackendUnavailable(BackendError):
-    pass
-
-
-class MalformedResponse(BackendError):
-    pass
-
-
-class EmptyArchitecture(MaasError):
-    pass
-
-
-# optimizer
-class NonpositiveCost(MaasError):
-    pass
-
-
-class ShapeMismatch(MaasError):
-    pass
-
-
-class MutatorUnavailable(BackendError):
-    pass
-
-
-class UnparseableMutation(MaasError):
-    pass
-
-
-# harness
-class ParseError(DataError):
-    def __init__(self, line_number, message):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-class DuplicateQueryId(DataError):
-    pass
-
-
-class TooFewRecords(DataError):
-    pass
+    """A chat-completions endpoint that is missing, fails or answers with a
+    malformed payload; exit 4."""

@@ -15,12 +15,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .errors import (
-    BackendUnavailable,
-    DataError,
-    EmptyArchitecture,
-    MalformedResponse,
-)
+from .errors import BackendError, DataError, MaasError
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 1.0
@@ -99,19 +94,24 @@ class SyntheticEnv:
     @classmethod
     def from_file(cls, path, checker):
         """The environment in a profile file as `maas.datagen` writes it,
-        scored by `checker`."""
-        with open(path) as fh:
-            data = json.load(fh)
-        profiles = [SyntheticOperatorProfile.from_dict(d) for d in data["profiles"]]
-        overrides = [
-            PromptSuccessOverride(
-                operator_id=d["operator_id"],
-                substring=d["substring"],
-                base_success=float(d["base_success"]),
-            )
-            for d in data.get("prompt_success_overrides", ())
-        ]
-        return cls(profiles, overrides, checker)
+        scored by `checker`. A file that is not JSON, or not in that format,
+        raises `DataError` naming the file."""
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+            profiles = [SyntheticOperatorProfile.from_dict(d) for d in data["profiles"]]
+            overrides = [
+                PromptSuccessOverride(
+                    operator_id=d["operator_id"],
+                    substring=d["substring"],
+                    base_success=float(d["base_success"]),
+                )
+                for d in data.get("prompt_success_overrides", ())
+            ]
+            return cls(profiles, overrides, checker)
+        except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            raise DataError(f"malformed profile file {path}: {type(exc).__name__}:"
+                            f" {exc}") from exc
 
     def profile_for(self, spec) -> SyntheticOperatorProfile:
         # split clones ("x-b", and "x-b-b" for a clone's clone) inherit the
@@ -217,12 +217,12 @@ def live_call(spec, rendered_prompt, base_url, api_key, transport=None,
         else:
             if status == 200:
                 return _parse_chat_response(body)
-            last_error = BackendUnavailable(f"chat endpoint returned {status}")
+            last_error = BackendError(f"chat endpoint returned {status}")
             if status != 429 and not 500 <= status < 600:
                 raise last_error
         if attempt < MAX_ATTEMPTS - 1:
             sleep(BACKOFF_BASE_S * (2**attempt))
-    raise BackendUnavailable(f"chat endpoint failed after {MAX_ATTEMPTS} attempts: {last_error}")
+    raise BackendError(f"chat endpoint failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 def _parse_chat_response(body):
@@ -235,7 +235,7 @@ def _parse_chat_response(body):
             int(usage.get("completion_tokens", 0)),
         )
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
-        raise MalformedResponse(f"bad chat completion payload: {exc}") from exc
+        raise BackendError(f"bad chat completion payload: {exc}") from exc
 
 
 def _requests_transport(url, payload, headers):
@@ -280,7 +280,7 @@ def execute(arch, query: QueryRecord, env, registry, rng) -> ExecutionTrace:
     previous layer's outputs in drawn order (layer 1 sees none), and the sink
     majority-votes the final layer: the wiring `build_dag` prints."""
     if not arch.layers:
-        raise EmptyArchitecture("architecture has no layers")
+        raise MaasError("architecture has no layers")
     total_cost = 0.0
     llm_calls = 0
     outputs = []

@@ -26,14 +26,7 @@ from . import kernels, sampler
 # layer_feature is unused here but kept importable: perfbench/tracer.py wraps
 # it at every module that binds the name.
 from .embedding import HashingEmbedder, layer_feature  # noqa: F401
-from .errors import (
-    DataError,
-    MutatorUnavailable,
-    NonpositiveCost,
-    ShapeMismatch,
-    StaleArchitecture,
-    UnparseableMutation,
-)
+from .errors import BackendError, DataError, MaasError
 from .executor import execute, live_call, resolve_endpoint
 from .registry import KIND_EARLY_EXIT, KIND_GENERATIVE, OperatorPatch, OperatorSpec
 
@@ -86,7 +79,7 @@ def importance_weights(utilities, costs, cost_lambda):
     utilities = [float(u) for u in utilities]
     costs = [float(c) for c in costs]
     if any(c <= 0.0 for c in costs):
-        raise NonpositiveCost("all costs must be positive")
+        raise MaasError("all costs must be positive")
     k = len(utilities)
     u_sum = sum(utilities)
     c_sum = sum(costs)
@@ -105,7 +98,7 @@ def trace_gradients(state, archs, weights):
     rows = {}  # layer index -> [(feature, hidden, m_k * g_logits)], layers ascending
     for arch, m_k in zip(archs, weights):
         if arch.params_version != state.version:
-            raise StaleArchitecture("parameters changed since sampling")
+            raise MaasError("parameters changed since sampling")
         if len(arch.forward) != len(arch.selections):
             raise ValueError("architecture carries no recorded forward pass")
         for ell, (score_vec, selected) in enumerate(
@@ -126,12 +119,12 @@ def update_distribution(state: ctl.SupernetState, archs, weights, lr):
     (lr / K) * sum_k m_k * grad log p(arch_k), for the K sampled
     architectures `archs` and one m_k per sample in `weights`."""
     if len(weights) != len(archs):
-        raise ShapeMismatch("weights / architectures length mismatch")
+        raise MaasError("weights / architectures length mismatch")
     scale = lr / len(weights)
     for g in trace_gradients(state, archs, weights):
         ctrl = state.layer(g.layer_index)
         if ctrl.W1.shape != g.W1.shape or ctrl.W2.shape != g.W2.shape:
-            raise ShapeMismatch(f"gradient shape mismatch at layer {g.layer_index}")
+            raise MaasError(f"gradient shape mismatch at layer {g.layer_index}")
         for param, grad in zip(ctrl.param_arrays(), g.param_arrays()):
             grad *= scale
             param += grad
@@ -228,14 +221,15 @@ MUTATOR_SPEC = OperatorSpec(
 
 class LLMMutator:
     """Textual-gradient mutator backed by a chat-completions endpoint. It
-    raises `MutatorUnavailable` at construction when no base URL is given,
-    by argument or by `MAAS_BASE_URL`."""
+    raises `BackendError` at construction when no base URL is given, by
+    argument or by `MAAS_BASE_URL`, and when a call fails as `live_call`
+    says; a reply that does not parse raises `DataError`."""
 
     def __init__(self, model="default", base_url=None, api_key=None, transport=None):
         self.model = model
         self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
         if not self.base_url:
-            raise MutatorUnavailable("no base URL configured for the LLM mutator")
+            raise BackendError("no base URL configured for the LLM mutator")
         self._transport = transport
 
     def __call__(self, registry, traces):
@@ -261,30 +255,31 @@ class LLMMutator:
 
 
 def parse_mutation(reply_text) -> OperatorPatch:
-    """Validate an LLM mutator reply into a patch; code fields are ignored."""
+    """Validate an LLM mutator reply, one JSON object with the keys
+    `MUTATOR_PROMPT` asks for, into a patch; other keys, code among them, are
+    ignored. A reply that is not such an object, or whose patch fails
+    `OperatorPatch.validate`, raises `DataError`."""
     try:
         data = json.loads(reply_text)
     except (json.JSONDecodeError, TypeError) as exc:
-        raise UnparseableMutation(f"reply is not JSON: {exc}") from exc
+        raise DataError(f"reply is not JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise UnparseableMutation("reply is not a JSON object")
-    target = data.get("target_id") or data.get("target")
-    if not target:
-        raise UnparseableMutation("reply lacks target_id")
-    temperature = data.get("new_temperature", data.get("temperature"))
+        raise DataError("reply is not a JSON object")
+    if not data.get("target_id"):
+        raise DataError("reply lacks target_id")
     patch = OperatorPatch(
-        target_id=str(target),
-        new_prompt=data.get("new_prompt", data.get("prompt")),
-        new_temperature=float(temperature) if temperature is not None else None,
+        target_id=data["target_id"],
+        new_prompt=data.get("new_prompt"),
+        new_temperature=data.get("new_temperature"),
         structure_action=data.get("structure_action", "none") or "none",
         merge_with_id=data.get("merge_with_id"),
-        rationale=str(data.get("thought", data.get("rationale", ""))),
+        rationale=str(data.get("thought", "")),
     )
-    try:
-        patch.validate()
-    except Exception as exc:
-        raise UnparseableMutation(str(exc)) from exc
-    return patch
+    patch.validate()
+    if patch.new_temperature is None:
+        return patch
+    # float() only after validate's range check: a huge JSON integer would overflow
+    return replace(patch, new_temperature=float(patch.new_temperature))
 
 
 def textual_gradient(registry, traces, mutator):
@@ -306,7 +301,7 @@ class Trainer:
     split clones copy their parent's). The mutator (`config.mutator` when
     None) resolves once, here: "mock" to `mock_mutator`, and "none" or a None
     `patch_every` to None; a callable stays, and anything else raises
-    `MutatorUnavailable` before the first step."""
+    `BackendError` before the first step."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, mutator=None):
         config.validate()
@@ -320,7 +315,7 @@ class Trainer:
         if mutator == "mock":
             mutator = mock_mutator
         elif mutator != "none" and not callable(mutator):
-            raise MutatorUnavailable(f"unknown mutator {mutator!r}")
+            raise BackendError(f"unknown mutator {mutator!r}")
         self.mutator = None if mutator == "none" or config.patch_every is None else mutator
         self.step_count = 0
         self.window = []
@@ -376,12 +371,13 @@ class Trainer:
         }
 
     def _apply_patches(self) -> int:
-        """Apply the mutator's patches. An unparseable proposal, or a patch
-        the registry rejects (leaving itself as it was), is skipped and not
-        counted."""
+        """Apply the mutator's patches. A proposal that does not parse, or a
+        patch the registry rejects (leaving itself as it was), raises
+        `DataError`, so it is skipped and not counted: a mutator's reply is
+        input from outside the program and must not end the run."""
         try:
             patches = textual_gradient(self.registry, self.window, self.mutator)
-        except UnparseableMutation:
+        except DataError:
             return 0
         applied = 0
         for patch in patches:

@@ -12,18 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .errors import (
-    DuplicateId,
-    InvalidTemperature,
-    SecondEarlyExit,
-    SecondDirectIO,
-    UnknownTarget,
-    PatchOnExitOperator,
-    ProtectedOperator,
-    MergeUnknownPartner,
-    InvalidPatch,
-    DataError,
-)
+from .errors import DataError
 
 KIND_GENERATIVE = "generative"
 KIND_AGGREGATOR = "aggregator"
@@ -52,7 +41,7 @@ class OperatorSpec:
         if not self.id:
             raise DataError("operator id must be non-empty")
         if not 0.0 <= self.temperature <= 2.0:
-            raise InvalidTemperature(
+            raise DataError(
                 f"temperature {self.temperature} outside [0, 2] for {self.id!r}"
             )
         if self.agent_count < 1:
@@ -96,20 +85,35 @@ class OperatorPatch:
     rationale: str = ""
 
     def validate(self):
+        """`DataError` unless `apply_patch` can act on this patch. A mutator's
+        reply may hold any JSON, so the types come first: a non-empty str
+        `target_id`, a str or None `new_prompt` and `merge_with_id`, a str
+        `structure_action` and an int, float (not bool) or None temperature."""
+        if not isinstance(self.target_id, str) or not self.target_id:
+            raise DataError("patch target_id must be a non-empty string")
+        if not all(v is None or isinstance(v, str)
+                   for v in (self.new_prompt, self.merge_with_id)):
+            raise DataError("patch new_prompt and merge_with_id must be strings")
+        if not isinstance(self.structure_action, str):
+            raise DataError("patch structure_action must be a string")
+        temperature = self.new_temperature
+        if temperature is not None and (
+                isinstance(temperature, bool) or not isinstance(temperature, (int, float))):
+            raise DataError(f"patch temperature {temperature!r} is not a number")
         if (
             self.new_prompt is None
             and self.new_temperature is None
             and self.structure_action == "none"
         ):
-            raise InvalidPatch("patch sets nothing")
+            raise DataError("patch sets nothing")
         if self.new_temperature is not None and not 0.0 <= self.new_temperature <= 2.0:
-            raise InvalidTemperature(
+            raise DataError(
                 f"patch temperature {self.new_temperature} outside [0, 2]"
             )
         if self.structure_action not in {"none", "split", "merge"}:
-            raise InvalidPatch(f"unknown structure_action {self.structure_action!r}")
+            raise DataError(f"unknown structure_action {self.structure_action!r}")
         if self.structure_action == "merge" and not self.merge_with_id:
-            raise InvalidPatch("merge requires merge_with_id")
+            raise DataError("merge requires merge_with_id")
 
 
 @dataclass(frozen=True)
@@ -148,12 +152,12 @@ class OperatorRegistry:
 
     def get(self, op_id) -> OperatorSpec:
         if op_id not in self._by_id:
-            raise UnknownTarget(f"no operator {op_id!r}")
+            raise DataError(f"no operator {op_id!r}")
         return self._specs[self._by_id[op_id]]
 
     def index_of(self, op_id) -> int:
         if op_id not in self._by_id:
-            raise UnknownTarget(f"no operator {op_id!r}")
+            raise DataError(f"no operator {op_id!r}")
         return self._by_id[op_id]
 
     @property
@@ -169,15 +173,15 @@ class OperatorRegistry:
     def register(self, spec: OperatorSpec):
         spec.validate()
         if spec.id in self._by_id:
-            raise DuplicateId(f"operator id {spec.id!r} already registered")
+            raise DataError(f"operator id {spec.id!r} already registered")
         if spec.kind == KIND_EARLY_EXIT and any(
             s.kind == KIND_EARLY_EXIT for s in self._specs
         ):
-            raise SecondEarlyExit("registry already has an early-exit operator")
+            raise DataError("registry already has an early-exit operator")
         if spec.kind == KIND_DIRECT_IO and any(
             s.kind == KIND_DIRECT_IO for s in self._specs
         ):
-            raise SecondDirectIO("registry already has a direct-io operator")
+            raise DataError("registry already has a direct-io operator")
         self._by_id[spec.id] = len(self._specs)
         self._specs.append(spec)
         return self
@@ -191,11 +195,11 @@ class OperatorRegistry:
         operator can be split any number of times."""
         patch.validate()
         if patch.target_id not in self._by_id:
-            raise UnknownTarget(f"no operator {patch.target_id!r}")
+            raise DataError(f"no operator {patch.target_id!r}")
         idx = self._by_id[patch.target_id]
         target = self._specs[idx]
         if target.kind == KIND_EARLY_EXIT:
-            raise PatchOnExitOperator("cannot patch the early-exit operator")
+            raise DataError("cannot patch the early-exit operator")
 
         if patch.new_prompt is not None:
             target = replace(target, prompt=patch.new_prompt)
@@ -205,7 +209,7 @@ class OperatorRegistry:
 
         if patch.structure_action == "split":
             if target.kind == KIND_DIRECT_IO:
-                raise ProtectedOperator("cannot split the direct-io operator")
+                raise DataError("cannot split the direct-io operator")
             suffix = self._clone_suffix(target.id)
             clone = replace(target, id=f"{target.id}-{suffix}",
                             name=f"{target.name} ({suffix})")
@@ -215,12 +219,12 @@ class OperatorRegistry:
         if patch.structure_action == "merge":
             partner_id = patch.merge_with_id
             if partner_id not in self._by_id:
-                raise MergeUnknownPartner(f"no operator {partner_id!r}")
+                raise DataError(f"no operator {partner_id!r}")
             if partner_id == target.id:
-                raise InvalidPatch("cannot merge an operator with itself")
+                raise DataError("cannot merge an operator with itself")
             partner = self.get(partner_id)
             if partner.kind in (KIND_EARLY_EXIT, KIND_DIRECT_IO):
-                raise ProtectedOperator(f"cannot merge away {partner_id!r}")
+                raise DataError(f"cannot merge away {partner_id!r}")
             removed = self._by_id[partner_id]
             self._specs[idx] = replace(
                 target, prompt=target.prompt + "\n" + partner.prompt

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import controller as ctl
 from .embedding import HashingEmbedder, layer_feature
-from .errors import DimensionMismatch, StaleArchitecture
+from .errors import MaasError
 
 SOURCE = "__source__"
 SINK = "__sink__"
@@ -104,7 +104,7 @@ def sample_architecture(
     `first`, when given, is layer 1's forward pass (`score_layer` on the
     query embedding, its `.feature`), so callers drawing several samples
     for one query at the same parameters embed and score it once; a
-    feature of the wrong length raises `DimensionMismatch`.
+    feature of the wrong length raises `MaasError`.
     `profile_cache` maps profile text to its read-only embedding; pass the
     same dict to every call to embed each profile text once, or None to use
     a fresh dict for this call only. Keyed on text, it needs no
@@ -121,7 +121,7 @@ def sample_architecture(
     if first is None:
         first = ctl.score_layer(state, 1, embedder.embed(query))
     elif first.feature.shape != (state.embed_dim,):
-        raise DimensionMismatch(
+        raise MaasError(
             f"layer 1 feature has shape {first.feature.shape},"
             f" expected ({state.embed_dim},)"
         )
@@ -167,7 +167,7 @@ def architecture_log_prob(
 ) -> float:
     """Recompute the architecture's selection log-probability from scratch."""
     if arch.params_version != state.version:
-        raise StaleArchitecture(
+        raise MaasError(
             f"architecture sampled at version {arch.params_version},"
             f" parameters now at {state.version}"
         )

@@ -26,11 +26,15 @@ ROOT = Path(__file__).resolve().parent.parent
 # `maas train` on the shipped data, 3 iterations at seed 7, and where the
 # checkpoint's hash was recorded: its floats come from numpy's kernels, which
 # differ between numpy versions and between the SIMD targets a CPU runs.
+# "simd" lists each set of targets on which both pinned hashes were checked.
 GOLDEN_CHECKPOINT = {
     "sha256": "88f0a238fb3bb74e966166b968ef8a1f0b82ed03dada509f4787c155584446d1",
     "numpy": "2.4.6",
     "platform": "linux-x86_64",
-    "simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+    "simd": [
+        ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+        ["X86_V3", "X86_V4", "AVX512_ICL"],
+    ],
 }
 # `maas train` on the shipped data, 100 iterations at seed 3, with its
 # metrics; recorded where GOLDEN_CHECKPOINT was
@@ -135,6 +139,23 @@ class TestEvalCommand:
         assert report["n_records"] == 20
         assert json.loads((workdir / "report.json").read_text()) == report
 
+    @pytest.mark.parametrize("text", [
+        "{broken\n", "[]\n", '{"profiles": [{"operator_id": "cot"}]}\n',
+    ], ids=["not_json", "bare_list", "missing_field"])
+    def test_malformed_profile_file_is_data_error(self, workdir, text):
+        runner = CliRunner()
+        assert runner.invoke(main, train_args(workdir)).exit_code == 0
+        bad = workdir / "bad_profiles.json"
+        bad.write_text(text)
+        result = runner.invoke(main, [
+            "eval",
+            "--checkpoint", str(workdir / "ckpt.json"),
+            "--dataset", str(workdir / "mix.jsonl"),
+            "--env-profile", str(bad),
+        ])
+        assert result.exit_code == 3, result.output
+        assert f"data error: malformed profile file {bad}" in result.output
+
     def test_checker_reaches_the_synthetic_env(self, workdir):
         runner = CliRunner()
         assert runner.invoke(main, train_args(workdir)).exit_code == 0
@@ -158,13 +179,25 @@ class TestEvalCommand:
         assert accuracy["numeric"] == 0.0
 
 
+def without_react(trained):
+    operators = trained["registry"]["operators"]
+    trained["registry"]["operators"] = [op for op in operators if op["id"] != "react"]
+    return json.dumps(trained)
+
+
 class TestBadCheckpoint:
-    @pytest.mark.parametrize("text", ['{"format_version": 1}\n', "{broken\n"],
-                             ids=["no_controllers", "not_json"])
+    # each case maps the checkpoint `maas train` writes to the text of a bad one
+    @pytest.mark.parametrize("corrupt", [
+        lambda trained: '{"format_version": 1}\n',
+        lambda trained: "{broken\n",
+        without_react,
+        lambda trained: json.dumps({**trained, "format_version": 99}),
+    ], ids=["no_controllers", "not_json", "registry_without_react", "unknown_format"])
     @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
-    def test_is_data_error(self, workdir, command, text):
+    def test_is_data_error(self, workdir, command, corrupt):
+        assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
         path = workdir / "bad.json"
-        path.write_text(text)
+        path.write_text(corrupt(json.loads((workdir / "ckpt.json").read_text())))
         extra = {
             "eval": ["--dataset", str(workdir / "mix.jsonl"),
                      "--env-profile", str(workdir / "profiles.json")],
@@ -359,8 +392,8 @@ def skip_unless_golden_numpy():
         pytest.skip(f"hash recorded on numpy {GOLDEN_CHECKPOINT['numpy']},"
                     f" {GOLDEN_CHECKPOINT['platform']}; this is numpy"
                     f" {np.__version__}, {here}")
-    if numpy_simd_targets() != GOLDEN_CHECKPOINT["simd"]:
-        pytest.skip(f"hash recorded with numpy SIMD targets {GOLDEN_CHECKPOINT['simd']};"
+    if numpy_simd_targets() not in GOLDEN_CHECKPOINT["simd"]:
+        pytest.skip(f"hashes checked on numpy SIMD targets {GOLDEN_CHECKPOINT['simd']};"
                     f" this CPU runs {numpy_simd_targets()}")
 
 

@@ -21,7 +21,7 @@ from maas.controller import (
     select_deterministic,
     selection_log_prob,
 )
-from maas.errors import DimensionMismatch
+from maas.errors import MaasError
 
 
 def forward_oracle(ctrl, feature):
@@ -102,7 +102,7 @@ class TestScoreLayer:
 
     def test_dimension_mismatch(self):
         state = init_params(0, 8, 8, 2, 3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MaasError, match="layer 2 expects feature of length 16"):
             score_layer(state, 2, np.zeros(8))  # layer 2 wants 16
 
 

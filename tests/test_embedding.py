@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maas.embedding import HashingEmbedder, layer_feature
-from maas.errors import DimensionMismatch
+from maas.errors import MaasError
 from maas.registry import builtin_catalog
 
 
@@ -94,7 +94,7 @@ class TestLayerFeature:
         np.testing.assert_array_equal(out[2 * d :], s2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MaasError, match=r"layer sum has shape \(8,\), expected \(16,\)"):
             layer_feature(np.zeros(16), [np.zeros(8)])
 
     def test_layer_sum_is_plain_vector_addition(self):

@@ -5,7 +5,7 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
-from maas.errors import BackendUnavailable, DataError, MalformedResponse
+from maas.errors import BackendError, DataError
 from maas.executor import (
     LiveEnv,
     PromptSuccessOverride,
@@ -350,12 +350,13 @@ class TestLiveCall:
         def dead(url, payload, headers):
             raise ConnectionError("down")
 
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendError, match="failed after 3 attempts: down"):
             live_call(make_spec("op"), "p", "http://x", "k",
                       transport=dead, sleep=lambda s: None)
 
     def test_http_error_retried_then_raised(self):
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendError,
+                           match="failed after 3 attempts: chat endpoint returned 503"):
             live_call(make_spec("op"), "p", "http://x", "k",
                       transport=lambda *a: (503, {}), sleep=lambda s: None)
 
@@ -367,7 +368,7 @@ class TestLiveCall:
             return 401, {}
 
         slept = []
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendError, match="^chat endpoint returned 401$"):
             live_call(make_spec("op"), "p", "http://x", "k",
                       transport=unauthorized, sleep=slept.append)
         assert calls["n"] == 1
@@ -393,7 +394,7 @@ class TestLiveCall:
             calls["n"] += 1
             return 200, {"choices": []}
 
-        with pytest.raises(MalformedResponse):
+        with pytest.raises(BackendError, match="bad chat completion payload"):
             live_call(make_spec("op"), "p", "http://x", "k",
                       transport=bad, sleep=lambda s: None)
         assert calls["n"] == 1
@@ -406,7 +407,7 @@ class TestLiveCall:
             return 200, {"choices": [{"message": {"content": "x"}}],
                          "usage": {"prompt_tokens": "many"}}
 
-        with pytest.raises(MalformedResponse):
+        with pytest.raises(BackendError, match="bad chat completion payload"):
             live_call(make_spec("op"), "p", "http://x", "k",
                       transport=bad_usage, sleep=lambda s: None)
         assert calls["n"] == 1

@@ -7,7 +7,7 @@ import pytest
 from maas import checkpoint as ckpt
 from maas.data import load_dataset, split_dataset
 from maas.datagen import default_env, make_mixed_dataset
-from maas.errors import DuplicateQueryId, ParseError, TooFewRecords
+from maas.errors import DataError
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile
 from maas.harness import run_eval, run_train
 from maas.optimizer import TrainConfig
@@ -46,27 +46,26 @@ class TestLoadDataset:
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(rows(1)[0]) + "\n{not json\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError, match=r"^line 2: "):
             load_dataset(path)
-        assert err.value.line_number == 2
 
     def test_missing_field(self, tmp_path):
         bad = rows(1)[0]
         del bad["answer"]
         path = write_jsonl(tmp_path / "d.jsonl", [bad])
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match="^line 1: missing field 'answer'$"):
             load_dataset(path)
 
     def test_difficulty_out_of_range(self, tmp_path):
         bad = rows(1)[0]
         bad["difficulty"] = 1.5
         path = write_jsonl(tmp_path / "d.jsonl", [bad])
-        with pytest.raises(ParseError):
+        with pytest.raises(DataError, match=r"^line 1: difficulty 1\.5 outside \[0, 1\]"):
             load_dataset(path)
 
     def test_duplicate_id(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", rows(1) + rows(1))
-        with pytest.raises(DuplicateQueryId):
+        with pytest.raises(DataError, match="duplicate query id"):
             load_dataset(path)
 
 
@@ -90,7 +89,7 @@ class TestSplitDataset:
         assert len(ids) == 23
 
     def test_too_few(self):
-        with pytest.raises(TooFewRecords):
+        with pytest.raises(DataError, match="need at least 5 records, got 0"):
             split_dataset([], 0)
 
 

@@ -14,6 +14,9 @@
   by keyword or by position, by some call in `src/maas` or `perfbench/`, so
   no parameter keeps a value that no caller changes. Callees are matched by
   name.
+- Every class `src/maas/errors.py` defines is named by some `except` clause
+  in `src/maas`, alone or in a tuple, so no error class exists that the
+  program never tells apart from the others.
 """
 
 import ast
@@ -226,6 +229,51 @@ def test_every_default_is_passed_by_some_call():
     assert [name for name in unset if name not in DEFAULTS_KEPT] == []
     # a kept default that some call now passes must leave DEFAULTS_KEPT too
     assert [name for name in DEFAULTS_KEPT if name not in unset] == []
+
+
+def unhandled_classes(defining, handling):
+    """Each class defined at the top of the `defining` source that no
+    `except` clause in the `handling` sources names, alone or in a tuple,
+    as `Name` or `module.Name`."""
+    caught = set()
+    for tree in map(ast.parse, handling):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+    return [cls.name for cls in ast.parse(defining).body
+            if isinstance(cls, ast.ClassDef) and cls.name not in caught]
+
+
+def test_checker_flags_error_classes_no_handler_names():
+    defining = (
+        "class A(Exception):\n"
+        "    pass\n"
+        "class B(A):\n"
+        "    pass\n"
+        "class C(A):\n"
+        "    pass\n"
+        "class D(A):\n"
+        "    pass\n"
+    )
+    handling = (
+        "try:\n"
+        "    f()\n"
+        "except A:\n"
+        "    pass\n"
+        "except (B, errors.C) as exc:\n"
+        "    raise D() from exc\n"
+        "except:\n"
+        "    raise\n"
+    )
+    assert unhandled_classes(defining, [handling]) == ["D"]
+    assert unhandled_classes(defining, [handling, "try:\n    f()\nexcept D:\n    pass\n"]) == []
+
+
+def test_every_error_class_is_handled():
+    src = sorted((ROOT / "src" / "maas").glob("*.py"))
+    errors = (ROOT / "src" / "maas" / "errors.py").read_text()
+    assert unhandled_classes(errors, [p.read_text() for p in src]) == []
 
 
 SHIPPED = ("synthetic_mix.jsonl", "synthetic_profiles.json", "sabotaged_profiles.json")

@@ -1,25 +1,20 @@
 """Optimizer: importance weights, distribution updates, textual gradients."""
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maas import kernels, sampler
 from maas import optimizer as optimizer_module
 from maas.controller import grad_log_prob, init_params, score_layer
 from maas.data import load_dataset
-from maas.datagen import default_env
+from maas.datagen import default_env, sabotaged_env
 from maas.embedding import HashingEmbedder, layer_feature
-from maas.errors import (
-    MutatorUnavailable,
-    NonpositiveCost,
-    ShapeMismatch,
-    StaleArchitecture,
-    UnparseableMutation,
-)
+from maas.errors import BackendError, DataError, MaasError
 from maas.executor import ExecutionTrace, QueryRecord, SyntheticEnv, \
     SyntheticOperatorProfile
 from maas.optimizer import (
@@ -66,7 +61,7 @@ class TestImportanceWeights:
         )
 
     def test_nonpositive_cost_rejected(self):
-        with pytest.raises(NonpositiveCost):
+        with pytest.raises(MaasError, match="all costs must be positive"):
             importance_weights([1, 0], [1, 0], 0.01)
 
     @given(
@@ -140,9 +135,9 @@ class TestTraceGradients:
         arch = sample_architecture(state, reg, "q", 0.3, MODE_TRAIN,
                                    np.random.default_rng(0), HashingEmbedder(8))
         state.bump_version()
-        with pytest.raises(StaleArchitecture):
+        with pytest.raises(MaasError, match="parameters changed since sampling"):
             trace_gradients(state, [arch], [1.0])
-        with pytest.raises(StaleArchitecture):
+        with pytest.raises(MaasError, match="parameters changed since sampling"):
             update_distribution(state, [arch], [1.0], 0.05)
 
     def test_architecture_without_forward_pass_rejected(self):
@@ -236,7 +231,7 @@ class TestUpdateDistribution:
         state = init_params(0, 8, 8, 1, len(reg))
         archs = sampled_archs(state, reg, "q", 2, np.random.default_rng(0),
                               HashingEmbedder(8))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(MaasError, match="weights / architectures length mismatch"):
             update_distribution(state, archs, [1.0], 0.05)
 
 
@@ -450,6 +445,24 @@ class TestMockMutator:
         assert textual_gradient(builtin_registry(), [], mock_mutator) == []
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+OPERATOR_IDS = st.sampled_from([*builtin_registry().ids(), "cot-b", "ghost"])
+# each key `MUTATOR_PROMPT` asks for, absent, any JSON value or a plausible one
+REPLIES = JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "thought": JSON_VALUES,
+    "target_id": OPERATOR_IDS | JSON_VALUES,
+    "new_prompt": st.text(max_size=8) | JSON_VALUES,
+    "new_temperature": st.floats(0.0, 2.0) | st.integers(0, 2) | JSON_VALUES,
+    "structure_action": st.sampled_from(["none", "split", "merge", "rewire"]) | JSON_VALUES,
+    "merge_with_id": OPERATOR_IDS | JSON_VALUES,
+})
+
+
 class TestParseMutation:
     def test_valid_reply(self):
         patch = parse_mutation(
@@ -470,20 +483,53 @@ class TestParseMutation:
         assert patch.merge_with_id == "testing"
 
     def test_not_json(self):
-        with pytest.raises(UnparseableMutation):
+        with pytest.raises(DataError, match="reply is not JSON"):
             parse_mutation("I think cot is weak")
 
     def test_missing_target(self):
-        with pytest.raises(UnparseableMutation):
+        with pytest.raises(DataError, match="reply lacks target_id"):
             parse_mutation('{"new_prompt": "x"}')
 
     def test_empty_patch_body(self):
-        with pytest.raises(UnparseableMutation):
+        with pytest.raises(DataError, match="patch sets nothing"):
             parse_mutation('{"target_id": "cot"}')
 
     def test_bad_temperature(self):
-        with pytest.raises(UnparseableMutation):
+        with pytest.raises(DataError, match=r"patch temperature 5\.0 outside \[0, 2\]"):
             parse_mutation('{"target_id": "cot", "new_temperature": 5.0}')
+
+    @pytest.mark.parametrize("temperature", ['"hot"', "[1]", "true", str(10**400)],
+                             ids=["string", "list", "bool", "huge_int"])
+    def test_temperature_not_a_number_in_range(self, temperature):
+        with pytest.raises(DataError, match="patch temperature"):
+            parse_mutation(f'{{"target_id": "cot", "new_temperature": {temperature}}}')
+
+    def test_integer_temperature_becomes_float(self):
+        patch = parse_mutation('{"target_id": "cot", "new_temperature": 1}')
+        assert type(patch.new_temperature) is float and patch.new_temperature == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(reply=REPLIES)
+    def test_any_reply_is_a_patch_or_a_data_error(self, reply):
+        """Whatever JSON a mutator replies with, parsing and applying it
+        raises nothing but `DataError`, and what applies keeps the registry
+        well-typed."""
+        reg = builtin_registry()
+        try:
+            reg.apply_patch(parse_mutation(json.dumps(reply)))
+        except DataError:
+            return
+        for spec in reg.specs():
+            assert isinstance(spec.prompt, str) and type(spec.temperature) is float
+
+
+MALFORMED_REPLIES = [
+    '{"target_id": "cot", "new_temperature": "hot"}',
+    '{"target_id": "cot", "new_temperature": [1]}',
+    '{"target_id": "cot", "structure_action": "merge", "merge_with_id": ["debate"]}',
+    '{"target_id": "cot", "new_prompt": 5}',
+    '{"target_id": "cot", "new_prompt": ["x"]}',
+]
 
 
 def query(qid="q1", difficulty=0.1):
@@ -628,11 +674,11 @@ class TestTrainer:
         assert trainer.mutator is mock_mutator
 
     @pytest.mark.parametrize("bad_patch", [
-        OperatorPatch("nope", new_prompt="x {input}"),  # UnknownTarget
-        OperatorPatch("early_exit", new_prompt="x {input}"),  # PatchOnExitOperator
+        OperatorPatch("nope", new_prompt="x {input}"),  # no operator 'nope'
+        OperatorPatch("early_exit", new_prompt="x {input}"),  # cannot patch the early-exit
         OperatorPatch("direct_io", new_prompt="x {input}",
-                      structure_action="split"),  # ProtectedOperator
-        OperatorPatch("cot"),  # InvalidPatch: sets nothing
+                      structure_action="split"),  # cannot split the direct-io
+        OperatorPatch("cot"),  # patch sets nothing
     ])
     def test_rejected_patch_is_skipped_not_fatal(self, bad_patch):
         reg = builtin_registry()
@@ -669,6 +715,24 @@ class TestTrainer:
         assert trainer.step(query())["patches_applied"] == 0
         assert reg.to_json() == before
 
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
+    def test_malformed_reply_neither_raises_nor_corrupts(self, reply):
+        reg = builtin_registry()
+        before = reg.to_json()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
+        state = init_params(0, 8, 8, 2, len(reg))
+
+        def mutator(registry, traces):
+            return [parse_mutation(reply)]
+
+        trainer = Trainer(state, reg, sabotaged_env(), cfg, np.random.default_rng(0),
+                          mutator=mutator)
+        for i in range(3):
+            assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
+        assert all(isinstance(spec.prompt, str) for spec in reg.specs())
+        assert state.n_ops == len(reg)
+        assert reg.to_json() == before
+
     def test_rewire_reply_is_skipped(self):
         reg = builtin_registry()
         before = reg.to_json()
@@ -687,10 +751,10 @@ class TestTrainer:
         reg = builtin_registry()
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
         state = init_params(0, 8, 8, 2, len(reg))
-        with pytest.raises(MutatorUnavailable):
+        with pytest.raises(BackendError, match="^unknown mutator "):
             Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
                     mutator=mutator)
-        with pytest.raises(MutatorUnavailable):
+        with pytest.raises(BackendError, match="^unknown mutator "):
             Trainer(state, reg, simple_env(), replace(cfg, mutator=mutator),
                     np.random.default_rng(0))
 
@@ -776,12 +840,12 @@ class TestLLMMutator:
 
     def test_non_json_reply_unparseable(self):
         mutator = LLMMutator(base_url="http://stub", transport=chat_reply("cot is weak"))
-        with pytest.raises(UnparseableMutation):
+        with pytest.raises(DataError, match="reply is not JSON"):
             mutator(builtin_registry(), [trace_for([["cot"]], 0.0)])
 
     def test_missing_url_raises_at_construction(self, monkeypatch):
         monkeypatch.delenv("MAAS_BASE_URL", raising=False)
-        with pytest.raises(MutatorUnavailable):
+        with pytest.raises(BackendError, match="no base URL configured"):
             LLMMutator()
 
     def test_url_from_environment(self, monkeypatch):

@@ -6,17 +6,7 @@ from dataclasses import asdict, replace
 import pytest
 from hypothesis import given, strategies as st
 
-from maas.errors import (
-    DuplicateId,
-    InvalidPatch,
-    InvalidTemperature,
-    MergeUnknownPartner,
-    PatchOnExitOperator,
-    ProtectedOperator,
-    SecondDirectIO,
-    SecondEarlyExit,
-    UnknownTarget,
-)
+from maas.errors import DataError
 from maas.registry import (
     KIND_DIRECT_IO,
     KIND_EARLY_EXIT,
@@ -80,21 +70,21 @@ class TestRegister:
 
     def test_duplicate_id_rejected(self):
         reg = OperatorRegistry().register(make_spec("cot"))
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DataError, match="already registered"):
             reg.register(make_spec("cot"))
 
     def test_second_early_exit_rejected(self):
         reg = OperatorRegistry().register(make_spec("exit", KIND_EARLY_EXIT))
-        with pytest.raises(SecondEarlyExit):
+        with pytest.raises(DataError, match="already has an early-exit"):
             reg.register(make_spec("exit2", KIND_EARLY_EXIT))
 
     def test_second_direct_io_rejected(self):
         reg = OperatorRegistry().register(make_spec("io", KIND_DIRECT_IO))
-        with pytest.raises(SecondDirectIO):
+        with pytest.raises(DataError, match="already has a direct-io"):
             reg.register(make_spec("io2", KIND_DIRECT_IO))
 
     def test_bad_temperature_rejected(self):
-        with pytest.raises(InvalidTemperature):
+        with pytest.raises(DataError, match=r"temperature 2\.5 outside \[0, 2\] for 'hot'"):
             OperatorRegistry().register(make_spec("hot", temperature=2.5))
 
     def test_insertion_order_is_index(self):
@@ -178,49 +168,65 @@ class TestApplyPatch:
         assert reg.index_of("react") == 5
 
     def test_patch_on_exit_rejected(self):
-        with pytest.raises(PatchOnExitOperator):
+        with pytest.raises(DataError, match="cannot patch the early-exit"):
             builtin_registry().apply_patch(OperatorPatch("early_exit", new_prompt="x"))
 
     def test_unknown_target(self):
-        with pytest.raises(UnknownTarget):
+        with pytest.raises(DataError, match="no operator 'ghost'"):
             builtin_registry().apply_patch(OperatorPatch("ghost", new_prompt="x"))
 
     def test_merge_unknown_partner(self):
-        with pytest.raises(MergeUnknownPartner):
+        with pytest.raises(DataError, match="no operator 'ghost'"):
             builtin_registry().apply_patch(
                 OperatorPatch("cot", structure_action="merge", merge_with_id="ghost")
             )
 
     def test_empty_patch_rejected(self):
-        with pytest.raises(InvalidPatch):
+        with pytest.raises(DataError, match="patch sets nothing"):
             OperatorPatch("cot").validate()
 
+    @pytest.mark.parametrize("fields", [
+        {"target_id": ""},
+        {"target_id": 5},
+        {"new_prompt": 5},
+        {"structure_action": "merge", "merge_with_id": ["debate"]},
+        {"structure_action": ["split"]},
+        {"new_temperature": "hot"},
+        {"new_temperature": True},
+    ], ids=["empty_target", "int_target", "int_prompt", "list_partner", "list_action",
+            "string_temperature", "bool_temperature"])
+    def test_field_of_wrong_type_rejected(self, fields):
+        patch = OperatorPatch(**{"target_id": "cot", "new_prompt": "x", **fields})
+        with pytest.raises(DataError, match="^patch (.* must be .*string|temperature .* not a number)"):
+            patch.validate()
+
     def test_split_direct_io_rejected(self):
-        with pytest.raises(ProtectedOperator):
+        with pytest.raises(DataError, match="cannot split the direct-io"):
             builtin_registry().apply_patch(
                 OperatorPatch("direct_io", structure_action="split")
             )
 
-    @pytest.mark.parametrize("patch,error", [
+    @pytest.mark.parametrize("patch,message", [
         (OperatorPatch("direct_io", new_prompt="edited {input}",
-                       structure_action="split"), ProtectedOperator),
+                       structure_action="split"), "cannot split the direct-io"),
         (OperatorPatch("cot", new_prompt="edited {input}", new_temperature=0.2,
-                       structure_action="merge", merge_with_id="cot"), InvalidPatch),
+                       structure_action="merge", merge_with_id="cot"),
+         "cannot merge an operator with itself"),
         (OperatorPatch("cot", new_prompt="edited {input}", structure_action="merge",
-                       merge_with_id="direct_io"), ProtectedOperator),
+                       merge_with_id="direct_io"), "cannot merge away 'direct_io'"),
         (OperatorPatch("cot", new_prompt="edited {input}", structure_action="merge",
-                       merge_with_id="nope"), MergeUnknownPartner),
-    ])
-    def test_rejected_patch_leaves_registry_unchanged(self, patch, error):
+                       merge_with_id="nope"), "no operator 'nope'"),
+    ], ids=["split_direct_io", "merge_itself", "merge_direct_io", "merge_unknown"])
+    def test_rejected_patch_leaves_registry_unchanged(self, patch, message):
         reg = builtin_registry()
         reg.apply_patch(OperatorPatch("cot", structure_action="split"))
         before = reg.to_json()
-        with pytest.raises(error):
+        with pytest.raises(DataError, match=message):
             reg.apply_patch(patch)
         assert reg.to_json() == before
 
     def test_merge_away_protected_rejected(self):
-        with pytest.raises(ProtectedOperator):
+        with pytest.raises(DataError, match="cannot merge away 'direct_io'"):
             builtin_registry().apply_patch(
                 OperatorPatch("cot", structure_action="merge", merge_with_id="direct_io")
             )
@@ -251,10 +257,11 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
                 reg.apply_patch(OperatorPatch("react", new_temperature=0.7))
             else:
                 before = reg.to_json()
-                with pytest.raises(InvalidPatch):
+                with pytest.raises(DataError, match="unknown structure_action 'rewire'"):
                     reg.apply_patch(OperatorPatch("testing", structure_action="rewire"))
                 assert reg.to_json() == before
-        except (MergeUnknownPartner, UnknownTarget):
+        except DataError as exc:
+            assert "no operator" in str(exc)
             continue
     specs = reg.specs()
     assert sum(s.kind == KIND_EARLY_EXIT for s in specs) == 1
