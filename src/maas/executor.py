@@ -84,6 +84,12 @@ class PromptSuccessOverride:
     substring: str
     base_success: float
 
+    def validate(self):
+        if not (isinstance(self.operator_id, str) and isinstance(self.substring, str)):
+            raise DataError("prompt override operator_id and substring must be strings")
+        if not 0.0 <= self.base_success <= 1.0:
+            raise DataError(f"override base_success outside [0, 1] for {self.operator_id!r}")
+
 
 class SyntheticEnv:
     def __init__(self, profiles, overrides=(), checker="exact_match"):
@@ -108,6 +114,8 @@ class SyntheticEnv:
                 )
                 for d in data.get("prompt_success_overrides", ())
             ]
+            for override in overrides:
+                override.validate()
             return cls(profiles, overrides, checker)
         except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
             raise DataError(f"malformed profile file {path}: {type(exc).__name__}:"

@@ -220,17 +220,41 @@ MUTATOR_SPEC = OperatorSpec(
 
 
 class LLMMutator:
-    """Textual-gradient mutator backed by a chat-completions endpoint. It
-    raises `BackendError` at construction when no base URL is given, by
-    argument or by `MAAS_BASE_URL`, and when a call fails as `live_call`
-    says; a reply that does not parse raises `DataError`."""
+    """Textual-gradient mutator backed by a chat-completions endpoint. Its
+    prompt is `MUTATOR_PROMPT` holding the registry's operators as
+    `json.dumps([s.to_dict() for s in specs], indent=2)` gives them and the
+    executed operators' success rates, lowest first. The JSON of each
+    operator is rendered once and reused while the registry holds that spec
+    object: specs are frozen, so the text cannot go stale, and only specs
+    the registry still holds are kept. It raises `BackendError` at
+    construction when no base URL is given, by argument or by
+    `MAAS_BASE_URL`, and when a call fails as `live_call` says; a reply that
+    does not parse raises `DataError`."""
 
     def __init__(self, model="default", base_url=None, api_key=None, transport=None):
-        self.model = model
+        self.spec = replace(MUTATOR_SPEC, model_binding=model)
         self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
         if not self.base_url:
             raise BackendError("no base URL configured for the LLM mutator")
         self._transport = transport
+        # id(spec) -> (spec, its JSON as an entry of the indented list); keyed
+        # on identity, since equal specs can render differently (1 and 1.0),
+        # and holding the spec so that its id cannot be reused
+        self._rendered = {}
+
+    def archive(self, specs):
+        """`json.dumps([s.to_dict() for s in specs], indent=2)`, built from
+        one cached rendering per spec."""
+        rendered, texts = {}, []
+        for spec in specs:
+            entry = self._rendered.get(id(spec))
+            if entry is None:
+                text = json.dumps(spec.to_dict(), indent=2)
+                entry = (spec, text.replace("\n", "\n  "))
+            rendered[id(spec)] = entry
+            texts.append(entry[1])
+        self._rendered = rendered
+        return "[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]"
 
     def __call__(self, registry, traces):
         rates = _success_rates(registry, traces)
@@ -239,13 +263,11 @@ class LLMMutator:
             for op_id, rate in sorted(rates.items(), key=lambda kv: kv[1])
         ]
         prompt = MUTATOR_PROMPT.format(
-            archive=json.dumps(
-                [s.to_dict() for s in registry.specs()], indent=2
-            ),
+            archive=self.archive(registry.specs()),
             failures=json.dumps(failures, indent=2),
         )
         content, _, _ = live_call(
-            replace(MUTATOR_SPEC, model_binding=self.model),
+            self.spec,
             prompt,
             base_url=self.base_url,
             api_key=self.api_key,

@@ -38,6 +38,20 @@ class OperatorSpec:
     kind: str
 
     def validate(self):
+        """`DataError` unless every field has its type (a checkpoint may hold
+        any JSON, so the types come first) and its range."""
+        if not all(isinstance(v, str) for v in (
+                self.id, self.name, self.prompt, self.model_binding,
+                self.profile_text, self.kind, *self.tools)):
+            raise DataError(f"operator {self.id!r} has a text field or tool that is"
+                            " not a string")
+        if isinstance(self.agent_count, bool) or not isinstance(self.agent_count, int):
+            raise DataError(f"agent_count {self.agent_count!r} is not an integer"
+                            f" for {self.id!r}")
+        if isinstance(self.temperature, bool) or not isinstance(
+                self.temperature, (int, float)):
+            raise DataError(f"temperature {self.temperature!r} is not a number"
+                            f" for {self.id!r}")
         if not self.id:
             raise DataError("operator id must be non-empty")
         if not 0.0 <= self.temperature <= 2.0:
@@ -65,14 +79,15 @@ class OperatorSpec:
             name=d["name"],
             prompt=d["prompt"],
             model_binding=d["model_binding"],
-            temperature=float(d["temperature"]),
+            temperature=d["temperature"],
             tools=tuple(d["tools"]),
-            agent_count=int(d["agent_count"]),
+            agent_count=d["agent_count"],
             profile_text=d["profile_text"],
             kind=d["kind"],
         )
         spec.validate()
-        return spec
+        # float() only after validate's checks: a huge JSON integer would overflow
+        return replace(spec, temperature=float(spec.temperature))
 
 
 @dataclass(frozen=True)
@@ -204,7 +219,7 @@ class OperatorRegistry:
         if patch.new_prompt is not None:
             target = replace(target, prompt=patch.new_prompt)
         if patch.new_temperature is not None:
-            target = replace(target, temperature=patch.new_temperature)
+            target = replace(target, temperature=float(patch.new_temperature))
         target.validate()
 
         if patch.structure_action == "split":

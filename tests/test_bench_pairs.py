@@ -70,6 +70,18 @@ def test_summarize_pairs_counts_wins_by_direction_and_ties_apart():
     assert out["parent"]["attempted"] == 400 and out["change"]["failed"] == 0
     assert out["change"]["checkpoint_sha256_step100"] == {
         "1": "s0", "2": "s1", "3": "s2", "4": "s3"}
+    assert out["checkpoint_sha256_equal"] is True
+
+
+def test_summarize_pairs_flags_one_mismatched_checkpoint():
+    seeds = [1, 2, 3]
+    parent = [bench_pairs.parse_run(run_output(100, 1.0, sha=f"s{i}")) for i in range(3)]
+    change = [bench_pairs.parse_run(run_output(110, 1.0, sha=sha))
+              for sha in ("s0", "XX", "s2")]
+    out = bench_pairs.summarize_pairs(seeds, {"parent": parent, "change": change},
+                                      DIRECTIONS)
+    assert out["checkpoint_sha256_equal"] is False
+    assert out["change"]["checkpoint_sha256_step100"]["2"] == "XX"
 
 
 def test_summarize_trace_compares_counts_only():

@@ -156,6 +156,26 @@ class TestEvalCommand:
         assert result.exit_code == 3, result.output
         assert f"data error: malformed profile file {bad}" in result.output
 
+    @pytest.mark.parametrize("override", [
+        {"operator_id": "cot", "substring": 5, "base_success": 0.9},
+        {"operator_id": ["cot"], "substring": "x", "base_success": 0.9},
+        {"operator_id": "cot", "substring": "x", "base_success": 1.5},
+    ], ids=["int_substring", "list_operator", "base_success_above_1"])
+    def test_malformed_prompt_override_is_data_error(self, workdir, override):
+        runner = CliRunner()
+        assert runner.invoke(main, train_args(workdir)).exit_code == 0
+        bad = workdir / "bad_profiles.json"
+        profiles = json.loads((ROOT / "data" / "sabotaged_profiles.json").read_text())
+        bad.write_text(json.dumps({**profiles, "prompt_success_overrides": [override]}))
+        result = runner.invoke(main, [
+            "eval",
+            "--checkpoint", str(workdir / "ckpt.json"),
+            "--dataset", str(workdir / "mix.jsonl"),
+            "--env-profile", str(bad),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "data error: " in result.output
+
     def test_checker_reaches_the_synthetic_env(self, workdir):
         runner = CliRunner()
         assert runner.invoke(main, train_args(workdir)).exit_code == 0
@@ -185,6 +205,13 @@ def without_react(trained):
     return json.dumps(trained)
 
 
+def with_int_prompt(trained):
+    for op in trained["registry"]["operators"]:
+        if op["id"] == "cot":
+            op["prompt"] = 5
+    return json.dumps(trained)
+
+
 class TestBadCheckpoint:
     # each case maps the checkpoint `maas train` writes to the text of a bad one
     @pytest.mark.parametrize("corrupt", [
@@ -192,7 +219,9 @@ class TestBadCheckpoint:
         lambda trained: "{broken\n",
         without_react,
         lambda trained: json.dumps({**trained, "format_version": 99}),
-    ], ids=["no_controllers", "not_json", "registry_without_react", "unknown_format"])
+        with_int_prompt,
+    ], ids=["no_controllers", "not_json", "registry_without_react", "unknown_format",
+            "int_prompt"])
     @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
     def test_is_data_error(self, workdir, command, corrupt):
         assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0

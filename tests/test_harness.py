@@ -5,13 +5,14 @@ import json
 import pytest
 
 from maas import checkpoint as ckpt
+from maas.controller import init_params
 from maas.data import load_dataset, split_dataset
 from maas.datagen import default_env, make_mixed_dataset
 from maas.errors import DataError
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile
 from maas.harness import run_eval, run_train
 from maas.optimizer import TrainConfig
-from maas.registry import builtin_registry
+from maas.registry import OperatorPatch, builtin_registry
 
 
 def write_jsonl(path, rows):
@@ -108,6 +109,15 @@ class TestCheckpoint:
         ckpt.save(checkpoint, p1)
         ckpt.save(ckpt.load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_int_temperature_patch_round_trips_byte_equal(self):
+        registry = builtin_registry()
+        registry.apply_patch(OperatorPatch("cot", new_temperature=1))
+        state = init_params(0, 8, 8, 2, len(registry))
+        config = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
+        saved = ckpt.dumps(ckpt.build_checkpoint(state, registry, config))
+        restored = ckpt.restore(json.loads(saved))
+        assert ckpt.dumps(ckpt.build_checkpoint(*restored)) == saved
 
     def test_restore_reproduces_state(self, mix_path):
         cfg = TrainConfig(iterations=1, num_layers=2, embed_dim=8, hidden_dim=8)

@@ -19,6 +19,7 @@ from maas.executor import ExecutionTrace, QueryRecord, SyntheticEnv, \
     SyntheticOperatorProfile
 from maas.optimizer import (
     MOCK_PATCH_SENTENCE,
+    MUTATOR_PROMPT,
     LLMMutator,
     TrainConfig,
     Trainer,
@@ -29,7 +30,7 @@ from maas.optimizer import (
     trace_gradients,
     update_distribution,
 )
-from maas.registry import OperatorPatch, builtin_registry
+from maas.registry import OperatorPatch, OperatorRegistry, builtin_registry
 from maas.sampler import (
     MODE_TRAIN,
     Architecture,
@@ -851,6 +852,120 @@ class TestLLMMutator:
     def test_url_from_environment(self, monkeypatch):
         monkeypatch.setenv("MAAS_BASE_URL", "http://env/")
         assert LLMMutator().base_url == "http://env"
+
+
+# texts a prompt edit may hold: quotes, backslashes, newlines, non-ASCII
+PATCH_TEXTS = st.text(alphabet=st.sampled_from('ab "\\\n\t{}é☃\U0001F600'),
+                      max_size=12)
+PATCHES = st.lists(st.one_of(
+    st.builds(lambda op, text: OperatorPatch(op, new_prompt=text),
+              st.sampled_from(["cot", "react", "direct_io"]), PATCH_TEXTS),
+    st.builds(lambda op, t: OperatorPatch(op, new_temperature=t),
+              st.sampled_from(["debate", "react"]),
+              st.integers(0, 2) | st.floats(0.0, 2.0)),
+    st.builds(lambda op: OperatorPatch(op, structure_action="split"),
+              st.sampled_from(["cot", "react", "cot-b"])),
+    st.builds(lambda op, partner: OperatorPatch(op, structure_action="merge",
+                                                merge_with_id=partner),
+              st.sampled_from(["cot", "react"]),
+              st.sampled_from(["cot-b", "react-b", "cot-b2", "testing"])),
+), max_size=10)
+
+
+def parent_archive(registry):
+    return json.dumps([s.to_dict() for s in registry.specs()], indent=2)
+
+
+def int_temperature_spec():
+    """A spec whose temperature is the int 1: equal to, but rendered apart
+    from, a spec with 1.0."""
+    return replace(builtin_registry().get("react"), id="hot", temperature=1)
+
+
+class TestMutatorArchive:
+    @settings(max_examples=150, deadline=None)
+    @given(prompts=st.lists(PATCH_TEXTS, min_size=1, max_size=3), patches=PATCHES)
+    def test_equals_one_json_dump_through_any_patch_sequence(self, prompts, patches):
+        """One mutator renders the archive as `json.dumps(..., indent=2)`
+        does after every patch, and keeps the renderings of exactly the
+        registry's specs."""
+        reg = OperatorRegistry()
+        for spec in builtin_registry().specs():
+            reg.register(spec)
+        for i, text in enumerate(prompts):
+            reg.register(replace(reg.get("ensemble"), id=f"extra{i}", prompt=text,
+                                 tools=("web_search",) if i % 2 else (),
+                                 temperature=i % 3))
+        mutator = LLMMutator(base_url="http://stub")
+        assert mutator.archive(reg.specs()) == parent_archive(reg)
+        for patch in patches:
+            try:
+                reg.apply_patch(patch)
+            except DataError:
+                pass
+            assert mutator.archive(reg.specs()) == parent_archive(reg)
+            assert [spec for spec, _ in mutator._rendered.values()] == reg.specs()
+
+    def test_empty_archive(self):
+        assert LLMMutator(base_url="http://stub").archive([]) == "[]" == json.dumps(
+            [], indent=2)
+
+    def test_equal_specs_keep_their_own_rendering(self):
+        mutator = LLMMutator(base_url="http://stub")
+        hot = int_temperature_spec()
+        warm = replace(hot, temperature=1.0)
+        assert hot == warm
+        assert mutator.archive([hot]) == json.dumps([hot.to_dict()], indent=2)
+        assert mutator.archive([warm]) == json.dumps([warm.to_dict()], indent=2)
+        assert mutator.archive([hot]) != mutator.archive([warm])
+
+    def test_cache_holds_exactly_the_registry_after_merges(self):
+        reg = builtin_registry()
+        mutator = LLMMutator(base_url="http://stub")
+        mutator.archive(reg.specs())
+        reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        mutator.archive(reg.specs())
+        for partner in ("cot-b", "testing", "ensemble"):
+            reg.apply_patch(OperatorPatch("cot", structure_action="merge",
+                                          merge_with_id=partner))
+            mutator.archive(reg.specs())
+        assert len(reg) == 7
+        assert [spec for spec, _ in mutator._rendered.values()] == reg.specs()
+
+    def test_trainer_sends_the_parent_prompt_every_round(self):
+        """Every prompt a training run sends equals `MUTATOR_PROMPT` filled
+        with one `json.dumps` of the registry and of the failure summary,
+        recomputed when the call is made."""
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
+        state = init_params(0, 8, 8, 2, len(reg))
+        replies = [
+            {"target_id": "cot", "new_prompt": 'Say "ok" \\ then\nanswer é {input}'},
+            {"target_id": "react", "new_temperature": 1},
+            {"target_id": "debate", "structure_action": "split"},
+            {"target_id": "cot", "structure_action": "merge", "merge_with_id": "debate-b"},
+            {"target_id": "testing", "new_temperature": 0.7},
+            {"target_id": "direct_io", "new_prompt": "Answer: {input}"},
+        ]
+        sent, expected = [], []
+
+        def transport(url, payload, headers):
+            sent.append(payload["messages"][0]["content"])
+            rates = optimizer_module._success_rates(reg, trainer.window)
+            failures = [{"operator_id": op_id, "success_rate": round(rate, 4)}
+                        for op_id, rate in sorted(rates.items(), key=lambda kv: kv[1])]
+            expected.append(MUTATOR_PROMPT.format(
+                archive=parent_archive(reg), failures=json.dumps(failures, indent=2)))
+            reply = json.dumps(replies[(len(sent) - 1) % len(replies)])
+            return 200, {"choices": [{"message": {"content": reply}}],
+                         "usage": {"prompt_tokens": 3, "completion_tokens": 2}}
+
+        mutator = LLMMutator(base_url="http://stub", transport=transport)
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          mutator=mutator)
+        applied = sum(trainer.step(query(f"q{i}"))["patches_applied"] for i in range(12))
+        assert len(sent) == 12 and applied >= 8
+        assert sent == expected
 
 
 class TestTrainConfig:

@@ -268,6 +268,31 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
     assert sum(s.kind == KIND_DIRECT_IO for s in specs) == 1
 
 
+@pytest.mark.parametrize("field,value", [
+    ("id", 5), ("name", None), ("prompt", 5), ("model_binding", ["m"]),
+    ("profile_text", 1.5), ("kind", 0), ("tools", ("web_search", 3)),
+    ("tools", ([],)), ("agent_count", True), ("agent_count", 2.0),
+    ("agent_count", "3"), ("temperature", True), ("temperature", "1.0"),
+    ("temperature", None),
+])
+def test_spec_field_of_wrong_type_rejected(field, value):
+    spec = replace(make_spec("op"), **{field: value})
+    with pytest.raises(DataError, match="not a string|not an integer|not a number"):
+        spec.validate()
+
+
+@pytest.mark.parametrize("value", [True, "1.0", 10**400])
+def test_spec_from_dict_checks_temperature_before_float(value):
+    d = {**make_spec("op").to_dict(), "temperature": value}
+    with pytest.raises(DataError, match="temperature"):
+        OperatorSpec.from_dict(d)
+
+
+def test_spec_from_dict_makes_an_int_temperature_float():
+    spec = OperatorSpec.from_dict({**make_spec("op").to_dict(), "temperature": 1})
+    assert type(spec.temperature) is float and spec == make_spec("op")
+
+
 def test_round_trip_serialization():
     reg = builtin_registry()
     reg.apply_patch(OperatorPatch("react", structure_action="split"))

@@ -15,7 +15,8 @@ workload, at seed 2, parent first, checks that every count-valued metric is
 unchanged, and the tier-1 suite runs once in each tree, for its wall time
 and the time of each acceptance criterion. The record holds, per workload,
 the medians, the quartiles, how many pairs the change won and tied, the
-checkpoint sha256 per seed, and the traced metrics with `counts_equal`.
+checkpoint sha256 per seed with `checkpoint_sha256_equal` (true when every
+seed's is the same on both sides), and the traced metrics with `counts_equal`.
 """
 
 import argparse
@@ -89,6 +90,8 @@ def summarize_pairs(seeds, runs, directions):
         summary["checkpoint_sha256_step100"] = {
             str(seed): r["info"]["checkpoint_sha256"] for seed, r in zip(seeds, side_runs)}
         out[side] = summary
+    out["checkpoint_sha256_equal"] = (out["parent"]["checkpoint_sha256_step100"]
+                                      == out["change"]["checkpoint_sha256_step100"])
     out["change_over_parent"] = {
         name: round(out["change"][name] / out["parent"][name], 4)
         if out["parent"][name] else None for name in directions}
