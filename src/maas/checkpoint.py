@@ -49,8 +49,9 @@ def load(path) -> dict:
 def restore(checkpoint: dict):
     """Rebuild (state, registry, config) from a checkpoint dict; `DataError`
     if it is malformed, in a format other than FORMAT_VERSION, or its
-    controllers do not fit its config (embed_dim d, hidden_dim h) and
-    registry (n operators): layer l holds W1 (h, d*l), b1 (h,), W2 (n, h), b2 (n,)."""
+    controllers do not fit its config (num_layers layers, embed_dim d,
+    hidden_dim h) and registry (n operators): layer l holds W1 (h, d*l),
+    b1 (h,), W2 (n, h), b2 (n,)."""
     try:
         version = checkpoint["format_version"]
         state = SupernetState.from_dict(checkpoint["controllers"])
@@ -60,6 +61,9 @@ def restore(checkpoint: dict):
         raise DataError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
     if version != FORMAT_VERSION:
         raise DataError(f"checkpoint format {version!r}, expected {FORMAT_VERSION}")
+    if len(state.layers) != config.num_layers:
+        raise DataError(f"checkpoint has {len(state.layers)} controllers, its config"
+                        f" {config.num_layers} layers")
     d, h, n = config.embed_dim, config.hidden_dim, len(registry)
     if (state.embed_dim, state.hidden_dim) != (d, h):
         raise DataError(f"checkpoint controllers have dims {state.embed_dim}x"

@@ -154,7 +154,9 @@ class SyntheticEnv:
 
 
 class LiveEnv:
-    """Executes operators through an OpenAI-compatible chat endpoint."""
+    """Executes operators through an OpenAI-compatible chat endpoint; a
+    node's cost is its reply's prompt plus completion tokens, and a reply
+    whose usage counts no tokens raises `BackendError`."""
 
     def __init__(self, base_url=None, api_key=None, checker="exact_match",
                  transport=None, sleep=time.sleep):
@@ -173,7 +175,11 @@ class LiveEnv:
             transport=self._transport,
             sleep=self._sleep,
         )
-        return content.strip(), float(prompt_tokens + completion_tokens), spec.agent_count
+        tokens = prompt_tokens + completion_tokens
+        if tokens <= 0:
+            raise BackendError(f"chat reply for operator {spec.id!r} reports no token"
+                               " usage, so its cost is unknown")
+        return content.strip(), float(tokens), spec.agent_count
 
     def score(self, final_answer: str, query: QueryRecord) -> float:
         return evaluate_answer(final_answer, query.answer, self.checker)

@@ -18,13 +18,13 @@ from .registry import builtin_registry
 EVAL_RNG_OFFSET = 1_000_003
 
 
-def run_train(config: TrainConfig, dataset_path, env, mutator=None,
-              checkpoint_path=None, metrics_path=None):
-    """Train over the train split for config.iterations shuffled passes.
+def run_train(config: TrainConfig, dataset_path, env, checkpoint_path=None,
+              metrics_path=None):
+    """Train over the train split for config.iterations shuffled passes,
+    patching with the mutator the config names as `Trainer` builds it.
 
     Returns (checkpoint dict, metrics line dicts).
     """
-    config.validate()
     records = load_dataset(dataset_path)
     train, _ = split_dataset(records, config.seed)
 
@@ -34,7 +34,7 @@ def run_train(config: TrainConfig, dataset_path, env, mutator=None,
         len(registry),
     )
     rng = np.random.default_rng(config.seed)
-    trainer = Trainer(state, registry, env, config, rng, mutator=mutator)
+    trainer = Trainer(state, registry, env, config, rng)
 
     metrics = []
     order_rng = np.random.default_rng(config.seed)
@@ -63,54 +63,43 @@ def run_train(config: TrainConfig, dataset_path, env, mutator=None,
 
 
 def run_eval(checkpoint, dataset_path, env) -> dict:
-    """Evaluate every record in the dataset with deterministic selection."""
+    """Evaluate every record in the dataset with deterministic selection;
+    each figure is a mean over the records' traces, or one domain's."""
     state, registry, config = ckpt.restore(checkpoint)
     records = load_dataset(dataset_path)
     embedder = HashingEmbedder(config.embed_dim)
     rng = np.random.default_rng(config.seed + EVAL_RNG_OFFSET)
-
-    full_depth = config.num_layers + 1  # depth bucket for "never exited"
-    total_utility = 0.0
-    total_cost = 0.0
-    total_calls = 0
-    exit_histogram = {}
+    traces = [
+        execute(sampler.sample_architecture(state, registry, record.query, config.thres,
+                                            sampler.MODE_EVAL, embedder=embedder),
+                record, env, registry, rng)
+        for record in records
+    ]
     by_domain = {}
-    for record in records:
-        arch = sampler.sample_architecture(
-            state, registry, record.query, config.thres, sampler.MODE_EVAL,
-            embedder=embedder,
-        )
-        trace = execute(arch, record, env, registry, rng)
-        depth = arch.exit_layer if arch.exit_layer is not None else full_depth
-        key = str(arch.exit_layer) if arch.exit_layer is not None else "none"
-        exit_histogram[key] = exit_histogram.get(key, 0) + 1
-        total_utility += trace.utility
-        total_cost += trace.cost
-        total_calls += trace.llm_calls
-        dom = by_domain.setdefault(
-            record.domain,
-            {"n": 0, "utility": 0.0, "cost": 0.0, "exit_depth": 0.0},
-        )
-        dom["n"] += 1
-        dom["utility"] += trace.utility
-        dom["cost"] += trace.cost
-        dom["exit_depth"] += depth
-
-    n = len(records)
-    report = {
-        "n_records": n,
-        "accuracy": total_utility / n if n else 0.0,
-        "mean_cost": total_cost / n if n else 0.0,
-        "mean_llm_calls": total_calls / n if n else 0.0,
-        "exit_histogram": exit_histogram,
+    for record, trace in zip(records, traces):
+        by_domain.setdefault(record.domain, []).append(trace)
+    full_depth = config.num_layers + 1  # the depth of "never exited"
+    return {
+        "n_records": len(traces),
+        "accuracy": _mean(t.utility for t in traces),
+        "mean_cost": _mean(t.cost for t in traces),
+        "mean_llm_calls": _mean(t.llm_calls for t in traces),
+        "exit_histogram": sampler.exit_histogram(t.architecture for t in traces),
         "by_domain": {
-            dom: {
-                "n": v["n"],
-                "accuracy": v["utility"] / v["n"],
-                "mean_cost": v["cost"] / v["n"],
-                "mean_exit_depth": v["exit_depth"] / v["n"],
+            domain: {
+                "n": len(ts),
+                "accuracy": _mean(t.utility for t in ts),
+                "mean_cost": _mean(t.cost for t in ts),
+                # exit layers count from 1, so only None falls through
+                "mean_exit_depth": _mean(t.architecture.exit_layer or full_depth
+                                         for t in ts),
             }
-            for dom, v in by_domain.items()
+            for domain, ts in by_domain.items()
         },
     }
-    return report
+
+
+def _mean(values):
+    """The mean of the values, added in order; 0.0 for none."""
+    values = list(values)
+    return sum(values) / len(values) if values else 0.0

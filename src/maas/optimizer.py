@@ -17,6 +17,7 @@ mutator that proposes prompt/temperature/structure edits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from .registry import KIND_EARLY_EXIT, KIND_GENERATIVE, OperatorPatch, OperatorS
 MOCK_PATCH_SENTENCE = "\nDouble-check each intermediate step before answering."
 TEMPERATURE_STEP = 0.1
 TEMPERATURE_TARGET = 0.5
+MUTATORS = ("mock", "llm", "none")  # the names `TrainConfig.mutator` may hold
 
 
 @dataclass
@@ -50,18 +52,37 @@ class TrainConfig:
     mutator: str = "mock"
 
     def validate(self):
+        """`ValueError` unless every field has its type (a checkpoint may
+        hold any JSON, so the types come first) and its range."""
+        ints = ["num_layers", "samples_k", "iterations", "seed", "embed_dim",
+                "hidden_dim"] + (["patch_every"] if self.patch_every is not None else [])
+        for name in ints:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} {value!r} is not an integer")
+        for name in ("thres", "cost_lambda", "lr"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} {value!r} is not a number")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if not 0.0 < self.thres < 1.0:
             raise ValueError("thres must be in (0, 1)")
-        if self.cost_lambda < 0.0:
-            raise ValueError("cost_lambda must be >= 0")
+        # written so that NaN fails too: every comparison with it is false
+        if not 0.0 <= self.cost_lambda < math.inf:
+            raise ValueError("cost_lambda must be finite and >= 0")
         if self.samples_k < 2:
             raise ValueError("samples_k must be >= 2")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be > 0")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.patch_every is not None and self.patch_every < 1:
             raise ValueError("patch_every must be >= 1, or None for no patching")
+        if self.mutator not in MUTATORS:
+            raise ValueError(f"mutator {self.mutator!r} is not one of {MUTATORS}")
 
     def to_dict(self):
         return asdict(self)
@@ -320,10 +341,10 @@ class Trainer:
     its K samples. Keyed on text, the caches need no invalidation when a
     patch edits, splits or merges operators; the profile cache holds one
     entry per distinct profile text (patches leave profile texts alone, and
-    split clones copy their parent's). The mutator (`config.mutator` when
-    None) resolves once, here: "mock" to `mock_mutator`, and "none" or a None
-    `patch_every` to None; a callable stays, and anything else raises
-    `BackendError` before the first step."""
+    split clones copy their parent's). It builds the mutator its config
+    names, "mock" as `mock_mutator` and "llm" as `LLMMutator()`, unless a
+    callable `mutator` replaces it; "none" or a None `patch_every` turns
+    patching off. Any other `mutator` but None raises `BackendError`."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, mutator=None):
         config.validate()
@@ -333,12 +354,12 @@ class Trainer:
         self.config = config
         self.rng = rng
         self.embedder = HashingEmbedder(config.embed_dim)
-        mutator = config.mutator if mutator is None else mutator
-        if mutator == "mock":
-            mutator = mock_mutator
-        elif mutator != "none" and not callable(mutator):
-            raise BackendError(f"unknown mutator {mutator!r}")
-        self.mutator = None if mutator == "none" or config.patch_every is None else mutator
+        if mutator is not None and not callable(mutator):
+            raise BackendError(f"mutator {mutator!r} is not callable")
+        patching = config.mutator != "none" and config.patch_every is not None
+        if patching and mutator is None:
+            mutator = mock_mutator if config.mutator == "mock" else LLMMutator()
+        self.mutator = mutator if patching else None
         self.step_count = 0
         self.window = []
         self.profile_cache = {}
@@ -379,16 +400,12 @@ class Trainer:
                 patches_applied = self._apply_patches()
                 self.window.clear()
 
-        histogram = {}
-        for t in traces:
-            key = str(t.architecture.exit_layer) if t.architecture.exit_layer else "none"
-            histogram[key] = histogram.get(key, 0) + 1
         return {
             "step": self.step_count,
             "query_id": query.id,
             "mean_utility": sum(t.utility for t in traces) / len(traces),
             "mean_cost": sum(t.cost for t in traces) / len(traces),
-            "exit_histogram": histogram,
+            "exit_histogram": sampler.exit_histogram(t.architecture for t in traces),
             "patches_applied": patches_applied,
         }
 

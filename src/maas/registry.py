@@ -74,6 +74,8 @@ class OperatorSpec:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d["tools"], list):
+            raise DataError(f"tools {d['tools']!r} of operator {d['id']!r} is not a list")
         spec = cls(
             id=d["id"],
             name=d["name"],

@@ -69,6 +69,13 @@ class Architecture:
         }
 
 
+def exit_histogram(archs) -> dict:
+    """How many architectures exit at each layer, keyed by the layer as a
+    string or "none" for those that never exit, in first-seen order."""
+    keys = ["none" if arch.exit_layer is None else str(arch.exit_layer) for arch in archs]
+    return {key: keys.count(key) for key in dict.fromkeys(keys)}
+
+
 def cached_embed(embedder, text, cache):
     """The embedding of `text` from `cache` (text -> read-only vector),
     embedded and stored there on a miss."""

@@ -37,10 +37,12 @@ GOLDEN_CHECKPOINT = {
     ],
 }
 # `maas train` on the shipped data, 100 iterations at seed 3, with its
-# metrics; recorded where GOLDEN_CHECKPOINT was
+# metrics and the stdout of `maas eval` on the same data; recorded where
+# GOLDEN_CHECKPOINT was
 GOLDEN_SEED3 = {
     "checkpoint": "2ae8b07c6ee99424e57b6081947f7fb8f104037ebc08cc48350362f018017d63",
     "metrics": "876f935f499d9421ae9b9e99fce58e9809b1fa7b88ac5dc64dcbbb58597db4b6",
+    "eval": "de4eef2a11c9a68809bcee6e35172ceb3b5da07a01fbbd7af8d2c835ea2f8e77",
 }
 
 
@@ -116,11 +118,22 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--thres", "2"), ("--samples-k", "1"), ("--patch-every", "-3"),
+        ("--seed", "-1"), ("--iterations", "-2"), ("--lr", "inf"), ("--lambda", "nan"),
     ])
     def test_out_of_range_hyperparameter_is_usage_error(self, workdir, flag, value):
         result = CliRunner().invoke(main, train_args(workdir, [flag, value]))
         assert result.exit_code == 2, result.output
         assert not (workdir / "ckpt.json").exists()
+
+    def test_hyperparameter_defaults_are_train_config_defaults(self):
+        """Each option that sets a `TrainConfig` field defaults to it."""
+        defaults = TrainConfig()
+        fields = set(defaults.to_dict())
+        options = {p.name: p.default for p in main.commands["train"].params
+                   if p.name in fields}
+        assert set(options) == fields - {"embed_dim", "hidden_dim"}
+        for name, default in options.items():
+            assert default == getattr(defaults, name), name
 
 
 class TestEvalCommand:
@@ -212,6 +225,19 @@ def with_int_prompt(trained):
     return json.dumps(trained)
 
 
+def with_config(**fields):
+    def corrupt(trained):
+        return json.dumps({**trained, "config": {**trained["config"], **fields}})
+    return corrupt
+
+
+def with_string_tools(trained):
+    for op in trained["registry"]["operators"]:
+        if op["id"] == "react":
+            op["tools"] = "cx"
+    return json.dumps(trained)
+
+
 class TestBadCheckpoint:
     # each case maps the checkpoint `maas train` writes to the text of a bad one
     @pytest.mark.parametrize("corrupt", [
@@ -220,8 +246,15 @@ class TestBadCheckpoint:
         without_react,
         lambda trained: json.dumps({**trained, "format_version": 99}),
         with_int_prompt,
+        with_config(embed_dim=64.0),
+        with_config(seed=1.5),
+        with_config(seed=-1),
+        with_config(mutator="mock2"),
+        with_config(num_layers=1),
+        with_string_tools,
     ], ids=["no_controllers", "not_json", "registry_without_react", "unknown_format",
-            "int_prompt"])
+            "int_prompt", "float_embed_dim", "float_seed", "negative_seed",
+            "unknown_mutator", "fewer_layers_than_controllers", "string_tools"])
     @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
     def test_is_data_error(self, workdir, command, corrupt):
         assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
@@ -447,7 +480,9 @@ def test_seed7_checkpoint_is_byte_identical(tmp_path):
 def test_seed3_checkpoint_and_metrics_are_byte_identical(tmp_path):
     """1,000 steps with 100 patch rounds, and many layers reached by one
     sample only: pins the one-row backward, the update and the patch
-    rounds over a longer run than the seed-7 pin."""
+    rounds over a longer run than the seed-7 pin; then `maas eval` of the
+    checkpoint on the same data, whose architectures exit at layers 1 and
+    4, pins every figure of the eval report."""
     skip_unless_golden_numpy()
     path, metrics = tmp_path / "ckpt.json", tmp_path / "metrics.jsonl"
     result = CliRunner().invoke(main, [
@@ -463,3 +498,11 @@ def test_seed3_checkpoint_and_metrics_are_byte_identical(tmp_path):
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SEED3["checkpoint"]
     assert hashlib.sha256(metrics.read_bytes()).hexdigest() == GOLDEN_SEED3["metrics"]
+    result = CliRunner().invoke(main, [
+        "eval",
+        "--checkpoint", str(path),
+        "--dataset", str(ROOT / "data" / "synthetic_mix.jsonl"),
+        "--env-profile", str(ROOT / "data" / "synthetic_profiles.json"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_SEED3["eval"]

@@ -462,3 +462,16 @@ class TestLiveEnv:
         assert out == "the answer"
         assert cost == 200.0
         assert calls == 1
+
+    @pytest.mark.parametrize("usage", [
+        None, {}, {"prompt_tokens": 0, "completion_tokens": 0},
+        {"prompt_tokens": 5, "completion_tokens": -5},
+    ], ids=["no_usage", "empty_usage", "zero_tokens", "negative_sum"])
+    def test_reply_without_token_usage_is_backend_error(self, usage):
+        body = {"choices": [{"message": {"content": "the answer"}}]}
+        if usage is not None:
+            body["usage"] = usage
+        env = LiveEnv(base_url="http://x", api_key="k",
+                      transport=lambda *a: (200, body), sleep=lambda s: None)
+        with pytest.raises(BackendError, match="reports no token usage"):
+            env.run_node(make_spec("op"), record(), [], np.random.default_rng(0))

@@ -2,15 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from maas import checkpoint as ckpt
+from maas import sampler
 from maas.controller import init_params
 from maas.data import load_dataset, split_dataset
 from maas.datagen import default_env, make_mixed_dataset
 from maas.errors import DataError
-from maas.executor import SyntheticEnv, SyntheticOperatorProfile
-from maas.harness import run_eval, run_train
+from maas.executor import SyntheticEnv, SyntheticOperatorProfile, execute
+from maas.harness import EVAL_RNG_OFFSET, run_eval, run_train
 from maas.optimizer import TrainConfig
 from maas.registry import OperatorPatch, builtin_registry
 
@@ -200,6 +202,44 @@ class TestRunEval:
         }
         assert set(report["by_domain"]) == {"easy", "hard"}
         assert sum(report["exit_histogram"].values()) == 20
+
+    def test_figures_are_means_over_each_records_trace(self, mix_path):
+        """Every figure equals its mean over each record's own sample and
+        execution, with an architecture that never exits at depth
+        num_layers + 1."""
+        cfg = TrainConfig(iterations=0, num_layers=2, embed_dim=8, hidden_dim=8,
+                          thres=0.1, seed=2)  # 9 of the 20 never exit
+        checkpoint, _ = run_train(cfg, mix_path, default_env())
+        env = default_env()
+        report = run_eval(checkpoint, mix_path, env)
+        state, reg, config = ckpt.restore(checkpoint)
+        rng = np.random.default_rng(config.seed + EVAL_RNG_OFFSET)
+        rows_by_domain, exits = {}, []
+        for rec in load_dataset(mix_path):
+            arch = sampler.sample_architecture(state, reg, rec.query, config.thres,
+                                               sampler.MODE_EVAL)
+            trace = execute(arch, rec, env, reg, rng)
+            exits.append("none" if arch.exit_layer is None else str(arch.exit_layer))
+            depth = 3 if arch.exit_layer is None else arch.exit_layer
+            rows_by_domain.setdefault(rec.domain, []).append(
+                (trace.utility, trace.cost, trace.llm_calls, depth))
+        assert "none" in exits  # the never-exited depth is exercised
+
+        def means(rows):
+            return [pytest.approx(float(np.mean(col)), rel=1e-12) for col in zip(*rows)]
+
+        accuracy, cost, calls, _ = means(
+            [row for rows in rows_by_domain.values() for row in rows])
+        assert (report["n_records"], report["accuracy"], report["mean_cost"],
+                report["mean_llm_calls"]) == (len(exits), accuracy, cost, calls)
+        assert report["exit_histogram"] == {k: exits.count(k) for k in set(exits)}
+        assert set(report["by_domain"]) == set(rows_by_domain)
+        for domain, rows in rows_by_domain.items():
+            accuracy, cost, _, depth = means(rows)
+            assert report["by_domain"][domain] == {
+                "n": len(rows), "accuracy": accuracy, "mean_cost": cost,
+                "mean_exit_depth": depth,
+            }
 
     def test_eval_does_not_mutate_checkpoint(self, mix_path):
         cfg = TrainConfig(iterations=1, num_layers=2, embed_dim=8, hidden_dim=8)

@@ -749,15 +749,52 @@ class TestTrainer:
 
     @pytest.mark.parametrize("mutator", ["llm", "mock2", 3])
     def test_unusable_mutator_fails_before_first_step(self, mutator):
+        """`Trainer(mutator=)` takes None or a callable; a name is not one,
+        even a name the config accepts, and neither is anything else."""
         reg = builtin_registry()
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
         state = init_params(0, 8, 8, 2, len(reg))
-        with pytest.raises(BackendError, match="^unknown mutator "):
+        with pytest.raises(BackendError, match="is not callable$"):
             Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
                     mutator=mutator)
-        with pytest.raises(BackendError, match="^unknown mutator "):
-            Trainer(state, reg, simple_env(), replace(cfg, mutator=mutator),
-                    np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["mock2", 3, None, mock_mutator])
+    def test_config_names_only_a_known_mutator(self, name):
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=name)
+        state = init_params(0, 8, 8, 2, len(reg))
+        with pytest.raises(ValueError, match="^mutator "):
+            Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+
+    def test_llm_config_builds_llm_mutator(self, monkeypatch):
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator="llm")
+        state = init_params(0, 8, 8, 2, len(reg))
+        monkeypatch.setenv("MAAS_BASE_URL", "http://env/")
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+        assert isinstance(trainer.mutator, LLMMutator)
+        assert trainer.mutator.base_url == "http://env"
+        monkeypatch.delenv("MAAS_BASE_URL")
+        with pytest.raises(BackendError, match="no base URL"):
+            Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mutator,patch_every", [("none", 1), ("mock", None)])
+    def test_patching_off_ignores_a_passed_mutator(self, mutator, patch_every):
+        reg = builtin_registry()
+        before = reg.to_json()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=mutator,
+                          patch_every=patch_every)
+        state = init_params(0, 8, 8, 2, len(reg))
+
+        def split_cot(registry, traces):
+            return [OperatorPatch("cot", structure_action="split")]
+
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          mutator=split_cot)
+        assert trainer.mutator is None
+        for i in range(3):
+            assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
+        assert reg.to_json() == before
 
     def test_structural_patch_remaps_controller(self):
         reg = builtin_registry()
@@ -982,7 +1019,20 @@ class TestTrainConfig:
         ("num_layers", 0), ("thres", 0.0), ("thres", 1.0),
         ("cost_lambda", -1.0), ("samples_k", 1), ("lr", 0.0),
         ("patch_every", 0), ("patch_every", -3),
+        ("seed", -1), ("iterations", -2), ("mutator", "mock2"),
+        ("embed_dim", 64.0), ("seed", 1.5), ("num_layers", True),
+        ("patch_every", 2.0), ("samples_k", "4"), ("hidden_dim", None),
+        ("iterations", 1.0), ("thres", "0.3"), ("lr", True), ("cost_lambda", None),
+        ("thres", float("nan")), ("lr", float("inf")), ("lr", float("nan")),
+        ("cost_lambda", float("inf")), ("cost_lambda", float("nan")),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("thres", 0.5), ("lr", 1), ("cost_lambda", 0), ("iterations", 0),
+        ("patch_every", None), ("mutator", "llm"), ("mutator", "none"),
+    ])
+    def test_validation_accepts(self, field, value):
+        TrainConfig(**{field: value}).validate()
