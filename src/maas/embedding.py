@@ -18,13 +18,20 @@ from .errors import MaasError
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 
+# Keyed once here; each token hashes into a copy, never into these states.
+# A copy skips the keyword and salt parsing a new blake2b object pays.
+_BUCKET_HASH = hashlib.blake2b(digest_size=8)
+_SIGN_HASH = hashlib.blake2b(digest_size=1, salt=b"sign")
+
+
 def _token_bucket_sign(token: str, dim: int):
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    bucket = int.from_bytes(digest, "big") % dim
-    sign_digest = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=1, salt=b"sign"
-    ).digest()
-    sign = 1.0 if sign_digest[0] & 1 else -1.0
+    raw = token.encode("utf-8")
+    h = _BUCKET_HASH.copy()
+    h.update(raw)
+    bucket = int.from_bytes(h.digest(), "big") % dim
+    h = _SIGN_HASH.copy()
+    h.update(raw)
+    sign = 1.0 if h.digest()[0] & 1 else -1.0
     return bucket, sign
 
 

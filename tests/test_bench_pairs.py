@@ -17,13 +17,14 @@ _spec.loader.exec_module(bench_pairs)
 DIRECTIONS = {"throughput_per_s": "higher", "latency_p50_ms": "lower"}
 
 
-def run_output(throughput, p50, sha="aa", failed=0, attempted=100, counts=None):
+def run_output(throughput, p50, sha="aa", failed=0, attempted=100, counts=None,
+               timed_units=90):
     """What `perfbench/run.py` prints: metric lines, `info`, then the JSON."""
     metrics = {"throughput_per_s": {"value": throughput, "unit": "1/s"},
                "latency_p50_ms": {"value": p50, "unit": "ms"}}
     for name, (value, unit) in (counts or {}).items():
         metrics[name] = {"value": value, "unit": unit}
-    info = {"checkpoint_sha256": sha, "traced_units": attempted,
+    info = {"checkpoint_sha256": sha, "traced_units": attempted, "timed_units": timed_units,
             "environment": {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6",
                             "blas_threads_env": "1"}}
     return "\n".join([
@@ -52,9 +53,9 @@ def test_parse_seeds_and_pair_order():
 
 def test_summarize_pairs_counts_wins_by_direction_and_ties_apart():
     seeds = [1, 2, 3, 4]
-    parent = [bench_pairs.parse_run(run_output(t, p, sha=f"s{i}"))
+    parent = [bench_pairs.parse_run(run_output(t, p, sha=f"s{i}", timed_units=10 * t))
               for i, (t, p) in enumerate([(100, 1.0), (110, 1.0), (90, 2.0), (120, 1.5)])]
-    change = [bench_pairs.parse_run(run_output(t, p, sha=f"s{i}"))
+    change = [bench_pairs.parse_run(run_output(t, p, sha=f"s{i}", timed_units=10 * t))
               for i, (t, p) in enumerate([(130, 0.9), (110, 1.0), (95, 2.5), (140, 1.0)])]
     out = bench_pairs.summarize_pairs(seeds, {"parent": parent, "change": change},
                                       DIRECTIONS)
@@ -62,6 +63,10 @@ def test_summarize_pairs_counts_wins_by_direction_and_ties_apart():
     assert out["parent"]["throughput_per_s"] == 105.0
     assert out["change"]["throughput_per_s"] == 120.0
     assert out["change_over_parent"]["throughput_per_s"] == round(120 / 105, 4)
+    # median of each side's timed units, beside the end-to-end medians
+    assert out["parent"]["timed_units"] == 1050.0
+    assert out["change"]["timed_units"] == 1200.0
+    assert "timed_units" not in out["change_over_parent"]
     assert out["pairs_change_better"] == {"throughput_per_s": 3, "latency_p50_ms": 2}
     assert out["pairs_equal"] == {"throughput_per_s": 1, "latency_p50_ms": 1}
     # inclusive quartiles of 90, 100, 110, 120

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from maas import embedding
 from maas.embedding import HashingEmbedder, layer_feature
 from maas.errors import MaasError
 from maas.registry import builtin_catalog
@@ -50,9 +51,17 @@ class TestHashingEmbedder:
 
     @given(st.text(max_size=80), st.sampled_from([8, 64, 128]))
     def test_matches_independent_oracle(self, text, dim):
-        np.testing.assert_allclose(
-            HashingEmbedder(dim).embed(text), oracle_embed(text, dim), atol=1e-12
-        )
+        assert (HashingEmbedder(dim).embed(text).tobytes()
+                == oracle_embed(text, dim).tobytes())
+
+    def test_keyed_states_stay_empty(self):
+        for text in ("add two numbers", "café 中文 x1", "a b c " * 50):
+            for dim in (1, 8, 64, 97):
+                HashingEmbedder(dim).embed(text)
+        assert (embedding._BUCKET_HASH.copy().digest()
+                == hashlib.blake2b(digest_size=8).digest())
+        assert (embedding._SIGN_HASH.copy().digest()
+                == hashlib.blake2b(digest_size=1, salt=b"sign").digest())
 
     def test_case_insensitive(self):
         e = HashingEmbedder(64)

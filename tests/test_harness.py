@@ -160,6 +160,16 @@ class TestRunTrain:
         fresh = init_params(cfg.seed, 8, 8, 2, len(builtin_registry()))
         assert checkpoint["controllers"] == fresh.to_dict()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 1.5, "seed 1.5 is not an integer"),
+        ("num_layers", 2.0, "num_layers 2.0 is not an integer"),
+    ])
+    def test_bad_config_is_value_error_before_the_dataset_is_read(
+            self, tmp_path, field, value, message):
+        cfg = TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            run_train(cfg, tmp_path / "missing.jsonl", default_env())
+
     def test_reruns_byte_identical(self, mix_path, tmp_path):
         cfg = TrainConfig(iterations=2, num_layers=2, embed_dim=8, hidden_dim=8)
         outs = []

@@ -14,9 +14,10 @@ the change first on even seeds. Then one `--trace 1` run of each tree per
 workload, at seed 2, parent first, checks that every count-valued metric is
 unchanged, and the tier-1 suite runs once in each tree, for its wall time
 and the time of each acceptance criterion. The record holds, per workload,
-the medians, the quartiles, how many pairs the change won and tied, the
-checkpoint sha256 per seed with `checkpoint_sha256_equal` (true when every
-seed's is the same on both sides), and the traced metrics with `counts_equal`.
+the medians (with the median `timed_units`, against which `peak_rss_mb` is
+read), the quartiles, how many pairs the change won and tied, the checkpoint
+sha256 per seed with `checkpoint_sha256_equal` (true when every seed's is the
+same on both sides), and the traced metrics with `counts_equal`.
 """
 
 import argparse
@@ -85,6 +86,10 @@ def summarize_pairs(seeds, runs, directions):
         side_runs = runs[side]
         summary = {name: statistics.median(r["metrics"][name] for r in side_runs)
                    for name in directions}
+        # the benchmark keeps per-unit buffers, so its peak_rss_mb grows
+        # with the units it timed
+        summary["timed_units"] = statistics.median(
+            r["info"]["timed_units"] for r in side_runs)
         summary["failed"] = sum(r["failed"] for r in side_runs)
         summary["attempted"] = sum(r["attempted"] for r in side_runs)
         summary["checkpoint_sha256_step100"] = {
