@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .controller import SupernetState
 from .errors import DataError
 from .optimizer import TrainConfig
@@ -51,13 +53,13 @@ def restore(checkpoint: dict):
     if it is malformed, in a format other than FORMAT_VERSION, or its
     controllers do not fit its config (num_layers layers, embed_dim d,
     hidden_dim h) and registry (n operators): layer l holds W1 (h, d*l),
-    b1 (h,), W2 (n, h), b2 (n,)."""
+    b1 (h,), W2 (n, h), b2 (n,), all finite."""
     try:
         version = checkpoint["format_version"]
         state = SupernetState.from_dict(checkpoint["controllers"])
         registry = OperatorRegistry.from_dict(checkpoint["registry"])
         config = TrainConfig.from_dict(checkpoint["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
     if version != FORMAT_VERSION:
         raise DataError(f"checkpoint format {version!r}, expected {FORMAT_VERSION}")
@@ -74,4 +76,6 @@ def restore(checkpoint: dict):
         if shapes != expected:
             raise DataError(f"checkpoint layer {ell} has shapes {shapes}, expected"
                             f" {expected} for {n} registry operators")
+        if not all(np.isfinite(a).all() for a in ctrl.param_arrays()):
+            raise DataError(f"checkpoint layer {ell} holds a parameter that is not finite")
     return state, registry, config

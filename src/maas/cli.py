@@ -11,7 +11,7 @@ import click
 from . import checkpoint as ckpt
 from . import sampler
 from .errors import BackendError, DataError, MaasError
-from .executor import SyntheticEnv, LiveEnv
+from .executor import CHECKERS, SyntheticEnv, LiveEnv
 from .harness import run_eval, run_train
 from .optimizer import MUTATORS, TrainConfig
 
@@ -80,17 +80,16 @@ def main():
 @click.option("--mutator", default=DEFAULTS.mutator, type=click.Choice(MUTATORS),
               show_default=True)
 @click.option("--checker", default="exact_match",
-              type=click.Choice(["exact_match", "numeric"]), show_default=True)
+              type=click.Choice(CHECKERS), show_default=True)
 @click.option("--checkpoint", "checkpoint_out", required=True, type=click.Path())
 @click.option("--metrics-out", type=click.Path())
 @_exit_codes
 def train(dataset, env_name, env_profile, patch_every, checker, checkpoint_out,
           metrics_out, **hyperparameters):
     """Optimize the supernet on the train split of a JSONL dataset."""
-    config = TrainConfig(patch_every=patch_every or None, **hyperparameters)
     try:
-        config.validate()
-    except ValueError as exc:
+        config = TrainConfig(patch_every=patch_every or None, **hyperparameters)
+    except DataError as exc:
         raise click.UsageError(str(exc)) from exc
     env = _make_env(env_name, env_profile, checker)
     checkpoint, _ = run_train(config, dataset, env, checkpoint_path=checkpoint_out,
@@ -106,7 +105,7 @@ def train(dataset, env_name, env_profile, patch_every, checker, checkpoint_out,
               type=click.Choice(["synthetic", "live"]))
 @click.option("--env-profile", type=click.Path(exists=True))
 @click.option("--checker", default="exact_match",
-              type=click.Choice(["exact_match", "numeric"]), show_default=True)
+              type=click.Choice(CHECKERS), show_default=True)
 @click.option("--report-out", type=click.Path())
 @_exit_codes
 def eval_cmd(checkpoint_path, dataset, env_name, env_profile, checker, report_out):

@@ -24,8 +24,10 @@ def load_dataset(path) -> list[QueryRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
                 raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"line {line_no}: not a JSON object")
             for field in REQUIRED_FIELDS:
                 if field not in obj:
                     raise DataError(f"line {line_no}: missing field {field!r}")
@@ -35,10 +37,9 @@ def load_dataset(path) -> list[QueryRecord]:
                     query=str(obj["query"]),
                     answer=str(obj["answer"]),
                     domain=str(obj["domain"]),
-                    difficulty=float(obj["difficulty"]),
+                    difficulty=obj["difficulty"],
                 )
-                record.validate()
-            except Exception as exc:
+            except DataError as exc:
                 raise DataError(f"line {line_no}: {exc}") from exc
             if record.id in seen:
                 raise DataError(f"duplicate query id {record.id!r}")

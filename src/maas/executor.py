@@ -15,10 +15,11 @@ import os
 import time
 from dataclasses import dataclass
 
-from .errors import BackendError, DataError, MaasError
+from .errors import BackendError, DataError, MaasError, check_fields
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 1.0
+CHECKERS = ("exact_match", "numeric")  # the names `evaluate_answer` scores by
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,8 @@ class QueryRecord:
     domain: str = ""
     difficulty: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.difficulty <= 1.0:
             raise DataError(
                 f"difficulty {self.difficulty} outside [0, 1] for {self.id!r}"
@@ -53,25 +55,14 @@ class SyntheticOperatorProfile:
     unit_cost: float
     combine_bonus: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.base_success <= 1.0:
             raise DataError(f"base_success outside [0, 1] for {self.operator_id!r}")
         if self.unit_cost <= 0.0:
             raise DataError(f"unit_cost must be positive for {self.operator_id!r}")
         if not 0.0 <= self.combine_bonus <= 1.0:
             raise DataError(f"combine_bonus outside [0, 1] for {self.operator_id!r}")
-
-    @classmethod
-    def from_dict(cls, d):
-        prof = cls(
-            operator_id=d["operator_id"],
-            base_success=float(d["base_success"]),
-            difficulty_slope=float(d["difficulty_slope"]),
-            unit_cost=float(d["unit_cost"]),
-            combine_bonus=float(d.get("combine_bonus", 0.0)),
-        )
-        prof.validate()
-        return prof
 
 
 @dataclass(frozen=True)
@@ -84,9 +75,8 @@ class PromptSuccessOverride:
     substring: str
     base_success: float
 
-    def validate(self):
-        if not (isinstance(self.operator_id, str) and isinstance(self.substring, str)):
-            raise DataError("prompt override operator_id and substring must be strings")
+    def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.base_success <= 1.0:
             raise DataError(f"override base_success outside [0, 1] for {self.operator_id!r}")
 
@@ -95,7 +85,7 @@ class SyntheticEnv:
     def __init__(self, profiles, overrides=(), checker="exact_match"):
         self.profiles = {p.operator_id: p for p in profiles}
         self.overrides = list(overrides)
-        self.checker = checker
+        self.checker = _known_checker(checker)
 
     @classmethod
     def from_file(cls, path, checker):
@@ -105,21 +95,14 @@ class SyntheticEnv:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-            profiles = [SyntheticOperatorProfile.from_dict(d) for d in data["profiles"]]
-            overrides = [
-                PromptSuccessOverride(
-                    operator_id=d["operator_id"],
-                    substring=d["substring"],
-                    base_success=float(d["base_success"]),
-                )
-                for d in data.get("prompt_success_overrides", ())
-            ]
-            for override in overrides:
-                override.validate()
-            return cls(profiles, overrides, checker)
-        except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            profiles = [SyntheticOperatorProfile(**d) for d in data["profiles"]]
+            overrides = [PromptSuccessOverride(**d)
+                         for d in data.get("prompt_success_overrides", ())]
+        # JSON and UTF-8 errors are ValueErrors; a DataError is a bad entry
+        except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"malformed profile file {path}: {type(exc).__name__}:"
                             f" {exc}") from exc
+        return cls(profiles, overrides, checker)
 
     def profile_for(self, spec) -> SyntheticOperatorProfile:
         # split clones ("x-b", and "x-b-b" for a clone's clone) inherit the
@@ -149,9 +132,6 @@ class SyntheticEnv:
             output = "WRONG:" + spec.id
         return output, profile.unit_cost, spec.agent_count
 
-    def score(self, final_answer: str, query: QueryRecord) -> float:
-        return evaluate_answer(final_answer, query.answer, self.checker)
-
 
 class LiveEnv:
     """Executes operators through an OpenAI-compatible chat endpoint; a
@@ -161,7 +141,7 @@ class LiveEnv:
     def __init__(self, base_url=None, api_key=None, checker="exact_match",
                  transport=None, sleep=time.sleep):
         self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
-        self.checker = checker
+        self.checker = _known_checker(checker)
         self._transport = transport
         self._sleep = sleep
 
@@ -180,9 +160,6 @@ class LiveEnv:
             raise BackendError(f"chat reply for operator {spec.id!r} reports no token"
                                " usage, so its cost is unknown")
         return content.strip(), float(tokens), spec.agent_count
-
-    def score(self, final_answer: str, query: QueryRecord) -> float:
-        return evaluate_answer(final_answer, query.answer, self.checker)
 
 
 def resolve_endpoint(base_url, api_key):
@@ -271,6 +248,13 @@ def evaluate_answer(final: str, oracle: str, checker: str = "exact_match") -> fl
     raise DataError(f"unknown checker {checker!r}")
 
 
+def _known_checker(checker):
+    """`checker`, or `DataError` unless it is one of `CHECKERS`."""
+    if checker not in CHECKERS:
+        raise DataError(f"unknown checker {checker!r}")
+    return checker
+
+
 def _parse_decimal(text):
     try:
         return float(text.strip().lstrip("+"))
@@ -307,7 +291,7 @@ def execute(arch, query: QueryRecord, env, registry, rng) -> ExecutionTrace:
             llm_calls += calls
 
     final_answer = _majority_vote(outputs, registry, arch.layers[-1])
-    utility = env.score(final_answer, query)
+    utility = evaluate_answer(final_answer, query.answer, env.checker)
     return ExecutionTrace(
         architecture=arch,
         final_answer=final_answer,

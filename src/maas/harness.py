@@ -25,7 +25,6 @@ def run_train(config: TrainConfig, dataset_path, env, checkpoint_path=None,
 
     Returns (checkpoint dict, metrics line dicts).
     """
-    config.validate()  # before the seed and sizes below reach numpy and range
     records = load_dataset(dataset_path)
     train, _ = split_dataset(records, config.seed)
 

@@ -17,7 +17,6 @@ mutator that proposes prompt/temperature/structure edits.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import kernels, sampler
 # layer_feature is unused here but kept importable: perfbench/tracer.py wraps
 # it at every module that binds the name.
 from .embedding import HashingEmbedder, layer_feature  # noqa: F401
-from .errors import BackendError, DataError, MaasError
+from .errors import BackendError, DataError, MaasError, check_fields
 from .executor import execute, live_call, resolve_endpoint
 from .registry import KIND_EARLY_EXIT, KIND_GENERATIVE, OperatorPatch, OperatorSpec
 
@@ -37,7 +36,7 @@ TEMPERATURE_TARGET = 0.5
 MUTATORS = ("mock", "llm", "none")  # the names `TrainConfig.mutator` may hold
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     num_layers: int = 4
     thres: float = 0.3
@@ -51,47 +50,37 @@ class TrainConfig:
     hidden_dim: int = 64
     mutator: str = "mock"
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        """`ValueError` unless every field has its type (a checkpoint may
-        hold any JSON, so the types come first) and its range."""
-        ints = ["num_layers", "samples_k", "iterations", "seed", "embed_dim",
-                "hidden_dim"] + (["patch_every"] if self.patch_every is not None else [])
-        for name in ints:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} {value!r} is not an integer")
-        for name in ("thres", "cost_lambda", "lr"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} {value!r} is not a number")
+        """`DataError` unless every field has its type and its range."""
+        check_fields(self)
         if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
+            raise DataError("num_layers must be >= 1")
         if not 0.0 < self.thres < 1.0:
-            raise ValueError("thres must be in (0, 1)")
-        # written so that NaN fails too: every comparison with it is false
-        if not 0.0 <= self.cost_lambda < math.inf:
-            raise ValueError("cost_lambda must be finite and >= 0")
+            raise DataError("thres must be in (0, 1)")
+        if self.cost_lambda < 0.0:
+            raise DataError("cost_lambda must be >= 0")
         if self.samples_k < 2:
-            raise ValueError("samples_k must be >= 2")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError("lr must be finite and > 0")
+            raise DataError("samples_k must be >= 2")
+        if self.lr <= 0.0:
+            raise DataError("lr must be > 0")
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise DataError("iterations must be >= 0")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise DataError("seed must be >= 0")
         if self.patch_every is not None and self.patch_every < 1:
-            raise ValueError("patch_every must be >= 1, or None for no patching")
+            raise DataError("patch_every must be >= 1, or None for no patching")
         if self.mutator not in MUTATORS:
-            raise ValueError(f"mutator {self.mutator!r} is not one of {MUTATORS}")
+            raise DataError(f"mutator {self.mutator!r} is not one of {MUTATORS}")
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
 
 def importance_weights(utilities, costs, cost_lambda):
@@ -235,7 +224,7 @@ MUTATOR_SPEC = OperatorSpec(
     temperature=1.0,
     tools=(),
     agent_count=1,
-    profile_text="",
+    profile_text="Revises the operator set from a summary of recent failures.",
     kind=KIND_GENERATIVE,
 )
 
@@ -259,7 +248,7 @@ class LLMMutator:
             raise BackendError("no base URL configured for the LLM mutator")
         self._transport = transport
         # id(spec) -> (spec, its JSON as an entry of the indented list); keyed
-        # on identity, since equal specs can render differently (1 and 1.0),
+        # on identity, since equal specs can render differently (-0.0 and 0.0),
         # and holding the spec so that its id cannot be reused
         self._rendered = {}
 
@@ -298,31 +287,22 @@ class LLMMutator:
 
 
 def parse_mutation(reply_text) -> OperatorPatch:
-    """Validate an LLM mutator reply, one JSON object with the keys
-    `MUTATOR_PROMPT` asks for, into a patch; other keys, code among them, are
-    ignored. A reply that is not such an object, or whose patch fails
-    `OperatorPatch.validate`, raises `DataError`."""
+    """The patch in an LLM mutator reply, one JSON object with the keys
+    `MUTATOR_PROMPT` asks for; other keys, code among them, are ignored, and
+    a missing, null or empty "structure_action" is "none". A reply that is not
+    such an object, or that no `OperatorPatch` can hold, raises `DataError`."""
     try:
         data = json.loads(reply_text)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # a JSONDecodeError, or an int of too many digits
         raise DataError(f"reply is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError("reply is not a JSON object")
     if not data.get("target_id"):
         raise DataError("reply lacks target_id")
-    patch = OperatorPatch(
-        target_id=data["target_id"],
-        new_prompt=data.get("new_prompt"),
-        new_temperature=data.get("new_temperature"),
-        structure_action=data.get("structure_action", "none") or "none",
-        merge_with_id=data.get("merge_with_id"),
-        rationale=str(data.get("thought", "")),
-    )
-    patch.validate()
-    if patch.new_temperature is None:
-        return patch
-    # float() only after validate's range check: a huge JSON integer would overflow
-    return replace(patch, new_temperature=float(patch.new_temperature))
+    keys = ("target_id", "new_prompt", "new_temperature", "merge_with_id")
+    return OperatorPatch(**{key: data.get(key) for key in keys},
+                         structure_action=data.get("structure_action") or "none",
+                         rationale=data.get("thought", ""))
 
 
 def textual_gradient(registry, traces, mutator):
@@ -347,7 +327,6 @@ class Trainer:
     patching off. Any other `mutator` but None raises `BackendError`."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, mutator=None):
-        config.validate()
         self.state = state
         self.registry = registry
         self.env = env

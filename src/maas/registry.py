@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .errors import DataError
+from .errors import DataError, check_fields
 
 KIND_GENERATIVE = "generative"
 KIND_AGGREGATOR = "aggregator"
@@ -37,21 +37,9 @@ class OperatorSpec:
     profile_text: str
     kind: str
 
-    def validate(self):
-        """`DataError` unless every field has its type (a checkpoint may hold
-        any JSON, so the types come first) and its range."""
-        if not all(isinstance(v, str) for v in (
-                self.id, self.name, self.prompt, self.model_binding,
-                self.profile_text, self.kind, *self.tools)):
-            raise DataError(f"operator {self.id!r} has a text field or tool that is"
-                            " not a string")
-        if isinstance(self.agent_count, bool) or not isinstance(self.agent_count, int):
-            raise DataError(f"agent_count {self.agent_count!r} is not an integer"
-                            f" for {self.id!r}")
-        if isinstance(self.temperature, bool) or not isinstance(
-                self.temperature, (int, float)):
-            raise DataError(f"temperature {self.temperature!r} is not a number"
-                            f" for {self.id!r}")
+    def __post_init__(self):
+        """`DataError` unless every field has its type and its range."""
+        check_fields(self)
         if not self.id:
             raise DataError("operator id must be non-empty")
         if not 0.0 <= self.temperature <= 2.0:
@@ -76,20 +64,8 @@ class OperatorSpec:
     def from_dict(cls, d):
         if not isinstance(d["tools"], list):
             raise DataError(f"tools {d['tools']!r} of operator {d['id']!r} is not a list")
-        spec = cls(
-            id=d["id"],
-            name=d["name"],
-            prompt=d["prompt"],
-            model_binding=d["model_binding"],
-            temperature=d["temperature"],
-            tools=tuple(d["tools"]),
-            agent_count=d["agent_count"],
-            profile_text=d["profile_text"],
-            kind=d["kind"],
-        )
-        spec.validate()
-        # float() only after validate's checks: a huge JSON integer would overflow
-        return replace(spec, temperature=float(spec.temperature))
+        fields = {name: d[name] for name in cls.__dataclass_fields__}
+        return cls(**{**fields, "tools": tuple(d["tools"])})
 
 
 @dataclass(frozen=True)
@@ -101,22 +77,11 @@ class OperatorPatch:
     merge_with_id: str | None = None
     rationale: str = ""
 
-    def validate(self):
-        """`DataError` unless `apply_patch` can act on this patch. A mutator's
-        reply may hold any JSON, so the types come first: a non-empty str
-        `target_id`, a str or None `new_prompt` and `merge_with_id`, a str
-        `structure_action` and an int, float (not bool) or None temperature."""
-        if not isinstance(self.target_id, str) or not self.target_id:
-            raise DataError("patch target_id must be a non-empty string")
-        if not all(v is None or isinstance(v, str)
-                   for v in (self.new_prompt, self.merge_with_id)):
-            raise DataError("patch new_prompt and merge_with_id must be strings")
-        if not isinstance(self.structure_action, str):
-            raise DataError("patch structure_action must be a string")
-        temperature = self.new_temperature
-        if temperature is not None and (
-                isinstance(temperature, bool) or not isinstance(temperature, (int, float))):
-            raise DataError(f"patch temperature {temperature!r} is not a number")
+    def __post_init__(self):
+        """`DataError` unless `apply_patch` can act on this patch."""
+        check_fields(self)
+        if not self.target_id:
+            raise DataError("patch target_id must be non-empty")
         if (
             self.new_prompt is None
             and self.new_temperature is None
@@ -188,7 +153,6 @@ class OperatorRegistry:
     # -- mutation ----------------------------------------------------------
 
     def register(self, spec: OperatorSpec):
-        spec.validate()
         if spec.id in self._by_id:
             raise DataError(f"operator id {spec.id!r} already registered")
         if spec.kind == KIND_EARLY_EXIT and any(
@@ -210,7 +174,6 @@ class OperatorRegistry:
         leaves the registry unchanged. A split appends a clone of the target
         under the first free id of `<id>-b`, `<id>-b2`, `<id>-b3`, ..., so an
         operator can be split any number of times."""
-        patch.validate()
         if patch.target_id not in self._by_id:
             raise DataError(f"no operator {patch.target_id!r}")
         idx = self._by_id[patch.target_id]
@@ -221,8 +184,7 @@ class OperatorRegistry:
         if patch.new_prompt is not None:
             target = replace(target, prompt=patch.new_prompt)
         if patch.new_temperature is not None:
-            target = replace(target, temperature=float(patch.new_temperature))
-        target.validate()
+            target = replace(target, temperature=patch.new_temperature)
 
         if patch.structure_action == "split":
             if target.kind == KIND_DIRECT_IO:
@@ -268,10 +230,14 @@ class OperatorRegistry:
 
     @classmethod
     def from_dict(cls, d):
-        """An older checkpoint's `rewire_ids` key is ignored."""
+        """`DataError` unless the registry holds one early-exit and one
+        direct-io operator. An older checkpoint's `rewire_ids` key is ignored."""
         reg = cls()
         for spec_d in d["operators"]:
             reg.register(OperatorSpec.from_dict(spec_d))
+        kinds = {s.kind for s in reg._specs}
+        if not {KIND_EARLY_EXIT, KIND_DIRECT_IO} <= kinds:
+            raise DataError("registry lacks its early-exit or direct-io operator")
         return reg
 
     def to_json(self) -> str:

@@ -20,6 +20,7 @@ from maas.harness import run_eval
 from maas.optimizer import TrainConfig, Trainer
 from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
+from tests.test_harness import BAD_CHECKPOINTS
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +108,21 @@ class TestTrainCommand:
         args[2] = str(bad)
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("unit_cost", float("inf")), ("unit_cost", float("nan")),
+        ("base_success", True), ("difficulty_slope", "0.5"),
+    ])
+    def test_profile_value_not_a_finite_number_is_data_error(self, workdir, field,
+                                                              value):
+        profiles = json.loads((workdir / "profiles.json").read_text())
+        profiles["profiles"][0][field] = value
+        (workdir / "profiles.json").write_text(json.dumps(profiles))
+        result = CliRunner().invoke(main, train_args(workdir))
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("data error: malformed profile file ")
+        assert result.output.count("\n") == 1
+        assert not (workdir / "ckpt.json").exists()
 
     def test_llm_mutator_without_url_fails_before_training(self, workdir,
                                                            monkeypatch):
@@ -252,9 +268,12 @@ class TestBadCheckpoint:
         with_config(mutator="mock2"),
         with_config(num_layers=1),
         with_string_tools,
+        *(lambda trained, corrupt=corrupt: json.dumps(corrupt(trained))
+          for corrupt, _ in BAD_CHECKPOINTS.values()),
     ], ids=["no_controllers", "not_json", "registry_without_react", "unknown_format",
             "int_prompt", "float_embed_dim", "float_seed", "negative_seed",
-            "unknown_mutator", "fewer_layers_than_controllers", "string_tools"])
+            "unknown_mutator", "fewer_layers_than_controllers", "string_tools",
+            *BAD_CHECKPOINTS])
     @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
     def test_is_data_error(self, workdir, command, corrupt):
         assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
@@ -268,7 +287,7 @@ class TestBadCheckpoint:
         }[command]
         result = CliRunner().invoke(main, [command, "--checkpoint", str(path), *extra])
         assert result.exit_code == 3, result.output
-        assert "data error" in result.output
+        assert result.output.startswith("data error: ") and result.output.count("\n") == 1
 
 
 class TestSampleCommand:

@@ -1,9 +1,11 @@
 """Executor: synthetic formula arithmetic, aggregation, live-call contract."""
 
+import json
+
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from maas.errors import BackendError, DataError
 from maas.executor import (
@@ -18,7 +20,7 @@ from maas.executor import (
     live_call,
     render_prompt,
 )
-from maas.datagen import default_env
+from maas.datagen import _profile_dicts, default_env, sabotaged_profiles
 from maas.registry import (
     KIND_DIRECT_IO,
     KIND_EARLY_EXIT,
@@ -27,6 +29,7 @@ from maas.registry import (
     builtin_registry,
 )
 from maas.sampler import Architecture, build_dag
+from tests.test_optimizer import any_value_anywhere
 from tests.test_registry import make_spec
 
 
@@ -53,6 +56,8 @@ class RecordingEnv:
     """Wraps an env (or, without one, names each output after its call
     number) and records each node's (output, predecessor outputs)."""
 
+    checker = "exact_match"
+
     def __init__(self, inner=None):
         self.inner = inner
         self.seen = []
@@ -64,9 +69,6 @@ class RecordingEnv:
             result = self.inner.run_node(spec, query, predecessor_outputs, rng)
         self.seen.append((result[0], list(predecessor_outputs)))
         return result
-
-    def score(self, final_answer, query):
-        return 0.0 if self.inner is None else self.inner.score(final_answer, query)
 
 
 class TestSyntheticFormula:
@@ -134,11 +136,24 @@ class TestSyntheticFormula:
         assert env.run_node(plain, record(), [], rng)[0] == "WRONG:op"
         assert env.run_node(patched, record(), [], rng)[0] == "42"
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(profiles=any_value_anywhere(_profile_dicts(*sabotaged_profiles())))
+    def test_any_profile_file_loads_or_is_a_data_error(self, tmp_path, profiles):
+        """Any JSON value in a profile entry, an override entry or anywhere
+        else: `from_file` returns an env or raises `DataError`."""
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(profiles))
+        try:
+            SyntheticEnv.from_file(path, "exact_match")
+        except DataError:
+            pass
+
     def test_profile_validation(self):
         with pytest.raises(DataError):
-            SyntheticOperatorProfile("op", 1.5, 0.0, 1.0).validate()
+            SyntheticOperatorProfile("op", 1.5, 0.0, 1.0)
         with pytest.raises(DataError):
-            SyntheticOperatorProfile("op", 0.5, 0.0, 0.0).validate()
+            SyntheticOperatorProfile("op", 0.5, 0.0, 0.0)
 
 
 class TestExecute:
@@ -289,6 +304,14 @@ class TestEvaluateAnswer:
     def test_unknown_checker(self):
         with pytest.raises(DataError):
             evaluate_answer("a", "a", "fuzzy")
+
+    @pytest.mark.parametrize("make_env", [
+        lambda: SyntheticEnv([], checker="fuzzy"),
+        lambda: LiveEnv(checker="fuzzy"),
+    ], ids=["synthetic", "live"])
+    def test_unknown_checker_fails_at_construction(self, make_env):
+        with pytest.raises(DataError, match="unknown checker 'fuzzy'"):
+            make_env()
 
 
 class TestLiveCall:

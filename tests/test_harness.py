@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from maas import checkpoint as ckpt
 from maas import sampler
@@ -15,6 +16,7 @@ from maas.executor import SyntheticEnv, SyntheticOperatorProfile, execute
 from maas.harness import EVAL_RNG_OFFSET, run_eval, run_train
 from maas.optimizer import TrainConfig
 from maas.registry import OperatorPatch, builtin_registry
+from tests.test_optimizer import any_value_anywhere
 
 
 def write_jsonl(path, rows):
@@ -52,6 +54,12 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"^line 2: "):
             load_dataset(path)
 
+    def test_int_of_too_many_digits_is_invalid_json(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("1" * 5000 + "\n")
+        with pytest.raises(DataError, match=r"^line 1: invalid JSON"):
+            load_dataset(path)
+
     def test_missing_field(self, tmp_path):
         bad = rows(1)[0]
         del bad["answer"]
@@ -70,6 +78,34 @@ class TestLoadDataset:
         path = write_jsonl(tmp_path / "d.jsonl", rows(1) + rows(1))
         with pytest.raises(DataError, match="duplicate query id"):
             load_dataset(path)
+
+    def test_text_fields_of_any_value_load_as_text(self, tmp_path):
+        row = {**rows(1)[0], "answer": 4, "domain": None}
+        record, = load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
+        assert (record.answer, record.domain) == ("4", "None")
+
+    @pytest.mark.parametrize("difficulty", ["0.5", True, None, [0.5], float("nan"),
+                                            float("inf"), 10**400],
+                             ids=["string", "bool", "null", "list", "nan", "inf",
+                                  "huge_int"])
+    def test_difficulty_not_a_finite_number(self, tmp_path, difficulty):
+        bad = {**rows(1)[0], "difficulty": difficulty}
+        path = write_jsonl(tmp_path / "d.jsonl", [bad])
+        with pytest.raises(DataError, match="^line 1: difficulty .* is not"):
+            load_dataset(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=any_value_anywhere(rows(1)[0]))
+    def test_any_line_loads_or_is_a_data_error(self, tmp_path, line):
+        """Any JSON value as the line or in one of its fields: `load_dataset`
+        returns the record, with a float difficulty, or raises `DataError`."""
+        path = write_jsonl(tmp_path / "d.jsonl", [line])
+        try:
+            record, = load_dataset(path)
+        except DataError:
+            return
+        assert type(record.difficulty) is float
 
 
 class TestSplitDataset:
@@ -149,6 +185,73 @@ class TestCheckpoint:
         assert ckpt.dumps(rebuilt) == ckpt.dumps(checkpoint)
 
 
+def small_checkpoint():
+    registry = builtin_registry()
+    config = TrainConfig(num_layers=2, embed_dim=4, hidden_dim=4)
+    state = init_params(0, 4, 4, 2, len(registry))
+    return json.loads(ckpt.dumps(ckpt.build_checkpoint(state, registry, config)))
+
+
+def without_operator(op_id):
+    """The checkpoint without the operator `op_id` and its controller rows."""
+    def corrupt(checkpoint):
+        operators = checkpoint["registry"]["operators"]
+        i = [op["id"] for op in operators].index(op_id)
+        del operators[i]
+        for layer in checkpoint["controllers"]["layers"]:
+            n, h = layer["W2"]["shape"]
+            del layer["W2"]["values"][i * h:(i + 1) * h]
+            del layer["b2"]["values"][i]
+            layer["W2"]["shape"], layer["b2"]["shape"] = [n - 1, h], [n - 1]
+        return checkpoint
+    return corrupt
+
+
+def with_react_as_second_exit(checkpoint):
+    for op in checkpoint["registry"]["operators"]:
+        if op["id"] == "react":
+            op["kind"] = "early_exit"
+    return checkpoint
+
+
+def with_parameter(name, value):
+    """The checkpoint with `value` as the first entry of layer 1's `name`."""
+    def corrupt(checkpoint):
+        checkpoint["controllers"]["layers"][0][name]["values"][0] = value
+        return checkpoint
+    return corrupt
+
+
+# each maps a checkpoint dict to a bad one, with the fault `restore` names
+BAD_CHECKPOINTS = {
+    "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
+    "no_direct_io": (without_operator("direct_io"), "lacks its early-exit or direct-io"),
+    "second_exit": (with_react_as_second_exit, "already has an early-exit"),
+    "nan_b2": (with_parameter("b2", float("nan")), "layer 1 holds a parameter that"
+               " is not finite"),
+    "inf_W1": (with_parameter("W1", float("inf")), "layer 1 holds a parameter that"
+               " is not finite"),
+}
+
+
+class TestRestore:
+    @pytest.mark.parametrize("name", BAD_CHECKPOINTS)
+    def test_bad_checkpoint_is_data_error(self, name):
+        corrupt, message = BAD_CHECKPOINTS[name]
+        with pytest.raises(DataError, match=message):
+            ckpt.restore(corrupt(small_checkpoint()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(checkpoint=any_value_anywhere(small_checkpoint()))
+    def test_any_checkpoint_restores_or_is_a_data_error(self, checkpoint):
+        """Any JSON value in the config, an operator spec, a controller entry
+        or anywhere else: `restore` returns or raises `DataError`."""
+        try:
+            ckpt.restore(checkpoint)
+        except DataError:
+            pass
+
+
 class TestRunTrain:
     def test_iterations_zero_keeps_initial_state(self, mix_path):
         cfg = TrainConfig(iterations=0, num_layers=2, embed_dim=8, hidden_dim=8)
@@ -164,11 +267,11 @@ class TestRunTrain:
         ("seed", 1.5, "seed 1.5 is not an integer"),
         ("num_layers", 2.0, "num_layers 2.0 is not an integer"),
     ])
-    def test_bad_config_is_value_error_before_the_dataset_is_read(
+    def test_bad_config_is_data_error_before_the_dataset_is_read(
             self, tmp_path, field, value, message):
-        cfg = TrainConfig(**{field: value})
-        with pytest.raises(ValueError, match=message):
-            run_train(cfg, tmp_path / "missing.jsonl", default_env())
+        with pytest.raises(DataError, match=message):
+            run_train(TrainConfig(**{field: value}), tmp_path / "missing.jsonl",
+                      default_env())
 
     def test_reruns_byte_identical(self, mix_path, tmp_path):
         cfg = TrainConfig(iterations=2, num_layers=2, embed_dim=8, hidden_dim=8)

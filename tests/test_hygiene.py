@@ -17,6 +17,9 @@
 - Every class `src/maas/errors.py` defines is named by some `except` clause
   in `src/maas`, alone or in a tuple, so no error class exists that the
   program never tells apart from the others.
+- No function in `src/maas` calls a `.validate()` method but
+  `TrainConfig.__post_init__`: a class whose values come from outside checks
+  them in its own `__post_init__`, so no caller has to remember to.
 """
 
 import ast
@@ -274,6 +277,45 @@ def test_every_error_class_is_handled():
     src = sorted((ROOT / "src" / "maas").glob("*.py"))
     errors = (ROOT / "src" / "maas" / "errors.py").read_text()
     assert unhandled_classes(errors, [p.read_text() for p in src]) == []
+
+
+def validate_callers(source):
+    """The dotted name of the function or class (or "<module>") around each
+    call of a `.validate()` method in `source`."""
+    callers = []
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "validate":
+                callers.append(".".join(names) or "<module>")
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, [*names, child.name] if named else names)
+
+    visit(ast.parse(source), [])
+    return callers
+
+
+def test_checker_flags_validate_calls():
+    source = (
+        "x.validate()\n"
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        self.validate()\n"
+        "    def validate(self):\n"
+        "        pass\n"
+        "def f(a):\n"
+        "    def g():\n"
+        "        return [b.validate() for b in a.validate()]\n"
+        "    validate(a)\n"
+    )
+    assert validate_callers(source) == ["<module>", "A.__post_init__", "f.g", "f.g"]
+
+
+def test_only_train_config_calls_validate():
+    callers = [f"{p.name}:{caller}"
+               for p in sorted((ROOT / "src" / "maas").glob("*.py"))
+               for caller in validate_callers(p.read_text())]
+    assert callers == ["optimizer.py:TrainConfig.__post_init__"]
 
 
 SHIPPED = ("synthetic_mix.jsonl", "synthetic_profiles.json", "sabotaged_profiles.json")

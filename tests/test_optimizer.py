@@ -1,5 +1,6 @@
 """Optimizer: importance weights, distribution updates, textual gradients."""
 
+import copy
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -446,12 +447,44 @@ class TestMockMutator:
         assert textual_gradient(builtin_registry(), [], mock_mutator) == []
 
 
+# 10**400 is an int past the float range
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+
+
+def key_paths(doc, path=()):
+    """The path of `doc` and of each value inside it, through every key of a
+    dict and the first item of a list."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from key_paths(value, (*path, key))
+    elif isinstance(doc, list) and doc:
+        yield from key_paths(doc[0], (*path, 0))
+
+
+def replaced(doc, path, value):
+    """A copy of `doc` with `value` at `path`."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+def any_value_anywhere(doc):
+    """`doc` with any JSON value at one of its `key_paths`: the whole
+    document, an entry or a field of one."""
+    return st.builds(replaced, st.just(doc), st.sampled_from(list(key_paths(doc))),
+                     JSON_VALUES)
 OPERATOR_IDS = st.sampled_from([*builtin_registry().ids(), "cot-b", "ghost"])
 # each key `MUTATOR_PROMPT` asks for, absent, any JSON value or a plausible one
 REPLIES = JSON_VALUES | st.fixed_dictionaries({}, optional={
@@ -487,6 +520,12 @@ class TestParseMutation:
         with pytest.raises(DataError, match="reply is not JSON"):
             parse_mutation("I think cot is weak")
 
+    def test_int_of_too_many_digits_is_not_json(self):
+        """`json.loads` raises a plain `ValueError` for an int literal of
+        more than 4,300 digits, not a `JSONDecodeError`."""
+        with pytest.raises(DataError, match="reply is not JSON"):
+            parse_mutation('{"target_id": "cot", "new_temperature": 1' + "0" * 5000 + "}")
+
     def test_missing_target(self):
         with pytest.raises(DataError, match="reply lacks target_id"):
             parse_mutation('{"new_prompt": "x"}')
@@ -502,7 +541,7 @@ class TestParseMutation:
     @pytest.mark.parametrize("temperature", ['"hot"', "[1]", "true", str(10**400)],
                              ids=["string", "list", "bool", "huge_int"])
     def test_temperature_not_a_number_in_range(self, temperature):
-        with pytest.raises(DataError, match="patch temperature"):
+        with pytest.raises(DataError, match="^new_temperature "):
             parse_mutation(f'{{"target_id": "cot", "new_temperature": {temperature}}}')
 
     def test_integer_temperature_becomes_float(self):
@@ -679,7 +718,8 @@ class TestTrainer:
         OperatorPatch("early_exit", new_prompt="x {input}"),  # cannot patch the early-exit
         OperatorPatch("direct_io", new_prompt="x {input}",
                       structure_action="split"),  # cannot split the direct-io
-        OperatorPatch("cot"),  # patch sets nothing
+        OperatorPatch("cot", structure_action="merge",
+                      merge_with_id="nope"),  # no merge partner 'nope'
     ])
     def test_rejected_patch_is_skipped_not_fatal(self, bad_patch):
         reg = builtin_registry()
@@ -760,11 +800,8 @@ class TestTrainer:
 
     @pytest.mark.parametrize("name", ["mock2", 3, None, mock_mutator])
     def test_config_names_only_a_known_mutator(self, name):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=name)
-        state = init_params(0, 8, 8, 2, len(reg))
-        with pytest.raises(ValueError, match="^mutator "):
-            Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+        with pytest.raises(DataError, match="^mutator "):
+            TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=name)
 
     def test_llm_config_builds_llm_mutator(self, monkeypatch):
         reg = builtin_registry()
@@ -913,10 +950,10 @@ def parent_archive(registry):
     return json.dumps([s.to_dict() for s in registry.specs()], indent=2)
 
 
-def int_temperature_spec():
-    """A spec whose temperature is the int 1: equal to, but rendered apart
-    from, a spec with 1.0."""
-    return replace(builtin_registry().get("react"), id="hot", temperature=1)
+def negative_zero_spec():
+    """A spec whose temperature is -0.0: equal to, but rendered apart from, a
+    spec with 0.0."""
+    return replace(builtin_registry().get("react"), id="cold", temperature=-0.0)
 
 
 class TestMutatorArchive:
@@ -949,12 +986,12 @@ class TestMutatorArchive:
 
     def test_equal_specs_keep_their_own_rendering(self):
         mutator = LLMMutator(base_url="http://stub")
-        hot = int_temperature_spec()
-        warm = replace(hot, temperature=1.0)
-        assert hot == warm
-        assert mutator.archive([hot]) == json.dumps([hot.to_dict()], indent=2)
-        assert mutator.archive([warm]) == json.dumps([warm.to_dict()], indent=2)
-        assert mutator.archive([hot]) != mutator.archive([warm])
+        negative = negative_zero_spec()
+        positive = replace(negative, temperature=0.0)
+        assert negative == positive
+        assert mutator.archive([negative]) == json.dumps([negative.to_dict()], indent=2)
+        assert mutator.archive([positive]) == json.dumps([positive.to_dict()], indent=2)
+        assert mutator.archive([negative]) != mutator.archive([positive])
 
     def test_cache_holds_exactly_the_registry_after_merges(self):
         reg = builtin_registry()
@@ -1027,12 +1064,12 @@ class TestTrainConfig:
         ("cost_lambda", float("inf")), ("cost_lambda", float("nan")),
     ])
     def test_validation(self, field, value):
-        with pytest.raises(ValueError):
-            TrainConfig(**{field: value}).validate()
+        with pytest.raises(DataError):
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("thres", 0.5), ("lr", 1), ("cost_lambda", 0), ("iterations", 0),
         ("patch_every", None), ("mutator", "llm"), ("mutator", "none"),
     ])
     def test_validation_accepts(self, field, value):
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})

@@ -183,7 +183,7 @@ class TestApplyPatch:
 
     def test_empty_patch_rejected(self):
         with pytest.raises(DataError, match="patch sets nothing"):
-            OperatorPatch("cot").validate()
+            OperatorPatch("cot")
 
     @pytest.mark.parametrize("fields", [
         {"target_id": ""},
@@ -196,9 +196,10 @@ class TestApplyPatch:
     ], ids=["empty_target", "int_target", "int_prompt", "list_partner", "list_action",
             "string_temperature", "bool_temperature"])
     def test_field_of_wrong_type_rejected(self, fields):
-        patch = OperatorPatch(**{"target_id": "cot", "new_prompt": "x", **fields})
-        with pytest.raises(DataError, match="^patch (.* must be .*string|temperature .* not a number)"):
-            patch.validate()
+        with pytest.raises(DataError, match="^(patch target_id must be non-empty"
+                                            "|(target_id|new_prompt|merge_with_id"
+                                            "|structure_action|new_temperature) .* is not a)"):
+            OperatorPatch(**{"target_id": "cot", "new_prompt": "x", **fields})
 
     def test_split_direct_io_rejected(self):
         with pytest.raises(DataError, match="cannot split the direct-io"):
@@ -276,9 +277,9 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
     ("temperature", None),
 ])
 def test_spec_field_of_wrong_type_rejected(field, value):
-    spec = replace(make_spec("op"), **{field: value})
-    with pytest.raises(DataError, match="not a string|not an integer|not a number"):
-        spec.validate()
+    with pytest.raises(DataError, match="is not (a string|an integer|a number"
+                                        "|a tuple of strings)$"):
+        replace(make_spec("op"), **{field: value})
 
 
 @pytest.mark.parametrize("value", [True, "1.0", 10**400])
