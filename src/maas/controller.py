@@ -8,8 +8,11 @@ threshold (deterministic rule), or drawn sequentially without replacement
 in proportion to their scores with the same cumulative-mass stopping rule
 (stochastic rule, with closed-form log-probability and exact gradients).
 Both rules walk about one score per operator, so they run on Python floats
-from one `tolist()` per score vector, with the float operations and RNG
-calls of their numpy form in the same order: bitwise the same results.
+from one `tolist()` per score vector. The deterministic rule makes the float
+operations of its numpy form in the same order: bitwise the same results.
+The stochastic rule is a plain inverse CDF with one `rng.random()` per drawn
+operator, as `rng.choice` makes; their indices differ only when the uniform
+lands within rounding of a CDF boundary.
 """
 
 from __future__ import annotations
@@ -17,16 +20,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import kernels
-from .errors import MaasError
+from .errors import DataError, MaasError
 
 INIT_SCALE = 0.1
 SPLIT_NOISE_SCALE = 0.01
-# the tolerance `Generator.choice` allows on the sum of its probabilities
-_CDF_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass
@@ -53,18 +55,19 @@ class LayerController:
 
     @classmethod
     def from_dict(cls, d):
-        def arr(entry):
-            return np.asarray(entry["values"], dtype=np.float64).reshape(
-                entry["shape"]
-            )
+        """`DataError` unless `layer_index` is an integer, each shape a list
+        of integers and each `values` a list of numbers, none of them a bool."""
+        def arr(name):
+            shape, values = d[name]["shape"], d[name]["values"]
+            if type(shape) is not list or not all(type(n) is int for n in shape):
+                raise DataError(f"{name} shape {shape!r} is not a list of integers")
+            if type(values) is not list or not set(map(type, values)) <= {float, int}:
+                raise DataError(f"{name} values are not a list of numbers")
+            return np.asarray(values, dtype=np.float64).reshape(shape)
 
-        return cls(
-            W1=arr(d["W1"]),
-            b1=arr(d["b1"]),
-            W2=arr(d["W2"]),
-            b2=arr(d["b2"]),
-            layer_index=int(d["layer_index"]),
-        )
+        if type(d["layer_index"]) is not int:
+            raise DataError(f"layer_index {d['layer_index']!r} is not an integer")
+        return cls(arr("W1"), arr("b1"), arr("W2"), arr("b2"), d["layer_index"])
 
 
 @dataclass
@@ -124,12 +127,16 @@ class SupernetState:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            layers=[LayerController.from_dict(x) for x in d["layers"]],
-            embed_dim=int(d["embed_dim"]),
-            hidden_dim=int(d["hidden_dim"]),
-            version=int(d["version"]),
-        )
+        """`DataError` unless the dims and version are integers and the
+        layers are valid entries, each at the position its index names."""
+        for name in ("embed_dim", "hidden_dim", "version"):
+            if type(d[name]) is not int:
+                raise DataError(f"{name} {d[name]!r} is not an integer")
+        layers = [LayerController.from_dict(x) for x in d["layers"]]
+        for position, ctrl in enumerate(layers, start=1):
+            if ctrl.layer_index != position:
+                raise DataError(f"layer {position} has layer_index {ctrl.layer_index}")
+        return cls(layers, d["embed_dim"], d["hidden_dim"], d["version"])
 
 
 @dataclass
@@ -195,57 +202,31 @@ def select_deterministic(score_vec: ScoreVector, thres: float) -> list[int]:
     return chosen
 
 
-def _pairwise_sum(values):
-    """`np.add.reduce` of a float64 vector, bitwise, on a list of Python
-    floats: numpy adds to its 0.0 identity, in pairwise order, eight
-    accumulators over the leading multiple of 8 (up to 128 values), then a
-    running sum of the rest; longer vectors split at a multiple of 8."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    total = 0.0
-    tail = 0
-    if n >= 8:
-        r = values[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            r = [a + b for a, b in zip(r, values[i:i + 8])]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[tail:]:
-        total += v
-    return total
-
-
 def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Generator):
     """Draw operators sequentially without replacement in proportion to their
     scores; stop once the drawn set's original score mass strictly exceeds
     thres. Returns the drawn index sequence; `selection_log_prob` gives its
     prefix log-probability, which training does not read.
 
-    Each draw is the one `rng.choice(n, p=weights / total)` makes (inverse
-    CDF of one `rng.random()`), inlined without its argument handling and
-    run on Python floats: numpy's pairwise sum, a running cumsum and
-    `bisect_right` for `searchsorted`, so the same indices and the same
-    generator state afterwards. One weight list serves every draw, with
-    each drawn operator's weight zeroed. Raises ValueError when no mass is
-    left or the normalized weights are NaN or do not sum to 1."""
+    Each draw is an inverse CDF over the remaining mass, on Python floats: a
+    running sum of the weights, then `bisect_right` of one `rng.random()`
+    scaled by their total, and the drawn operator's weight is zeroed. So a
+    call advances the generator by one `random()` per drawn operator. A zero
+    weight never raises the running sum, so it is never drawn; a product that
+    rounds up to the total (a subnormal total) takes the first index that
+    reaches it. Raises ValueError when the remaining total is not a positive
+    finite number: NaN or infinite weights, or no mass left."""
     scores = score_vec.scores.tolist()
     weights = scores.copy()  # drawn operators zeroed
     drawn = []
     cum = 0.0
     while cum <= thres:
-        total = _pairwise_sum(weights)
-        if total == 0.0:  # numpy divides 0 / 0 into NaN weights
-            raise ValueError("no selection mass left to draw from")
-        cdf = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cdf.append(acc)
-        if not abs(acc - 1.0) <= _CDF_ATOL:  # also catches NaN
-            raise ValueError("selection probabilities are NaN or do not sum to 1")
-        idx = bisect_right([c / acc for c in cdf], rng.random())
+        cdf = list(accumulate(weights))
+        total = cdf[-1]
+        if not 0.0 < total < math.inf:  # also catches NaN
+            raise ValueError(f"selection mass {total} is not a positive finite number")
+        x = rng.random() * total
+        idx = bisect_right(cdf, x) if x < total else cdf.index(total)
         drawn.append(idx)
         weights[idx] = 0.0
         cum += scores[idx]

@@ -18,7 +18,11 @@ def load_dataset(path) -> list[QueryRecord]:
     records = []
     seen = set()
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"dataset {path} is not text: {exc}") from exc
+        for line_no, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

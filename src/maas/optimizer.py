@@ -145,7 +145,10 @@ def update_distribution(state: ctl.SupernetState, archs, weights, lr):
 def _success_rates(registry, traces):
     stats = {}
     for trace in traces:
-        seen = {op_id for layer in trace.architecture.layers for op_id in layer}
+        # in drawn order, so that rates tied in the LLM mutator's failure
+        # summary keep an order that no hash seed moves
+        seen = dict.fromkeys(op_id for layer in trace.architecture.layers
+                             for op_id in layer)
         for op_id in seen:
             if op_id not in registry:
                 continue  # merged away since this trace was recorded

@@ -109,6 +109,23 @@ class TestTrainCommand:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset_not_utf8_is_data_error(self, workdir, command):
+        bad = workdir / "bad.jsonl"
+        bad.write_bytes(b'{"id": "q1", "query": "\xff"}\n')
+        if command == "train":
+            args = train_args(workdir)
+            args[2] = str(bad)
+        else:
+            assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+            args = ["eval", "--checkpoint", str(workdir / "ckpt.json"),
+                    "--dataset", str(bad),
+                    "--env-profile", str(workdir / "profiles.json")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith(f"data error: dataset {bad} is not text: ")
+        assert result.output.count("\n") == 1
+
     @pytest.mark.parametrize("field,value", [
         ("unit_cost", float("inf")), ("unit_cost", float("nan")),
         ("base_success", True), ("difficulty_slope", "0.5"),

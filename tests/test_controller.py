@@ -1,11 +1,14 @@
 """Controller: init, forward oracle, selection rules, exact gradients.
 
-The selection rules run on Python floats; `numpy_select_deterministic`,
-`numpy_selection_log_prob` and `choice_selection` are the same rules on numpy
-scalars and arrays, and the rules must equal them bitwise.
+The selection rules run on Python floats; `numpy_select_deterministic` and
+`numpy_selection_log_prob` are the same rules on numpy scalars, and the rules
+must equal them bitwise. `choice_selection` draws with `rng.choice`; the
+plain inverse-CDF draw must give its indices and generator state on the score
+vectors of `draw_cases`.
 """
 
 import math
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from maas.controller import (
     ScoreVector,
-    _pairwise_sum,
     grad_log_prob,
     init_params,
     sample_selection,
@@ -286,6 +288,85 @@ class TestInlinedDraw:
             sample_selection(sv, 0.3, np.random.default_rng(0))
 
 
+class Uniforms:
+    """Stands in for the generator: `random()` returns the given values in
+    turn, so a test can pick the uniform that each draw scales."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+# weights with zeros, subnormals (5e-324 is the smallest) and normal values
+_weights = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-323, 2.2e-308]),
+        st.floats(min_value=0.0, max_value=2.2e-308),
+        st.floats(min_value=1e-300, max_value=1e3),
+    ),
+    min_size=1,
+    max_size=12,
+).filter(lambda w: sum(w) > 0.0)
+# uniforms in [0, 1), with the largest one, 1 - 2**-53, drawn often; a draw
+# cycles through them
+_uniforms = st.lists(
+    st.one_of(st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, exclude_max=True)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestPlainDraw:
+    def test_one_random_per_drawn_operator(self):
+        for scores in draw_cases():
+            sv = scores_vec(scores)
+            for thres in (0.05, 0.3, 0.9):
+                rng = np.random.default_rng(7)
+                ref_rng = np.random.default_rng(7)
+                for _ in range(5):
+                    drawn = sample_selection(sv, thres, rng)
+                    for _ in drawn:
+                        ref_rng.random()
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("scores", [
+        [0.5, 0.5, math.nan],
+        [math.inf, 0.5, 0.5],
+        [0.5, 0.5, math.inf],
+        [math.inf, -math.inf, 0.5],
+        [0.0],
+    ])
+    def test_non_finite_or_zero_mass_raises(self, scores):
+        sv = ScoreVector(logits=np.zeros(len(scores)), scores=np.asarray(scores))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="not a positive finite number"):
+            sample_selection(sv, 0.3, rng)
+        assert rng.bit_generator.state == state  # raised before drawing
+
+    @pytest.mark.parametrize("weights, want", [
+        ([0.0, 5e-324, 0.0], [1]),
+        ([5e-324, 5e-324, 0.0], [1]),
+        ([0.0, 1e-323, 5e-324, 0.0, 0.0], [2]),
+    ])
+    def test_product_rounding_up_to_the_total_takes_the_last_positive(
+            self, weights, want):
+        # (1 - 2**-53) * total rounds up to a subnormal total
+        sv = ScoreVector(logits=np.zeros(len(weights)), scores=np.asarray(weights))
+        assert sample_selection(sv, 0.0, Uniforms([1.0 - 2.0**-53])) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_weights, _uniforms, st.sampled_from([0.0, 0.5]))
+    def test_never_draws_a_zero_weight(self, weights, uniforms, frac):
+        sv = ScoreVector(logits=np.zeros(len(weights)), scores=np.asarray(weights))
+        drawn = sample_selection(sv, frac * sum(weights), Uniforms(cycle(uniforms)))
+        assert drawn
+        assert len(set(drawn)) == len(drawn)
+        assert all(weights[idx] > 0.0 for idx in drawn)
+
+
 def numpy_select_deterministic(scores, thres):
     """`select_deterministic` on numpy scalars, the bitwise reference."""
     order = np.argsort(-scores, kind="stable")
@@ -309,37 +390,7 @@ def numpy_selection_log_prob(scores, selected):
     return log_prob
 
 
-# lists of floats with zeros of both signs, subnormals and non-finite values
-_sum_elements = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.floats(min_value=-1e3, max_value=1e3),
-    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormal or zero
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
-)
-
-
 class TestFloatLoopsMatchNumpy:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(_sum_elements, min_size=1, max_size=300))
-    def test_pairwise_sum_is_add_reduce(self, values):
-        got = _pairwise_sum(values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = float(np.add.reduce(np.asarray(values, dtype=np.float64)))
-        if math.isnan(want):
-            assert math.isnan(got)
-        else:
-            assert got == want
-            assert math.copysign(1.0, got) == math.copysign(1.0, want)
-
-    def test_pairwise_sum_at_block_edges(self):
-        rng = np.random.default_rng(8)
-        for n in (*range(1, 20), 127, 128, 129, 135, 136, 255, 256, 257, 999):
-            v = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
-            assert _pairwise_sum(v.tolist()) == np.add.reduce(v)
-            zeros = np.full(n, -0.0)
-            assert (np.float64(_pairwise_sum(zeros.tolist())).tobytes()
-                    == np.add.reduce(zeros).tobytes())
-
     def test_rules_equal_numpy_scalar_references(self):
         for scores in draw_cases():
             sv = scores_vec(scores)

@@ -222,6 +222,17 @@ def with_parameter(name, value):
     return corrupt
 
 
+def with_controller_field(name, value, layer=None):
+    """The checkpoint with `value` as the controllers' `name`, or as the
+    `name` of layer `layer`'s entry."""
+    def corrupt(checkpoint):
+        controllers = checkpoint["controllers"]
+        entry = controllers if layer is None else controllers["layers"][layer - 1]
+        entry[name] = value
+        return checkpoint
+    return corrupt
+
+
 # each maps a checkpoint dict to a bad one, with the fault `restore` names
 BAD_CHECKPOINTS = {
     "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
@@ -231,6 +242,17 @@ BAD_CHECKPOINTS = {
                " is not finite"),
     "inf_W1": (with_parameter("W1", float("inf")), "layer 1 holds a parameter that"
                " is not finite"),
+    "string_embed_dim": (with_controller_field("embed_dim", "4"),
+                         "embed_dim '4' is not an integer"),
+    "float_layer_index": (with_controller_field("layer_index", 2.9, layer=2),
+                          "layer_index 2.9 is not an integer"),
+    "swapped_layer_index": (with_controller_field("layer_index", 1, layer=2),
+                            "layer 2 has layer_index 1"),
+    "string_value": (with_parameter("b2", "0.1"), "b2 values are not a list of numbers"),
+    "bool_value": (with_parameter("W1", True), "W1 values are not a list of numbers"),
+    "float_shape": (with_controller_field("b1", {"shape": [4.0], "values": [0.0] * 4},
+                                          layer=1),
+                    r"b1 shape \[4.0\] is not a list of integers"),
 }
 
 

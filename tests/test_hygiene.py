@@ -20,6 +20,9 @@
 - No function in `src/maas` calls a `.validate()` method but
   `TrainConfig.__post_init__`: a class whose values come from outside checks
   them in its own `__post_init__`, so no caller has to remember to.
+- Every `_`-prefixed function or class in `src/maas` (dunders aside) is
+  named in `src/maas` outside its own body, so no private helper lives on
+  only for the tests or only for itself. Names are matched by name.
 """
 
 import ast
@@ -316,6 +319,58 @@ def test_only_train_config_calls_validate():
                for p in sorted((ROOT / "src" / "maas").glob("*.py"))
                for caller in validate_callers(p.read_text())]
     assert callers == ["optimizer.py:TrainConfig.__post_init__"]
+
+
+def unreferenced_private_helpers(sources):
+    """The name of each `_`-prefixed function or class (not a `__dunder__`),
+    at any depth of the `sources`, that no name or attribute in them loads
+    outside the helper's own definition."""
+    trees = [ast.parse(source) for source in sources]
+    helpers = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    refs = [(getattr(node, "id", getattr(node, "attr", None)), node)
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unreferenced = []
+    for helper in helpers:
+        own = {id(node) for node in ast.walk(helper)}
+        if not any(name == helper.name and id(node) not in own for name, node in refs):
+            unreferenced.append(helper.name)
+    return unreferenced
+
+
+def test_checker_flags_private_helpers_named_only_in_their_own_body():
+    source = (
+        "def _called(x):\n"
+        "    return x\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else 0\n"
+        "class _Unused:\n"
+        "    def __init__(self):\n"
+        "        self._method()\n"
+        "    def _method(self):\n"
+        "        pass\n"
+        "    def _never(self):\n"
+        "        pass\n"
+        "def _decorator(fn):\n"
+        "    return fn\n"
+        "@_decorator\n"
+        "def public(y):\n"
+        "    return _called(y)\n"
+        "def _elsewhere():\n"
+        "    pass\n"
+    )
+    assert sorted(unreferenced_private_helpers([source])) == [
+        "_Unused", "_elsewhere", "_never", "_recursive"]
+    other = "from a import _elsewhere\nx = _Unused(_elsewhere())\n"
+    assert sorted(unreferenced_private_helpers([source, other])) == [
+        "_never", "_recursive"]
+
+
+def test_every_private_helper_is_named_outside_its_body():
+    src = sorted((ROOT / "src" / "maas").glob("*.py"))
+    assert unreferenced_private_helpers([p.read_text() for p in src]) == []
 
 
 SHIPPED = ("synthetic_mix.jsonl", "synthetic_profiles.json", "sabotaged_profiles.json")

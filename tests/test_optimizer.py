@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from maas import kernels, sampler
 from maas import optimizer as optimizer_module
-from maas.controller import grad_log_prob, init_params, score_layer
+from maas.controller import grad_log_prob, init_params, score_layer, \
+    selection_log_prob
 from maas.data import load_dataset
 from maas.datagen import default_env, sabotaged_env
 from maas.embedding import HashingEmbedder, layer_feature
@@ -130,6 +135,46 @@ class TestTraceGradients:
                     for a, b in zip((g.W1, g.b1, g.W2, g.b2),
                                     (ref.W1, ref.b1, ref.W2, ref.b2)):
                         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_finite_differences_over_samples_and_layers(self, k):
+        """The multi-row backward that training runs is the gradient of
+        sum_k m_k log p(arch_k), by central differences over every parameter,
+        for K samples of which one exits at layer 1 and one runs deeper."""
+        reg = builtin_registry()
+        state = init_params(k, 2, 3, 3, len(reg))
+        emb, rng = HashingEmbedder(2), np.random.default_rng(k)
+        pool = [sample_architecture(state, reg, "add 2 and 3", 0.3, MODE_TRAIN, rng,
+                                    emb) for _ in range(40)]
+        shallow = next(a for a in pool if len(a.selections) == 1)
+        deep = [a for a in pool if len(a.selections) > 1][:k - 1]
+        archs, weights = [shallow, *deep], [0.7, -0.45, 0.3, -0.2][:k]
+        assert len(archs) == k
+
+        def objective():
+            return sum(m_k * selection_log_prob(
+                score_layer(state, ell, score_vec.feature), selected)
+                for arch, m_k in zip(archs, weights)
+                for ell, (score_vec, selected) in enumerate(
+                    zip(arch.forward, arch.selections), start=1))
+
+        grads = {g.layer_index: g for g in trace_gradients(state, archs, weights)}
+        assert max(grads) > 1
+        eps = 1e-6
+        for ell, ctrl in enumerate(state.layers, start=1):
+            analytic = grads[ell].param_arrays() if ell in grads else [
+                np.zeros_like(a) for a in ctrl.param_arrays()]
+            for param, grad in zip(ctrl.param_arrays(), analytic):
+                numeric = np.zeros_like(param)
+                for idx in np.ndindex(param.shape):
+                    orig = param[idx]
+                    param[idx] = orig + eps
+                    plus = objective()
+                    param[idx] = orig - eps
+                    minus = objective()
+                    param[idx] = orig
+                    numeric[idx] = (plus - minus) / (2 * eps)
+                np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
     def test_stale_architecture_rejected(self):
         reg = builtin_registry()
@@ -917,6 +962,42 @@ class TestLLMMutator:
         mutator = LLMMutator(base_url="http://stub", transport=chat_reply("cot is weak"))
         with pytest.raises(DataError, match="reply is not JSON"):
             mutator(builtin_registry(), [trace_for([["cot"]], 0.0)])
+
+    def test_prompt_does_not_depend_on_the_hash_seed(self):
+        """The failure summary of operators with tied rates is the same in
+        processes with different `PYTHONHASHSEED`s."""
+        code = textwrap.dedent("""\
+            import sys
+            from maas.errors import DataError
+            from maas.executor import ExecutionTrace
+            from maas.optimizer import LLMMutator
+            from maas.registry import builtin_registry
+            from maas.sampler import Architecture
+
+            def transport(url, payload, headers):
+                sys.stdout.write(payload["messages"][0]["content"])
+                return 200, {"choices": [{"message": {"content": "{}"}}]}
+
+            registry = builtin_registry()
+            ids = [spec.id for spec in registry.specs()]
+            arch = Architecture(layers=[ids[:4], ids[4:]], selections=[],
+                                exit_layer=None, params_version=0)
+            mutator = LLMMutator(base_url="http://stub", transport=transport)
+            try:
+                mutator(registry, [ExecutionTrace(arch, "", 0.0, 1.0, 1)])
+            except DataError:
+                pass  # the reply "{}" lacks target_id
+            """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        prompts = [
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert b'"success_rate": 0.0' in prompts[0]
+        assert prompts[0] == prompts[1]
 
     def test_missing_url_raises_at_construction(self, monkeypatch):
         monkeypatch.delenv("MAAS_BASE_URL", raising=False)
