@@ -4,10 +4,17 @@ The embedder is a signed feature hasher: tokens are hashed into a fixed
 number of buckets with a +/-1 sign drawn from a second hash, then the
 bucket counts are L2-normalized. It is deterministic across processes and
 needs no model weights.
+
+Token hashes are memoized in one bounded, process-wide LRU cache keyed on
+(token, dim), `TOKEN_CACHE_SIZE` entries. Template words and operator profile
+words recur on every query, so after the first query almost only the fresh
+number tokens are hashed. A cached (bucket, sign) pair is exactly what the
+hash gives, so embeddings are unchanged bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 
@@ -16,6 +23,12 @@ import numpy as np
 from .errors import MaasError
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+# Entries of the token memo. The shipped mix and catalog recur in 189 tokens;
+# on fresh eval queries the hit rate is 28% at 64 entries, 82% at 128 and 95%
+# from 192 up, the misses left being new number tokens, which no size catches
+# (unbounded, the memo held 72k of them, +12 MB, after 8 s). 1024 leaves the
+# recurring words five times their room, at about 230 KB when full.
+TOKEN_CACHE_SIZE = 1024
 
 
 # Keyed once here; each token hashes into a copy, never into these states.
@@ -24,6 +37,7 @@ _BUCKET_HASH = hashlib.blake2b(digest_size=8)
 _SIGN_HASH = hashlib.blake2b(digest_size=1, salt=b"sign")
 
 
+@functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)
 def _token_bucket_sign(token: str, dim: int):
     raw = token.encode("utf-8")
     h = _BUCKET_HASH.copy()

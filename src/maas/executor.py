@@ -217,16 +217,23 @@ def live_call(spec, rendered_prompt, base_url, api_key, transport=None,
 
 
 def _parse_chat_response(body):
+    """(content, prompt_tokens, completion_tokens) of a chat reply. The
+    content must be a str and each token count present an int >= 0, not a
+    bool (a missing one is 0), else `BackendError`: nothing is coerced."""
     try:
         content = body["choices"][0]["message"]["content"]
         usage = body.get("usage", {})
-        return (
-            content,
-            int(usage.get("prompt_tokens", 0)),
-            int(usage.get("completion_tokens", 0)),
-        )
-    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+        prompt, completion = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise BackendError(f"bad chat completion payload: {exc}") from exc
+    if type(content) is not str:
+        raise BackendError("bad chat completion payload: content is"
+                           f" {type(content).__name__}, not str")
+    for key, count in (("prompt_tokens", prompt), ("completion_tokens", completion)):
+        if type(count) is not int or count < 0:
+            raise BackendError(f"bad chat completion payload: {key} is {count!r},"
+                               " not an int >= 0")
+    return content, prompt, completion
 
 
 def _requests_transport(url, payload, headers):

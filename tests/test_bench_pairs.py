@@ -78,6 +78,25 @@ def test_summarize_pairs_counts_wins_by_direction_and_ties_apart():
     assert out["checkpoint_sha256_equal"] is True
 
 
+def test_rss_bytes_per_extra_unit_is_the_median_over_pairs():
+    def side(rows):
+        return [bench_pairs.parse_run(run_output(100, 1.0, timed_units=units,
+                                                 counts={"peak_rss_mb": (mb, "MB")}))
+                for units, mb in rows]
+
+    # per pair: +1 MB over +10,000 units, +2 MB over +10,000, +0.5 MB over
+    # -5,000 (fewer units, more RSS), and no extra units, which is left out
+    parent = side([(100_000, 50.0), (100_000, 50.0), (100_000, 51.0), (90_000, 50.0)])
+    change = side([(110_000, 51.0), (110_000, 52.0), (95_000, 51.5), (90_000, 55.0)])
+    out = bench_pairs.summarize_pairs([1, 2, 3, 4], {"parent": parent, "change": change},
+                                      DIRECTIONS)
+    assert out["rss_bytes_per_extra_unit"] == round(2**20 / 10_000, 1) == 104.9
+    assert bench_pairs.rss_bytes_per_extra_unit(parent[3:], change[3:]) is None
+    # runs without peak_rss_mb give no figure
+    plain = [bench_pairs.parse_run(run_output(100, 1.0, timed_units=u)) for u in (1, 2)]
+    assert bench_pairs.rss_bytes_per_extra_unit(plain[:1], plain[1:]) is None
+
+
 def test_summarize_pairs_flags_one_mismatched_checkpoint():
     seeds = [1, 2, 3]
     parent = [bench_pairs.parse_run(run_output(100, 1.0, sha=f"s{i}")) for i in range(3)]

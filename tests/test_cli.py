@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from maas import checkpoint as ckpt
-from maas import controller, sampler
+from maas import controller, executor, sampler
 from maas.cli import PROBE_QUERIES, main
 from maas.controller import init_params
 from maas.data import load_dataset
@@ -147,6 +147,22 @@ class TestTrainCommand:
         result = CliRunner().invoke(main, train_args(workdir, ["--mutator", "llm"]))
         assert result.exit_code == 4
         assert "base URL" in result.output
+        assert not (workdir / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--env", "live"], ["--mutator", "llm", "--patch-every", "1"],
+    ], ids=["live_env", "llm_mutator"])
+    def test_null_chat_content_is_backend_error(self, workdir, monkeypatch, flags):
+        def transport(url, payload, headers):
+            return 200, {"choices": [{"message": {"content": None}}],
+                         "usage": {"prompt_tokens": 3, "completion_tokens": 2}}
+
+        monkeypatch.setattr(executor, "_requests_transport", transport)
+        monkeypatch.setenv("MAAS_BASE_URL", "http://stub")
+        result = CliRunner().invoke(main, train_args(workdir, flags))
+        assert result.exit_code == 4, result.output
+        assert result.output == ("backend error: bad chat completion payload:"
+                                 " content is NoneType, not str\n")
         assert not (workdir / "ckpt.json").exists()
 
     @pytest.mark.parametrize("flag,value", [

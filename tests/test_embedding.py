@@ -1,10 +1,11 @@
-"""Embedding: hashing oracle and layer features."""
+"""Embedding: hashing oracle, the token memo and layer features."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maas import embedding
 from maas.embedding import HashingEmbedder, layer_feature
@@ -81,6 +82,85 @@ class TestHashingEmbedder:
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError):
             HashingEmbedder(0)
+
+
+def unmemoized_embed(text, dim):
+    """`HashingEmbedder.embed` with every token hashed afresh, through the
+    function the memo wraps."""
+    vec = np.zeros(dim)
+    for token in embedding._TOKEN_SPLIT.split(text.lower()):
+        if token:
+            bucket, sign = embedding._token_bucket_sign.__wrapped__(token, dim)
+            vec[bucket] += sign
+    norm = np.linalg.norm(vec)
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+_fresh = itertools.count()
+
+
+def fresh_tokens(n):
+    """`n` tokens that no earlier call in this process has hashed."""
+    return [f"memotest{next(_fresh)}x" for _ in range(n)]
+
+
+# words that recur, so the memo hits, beside text with digits and non-ASCII
+WORDS = st.sampled_from(["add", "two", "numbers", "café", "中文", "x1", "42",
+                         "ünïcode", "reason", "step"])
+TEXTS = st.one_of(
+    st.text(max_size=400),
+    st.text(alphabet=st.sampled_from("ab09 -é中\n"), max_size=2000),
+    st.lists(WORDS, max_size=300).map(" ".join),
+)
+
+
+class TestTokenMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TEXTS, min_size=1, max_size=4), st.sampled_from([1, 8, 64, 128]))
+    def test_equals_unmemoized_reference_bitwise(self, texts, dim):
+        embedder = HashingEmbedder(dim)
+        # each text twice: first the memo may miss, then it hits
+        for text in texts + texts:
+            assert (embedder.embed(text).tobytes()
+                    == unmemoized_embed(text, dim).tobytes())
+
+    def test_repeated_token_is_hashed_once(self):
+        token, = fresh_tokens(1)
+        text = f"{token} {token} {token}"
+        embedder = HashingEmbedder(64)
+        before = embedding._token_bucket_sign.cache_info()
+        embedder.embed(text)
+        first = embedding._token_bucket_sign.cache_info()
+        assert (first.misses - before.misses, first.hits - before.hits) == (1, 2)
+        embedder.embed(text)
+        second = embedding._token_bucket_sign.cache_info()
+        assert (second.misses - first.misses, second.hits - first.hits) == (0, 3)
+
+    def test_keyed_on_dim(self):
+        token, = fresh_tokens(1)
+        before = embedding._token_bucket_sign.cache_info()
+        HashingEmbedder(8).embed(token)
+        HashingEmbedder(64).embed(token)
+        after = embedding._token_bucket_sign.cache_info()
+        assert after.misses - before.misses == 2
+
+    def test_stays_within_its_size(self):
+        maxsize = embedding._token_bucket_sign.cache_info().maxsize
+        assert maxsize == embedding.TOKEN_CACHE_SIZE
+        HashingEmbedder(64).embed(" ".join(fresh_tokens(maxsize + 100)))
+        assert embedding._token_bucket_sign.cache_info().currsize <= maxsize
+
+    def test_embed_returns_a_fresh_writable_array(self):
+        embedder = HashingEmbedder(16)
+        first = embedder.embed("add two numbers")
+        expected = first.copy()
+        assert first.flags.writeable
+        first[:] = 7.0
+        second = embedder.embed("add two numbers")
+        assert second is not first
+        np.testing.assert_array_equal(second, expected)
 
 
 class TestLayerFeature:

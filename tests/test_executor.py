@@ -488,8 +488,7 @@ class TestLiveEnv:
 
     @pytest.mark.parametrize("usage", [
         None, {}, {"prompt_tokens": 0, "completion_tokens": 0},
-        {"prompt_tokens": 5, "completion_tokens": -5},
-    ], ids=["no_usage", "empty_usage", "zero_tokens", "negative_sum"])
+    ], ids=["no_usage", "empty_usage", "zero_tokens"])
     def test_reply_without_token_usage_is_backend_error(self, usage):
         body = {"choices": [{"message": {"content": "the answer"}}]}
         if usage is not None:
@@ -498,3 +497,35 @@ class TestLiveEnv:
                       transport=lambda *a: (200, body), sleep=lambda s: None)
         with pytest.raises(BackendError, match="reports no token usage"):
             env.run_node(make_spec("op"), record(), [], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("message,usage", [
+        ({"content": None}, None),
+        ({"content": 42}, None),
+        ({"content": ["the answer"]}, None),
+        ({}, None),
+        ({"content": "x"}, {"prompt_tokens": 2.7, "completion_tokens": 3}),
+        ({"content": "x"}, {"prompt_tokens": True, "completion_tokens": 3}),
+        ({"content": "x"}, {"prompt_tokens": "12", "completion_tokens": 3}),
+        ({"content": "x"}, {"prompt_tokens": None, "completion_tokens": 3}),
+        ({"content": "x"}, {"prompt_tokens": 5, "completion_tokens": -5}),
+        ({"content": "x"}, {"prompt_tokens": 9, "completion_tokens": -1}),
+    ], ids=["null_content", "int_content", "list_content", "no_content",
+            "float_count", "bool_count", "string_count", "null_count",
+            "negative_sum", "negative_count"])
+    def test_malformed_reply_is_backend_error_not_retried(self, message, usage):
+        """Nothing in a reply is coerced: a content that is not a str, or a
+        token count that is not an int >= 0, ends the node with
+        `BackendError` on the first call."""
+        body = {"choices": [{"message": message}]}
+        body["usage"] = usage or {"prompt_tokens": 3, "completion_tokens": 2}
+        calls = []
+
+        def transport(url, payload, headers):
+            calls.append(url)
+            return 200, body
+
+        env = LiveEnv(base_url="http://x", api_key="k", transport=transport,
+                      sleep=lambda s: None)
+        with pytest.raises(BackendError, match="^bad chat completion payload: "):
+            env.run_node(make_spec("op"), record(), [], np.random.default_rng(0))
+        assert len(calls) == 1

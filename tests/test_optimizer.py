@@ -999,6 +999,23 @@ class TestLLMMutator:
         assert b'"success_rate": 0.0' in prompts[0]
         assert prompts[0] == prompts[1]
 
+    def test_null_content_ends_the_run(self):
+        """A reply whose content is null is a malformed payload: it ends the
+        run with `BackendError`, as any other malformed payload does, and is
+        not skipped as a proposal that does not parse."""
+        reg = builtin_registry()
+        before = reg.to_json()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
+        state = init_params(0, 8, 8, 2, len(reg))
+        transport = chat_reply(None)
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          mutator=LLMMutator(base_url="http://stub", transport=transport))
+        with pytest.raises(BackendError, match="content is NoneType, not str$"):
+            trainer.step(query())
+        assert len(transport.calls) == 1
+        assert reg.to_json() == before
+        assert state.n_ops == len(reg)
+
     def test_missing_url_raises_at_construction(self, monkeypatch):
         monkeypatch.delenv("MAAS_BASE_URL", raising=False)
         with pytest.raises(BackendError, match="no base URL configured"):

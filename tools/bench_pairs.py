@@ -15,9 +15,12 @@ workload, at seed 2, parent first, checks that every count-valued metric is
 unchanged, and the tier-1 suite runs once in each tree, for its wall time
 and the time of each acceptance criterion. The record holds, per workload,
 the medians (with the median `timed_units`, against which `peak_rss_mb` is
-read), the quartiles, how many pairs the change won and tied, the checkpoint
-sha256 per seed with `checkpoint_sha256_equal` (true when every seed's is the
-same on both sides), and the traced metrics with `counts_equal`.
+read), the quartiles, how many pairs the change won and tied,
+`rss_bytes_per_extra_unit` (the median over pairs of the change's extra peak
+RSS in bytes per extra timed unit, which tells the benchmark's per-unit
+buffers apart from growth of the program), the checkpoint sha256 per seed
+with `checkpoint_sha256_equal` (true when every seed's is the same on both
+sides), and the traced metrics with `counts_equal`.
 """
 
 import argparse
@@ -77,6 +80,20 @@ def _quartiles(values):
     return [q1, q3]
 
 
+def rss_bytes_per_extra_unit(parent_runs, change_runs):
+    """Median over pairs of Δ`peak_rss_mb`·2**20 / Δ`timed_units`, change
+    minus parent: the bytes of peak RSS each extra timed unit brings. A pair
+    that timed as many units on both sides is left out; None when no pair
+    is left, or when the runs report no `peak_rss_mb`."""
+    ratios = []
+    for p, c in zip(parent_runs, change_runs):
+        extra_units = c["info"]["timed_units"] - p["info"]["timed_units"]
+        if extra_units and "peak_rss_mb" in p["metrics"]:
+            extra_mb = c["metrics"]["peak_rss_mb"] - p["metrics"]["peak_rss_mb"]
+            ratios.append(extra_mb * 2**20 / extra_units)
+    return round(statistics.median(ratios), 1) if ratios else None
+
+
 def summarize_pairs(seeds, runs, directions):
     """BENCH record of one workload. `runs[side][i]` is the parsed run of
     `seeds[i]` on side "parent" or "change"; `directions` maps each
@@ -108,6 +125,8 @@ def summarize_pairs(seeds, runs, directions):
         better[name] = sum((c > p) if direction == "higher" else (c < p) for p, c in pairs)
     out["pairs_change_better"] = better
     out["pairs_equal"] = equal
+    out["rss_bytes_per_extra_unit"] = rss_bytes_per_extra_unit(runs["parent"],
+                                                               runs["change"])
     out["quartiles"] = {
         side: {name: _quartiles([r["metrics"][name] for r in runs[side]])
                for name in directions}
