@@ -76,19 +76,19 @@ def main():
 @click.option("--iterations", default=DEFAULTS.iterations, show_default=True)
 @click.option("--seed", default=DEFAULTS.seed, show_default=True)
 @click.option("--patch-every", default=DEFAULTS.patch_every, show_default=True,
-              help="textual-patch cadence in steps; 0 disables patching")
+              help="textual-patch cadence in steps, >= 1")
 @click.option("--mutator", default=DEFAULTS.mutator, type=click.Choice(MUTATORS),
-              show_default=True)
+              show_default=True, help="patch proposer; none turns patching off")
 @click.option("--checker", default="exact_match",
               type=click.Choice(CHECKERS), show_default=True)
 @click.option("--checkpoint", "checkpoint_out", required=True, type=click.Path())
 @click.option("--metrics-out", type=click.Path())
 @_exit_codes
-def train(dataset, env_name, env_profile, patch_every, checker, checkpoint_out,
-          metrics_out, **hyperparameters):
+def train(dataset, env_name, env_profile, checker, checkpoint_out, metrics_out,
+          **hyperparameters):
     """Optimize the supernet on the train split of a JSONL dataset."""
     try:
-        config = TrainConfig(patch_every=patch_every or None, **hyperparameters)
+        config = TrainConfig(**hyperparameters)
     except DataError as exc:
         raise click.UsageError(str(exc)) from exc
     env = _make_env(env_name, env_profile, checker)

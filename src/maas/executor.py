@@ -134,21 +134,24 @@ class SyntheticEnv:
 
 
 class LiveEnv:
-    """Executes operators through an OpenAI-compatible chat endpoint; a
-    node's cost is its reply's prompt plus completion tokens, and a reply
-    whose usage counts no tokens raises `BackendError`."""
+    """Executes operators through an OpenAI-compatible chat endpoint, asking
+    each operator's `model_binding` at its `temperature`; a node's cost is its
+    reply's prompt plus completion tokens, and a reply whose usage counts no
+    tokens raises `BackendError`. It checks its checker, then its endpoint
+    (`resolve_endpoint`), when it is built."""
 
     def __init__(self, base_url=None, api_key=None, checker="exact_match",
                  transport=None, sleep=time.sleep):
-        self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
         self.checker = _known_checker(checker)
+        self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
         self._transport = transport
         self._sleep = sleep
 
     def run_node(self, spec, query: QueryRecord, predecessor_outputs, rng):
         prompt = render_prompt(spec, query.query, predecessor_outputs)
         content, prompt_tokens, completion_tokens = live_call(
-            spec,
+            spec.model_binding,
+            spec.temperature,
             prompt,
             base_url=self.base_url,
             api_key=self.api_key,
@@ -164,9 +167,12 @@ class LiveEnv:
 
 def resolve_endpoint(base_url, api_key):
     """(base URL without a trailing slash, API key) of the chat endpoint:
-    each argument given wins over `MAAS_BASE_URL` / `MAAS_API_KEY`, and an
-    unset one is ""."""
+    each argument given wins over `MAAS_BASE_URL` / `MAAS_API_KEY`. The one
+    check that a chat client has an endpoint: `BackendError` without a base
+    URL (any scheme passes); an unset API key is ""."""
     base_url = (base_url or os.environ.get("MAAS_BASE_URL", "")).rstrip("/")
+    if not base_url:
+        raise BackendError("no base URL configured: pass one or set MAAS_BASE_URL")
     api_key = api_key if api_key is not None else os.environ.get("MAAS_API_KEY", "")
     return base_url, api_key
 
@@ -182,20 +188,21 @@ def render_prompt(spec, query_text, predecessor_outputs):
     return prompt
 
 
-def live_call(spec, rendered_prompt, base_url, api_key, transport=None,
-              sleep=time.sleep):
-    """POST a chat completion (through requests when `transport` is None);
-    returns (content, prompt_tokens, completion_tokens). A transport error
-    (an `OSError`, as every requests error is), 429 or 5xx is retried, up to
-    MAX_ATTEMPTS calls in all, with a sleep of BACKOFF_BASE_S seconds that
-    doubles after each failure; any other status, a malformed reply and any
-    other exception raise at once."""
+def live_call(model, temperature, rendered_prompt, base_url, api_key,
+              transport=None, sleep=time.sleep):
+    """POST a chat completion that asks `model` at `temperature`, with
+    `rendered_prompt` as its one user message (through requests when
+    `transport` is None); returns (content, prompt_tokens, completion_tokens).
+    A transport error (an `OSError`, as every requests error is), 429 or 5xx
+    is retried, up to MAX_ATTEMPTS calls in all, with a sleep of
+    BACKOFF_BASE_S seconds that doubles after each failure; any other status,
+    a malformed reply and any other exception raise at once."""
     if transport is None:
         transport = _requests_transport
     url = base_url + "/v1/chat/completions"
     payload = {
-        "model": spec.model_binding,
-        "temperature": spec.temperature,
+        "model": model,
+        "temperature": temperature,
         "messages": [{"role": "user", "content": rendered_prompt}],
     }
     headers = {"Authorization": f"Bearer {api_key}"}

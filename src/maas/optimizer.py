@@ -17,7 +17,7 @@ mutator that proposes prompt/temperature/structure edits.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from . import kernels, sampler
 from .embedding import HashingEmbedder, layer_feature  # noqa: F401
 from .errors import BackendError, DataError, MaasError, check_fields
 from .executor import execute, live_call, resolve_endpoint
-from .registry import KIND_EARLY_EXIT, KIND_GENERATIVE, OperatorPatch, OperatorSpec
+from .registry import KIND_EARLY_EXIT, OperatorPatch
 
 MOCK_PATCH_SENTENCE = "\nDouble-check each intermediate step before answering."
 TEMPERATURE_STEP = 0.1
 TEMPERATURE_TARGET = 0.5
 MUTATORS = ("mock", "llm", "none")  # the names `TrainConfig.mutator` may hold
+MUTATOR_TEMPERATURE = 1.0  # the LLM mutator's sampling temperature
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class TrainConfig:
     lr: float = 0.05
     iterations: int = 1
     seed: int = 0
-    patch_every: int | None = 10
+    patch_every: int = 10
     embed_dim: int = 64
     hidden_dim: int = 64
     mutator: str = "mock"
@@ -56,8 +57,9 @@ class TrainConfig:
     def validate(self):
         """`DataError` unless every field has its type and its range."""
         check_fields(self)
-        if self.num_layers < 1:
-            raise DataError("num_layers must be >= 1")
+        for name in ("num_layers", "patch_every", "embed_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1")
         if not 0.0 < self.thres < 1.0:
             raise DataError("thres must be in (0, 1)")
         if self.cost_lambda < 0.0:
@@ -70,8 +72,6 @@ class TrainConfig:
             raise DataError("iterations must be >= 0")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
-        if self.patch_every is not None and self.patch_every < 1:
-            raise DataError("patch_every must be >= 1, or None for no patching")
         if self.mutator not in MUTATORS:
             raise DataError(f"mutator {self.mutator!r} is not one of {MUTATORS}")
 
@@ -80,6 +80,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config `to_dict` gave; a format-1 `patch_every` of null (no
+        patching) reads as `mutator="none"` at the default cadence."""
+        if isinstance(d, dict) and d.get("patch_every", 1) is None:
+            d = {**d, "patch_every": cls.patch_every, "mutator": "none"}
         return cls(**d)
 
 
@@ -217,21 +221,6 @@ Reply with a single JSON object with keys "thought" (your analysis), \
 changes only; do not propose executable code.
 """
 
-# The mutator's own chat call: the whole prompt is the input. Each mutator
-# binds its model with `replace`.
-MUTATOR_SPEC = OperatorSpec(
-    id="mutator",
-    name="Mutator",
-    prompt="{input}",
-    model_binding="default",
-    temperature=1.0,
-    tools=(),
-    agent_count=1,
-    profile_text="Revises the operator set from a summary of recent failures.",
-    kind=KIND_GENERATIVE,
-)
-
-
 class LLMMutator:
     """Textual-gradient mutator backed by a chat-completions endpoint. Its
     prompt is `MUTATOR_PROMPT` holding the registry's operators as
@@ -239,16 +228,14 @@ class LLMMutator:
     executed operators' success rates, lowest first. The JSON of each
     operator is rendered once and reused while the registry holds that spec
     object: specs are frozen, so the text cannot go stale, and only specs
-    the registry still holds are kept. It raises `BackendError` at
-    construction when no base URL is given, by argument or by
-    `MAAS_BASE_URL`, and when a call fails as `live_call` says; a reply that
-    does not parse raises `DataError`."""
+    the registry still holds are kept. Each call asks `model` at
+    `MUTATOR_TEMPERATURE`. It raises `BackendError` at construction when
+    `resolve_endpoint` finds no base URL, and when a call fails as
+    `live_call` says; a reply that does not parse raises `DataError`."""
 
     def __init__(self, model="default", base_url=None, api_key=None, transport=None):
-        self.spec = replace(MUTATOR_SPEC, model_binding=model)
+        self.model = model
         self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
-        if not self.base_url:
-            raise BackendError("no base URL configured for the LLM mutator")
         self._transport = transport
         # id(spec) -> (spec, its JSON as an entry of the indented list); keyed
         # on identity, since equal specs can render differently (-0.0 and 0.0),
@@ -280,7 +267,8 @@ class LLMMutator:
             failures=json.dumps(failures, indent=2),
         )
         content, _, _ = live_call(
-            self.spec,
+            self.model,
+            MUTATOR_TEMPERATURE,
             prompt,
             base_url=self.base_url,
             api_key=self.api_key,
@@ -325,9 +313,10 @@ class Trainer:
     patch edits, splits or merges operators; the profile cache holds one
     entry per distinct profile text (patches leave profile texts alone, and
     split clones copy their parent's). It builds the mutator its config
-    names, "mock" as `mock_mutator` and "llm" as `LLMMutator()`, unless a
-    callable `mutator` replaces it; "none" or a None `patch_every` turns
-    patching off. Any other `mutator` but None raises `BackendError`."""
+    names ("mock" as `mock_mutator`, "llm" as `LLMMutator()`) unless a callable
+    `mutator` replaces it, and patches every `patch_every` steps; "none", the
+    one off switch, ignores a passed `mutator`. Any other `mutator` but None
+    raises `BackendError`."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, mutator=None):
         self.state = state
@@ -338,7 +327,7 @@ class Trainer:
         self.embedder = HashingEmbedder(config.embed_dim)
         if mutator is not None and not callable(mutator):
             raise BackendError(f"mutator {mutator!r} is not callable")
-        patching = config.mutator != "none" and config.patch_every is not None
+        patching = config.mutator != "none"
         if patching and mutator is None:
             mutator = mock_mutator if config.mutator == "mock" else LLMMutator()
         self.mutator = mutator if patching else None

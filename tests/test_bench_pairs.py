@@ -97,6 +97,44 @@ def test_rss_bytes_per_extra_unit_is_the_median_over_pairs():
     assert bench_pairs.rss_bytes_per_extra_unit(plain[:1], plain[1:]) is None
 
 
+END_TO_END = [{"name": "throughput_per_s", "better": "higher", "bound": 0.25},
+              {"name": "latency_p50_ms", "better": "lower", "bound": 0.1}]
+
+
+def both_sides(parent_rows, change_rows):
+    """Runs of each side from (throughput, p50) rows."""
+    return {side: [bench_pairs.parse_run(run_output(t, p)) for t, p in rows]
+            for side, rows in (("parent", parent_rows), ("change", change_rows))}
+
+
+@pytest.mark.parametrize("parent,change,expected", [
+    # steady parent; change 20% slower (inside 0.25) and 5% later (inside 0.1)
+    ([(100, 1.0), (101, 1.0), (99, 1.0), (100, 1.0)],
+     [(80, 1.05), (81, 1.05), (79, 1.05), (80, 1.05)], ("within", "within")),
+    # 30% slower and 20% later: past both bounds
+    ([(100, 1.0), (101, 1.0), (99, 1.0), (100, 1.0)],
+     [(70, 1.2), (71, 1.2), (69, 1.2), (70, 1.2)], ("over", "over")),
+    # the parent's IQR (inclusive quartiles 85 and 115) is 0.3 of its median,
+    # past the 0.25 bound; the change is a little slower and some runs lose
+    ([(40, 1.0), (100, 1.0), (100, 1.0), (160, 1.0)],
+     [(95, 1.0), (96, 1.0), (98, 1.0), (170, 1.0)], ("unresolved", "within")),
+    # as wide, but every change run beats every parent run: resolved
+    ([(40, 1.0), (100, 1.0), (100, 1.0), (160, 1.0)],
+     [(161, 1.0), (162, 1.0), (163, 1.0), (164, 1.0)], ("within", "within")),
+    # a p50 IQR of 0.25 over a median of 1.0, past 0.1; the median 5% worse
+    ([(100, 0.5), (100, 1.0), (100, 1.0), (100, 1.5)],
+     [(100, 1.05), (100, 1.05), (100, 1.05), (100, 1.05)], ("within", "unresolved")),
+    # a zero parent median: only a worse change median is over
+    ([(100, 0.0), (100, 0.0), (100, 0.0), (100, 0.0)],
+     [(100, 0.01), (100, 0.0), (100, 0.0), (100, 0.0)], ("within", "within")),
+    ([(100, 0.0), (100, 0.0), (100, 0.0), (100, 0.0)],
+     [(100, 0.01), (100, 0.01), (100, 0.01), (100, 0.0)], ("within", "over")),
+])
+def test_bound_check_reads_each_metric_against_its_bound(parent, change, expected):
+    got = bench_pairs.bound_check(both_sides(parent, change), END_TO_END)
+    assert got == dict(zip(["throughput_per_s", "latency_p50_ms"], expected))
+
+
 def test_summarize_pairs_flags_one_mismatched_checkpoint():
     seeds = [1, 2, 3]
     parent = [bench_pairs.parse_run(run_output(100, 1.0, sha=f"s{i}")) for i in range(3)]

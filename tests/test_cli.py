@@ -4,6 +4,7 @@ import hashlib
 import json
 import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,32 @@ class TestTrainCommand:
         assert "base URL" in result.output
         assert not (workdir / "ckpt.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_live_env_without_url_fails_before_any_call(self, workdir, monkeypatch,
+                                                        command):
+        assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+        monkeypatch.delenv("MAAS_BASE_URL", raising=False)
+
+        def forbidden(*args):
+            pytest.fail("a chat request or a retry sleep ran")
+
+        monkeypatch.setattr(executor, "_requests_transport", forbidden)
+        for fn in (executor.LiveEnv.__init__, executor.live_call):
+            *others, sleep = fn.__defaults__
+            assert sleep is time.sleep
+            monkeypatch.setattr(fn, "__defaults__", (*others, forbidden))
+        args = {
+            "train": train_args(workdir, ["--env", "live",
+                                          "--checkpoint", str(workdir / "live.json")]),
+            "eval": ["eval", "--checkpoint", str(workdir / "ckpt.json"),
+                     "--dataset", str(workdir / "mix.jsonl"), "--env", "live"],
+        }[command]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("backend error: no base URL")
+        assert result.output.count("\n") == 1
+        assert not (workdir / "live.json").exists()
+
     @pytest.mark.parametrize("flags", [
         ["--env", "live"], ["--mutator", "llm", "--patch-every", "1"],
     ], ids=["live_env", "llm_mutator"])
@@ -167,6 +194,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--thres", "2"), ("--samples-k", "1"), ("--patch-every", "-3"),
+        ("--patch-every", "0"),
         ("--seed", "-1"), ("--iterations", "-2"), ("--lr", "inf"), ("--lambda", "nan"),
     ])
     def test_out_of_range_hyperparameter_is_usage_error(self, workdir, flag, value):
@@ -237,6 +265,25 @@ class TestEvalCommand:
         ])
         assert result.exit_code == 3, result.output
         assert "data error: " in result.output
+
+    def test_format1_null_cadence_reads_as_mutator_none(self, workdir):
+        """A format-1 checkpoint whose config holds `patch_every: null`, as
+        one trained without patching may, restores with `mutator == "none"`
+        at the default cadence, and `maas eval` runs on it."""
+        runner = CliRunner()
+        assert runner.invoke(main, train_args(workdir)).exit_code == 0
+        trained = json.loads((workdir / "ckpt.json").read_text())
+        old = workdir / "old.json"
+        old.write_text(json.dumps({**trained,
+                                   "config": {**trained["config"], "patch_every": None}}))
+        _, _, config = ckpt.restore(ckpt.load(old))
+        assert (config.mutator, config.patch_every) == ("none", TrainConfig().patch_every)
+        data = ["--dataset", str(workdir / "mix.jsonl"),
+                "--env-profile", str(workdir / "profiles.json")]
+        old_eval, new_eval = (runner.invoke(main, ["eval", "--checkpoint", str(path), *data])
+                              for path in (old, workdir / "ckpt.json"))
+        assert old_eval.exit_code == 0, old_eval.output
+        assert old_eval.output == new_eval.output
 
     def test_checker_reaches_the_synthetic_env(self, workdir):
         runner = CliRunner()

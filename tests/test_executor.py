@@ -21,6 +21,7 @@ from maas.executor import (
     render_prompt,
 )
 from maas.datagen import _profile_dicts, default_env, sabotaged_profiles
+from maas.optimizer import MUTATOR_PROMPT, LLMMutator
 from maas.registry import (
     KIND_DIRECT_IO,
     KIND_EARLY_EXIT,
@@ -322,7 +323,7 @@ class TestLiveCall:
 
     def test_parses_content_and_tokens(self):
         content, p, c = live_call(
-            make_spec("op"), "prompt", "http://x", "key",
+            "default", 1.0, "prompt", "http://x", "key",
             transport=lambda *a: (200, self.BODY), sleep=lambda s: None,
         )
         assert content == "the answer"
@@ -348,7 +349,7 @@ class TestLiveCall:
 
         slept = []
         content, _, _ = live_call(
-            make_spec("op"), "prompt", "http://x", "key",
+            "default", 1.0, "prompt", "http://x", "key",
             transport=flaky, sleep=slept.append,
         )
         assert content == "the answer"
@@ -364,7 +365,7 @@ class TestLiveCall:
 
         slept = []
         with pytest.raises(TypeError, match="transport bug"):
-            live_call(make_spec("op"), "p", "http://x", "k",
+            live_call("default", 1.0, "p", "http://x", "k",
                       transport=buggy, sleep=slept.append)
         assert calls["n"] == 1
         assert slept == []
@@ -374,13 +375,13 @@ class TestLiveCall:
             raise ConnectionError("down")
 
         with pytest.raises(BackendError, match="failed after 3 attempts: down"):
-            live_call(make_spec("op"), "p", "http://x", "k",
+            live_call("default", 1.0, "p", "http://x", "k",
                       transport=dead, sleep=lambda s: None)
 
     def test_http_error_retried_then_raised(self):
         with pytest.raises(BackendError,
                            match="failed after 3 attempts: chat endpoint returned 503"):
-            live_call(make_spec("op"), "p", "http://x", "k",
+            live_call("default", 1.0, "p", "http://x", "k",
                       transport=lambda *a: (503, {}), sleep=lambda s: None)
 
     def test_client_error_not_retried(self):
@@ -392,7 +393,7 @@ class TestLiveCall:
 
         slept = []
         with pytest.raises(BackendError, match="^chat endpoint returned 401$"):
-            live_call(make_spec("op"), "p", "http://x", "k",
+            live_call("default", 1.0, "p", "http://x", "k",
                       transport=unauthorized, sleep=slept.append)
         assert calls["n"] == 1
         assert slept == []
@@ -404,7 +405,7 @@ class TestLiveCall:
             return statuses.pop(0), self.BODY
 
         slept = []
-        content, _, _ = live_call(make_spec("op"), "p", "http://x", "k",
+        content, _, _ = live_call("default", 1.0, "p", "http://x", "k",
                                   transport=limited, sleep=slept.append)
         assert content == "the answer"
         assert statuses == []
@@ -418,7 +419,7 @@ class TestLiveCall:
             return 200, {"choices": []}
 
         with pytest.raises(BackendError, match="bad chat completion payload"):
-            live_call(make_spec("op"), "p", "http://x", "k",
+            live_call("default", 1.0, "p", "http://x", "k",
                       transport=bad, sleep=lambda s: None)
         assert calls["n"] == 1
 
@@ -431,7 +432,7 @@ class TestLiveCall:
                          "usage": {"prompt_tokens": "many"}}
 
         with pytest.raises(BackendError, match="bad chat completion payload"):
-            live_call(make_spec("op"), "p", "http://x", "k",
+            live_call("default", 1.0, "p", "http://x", "k",
                       transport=bad_usage, sleep=lambda s: None)
         assert calls["n"] == 1
 
@@ -444,11 +445,11 @@ class TestLiveCall:
             seen["auth"] = headers["Authorization"]
             return 200, self.BODY
 
-        live_call(make_spec("op"), "rendered", "http://x", "secret",
+        live_call("small", 0.25, "rendered", "http://x", "secret",
                   transport=capture, sleep=lambda s: None)
         assert seen["url"] == "http://x/v1/chat/completions"
-        assert seen["model"] == "default"
-        assert seen["temperature"] == 1.0
+        assert seen["model"] == "small"
+        assert seen["temperature"] == 0.25
         assert seen["messages"] == [{"role": "user", "content": "rendered"}]
         assert seen["auth"] == "Bearer secret"
 
@@ -476,6 +477,45 @@ class TestRenderPrompt:
 
 
 class TestLiveEnv:
+    def test_missing_url_raises_at_construction(self, monkeypatch):
+        monkeypatch.delenv("MAAS_BASE_URL", raising=False)
+        with pytest.raises(BackendError, match="no base URL"):
+            LiveEnv()
+
+    def test_requests_of_an_operator_and_of_the_mutator(self):
+        """The URL, JSON body (keys in order) and headers that an operator's
+        and the LLM mutator's chat calls send: the operator's model binding
+        and temperature, the mutator's model at 1.0, and the rendered prompt
+        as the one user message."""
+        from dataclasses import replace
+
+        sent = []
+        reply = '{"target_id": "cot", "new_temperature": 0.5}'  # a patch, for the mutator
+
+        def capture(url, payload, headers):
+            sent.append((url, json.dumps(payload), headers))
+            return 200, {"choices": [{"message": {"content": reply}}],
+                         "usage": {"prompt_tokens": 3, "completion_tokens": 2}}
+
+        spec = replace(make_spec("op", temperature=0.3, prompt="solve {input}"),
+                       model_binding="small")
+        env = LiveEnv(base_url="http://x/", api_key="k", transport=capture)
+        env.run_node(spec, record(), ["7"], np.random.default_rng(0))
+        reg = builtin_registry()
+        LLMMutator(model="big", base_url="http://x", api_key="k", transport=capture)(
+            reg, [])
+        mutator_prompt = MUTATOR_PROMPT.format(
+            archive=json.dumps([s.to_dict() for s in reg.specs()], indent=2),
+            failures="[]")
+        url, headers = "http://x/v1/chat/completions", {"Authorization": "Bearer k"}
+        assert sent == [
+            (url, '{"model": "small", "temperature": 0.3, "messages": [{"role": "user",'
+                  ' "content": "solve question\\n\\nCandidate answers from earlier'
+                  ' agents:\\n- 7"}]}', headers),
+            (url, '{"model": "big", "temperature": 1.0, "messages": [{"role": "user",'
+                  ' "content": ' + json.dumps(mutator_prompt) + '}]}', headers),
+        ]
+
     def test_run_node_costs_tokens(self):
         env = LiveEnv(base_url="http://x", api_key="k",
                       transport=lambda *a: (200, TestLiveCall.BODY),

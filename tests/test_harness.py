@@ -233,6 +233,16 @@ def with_controller_field(name, value, layer=None):
     return corrupt
 
 
+def with_zero_embed_dim(checkpoint):
+    """The checkpoint with embed_dim 0 in its config and its controllers, and
+    each W1 shaped to match: consistent, but no embedder has 0 dimensions."""
+    checkpoint["config"]["embed_dim"] = 0
+    checkpoint["controllers"]["embed_dim"] = 0
+    for layer in checkpoint["controllers"]["layers"]:
+        layer["W1"] = {"shape": [layer["W1"]["shape"][0], 0], "values": []}
+    return checkpoint
+
+
 # each maps a checkpoint dict to a bad one, with the fault `restore` names
 BAD_CHECKPOINTS = {
     "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
@@ -253,6 +263,7 @@ BAD_CHECKPOINTS = {
     "float_shape": (with_controller_field("b1", {"shape": [4.0], "values": [0.0] * 4},
                                           layer=1),
                     r"b1 shape \[4.0\] is not a list of integers"),
+    "zero_embed_dim": (with_zero_embed_dim, "embed_dim must be >= 1"),
 }
 
 

@@ -18,9 +18,11 @@ the medians (with the median `timed_units`, against which `peak_rss_mb` is
 read), the quartiles, how many pairs the change won and tied,
 `rss_bytes_per_extra_unit` (the median over pairs of the change's extra peak
 RSS in bytes per extra timed unit, which tells the benchmark's per-unit
-buffers apart from growth of the program), the checkpoint sha256 per seed
-with `checkpoint_sha256_equal` (true when every seed's is the same on both
-sides), and the traced metrics with `counts_equal`.
+buffers apart from growth of the program), `bound_check` (each end-to-end
+metric read against its bound in `BENCHMARK.json`: "over", "unresolved" or
+"within"), the checkpoint sha256 per seed with `checkpoint_sha256_equal`
+(true when every seed's is the same on both sides), and the traced metrics
+with `counts_equal`.
 """
 
 import argparse
@@ -92,6 +94,30 @@ def rss_bytes_per_extra_unit(parent_runs, change_runs):
             extra_mb = c["metrics"]["peak_rss_mb"] - p["metrics"]["peak_rss_mb"]
             ratios.append(extra_mb * 2**20 / extra_units)
     return round(statistics.median(ratios), 1) if ratios else None
+
+
+def bound_check(runs, end_to_end):
+    """Each end-to-end metric of `BENCHMARK.json` (its `better` direction and
+    its `bound`, a fraction of the parent's median) read over the runs of
+    both sides: "over" when the change's median is worse than the parent's
+    by more than the bound; "unresolved" when the parent's IQR exceeds the
+    bound times its median and not every change run beats every parent run;
+    else "within"."""
+    out = {}
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1 if metric["better"] == "higher" else -1  # so that higher is better
+        parent = [sign * r["metrics"][name] for r in runs["parent"]]
+        change = [sign * r["metrics"][name] for r in runs["change"]]
+        median = statistics.median(parent)
+        q1, q3 = _quartiles(parent)
+        if statistics.median(change) < median - bound * abs(median):
+            out[name] = "over"
+        elif q3 - q1 > bound * abs(median) and min(change) <= max(parent):
+            out[name] = "unresolved"
+        else:
+            out[name] = "within"
+    return out
 
 
 def summarize_pairs(seeds, runs, directions):
@@ -286,7 +312,9 @@ def main(argv=None):
         "note": "one run each, parent then change, on the same host"}
     record["src_maas_lines"] = lines
     record["workloads"] = {
-        name: summarize_pairs(seeds, paired[name], directions) for name, seeds in workloads}
+        name: {**summarize_pairs(seeds, paired[name], directions),
+               "bound_check": bound_check(paired[name], benchmark["end_to_end"])}
+        for name, seeds in workloads}
     record[f"trace_seed{TRACE_SEED}"] = {
         name: summarize_trace(t["parent"], t["change"]) for name, t in traced.items()}
     with open(args.out, "w") as fh:
