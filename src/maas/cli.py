@@ -28,13 +28,11 @@ PROBE_QUERIES = [
 
 
 def _make_env(env_name, env_profile, checker):
-    if env_name == "synthetic":
-        if not env_profile:
-            raise DataError("--env synthetic requires --env-profile")
-        return SyntheticEnv.from_file(env_profile, checker)
     if env_name == "live":
         return LiveEnv(checker=checker)
-    raise DataError(f"unknown env {env_name!r}")
+    if not env_profile:
+        raise DataError("--env synthetic requires --env-profile")
+    return SyntheticEnv.from_file(env_profile, checker)
 
 
 def _exit_codes(command):
@@ -64,10 +62,10 @@ def main():
 
 
 @main.command()
-@click.option("--dataset", required=True, type=click.Path(exists=True))
+@click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--env", "env_name", default="synthetic",
               type=click.Choice(["synthetic", "live"]))
-@click.option("--env-profile", type=click.Path(exists=True))
+@click.option("--env-profile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--layers", "num_layers", default=DEFAULTS.num_layers, show_default=True)
 @click.option("--thres", default=DEFAULTS.thres, show_default=True)
 @click.option("--lambda", "cost_lambda", default=DEFAULTS.cost_lambda, show_default=True)
@@ -81,8 +79,9 @@ def main():
               show_default=True, help="patch proposer; none turns patching off")
 @click.option("--checker", default="exact_match",
               type=click.Choice(CHECKERS), show_default=True)
-@click.option("--checkpoint", "checkpoint_out", required=True, type=click.Path())
-@click.option("--metrics-out", type=click.Path())
+@click.option("--checkpoint", "checkpoint_out", required=True,
+              type=click.Path(dir_okay=False))
+@click.option("--metrics-out", type=click.Path(dir_okay=False))
 @_exit_codes
 def train(dataset, env_name, env_profile, checker, checkpoint_out, metrics_out,
           **hyperparameters):
@@ -99,14 +98,14 @@ def train(dataset, env_name, env_profile, checker, checkpoint_out, metrics_out,
 
 @main.command("eval")
 @click.option("--checkpoint", "checkpoint_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--dataset", required=True, type=click.Path(exists=True))
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--dataset", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--env", "env_name", default="synthetic",
               type=click.Choice(["synthetic", "live"]))
-@click.option("--env-profile", type=click.Path(exists=True))
+@click.option("--env-profile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--checker", default="exact_match",
               type=click.Choice(CHECKERS), show_default=True)
-@click.option("--report-out", type=click.Path())
+@click.option("--report-out", type=click.Path(dir_okay=False))
 @_exit_codes
 def eval_cmd(checkpoint_path, dataset, env_name, env_profile, checker, report_out):
     """Evaluate a checkpoint on a dataset with deterministic selection."""
@@ -122,7 +121,7 @@ def eval_cmd(checkpoint_path, dataset, env_name, env_profile, checker, report_ou
 
 @main.command()
 @click.option("--checkpoint", "checkpoint_path", required=True,
-              type=click.Path(exists=True))
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--query", required=True)
 @click.option("--explain", is_flag=True,
               help="include per-layer score vectors in the output")
@@ -141,7 +140,7 @@ def sample(checkpoint_path, query, explain):
 
 @main.command()
 @click.option("--checkpoint", "checkpoint_path", required=True,
-              type=click.Path(exists=True))
+              type=click.Path(exists=True, dir_okay=False))
 @_exit_codes
 def inspect(checkpoint_path):
     """Print per-layer score vectors averaged over a built-in probe set."""

@@ -97,10 +97,6 @@ def default_env() -> SyntheticEnv:
     return SyntheticEnv(default_profiles())
 
 
-def sabotaged_env() -> SyntheticEnv:
-    return SyntheticEnv(*sabotaged_profiles())
-
-
 def _profile_dicts(profiles, overrides=()):
     return {"profiles": [asdict(p) for p in profiles],
             "prompt_success_overrides": [asdict(o) for o in overrides]}

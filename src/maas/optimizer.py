@@ -4,10 +4,10 @@ Each training step samples K architectures for one query, executes them,
 weights each sample by normalized utility minus a cost-penalty term, and
 takes one likelihood-ratio ascent step on the controller parameters. Each
 query text and each operator profile text is embedded once per run
-(`Trainer.query_cache`, `Trainer.profile_cache`); layer 1 is scored once per
-step and its forward pass shared by the K samples; and the gradient
-backpropagates through the forward passes the sampler recorded, with one
-backward per layer over the rows of every sample that reached it. So every
+(`Trainer.embedding_cache`); layer 1 is scored once per step and its
+forward pass shared by the K samples; and the gradient backpropagates
+through the forward passes the sampler recorded, with one backward per
+layer over the rows of every sample that reached it. So every
 sampled layer runs its scoring network once. On a fixed cadence the
 operator set itself is revised through textual patches: either a
 deterministic mock mutator (used by all automated tests) or an LLM-backed
@@ -28,7 +28,7 @@ from . import kernels, sampler
 from .embedding import HashingEmbedder, layer_feature  # noqa: F401
 from .errors import BackendError, DataError, MaasError, check_fields
 from .executor import execute, live_call, resolve_endpoint
-from .registry import KIND_EARLY_EXIT, OperatorPatch
+from .registry import OperatorPatch
 
 MOCK_PATCH_SENTENCE = "\nDouble-check each intermediate step before answering."
 TEMPERATURE_STEP = 0.1
@@ -158,9 +158,7 @@ def _success_rates(registry, traces):
                 continue  # merged away since this trace was recorded
             total, hits = stats.get(op_id, (0, 0))
             stats[op_id] = (total + 1, hits + (1 if trace.utility > 0 else 0))
-    return {
-        op_id: hits / total for op_id, (total, hits) in stats.items() if total > 0
-    }
+    return {op_id: hits / total for op_id, (total, hits) in stats.items()}
 
 
 def mock_mutator(registry, traces):
@@ -173,8 +171,6 @@ def mock_mutator(registry, traces):
         return []
     target_id = min(rates, key=lambda op_id: (rates[op_id], registry.index_of(op_id)))
     spec = registry.get(target_id)
-    if spec.kind == KIND_EARLY_EXIT:
-        return []
     new_prompt = None
     if MOCK_PATCH_SENTENCE not in spec.prompt:
         new_prompt = spec.prompt + MOCK_PATCH_SENTENCE
@@ -288,8 +284,6 @@ def parse_mutation(reply_text) -> OperatorPatch:
         raise DataError(f"reply is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError("reply is not a JSON object")
-    if not data.get("target_id"):
-        raise DataError("reply lacks target_id")
     keys = ("target_id", "new_prompt", "new_temperature", "merge_with_id")
     return OperatorPatch(**{key: data.get(key) for key in keys},
                          structure_action=data.get("structure_action") or "none",
@@ -305,18 +299,18 @@ def textual_gradient(registry, traces, mutator):
 class Trainer:
     """Stateful training loop over (controller parameters, operator registry).
 
-    The trainer owns a query cache (`query_cache`) and a profile cache
-    (`profile_cache`) for its whole life, each text -> read-only embedding,
-    so each distinct query text and operator profile text is embedded once
-    per run. Each step scores layer 1 once and hands that forward pass to
-    its K samples. Keyed on text, the caches need no invalidation when a
-    patch edits, splits or merges operators; the profile cache holds one
-    entry per distinct profile text (patches leave profile texts alone, and
-    split clones copy their parent's). It builds the mutator its config
-    names ("mock" as `mock_mutator`, "llm" as `LLMMutator()`) unless a callable
-    `mutator` replaces it, and patches every `patch_every` steps; "none", the
-    one off switch, ignores a passed `mutator`. Any other `mutator` but None
-    raises `BackendError`."""
+    The trainer owns one `embedding_cache` for its whole life, text ->
+    read-only embedding, for query texts and operator profile texts alike
+    (an embedding depends on its text alone), so each distinct text is
+    embedded once per run. Each step scores layer 1 once and hands that
+    forward pass to its K samples. Keyed on text, the cache needs no
+    invalidation when a patch edits, splits or merges operators, and
+    patches add no profile text (they leave profile texts alone, and split
+    clones copy their parent's). It builds the mutator its config names
+    ("mock" as `mock_mutator`, "llm" as `LLMMutator()`) unless a callable
+    `mutator` replaces it, and patches every `patch_every` steps; "none",
+    the one off switch, ignores a passed `mutator`. Any other `mutator` but
+    None raises `BackendError`."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, mutator=None):
         self.state = state
@@ -333,13 +327,12 @@ class Trainer:
         self.mutator = mutator if patching else None
         self.step_count = 0
         self.window = []
-        self.profile_cache = {}
-        self.query_cache = {}
+        self.embedding_cache = {}
 
     def step(self, query) -> dict:
         cfg = self.config
         traces = []
-        query_vec = sampler.cached_embed(self.embedder, query.query, self.query_cache)
+        query_vec = sampler.cached_embed(self.embedder, query.query, self.embedding_cache)
         first = ctl.score_layer(self.state, 1, query_vec)
         for _ in range(cfg.samples_k):
             arch = sampler.sample_architecture(
@@ -351,7 +344,7 @@ class Trainer:
                 self.rng,
                 self.embedder,
                 first=first,
-                profile_cache=self.profile_cache,
+                profile_cache=self.embedding_cache,
             )
             traces.append(execute(arch, query, self.env, self.registry, self.rng))
 
@@ -397,8 +390,8 @@ class Trainer:
                 continue
             if change is not None:
                 if change.action == "split":
-                    self.state.split_output(change.parent_index, self.rng)
+                    self.state.split_output(change.index, self.rng)
                 elif change.action == "merge":
-                    self.state.merge_output(change.removed_index)
+                    self.state.merge_output(change.index)
             applied += 1
         return applied

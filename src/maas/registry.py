@@ -9,7 +9,6 @@ indices moved and the controller remaps its output rows accordingly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from .errors import DataError, check_fields
@@ -102,13 +101,12 @@ class OperatorPatch:
 class StructuralChange:
     """Index bookkeeping for the controller after split/merge.
 
-    action: "split" (new row cloned from parent_index, appended at end) or
-    "merge" (removed_index deleted; later indices shift down by one).
+    action: "split" (the row at `index` cloned and appended at the end) or
+    "merge" (the row at `index` deleted; later indices shift down by one).
     """
 
     action: str
-    parent_index: int = -1
-    removed_index: int = -1
+    index: int
 
 
 class OperatorRegistry:
@@ -174,9 +172,7 @@ class OperatorRegistry:
         leaves the registry unchanged. A split appends a clone of the target
         under the first free id of `<id>-b`, `<id>-b2`, `<id>-b3`, ..., so an
         operator can be split any number of times."""
-        if patch.target_id not in self._by_id:
-            raise DataError(f"no operator {patch.target_id!r}")
-        idx = self._by_id[patch.target_id]
+        idx = self.index_of(patch.target_id)
         target = self._specs[idx]
         if target.kind == KIND_EARLY_EXIT:
             raise DataError("cannot patch the early-exit operator")
@@ -194,14 +190,12 @@ class OperatorRegistry:
                             name=f"{target.name} ({suffix})")
             self.register(clone)
             self._specs[idx] = target
-            return StructuralChange("split", parent_index=idx)
+            return StructuralChange("split", idx)
         if patch.structure_action == "merge":
             partner_id = patch.merge_with_id
-            if partner_id not in self._by_id:
-                raise DataError(f"no operator {partner_id!r}")
+            partner = self.get(partner_id)
             if partner_id == target.id:
                 raise DataError("cannot merge an operator with itself")
-            partner = self.get(partner_id)
             if partner.kind in (KIND_EARLY_EXIT, KIND_DIRECT_IO):
                 raise DataError(f"cannot merge away {partner_id!r}")
             removed = self._by_id[partner_id]
@@ -210,7 +204,7 @@ class OperatorRegistry:
             )
             del self._specs[removed]
             self._by_id = {s.id: i for i, s in enumerate(self._specs)}
-            return StructuralChange("merge", removed_index=removed)
+            return StructuralChange("merge", removed)
         self._specs[idx] = target
         return None
 
@@ -239,9 +233,6 @@ class OperatorRegistry:
         if not {KIND_EARLY_EXIT, KIND_DIRECT_IO} <= kinds:
             raise DataError("registry lacks its early-exit or direct-io operator")
         return reg
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def builtin_catalog() -> list[OperatorSpec]:

@@ -22,8 +22,9 @@ from maas.controller import (
     select_deterministic,
     selection_log_prob,
 )
-from maas.datagen import default_env, sabotaged_env
+from maas.datagen import default_env, sabotaged_profiles
 from maas.embedding import HashingEmbedder, layer_feature
+from maas.executor import SyntheticEnv
 from maas.harness import run_eval, run_train
 from maas.optimizer import TrainConfig, importance_weights
 from maas.registry import builtin_registry
@@ -271,7 +272,8 @@ class TestCriterion8MockMutatorAblation:
             finals = {}
             for mut in ("mock", "none"):
                 cfg = TrainConfig(iterations=50, seed=seed, mutator=mut)
-                checkpoint, _ = run_train(cfg, DATASET, sabotaged_env())
+                env = SyntheticEnv(*sabotaged_profiles())
+                checkpoint, _ = run_train(cfg, DATASET, env)
                 finals[mut] = checkpoint["metrics_summary"]["final_mean_utility"]
             wins += finals["mock"] > finals["none"]
             details.append(

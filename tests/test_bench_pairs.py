@@ -73,6 +73,7 @@ def test_summarize_pairs_counts_wins_by_direction_and_ties_apart():
     assert out["quartiles"]["parent"]["throughput_per_s"] == [97.5, 112.5]
     assert out["parent_throughput_iqr"] == 15.0
     assert out["parent"]["attempted"] == 400 and out["change"]["failed"] == 0
+    assert out["failed_share_check"] == "within"
     assert out["change"]["checkpoint_sha256_step100"] == {
         "1": "s0", "2": "s1", "3": "s2", "4": "s3"}
     assert out["checkpoint_sha256_equal"] is True
@@ -133,6 +134,32 @@ def both_sides(parent_rows, change_rows):
 def test_bound_check_reads_each_metric_against_its_bound(parent, change, expected):
     got = bench_pairs.bound_check(both_sides(parent, change), END_TO_END)
     assert got == dict(zip(["throughput_per_s", "latency_p50_ms"], expected))
+
+
+@pytest.mark.parametrize("parent,change,expected", [
+    ((0, 100), (0, 120), "within"),
+    ((2, 100), (2, 100), "within"),
+    # fewer failures, but of fewer attempts: a larger share
+    ((2, 100), (1, 40), "over"),
+    # more failures, but of more attempts: a smaller share
+    ((2, 100), (3, 200), "within"),
+    ((0, 100), (1, 100), "over"),
+])
+def test_failed_share_check(parent, change, expected):
+    sides = [dict(zip(("failed", "attempted"), counts)) for counts in (parent, change)]
+    assert bench_pairs.failed_share_check(*sides) == expected
+
+
+def test_summarize_pairs_reads_the_failed_share_over_all_runs():
+    # the parent fails 1 of 200 operations; the change 1 of its first 100
+    parent = [bench_pairs.parse_run(run_output(100, 1.0, failed=f)) for f in (1, 0)]
+    change = [bench_pairs.parse_run(run_output(100, 1.0, failed=f)) for f in (0, 1)]
+    runs = {"parent": parent, "change": change}
+    assert bench_pairs.summarize_pairs([1, 2], runs, DIRECTIONS)["failed_share_check"] \
+        == "within"
+    runs["change"] = [bench_pairs.parse_run(run_output(100, 1.0, failed=1))] * 2
+    assert bench_pairs.summarize_pairs([1, 2], runs, DIRECTIONS)["failed_share_check"] \
+        == "over"
 
 
 def test_summarize_pairs_flags_one_mismatched_checkpoint():

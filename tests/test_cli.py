@@ -370,6 +370,56 @@ class TestBadCheckpoint:
         assert result.output.startswith("data error: ") and result.output.count("\n") == 1
 
 
+def valid_args(workdir, command):
+    """Arguments on which `command` runs, its outputs under `workdir`; all
+    but train read the checkpoint `train_args` writes."""
+    checkpoint = str(workdir / "ckpt.json")
+    return {
+        "train": train_args(workdir, ["--metrics-out", str(workdir / "m.jsonl")]),
+        "eval": ["eval", "--checkpoint", checkpoint,
+                 "--dataset", str(workdir / "mix.jsonl"),
+                 "--env-profile", str(workdir / "profiles.json"),
+                 "--report-out", str(workdir / "report.json")],
+        "sample": ["sample", "--checkpoint", checkpoint, "--query", "add 2 and 3"],
+        "inspect": ["inspect", "--checkpoint", checkpoint],
+    }[command]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command,option", [
+        ("train", "--dataset"), ("train", "--env-profile"), ("train", "--checkpoint"),
+        ("train", "--metrics-out"), ("eval", "--checkpoint"), ("eval", "--dataset"),
+        ("eval", "--env-profile"), ("eval", "--report-out"), ("sample", "--checkpoint"),
+        ("inspect", "--checkpoint"),
+    ])
+    def test_directory_path_fails_before_any_work(self, workdir, command, option):
+        if command != "train":
+            assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+        args = valid_args(workdir, command)
+        directory = workdir / "a_directory"
+        directory.mkdir()
+        args[args.index(option) + 1] = str(directory)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "is a directory" in result.output
+        assert not (workdir / "report.json").exists()
+        if command == "train":
+            assert not (workdir / "ckpt.json").exists()
+            assert not (workdir / "m.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unknown_env(self, workdir, command):
+        """`click.Choice` is the one check on `--env`."""
+        if command != "train":
+            assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+        result = CliRunner().invoke(main, valid_args(workdir, command)
+                                    + ["--env", "bogus"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "'bogus' is not one of 'synthetic', 'live'" in result.output
+
+
 class TestSampleCommand:
     def test_sample_plain_and_explain(self, workdir):
         runner = CliRunner()

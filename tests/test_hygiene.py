@@ -20,9 +20,12 @@
 - No function in `src/maas` calls a `.validate()` method but
   `TrainConfig.__post_init__`: a class whose values come from outside checks
   them in its own `__post_init__`, so no caller has to remember to.
-- Every `_`-prefixed function or class in `src/maas` (dunders aside) is
-  named in `src/maas` outside its own body, so no private helper lives on
-  only for the tests or only for itself. Names are matched by name.
+- Every function and class in `src/maas` is named in `src/maas` outside its
+  own body, so nothing lives on only for the tests or only for itself.
+  Names are matched by name. Dunders, `@main.command` functions and the
+  names `__init__.py` re-exports are left out, and a public name also
+  passes when `perfbench/` names it (as a name, an attribute or a tracer
+  target's string), since the benchmark runs it.
 """
 
 import ast
@@ -321,22 +324,37 @@ def test_only_train_config_calls_validate():
     assert callers == ["optimizer.py:TrainConfig.__post_init__"]
 
 
-def unreferenced_private_helpers(sources):
-    """The name of each `_`-prefixed function or class (not a `__dunder__`),
-    at any depth of the `sources`, that no name or attribute in them loads
-    outside the helper's own definition."""
+def is_command(node):
+    """Whether `node` is decorated `@<group>.command(...)`, which registers it."""
+    return any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command"
+               for d in node.decorator_list)
+
+
+def unreferenced_definitions(sources, outside=(), exempt=()):
+    """The name of each function or class (not a `__dunder__`, a command or
+    a name in `exempt`), at any depth of the `sources`, that no name or
+    attribute in them loads outside its own definition. A public name also
+    passes when a source in `outside` names it: as a name, an attribute or a
+    string."""
     trees = [ast.parse(source) for source in sources]
-    helpers = [node for tree in trees for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.endswith("__")]
+    definitions = [node for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not (node.name.startswith("__") and node.name.endswith("__"))
+                   and node.name not in exempt and not is_command(node)]
     refs = [(getattr(node, "id", getattr(node, "attr", None)), node)
             for tree in trees for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
+    named_outside = {getattr(node, "id", getattr(node, "attr", None)) or node.value
+                     for source in outside for node in ast.walk(ast.parse(source))
+                     if isinstance(node, (ast.Name, ast.Attribute))
+                     or isinstance(node, ast.Constant) and isinstance(node.value, str)}
     unreferenced = []
-    for helper in helpers:
-        own = {id(node) for node in ast.walk(helper)}
-        if not any(name == helper.name and id(node) not in own for name, node in refs):
-            unreferenced.append(helper.name)
+    for definition in definitions:
+        if not definition.name.startswith("_") and definition.name in named_outside:
+            continue
+        own = {id(node) for node in ast.walk(definition)}
+        if not any(name == definition.name and id(node) not in own for name, node in refs):
+            unreferenced.append(definition.name)
     return unreferenced
 
 
@@ -361,16 +379,52 @@ def test_checker_flags_private_helpers_named_only_in_their_own_body():
         "def _elsewhere():\n"
         "    pass\n"
     )
-    assert sorted(unreferenced_private_helpers([source])) == [
-        "_Unused", "_elsewhere", "_never", "_recursive"]
+    assert sorted(unreferenced_definitions([source])) == [
+        "_Unused", "_elsewhere", "_never", "_recursive", "public"]
     other = "from a import _elsewhere\nx = _Unused(_elsewhere())\n"
-    assert sorted(unreferenced_private_helpers([source, other])) == [
-        "_never", "_recursive"]
+    assert sorted(unreferenced_definitions([source, other])) == [
+        "_never", "_recursive", "public"]
 
 
-def test_every_private_helper_is_named_outside_its_body():
+def test_checker_flags_public_names_nothing_reaches():
+    source = (
+        "class Registry:\n"
+        "    def to_dict(self):\n"
+        "        return {}\n"
+        "    def to_json(self):\n"
+        "        return str(self.to_dict())\n"
+        "    def traced(self):\n"
+        "        pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def helper():\n"
+        "    return Registry()\n"
+        "def exported():\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "@main.command()\n"
+        "def train():\n"
+        "    pass\n"
+    )
+    assert sorted(unreferenced_definitions([source])) == [
+        "_private", "exported", "helper", "to_json", "traced"]
+    # perfbench may name a public definition as a name, an attribute or a
+    # string, but not a private one
+    outside = "helper()\nTARGETS = [(Registry, 'traced')]\nx._private()\n"
+    assert sorted(unreferenced_definitions([source], [outside], {"exported"})) == [
+        "_private", "to_json"]
+
+
+def test_every_function_and_class_is_named_outside_its_body():
     src = sorted((ROOT / "src" / "maas").glob("*.py"))
-    assert unreferenced_private_helpers([p.read_text() for p in src]) == []
+    init = ast.parse((ROOT / "src" / "maas" / "__init__.py").read_text())
+    exports = {alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "sample_architecture" in exports
+    perfbench = sorted((ROOT / "perfbench").glob("*.py"))
+    assert unreferenced_definitions([p.read_text() for p in src],
+                                    [p.read_text() for p in perfbench], exports) == []
 
 
 SHIPPED = ("synthetic_mix.jsonl", "synthetic_profiles.json", "sabotaged_profiles.json")

@@ -18,7 +18,7 @@ from maas import optimizer as optimizer_module
 from maas.controller import grad_log_prob, init_params, score_layer, \
     selection_log_prob
 from maas.data import load_dataset
-from maas.datagen import default_env, sabotaged_env
+from maas.datagen import default_env, sabotaged_profiles
 from maas.embedding import HashingEmbedder, layer_feature
 from maas.errors import BackendError, DataError, MaasError
 from maas.executor import ExecutionTrace, QueryRecord, SyntheticEnv, \
@@ -44,6 +44,7 @@ from maas.sampler import (
     sample_architecture,
 )
 from tests.test_kernels import bitwise_equal
+from tests.test_registry import registry_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -441,7 +442,7 @@ class TestQueryCache:
         trainer.step(q)
         trainer.step(q)
         assert texts.count(q.query) == 1
-        vec = trainer.query_cache[q.query]
+        vec = trainer.embedding_cache[q.query]
         assert np.array_equal(vec, embed(trainer.embedder, q.query))
         assert not vec.flags.writeable
         with pytest.raises(ValueError):
@@ -572,8 +573,14 @@ class TestParseMutation:
             parse_mutation('{"target_id": "cot", "new_temperature": 1' + "0" * 5000 + "}")
 
     def test_missing_target(self):
-        with pytest.raises(DataError, match="reply lacks target_id"):
+        with pytest.raises(DataError, match="^target_id None is not a string"):
             parse_mutation('{"new_prompt": "x"}')
+
+    @pytest.mark.parametrize("target", ["null", '""', "0", "false"])
+    def test_target_not_a_nonempty_string(self, target):
+        """`OperatorPatch` is the one check on the target."""
+        with pytest.raises(DataError, match="target_id"):
+            parse_mutation(f'{{"target_id": {target}, "new_prompt": "x"}}')
 
     def test_empty_patch_body(self):
         with pytest.raises(DataError, match="patch sets nothing"):
@@ -655,14 +662,14 @@ class TestTrainer:
 
     def test_mutator_none_never_patches(self):
         reg = builtin_registry()
-        before = reg.to_json()
+        before = registry_json(reg)
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator="none",
                           patch_every=2)
         state = init_params(0, 8, 8, 2, len(reg))
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
         for i in range(6):
             assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
-        assert reg.to_json() == before
+        assert registry_json(reg) == before
 
     def test_patch_cadence(self):
         reg = builtin_registry()
@@ -729,9 +736,11 @@ class TestTrainer:
         assert query_embeds == [query().query]
         # each distinct profile text is embedded at most once over the run
         assert len(profile_embeds) == len(set(profile_embeds))
-        assert set(profile_embeds) == set(trainer.profile_cache)
-        assert {reg.get(op_id).profile_text for op_id in summed_ops} \
-            == set(trainer.profile_cache)
+        # one cache holds the query text and the profile texts
+        cached = set(trainer.embedding_cache)
+        assert set(profile_embeds) | {query().query} == cached
+        assert {reg.get(op_id).profile_text for op_id in summed_ops} | {query().query} \
+            == cached
         # the split clone was summed into a layer feature, on its parent's text
         assert "cot-b" in summed_ops
         assert reg.get("cot-b").profile_text == reg.get("cot").profile_text
@@ -776,18 +785,18 @@ class TestTrainer:
 
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
                           mutator=mutator)
-        before = reg.to_json()
+        before = registry_json(reg)
         assert trainer.step(query())["patches_applied"] == 1
         after = builtin_registry()
         after.apply_patch(OperatorPatch("cot", structure_action="split"))
         after.apply_patch(good)
-        assert reg.to_json() == after.to_json() != before
+        assert registry_json(reg) == registry_json(after) != before
         assert state.n_ops == len(reg)
         trainer.step(query("q2"))
 
     def test_unparseable_proposal_is_skipped_not_fatal(self):
         reg = builtin_registry()
-        before = reg.to_json()
+        before = registry_json(reg)
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
         state = init_params(0, 8, 8, 2, len(reg))
 
@@ -797,29 +806,29 @@ class TestTrainer:
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
                           mutator=mutator)
         assert trainer.step(query())["patches_applied"] == 0
-        assert reg.to_json() == before
+        assert registry_json(reg) == before
 
     @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
     def test_malformed_reply_neither_raises_nor_corrupts(self, reply):
         reg = builtin_registry()
-        before = reg.to_json()
+        before = registry_json(reg)
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
         state = init_params(0, 8, 8, 2, len(reg))
 
         def mutator(registry, traces):
             return [parse_mutation(reply)]
 
-        trainer = Trainer(state, reg, sabotaged_env(), cfg, np.random.default_rng(0),
-                          mutator=mutator)
+        trainer = Trainer(state, reg, SyntheticEnv(*sabotaged_profiles()), cfg,
+                          np.random.default_rng(0), mutator=mutator)
         for i in range(3):
             assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
         assert all(isinstance(spec.prompt, str) for spec in reg.specs())
         assert state.n_ops == len(reg)
-        assert reg.to_json() == before
+        assert registry_json(reg) == before
 
     def test_rewire_reply_is_skipped(self):
         reg = builtin_registry()
-        before = reg.to_json()
+        before = registry_json(reg)
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
         state = init_params(0, 8, 8, 2, len(reg))
         mutator = LLMMutator(base_url="http://stub", transport=chat_reply(
@@ -827,7 +836,7 @@ class TestTrainer:
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
                           mutator=mutator)
         assert trainer.step(query())["patches_applied"] == 0
-        assert reg.to_json() == before
+        assert registry_json(reg) == before
         assert state.n_ops == len(reg)
 
     @pytest.mark.parametrize("mutator", ["llm", "mock2", 3])
@@ -861,7 +870,7 @@ class TestTrainer:
     @pytest.mark.parametrize("mutator,patch_every", [("none", 1)])
     def test_patching_off_ignores_a_passed_mutator(self, mutator, patch_every):
         reg = builtin_registry()
-        before = reg.to_json()
+        before = registry_json(reg)
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=mutator,
                           patch_every=patch_every)
         state = init_params(0, 8, 8, 2, len(reg))
@@ -874,7 +883,7 @@ class TestTrainer:
         assert trainer.mutator is None
         for i in range(3):
             assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
-        assert reg.to_json() == before
+        assert registry_json(reg) == before
 
     def test_structural_patch_remaps_controller(self):
         reg = builtin_registry()
@@ -1002,7 +1011,7 @@ class TestLLMMutator:
         run with `BackendError`, as any other malformed payload does, and is
         not skipped as a proposal that does not parse."""
         reg = builtin_registry()
-        before = reg.to_json()
+        before = registry_json(reg)
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
         state = init_params(0, 8, 8, 2, len(reg))
         transport = chat_reply(None)
@@ -1011,7 +1020,7 @@ class TestLLMMutator:
         with pytest.raises(BackendError, match="content is NoneType, not str$"):
             trainer.step(query())
         assert len(transport.calls) == 1
-        assert reg.to_json() == before
+        assert registry_json(reg) == before
         assert state.n_ops == len(reg)
 
     def test_missing_url_raises_at_construction(self, monkeypatch):

@@ -33,6 +33,11 @@ def make_spec(op_id, kind=KIND_GENERATIVE, temperature=1.0, prompt="p {input}"):
     )
 
 
+def registry_json(reg):
+    """The registry as one canonical JSON string, to compare registries."""
+    return json.dumps(reg.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
 class TestBuiltinCatalog:
     def test_size_and_distinguished_kinds(self):
         catalog = builtin_catalog()
@@ -41,8 +46,8 @@ class TestBuiltinCatalog:
         assert sum(s.kind == KIND_DIRECT_IO for s in catalog) == 1
 
     def test_deterministic(self):
-        a = builtin_registry().to_json()
-        b = builtin_registry().to_json()
+        a = registry_json(builtin_registry())
+        b = registry_json(builtin_registry())
         assert a == b
 
     def test_self_consistency_agent_count(self):
@@ -133,7 +138,7 @@ class TestApplyPatch:
         assert reg.ids()[-1] == "cot-b"
         assert reg.get("cot-b").profile_text == reg.get("cot").profile_text
         assert change.action == "split"
-        assert change.parent_index == 0
+        assert change.index == 0
         # untouched indices stable
         assert reg.index_of("debate") == 1
 
@@ -149,7 +154,7 @@ class TestApplyPatch:
                                       merge_with_id="cot-b"))
         change = reg.apply_patch(OperatorPatch("cot", structure_action="split"))
         assert reg.ids()[-1] == "cot-b"  # freed by the merge
-        assert change.parent_index == reg.index_of("cot")
+        assert change.index == reg.index_of("cot")
         assert len(set(reg.ids())) == len(reg) == 13
 
     def test_merge_removes_partner_and_concatenates(self):
@@ -163,7 +168,7 @@ class TestApplyPatch:
         assert "testing" not in reg
         assert reg.get("cot").prompt == cot_prompt + "\n" + testing_prompt
         assert change.action == "merge"
-        assert change.removed_index == 5
+        assert change.index == 5
         # indices past the removed one shift down by one
         assert reg.index_of("react") == 5
 
@@ -221,10 +226,10 @@ class TestApplyPatch:
     def test_rejected_patch_leaves_registry_unchanged(self, patch, message):
         reg = builtin_registry()
         reg.apply_patch(OperatorPatch("cot", structure_action="split"))
-        before = reg.to_json()
+        before = registry_json(reg)
         with pytest.raises(DataError, match=message):
             reg.apply_patch(patch)
-        assert reg.to_json() == before
+        assert registry_json(reg) == before
 
     def test_merge_away_protected_rejected(self):
         with pytest.raises(DataError, match="cannot merge away 'direct_io'"):
@@ -234,10 +239,10 @@ class TestApplyPatch:
 
     def test_no_op_patch_sequence_serialization_stable(self):
         reg = builtin_registry()
-        before = reg.to_json()
+        before = registry_json(reg)
         reg.apply_patch(OperatorPatch("cot", new_prompt=reg.get("cot").prompt))
         reg.apply_patch(OperatorPatch("cot", new_temperature=1.0))
-        assert reg.to_json() == before
+        assert registry_json(reg) == before
 
 
 @given(st.lists(st.sampled_from(["split_cot", "merge", "temp", "rewire"]), max_size=6))
@@ -257,10 +262,10 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
             elif act == "temp":
                 reg.apply_patch(OperatorPatch("react", new_temperature=0.7))
             else:
-                before = reg.to_json()
+                before = registry_json(reg)
                 with pytest.raises(DataError, match="unknown structure_action 'rewire'"):
                     reg.apply_patch(OperatorPatch("testing", structure_action="rewire"))
-                assert reg.to_json() == before
+                assert registry_json(reg) == before
         except DataError as exc:
             assert "no operator" in str(exc)
             continue
@@ -298,5 +303,5 @@ def test_round_trip_serialization():
     reg = builtin_registry()
     reg.apply_patch(OperatorPatch("react", structure_action="split"))
     restored = OperatorRegistry.from_dict(reg.to_dict())
-    assert restored.to_json() == reg.to_json()
+    assert registry_json(restored) == registry_json(reg)
 

@@ -18,6 +18,7 @@ from maas.datagen import default_env, make_mixed_dataset
 from maas.executor import QueryRecord
 from maas.optimizer import TrainConfig, Trainer, parse_mutation
 from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, builtin_registry
+from tests.test_registry import registry_json
 
 RECORDS = [QueryRecord(**r) for r in make_mixed_dataset(2, 2)]
 # the first operators in the catalogue, split clones of `cot` (present once
@@ -53,9 +54,9 @@ class SelfEditMachine(RuleBasedStateMachine):
         return self.trainer.step(query)["patches_applied"]
 
     def _round_changes_nothing(self, reply):
-        before = self.registry.to_json()
+        before = registry_json(self.registry)
         assert self._round(reply) == 0
-        assert self.registry.to_json() == before
+        assert registry_json(self.registry) == before
 
     @rule(op_id=OP_IDS, marker=st.sampled_from(["Be brief.", "Check twice."]))
     def edit_prompt(self, op_id, marker):

@@ -20,9 +20,10 @@ read), the quartiles, how many pairs the change won and tied,
 RSS in bytes per extra timed unit, which tells the benchmark's per-unit
 buffers apart from growth of the program), `bound_check` (each end-to-end
 metric read against its bound in `BENCHMARK.json`: "over", "unresolved" or
-"within"), the checkpoint sha256 per seed with `checkpoint_sha256_equal`
-(true when every seed's is the same on both sides), and the traced metrics
-with `counts_equal`.
+"within"), `failed_share_check` ("over" when the change failed a larger share
+of its attempted operations than the parent, else "within"), the checkpoint
+sha256 per seed with `checkpoint_sha256_equal` (true when every seed's is the
+same on both sides), and the traced metrics with `counts_equal`.
 """
 
 import argparse
@@ -120,6 +121,15 @@ def bound_check(runs, end_to_end):
     return out
 
 
+def failed_share_check(parent, change):
+    """"over" when the change's failed/attempted, over all its runs, exceeds
+    the parent's, else "within"; `parent` and `change` hold each side's
+    summed `failed` and `attempted`."""
+    # cross-multiplied: exact on the integer counts
+    over = change["failed"] * parent["attempted"] > parent["failed"] * change["attempted"]
+    return "over" if over else "within"
+
+
 def summarize_pairs(seeds, runs, directions):
     """BENCH record of one workload. `runs[side][i]` is the parsed run of
     `seeds[i]` on side "parent" or "change"; `directions` maps each
@@ -138,6 +148,7 @@ def summarize_pairs(seeds, runs, directions):
         summary["checkpoint_sha256_step100"] = {
             str(seed): r["info"]["checkpoint_sha256"] for seed, r in zip(seeds, side_runs)}
         out[side] = summary
+    out["failed_share_check"] = failed_share_check(out["parent"], out["change"])
     out["checkpoint_sha256_equal"] = (out["parent"]["checkpoint_sha256_step100"]
                                       == out["change"]["checkpoint_sha256_step100"])
     out["change_over_parent"] = {
