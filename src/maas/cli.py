@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 
 import click
@@ -33,6 +34,15 @@ def _make_env(env_name, env_profile, checker):
     if not env_profile:
         raise DataError("--env synthetic requires --env-profile")
     return SyntheticEnv.from_file(env_profile, checker)
+
+
+def _in_existing_directory(ctx, param, path):
+    """`path` when it is None or its directory exists, else a usage error:
+    checked while the options are parsed, so a run that could not write its
+    output does no work first."""
+    if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise click.BadParameter(f"directory of {path!r} does not exist")
+    return path
 
 
 def _exit_codes(command):
@@ -80,8 +90,9 @@ def main():
 @click.option("--checker", default="exact_match",
               type=click.Choice(CHECKERS), show_default=True)
 @click.option("--checkpoint", "checkpoint_out", required=True,
-              type=click.Path(dir_okay=False))
-@click.option("--metrics-out", type=click.Path(dir_okay=False))
+              type=click.Path(dir_okay=False), callback=_in_existing_directory)
+@click.option("--metrics-out", type=click.Path(dir_okay=False),
+              callback=_in_existing_directory)
 @_exit_codes
 def train(dataset, env_name, env_profile, checker, checkpoint_out, metrics_out,
           **hyperparameters):
@@ -105,7 +116,8 @@ def train(dataset, env_name, env_profile, checker, checkpoint_out, metrics_out,
 @click.option("--env-profile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--checker", default="exact_match",
               type=click.Choice(CHECKERS), show_default=True)
-@click.option("--report-out", type=click.Path(dir_okay=False))
+@click.option("--report-out", type=click.Path(dir_okay=False),
+              callback=_in_existing_directory)
 @_exit_codes
 def eval_cmd(checkpoint_path, dataset, env_name, env_profile, checker, report_out):
     """Evaluate a checkpoint on a dataset with deterministic selection."""

@@ -13,6 +13,12 @@ operations of its numpy form in the same order: bitwise the same results.
 The stochastic rule is a plain inverse CDF with one `rng.random()` per drawn
 operator, as `rng.choice` makes; their indices differ only when the uniform
 lands within rounding of a CDF boundary.
+
+`SupernetState` keeps every layer's parameters in one float64 vector, each
+layer's arrays being views of it, and a gradient vector of the same layout,
+so the training update is one scale and one add over a prefix of each. Only
+this module binds a layer's arrays; a split or merge lays the vectors out
+anew.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -33,7 +39,10 @@ SPLIT_NOISE_SCALE = 0.01
 
 @dataclass
 class LayerController:
-    """A layer's scoring-network parameters, or a gradient in their shapes."""
+    """A layer's scoring-network parameters, or a gradient in their shapes.
+    A `SupernetState`'s layers hold views of its `params` (or `grad`), so only
+    this module rebinds their arrays: an array bound elsewhere would drop out
+    of every update."""
 
     W1: np.ndarray  # (h, d*layer)
     b1: np.ndarray  # (h,)
@@ -53,40 +62,86 @@ class LayerController:
             "b2": {"shape": list(self.b2.shape), "values": self.b2.tolist()},
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        """`DataError` unless `layer_index` is an integer, each shape a list
-        of integers and each `values` a list of numbers, none of them a bool."""
-        def arr(name):
-            shape, values = d[name]["shape"], d[name]["values"]
-            if type(shape) is not list or not all(type(n) is int for n in shape):
-                raise DataError(f"{name} shape {shape!r} is not a list of integers")
-            if type(values) is not list or not set(map(type, values)) <= {float, int}:
-                raise DataError(f"{name} values are not a list of numbers")
-            return np.asarray(values, dtype=np.float64).reshape(shape)
 
-        if type(d["layer_index"]) is not int:
-            raise DataError(f"layer_index {d['layer_index']!r} is not an integer")
-        return cls(arr("W1"), arr("b1"), arr("W2"), arr("b2"), d["layer_index"])
+def _layout(d, h, n_ops, num_layers):
+    """Each layer's W1, b1, W2, b2 shapes, in layer order: the order in which
+    `SupernetState.params` holds them, each row-major."""
+    return [[(h, d * ell), (h,), (n_ops, h), (n_ops,)] for ell in range(1, num_layers + 1)]
 
 
-@dataclass
+def _views(vector, layout):
+    """One `LayerController` per layer of `layout` whose arrays are views of
+    `vector`, and the offset in `vector` at which each layer ends, after a
+    leading 0."""
+    layers, offsets, start = [], [0], 0
+    for ell, shapes in enumerate(layout, start=1):
+        arrays = []
+        for shape in shapes:
+            end = start + math.prod(shape)
+            arrays.append(vector[start:end].reshape(shape))
+            start = end
+        layers.append(LayerController(*arrays, layer_index=ell))
+        offsets.append(start)
+    return layers, offsets
+
+
+def _checked_entry(entry, position):
+    """The (shape, values) of a checkpoint layer entry's W1, b1, W2 and b2;
+    `DataError` unless `layer_index` is the integer `position`, each shape a
+    list of integers and each `values` a list of numbers, none of them a
+    bool, as many as its shape holds."""
+    if type(entry["layer_index"]) is not int:
+        raise DataError(f"layer_index {entry['layer_index']!r} is not an integer")
+    if entry["layer_index"] != position:
+        raise DataError(f"layer {position} has layer_index {entry['layer_index']}")
+    arrays = []
+    for name in ("W1", "b1", "W2", "b2"):
+        shape, values = entry[name]["shape"], entry[name]["values"]
+        if type(shape) is not list or not all(type(n) is int for n in shape):
+            raise DataError(f"{name} shape {shape!r} is not a list of integers")
+        if type(values) is not list or not set(map(type, values)) <= {float, int}:
+            raise DataError(f"{name} values are not a list of numbers")
+        if len(values) != math.prod(shape):
+            raise DataError(f"layer {position} {name} holds {len(values)} values"
+                            f" for shape {shape}")
+        arrays.append((tuple(shape), values))
+    return arrays
+
+
 class SupernetState:
-    layers: list
-    embed_dim: int
-    hidden_dim: int
-    version: int = 0
+    """Every layer's controller parameters in one float64 vector `params`:
+    layer 1's W1, b1, W2 and b2, then layer 2's, and so on, each row-major.
+    `layers` holds one `LayerController` per layer whose arrays are views of
+    `params`; `grad` is a vector of the same layout, and `grads` its views, for
+    the training backward to write into. `offsets[ell]` is where layer `ell`
+    ends (`offsets[0]` is 0), so the first `ell` layers are
+    `params[:offsets[ell]]`. A split or merge lays both vectors out anew.
+    Copies (`copy.deepcopy`, pickle) hold views of their own vector."""
 
-    @property
-    def num_layers(self):
-        return len(self.layers)
+    def __init__(self, params, embed_dim, hidden_dim, n_ops, num_layers, version=0):
+        self.embed_dim = embed_dim
+        self.hidden_dim = hidden_dim
+        self.version = version
+        self._lay_out(params, n_ops, num_layers)
 
-    @property
-    def n_ops(self):
-        return self.layers[0].W2.shape[0]
+    def _lay_out(self, params, n_ops, num_layers):
+        self.n_ops = n_ops
+        self.num_layers = num_layers
+        layout = _layout(self.embed_dim, self.hidden_dim, n_ops, num_layers)
+        self.params = params
+        self.grad = np.empty_like(params)  # each backward writes what the update reads
+        self.layers, self.offsets = _views(params, layout)
+        self.grads, _ = _views(self.grad, layout)
+
+    def __getstate__(self):
+        return (self.params, self.embed_dim, self.hidden_dim, self.n_ops,
+                self.num_layers, self.version)
+
+    def __setstate__(self, fields):
+        self.__init__(*fields)
 
     def layer(self, layer_index: int) -> LayerController:
-        if not 1 <= layer_index <= len(self.layers):
+        if not 1 <= layer_index <= self.num_layers:
             raise MaasError(f"no layer {layer_index}")
         return self.layers[layer_index - 1]
 
@@ -98,23 +153,34 @@ class SupernetState:
     def split_output(self, parent_index: int, rng: np.random.Generator):
         """Append one output row per layer, cloned from the parent with small
         uniform noise. Mirrors a registry split (new operator at the end)."""
-        for ctrl in self.layers:
-            h = ctrl.W2.shape[1]
+        def cloned(ctrl):
             row = ctrl.W2[parent_index] + rng.uniform(
-                -SPLIT_NOISE_SCALE, SPLIT_NOISE_SCALE, h
+                -SPLIT_NOISE_SCALE, SPLIT_NOISE_SCALE, self.hidden_dim
             )
             bias = ctrl.b2[parent_index] + rng.uniform(
                 -SPLIT_NOISE_SCALE, SPLIT_NOISE_SCALE
             )
-            ctrl.W2 = np.vstack([ctrl.W2, row[None, :]])
-            ctrl.b2 = np.append(ctrl.b2, bias)
-        self.bump_version()
+            return ctrl.W2, row, ctrl.b2, [bias]
+
+        self._replace_outputs(self.n_ops + 1, cloned)
 
     def merge_output(self, removed_index: int):
         """Delete the output row of a merged-away operator in every layer."""
+        def kept(ctrl):
+            return (np.delete(ctrl.W2, removed_index, axis=0),
+                    np.delete(ctrl.b2, removed_index))
+
+        self._replace_outputs(self.n_ops - 1, kept)
+
+    def _replace_outputs(self, n_ops, outputs):
+        """Lay `params` out anew for `n_ops` operators, each layer's W2 and b2
+        being the arrays `outputs(layer)` gives, in order; then bump the
+        version."""
+        pieces = []
         for ctrl in self.layers:
-            ctrl.W2 = np.delete(ctrl.W2, removed_index, axis=0)
-            ctrl.b2 = np.delete(ctrl.b2, removed_index)
+            pieces += [ctrl.W1, ctrl.b1, *outputs(ctrl)]
+        params = np.concatenate([np.ravel(piece) for piece in pieces])
+        self._lay_out(params, n_ops, self.num_layers)
         self.bump_version()
 
     def to_dict(self):
@@ -128,15 +194,27 @@ class SupernetState:
     @classmethod
     def from_dict(cls, d):
         """`DataError` unless the dims and version are integers and the
-        layers are valid entries, each at the position its index names."""
+        layers are valid entries, at least one, each at the position its
+        index names, in the shapes `_layout` gives for the dims and layer 1's
+        operator count."""
         for name in ("embed_dim", "hidden_dim", "version"):
             if type(d[name]) is not int:
                 raise DataError(f"{name} {d[name]!r} is not an integer")
-        layers = [LayerController.from_dict(x) for x in d["layers"]]
-        for position, ctrl in enumerate(layers, start=1):
-            if ctrl.layer_index != position:
-                raise DataError(f"layer {position} has layer_index {ctrl.layer_index}")
-        return cls(layers, d["embed_dim"], d["hidden_dim"], d["version"])
+        dims = d["embed_dim"], d["hidden_dim"]
+        entries = [_checked_entry(entry, position)
+                   for position, entry in enumerate(d["layers"], start=1)]
+        if not entries:
+            raise DataError("controllers hold no layers")
+        n_ops = len(entries[0][3][1])  # layer 1's b2 values
+        layout = _layout(*dims, n_ops, len(entries))
+        for ell, (arrays, shapes) in enumerate(zip(entries, layout), start=1):
+            if [shape for shape, _ in arrays] != shapes:
+                raise DataError(f"layer {ell} has shapes {[s for s, _ in arrays]},"
+                                f" expected {shapes}")
+        values = [values for arrays in entries for _, values in arrays]
+        params = np.fromiter(chain.from_iterable(values), dtype=np.float64,
+                             count=sum(map(len, values)))
+        return cls(params, *dims, n_ops, len(entries), d["version"])
 
 
 @dataclass
@@ -151,22 +229,15 @@ class ScoreVector:
 
 
 def init_params(seed, d, h, num_layers, n_ops) -> SupernetState:
-    """Initialize all layer controllers i.i.d. uniform in [-0.1, 0.1]."""
+    """Initialize all layer controllers i.i.d. uniform in [-0.1, 0.1], drawn
+    as one vector in `params` order: the same values, and the same generator
+    state after, as one draw per array in that order."""
     if min(d, h, num_layers, n_ops) < 1:
         raise ValueError("all dims must be positive")
-    rng = np.random.default_rng(seed)
-    layers = []
-    for ell in range(1, num_layers + 1):
-        layers.append(
-            LayerController(
-                W1=rng.uniform(-INIT_SCALE, INIT_SCALE, (h, d * ell)),
-                b1=rng.uniform(-INIT_SCALE, INIT_SCALE, h),
-                W2=rng.uniform(-INIT_SCALE, INIT_SCALE, (n_ops, h)),
-                b2=rng.uniform(-INIT_SCALE, INIT_SCALE, n_ops),
-                layer_index=ell,
-            )
-        )
-    return SupernetState(layers=layers, embed_dim=d, hidden_dim=h)
+    size = sum(math.prod(shape) for shapes in _layout(d, h, n_ops, num_layers)
+               for shape in shapes)
+    params = np.random.default_rng(seed).uniform(-INIT_SCALE, INIT_SCALE, size)
+    return SupernetState(params, d, h, n_ops, num_layers)
 
 
 def score_layer(state: SupernetState, layer_index: int, feature: np.ndarray) -> ScoreVector:

@@ -16,7 +16,9 @@ walks about one score per operator, so it runs on Python floats from one
 `tolist()` and returns its row as a list: the float operations it ran on
 numpy scalars, in the same order, hence bitwise the same values without
 numpy's per-call overhead. `divide` keeps numpy's ±inf or NaN where a
-Python division by zero raises.
+Python division by zero raises. The training backward writes into the
+gradient views its `out` names (`np.dot` and the row sum write in place
+with the bytes they would return), so a step allocates no gradient arrays.
 """
 
 from __future__ import annotations
@@ -71,16 +73,19 @@ def pl_grad_logits(scores, selected):
     return [s[m] * (g_s[m] - inner) for m in range(n)]
 
 
-def ffn_backward(W2, X, H, G):
+def ffn_backward(W2, X, H, G, out=(None, None, None, None)):
     """Backprop logit gradients through the two-layer tanh network, summed
     over rows: row r of X (features), H (tanh hidden states) and G (logit
     gradients) is one forward pass.
 
-    Returns (gW1, gb1, gW2, gb2) in parameter shapes.
+    Returns (gW1, gb1, gW2, gb2) in parameter shapes: fresh arrays, or the
+    C-contiguous float64 arrays `out` names, written in place with the same
+    bytes.
     """
-    gW2 = np.dot(G.T, H)
-    gb2 = G.sum(axis=0)
+    oW1, ob1, oW2, ob2 = out
+    gW2 = np.dot(G.T, H, out=oW2)
+    gb2 = G.sum(axis=0, out=ob2)
     g_z1 = (G @ W2) * (1.0 - H * H)
-    gW1 = np.dot(g_z1.T, X)
-    gb1 = g_z1.sum(axis=0)
+    gW1 = np.dot(g_z1.T, X, out=oW1)
+    gb1 = g_z1.sum(axis=0, out=ob1)
     return gW1, gb1, gW2, gb2

@@ -7,8 +7,10 @@ query text and each operator profile text is embedded once per run
 (`Trainer.embedding_cache`); layer 1 is scored once per step and its
 forward pass shared by the K samples; and the gradient backpropagates
 through the forward passes the sampler recorded, with one backward per
-layer over the rows of every sample that reached it. So every
-sampled layer runs its scoring network once. On a fixed cadence the
+layer over the rows of every sample that reached it, into the state's
+flat gradient vector. So every sampled layer runs its scoring network
+once, and the update is one scale and one add over the reached prefix of
+the flat parameter and gradient vectors. On a fixed cadence the
 operator set itself is revised through textual patches: either a
 deterministic mock mutator (used by all automated tests) or an LLM-backed
 mutator that proposes prompt/temperature/structure edits.
@@ -106,9 +108,12 @@ def importance_weights(utilities, costs, cost_lambda):
 
 def trace_gradients(state, archs, weights):
     """sum_k m_k * grad log p(arch_k) as one `LayerController` per layer any
-    sample reached, backpropagated through the forward passes recorded while
-    sampling. Each layer stacks one row per sample that reached it (feature,
-    hidden state and m_k times the logit gradient) and runs one backward."""
+    sample reached, in layer order, backpropagated through the forward passes
+    recorded while sampling. Each layer stacks one row per sample that
+    reached it (feature, hidden state and m_k times the logit gradient) and
+    runs one backward. The returned arrays are views of `state.grad` (its
+    `grads`), valid until the next backward into it. A sample reaches every
+    layer up to its last, so the layers returned are always the first few."""
     rows = {}  # layer index -> [(feature, hidden, m_k * g_logits)], layers ascending
     for arch, m_k in zip(archs, weights):
         if arch.params_version != state.version:
@@ -123,25 +128,26 @@ def trace_gradients(state, archs, weights):
     grads = []
     for ell, layer_rows in rows.items():
         X, H, G = (np.array(col) for col in zip(*layer_rows))
-        gW1, gb1, gW2, gb2 = kernels.ffn_backward(state.layer(ell).W2, X, H, G)
-        grads.append(ctl.LayerController(gW1, gb1, gW2, gb2, ell))
+        grad = state.grads[ell - 1]
+        kernels.ffn_backward(state.layer(ell).W2, X, H, G, out=grad.param_arrays())
+        grads.append(grad)
     return grads
 
 
 def update_distribution(state: ctl.SupernetState, archs, weights, lr):
     """Ascent on the weighted selection log-likelihood: parameters move by
     (lr / K) * sum_k m_k * grad log p(arch_k), for the K sampled
-    architectures `archs` and one m_k per sample in `weights`."""
+    architectures `archs` and one m_k per sample in `weights`. The layers
+    reached are a prefix, so one scale and one add over the front of
+    `state.grad` and `state.params` move them all, and leave the rest as
+    they were."""
     if len(weights) != len(archs):
         raise MaasError("weights / architectures length mismatch")
-    scale = lr / len(weights)
-    for g in trace_gradients(state, archs, weights):
-        ctrl = state.layer(g.layer_index)
-        if ctrl.W1.shape != g.W1.shape or ctrl.W2.shape != g.W2.shape:
-            raise MaasError(f"gradient shape mismatch at layer {g.layer_index}")
-        for param, grad in zip(ctrl.param_arrays(), g.param_arrays()):
-            grad *= scale
-            param += grad
+    reached = len(trace_gradients(state, archs, weights))  # layers 1..reached
+    end = state.offsets[reached]
+    grad = state.grad[:end]
+    grad *= lr / len(weights)
+    state.params[:end] += grad
     state.bump_version()
     return state
 

@@ -4,7 +4,9 @@ An operator bundles a prompt template, a model binding, a sampling
 temperature, a tool list and an internal call count. The registry keeps
 operators in insertion order; that order is the canonical operator index
 used by the controller, so structural edits (split/merge) report how
-indices moved and the controller remaps its output rows accordingly.
+indices moved and the controller remaps its output rows accordingly. The
+registry holds the lookups each sample makes (ids, early-exit index,
+direct-io id) and recomputes them when an operator is added or removed.
 """
 
 from __future__ import annotations
@@ -110,11 +112,26 @@ class StructuralChange:
 
 
 class OperatorRegistry:
-    """Insertion-ordered operator set with exactly one exit and one direct-io."""
+    """Insertion-ordered operator set with exactly one exit and one direct-io.
+
+    It holds the lookups a sample makes: the id list, the early-exit
+    operator's index and the direct-io operator's id, recomputed whenever
+    an operator is added or removed (a register, a split or a merge). A
+    prompt or temperature patch keeps every id and kind, so they hold."""
 
     def __init__(self):
         self._specs: list[OperatorSpec] = []
-        self._by_id: dict[str, int] = {}
+        self._reindex()
+
+    def _reindex(self):
+        """Recompute the held lookups from the operators."""
+        self._ids = [s.id for s in self._specs]
+        self._by_id = {op_id: i for i, op_id in enumerate(self._ids)}
+        kinds = [s.kind for s in self._specs]
+        self._early_exit_index = (kinds.index(KIND_EARLY_EXIT)
+                                  if KIND_EARLY_EXIT in kinds else None)
+        self._direct_io_id = (self._ids[kinds.index(KIND_DIRECT_IO)]
+                              if KIND_DIRECT_IO in kinds else None)
 
     # -- queries -----------------------------------------------------------
 
@@ -128,7 +145,7 @@ class OperatorRegistry:
         return list(self._specs)
 
     def ids(self) -> list[str]:
-        return [s.id for s in self._specs]
+        return list(self._ids)
 
     def get(self, op_id) -> OperatorSpec:
         if op_id not in self._by_id:
@@ -141,27 +158,35 @@ class OperatorRegistry:
         return self._by_id[op_id]
 
     @property
-    def early_exit_id(self) -> str:
-        return next(s.id for s in self._specs if s.kind == KIND_EARLY_EXIT)
+    def early_exit_index(self) -> int | None:
+        """The early-exit operator's index; None while there is none."""
+        return self._early_exit_index
 
     @property
-    def direct_io_id(self) -> str:
-        return next(s.id for s in self._specs if s.kind == KIND_DIRECT_IO)
+    def early_exit_id(self) -> str | None:
+        index = self._early_exit_index
+        return None if index is None else self._ids[index]
+
+    @property
+    def direct_io_id(self) -> str | None:
+        """The direct-io operator's id; None while there is none."""
+        return self._direct_io_id
 
     # -- mutation ----------------------------------------------------------
 
     def register(self, spec: OperatorSpec):
         if spec.id in self._by_id:
             raise DataError(f"operator id {spec.id!r} already registered")
-        if spec.kind == KIND_EARLY_EXIT and any(
-            s.kind == KIND_EARLY_EXIT for s in self._specs
-        ):
-            raise DataError("registry already has an early-exit operator")
-        if spec.kind == KIND_DIRECT_IO and any(
-            s.kind == KIND_DIRECT_IO for s in self._specs
-        ):
-            raise DataError("registry already has a direct-io operator")
+        if spec.kind == KIND_EARLY_EXIT:
+            if self._early_exit_index is not None:
+                raise DataError("registry already has an early-exit operator")
+            self._early_exit_index = len(self._specs)
+        elif spec.kind == KIND_DIRECT_IO:
+            if self._direct_io_id is not None:
+                raise DataError("registry already has a direct-io operator")
+            self._direct_io_id = spec.id
         self._by_id[spec.id] = len(self._specs)
+        self._ids.append(spec.id)
         self._specs.append(spec)
         return self
 
@@ -203,7 +228,7 @@ class OperatorRegistry:
                 target, prompt=target.prompt + "\n" + partner.prompt
             )
             del self._specs[removed]
-            self._by_id = {s.id: i for i, s in enumerate(self._specs)}
+            self._reindex()
             return StructuralChange("merge", removed)
         self._specs[idx] = target
         return None
@@ -229,8 +254,7 @@ class OperatorRegistry:
         reg = cls()
         for spec_d in d["operators"]:
             reg.register(OperatorSpec.from_dict(spec_d))
-        kinds = {s.kind for s in reg._specs}
-        if not {KIND_EARLY_EXIT, KIND_DIRECT_IO} <= kinds:
+        if reg.early_exit_id is None or reg.direct_io_id is None:
             raise DataError("registry lacks its early-exit or direct-io operator")
         return reg
 

@@ -124,7 +124,7 @@ def sample_architecture(
         embedder = HashingEmbedder(state.embed_dim)
 
     ids = registry.ids()
-    exit_idx = registry.index_of(registry.early_exit_id)
+    exit_idx = registry.early_exit_index
     if first is None:
         first = ctl.score_layer(state, 1, embedder.embed(query))
     elif first.feature.shape != (state.embed_dim,):

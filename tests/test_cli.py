@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from maas import checkpoint as ckpt
-from maas import controller, executor, sampler
+from maas import cli, controller, executor, sampler
 from maas.cli import PROBE_QUERIES, main
 from maas.controller import init_params
 from maas.data import load_dataset
@@ -407,6 +407,26 @@ class TestUsageErrors:
         if command == "train":
             assert not (workdir / "ckpt.json").exists()
             assert not (workdir / "m.jsonl").exists()
+
+    @pytest.mark.parametrize("command,option", [
+        ("train", "--checkpoint"), ("train", "--metrics-out"), ("eval", "--report-out"),
+    ])
+    def test_output_in_a_missing_directory_fails_before_any_work(
+            self, workdir, monkeypatch, command, option):
+        if command != "train":
+            assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+        runs = []
+        monkeypatch.setattr(cli, "run_train", lambda *args, **kwargs: runs.append(args))
+        monkeypatch.setattr(cli, "run_eval", lambda *args, **kwargs: runs.append(args))
+        args = valid_args(workdir, command)
+        args[args.index(option) + 1] = str(workdir / "nodir" / "out.json")
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"Invalid value for '{option}'" in result.output
+        assert "out.json' does not exist" in result.output
+        assert runs == []
+        assert not (workdir / "nodir").exists() and not (workdir / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_unknown_env(self, workdir, command):

@@ -7,7 +7,9 @@ plain inverse-CDF draw must give its indices and generator state on the score
 vectors of `draw_cases`.
 """
 
+import copy
 import math
+import pickle
 from itertools import cycle
 
 import numpy as np
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maas.controller import (
+    INIT_SCALE,
     ScoreVector,
+    SupernetState,
     grad_log_prob,
     init_params,
     sample_selection,
@@ -499,3 +503,115 @@ class TestStructuralRemap:
         assert state.version == v0 + 1
         state.merge_output(3)
         assert state.version == v0 + 2
+
+
+def flat_layout_faults(state):
+    """How `state` departs from its flat layout: each layer's W1, b1, W2 and
+    b2 must be the C-contiguous views of `state.params` at the offsets of
+    `_layout`'s order, in layer order, and `state.grads` the same views of
+    `state.grad`. An empty list when it holds."""
+    d, h, n = state.embed_dim, state.hidden_dim, state.n_ops
+    faults = []
+    for vector, layers, label in ((state.params, state.layers, "params"),
+                                  (state.grad, state.grads, "grad")):
+        base = vector.__array_interface__["data"][0]
+        start = 0
+        if vector.dtype != np.float64 or vector.ndim != 1:
+            faults.append(f"{label} is no flat float64 vector")
+        for ell, ctrl in enumerate(layers, start=1):
+            if ctrl.layer_index != ell:
+                faults.append(f"{label} layer {ell} has layer_index {ctrl.layer_index}")
+            if state.offsets[ell - 1] != start:
+                faults.append(f"layer {ell} starts at {state.offsets[ell - 1]}, not {start}")
+            shapes = [(h, d * ell), (h,), (n, h), (n,)]
+            for name, arr, shape in zip(("W1", "b1", "W2", "b2"), ctrl.param_arrays(), shapes):
+                where = f"{label} layer {ell} {name}"
+                if arr.shape != shape or not arr.flags.c_contiguous:
+                    faults.append(f"{where} has shape {arr.shape}, expected {shape}")
+                if not np.shares_memory(arr, vector):
+                    faults.append(f"{where} is no view of {label}")
+                elif arr.__array_interface__["data"][0] != base + 8 * start:
+                    faults.append(f"{where} is out of order")
+                start += math.prod(shape)
+        if len(layers) != state.num_layers or vector.size != start:
+            faults.append(f"{label} holds {vector.size} values for {start} in its layers")
+    if len(state.offsets) != state.num_layers + 1 or state.offsets[-1] != start:
+        faults.append(f"offsets {state.offsets} do not end at {start}")
+    return faults
+
+
+def per_array_init(seed, d, h, num_layers, n_ops):
+    """`init_params` as it was: one uniform draw per array, layer by layer,
+    W1, b1, W2, b2. Returns the arrays and the generator."""
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for ell in range(1, num_layers + 1):
+        for shape in ((h, d * ell), h, (n_ops, h), n_ops):
+            arrays.append(rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
+    return arrays, rng
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("dims", [(7, 8, 8, 2, 3), (0, 64, 64, 4, 9), (5, 1, 3, 3, 2),
+                                      (11, 16, 4, 1, 12)])
+    def test_one_draw_equals_per_array_draws(self, dims):
+        """Byte-equal to the 16 (here 4 per layer) draws it replaces, and a
+        generator that made one draw of the total is in the same state."""
+        state = init_params(*dims)
+        arrays, rng = per_array_init(*dims)
+        got = [a for ctrl in state.layers for a in ctrl.param_arrays()]
+        assert [a.shape for a in got] == [a.shape for a in arrays]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, arrays))
+        one = np.random.default_rng(dims[0])
+        one.uniform(-INIT_SCALE, INIT_SCALE, state.params.size)
+        assert one.bit_generator.state == rng.bit_generator.state
+
+    def test_layout_after_init_restore_split_and_merge(self):
+        state = init_params(3, 4, 5, 3, 6)
+        assert flat_layout_faults(state) == []
+        restored = SupernetState.from_dict(state.to_dict())
+        assert flat_layout_faults(restored) == []
+        assert restored.params.tobytes() == state.params.tobytes()
+        rng = np.random.default_rng(0)
+        for edit in (lambda: state.split_output(2, rng), lambda: state.merge_output(0),
+                     lambda: state.split_output(5, rng), lambda: state.merge_output(6)):
+            edit()
+            assert flat_layout_faults(state) == []
+
+    def test_split_and_merge_keep_the_per_array_values(self):
+        """A split appends the same noisy row and bias the per-array form
+        `np.vstack` and `np.append` gave, in the same draw order; a merge
+        deletes the row and bias `np.delete` did."""
+        state = init_params(1, 4, 3, 3, 5)
+        old = [[a.copy() for a in ctrl.param_arrays()] for ctrl in state.layers]
+        rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        state.split_output(2, rng)
+        for ctrl, (W1, b1, W2, b2) in zip(state.layers, old):
+            row = W2[2] + oracle_rng.uniform(-0.01, 0.01, 3)
+            bias = b2[2] + oracle_rng.uniform(-0.01, 0.01)
+            want = (W1, b1, np.vstack([W2, row[None, :]]), np.append(b2, bias))
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(ctrl.param_arrays(), want))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        old = [[a.copy() for a in ctrl.param_arrays()] for ctrl in state.layers]
+        state.merge_output(1)
+        for ctrl, (W1, b1, W2, b2) in zip(state.layers, old):
+            want = (W1, b1, np.delete(W2, 1, axis=0), np.delete(b2, 1))
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(ctrl.param_arrays(), want))
+
+    def test_writes_to_a_view_reach_params(self):
+        state = init_params(0, 4, 4, 2, 3)
+        state.layer(2).b2[1] = 7.0
+        assert state.params[state.offsets[2] - 2] == 7.0
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda state: pickle.loads(pickle.dumps(state))])
+    def test_copies_hold_views_of_their_own_vector(self, clone):
+        state = init_params(4, 4, 4, 3, 5)
+        state.split_output(1, np.random.default_rng(0))
+        other = clone(state)
+        assert flat_layout_faults(other) == []
+        assert not np.shares_memory(other.params, state.params)
+        assert other.to_dict() == state.to_dict()
+        assert (other.n_ops, other.num_layers, other.version) == (6, 3, 1)

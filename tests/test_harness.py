@@ -233,6 +233,25 @@ def with_controller_field(name, value, layer=None):
     return corrupt
 
 
+def with_short_b2(layer):
+    """The checkpoint with one operator fewer in layer `layer`'s b2 than in
+    its W2 (and in layer 1's b2)."""
+    def corrupt(checkpoint):
+        b2 = checkpoint["controllers"]["layers"][layer - 1]["b2"]
+        b2["shape"] = [b2["shape"][0] - 1]
+        del b2["values"][-1]
+        return checkpoint
+    return corrupt
+
+
+def with_short_values(name):
+    """The checkpoint with one value fewer in layer 1's `name` than its shape holds."""
+    def corrupt(checkpoint):
+        del checkpoint["controllers"]["layers"][0][name]["values"][-1]
+        return checkpoint
+    return corrupt
+
+
 def with_zero_embed_dim(checkpoint):
     """The checkpoint with embed_dim 0 in its config and its controllers, and
     each W1 shaped to match: consistent, but no embedder has 0 dimensions."""
@@ -264,6 +283,14 @@ BAD_CHECKPOINTS = {
                                           layer=1),
                     r"b1 shape \[4.0\] is not a list of integers"),
     "zero_embed_dim": (with_zero_embed_dim, "embed_dim must be >= 1"),
+    "no_layers": (with_controller_field("layers", []), "controllers hold no layers"),
+    "mismatched_shapes": (with_short_b2(2), r"layer 2 has shapes \[\(4, 8\), \(4,\),"
+                          r" \(9, 4\), \(8,\)\], expected"),
+    "values_short_of_shape": (with_short_values("W2"), r"layer 1 W2 holds 35 values"
+                              r" for shape \[9, 4\]"),
+    "negative_hidden_dim": (with_controller_field("hidden_dim", -4),
+                            r"layer 1 has shapes \[\(4, 4\), \(4,\), \(9, 4\), \(9,\)\],"
+                            r" expected \[\(-4, 4\)"),
 }
 
 

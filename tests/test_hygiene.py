@@ -26,6 +26,10 @@
   names `__init__.py` re-exports are left out, and a public name also
   passes when `perfbench/` names it (as a name, an attribute or a tracer
   target's string), since the benchmark runs it.
+- No module but `src/maas/controller.py` assigns to an attribute named `W1`,
+  `b1`, `W2` or `b2`, by `=`, an augmented assignment, `del` or `setattr`.
+  A layer's arrays are views of its state's flat `params`, so an array
+  bound in their place anywhere else would drop out of every update.
 """
 
 import ast
@@ -446,3 +450,47 @@ def test_tracer_targets_resolve(monkeypatch):
                for span, owner, attr in places
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+PARAMETER_ARRAYS = ("W1", "b1", "W2", "b2")
+
+
+def parameter_rebinds(source):
+    """(line, name) of each assignment to an attribute named as a layer's
+    parameter array: `x.W1 = ...`, `x.W1 += ...`, `del x.W1` or
+    `setattr(x, "W1", ...)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+                and node.attr in PARAMETER_ARRAYS):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and is_named(node.func, "setattr")
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in PARAMETER_ARRAYS):
+            found.append((node.lineno, node.args[1].value))
+    return found
+
+
+def test_checker_flags_parameter_rebinds():
+    source = (
+        "ctrl.W1 = np.zeros(3)\n"
+        "state.layers[0].b2 += 1.0\n"
+        "del ctrl.W2\n"
+        "setattr(ctrl, 'b1', x)\n"
+        "ctrl.W1[0] = 1.0\n"
+        "ctrl.W2[:] += g\n"
+        "x = ctrl.b1\n"
+        "ctrl.W3 = x\n"
+        "setattr(ctrl, name, x)\n"
+        "LayerController(W1=a, b1=b, W2=c, b2=d, layer_index=1)\n"
+    )
+    assert parameter_rebinds(source) == [(1, "W1"), (2, "b2"), (3, "W2"), (4, "b1")]
+
+
+def test_only_controller_binds_parameter_arrays():
+    files = [p for p in checked_files() + sorted((ROOT / "perfbench").glob("*.py"))
+             + sorted((ROOT / "tools").glob("*.py")) if p.name != "controller.py"]
+    assert any(p.name == "optimizer.py" for p in files)
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                 for path in files for line, name in parameter_rebinds(path.read_text())]
+    assert offenders == []

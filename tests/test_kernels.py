@@ -238,6 +238,27 @@ def test_ffn_backward_equals_matmul_form_bitwise(case):
         assert bitwise_equal(got, want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(backward_cases(), st.integers(0, 3))
+def test_ffn_backward_into_out_equals_fresh_arrays_bitwise(case, pad):
+    """Written into views of one vector, as the training backward writes
+    `state.grad`, at any offset and filled with NaN first: the same bytes
+    as fresh arrays, and the views themselves come back."""
+    W2, X, H, G = case
+    (n, h), d = W2.shape, X.shape[1]
+    shapes = [(h, d), (h,), (n, h), (n,)]
+    vector = np.full(pad + sum(math.prod(s) for s in shapes) + pad, np.nan)
+    out, start = [], pad
+    for shape in shapes:
+        out.append(vector[start:start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    got = kernels.ffn_backward(*case, out=out)
+    assert all(a is b for a, b in zip(got, out))
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(got, kernels.ffn_backward(*case)))
+    assert np.isnan(vector[:pad]).all() and np.isnan(vector[start:]).all()
+
+
 def test_ffn_backward_underflowing_product_equals_matmul_form_in_value():
     """The one place the forms part: on one row, where a product of two
     nonzero entries underflows to zero, `np.dot` runs BLAS, whose fused

@@ -43,6 +43,7 @@ from maas.sampler import (
     architecture_log_prob,
     sample_architecture,
 )
+from tests.test_controller import flat_layout_faults
 from tests.test_kernels import bitwise_equal
 from tests.test_registry import registry_json
 
@@ -283,6 +284,72 @@ class TestUpdateDistribution:
             update_distribution(state, archs, [1.0], 0.05)
 
 
+def split_then_merge(registry, traces):
+    """A mutator that splits "cot" while it has no clone, and else merges
+    the clone into "debate"."""
+    if "cot-b" in registry:
+        return [OperatorPatch("debate", structure_action="merge", merge_with_id="cot-b")]
+    return [OperatorPatch("cot", structure_action="split")]
+
+
+class TestFlatUpdate:
+    """The update runs on `state.params` and `state.grad` as flat vectors."""
+
+    def test_gradients_are_views_of_state_grad_over_a_prefix(self):
+        reg = builtin_registry()
+        state = init_params(5, 8, 8, 4, len(reg))
+        archs = sampled_archs(state, reg, "q", 6, np.random.default_rng(5),
+                              HashingEmbedder(8))
+        grads = trace_gradients(state, archs, [0.5, -0.25, 1.0, 0.0, 0.3, -0.1])
+        assert [g.layer_index for g in grads] == list(
+            range(1, max(len(a.selections) for a in archs) + 1))
+        for g in grads:
+            for got, view in zip(g.param_arrays(), state.grads[g.layer_index - 1].param_arrays()):
+                assert got is view and np.shares_memory(got, state.grad)
+
+    def test_layers_past_the_reached_prefix_keep_every_bit(self):
+        """Every sample exits by layer 2, so layers 3 and 4 keep their bytes,
+        a -0.0 among them, though `state.grad` holds NaN there."""
+        reg = builtin_registry()
+        state = init_params(1, 8, 8, 4, len(reg))
+        state.layer(2).b2[reg.early_exit_index] = 50.0  # layer 2 always exits
+        state.layer(3).b1[0] = -0.0
+        state.layer(4).W2[2, 3] = -0.0
+        state.grad[:] = np.nan
+        archs = sampled_archs(state, reg, "q", 4, np.random.default_rng(1),
+                              HashingEmbedder(8))
+        assert {len(a.selections) for a in archs} <= {1, 2} and any(
+            len(a.selections) == 2 for a in archs)
+        reached, rest = state.offsets[2], state.params[state.offsets[2]:].copy()
+        before = state.params[:reached].copy()
+        update_distribution(state, archs, [1.0, -0.5, 0.25, 0.75], 0.05)
+        assert bitwise_equal(state.params[reached:], rest)
+        assert np.signbit(state.layer(3).b1[0]) and np.signbit(state.layer(4).W2[2, 3])
+        assert not np.isnan(state.params).any()
+        assert not np.array_equal(state.params[:reached], before)
+
+    def test_deep_copy_trains_like_the_original(self):
+        """Splits and merges included; training the copy leaves the
+        original's parameters alone."""
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=3, embed_dim=8, hidden_dim=8, patch_every=2)
+        state = init_params(2, 8, 8, 3, len(reg))
+        twin, twin_reg = copy.deepcopy(state), copy.deepcopy(reg)
+        snapshot = state.params.copy()
+        trainers = [Trainer(s, r, simple_env(), cfg, np.random.default_rng(2),
+                            mutator=split_then_merge)
+                    for s, r in ((twin, twin_reg), (state, reg))]
+        for i in range(10):
+            trainers[0].step(query(f"q{i}"))
+        assert state.params.tobytes() == snapshot.tobytes()
+        for i in range(10):
+            trainers[1].step(query(f"q{i}"))
+        assert twin.version == state.version > 10  # the steps and the edits
+        assert flat_layout_faults(twin) == flat_layout_faults(state) == []
+        assert twin.to_dict() == state.to_dict()
+        assert registry_json(twin_reg) == registry_json(reg)
+
+
 class TestBatchedUpdate:
     """The one-backward-per-layer update against a per-sample reference:
     sum_k m_k * grad_log_prob on from-scratch features, scaled by lr / K."""
@@ -344,9 +411,9 @@ class TestBatchedUpdate:
                 layer1_forwards.append(1)
             return ffn_forward(W1, *args)
 
-        def counting_backward(*args):
+        def counting_backward(*args, **kwargs):
             backward_calls.append(1)
-            return ffn_backward(*args)
+            return ffn_backward(*args, **kwargs)
 
         def recording_update(state, step_archs, weights, lr):
             archs.extend(step_archs)

@@ -245,33 +245,82 @@ class TestApplyPatch:
         assert registry_json(reg) == before
 
 
-@given(st.lists(st.sampled_from(["split_cot", "merge", "temp", "rewire"]), max_size=6))
+# patch sequences: each action a patch `apply_action` applies
+PATCH_ACTIONS = st.lists(st.sampled_from(["split_cot", "merge", "temp", "rewire"]),
+                         max_size=6)
+
+
+def apply_action(reg, act):
+    """Apply the patch `act` names; a patch whose operator a merge took
+    away raises `DataError` "no operator", and a rewire leaves the registry
+    as it was."""
+    if act == "split_cot":
+        reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+    elif act == "merge":
+        reg.apply_patch(
+            OperatorPatch("debate", structure_action="merge", merge_with_id="ensemble")
+        )
+    elif act == "temp":
+        reg.apply_patch(OperatorPatch("react", new_temperature=0.7))
+    else:
+        before = registry_json(reg)
+        with pytest.raises(DataError, match="unknown structure_action 'rewire'"):
+            reg.apply_patch(OperatorPatch("testing", structure_action="rewire"))
+        assert registry_json(reg) == before
+
+
+@given(PATCH_ACTIONS)
 def test_patched_registry_keeps_distinguished_invariant(actions):
     """After any valid patch sequence there is exactly one exit and one
     direct-io operator."""
     reg = builtin_registry()
     for act in actions:
         try:
-            if act == "split_cot":
-                reg.apply_patch(OperatorPatch("cot", structure_action="split"))
-            elif act == "merge":
-                reg.apply_patch(
-                    OperatorPatch("debate", structure_action="merge",
-                                  merge_with_id="ensemble")
-                )
-            elif act == "temp":
-                reg.apply_patch(OperatorPatch("react", new_temperature=0.7))
-            else:
-                before = registry_json(reg)
-                with pytest.raises(DataError, match="unknown structure_action 'rewire'"):
-                    reg.apply_patch(OperatorPatch("testing", structure_action="rewire"))
-                assert registry_json(reg) == before
+            apply_action(reg, act)
         except DataError as exc:
             assert "no operator" in str(exc)
             continue
     specs = reg.specs()
     assert sum(s.kind == KIND_EARLY_EXIT for s in specs) == 1
     assert sum(s.kind == KIND_DIRECT_IO for s in specs) == 1
+
+
+def scanned_lookups(reg):
+    """The lookups the registry holds, by a fresh scan of its operators:
+    ids, index of each id, early-exit index and id, direct-io id."""
+    specs = reg.specs()
+    exit_index = next(i for i, s in enumerate(specs) if s.kind == KIND_EARLY_EXIT)
+    return ([s.id for s in specs], {s.id: i for i, s in enumerate(specs)}, exit_index,
+            specs[exit_index].id, next(s.id for s in specs if s.kind == KIND_DIRECT_IO))
+
+
+def held_lookups(reg):
+    ids = reg.ids()
+    return (ids, {op_id: reg.index_of(op_id) for op_id in ids}, reg.early_exit_index,
+            reg.early_exit_id, reg.direct_io_id)
+
+
+@given(PATCH_ACTIONS, PATCH_ACTIONS)
+def test_held_lookups_equal_a_fresh_scan(actions, more):
+    """After every patch, applied or rejected, and after a round trip
+    through `to_dict`, on which more patches follow."""
+    reg = builtin_registry()
+    assert held_lookups(reg) == scanned_lookups(reg)
+    for sequence in (actions, more):
+        for act in sequence:
+            try:
+                apply_action(reg, act)
+            except DataError:
+                pass
+            assert held_lookups(reg) == scanned_lookups(reg)
+        reg = OperatorRegistry.from_dict(reg.to_dict())
+        assert held_lookups(reg) == scanned_lookups(reg)
+
+
+def test_ids_is_a_copy():
+    reg = builtin_registry()
+    reg.ids().append("ghost")
+    assert "ghost" not in reg.ids() and held_lookups(reg) == scanned_lookups(reg)
 
 
 @pytest.mark.parametrize("field,value", [

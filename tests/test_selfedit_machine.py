@@ -4,7 +4,7 @@ Each rule is one patch round: the scripted mutator answers with one reply
 text, parsed as the LLM mutator parses it, and `Trainer.step` trains on a
 query and applies what parses. Whatever the replies, the registry keeps
 exactly one early-exit and one direct-io operator and the controller keeps
-one output row per operator.
+one output row per operator, its arrays views of one flat vector.
 """
 
 import json
@@ -18,6 +18,7 @@ from maas.datagen import default_env, make_mixed_dataset
 from maas.executor import QueryRecord
 from maas.optimizer import TrainConfig, Trainer, parse_mutation
 from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, builtin_registry
+from tests.test_controller import flat_layout_faults
 from tests.test_registry import registry_json
 
 RECORDS = [QueryRecord(**r) for r in make_mixed_dataset(2, 2)]
@@ -96,6 +97,7 @@ class SelfEditMachine(RuleBasedStateMachine):
         assert self.state.n_ops == n
         for ctrl in self.state.layers:
             assert ctrl.W2.shape[0] == ctrl.b2.shape[0] == n
+        assert flat_layout_faults(self.state) == []
 
 
 SelfEditMachine.TestCase.settings = settings(
