@@ -191,14 +191,16 @@ def render_prompt(spec, query_text, predecessor_outputs):
 def live_call(model, temperature, rendered_prompt, base_url, api_key,
               transport=None, sleep=time.sleep):
     """POST a chat completion that asks `model` at `temperature`, with
-    `rendered_prompt` as its one user message (through requests when
-    `transport` is None); returns (content, prompt_tokens, completion_tokens).
-    A transport error (an `OSError`, as every requests error is), 429 or 5xx
-    is retried, up to MAX_ATTEMPTS calls in all, with a sleep of
-    BACKOFF_BASE_S seconds that doubles after each failure; any other status,
-    a malformed reply and any other exception raise at once."""
+    `rendered_prompt` as its one user message (through `_urllib_transport`
+    when `transport` is None); returns (content, prompt_tokens,
+    completion_tokens). The status is judged before the body, and an error
+    body is never parsed. A transport error (an `OSError`), 429 or 5xx is
+    retried, up to MAX_ATTEMPTS calls in all, with a sleep of BACKOFF_BASE_S
+    seconds that doubles after each failure; any other status, a 200 whose
+    body is not JSON, a malformed reply and any other exception raise at
+    once."""
     if transport is None:
-        transport = _requests_transport
+        transport = _urllib_transport
     url = base_url + "/v1/chat/completions"
     payload = {
         "model": model,
@@ -214,6 +216,9 @@ def live_call(model, temperature, rendered_prompt, base_url, api_key,
             last_error = exc
         else:
             if status == 200:
+                if body is None:
+                    raise BackendError("chat endpoint returned 200 with a body that"
+                                       " is not JSON")
                 return _parse_chat_response(body)
             last_error = BackendError(f"chat endpoint returned {status}")
             if status != 429 and not 500 <= status < 600:
@@ -243,11 +248,35 @@ def _parse_chat_response(body):
     return content, prompt, completion
 
 
-def _requests_transport(url, payload, headers):
-    import requests
+def _urllib_transport(url, payload, headers):
+    """POST `payload` as JSON; returns (status, the parsed body), where the
+    body is None when the status is an error or the body is not JSON. A
+    reply cut short (an `http.client.HTTPException`, which is no `OSError`)
+    raises `ConnectionError`, so it is retried as a transport error; a URL or
+    header that urllib cannot send raises `BackendError`. TLS is checked
+    against OpenSSL's default CA paths, not certifi's bundle. urllib is
+    imported here, so that a command that makes no chat call never loads it."""
+    import http.client
+    import urllib.error
+    import urllib.request
 
-    resp = requests.post(url, json=payload, headers=headers, timeout=120)
-    return resp.status_code, resp.json()
+    try:
+        request = urllib.request.Request(
+            url, data=json.dumps(payload).encode(),
+            headers={**headers, "Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=120) as resp:
+            status, raw = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:  # an OSError, but a status to judge
+        exc.close()
+        return exc.code, None
+    except http.client.HTTPException as exc:
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+    except ValueError as exc:
+        raise BackendError(f"cannot send the chat request: {exc}") from exc
+    try:
+        return status, json.loads(raw)
+    except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
+        return status, None
 
 
 def evaluate_answer(final: str, oracle: str, checker: str = "exact_match") -> float:

@@ -284,9 +284,9 @@ def parse_mutation(reply_text) -> OperatorPatch:
     `MUTATOR_PROMPT` asks for; other keys, code among them, are ignored, and
     a missing, null or empty "structure_action" is "none". A reply that is not
     such an object, or that no `OperatorPatch` can hold, raises `DataError`."""
-    try:
+    try:  # bad JSON, an int of too many digits, or nesting past the recursion limit
         data = json.loads(reply_text)
-    except (ValueError, TypeError) as exc:  # a JSONDecodeError, or an int of too many digits
+    except (ValueError, TypeError, RecursionError) as exc:
         raise DataError(f"reply is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError("reply is not a JSON object")

@@ -24,6 +24,9 @@ VALID_KINDS = {KIND_GENERATIVE, KIND_AGGREGATOR, KIND_EARLY_EXIT, KIND_DIRECT_IO
 
 EARLY_EXIT_ID = "early_exit"
 DIRECT_IO_ID = "direct_io"
+# far above the builtin prompts (at most 187 chars); a split and a merge back
+# double a prompt, so the bound ends that growth in a rejected patch
+MAX_PROMPT_CHARS = 16_384
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,9 @@ class OperatorSpec:
         check_fields(self)
         if not self.id:
             raise DataError("operator id must be non-empty")
+        if len(self.prompt) > MAX_PROMPT_CHARS:
+            raise DataError(f"prompt of {self.id!r} holds {len(self.prompt)} chars,"
+                            f" over {MAX_PROMPT_CHARS}")
         if not 0.0 <= self.temperature <= 2.0:
             raise DataError(
                 f"temperature {self.temperature} outside [0, 2] for {self.id!r}"
@@ -175,19 +181,15 @@ class OperatorRegistry:
     # -- mutation ----------------------------------------------------------
 
     def register(self, spec: OperatorSpec):
+        """Append `spec`; every check runs before the first write."""
         if spec.id in self._by_id:
             raise DataError(f"operator id {spec.id!r} already registered")
-        if spec.kind == KIND_EARLY_EXIT:
-            if self._early_exit_index is not None:
-                raise DataError("registry already has an early-exit operator")
-            self._early_exit_index = len(self._specs)
-        elif spec.kind == KIND_DIRECT_IO:
-            if self._direct_io_id is not None:
-                raise DataError("registry already has a direct-io operator")
-            self._direct_io_id = spec.id
-        self._by_id[spec.id] = len(self._specs)
-        self._ids.append(spec.id)
+        if spec.kind == KIND_EARLY_EXIT and self._early_exit_index is not None:
+            raise DataError("registry already has an early-exit operator")
+        if spec.kind == KIND_DIRECT_IO and self._direct_io_id is not None:
+            raise DataError("registry already has a direct-io operator")
         self._specs.append(spec)
+        self._reindex()
         return self
 
     def apply_patch(self, patch: OperatorPatch) -> StructuralChange | None:

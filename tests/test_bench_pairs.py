@@ -226,3 +226,42 @@ def test_parse_tier1_sums_each_criterion(tail):
     got = bench_pairs.parse_tier1(out)
     assert got == {"wall_s": 44.95, "result": "259 passed, 1 skipped",
                    "criterion_s": {"2": 7.07, "4": 10.74}}
+
+
+def durations_output(wall, criterion4, criterion2):
+    """What `pytest -q --durations=0` prints for a run of that many seconds."""
+    return "\n".join([
+        "....",
+        f"{criterion4:.2f}s call     tests/test_acceptance.py::TestCriterion4Thing::test_a",
+        f"{criterion2:.2f}s call     tests/test_acceptance.py::TestCriterion2Other::test_b",
+        f"===== 259 passed, 1 skipped in {wall:.2f}s =====",
+    ])
+
+
+def test_tier1_alternates_sides_and_keeps_medians():
+    canned = {"parent": [(51.4, 8.0, 7.0), (54.2, 9.5, 7.2), (52.0, 8.2, 7.1)],
+              "change": [(69.2, 10.0, 7.5), (56.5, 8.1, 6.9), (53.0, 8.4, 7.0)]}
+    calls = []
+
+    def fake_run(side):
+        calls.append(side)
+        return bench_pairs.parse_tier1(durations_output(*canned[side][calls.count(side) - 1]))
+
+    runs = bench_pairs.collect_tier1(fake_run)
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    out = bench_pairs.summarize_tier1(runs)
+    assert out["parent"] == {"wall_s": 52.0, "wall_s_runs": [51.4, 54.2, 52.0],
+                             "results": ["259 passed, 1 skipped"] * 3,
+                             "criterion_s": {"2": 7.1, "4": 8.2}}
+    assert out["change"]["wall_s"] == 56.5
+    assert out["change"]["criterion_s"] == {"2": 7.0, "4": 8.4}
+
+
+def test_tier1_medians_skip_what_a_run_did_not_report():
+    crashed = {"wall_s": None, "result": "error", "criterion_s": {}}
+    ran = bench_pairs.parse_tier1(durations_output(50.0, 8.0, 7.0))
+    out = bench_pairs.summarize_tier1({"parent": [crashed, ran, ran], "change": [crashed]})
+    assert out["parent"]["wall_s"] == 50.0
+    assert out["parent"]["criterion_s"] == {"2": 7.0, "4": 8.0}
+    assert out["change"] == {"wall_s": None, "wall_s_runs": [None], "results": ["error"],
+                             "criterion_s": {}}

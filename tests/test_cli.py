@@ -159,7 +159,7 @@ class TestTrainCommand:
         def forbidden(*args):
             pytest.fail("a chat request or a retry sleep ran")
 
-        monkeypatch.setattr(executor, "_requests_transport", forbidden)
+        monkeypatch.setattr(executor, "_urllib_transport", forbidden)
         for fn in (executor.LiveEnv.__init__, executor.live_call):
             *others, sleep = fn.__defaults__
             assert sleep is time.sleep
@@ -184,7 +184,7 @@ class TestTrainCommand:
             return 200, {"choices": [{"message": {"content": None}}],
                          "usage": {"prompt_tokens": 3, "completion_tokens": 2}}
 
-        monkeypatch.setattr(executor, "_requests_transport", transport)
+        monkeypatch.setattr(executor, "_urllib_transport", transport)
         monkeypatch.setenv("MAAS_BASE_URL", "http://stub")
         result = CliRunner().invoke(main, train_args(workdir, flags))
         assert result.exit_code == 4, result.output

@@ -1,10 +1,10 @@
 """Executor: synthetic formula arithmetic, aggregation, live-call contract."""
 
 import json
+import urllib.error
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from maas.errors import BackendError, DataError
@@ -333,7 +333,7 @@ class TestLiveCall:
         self._check_retry_then_success(ConnectionError)
 
     @pytest.mark.parametrize("error", [
-        requests.ConnectionError, TimeoutError,
+        urllib.error.URLError, TimeoutError,
     ])
     def test_other_network_errors_retried(self, error):
         self._check_retry_then_success(error)
@@ -482,7 +482,7 @@ class TestLiveEnv:
         with pytest.raises(BackendError, match="no base URL"):
             LiveEnv()
 
-    def test_requests_of_an_operator_and_of_the_mutator(self):
+    def test_chat_calls_of_an_operator_and_of_the_mutator(self):
         """The URL, JSON body (keys in order) and headers that an operator's
         and the LLM mutator's chat calls send: the operator's model binding
         and temperature, the mutator's model at 1.0, and the rendered prompt

@@ -15,7 +15,7 @@ from maas.errors import DataError
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile, execute
 from maas.harness import EVAL_RNG_OFFSET, run_eval, run_train
 from maas.optimizer import TrainConfig
-from maas.registry import OperatorPatch, builtin_registry
+from maas.registry import MAX_PROMPT_CHARS, OperatorPatch, builtin_registry
 from tests.test_optimizer import any_value_anywhere
 
 
@@ -262,6 +262,13 @@ def with_zero_embed_dim(checkpoint):
     return checkpoint
 
 
+def with_long_prompt(checkpoint):
+    """The checkpoint with a "cot" prompt one char over `MAX_PROMPT_CHARS`."""
+    [cot] = [op for op in checkpoint["registry"]["operators"] if op["id"] == "cot"]
+    cot["prompt"] = "x" * (MAX_PROMPT_CHARS + 1)
+    return checkpoint
+
+
 # each maps a checkpoint dict to a bad one, with the fault `restore` names
 BAD_CHECKPOINTS = {
     "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
@@ -291,6 +298,8 @@ BAD_CHECKPOINTS = {
     "negative_hidden_dim": (with_controller_field("hidden_dim", -4),
                             r"layer 1 has shapes \[\(4, 4\), \(4,\), \(9, 4\), \(9,\)\],"
                             r" expected \[\(-4, 4\)"),
+    "long_prompt": (with_long_prompt, f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1}"
+                    f" chars, over {MAX_PROMPT_CHARS}"),
 }
 
 

@@ -36,7 +36,8 @@ from maas.optimizer import (
     trace_gradients,
     update_distribution,
 )
-from maas.registry import OperatorPatch, OperatorRegistry, builtin_registry
+from maas.registry import (MAX_PROMPT_CHARS, OperatorPatch, OperatorRegistry,
+                           builtin_registry)
 from maas.sampler import (
     MODE_TRAIN,
     Architecture,
@@ -688,6 +689,7 @@ MALFORMED_REPLIES = [
     '{"target_id": "cot", "structure_action": "merge", "merge_with_id": ["debate"]}',
     '{"target_id": "cot", "new_prompt": 5}',
     '{"target_id": "cot", "new_prompt": ["x"]}',
+    "[" * 100_000,  # nested past the parser's recursion limit
 ]
 
 
@@ -860,6 +862,34 @@ class TestTrainer:
         assert registry_json(reg) == registry_json(after) != before
         assert state.n_ops == len(reg)
         trainer.step(query("q2"))
+
+    def test_prompt_doubling_ends_in_a_skipped_patch(self):
+        """Splitting "cot" and merging the clone back doubles its prompt; the
+        merge that would take it past `MAX_PROMPT_CHARS` is skipped and
+        leaves the registry as it was."""
+        reg = builtin_registry()
+        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
+        state = init_params(0, 8, 8, 2, len(reg))
+
+        def split_and_merge_back(registry, traces):
+            if "cot-b" in registry:
+                return [OperatorPatch("cot", structure_action="merge",
+                                      merge_with_id="cot-b")]
+            return [OperatorPatch("cot", structure_action="split")]
+
+        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
+                          mutator=split_and_merge_back)
+        for i in range(40):
+            before = registry_json(reg)
+            if trainer.step(query(f"q{i}"))["patches_applied"] == 0:
+                break
+        else:
+            pytest.fail("no patch was skipped")
+        assert i > 10  # six split/merge-back cycles ran first
+        assert registry_json(reg) == before
+        prompt = reg.get("cot").prompt
+        assert len(prompt) <= MAX_PROMPT_CHARS < 2 * len(prompt) + 1
+        assert "cot-b" in reg and state.n_ops == len(reg)
 
     def test_unparseable_proposal_is_skipped_not_fatal(self):
         reg = builtin_registry()

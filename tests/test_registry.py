@@ -11,6 +11,7 @@ from maas.registry import (
     KIND_DIRECT_IO,
     KIND_EARLY_EXIT,
     KIND_GENERATIVE,
+    MAX_PROMPT_CHARS,
     OperatorPatch,
     OperatorRegistry,
     OperatorSpec,
@@ -91,6 +92,28 @@ class TestRegister:
     def test_bad_temperature_rejected(self):
         with pytest.raises(DataError, match=r"temperature 2\.5 outside \[0, 2\] for 'hot'"):
             OperatorRegistry().register(make_spec("hot", temperature=2.5))
+
+    @pytest.mark.parametrize("spec,message", [
+        (make_spec("cot"), "already registered"),
+        (make_spec("exit2", KIND_EARLY_EXIT), "already has an early-exit"),
+        (make_spec("io2", KIND_DIRECT_IO), "already has a direct-io"),
+    ], ids=["duplicate_id", "second_exit", "second_direct_io"])
+    def test_rejected_registration_leaves_registry_unchanged(self, spec, message):
+        reg = OperatorRegistry()
+        for op in (make_spec("cot"), make_spec("exit", KIND_EARLY_EXIT),
+                   make_spec("io", KIND_DIRECT_IO)):
+            reg.register(op)
+        before = (registry_json(reg), held_lookups(reg))
+        with pytest.raises(DataError, match=message):
+            reg.register(spec)
+        assert (registry_json(reg), held_lookups(reg)) == before
+
+    def test_prompt_length_is_bounded(self):
+        make_spec("long", prompt="x" * MAX_PROMPT_CHARS)  # at the bound: accepted
+        with pytest.raises(DataError, match=f"prompt of 'long' holds"
+                           f" {MAX_PROMPT_CHARS + 1} chars, over {MAX_PROMPT_CHARS}"):
+            make_spec("long", prompt="x" * (MAX_PROMPT_CHARS + 1))
+        assert max(len(s.prompt) for s in builtin_catalog()) < MAX_PROMPT_CHARS // 64
 
     def test_insertion_order_is_index(self):
         reg = builtin_registry()

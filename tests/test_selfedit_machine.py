@@ -3,8 +3,9 @@
 Each rule is one patch round: the scripted mutator answers with one reply
 text, parsed as the LLM mutator parses it, and `Trainer.step` trains on a
 query and applies what parses. Whatever the replies, the registry keeps
-exactly one early-exit and one direct-io operator and the controller keeps
-one output row per operator, its arrays views of one flat vector.
+exactly one early-exit and one direct-io operator, every prompt within
+`MAX_PROMPT_CHARS`, and the controller keeps one output row per operator,
+its arrays views of one flat vector.
 """
 
 import json
@@ -17,7 +18,8 @@ from maas.controller import init_params
 from maas.datagen import default_env, make_mixed_dataset
 from maas.executor import QueryRecord
 from maas.optimizer import TrainConfig, Trainer, parse_mutation
-from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, builtin_registry
+from maas.registry import (KIND_DIRECT_IO, KIND_EARLY_EXIT, MAX_PROMPT_CHARS,
+                           builtin_registry)
 from tests.test_controller import flat_layout_faults
 from tests.test_registry import registry_json
 
@@ -90,6 +92,10 @@ class SelfEditMachine(RuleBasedStateMachine):
         kinds = [s.kind for s in self.registry.specs()]
         assert kinds.count(KIND_EARLY_EXIT) == 1
         assert kinds.count(KIND_DIRECT_IO) == 1
+
+    @invariant()
+    def prompts_within_the_bound(self):
+        assert all(len(s.prompt) <= MAX_PROMPT_CHARS for s in self.registry.specs())
 
     @invariant()
     def controller_rows_match_registry(self):

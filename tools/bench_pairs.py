@@ -12,8 +12,10 @@ so the run adds no worktree to the repository. Each pair runs
 seed in both trees, one after the other: the parent first on odd seeds and
 the change first on even seeds. Then one `--trace 1` run of each tree per
 workload, at seed 2, parent first, checks that every count-valued metric is
-unchanged, and the tier-1 suite runs once in each tree, for its wall time
-and the time of each acceptance criterion. The record holds, per workload,
+unchanged. The tier-1 suite then runs `TIER1_RUNS` times in each tree,
+alternating as the pairs do, and the record keeps each side's median wall
+time and the median time of each acceptance criterion: one run swings more
+than most changes move it. The record holds, per workload,
 the medians (with the median `timed_units`, against which `peak_rss_mb` is
 read), the quartiles, how many pairs the change won and tied,
 `rss_bytes_per_extra_unit` (the median over pairs of the change's extra peak
@@ -41,6 +43,7 @@ import tempfile
 COUNT_UNITS = ("count", "layers", "chars")
 COUNT_FRACS = ("embedding.embed.repeat_frac",)
 TRACE_SEED = 2
+TIER1_RUNS = 3  # per side
 PAIRING = ("parent and change on the same seed, one after the other, the parent"
            " first on odd seeds and the change first on even seeds; medians and"
            " quartiles over the pairs; ties count in pairs_equal, not in"
@@ -224,6 +227,39 @@ def parse_tier1(stdout):
             "criterion_s": dict(sorted(criterion_s.items(), key=lambda kv: int(kv[0])))}
 
 
+def collect_tier1(run):
+    """`TIER1_RUNS` tier-1 runs per side, alternating: the parent first in
+    odd rounds and the change first in even ones. `run(side)` returns one
+    `parse_tier1` result. Returns {side: [results]}."""
+    runs = {"parent": [], "change": []}
+    for i in range(1, TIER1_RUNS + 1):
+        for side in pair_order(i):
+            runs[side].append(run(side))
+    return runs
+
+
+def _median(values):
+    values = [v for v in values if v is not None]
+    return round(statistics.median(values), 2) if values else None
+
+
+def summarize_tier1(runs):
+    """Per side: the median wall time over its runs (None when no run
+    reported one), each run's wall time and result line, and the median
+    seconds of each acceptance criterion over the runs that timed it."""
+    out = {}
+    for side, side_runs in runs.items():
+        criteria = sorted({c for r in side_runs for c in r["criterion_s"]}, key=int)
+        out[side] = {
+            "wall_s": _median(r["wall_s"] for r in side_runs),
+            "wall_s_runs": [r["wall_s"] for r in side_runs],
+            "results": [r["result"] for r in side_runs],
+            "criterion_s": {c: _median(r["criterion_s"].get(c) for r in side_runs)
+                            for c in criteria},
+        }
+    return out
+
+
 def src_lines(tree):
     src = os.path.join(tree, "src", "maas")
     total = 0
@@ -295,7 +331,7 @@ def main(argv=None):
             return _perfbench(trees[side], workload, seed, seconds, trace)
 
         paired, traced = collect(workloads, TRACE_SEED, run)
-        tier1 = {side: _tier1(trees[side]) for side in ("parent", "change")}
+        tier1 = summarize_tier1(collect_tier1(lambda side: _tier1(trees[side])))
         lines = {side: src_lines(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -319,8 +355,10 @@ def main(argv=None):
     record["tier1"] = {
         "command": ("PYTHONPATH=src python -m pytest -q"
                     " --continue-on-collection-errors --durations=0"),
+        "runs_per_side": TIER1_RUNS,
         **tier1,
-        "note": "one run each, parent then change, on the same host"}
+        "note": ("medians over the runs of each side, parent and change"
+                 " alternating, on the same host")}
     record["src_maas_lines"] = lines
     record["workloads"] = {
         name: {**summarize_pairs(seeds, paired[name], directions),
