@@ -18,11 +18,15 @@ lands within rounding of a CDF boundary.
 layer's arrays being views of it, and a gradient vector of the same layout,
 so the training update is one scale and one add over a prefix of each. Only
 this module binds a layer's arrays; a split or merge lays the vectors out
-anew.
+anew. A checkpoint holds the vector as one base64 string of its
+little-endian float64 bytes beside the counts that give its layout (format
+2); `SupernetState.from_format1` still reads format 1's per-layer lists of
+values.
 """
 
 from __future__ import annotations
 
+import base64
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -48,19 +52,9 @@ class LayerController:
     b1: np.ndarray  # (h,)
     W2: np.ndarray  # (n_ops, h)
     b2: np.ndarray  # (n_ops,)
-    layer_index: int
 
     def param_arrays(self):
         return (self.W1, self.b1, self.W2, self.b2)
-
-    def to_dict(self):
-        return {
-            "layer_index": self.layer_index,
-            "W1": {"shape": list(self.W1.shape), "values": self.W1.ravel().tolist()},
-            "b1": {"shape": list(self.b1.shape), "values": self.b1.tolist()},
-            "W2": {"shape": list(self.W2.shape), "values": self.W2.ravel().tolist()},
-            "b2": {"shape": list(self.b2.shape), "values": self.b2.tolist()},
-        }
 
 
 def _layout(d, h, n_ops, num_layers):
@@ -69,18 +63,25 @@ def _layout(d, h, n_ops, num_layers):
     return [[(h, d * ell), (h,), (n_ops, h), (n_ops,)] for ell in range(1, num_layers + 1)]
 
 
+def _size(d, h, n_ops, num_layers):
+    """How many values the shapes of `_layout(d, h, n_ops, num_layers)` hold,
+    in closed form, so that counts read from a file cost nothing to check,
+    however large."""
+    return h * d * num_layers * (num_layers + 1) // 2 + num_layers * (h + n_ops * h + n_ops)
+
+
 def _views(vector, layout):
     """One `LayerController` per layer of `layout` whose arrays are views of
     `vector`, and the offset in `vector` at which each layer ends, after a
     leading 0."""
     layers, offsets, start = [], [0], 0
-    for ell, shapes in enumerate(layout, start=1):
+    for shapes in layout:
         arrays = []
         for shape in shapes:
             end = start + math.prod(shape)
             arrays.append(vector[start:end].reshape(shape))
             start = end
-        layers.append(LayerController(*arrays, layer_index=ell))
+        layers.append(LayerController(*arrays))
         offsets.append(start)
     return layers, offsets
 
@@ -184,19 +185,50 @@ class SupernetState:
         self.bump_version()
 
     def to_dict(self):
+        """The controllers as checkpoint format 2 holds them: the dims, the
+        counts, the version, and `params` as base64 of its little-endian
+        float64 bytes, so every value reads back bit for bit."""
         return {
             "embed_dim": self.embed_dim,
             "hidden_dim": self.hidden_dim,
             "version": self.version,
-            "layers": [ctrl.to_dict() for ctrl in self.layers],
+            "num_layers": self.num_layers,
+            "n_ops": self.n_ops,
+            "params": base64.b64encode(self.params.astype("<f8").tobytes()).decode("ascii"),
         }
 
     @classmethod
     def from_dict(cls, d):
-        """`DataError` unless the dims and version are integers and the
-        layers are valid entries, at least one, each at the position its
-        index names, in the shapes `_layout` gives for the dims and layer 1's
-        operator count."""
+        """The state `to_dict` gave; `DataError` unless the version is an
+        integer, the dims and counts are positive integers, and `params` is
+        a base64 string of 8 bytes per value of the shapes `_layout` gives
+        for them. The values are copied out of the decoded bytes, so
+        `params` is writable."""
+        counts = {name: d[name] for name in ("embed_dim", "hidden_dim", "n_ops", "num_layers")}
+        for name, value in counts.items():
+            if type(value) is not int or value < 1:
+                raise DataError(f"{name} {value!r} is not a positive integer")
+        if type(d["version"]) is not int:
+            raise DataError(f"version {d['version']!r} is not an integer")
+        if type(d["params"]) is not str:
+            raise DataError("params is not a string")
+        try:
+            blob = base64.b64decode(d["params"], validate=True)
+        except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+            raise DataError(f"params is not base64: {exc}") from exc
+        size = _size(*counts.values())
+        if len(blob) != 8 * size:
+            raise DataError(f"params holds {len(blob)} bytes, expected {8 * size}")
+        params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        return cls(params, **counts, version=d["version"])
+
+    @classmethod
+    def from_format1(cls, d):
+        """The state in a format-1 checkpoint's controllers, which hold one
+        entry per layer with each array's shape and values; `DataError`
+        unless the dims and version are integers and the layers are valid
+        entries, at least one, each at the position its index names, in the
+        shapes `_layout` gives for the dims and layer 1's operator count."""
         for name in ("embed_dim", "hidden_dim", "version"):
             if type(d[name]) is not int:
                 raise DataError(f"{name} {d[name]!r} is not an integer")
@@ -234,8 +266,7 @@ def init_params(seed, d, h, num_layers, n_ops) -> SupernetState:
     state after, as one draw per array in that order."""
     if min(d, h, num_layers, n_ops) < 1:
         raise ValueError("all dims must be positive")
-    size = sum(math.prod(shape) for shapes in _layout(d, h, n_ops, num_layers)
-               for shape in shapes)
+    size = _size(d, h, n_ops, num_layers)
     params = np.random.default_rng(seed).uniform(-INIT_SCALE, INIT_SCALE, size)
     return SupernetState(params, d, h, n_ops, num_layers)
 
@@ -333,4 +364,4 @@ def grad_log_prob(
     gW1, gb1, gW2, gb2 = kernels.ffn_backward(
         ctrl.W2, score_vec.feature[None], score_vec.hidden[None], np.array([g_logits])
     )
-    return LayerController(W1=gW1, b1=gb1, W2=gW2, b2=gb2, layer_index=layer_index)
+    return LayerController(W1=gW1, b1=gb1, W2=gW2, b2=gb2)

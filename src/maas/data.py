@@ -30,6 +30,9 @@ def load_dataset(path) -> list[QueryRecord]:
                 obj = json.loads(line)
             except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
                 raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise DataError(f"dataset {path} line {line_no}: JSON nested past the"
+                                f" recursion limit") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"line {line_no}: not a JSON object")
             for field in REQUIRED_FIELDS:

@@ -98,8 +98,9 @@ class SyntheticEnv:
             profiles = [SyntheticOperatorProfile(**d) for d in data["profiles"]]
             overrides = [PromptSuccessOverride(**d)
                          for d in data.get("prompt_success_overrides", ())]
-        # JSON and UTF-8 errors are ValueErrors; a DataError is a bad entry
-        except (KeyError, TypeError, ValueError, DataError) as exc:
+        # JSON and UTF-8 errors are ValueErrors, and nesting past the recursion
+        # limit a RecursionError; a DataError is a bad entry
+        except (KeyError, TypeError, ValueError, RecursionError, DataError) as exc:
             raise DataError(f"malformed profile file {path}: {type(exc).__name__}:"
                             f" {exc}") from exc
         return cls(profiles, overrides, checker)

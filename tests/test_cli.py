@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # differ between numpy versions and between the SIMD targets a CPU runs.
 # "simd" lists each set of targets on which both pinned hashes were checked.
 GOLDEN_CHECKPOINT = {
-    "sha256": "88f0a238fb3bb74e966166b968ef8a1f0b82ed03dada509f4787c155584446d1",
+    "sha256": "a95475ea4610bbb7b6d25fa847519c85524abb2d371b151975c54c5c10992481",
     "numpy": "2.4.6",
     "platform": "linux-x86_64",
     "simd": [
@@ -42,7 +42,7 @@ GOLDEN_CHECKPOINT = {
 # metrics and the stdout of `maas eval` on the same data; recorded where
 # GOLDEN_CHECKPOINT was
 GOLDEN_SEED3 = {
-    "checkpoint": "2ae8b07c6ee99424e57b6081947f7fb8f104037ebc08cc48350362f018017d63",
+    "checkpoint": "e25c0304a8e38c07e9935b951d47356d684f82aa7344fa106d1286bee00e6199",
     "metrics": "876f935f499d9421ae9b9e99fce58e9809b1fa7b88ac5dc64dcbbb58597db4b6",
     "eval": "de4eef2a11c9a68809bcee6e35172ceb3b5da07a01fbbd7af8d2c835ea2f8e77",
 }
@@ -607,6 +607,26 @@ class TestLogProbOnlyWhenRead:
             assert isinstance(arch.log_prob, float)
             assert log_prob_calls == arch.selections
             log_prob_calls.clear()
+
+
+class TestDeeplyNestedJson:
+    """A JSON file nested past the parser's recursion limit is a data error
+    that names the file, from each loader."""
+
+    @pytest.mark.parametrize("option", ["--checkpoint", "--dataset", "--env-profile"],
+                             ids=["checkpoint", "dataset", "profile"])
+    def test_is_data_error(self, workdir, option):
+        deep = workdir / "deep.json"
+        deep.write_text("[" * 100_000 + "\n")
+        if option == "--checkpoint":
+            args = ["inspect", "--checkpoint", str(deep)]
+        else:
+            args = train_args(workdir)
+            args[args.index(option) + 1] = str(deep)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("data error: ") and result.output.count("\n") == 1
+        assert str(deep) in result.output
 
 
 def numpy_simd_targets():

@@ -519,8 +519,6 @@ def flat_layout_faults(state):
         if vector.dtype != np.float64 or vector.ndim != 1:
             faults.append(f"{label} is no flat float64 vector")
         for ell, ctrl in enumerate(layers, start=1):
-            if ctrl.layer_index != ell:
-                faults.append(f"{label} layer {ell} has layer_index {ctrl.layer_index}")
             if state.offsets[ell - 1] != start:
                 faults.append(f"layer {ell} starts at {state.offsets[ell - 1]}, not {start}")
             shapes = [(h, d * ell), (h,), (n, h), (n,)]

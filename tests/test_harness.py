@@ -1,5 +1,6 @@
 """Data loading, split protocol, checkpointing, train/eval loops."""
 
+import base64
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 
 from maas import checkpoint as ckpt
 from maas import sampler
-from maas.controller import init_params
+from maas.controller import SupernetState, init_params
 from maas.data import load_dataset, split_dataset
 from maas.datagen import default_env, make_mixed_dataset
 from maas.errors import DataError
@@ -192,18 +193,65 @@ def small_checkpoint():
     return json.loads(ckpt.dumps(ckpt.build_checkpoint(state, registry, config)))
 
 
+def format1_controllers(state):
+    """`state`'s controllers as checkpoint format 1 wrote them: one entry per
+    layer, each array's shape and values (by their shortest repr in JSON)."""
+    return {
+        "embed_dim": state.embed_dim,
+        "hidden_dim": state.hidden_dim,
+        "version": state.version,
+        "layers": [
+            {"layer_index": ell,
+             **{name: {"shape": list(array.shape), "values": array.ravel().tolist()}
+                for name, array in zip(("W1", "b1", "W2", "b2"), ctrl.param_arrays())}}
+            for ell, ctrl in enumerate(state.layers, start=1)
+        ],
+    }
+
+
+def as_format1(checkpoint):
+    """The format-1 checkpoint of the same run as `checkpoint`, as format 1
+    wrote it: per-layer controllers and a null `rng_state`."""
+    state, _, _ = ckpt.restore(checkpoint)
+    return json.loads(json.dumps({**checkpoint, "format_version": 1, "rng_state": None,
+                                  "controllers": format1_controllers(state)}))
+
+
+def in_format1(corrupt):
+    """`corrupt` applied to the format-1 form of the checkpoint."""
+    return lambda checkpoint: corrupt(as_format1(checkpoint))
+
+
+def with_state(corrupt_state):
+    """The checkpoint whose controllers hold its state after
+    `corrupt_state(state)`."""
+    def corrupt(checkpoint):
+        state = SupernetState.from_dict(checkpoint["controllers"])
+        corrupt_state(state)
+        checkpoint["controllers"] = state.to_dict()
+        return checkpoint
+    return corrupt
+
+
+def with_counts(**counts):
+    """The checkpoint whose controllers hold a fresh state of its counts but
+    `counts` (d, h, num_layers or n_ops): consistent in itself."""
+    def corrupt(checkpoint):
+        c = checkpoint["controllers"]
+        fields = {"d": c["embed_dim"], "h": c["hidden_dim"], "num_layers": c["num_layers"],
+                  "n_ops": c["n_ops"], **counts}
+        checkpoint["controllers"] = init_params(0, **fields).to_dict()
+        return checkpoint
+    return corrupt
+
+
 def without_operator(op_id):
     """The checkpoint without the operator `op_id` and its controller rows."""
     def corrupt(checkpoint):
         operators = checkpoint["registry"]["operators"]
         i = [op["id"] for op in operators].index(op_id)
         del operators[i]
-        for layer in checkpoint["controllers"]["layers"]:
-            n, h = layer["W2"]["shape"]
-            del layer["W2"]["values"][i * h:(i + 1) * h]
-            del layer["b2"]["values"][i]
-            layer["W2"]["shape"], layer["b2"]["shape"] = [n - 1, h], [n - 1]
-        return checkpoint
+        return with_state(lambda state: state.merge_output(i))(checkpoint)
     return corrupt
 
 
@@ -215,16 +263,39 @@ def with_react_as_second_exit(checkpoint):
 
 
 def with_parameter(name, value):
-    """The checkpoint with `value` as the first entry of layer 1's `name`."""
+    """The format-1 checkpoint with `value` as the first entry of layer 1's
+    `name`."""
     def corrupt(checkpoint):
         checkpoint["controllers"]["layers"][0][name]["values"][0] = value
         return checkpoint
     return corrupt
 
 
+def with_blob_value(layer, name, value):
+    """The checkpoint with `value` as the first entry of layer `layer`'s
+    `name` in its parameter blob (for W1, where the layer starts)."""
+    def plant(state):
+        getattr(state.layer(layer), name).flat[0] = value
+    return with_state(plant)
+
+
+def with_params_text(edit):
+    """The checkpoint whose `params` string is `edit(params)`."""
+    def corrupt(checkpoint):
+        checkpoint["controllers"]["params"] = edit(checkpoint["controllers"]["params"])
+        return checkpoint
+    return corrupt
+
+
+def with_blob_bytes(edit):
+    """The checkpoint whose parameter blob is `edit(blob)`."""
+    return with_params_text(
+        lambda text: base64.b64encode(edit(base64.b64decode(text))).decode("ascii"))
+
+
 def with_controller_field(name, value, layer=None):
     """The checkpoint with `value` as the controllers' `name`, or as the
-    `name` of layer `layer`'s entry."""
+    `name` of (format 1) layer `layer`'s entry."""
     def corrupt(checkpoint):
         controllers = checkpoint["controllers"]
         entry = controllers if layer is None else controllers["layers"][layer - 1]
@@ -234,8 +305,8 @@ def with_controller_field(name, value, layer=None):
 
 
 def with_short_b2(layer):
-    """The checkpoint with one operator fewer in layer `layer`'s b2 than in
-    its W2 (and in layer 1's b2)."""
+    """The format-1 checkpoint with one operator fewer in layer `layer`'s b2
+    than in its W2 (and in layer 1's b2)."""
     def corrupt(checkpoint):
         b2 = checkpoint["controllers"]["layers"][layer - 1]["b2"]
         b2["shape"] = [b2["shape"][0] - 1]
@@ -245,7 +316,8 @@ def with_short_b2(layer):
 
 
 def with_short_values(name):
-    """The checkpoint with one value fewer in layer 1's `name` than its shape holds."""
+    """The format-1 checkpoint with one value fewer in layer 1's `name` than
+    its shape holds."""
     def corrupt(checkpoint):
         del checkpoint["controllers"]["layers"][0][name]["values"][-1]
         return checkpoint
@@ -253,8 +325,9 @@ def with_short_values(name):
 
 
 def with_zero_embed_dim(checkpoint):
-    """The checkpoint with embed_dim 0 in its config and its controllers, and
-    each W1 shaped to match: consistent, but no embedder has 0 dimensions."""
+    """The format-1 checkpoint with embed_dim 0 in its config and its
+    controllers, and each W1 shaped to match: consistent, but no embedder
+    has 0 dimensions."""
     checkpoint["config"]["embed_dim"] = 0
     checkpoint["controllers"]["embed_dim"] = 0
     for layer in checkpoint["controllers"]["layers"]:
@@ -269,37 +342,76 @@ def with_long_prompt(checkpoint):
     return checkpoint
 
 
-# each maps a checkpoint dict to a bad one, with the fault `restore` names
+# each maps a (format-2) checkpoint dict to a bad one, with the fault
+# `restore` names; the cases of format 1's per-layer controllers corrupt the
+# format-1 form of the checkpoint
 BAD_CHECKPOINTS = {
     "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
     "no_direct_io": (without_operator("direct_io"), "lacks its early-exit or direct-io"),
     "second_exit": (with_react_as_second_exit, "already has an early-exit"),
-    "nan_b2": (with_parameter("b2", float("nan")), "layer 1 holds a parameter that"
-               " is not finite"),
-    "inf_W1": (with_parameter("W1", float("inf")), "layer 1 holds a parameter that"
-               " is not finite"),
-    "string_embed_dim": (with_controller_field("embed_dim", "4"),
+    "nan_b2": (in_format1(with_parameter("b2", float("nan"))),
+               "layer 1 holds a parameter that is not finite"),
+    "inf_W1": (in_format1(with_parameter("W1", float("inf"))),
+               "layer 1 holds a parameter that is not finite"),
+    "string_embed_dim": (in_format1(with_controller_field("embed_dim", "4")),
                          "embed_dim '4' is not an integer"),
-    "float_layer_index": (with_controller_field("layer_index", 2.9, layer=2),
+    "float_layer_index": (in_format1(with_controller_field("layer_index", 2.9, layer=2)),
                           "layer_index 2.9 is not an integer"),
-    "swapped_layer_index": (with_controller_field("layer_index", 1, layer=2),
+    "swapped_layer_index": (in_format1(with_controller_field("layer_index", 1, layer=2)),
                             "layer 2 has layer_index 1"),
-    "string_value": (with_parameter("b2", "0.1"), "b2 values are not a list of numbers"),
-    "bool_value": (with_parameter("W1", True), "W1 values are not a list of numbers"),
-    "float_shape": (with_controller_field("b1", {"shape": [4.0], "values": [0.0] * 4},
-                                          layer=1),
+    "string_value": (in_format1(with_parameter("b2", "0.1")),
+                     "b2 values are not a list of numbers"),
+    "bool_value": (in_format1(with_parameter("W1", True)),
+                   "W1 values are not a list of numbers"),
+    "float_shape": (in_format1(with_controller_field(
+                        "b1", {"shape": [4.0], "values": [0.0] * 4}, layer=1)),
                     r"b1 shape \[4.0\] is not a list of integers"),
-    "zero_embed_dim": (with_zero_embed_dim, "embed_dim must be >= 1"),
-    "no_layers": (with_controller_field("layers", []), "controllers hold no layers"),
-    "mismatched_shapes": (with_short_b2(2), r"layer 2 has shapes \[\(4, 8\), \(4,\),"
-                          r" \(9, 4\), \(8,\)\], expected"),
-    "values_short_of_shape": (with_short_values("W2"), r"layer 1 W2 holds 35 values"
-                              r" for shape \[9, 4\]"),
-    "negative_hidden_dim": (with_controller_field("hidden_dim", -4),
+    "zero_embed_dim": (in_format1(with_zero_embed_dim), "embed_dim must be >= 1"),
+    "no_layers": (in_format1(with_controller_field("layers", [])),
+                  "controllers hold no layers"),
+    "mismatched_shapes": (in_format1(with_short_b2(2)), r"layer 2 has shapes \[\(4, 8\),"
+                          r" \(4,\), \(9, 4\), \(8,\)\], expected"),
+    "values_short_of_shape": (in_format1(with_short_values("W2")),
+                              r"layer 1 W2 holds 35 values for shape \[9, 4\]"),
+    "negative_hidden_dim": (in_format1(with_controller_field("hidden_dim", -4)),
                             r"layer 1 has shapes \[\(4, 4\), \(4,\), \(9, 4\), \(9,\)\],"
                             r" expected \[\(-4, 4\)"),
     "long_prompt": (with_long_prompt, f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1}"
                     f" chars, over {MAX_PROMPT_CHARS}"),
+    "params_not_a_string": (with_controller_field("params", [0.0]),
+                            "params is not a string"),
+    "params_not_base64": (with_params_text(lambda text: text[:8] + "*" + text[8:]),
+                          "params is not base64"),
+    "params_not_ascii": (with_controller_field("params", "AAAAAAA\u00e9"),
+                         "params is not base64"),
+    # the small checkpoint holds 146 values: 8 * 146 = 1168 bytes
+    "params_one_value_short": (with_blob_bytes(lambda blob: blob[:-8]),
+                               "params holds 1160 bytes, expected 1168$"),
+    "params_one_byte_long": (with_blob_bytes(lambda blob: blob + b"\0"),
+                             "params holds 1169 bytes, expected 1168$"),
+    "nan_in_params": (with_blob_value(2, "b2", float("nan")),
+                      "layer 2 holds a parameter that is not finite"),
+    "inf_in_params": (with_blob_value(1, "W1", float("inf")),
+                      "layer 1 holds a parameter that is not finite"),
+    "minus_inf_in_params": (with_blob_value(2, "W1", -float("inf")),
+                            "layer 2 holds a parameter that is not finite"),
+    "n_ops_off_registry": (with_counts(n_ops=10), "controllers score 10 operators, its"
+                           " registry holds 9"),
+    "num_layers_off_config": (with_counts(num_layers=3), "checkpoint has 3 controllers,"
+                              " its config 2 layers"),
+    "hidden_dim_off_config": (with_counts(h=5), "controllers have dims 4x5, its config 4x4"),
+    "n_ops_off_blob": (with_controller_field("n_ops", 8),
+                       "params holds 1168 bytes, expected 1088$"),
+    "bool_num_layers": (with_controller_field("num_layers", True),
+                        "num_layers True is not a positive integer"),
+    "float_n_ops": (with_controller_field("n_ops", 9.0), "n_ops 9.0 is not a positive"
+                    " integer"),
+    "zero_hidden_dim": (with_controller_field("hidden_dim", 0),
+                        "hidden_dim 0 is not a positive integer"),
+    "huge_num_layers": (with_controller_field("num_layers", 10**18),
+                        r"params holds 1168 bytes, expected \d{30,}$"),
+    "float_version": (with_controller_field("version", 1.0),
+                      "version 1.0 is not an integer"),
 }
 
 
@@ -313,12 +425,79 @@ class TestRestore:
     @settings(max_examples=300, deadline=None)
     @given(checkpoint=any_value_anywhere(small_checkpoint()))
     def test_any_checkpoint_restores_or_is_a_data_error(self, checkpoint):
-        """Any JSON value in the config, an operator spec, a controller entry
+        """Any JSON value in the config, an operator spec, the controllers
         or anywhere else: `restore` returns or raises `DataError`."""
         try:
             ckpt.restore(checkpoint)
         except DataError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(checkpoint=any_value_anywhere(as_format1(small_checkpoint())))
+    def test_any_format1_checkpoint_restores_or_is_a_data_error(self, checkpoint):
+        """As above, for format 1, whose controllers hold one entry per layer."""
+        try:
+            ckpt.restore(checkpoint)
+        except DataError:
+            pass
+
+    @pytest.mark.parametrize("version", [0, 3, 99, True, 2.0, "2", None])
+    def test_unknown_format_is_data_error(self, version):
+        with pytest.raises(DataError, match=r"checkpoint format .*, expected one of \[1, 2\]"):
+            ckpt.restore({**small_checkpoint(), "format_version": version})
+
+
+class TestCheckpointFormats:
+    @pytest.fixture
+    def planted(self):
+        """A checkpoint whose parameters hold -0.0, the smallest subnormal, a
+        subnormal with many digits, the largest finite float and the
+        negative smallest normal one."""
+        registry, config = builtin_registry(), TrainConfig(num_layers=2, embed_dim=4,
+                                                           hidden_dim=4)
+        state = init_params(5, 4, 4, 2, len(registry))
+        state.params[:4] = [-0.0, 5e-324, 2.2250738585072014e-309, np.finfo(float).max]
+        state.params[-1] = -np.finfo(float).tiny
+        return ckpt.build_checkpoint(state, registry, config, {"steps": 0})
+
+    def test_both_formats_restore_the_same_bits(self, planted, tmp_path):
+        want = SupernetState.from_dict(planted["controllers"]).params
+        assert np.signbit(want[0]) and want[1] == 5e-324
+        restored = []
+        for name, checkpoint in (("f2.json", planted), ("f1.json", as_format1(planted))):
+            ckpt.save(checkpoint, tmp_path / name)
+            state, _, _ = ckpt.restore(ckpt.load(tmp_path / name))
+            assert state.params.flags.writeable and state.params.dtype == np.float64
+            restored.append(state.params.view(np.uint64))
+        assert np.array_equal(restored[0], restored[1])
+        assert np.array_equal(restored[0], want.view(np.uint64))
+
+    def test_format2_round_trip_is_byte_identical(self, planted, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        ckpt.save(planted, first)
+        loaded = ckpt.load(first)
+        ckpt.save(ckpt.build_checkpoint(*ckpt.restore(loaded), loaded["metrics_summary"]),
+                  second)
+        assert first.read_bytes() == second.read_bytes()
+        assert set(loaded) == {"format_version", "config", "registry", "controllers",
+                               "metrics_summary"}
+        assert loaded["format_version"] == 2 and isinstance(
+            loaded["controllers"]["params"], str)
+
+    def test_resaving_a_format1_file_writes_format2(self, planted, tmp_path):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        ckpt.save(as_format1(planted), old)
+        loaded = ckpt.load(old)
+        assert loaded["format_version"] == 1
+        ckpt.save(ckpt.build_checkpoint(*ckpt.restore(loaded), loaded["metrics_summary"]),
+                  new)
+        assert new.read_text() == ckpt.dumps(planted)
+
+    def test_restored_params_are_a_vector_of_their_own(self, planted):
+        state, _, _ = ckpt.restore(planted)
+        before = state.params.tobytes()
+        state.params[:] = 0.0
+        assert ckpt.restore(planted)[0].params.tobytes() == before
 
 
 class TestRunTrain:

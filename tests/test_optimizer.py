@@ -134,7 +134,6 @@ class TestTraceGradients:
                 for ell, (g, f, sel) in enumerate(
                         zip(grads, features, arch.selections), start=1):
                     ref = grad_log_prob(state, ell, f, sel)
-                    assert g.layer_index == ell
                     for a, b in zip((g.W1, g.b1, g.W2, g.b2),
                                     (ref.W1, ref.b1, ref.W2, ref.b2)):
                         assert np.array_equal(a, b)
@@ -161,7 +160,7 @@ class TestTraceGradients:
                 for ell, (score_vec, selected) in enumerate(
                     zip(arch.forward, arch.selections), start=1))
 
-        grads = {g.layer_index: g for g in trace_gradients(state, archs, weights)}
+        grads = dict(enumerate(trace_gradients(state, archs, weights), start=1))
         assert max(grads) > 1
         eps = 1e-6
         for ell, ctrl in enumerate(state.layers, start=1):
@@ -213,11 +212,10 @@ class TestUpdateDistribution:
         emb = HashingEmbedder(8)
         rng = np.random.default_rng(0)
         archs = sampled_archs(state, reg, "q", 3, rng, emb)
-        before = state.to_dict()
+        before = state.params.tobytes()
         v0 = state.version
         update_distribution(state, archs, [0.0, 0.0, 0.0], 0.1)
-        after = state.to_dict()
-        assert after["layers"] == before["layers"]
+        assert state.params.tobytes() == before
         assert state.version == v0 + 1
 
     def test_single_trace_reinforcement_monotone(self):
@@ -263,18 +261,9 @@ class TestUpdateDistribution:
         )
         bound = (lr / 2) * grad_norm  # m_k = 1 for both samples
 
-        def flatten(d):
-            return {
-                (i, k): np.array(v["values"])
-                for i, ctrl in enumerate(d["layers"])
-                for k, v in ctrl.items() if isinstance(v, dict)
-            }
-
-        before = flatten(state.to_dict())
+        before = state.params.copy()
         update_distribution(state, archs, [1.0, 1.0], lr)
-        after = flatten(state.to_dict())
-        for k in before:
-            assert np.abs(after[k] - before[k]).max() <= bound + 1e-15
+        assert np.abs(state.params - before).max() <= bound + 1e-15
 
     def test_length_mismatch(self):
         reg = builtin_registry()
@@ -302,10 +291,9 @@ class TestFlatUpdate:
         archs = sampled_archs(state, reg, "q", 6, np.random.default_rng(5),
                               HashingEmbedder(8))
         grads = trace_gradients(state, archs, [0.5, -0.25, 1.0, 0.0, 0.3, -0.1])
-        assert [g.layer_index for g in grads] == list(
-            range(1, max(len(a.selections) for a in archs) + 1))
-        for g in grads:
-            for got, view in zip(g.param_arrays(), state.grads[g.layer_index - 1].param_arrays()):
+        assert len(grads) == max(len(a.selections) for a in archs)
+        for g, layer in zip(grads, state.grads):  # layer 1 first
+            for got, view in zip(g.param_arrays(), layer.param_arrays()):
                 assert got is view and np.shares_memory(got, state.grad)
 
     def test_layers_past_the_reached_prefix_keep_every_bit(self):
@@ -383,9 +371,9 @@ class TestBatchedUpdate:
                     for a, b in zip(acc, (g.W1, g.b1, g.W2, g.b2)):
                         a += m_k * b
             grads = trace_gradients(state, archs, weights)
-            assert [g.layer_index for g in grads] == sorted(ref)
-            for g in grads:
-                for got, want in zip((g.W1, g.b1, g.W2, g.b2), ref[g.layer_index]):
+            assert list(range(1, len(grads) + 1)) == sorted(ref)  # layer 1 first
+            for ell, g in enumerate(grads, start=1):
+                for got, want in zip((g.W1, g.b1, g.W2, g.b2), ref[ell]):
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
             before = [[a.copy() for a in ctrl.param_arrays()] for ctrl in state.layers]
             update_distribution(state, archs, weights, lr)
@@ -468,9 +456,9 @@ class TestFloatRowsAndInPlaceUpdate:
         def checked_update(state, archs, weights, lr):
             want = numpy_rows_trace_gradients(state, archs, weights)
             got = trace_gradients(state, archs, weights)
-            assert [g.layer_index for g in got] == list(want)
-            for g in got:
-                for a, b in zip((g.W1, g.b1, g.W2, g.b2), want[g.layer_index]):
+            assert list(range(1, len(got) + 1)) == list(want)  # layer 1 first
+            for ell, g in enumerate(got, start=1):
+                for a, b in zip((g.W1, g.b1, g.W2, g.b2), want[ell]):
                     assert bitwise_equal(a, b)
             single_rows.update(ell for ell in want
                                if sum(len(a.selections) >= ell for a in archs) == 1)
