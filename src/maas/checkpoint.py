@@ -41,12 +41,12 @@ def dumps(checkpoint: dict) -> str:
 
 
 def save(checkpoint: dict, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(checkpoint))
 
 
 def load(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         # a JSONDecodeError, bytes that are not UTF-8, or nesting past the

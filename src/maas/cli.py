@@ -127,7 +127,7 @@ def eval_cmd(checkpoint_path, dataset, env_name, env_profile, checker, report_ou
     text = json.dumps(report, sort_keys=True, indent=2)
     click.echo(text)
     if report_out:
-        with open(report_out, "w") as fh:
+        with open(report_out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 

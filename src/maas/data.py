@@ -17,7 +17,7 @@ def load_dataset(path) -> list[QueryRecord]:
     """Read a JSONL dataset; one record per line, file order preserved."""
     records = []
     seen = set()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

@@ -107,14 +107,16 @@ def write_shipped_files(data_dir):
 
     os.makedirs(data_dir, exist_ok=True)
     dataset_path = os.path.join(data_dir, "synthetic_mix.jsonl")
-    with open(dataset_path, "w") as fh:
+    with open(dataset_path, "w", encoding="utf-8") as fh:
         for rec in make_mixed_dataset():
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(os.path.join(data_dir, "synthetic_profiles.json"), "w") as fh:
+    with open(os.path.join(data_dir, "synthetic_profiles.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(_profile_dicts(default_profiles()), fh, indent=2, sort_keys=True)
         fh.write("\n")
     sab_profiles, sab_overrides = sabotaged_profiles()
-    with open(os.path.join(data_dir, "sabotaged_profiles.json"), "w") as fh:
+    with open(os.path.join(data_dir, "sabotaged_profiles.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(_profile_dicts(sab_profiles, sab_overrides), fh, indent=2,
                   sort_keys=True)
         fh.write("\n")

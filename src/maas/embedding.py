@@ -15,8 +15,11 @@ hash gives, so embeddings are unchanged bit for bit.
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
+
+# the blake2b that `hashlib` re-exports, without the OpenSSL bindings
+# `import hashlib` loads
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -33,8 +36,8 @@ TOKEN_CACHE_SIZE = 1024
 
 # Keyed once here; each token hashes into a copy, never into these states.
 # A copy skips the keyword and salt parsing a new blake2b object pays.
-_BUCKET_HASH = hashlib.blake2b(digest_size=8)
-_SIGN_HASH = hashlib.blake2b(digest_size=1, salt=b"sign")
+_BUCKET_HASH = blake2b(digest_size=8)
+_SIGN_HASH = blake2b(digest_size=1, salt=b"sign")
 
 
 @functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)

@@ -93,7 +93,7 @@ class SyntheticEnv:
         scored by `checker`. A file that is not JSON, or not in that format,
         raises `DataError` naming the file."""
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
             profiles = [SyntheticOperatorProfile(**d) for d in data["profiles"]]
             overrides = [PromptSuccessOverride(**d)

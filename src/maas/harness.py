@@ -56,7 +56,7 @@ def run_train(config: TrainConfig, dataset_path, env, checkpoint_path=None,
     if checkpoint_path:
         ckpt.save(checkpoint, checkpoint_path)
     if metrics_path:
-        with open(metrics_path, "w") as fh:
+        with open(metrics_path, "w", encoding="utf-8") as fh:
             for m in metrics:
                 fh.write(json.dumps(m, sort_keys=True) + "\n")
     return checkpoint, metrics

@@ -1,0 +1,393 @@
+"""Helpers that several test modules share; `conftest.py` holds the shared
+fixtures. No test module imports another, so what two of them use lives
+here."""
+
+import base64
+import copy
+import json
+import math
+
+import numpy as np
+from hypothesis import strategies as st
+
+from maas import checkpoint as ckpt
+from maas.controller import SupernetState, init_params
+from maas.datagen import _profile_dicts, default_profiles, make_mixed_dataset
+from maas.executor import SyntheticEnv, SyntheticOperatorProfile
+from maas.optimizer import TrainConfig, Trainer
+from maas.registry import (KIND_EARLY_EXIT, KIND_GENERATIVE, MAX_PROMPT_CHARS,
+                           OperatorSpec, builtin_registry)
+
+
+def train_args(workdir, extra=()):
+    return [
+        "train",
+        "--dataset", str(workdir / "mix.jsonl"),
+        "--env", "synthetic",
+        "--env-profile", str(workdir / "profiles.json"),
+        "--layers", "2",
+        "--iterations", "2",
+        "--checkpoint", str(workdir / "ckpt.json"),
+        *extra,
+    ]
+
+
+def write_jsonl(path, rows):
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
+    return str(path)
+
+
+def fill_workdir(path):
+    """`path` with the dataset and the profile file `train_args` names."""
+    write_jsonl(path / "mix.jsonl", make_mixed_dataset(10, 10))
+    (path / "profiles.json").write_text(json.dumps(_profile_dicts(default_profiles())))
+    return path
+
+
+def simple_env():
+    return SyntheticEnv([
+        SyntheticOperatorProfile(s.id, 0.6, 0.0, 1.0)
+        for s in builtin_registry().specs() if s.id != "early_exit"
+    ])
+
+
+def make_trainer(env=None, proposer=None, **fields):
+    """The set-up most trainer tests share: `TrainConfig(**fields)`, at 2
+    layers of 8 dims unless `fields` say otherwise, the builtin registry,
+    `init_params` at seed 0 sized by that config, and a `Trainer` on `env`
+    (`simple_env()` if None) drawing from `default_rng(0)`, with `proposer`
+    as its `mutator`."""
+    cfg = TrainConfig(**{"num_layers": 2, "embed_dim": 8, "hidden_dim": 8, **fields})
+    reg = builtin_registry()
+    state = init_params(0, cfg.embed_dim, cfg.hidden_dim, cfg.num_layers, len(reg))
+    return Trainer(state, reg, simple_env() if env is None else env, cfg,
+                   np.random.default_rng(0), mutator=proposer)
+
+
+def make_spec(op_id, kind=KIND_GENERATIVE, temperature=1.0, prompt="p {input}"):
+    return OperatorSpec(
+        id=op_id,
+        name=op_id,
+        prompt=prompt if kind != KIND_EARLY_EXIT else "",
+        model_binding="default",
+        temperature=temperature,
+        tools=(),
+        agent_count=1,
+        profile_text="" if kind == KIND_EARLY_EXIT else f"profile of {op_id}",
+        kind=kind,
+    )
+
+
+def registry_json(reg):
+    """The registry as one canonical JSON string, to compare registries."""
+    return json.dumps(reg.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def flat_layout_faults(state):
+    """How `state` departs from its flat layout: each layer's W1, b1, W2 and
+    b2 must be the C-contiguous views of `state.params` at the offsets of
+    `_layout`'s order, in layer order, and `state.grads` the same views of
+    `state.grad`. An empty list when it holds."""
+    d, h, n = state.embed_dim, state.hidden_dim, state.n_ops
+    faults = []
+    for vector, layers, label in ((state.params, state.layers, "params"),
+                                  (state.grad, state.grads, "grad")):
+        base = vector.__array_interface__["data"][0]
+        start = 0
+        if vector.dtype != np.float64 or vector.ndim != 1:
+            faults.append(f"{label} is no flat float64 vector")
+        for ell, ctrl in enumerate(layers, start=1):
+            if state.offsets[ell - 1] != start:
+                faults.append(f"layer {ell} starts at {state.offsets[ell - 1]}, not {start}")
+            shapes = [(h, d * ell), (h,), (n, h), (n,)]
+            for name, arr, shape in zip(("W1", "b1", "W2", "b2"), ctrl.param_arrays(), shapes):
+                where = f"{label} layer {ell} {name}"
+                if arr.shape != shape or not arr.flags.c_contiguous:
+                    faults.append(f"{where} has shape {arr.shape}, expected {shape}")
+                if not np.shares_memory(arr, vector):
+                    faults.append(f"{where} is no view of {label}")
+                elif arr.__array_interface__["data"][0] != base + 8 * start:
+                    faults.append(f"{where} is out of order")
+                start += math.prod(shape)
+        if len(layers) != state.num_layers or vector.size != start:
+            faults.append(f"{label} holds {vector.size} values for {start} in its layers")
+    if len(state.offsets) != state.num_layers + 1 or state.offsets[-1] != start:
+        faults.append(f"offsets {state.offsets} do not end at {start}")
+    return faults
+
+
+def bitwise_equal(a, b):
+    """Equal values and the same sign bits, so -0.0 differs from 0.0."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+# 10**400 is an int past the float range
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def key_paths(doc, path=()):
+    """The path of `doc` and of each value inside it, through every key of a
+    dict and the first item of a list."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from key_paths(value, (*path, key))
+    elif isinstance(doc, list) and doc:
+        yield from key_paths(doc[0], (*path, 0))
+
+
+def replaced(doc, path, value):
+    """A copy of `doc` with `value` at `path`."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+def any_value_anywhere(doc):
+    """`doc` with any JSON value at one of its `key_paths`: the whole
+    document, an entry or a field of one."""
+    return st.builds(replaced, st.just(doc), st.sampled_from(list(key_paths(doc))),
+                     JSON_VALUES)
+
+
+def small_checkpoint():
+    registry = builtin_registry()
+    config = TrainConfig(num_layers=2, embed_dim=4, hidden_dim=4)
+    state = init_params(0, 4, 4, 2, len(registry))
+    return json.loads(ckpt.dumps(ckpt.build_checkpoint(state, registry, config)))
+
+
+def format1_controllers(state):
+    """`state`'s controllers as checkpoint format 1 wrote them: one entry per
+    layer, each array's shape and values (by their shortest repr in JSON)."""
+    return {
+        "embed_dim": state.embed_dim,
+        "hidden_dim": state.hidden_dim,
+        "version": state.version,
+        "layers": [
+            {"layer_index": ell,
+             **{name: {"shape": list(array.shape), "values": array.ravel().tolist()}
+                for name, array in zip(("W1", "b1", "W2", "b2"), ctrl.param_arrays())}}
+            for ell, ctrl in enumerate(state.layers, start=1)
+        ],
+    }
+
+
+def as_format1(checkpoint):
+    """The format-1 checkpoint of the same run as `checkpoint`, as format 1
+    wrote it: per-layer controllers and a null `rng_state`."""
+    state, _, _ = ckpt.restore(checkpoint)
+    return json.loads(json.dumps({**checkpoint, "format_version": 1, "rng_state": None,
+                                  "controllers": format1_controllers(state)}))
+
+
+def in_format1(corrupt):
+    """`corrupt` applied to the format-1 form of the checkpoint."""
+    return lambda checkpoint: corrupt(as_format1(checkpoint))
+
+
+def with_state(corrupt_state):
+    """The checkpoint whose controllers hold its state after
+    `corrupt_state(state)`."""
+    def corrupt(checkpoint):
+        state = SupernetState.from_dict(checkpoint["controllers"])
+        corrupt_state(state)
+        checkpoint["controllers"] = state.to_dict()
+        return checkpoint
+    return corrupt
+
+
+def with_counts(**counts):
+    """The checkpoint whose controllers hold a fresh state of its counts but
+    `counts` (d, h, num_layers or n_ops): consistent in itself."""
+    def corrupt(checkpoint):
+        c = checkpoint["controllers"]
+        fields = {"d": c["embed_dim"], "h": c["hidden_dim"], "num_layers": c["num_layers"],
+                  "n_ops": c["n_ops"], **counts}
+        checkpoint["controllers"] = init_params(0, **fields).to_dict()
+        return checkpoint
+    return corrupt
+
+
+def without_operator(op_id):
+    """The checkpoint without the operator `op_id` and its controller rows."""
+    def corrupt(checkpoint):
+        operators = checkpoint["registry"]["operators"]
+        i = [op["id"] for op in operators].index(op_id)
+        del operators[i]
+        return with_state(lambda state: state.merge_output(i))(checkpoint)
+    return corrupt
+
+
+def with_react_as_second_exit(checkpoint):
+    for op in checkpoint["registry"]["operators"]:
+        if op["id"] == "react":
+            op["kind"] = "early_exit"
+    return checkpoint
+
+
+def with_parameter(name, value):
+    """The format-1 checkpoint with `value` as the first entry of layer 1's
+    `name`."""
+    def corrupt(checkpoint):
+        checkpoint["controllers"]["layers"][0][name]["values"][0] = value
+        return checkpoint
+    return corrupt
+
+
+def with_blob_value(layer, name, value):
+    """The checkpoint with `value` as the first entry of layer `layer`'s
+    `name` in its parameter blob (for W1, where the layer starts)."""
+    def plant(state):
+        getattr(state.layer(layer), name).flat[0] = value
+    return with_state(plant)
+
+
+def with_params_text(edit):
+    """The checkpoint whose `params` string is `edit(params)`."""
+    def corrupt(checkpoint):
+        checkpoint["controllers"]["params"] = edit(checkpoint["controllers"]["params"])
+        return checkpoint
+    return corrupt
+
+
+def with_blob_bytes(edit):
+    """The checkpoint whose parameter blob is `edit(blob)`."""
+    return with_params_text(
+        lambda text: base64.b64encode(edit(base64.b64decode(text))).decode("ascii"))
+
+
+def with_controller_field(name, value, layer=None):
+    """The checkpoint with `value` as the controllers' `name`, or as the
+    `name` of (format 1) layer `layer`'s entry."""
+    def corrupt(checkpoint):
+        controllers = checkpoint["controllers"]
+        entry = controllers if layer is None else controllers["layers"][layer - 1]
+        entry[name] = value
+        return checkpoint
+    return corrupt
+
+
+def with_short_b2(layer):
+    """The format-1 checkpoint with one operator fewer in layer `layer`'s b2
+    than in its W2 (and in layer 1's b2)."""
+    def corrupt(checkpoint):
+        b2 = checkpoint["controllers"]["layers"][layer - 1]["b2"]
+        b2["shape"] = [b2["shape"][0] - 1]
+        del b2["values"][-1]
+        return checkpoint
+    return corrupt
+
+
+def with_short_values(name):
+    """The format-1 checkpoint with one value fewer in layer 1's `name` than
+    its shape holds."""
+    def corrupt(checkpoint):
+        del checkpoint["controllers"]["layers"][0][name]["values"][-1]
+        return checkpoint
+    return corrupt
+
+
+def with_zero_embed_dim(checkpoint):
+    """The format-1 checkpoint with embed_dim 0 in its config and its
+    controllers, and each W1 shaped to match: consistent, but no embedder
+    has 0 dimensions."""
+    checkpoint["config"]["embed_dim"] = 0
+    checkpoint["controllers"]["embed_dim"] = 0
+    for layer in checkpoint["controllers"]["layers"]:
+        layer["W1"] = {"shape": [layer["W1"]["shape"][0], 0], "values": []}
+    return checkpoint
+
+
+def with_long_prompt(checkpoint):
+    """The checkpoint with a "cot" prompt one char over `MAX_PROMPT_CHARS`."""
+    [cot] = [op for op in checkpoint["registry"]["operators"] if op["id"] == "cot"]
+    cot["prompt"] = "x" * (MAX_PROMPT_CHARS + 1)
+    return checkpoint
+
+
+# each maps a (format-2) checkpoint dict to a bad one, with the fault
+# `restore` names; the cases of format 1's per-layer controllers corrupt the
+# format-1 form of the checkpoint
+BAD_CHECKPOINTS = {
+    "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
+    "no_direct_io": (without_operator("direct_io"), "lacks its early-exit or direct-io"),
+    "second_exit": (with_react_as_second_exit, "already has an early-exit"),
+    "nan_b2": (in_format1(with_parameter("b2", float("nan"))),
+               "layer 1 holds a parameter that is not finite"),
+    "inf_W1": (in_format1(with_parameter("W1", float("inf"))),
+               "layer 1 holds a parameter that is not finite"),
+    "string_embed_dim": (in_format1(with_controller_field("embed_dim", "4")),
+                         "embed_dim '4' is not an integer"),
+    "float_layer_index": (in_format1(with_controller_field("layer_index", 2.9, layer=2)),
+                          "layer_index 2.9 is not an integer"),
+    "swapped_layer_index": (in_format1(with_controller_field("layer_index", 1, layer=2)),
+                            "layer 2 has layer_index 1"),
+    "string_value": (in_format1(with_parameter("b2", "0.1")),
+                     "b2 values are not a list of numbers"),
+    "bool_value": (in_format1(with_parameter("W1", True)),
+                   "W1 values are not a list of numbers"),
+    "float_shape": (in_format1(with_controller_field(
+                        "b1", {"shape": [4.0], "values": [0.0] * 4}, layer=1)),
+                    r"b1 shape \[4.0\] is not a list of integers"),
+    "zero_embed_dim": (in_format1(with_zero_embed_dim), "embed_dim must be >= 1"),
+    "no_layers": (in_format1(with_controller_field("layers", [])),
+                  "controllers hold no layers"),
+    "mismatched_shapes": (in_format1(with_short_b2(2)), r"layer 2 has shapes \[\(4, 8\),"
+                          r" \(4,\), \(9, 4\), \(8,\)\], expected"),
+    "values_short_of_shape": (in_format1(with_short_values("W2")),
+                              r"layer 1 W2 holds 35 values for shape \[9, 4\]"),
+    "negative_hidden_dim": (in_format1(with_controller_field("hidden_dim", -4)),
+                            r"layer 1 has shapes \[\(4, 4\), \(4,\), \(9, 4\), \(9,\)\],"
+                            r" expected \[\(-4, 4\)"),
+    "long_prompt": (with_long_prompt, f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1}"
+                    f" chars, over {MAX_PROMPT_CHARS}"),
+    "params_not_a_string": (with_controller_field("params", [0.0]),
+                            "params is not a string"),
+    "params_not_base64": (with_params_text(lambda text: text[:8] + "*" + text[8:]),
+                          "params is not base64"),
+    "params_not_ascii": (with_controller_field("params", "AAAAAAA\u00e9"),
+                         "params is not base64"),
+    # the small checkpoint holds 146 values: 8 * 146 = 1168 bytes
+    "params_one_value_short": (with_blob_bytes(lambda blob: blob[:-8]),
+                               "params holds 1160 bytes, expected 1168$"),
+    "params_one_byte_long": (with_blob_bytes(lambda blob: blob + b"\0"),
+                             "params holds 1169 bytes, expected 1168$"),
+    "nan_in_params": (with_blob_value(2, "b2", float("nan")),
+                      "layer 2 holds a parameter that is not finite"),
+    "inf_in_params": (with_blob_value(1, "W1", float("inf")),
+                      "layer 1 holds a parameter that is not finite"),
+    "minus_inf_in_params": (with_blob_value(2, "W1", -float("inf")),
+                            "layer 2 holds a parameter that is not finite"),
+    "n_ops_off_registry": (with_counts(n_ops=10), "controllers score 10 operators, its"
+                           " registry holds 9"),
+    "num_layers_off_config": (with_counts(num_layers=3), "checkpoint has 3 controllers,"
+                              " its config 2 layers"),
+    "hidden_dim_off_config": (with_counts(h=5), "controllers have dims 4x5, its config 4x4"),
+    "n_ops_off_blob": (with_controller_field("n_ops", 8),
+                       "params holds 1168 bytes, expected 1088$"),
+    "bool_num_layers": (with_controller_field("num_layers", True),
+                        "num_layers True is not a positive integer"),
+    "float_n_ops": (with_controller_field("n_ops", 9.0), "n_ops 9.0 is not a positive"
+                    " integer"),
+    "zero_hidden_dim": (with_controller_field("hidden_dim", 0),
+                        "hidden_dim 0 is not a positive integer"),
+    "huge_num_layers": (with_controller_field("num_layers", 10**18),
+                        r"params holds 1168 bytes, expected \d{30,}$"),
+    "float_version": (with_controller_field("version", 1.0),
+                      "version 1.0 is not an integer"),
+}

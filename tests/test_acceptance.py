@@ -80,7 +80,7 @@ class TestCriterion1GradientCorrectness:
 
 class TestCriterion2DistributionNormalization:
     def _tiny(self):
-        from tests.test_registry import make_spec
+        from tests.helpers import make_spec
         from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, OperatorRegistry
 
         reg = OperatorRegistry()

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -16,12 +18,12 @@ from maas import cli, controller, executor, sampler
 from maas.cli import PROBE_QUERIES, main
 from maas.controller import init_params
 from maas.data import load_dataset
-from maas.datagen import _profile_dicts, default_env, default_profiles, make_mixed_dataset
+from maas.datagen import default_env, make_mixed_dataset
 from maas.harness import run_eval
-from maas.optimizer import TrainConfig, Trainer
+from maas.optimizer import TrainConfig
 from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
-from tests.test_harness import BAD_CHECKPOINTS
+from tests.helpers import BAD_CHECKPOINTS, make_trainer, train_args, write_jsonl
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,30 +50,6 @@ GOLDEN_SEED3 = {
 }
 
 
-@pytest.fixture
-def workdir(tmp_path):
-    data = tmp_path / "mix.jsonl"
-    with open(data, "w") as fh:
-        for rec in make_mixed_dataset(10, 10):
-            fh.write(json.dumps(rec) + "\n")
-    profile = tmp_path / "profiles.json"
-    profile.write_text(json.dumps(_profile_dicts(default_profiles())))
-    return tmp_path
-
-
-def train_args(workdir, extra=()):
-    return [
-        "train",
-        "--dataset", str(workdir / "mix.jsonl"),
-        "--env", "synthetic",
-        "--env-profile", str(workdir / "profiles.json"),
-        "--layers", "2",
-        "--iterations", "2",
-        "--checkpoint", str(workdir / "ckpt.json"),
-        *extra,
-    ]
-
-
 class TestTrainCommand:
     def test_trains_and_writes_checkpoint(self, workdir):
         result = CliRunner().invoke(main, train_args(workdir))
@@ -79,6 +57,14 @@ class TestTrainCommand:
         assert (workdir / "ckpt.json").exists()
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["steps"] == 8  # 2 iterations x 4 train records
+
+    def test_shared_checkpoint_is_the_one_train_writes_here(self, workdir,
+                                                            trained_checkpoint):
+        """The checkpoint `trained` copies into each test's workdir is the
+        file `maas train` writes there."""
+        assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+        assert (hashlib.sha256((workdir / "ckpt.json").read_bytes()).hexdigest()
+                == hashlib.sha256(trained_checkpoint).hexdigest())
 
     def test_metrics_out(self, workdir):
         result = CliRunner().invoke(
@@ -111,14 +97,14 @@ class TestTrainCommand:
         assert result.exit_code == 3
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_dataset_not_utf8_is_data_error(self, workdir, command):
+    def test_dataset_not_utf8_is_data_error(self, workdir, command, request):
         bad = workdir / "bad.jsonl"
         bad.write_bytes(b'{"id": "q1", "query": "\xff"}\n')
         if command == "train":
             args = train_args(workdir)
             args[2] = str(bad)
         else:
-            assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+            request.getfixturevalue("trained")
             args = ["eval", "--checkpoint", str(workdir / "ckpt.json"),
                     "--dataset", str(bad),
                     "--env-profile", str(workdir / "profiles.json")]
@@ -150,10 +136,10 @@ class TestTrainCommand:
         assert "base URL" in result.output
         assert not (workdir / "ckpt.json").exists()
 
+    @pytest.mark.usefixtures("trained")
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_live_env_without_url_fails_before_any_call(self, workdir, monkeypatch,
                                                         command):
-        assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
         monkeypatch.delenv("MAAS_BASE_URL", raising=False)
 
         def forbidden(*args):
@@ -213,10 +199,10 @@ class TestTrainCommand:
             assert default == getattr(defaults, name), name
 
 
+@pytest.mark.usefixtures("trained")
 class TestEvalCommand:
     def test_eval_report(self, workdir):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         result = runner.invoke(main, [
             "eval",
             "--checkpoint", str(workdir / "ckpt.json"),
@@ -234,7 +220,6 @@ class TestEvalCommand:
     ], ids=["not_json", "bare_list", "missing_field"])
     def test_malformed_profile_file_is_data_error(self, workdir, text):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         bad = workdir / "bad_profiles.json"
         bad.write_text(text)
         result = runner.invoke(main, [
@@ -253,7 +238,6 @@ class TestEvalCommand:
     ], ids=["int_substring", "list_operator", "base_success_above_1"])
     def test_malformed_prompt_override_is_data_error(self, workdir, override):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         bad = workdir / "bad_profiles.json"
         profiles = json.loads((ROOT / "data" / "sabotaged_profiles.json").read_text())
         bad.write_text(json.dumps({**profiles, "prompt_success_overrides": [override]}))
@@ -271,7 +255,6 @@ class TestEvalCommand:
         one trained without patching may, restores with `mutator == "none"`
         at the default cadence, and `maas eval` runs on it."""
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         trained = json.loads((workdir / "ckpt.json").read_text())
         old = workdir / "old.json"
         old.write_text(json.dumps({**trained,
@@ -287,11 +270,8 @@ class TestEvalCommand:
 
     def test_checker_reaches_the_synthetic_env(self, workdir):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
-        yes = workdir / "yes.jsonl"
-        with open(yes, "w") as fh:
-            for rec in make_mixed_dataset(5, 5):
-                fh.write(json.dumps({**rec, "answer": "yes"}) + "\n")
+        yes = write_jsonl(workdir / "yes.jsonl",
+                          [{**rec, "answer": "yes"} for rec in make_mixed_dataset(5, 5)])
         accuracy = {}
         for checker in ("exact_match", "numeric"):
             result = runner.invoke(main, [
@@ -334,6 +314,7 @@ def with_string_tools(trained):
     return json.dumps(trained)
 
 
+@pytest.mark.usefixtures("trained")
 class TestBadCheckpoint:
     # each case maps the checkpoint `maas train` writes to the text of a bad one
     @pytest.mark.parametrize("corrupt", [
@@ -356,7 +337,6 @@ class TestBadCheckpoint:
             *BAD_CHECKPOINTS])
     @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
     def test_is_data_error(self, workdir, command, corrupt):
-        assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
         path = workdir / "bad.json"
         path.write_text(corrupt(json.loads((workdir / "ckpt.json").read_text())))
         extra = {
@@ -392,9 +372,10 @@ class TestUsageErrors:
         ("eval", "--env-profile"), ("eval", "--report-out"), ("sample", "--checkpoint"),
         ("inspect", "--checkpoint"),
     ])
-    def test_directory_path_fails_before_any_work(self, workdir, command, option):
+    def test_directory_path_fails_before_any_work(self, workdir, command, option,
+                                                  request):
         if command != "train":
-            assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+            request.getfixturevalue("trained")
         args = valid_args(workdir, command)
         directory = workdir / "a_directory"
         directory.mkdir()
@@ -412,9 +393,9 @@ class TestUsageErrors:
         ("train", "--checkpoint"), ("train", "--metrics-out"), ("eval", "--report-out"),
     ])
     def test_output_in_a_missing_directory_fails_before_any_work(
-            self, workdir, monkeypatch, command, option):
+            self, workdir, monkeypatch, command, option, request):
         if command != "train":
-            assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+            request.getfixturevalue("trained")
         runs = []
         monkeypatch.setattr(cli, "run_train", lambda *args, **kwargs: runs.append(args))
         monkeypatch.setattr(cli, "run_eval", lambda *args, **kwargs: runs.append(args))
@@ -429,10 +410,10 @@ class TestUsageErrors:
         assert not (workdir / "nodir").exists() and not (workdir / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_unknown_env(self, workdir, command):
+    def test_unknown_env(self, workdir, command, request):
         """`click.Choice` is the one check on `--env`."""
         if command != "train":
-            assert CliRunner().invoke(main, train_args(workdir)).exit_code == 0
+            request.getfixturevalue("trained")
         result = CliRunner().invoke(main, valid_args(workdir, command)
                                     + ["--env", "bogus"])
         assert result.exit_code == 2, result.output
@@ -440,10 +421,10 @@ class TestUsageErrors:
         assert "'bogus' is not one of 'synthetic', 'live'" in result.output
 
 
+@pytest.mark.usefixtures("trained")
 class TestSampleCommand:
     def test_sample_plain_and_explain(self, workdir):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         base = [
             "sample", "--checkpoint", str(workdir / "ckpt.json"),
             "--query", "add 2 and 3",
@@ -460,7 +441,6 @@ class TestSampleCommand:
 
     def test_explain_scores_are_the_forward_pass(self, workdir):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         query = "what is 14 plus 9"
         result = runner.invoke(main, [
             "sample", "--checkpoint", str(workdir / "ckpt.json"),
@@ -474,16 +454,15 @@ class TestSampleCommand:
 
     def test_deterministic_across_calls(self, workdir):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         args = ["sample", "--checkpoint", str(workdir / "ckpt.json"),
                 "--query", "q"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
+@pytest.mark.usefixtures("trained")
 class TestInspectCommand:
     def test_inspect_shape(self, workdir):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         result = runner.invoke(main, [
             "inspect", "--checkpoint", str(workdir / "ckpt.json"),
         ])
@@ -497,7 +476,6 @@ class TestInspectCommand:
 
     def test_inspect_means_the_probe_scores(self, workdir):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         result = runner.invoke(main, [
             "inspect", "--checkpoint", str(workdir / "ckpt.json"),
         ])
@@ -536,10 +514,9 @@ class TestDagOnlyWhenPrinted:
         return calls
 
     def test_training_steps_and_eval_build_no_dag(self, workdir, dag_calls):
-        registry = builtin_registry()
-        cfg = TrainConfig(num_layers=3, embed_dim=16, hidden_dim=16, patch_every=2)
-        state = init_params(0, 16, 16, 3, len(registry))
-        trainer = Trainer(state, registry, default_env(), cfg, np.random.default_rng(0))
+        trainer = make_trainer(default_env(), num_layers=3, embed_dim=16, hidden_dim=16,
+                               patch_every=2)
+        state, registry, cfg = trainer.state, trainer.registry, trainer.config
         records = load_dataset(workdir / "mix.jsonl")
         for record in records[:6]:
             trainer.step(record)
@@ -549,9 +526,9 @@ class TestDagOnlyWhenPrinted:
         assert report["n_records"] == len(records)
         assert dag_calls == []
 
+    @pytest.mark.usefixtures("trained")
     def test_sample_builds_one_dag_per_printed_architecture(self, workdir, dag_calls):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         path = str(workdir / "ckpt.json")
         assert runner.invoke(main, ["inspect", "--checkpoint", path]).exit_code == 0
         assert dag_calls == []
@@ -583,10 +560,9 @@ class TestLogProbOnlyWhenRead:
         return calls
 
     def test_training_steps_and_eval_compute_no_log_prob(self, workdir, log_prob_calls):
-        registry = builtin_registry()
-        cfg = TrainConfig(num_layers=3, embed_dim=16, hidden_dim=16, patch_every=2)
-        state = init_params(0, 16, 16, 3, len(registry))
-        trainer = Trainer(state, registry, default_env(), cfg, np.random.default_rng(0))
+        trainer = make_trainer(default_env(), num_layers=3, embed_dim=16, hidden_dim=16,
+                               patch_every=2)
+        state, registry, cfg = trainer.state, trainer.registry, trainer.config
         records = load_dataset(workdir / "mix.jsonl")
         for record in records[:6]:
             trainer.step(record)
@@ -607,6 +583,26 @@ class TestLogProbOnlyWhenRead:
             assert isinstance(arch.log_prob, float)
             assert log_prob_calls == arch.selections
             log_prob_calls.clear()
+
+
+def test_utf8_dataset_trains_and_evals_under_the_c_locale(workdir):
+    """Every file is read as UTF-8, whatever the locale: under `LC_ALL=C`,
+    with UTF-8 mode and locale coercion off, a dataset whose queries hold
+    "café" trains and evaluates."""
+    rows = [{**rec, "query": rec["query"] + " café"} for rec in make_mixed_dataset(10, 10)]
+    (workdir / "mix.jsonl").write_bytes(
+        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode("utf-8"))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": path}
+    eval_args = ["eval", "--checkpoint", str(workdir / "ckpt.json"),
+                 "--dataset", str(workdir / "mix.jsonl"),
+                 "--env-profile", str(workdir / "profiles.json")]
+    for args in (train_args(workdir), eval_args):
+        proc = subprocess.run([sys.executable, "-m", "maas.cli", *args], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_records"] == 20
 
 
 class TestDeeplyNestedJson:

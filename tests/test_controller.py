@@ -28,6 +28,7 @@ from maas.controller import (
     selection_log_prob,
 )
 from maas.errors import MaasError
+from tests.helpers import flat_layout_faults
 
 
 def forward_oracle(ctrl, feature):
@@ -503,39 +504,6 @@ class TestStructuralRemap:
         assert state.version == v0 + 1
         state.merge_output(3)
         assert state.version == v0 + 2
-
-
-def flat_layout_faults(state):
-    """How `state` departs from its flat layout: each layer's W1, b1, W2 and
-    b2 must be the C-contiguous views of `state.params` at the offsets of
-    `_layout`'s order, in layer order, and `state.grads` the same views of
-    `state.grad`. An empty list when it holds."""
-    d, h, n = state.embed_dim, state.hidden_dim, state.n_ops
-    faults = []
-    for vector, layers, label in ((state.params, state.layers, "params"),
-                                  (state.grad, state.grads, "grad")):
-        base = vector.__array_interface__["data"][0]
-        start = 0
-        if vector.dtype != np.float64 or vector.ndim != 1:
-            faults.append(f"{label} is no flat float64 vector")
-        for ell, ctrl in enumerate(layers, start=1):
-            if state.offsets[ell - 1] != start:
-                faults.append(f"layer {ell} starts at {state.offsets[ell - 1]}, not {start}")
-            shapes = [(h, d * ell), (h,), (n, h), (n,)]
-            for name, arr, shape in zip(("W1", "b1", "W2", "b2"), ctrl.param_arrays(), shapes):
-                where = f"{label} layer {ell} {name}"
-                if arr.shape != shape or not arr.flags.c_contiguous:
-                    faults.append(f"{where} has shape {arr.shape}, expected {shape}")
-                if not np.shares_memory(arr, vector):
-                    faults.append(f"{where} is no view of {label}")
-                elif arr.__array_interface__["data"][0] != base + 8 * start:
-                    faults.append(f"{where} is out of order")
-                start += math.prod(shape)
-        if len(layers) != state.num_layers or vector.size != start:
-            faults.append(f"{label} holds {vector.size} values for {start} in its layers")
-    if len(state.offsets) != state.num_layers + 1 or state.offsets[-1] != start:
-        faults.append(f"offsets {state.offsets} do not end at {start}")
-    return faults
 
 
 def per_array_init(seed, d, h, num_layers, n_ops):

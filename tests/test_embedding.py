@@ -32,6 +32,11 @@ def oracle_embed(text, dim):
 
 
 class TestHashingEmbedder:
+    def test_blake2b_is_hashlibs(self):
+        """The embedder's blake2b, from `_blake2`, is the one `hashlib`
+        exports, so every hash is the one the oracle computes."""
+        assert embedding.blake2b is hashlib.blake2b
+
     def test_empty_text_is_zero_vector(self):
         vec = HashingEmbedder(64).embed("")
         assert vec.shape == (64,)

@@ -30,8 +30,7 @@ from maas.registry import (
     builtin_registry,
 )
 from maas.sampler import Architecture, build_dag
-from tests.test_optimizer import any_value_anywhere
-from tests.test_registry import make_spec
+from tests.helpers import any_value_anywhere, make_spec
 
 
 def record(difficulty=0.0, answer="42"):

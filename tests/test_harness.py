@@ -1,6 +1,6 @@
 """Data loading, split protocol, checkpointing, train/eval loops."""
 
-import base64
+import copy
 import json
 
 import numpy as np
@@ -11,20 +11,14 @@ from maas import checkpoint as ckpt
 from maas import sampler
 from maas.controller import SupernetState, init_params
 from maas.data import load_dataset, split_dataset
-from maas.datagen import default_env, make_mixed_dataset
+from maas.datagen import default_env
 from maas.errors import DataError
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile, execute
 from maas.harness import EVAL_RNG_OFFSET, run_eval, run_train
 from maas.optimizer import TrainConfig
-from maas.registry import MAX_PROMPT_CHARS, OperatorPatch, builtin_registry
-from tests.test_optimizer import any_value_anywhere
-
-
-def write_jsonl(path, rows):
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-    return str(path)
+from maas.registry import OperatorPatch, builtin_registry
+from tests.helpers import (BAD_CHECKPOINTS, any_value_anywhere, as_format1, fill_workdir,
+                           small_checkpoint, write_jsonl)
 
 
 def rows(n, difficulty=0.1, domain="easy"):
@@ -133,16 +127,27 @@ class TestSplitDataset:
             split_dataset([], 0)
 
 
-@pytest.fixture
-def mix_path(tmp_path):
-    return write_jsonl(tmp_path / "mix.jsonl",
-                       [dict(r) for r in make_mixed_dataset(10, 10)])
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """`run_train` at 2 layers and 8 dims on the mix `mix_path` holds, run
+    once per iteration count in this module: `tiny_run(k)` returns a deep
+    copy of (checkpoint, metrics) at k iterations, as some tests edit it."""
+    mix = str(fill_workdir(tmp_path_factory.mktemp("tiny")) / "mix.jsonl")
+    runs = {}
+
+    def run(iterations):
+        if iterations not in runs:
+            cfg = TrainConfig(iterations=iterations, num_layers=2, embed_dim=8,
+                              hidden_dim=8)
+            runs[iterations] = run_train(cfg, mix, default_env())
+        return copy.deepcopy(runs[iterations])
+
+    return run
 
 
 class TestCheckpoint:
-    def test_byte_identical_round_trip(self, mix_path, tmp_path):
-        cfg = TrainConfig(iterations=2, num_layers=2, embed_dim=8, hidden_dim=8)
-        checkpoint, _ = run_train(cfg, mix_path, default_env())
+    def test_byte_identical_round_trip(self, tmp_path, tiny_run):
+        checkpoint, _ = tiny_run(2)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         ckpt.save(checkpoint, p1)
@@ -158,261 +163,29 @@ class TestCheckpoint:
         restored = ckpt.restore(json.loads(saved))
         assert ckpt.dumps(ckpt.build_checkpoint(*restored)) == saved
 
-    def test_restore_reproduces_state(self, mix_path):
-        cfg = TrainConfig(iterations=1, num_layers=2, embed_dim=8, hidden_dim=8)
-        checkpoint, _ = run_train(cfg, mix_path, default_env())
+    def test_restore_reproduces_state(self, tiny_run):
+        checkpoint, _ = tiny_run(1)
         state, registry, config = ckpt.restore(checkpoint)
         assert state.num_layers == 2
         assert len(registry) >= 9
         assert config.embed_dim == 8
 
-    def test_eval_identical_after_round_trip(self, mix_path, tmp_path):
-        cfg = TrainConfig(iterations=2, num_layers=2, embed_dim=8, hidden_dim=8)
-        checkpoint, _ = run_train(cfg, mix_path, default_env())
+    def test_eval_identical_after_round_trip(self, mix_path, tmp_path, tiny_run):
+        checkpoint, _ = tiny_run(2)
         path = tmp_path / "c.json"
         ckpt.save(checkpoint, path)
         r1 = run_eval(checkpoint, mix_path, default_env())
         r2 = run_eval(ckpt.load(path), mix_path, default_env())
         assert r1 == r2
 
-    def test_old_rewire_ids_key_restores(self, mix_path):
-        cfg = TrainConfig(iterations=1, num_layers=2, embed_dim=8, hidden_dim=8)
-        checkpoint, _ = run_train(cfg, mix_path, default_env())
+    def test_old_rewire_ids_key_restores(self, tiny_run):
+        checkpoint, _ = tiny_run(1)
         old = json.loads(ckpt.dumps(checkpoint))
         old["registry"]["rewire_ids"] = ["react"]
         state, registry, config = ckpt.restore(old)
         rebuilt = ckpt.build_checkpoint(state, registry, config,
                                         checkpoint["metrics_summary"])
         assert ckpt.dumps(rebuilt) == ckpt.dumps(checkpoint)
-
-
-def small_checkpoint():
-    registry = builtin_registry()
-    config = TrainConfig(num_layers=2, embed_dim=4, hidden_dim=4)
-    state = init_params(0, 4, 4, 2, len(registry))
-    return json.loads(ckpt.dumps(ckpt.build_checkpoint(state, registry, config)))
-
-
-def format1_controllers(state):
-    """`state`'s controllers as checkpoint format 1 wrote them: one entry per
-    layer, each array's shape and values (by their shortest repr in JSON)."""
-    return {
-        "embed_dim": state.embed_dim,
-        "hidden_dim": state.hidden_dim,
-        "version": state.version,
-        "layers": [
-            {"layer_index": ell,
-             **{name: {"shape": list(array.shape), "values": array.ravel().tolist()}
-                for name, array in zip(("W1", "b1", "W2", "b2"), ctrl.param_arrays())}}
-            for ell, ctrl in enumerate(state.layers, start=1)
-        ],
-    }
-
-
-def as_format1(checkpoint):
-    """The format-1 checkpoint of the same run as `checkpoint`, as format 1
-    wrote it: per-layer controllers and a null `rng_state`."""
-    state, _, _ = ckpt.restore(checkpoint)
-    return json.loads(json.dumps({**checkpoint, "format_version": 1, "rng_state": None,
-                                  "controllers": format1_controllers(state)}))
-
-
-def in_format1(corrupt):
-    """`corrupt` applied to the format-1 form of the checkpoint."""
-    return lambda checkpoint: corrupt(as_format1(checkpoint))
-
-
-def with_state(corrupt_state):
-    """The checkpoint whose controllers hold its state after
-    `corrupt_state(state)`."""
-    def corrupt(checkpoint):
-        state = SupernetState.from_dict(checkpoint["controllers"])
-        corrupt_state(state)
-        checkpoint["controllers"] = state.to_dict()
-        return checkpoint
-    return corrupt
-
-
-def with_counts(**counts):
-    """The checkpoint whose controllers hold a fresh state of its counts but
-    `counts` (d, h, num_layers or n_ops): consistent in itself."""
-    def corrupt(checkpoint):
-        c = checkpoint["controllers"]
-        fields = {"d": c["embed_dim"], "h": c["hidden_dim"], "num_layers": c["num_layers"],
-                  "n_ops": c["n_ops"], **counts}
-        checkpoint["controllers"] = init_params(0, **fields).to_dict()
-        return checkpoint
-    return corrupt
-
-
-def without_operator(op_id):
-    """The checkpoint without the operator `op_id` and its controller rows."""
-    def corrupt(checkpoint):
-        operators = checkpoint["registry"]["operators"]
-        i = [op["id"] for op in operators].index(op_id)
-        del operators[i]
-        return with_state(lambda state: state.merge_output(i))(checkpoint)
-    return corrupt
-
-
-def with_react_as_second_exit(checkpoint):
-    for op in checkpoint["registry"]["operators"]:
-        if op["id"] == "react":
-            op["kind"] = "early_exit"
-    return checkpoint
-
-
-def with_parameter(name, value):
-    """The format-1 checkpoint with `value` as the first entry of layer 1's
-    `name`."""
-    def corrupt(checkpoint):
-        checkpoint["controllers"]["layers"][0][name]["values"][0] = value
-        return checkpoint
-    return corrupt
-
-
-def with_blob_value(layer, name, value):
-    """The checkpoint with `value` as the first entry of layer `layer`'s
-    `name` in its parameter blob (for W1, where the layer starts)."""
-    def plant(state):
-        getattr(state.layer(layer), name).flat[0] = value
-    return with_state(plant)
-
-
-def with_params_text(edit):
-    """The checkpoint whose `params` string is `edit(params)`."""
-    def corrupt(checkpoint):
-        checkpoint["controllers"]["params"] = edit(checkpoint["controllers"]["params"])
-        return checkpoint
-    return corrupt
-
-
-def with_blob_bytes(edit):
-    """The checkpoint whose parameter blob is `edit(blob)`."""
-    return with_params_text(
-        lambda text: base64.b64encode(edit(base64.b64decode(text))).decode("ascii"))
-
-
-def with_controller_field(name, value, layer=None):
-    """The checkpoint with `value` as the controllers' `name`, or as the
-    `name` of (format 1) layer `layer`'s entry."""
-    def corrupt(checkpoint):
-        controllers = checkpoint["controllers"]
-        entry = controllers if layer is None else controllers["layers"][layer - 1]
-        entry[name] = value
-        return checkpoint
-    return corrupt
-
-
-def with_short_b2(layer):
-    """The format-1 checkpoint with one operator fewer in layer `layer`'s b2
-    than in its W2 (and in layer 1's b2)."""
-    def corrupt(checkpoint):
-        b2 = checkpoint["controllers"]["layers"][layer - 1]["b2"]
-        b2["shape"] = [b2["shape"][0] - 1]
-        del b2["values"][-1]
-        return checkpoint
-    return corrupt
-
-
-def with_short_values(name):
-    """The format-1 checkpoint with one value fewer in layer 1's `name` than
-    its shape holds."""
-    def corrupt(checkpoint):
-        del checkpoint["controllers"]["layers"][0][name]["values"][-1]
-        return checkpoint
-    return corrupt
-
-
-def with_zero_embed_dim(checkpoint):
-    """The format-1 checkpoint with embed_dim 0 in its config and its
-    controllers, and each W1 shaped to match: consistent, but no embedder
-    has 0 dimensions."""
-    checkpoint["config"]["embed_dim"] = 0
-    checkpoint["controllers"]["embed_dim"] = 0
-    for layer in checkpoint["controllers"]["layers"]:
-        layer["W1"] = {"shape": [layer["W1"]["shape"][0], 0], "values": []}
-    return checkpoint
-
-
-def with_long_prompt(checkpoint):
-    """The checkpoint with a "cot" prompt one char over `MAX_PROMPT_CHARS`."""
-    [cot] = [op for op in checkpoint["registry"]["operators"] if op["id"] == "cot"]
-    cot["prompt"] = "x" * (MAX_PROMPT_CHARS + 1)
-    return checkpoint
-
-
-# each maps a (format-2) checkpoint dict to a bad one, with the fault
-# `restore` names; the cases of format 1's per-layer controllers corrupt the
-# format-1 form of the checkpoint
-BAD_CHECKPOINTS = {
-    "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
-    "no_direct_io": (without_operator("direct_io"), "lacks its early-exit or direct-io"),
-    "second_exit": (with_react_as_second_exit, "already has an early-exit"),
-    "nan_b2": (in_format1(with_parameter("b2", float("nan"))),
-               "layer 1 holds a parameter that is not finite"),
-    "inf_W1": (in_format1(with_parameter("W1", float("inf"))),
-               "layer 1 holds a parameter that is not finite"),
-    "string_embed_dim": (in_format1(with_controller_field("embed_dim", "4")),
-                         "embed_dim '4' is not an integer"),
-    "float_layer_index": (in_format1(with_controller_field("layer_index", 2.9, layer=2)),
-                          "layer_index 2.9 is not an integer"),
-    "swapped_layer_index": (in_format1(with_controller_field("layer_index", 1, layer=2)),
-                            "layer 2 has layer_index 1"),
-    "string_value": (in_format1(with_parameter("b2", "0.1")),
-                     "b2 values are not a list of numbers"),
-    "bool_value": (in_format1(with_parameter("W1", True)),
-                   "W1 values are not a list of numbers"),
-    "float_shape": (in_format1(with_controller_field(
-                        "b1", {"shape": [4.0], "values": [0.0] * 4}, layer=1)),
-                    r"b1 shape \[4.0\] is not a list of integers"),
-    "zero_embed_dim": (in_format1(with_zero_embed_dim), "embed_dim must be >= 1"),
-    "no_layers": (in_format1(with_controller_field("layers", [])),
-                  "controllers hold no layers"),
-    "mismatched_shapes": (in_format1(with_short_b2(2)), r"layer 2 has shapes \[\(4, 8\),"
-                          r" \(4,\), \(9, 4\), \(8,\)\], expected"),
-    "values_short_of_shape": (in_format1(with_short_values("W2")),
-                              r"layer 1 W2 holds 35 values for shape \[9, 4\]"),
-    "negative_hidden_dim": (in_format1(with_controller_field("hidden_dim", -4)),
-                            r"layer 1 has shapes \[\(4, 4\), \(4,\), \(9, 4\), \(9,\)\],"
-                            r" expected \[\(-4, 4\)"),
-    "long_prompt": (with_long_prompt, f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1}"
-                    f" chars, over {MAX_PROMPT_CHARS}"),
-    "params_not_a_string": (with_controller_field("params", [0.0]),
-                            "params is not a string"),
-    "params_not_base64": (with_params_text(lambda text: text[:8] + "*" + text[8:]),
-                          "params is not base64"),
-    "params_not_ascii": (with_controller_field("params", "AAAAAAA\u00e9"),
-                         "params is not base64"),
-    # the small checkpoint holds 146 values: 8 * 146 = 1168 bytes
-    "params_one_value_short": (with_blob_bytes(lambda blob: blob[:-8]),
-                               "params holds 1160 bytes, expected 1168$"),
-    "params_one_byte_long": (with_blob_bytes(lambda blob: blob + b"\0"),
-                             "params holds 1169 bytes, expected 1168$"),
-    "nan_in_params": (with_blob_value(2, "b2", float("nan")),
-                      "layer 2 holds a parameter that is not finite"),
-    "inf_in_params": (with_blob_value(1, "W1", float("inf")),
-                      "layer 1 holds a parameter that is not finite"),
-    "minus_inf_in_params": (with_blob_value(2, "W1", -float("inf")),
-                            "layer 2 holds a parameter that is not finite"),
-    "n_ops_off_registry": (with_counts(n_ops=10), "controllers score 10 operators, its"
-                           " registry holds 9"),
-    "num_layers_off_config": (with_counts(num_layers=3), "checkpoint has 3 controllers,"
-                              " its config 2 layers"),
-    "hidden_dim_off_config": (with_counts(h=5), "controllers have dims 4x5, its config 4x4"),
-    "n_ops_off_blob": (with_controller_field("n_ops", 8),
-                       "params holds 1168 bytes, expected 1088$"),
-    "bool_num_layers": (with_controller_field("num_layers", True),
-                        "num_layers True is not a positive integer"),
-    "float_n_ops": (with_controller_field("n_ops", 9.0), "n_ops 9.0 is not a positive"
-                    " integer"),
-    "zero_hidden_dim": (with_controller_field("hidden_dim", 0),
-                        "hidden_dim 0 is not a positive integer"),
-    "huge_num_layers": (with_controller_field("num_layers", 10**18),
-                        r"params holds 1168 bytes, expected \d{30,}$"),
-    "float_version": (with_controller_field("version", 1.0),
-                      "version 1.0 is not an integer"),
-}
 
 
 class TestRestore:
@@ -501,13 +274,11 @@ class TestCheckpointFormats:
 
 
 class TestRunTrain:
-    def test_iterations_zero_keeps_initial_state(self, mix_path):
+    def test_iterations_zero_keeps_initial_state(self, tiny_run):
         cfg = TrainConfig(iterations=0, num_layers=2, embed_dim=8, hidden_dim=8)
-        checkpoint, metrics = run_train(cfg, mix_path, default_env())
+        checkpoint, metrics = tiny_run(0)
         assert metrics == []
         assert checkpoint["metrics_summary"] == {"steps": 0}
-        from maas.controller import init_params
-
         fresh = init_params(cfg.seed, 8, 8, 2, len(builtin_registry()))
         assert checkpoint["controllers"] == fresh.to_dict()
 
@@ -542,9 +313,8 @@ class TestRunTrain:
 
 
 class TestRunEval:
-    def test_all_success_profiles_give_accuracy_one(self, mix_path):
-        cfg = TrainConfig(iterations=0, num_layers=2, embed_dim=8, hidden_dim=8)
-        checkpoint, _ = run_train(cfg, mix_path, default_env())
+    def test_all_success_profiles_give_accuracy_one(self, mix_path, tiny_run):
+        checkpoint, _ = tiny_run(0)
         perfect = SyntheticEnv([
             SyntheticOperatorProfile(s.id, 1.0, 0.0, 1.0)
             for s in builtin_registry().specs() if s.id != "early_exit"
@@ -553,9 +323,8 @@ class TestRunEval:
         assert report["accuracy"] == 1.0
         assert report["n_records"] == 20
 
-    def test_report_structure(self, mix_path):
-        cfg = TrainConfig(iterations=1, num_layers=2, embed_dim=8, hidden_dim=8)
-        checkpoint, _ = run_train(cfg, mix_path, default_env())
+    def test_report_structure(self, mix_path, tiny_run):
+        checkpoint, _ = tiny_run(1)
         report = run_eval(checkpoint, mix_path, default_env())
         assert set(report) == {
             "n_records", "accuracy", "mean_cost", "mean_llm_calls",
@@ -602,9 +371,8 @@ class TestRunEval:
                 "mean_exit_depth": depth,
             }
 
-    def test_eval_does_not_mutate_checkpoint(self, mix_path):
-        cfg = TrainConfig(iterations=1, num_layers=2, embed_dim=8, hidden_dim=8)
-        checkpoint, _ = run_train(cfg, mix_path, default_env())
+    def test_eval_does_not_mutate_checkpoint(self, mix_path, tiny_run):
+        checkpoint, _ = tiny_run(1)
         before = ckpt.dumps(checkpoint)
         run_eval(checkpoint, mix_path, default_env())
         assert ckpt.dumps(checkpoint) == before

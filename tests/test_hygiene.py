@@ -30,6 +30,10 @@
   `b1`, `W2` or `b2`, by `=`, an augmented assignment, `del` or `setattr`.
   A layer's arrays are views of its state's flat `params`, so an array
   bound in their place anywhere else would drop out of every update.
+- Every `open(...)` in `src/maas` in text mode passes `encoding="utf-8"`,
+  so a file reads and writes the same under any locale.
+- No module under `tests/` imports a test module: what two of them share
+  lives in `tests/helpers.py` and `tests/conftest.py`.
 """
 
 import ast
@@ -493,4 +497,86 @@ def test_only_controller_binds_parameter_arrays():
     assert any(p.name == "optimizer.py" for p in files)
     offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
                  for path in files for line, name in parameter_rebinds(path.read_text())]
+    assert offenders == []
+
+
+def text_opens_without_utf8(source):
+    """The line of each `open(...)` call in text mode (its mode holds no
+    "b", or it passes none) that does not pass `encoding="utf-8"`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and is_named(node.func, "open")):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        if isinstance(mode, ast.Constant) and "b" in mode.value:
+            continue
+        encoding = node.args[3] if len(node.args) > 3 else keywords.get("encoding")
+        if not (isinstance(encoding, ast.Constant) and encoding.value == "utf-8"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checker_flags_text_opens_without_utf8():
+    source = (
+        "open(path)\n"
+        "open(path, 'w')\n"
+        "open(path, mode='a', encoding='latin-1')\n"
+        "open(path, 'r', -1, None)\n"
+        "open(path, mode)\n"
+        "open(path, encoding='utf-8')\n"
+        "open(path, 'w', encoding='utf-8')\n"
+        "open(path, 'r', -1, 'utf-8')\n"
+        "open(path, 'rb')\n"
+        "open(path, mode='wb')\n"
+        "urlopen(request)\n"
+    )
+    assert text_opens_without_utf8(source) == [1, 2, 3, 4, 5]
+
+
+def test_every_text_open_in_src_names_utf8():
+    sources = sorted((ROOT / "src" / "maas").glob("*.py"))
+    assert any(p.name == "checkpoint.py" for p in sources)
+    offenders = [f"{path.relative_to(ROOT)}:{line}" for path in sources
+                 for line in text_opens_without_utf8(path.read_text())]
+    assert offenders == []
+
+
+def imports_of_test_modules(source):
+    """(line, module) of each import of a test module: `import tests.test_x`,
+    `from tests.test_x import ...` or `from tests import test_x`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "tests":
+            modules = [f"tests.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.startswith("tests.test_")]
+    return found
+
+
+def test_checker_flags_imports_of_test_modules():
+    source = (
+        "import tests.test_cli\n"
+        "from tests.test_registry import make_spec, registry_json\n"
+        "from tests import helpers, test_harness\n"
+        "from tests.helpers import train_args\n"
+        "import pytest, tests.helpers\n"
+        "def f():\n"
+        "    from tests.test_kernels import bitwise_equal\n"
+    )
+    assert imports_of_test_modules(source) == [
+        (1, "tests.test_cli"), (2, "tests.test_registry"), (3, "tests.test_harness"),
+        (7, "tests.test_kernels")]
+
+
+def test_no_test_module_imports_another():
+    files = sorted((ROOT / "tests").glob("*.py"))
+    assert any(p.name == "helpers.py" for p in files)
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {module}" for path in files
+                 for line, module in imports_of_test_modules(path.read_text())]
     assert offenders == []

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maas import kernels
+from tests.helpers import bitwise_equal
 
 TOL = 1e-12
 
@@ -197,12 +198,6 @@ def matmul_ffn_backward(W2, X, H, G):
 def method_softmax(logits):
     e = np.exp(logits - logits.max())
     return e / e.sum()
-
-
-def bitwise_equal(a, b):
-    """Equal values and the same sign bits, so -0.0 differs from 0.0."""
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def signed_values(rng, shape, zero_frac):

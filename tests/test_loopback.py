@@ -20,7 +20,7 @@ from maas.cli import main
 from maas.errors import BackendError
 from maas.executor import live_call
 from maas.optimizer import MUTATOR_PROMPT
-from tests.test_cli import train_args, workdir  # noqa: F401 (a fixture)
+from tests.helpers import train_args
 
 REPLY = {"choices": [{"message": {"content": "42"}}],
          "usage": {"prompt_tokens": 3, "completion_tokens": 2}}
@@ -148,9 +148,9 @@ class TestCommands:
                          .startswith(MUTATOR_PROMPT.split("{")[0])]
         assert mutator_calls and len(server.seen) > len(mutator_calls)
 
+    @pytest.mark.usefixtures("trained")
     def test_eval_live(self, server, workdir):
         runner = CliRunner()
-        assert runner.invoke(main, train_args(workdir)).exit_code == 0
         result = runner.invoke(main, [
             "eval", "--checkpoint", str(workdir / "ckpt.json"),
             "--dataset", str(workdir / "mix.jsonl"), "--env", "live"])

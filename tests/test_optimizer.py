@@ -21,8 +21,7 @@ from maas.data import load_dataset
 from maas.datagen import default_env, sabotaged_profiles
 from maas.embedding import HashingEmbedder, layer_feature
 from maas.errors import BackendError, DataError, MaasError
-from maas.executor import ExecutionTrace, QueryRecord, SyntheticEnv, \
-    SyntheticOperatorProfile
+from maas.executor import ExecutionTrace, QueryRecord, SyntheticEnv
 from maas.optimizer import (
     MOCK_PATCH_SENTENCE,
     MUTATOR_PROMPT,
@@ -44,9 +43,8 @@ from maas.sampler import (
     architecture_log_prob,
     sample_architecture,
 )
-from tests.test_controller import flat_layout_faults
-from tests.test_kernels import bitwise_equal
-from tests.test_registry import registry_json
+from tests.helpers import (JSON_VALUES, bitwise_equal, flat_layout_faults, make_trainer,
+                           registry_json, simple_env)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -387,10 +385,8 @@ class TestBatchedUpdate:
 
     def test_one_backward_per_layer_and_one_layer1_forward_per_step(
             self, monkeypatch):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=4, embed_dim=8, hidden_dim=8, samples_k=6)
-        state = init_params(0, 8, 8, 4, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+        trainer = make_trainer(num_layers=4, samples_k=6)
+        cfg = trainer.config
         backward_calls, layer1_forwards, archs = [], [], []
         ffn_forward, ffn_backward = kernels.ffn_forward, kernels.ffn_backward
         update = optimizer_module.update_distribution
@@ -445,11 +441,9 @@ class TestFloatRowsAndInPlaceUpdate:
         """On recorded training steps, the gradients equal the numpy-row form
         bitwise, and the in-place update leaves every parameter as
         `param + (lr / K) * grad` does."""
-        reg = builtin_registry()
         # K = 3, so that lr / K is no power of two
-        cfg = TrainConfig(embed_dim=16, hidden_dim=16, patch_every=5, samples_k=3)
-        state = init_params(0, 16, 16, cfg.num_layers, len(reg))
-        trainer = Trainer(state, reg, default_env(), cfg, np.random.default_rng(0))
+        trainer = make_trainer(default_env(), num_layers=4, embed_dim=16, hidden_dim=16,
+                               patch_every=5, samples_k=3)
         update = optimizer_module.update_distribution
         single_rows = set()  # layers some step reached with one sample only
 
@@ -482,10 +476,7 @@ class TestFloatRowsAndInPlaceUpdate:
 
 class TestQueryCache:
     def test_repeated_query_embedded_once_and_read_only(self, monkeypatch):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
-        trainer = Trainer(init_params(0, 8, 8, 2, len(reg)), reg, simple_env(),
-                          cfg, np.random.default_rng(0))
+        trainer = make_trainer()
         texts = []
         embed = HashingEmbedder.embed
 
@@ -549,44 +540,6 @@ class TestMockMutator:
         assert textual_gradient(builtin_registry(), [], mock_mutator) == []
 
 
-# 10**400 is an int past the float range
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
-    | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-def key_paths(doc, path=()):
-    """The path of `doc` and of each value inside it, through every key of a
-    dict and the first item of a list."""
-    yield path
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            yield from key_paths(value, (*path, key))
-    elif isinstance(doc, list) and doc:
-        yield from key_paths(doc[0], (*path, 0))
-
-
-def replaced(doc, path, value):
-    """A copy of `doc` with `value` at `path`."""
-    if not path:
-        return value
-    doc = copy.deepcopy(doc)
-    inner = doc
-    for key in path[:-1]:
-        inner = inner[key]
-    inner[path[-1]] = value
-    return doc
-
-
-def any_value_anywhere(doc):
-    """`doc` with any JSON value at one of its `key_paths`: the whole
-    document, an entry or a field of one."""
-    return st.builds(replaced, st.just(doc), st.sampled_from(list(key_paths(doc))),
-                     JSON_VALUES)
 OPERATOR_IDS = st.sampled_from([*builtin_registry().ids(), "cot-b", "ghost"])
 # each key `MUTATOR_PROMPT` asks for, absent, any JSON value or a plausible one
 REPLIES = JSON_VALUES | st.fixed_dictionaries({}, optional={
@@ -686,19 +639,10 @@ def query(qid="q1", difficulty=0.1):
                        difficulty=difficulty)
 
 
-def simple_env():
-    return SyntheticEnv([
-        SyntheticOperatorProfile(s.id, 0.6, 0.0, 1.0)
-        for s in builtin_registry().specs() if s.id != "early_exit"
-    ])
-
-
 class TestTrainer:
     def test_step_metrics_shape(self):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
-        state = init_params(0, 8, 8, 2, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+        trainer = make_trainer()
+        cfg = trainer.config
         metrics = trainer.step(query())
         assert metrics["step"] == 1
         assert metrics["query_id"] == "q1"
@@ -708,31 +652,21 @@ class TestTrainer:
 
     def test_seeded_determinism(self):
         def run():
-            reg = builtin_registry()
-            cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
-            state = init_params(0, 8, 8, 2, len(reg))
-            trainer = Trainer(state, reg, simple_env(), cfg,
-                              np.random.default_rng(0))
+            trainer = make_trainer()
             return [trainer.step(query(f"q{i}")) for i in range(12)]
 
         assert run() == run()
 
     def test_mutator_none_never_patches(self):
-        reg = builtin_registry()
+        trainer = make_trainer(mutator="none", patch_every=2)
+        reg = trainer.registry
         before = registry_json(reg)
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator="none",
-                          patch_every=2)
-        state = init_params(0, 8, 8, 2, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
         for i in range(6):
             assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
         assert registry_json(reg) == before
 
     def test_patch_cadence(self):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=3)
-        state = init_params(0, 8, 8, 2, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+        trainer = make_trainer(patch_every=3)
         patched_steps = [
             i for i in range(1, 7)
             if trainer.step(query(f"q{i}"))["patches_applied"] > 0
@@ -742,17 +676,13 @@ class TestTrainer:
 
     def test_one_forward_pass_per_sampled_layer_and_one_query_embed(
             self, monkeypatch):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=4, embed_dim=8, hidden_dim=8, patch_every=1)
-        state = init_params(0, 8, 8, 4, len(reg))
-
         def split_cot_once(registry, traces):
             if "cot-b" in registry:
                 return []
             return [OperatorPatch("cot", structure_action="split")]
 
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          mutator=split_cot_once)
+        trainer = make_trainer(proposer=split_cot_once, num_layers=4, patch_every=1)
+        reg, cfg = trainer.registry, trainer.config
         forward_calls, texts, archs = [], [], []
         ffn_forward = kernels.ffn_forward
         embed = HashingEmbedder.embed
@@ -804,22 +734,14 @@ class TestTrainer:
 
     @pytest.mark.parametrize("mutator,patch_every", [("none", 2)])
     def test_window_stays_empty_without_patching(self, mutator, patch_every):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=mutator,
-                          patch_every=patch_every)
-        state = init_params(0, 8, 8, 2, len(reg))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+        trainer = make_trainer(mutator=mutator, patch_every=patch_every)
         assert trainer.mutator is None
         for i in range(5):
             trainer.step(query(f"q{i}"))
         assert trainer.window == []
 
     def test_mock_resolves_to_mock_mutator(self):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator="mock",
-                          patch_every=2)
-        trainer = Trainer(init_params(0, 8, 8, 2, len(reg)), reg, simple_env(), cfg,
-                          np.random.default_rng(0))
+        trainer = make_trainer(mutator="mock", patch_every=2)
         assert trainer.mutator is mock_mutator
 
     @pytest.mark.parametrize("bad_patch", [
@@ -855,18 +777,14 @@ class TestTrainer:
         """Splitting "cot" and merging the clone back doubles its prompt; the
         merge that would take it past `MAX_PROMPT_CHARS` is skipped and
         leaves the registry as it was."""
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
-        state = init_params(0, 8, 8, 2, len(reg))
-
         def split_and_merge_back(registry, traces):
             if "cot-b" in registry:
                 return [OperatorPatch("cot", structure_action="merge",
                                       merge_with_id="cot-b")]
             return [OperatorPatch("cot", structure_action="split")]
 
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          mutator=split_and_merge_back)
+        trainer = make_trainer(proposer=split_and_merge_back, patch_every=1)
+        reg, state = trainer.registry, trainer.state
         for i in range(40):
             before = registry_json(reg)
             if trainer.step(query(f"q{i}"))["patches_applied"] == 0:
@@ -880,31 +798,24 @@ class TestTrainer:
         assert "cot-b" in reg and state.n_ops == len(reg)
 
     def test_unparseable_proposal_is_skipped_not_fatal(self):
-        reg = builtin_registry()
-        before = registry_json(reg)
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
-        state = init_params(0, 8, 8, 2, len(reg))
-
         def mutator(registry, traces):
             return [parse_mutation("not json")]
 
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          mutator=mutator)
+        trainer = make_trainer(proposer=mutator, patch_every=1)
+        reg = trainer.registry
+        before = registry_json(reg)
         assert trainer.step(query())["patches_applied"] == 0
         assert registry_json(reg) == before
 
     @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
     def test_malformed_reply_neither_raises_nor_corrupts(self, reply):
-        reg = builtin_registry()
-        before = registry_json(reg)
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
-        state = init_params(0, 8, 8, 2, len(reg))
-
         def mutator(registry, traces):
             return [parse_mutation(reply)]
 
-        trainer = Trainer(state, reg, SyntheticEnv(*sabotaged_profiles()), cfg,
-                          np.random.default_rng(0), mutator=mutator)
+        trainer = make_trainer(SyntheticEnv(*sabotaged_profiles()), proposer=mutator,
+                               patch_every=1)
+        reg, state = trainer.registry, trainer.state
+        before = registry_json(reg)
         for i in range(3):
             assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
         assert all(isinstance(spec.prompt, str) for spec in reg.specs())
@@ -912,14 +823,11 @@ class TestTrainer:
         assert registry_json(reg) == before
 
     def test_rewire_reply_is_skipped(self):
-        reg = builtin_registry()
-        before = registry_json(reg)
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
-        state = init_params(0, 8, 8, 2, len(reg))
         mutator = LLMMutator(base_url="http://stub", transport=chat_reply(
             '{"target_id": "react", "structure_action": "rewire"}'))
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          mutator=mutator)
+        trainer = make_trainer(proposer=mutator, patch_every=1)
+        reg, state = trainer.registry, trainer.state
+        before = registry_json(reg)
         assert trainer.step(query())["patches_applied"] == 0
         assert registry_json(reg) == before
         assert state.n_ops == len(reg)
@@ -928,12 +836,8 @@ class TestTrainer:
     def test_unusable_mutator_fails_before_first_step(self, mutator):
         """`Trainer(mutator=)` takes None or a callable; a name is not one,
         even a name the config accepts, and neither is anything else."""
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
-        state = init_params(0, 8, 8, 2, len(reg))
         with pytest.raises(BackendError, match="is not callable$"):
-            Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                    mutator=mutator)
+            make_trainer(proposer=mutator)
 
     @pytest.mark.parametrize("name", ["mock2", 3, None, mock_mutator])
     def test_config_names_only_a_known_mutator(self, name):
@@ -954,34 +858,26 @@ class TestTrainer:
 
     @pytest.mark.parametrize("mutator,patch_every", [("none", 1)])
     def test_patching_off_ignores_a_passed_mutator(self, mutator, patch_every):
-        reg = builtin_registry()
-        before = registry_json(reg)
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=mutator,
-                          patch_every=patch_every)
-        state = init_params(0, 8, 8, 2, len(reg))
-
         def split_cot(registry, traces):
             return [OperatorPatch("cot", structure_action="split")]
 
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          mutator=split_cot)
+        trainer = make_trainer(proposer=split_cot, mutator=mutator,
+                               patch_every=patch_every)
+        reg = trainer.registry
+        before = registry_json(reg)
         assert trainer.mutator is None
         for i in range(3):
             assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
         assert registry_json(reg) == before
 
     def test_structural_patch_remaps_controller(self):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
-        state = init_params(0, 8, 8, 2, len(reg))
-
         def splitting_mutator(registry, traces):
             if "cot-b" in registry:
                 return []
             return [OperatorPatch("cot", structure_action="split")]
 
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          mutator=splitting_mutator)
+        trainer = make_trainer(proposer=splitting_mutator, patch_every=1)
+        reg, state = trainer.registry, trainer.state
         trainer.step(query())
         assert len(reg) == 10
         assert state.n_ops == 10
@@ -990,18 +886,13 @@ class TestTrainer:
 
 
     def test_operator_split_twice(self):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
-        state = init_params(0, 8, 8, 2, len(reg))
-        env = simple_env()
-
         def split_cot_twice(registry, traces):
             if "cot-b2" in registry:
                 return []
             return [OperatorPatch("cot", structure_action="split")]
 
-        trainer = Trainer(state, reg, env, cfg, np.random.default_rng(0),
-                          mutator=split_cot_twice)
+        trainer = make_trainer(proposer=split_cot_twice, patch_every=1)
+        reg, state, env = trainer.registry, trainer.state, trainer.env
         ran = []
         run_node = env.run_node
 
@@ -1095,13 +986,11 @@ class TestLLMMutator:
         """A reply whose content is null is a malformed payload: it ends the
         run with `BackendError`, as any other malformed payload does, and is
         not skipped as a proposal that does not parse."""
-        reg = builtin_registry()
-        before = registry_json(reg)
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
-        state = init_params(0, 8, 8, 2, len(reg))
         transport = chat_reply(None)
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          mutator=LLMMutator(base_url="http://stub", transport=transport))
+        trainer = make_trainer(proposer=LLMMutator(base_url="http://stub",
+                                                   transport=transport), patch_every=1)
+        reg, state = trainer.registry, trainer.state
+        before = registry_json(reg)
         with pytest.raises(BackendError, match="content is NoneType, not str$"):
             trainer.step(query())
         assert len(transport.calls) == 1
@@ -1200,9 +1089,6 @@ class TestMutatorArchive:
         """Every prompt a training run sends equals `MUTATOR_PROMPT` filled
         with one `json.dumps` of the registry and of the failure summary,
         recomputed when the call is made."""
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
-        state = init_params(0, 8, 8, 2, len(reg))
         replies = [
             {"target_id": "cot", "new_prompt": 'Say "ok" \\ then\nanswer é {input}'},
             {"target_id": "react", "new_temperature": 1},
@@ -1225,8 +1111,8 @@ class TestMutatorArchive:
                          "usage": {"prompt_tokens": 3, "completion_tokens": 2}}
 
         mutator = LLMMutator(base_url="http://stub", transport=transport)
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
-                          mutator=mutator)
+        trainer = make_trainer(proposer=mutator, patch_every=1)
+        reg = trainer.registry
         applied = sum(trainer.step(query(f"q{i}"))["patches_applied"] for i in range(12))
         assert len(sent) == 12 and applied >= 8
         assert sent == expected

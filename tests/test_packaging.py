@@ -1,7 +1,8 @@
 """Packaging: every runtime dependency pyproject.toml declares is importable,
 so `pip install -e . --no-build-isolation` needs nothing from the network;
 `src/maas` imports nothing else but the standard library and itself; and
-`import maas.cli` loads no HTTP client, which only a chat call needs."""
+`import maas.cli` loads no HTTP client, which only a chat call needs, and
+not OpenSSL's bindings, which `import hashlib` maps and nothing needs."""
 
 import ast
 import importlib
@@ -19,6 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 # modules that only `executor._urllib_transport` needs
 HTTP_MODULES = ("urllib.request", "http.client", "ssl")
+# OpenSSL's bindings: `hashlib` loads them, the embedder takes blake2b from
+# `_blake2` without them
+OPENSSL_MODULES = ("_hashlib",)
 
 
 def declared_dependencies():
@@ -73,7 +77,7 @@ def test_src_imports_only_stdlib_declared_dependencies_and_maas():
 
 def test_importing_the_cli_loads_no_http_client():
     code = ("import sys, maas.cli\n"
-            f"print(*[m for m in {HTTP_MODULES!r} if m in sys.modules])")
+            f"print(*[m for m in {HTTP_MODULES + OPENSSL_MODULES!r} if m in sys.modules])")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)

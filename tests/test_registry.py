@@ -10,7 +10,6 @@ from maas.errors import DataError
 from maas.registry import (
     KIND_DIRECT_IO,
     KIND_EARLY_EXIT,
-    KIND_GENERATIVE,
     MAX_PROMPT_CHARS,
     OperatorPatch,
     OperatorRegistry,
@@ -18,25 +17,7 @@ from maas.registry import (
     builtin_catalog,
     builtin_registry,
 )
-
-
-def make_spec(op_id, kind=KIND_GENERATIVE, temperature=1.0, prompt="p {input}"):
-    return OperatorSpec(
-        id=op_id,
-        name=op_id,
-        prompt=prompt if kind != KIND_EARLY_EXIT else "",
-        model_binding="default",
-        temperature=temperature,
-        tools=(),
-        agent_count=1,
-        profile_text="" if kind == KIND_EARLY_EXIT else f"profile of {op_id}",
-        kind=kind,
-    )
-
-
-def registry_json(reg):
-    """The registry as one canonical JSON string, to compare registries."""
-    return json.dumps(reg.to_dict(), sort_keys=True, separators=(",", ":"))
+from tests.helpers import make_spec, registry_json
 
 
 class TestBuiltinCatalog:

@@ -22,7 +22,7 @@ from maas.sampler import (
     build_dag,
     sample_architecture,
 )
-from tests.test_registry import make_spec
+from tests.helpers import make_spec
 
 
 def tiny_registry():

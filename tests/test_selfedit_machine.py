@@ -10,18 +10,14 @@ its arrays views of one flat vector.
 
 import json
 
-import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from maas.controller import init_params
 from maas.datagen import default_env, make_mixed_dataset
 from maas.executor import QueryRecord
-from maas.optimizer import TrainConfig, Trainer, parse_mutation
-from maas.registry import (KIND_DIRECT_IO, KIND_EARLY_EXIT, MAX_PROMPT_CHARS,
-                           builtin_registry)
-from tests.test_controller import flat_layout_faults
-from tests.test_registry import registry_json
+from maas.optimizer import parse_mutation
+from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, MAX_PROMPT_CHARS
+from tests.helpers import flat_layout_faults, make_trainer, registry_json
 
 RECORDS = [QueryRecord(**r) for r in make_mixed_dataset(2, 2)]
 # the first operators in the catalogue, split clones of `cot` (present once
@@ -38,12 +34,8 @@ UNPARSEABLE = st.sampled_from([
 class SelfEditMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.registry = builtin_registry()
-        self.state = init_params(0, 8, 8, 2, len(self.registry))
-        config = TrainConfig(num_layers=2, samples_k=2, patch_every=1,
-                             embed_dim=8, hidden_dim=8)
-        self.trainer = Trainer(self.state, self.registry, default_env(), config,
-                               np.random.default_rng(0), mutator=self._reply)
+        self.trainer = make_trainer(default_env(), self._reply, samples_k=2, patch_every=1)
+        self.registry, self.state = self.trainer.registry, self.trainer.state
         self.reply_text = None
 
     def _reply(self, registry, traces):
