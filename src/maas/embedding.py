@@ -5,6 +5,13 @@ number of buckets with a +/-1 sign drawn from a second hash, then the
 bucket counts are L2-normalized. It is deterministic across processes and
 needs no model weights.
 
+Each text is lowercased and tokenized by one `findall` of `[0-9a-z]+`. Each
+token adds its +/-1.0 to a list of Python floats, which one `np.array` turns
+into the vector, divided by `sqrt(v . v)`. The counts are exact integers, and
+these are the float operations of a numpy `+=` loop over the pieces of a
+`split` on `[^0-9a-z]+` followed by `np.linalg.norm`, in the same order, so
+the bytes are the same as that form's (the tests compare against it).
+
 Token hashes are memoized in one bounded, process-wide LRU cache keyed on
 (token, dim), `TOKEN_CACHE_SIZE` entries. Template words and operator profile
 words recur on every query, so after the first query almost only the fresh
@@ -15,6 +22,7 @@ hash gives, so embeddings are unchanged bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 import re
 
 # the blake2b that `hashlib` re-exports, without the OpenSSL bindings
@@ -25,7 +33,7 @@ import numpy as np
 
 from .errors import MaasError
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKENS = re.compile(r"[0-9a-z]+")
 # Entries of the token memo. The shipped mix and catalog recur in 189 tokens;
 # on fresh eval queries the hit rate is 28% at 64 entries, 82% at 128 and 95%
 # from 192 up, the misses left being new number tokens, which no size catches
@@ -61,13 +69,13 @@ class HashingEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in _TOKEN_SPLIT.split(text.lower()):
-            if not token:
-                continue
-            bucket, sign = _token_bucket_sign(token, self.dim)
-            vec[bucket] += sign
-        norm = np.linalg.norm(vec)
+        dim = self.dim
+        counts = [0.0] * dim
+        for token in _TOKENS.findall(text.lower()):
+            bucket, sign = _token_bucket_sign(token, dim)
+            counts[bucket] += sign
+        vec = np.array(counts)
+        norm = math.sqrt(vec.dot(vec))
         if norm > 0.0:
             vec /= norm
         return vec

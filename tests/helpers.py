@@ -15,8 +15,9 @@ from maas.controller import SupernetState, init_params
 from maas.datagen import _profile_dicts, default_profiles, make_mixed_dataset
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile
 from maas.optimizer import TrainConfig, Trainer
-from maas.registry import (KIND_EARLY_EXIT, KIND_GENERATIVE, MAX_PROMPT_CHARS,
-                           OperatorSpec, builtin_registry)
+from maas.registry import (KIND_DIRECT_IO, KIND_EARLY_EXIT, KIND_GENERATIVE,
+                           MAX_PROMPT_CHARS, OperatorRegistry, OperatorSpec,
+                           builtin_registry)
 
 
 def train_args(workdir, extra=()):
@@ -78,6 +79,17 @@ def make_spec(op_id, kind=KIND_GENERATIVE, temperature=1.0, prompt="p {input}"):
         profile_text="" if kind == KIND_EARLY_EXIT else f"profile of {op_id}",
         kind=kind,
     )
+
+
+def tiny_registry(ids=("solver",)):
+    """The generative operators `ids`, then `exit` (early exit) and `io`
+    (direct io)."""
+    reg = OperatorRegistry()
+    for op_id in ids:
+        reg.register(make_spec(op_id))
+    reg.register(make_spec("exit", KIND_EARLY_EXIT))
+    reg.register(make_spec("io", KIND_DIRECT_IO))
+    return reg
 
 
 def registry_json(reg):

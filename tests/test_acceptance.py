@@ -28,6 +28,7 @@ from maas.executor import SyntheticEnv
 from maas.harness import run_eval, run_train
 from maas.optimizer import TrainConfig, importance_weights
 from maas.registry import builtin_registry
+from tests.helpers import tiny_registry
 
 DATASET = os.path.join(os.path.dirname(__file__), "..", "data", "synthetic_mix.jsonl")
 
@@ -79,16 +80,6 @@ class TestCriterion1GradientCorrectness:
 
 
 class TestCriterion2DistributionNormalization:
-    def _tiny(self):
-        from tests.helpers import make_spec
-        from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, OperatorRegistry
-
-        reg = OperatorRegistry()
-        reg.register(make_spec("solver"))
-        reg.register(make_spec("exit", KIND_EARLY_EXIT))
-        reg.register(make_spec("io", KIND_DIRECT_IO))
-        return reg
-
     def _analytic(self, state, reg, emb, query, thres):
         """Probability of every reachable selection-sequence tuple."""
         exit_idx = reg.index_of("exit")
@@ -127,7 +118,7 @@ class TestCriterion2DistributionNormalization:
 
     def test_enumeration_and_empirical_frequencies(self):
         t0 = time.time()
-        reg = self._tiny()
+        reg = tiny_registry()
         state = init_params(7, 8, 8, 2, len(reg))
         emb = HashingEmbedder(8)
         query = "normalize me"

@@ -136,6 +136,50 @@ def test_bound_check_reads_each_metric_against_its_bound(parent, change, expecte
     assert got == dict(zip(["throughput_per_s", "latency_p50_ms"], expected))
 
 
+# ten parent runs at 100-109 q/s: median 104.5, inclusive quartiles 102.25
+# and 106.75, so an IQR of 4.5
+PARENT_RATES = [100 + i for i in range(10)]
+
+
+@pytest.mark.parametrize("offsets,expected", [
+    ([10] * 10, "met"),
+    # 9 of 10 pairs better, the tenth worse or tied: nine tenths still
+    ([10] * 9 + [-1], "met"),
+    ([10] * 9 + [0], "met"),
+    # 8 better and 2 tied: a tie counts for neither side
+    ([10] * 8 + [0, 0], "not met"),
+    ([10] * 8 + [-1, -1], "not met"),
+    # every pair better, but the medians differ by the IQR or less
+    ([4] * 10, "not met"),
+    ([4.5] * 10, "not met"),
+    ([4.6] * 10, "met"),
+    # worse in every pair
+    ([-10] * 10, "not met"),
+])
+def test_gain_check_needs_nine_tenths_and_a_gap_past_the_iqr(offsets, expected):
+    parent = [(rate, 1.0) for rate in PARENT_RATES]
+    change = [(rate + off, 1.0) for rate, off in zip(PARENT_RATES, offsets)]
+    out = bench_pairs.summarize_pairs(list(range(1, 11)), both_sides(parent, change),
+                                      DIRECTIONS)
+    assert out["parent_throughput_iqr"] == 4.5
+    # p50 is the same in every run: every pair a tie, so no gain
+    assert out["gain_check"] == {"throughput_per_s": expected, "latency_p50_ms": "not met"}
+
+
+def test_gain_check_reads_lower_as_better_where_the_metric_says_so():
+    # p50 1.00-1.09 ms at the parent (IQR 0.045); the change 0.1 ms lower
+    # in every pair, and slower in throughput in every pair
+    parent = [(100, 1.0 + i / 100) for i in range(10)]
+    change = [(90, 0.9 + i / 100) for i in range(10)]
+    out = bench_pairs.summarize_pairs(list(range(1, 11)), both_sides(parent, change),
+                                      DIRECTIONS)
+    assert out["gain_check"] == {"throughput_per_s": "not met", "latency_p50_ms": "met"}
+    # the same runs read the other way round
+    back = bench_pairs.summarize_pairs(list(range(1, 11)), both_sides(change, parent),
+                                       DIRECTIONS)
+    assert back["gain_check"] == {"throughput_per_s": "met", "latency_p50_ms": "not met"}
+
+
 @pytest.mark.parametrize("parent,change,expected", [
     ((0, 100), (0, 120), "within"),
     ((2, 100), (2, 100), "within"),
@@ -221,19 +265,41 @@ def test_parse_tier1_sums_each_criterion(tail):
         "0.50s setup    tests/test_acceptance.py::TestCriterion4Thing::test_a",
         "7.07s call     tests/test_acceptance.py::TestCriterion2Other::test_b",
         "1.00s call     tests/test_cli.py::test_seed7",
+        "0.03s teardown tests/test_cli.py::test_seed7",
+        "0.00s setup    tests/test_cli.py::test_seed7",
         tail,
     ])
     got = bench_pairs.parse_tier1(out)
-    assert got == {"wall_s": 44.95, "result": "259 passed, 1 skipped",
+    assert got == {"wall_s": 44.95, "tests_s": 18.84, "result": "259 passed, 1 skipped",
                    "criterion_s": {"2": 7.07, "4": 10.74}}
 
 
-def durations_output(wall, criterion4, criterion2):
-    """What `pytest -q --durations=0` prints for a run of that many seconds."""
+def test_parse_tier1_sums_every_setup_call_and_teardown():
+    out = "\n".join([
+        "12.50s setup    tests/test_cli.py::test_a",
+        "outside the durations: 9.00s call, and a 5.00s line of no phase",
+        "5.00s collect  tests/test_cli.py",
+        "2.25s call     tests/test_cli.py::test_a",
+        "0.25s teardown tests/test_cli.py::test_a",
+        "0.00s call     tests/test_cli.py::test_b",
+        "",
+        "(3 durations < 0.005s hidden.)",
+        "===== 2 passed in 16.00s =====",
+    ])
+    got = bench_pairs.parse_tier1(out)
+    assert (got["wall_s"], got["tests_s"]) == (16.0, 15.0)
+    # a run that printed no duration has no work time, not a zero one
+    assert bench_pairs.parse_tier1("===== 2 passed in 16.00s =====")["tests_s"] is None
+
+
+def durations_output(wall, criterion4, criterion2, other=1.0):
+    """What `pytest -q --durations=0 --durations-min=0` prints for a run of
+    that many seconds."""
     return "\n".join([
         "....",
         f"{criterion4:.2f}s call     tests/test_acceptance.py::TestCriterion4Thing::test_a",
         f"{criterion2:.2f}s call     tests/test_acceptance.py::TestCriterion2Other::test_b",
+        f"{other:.2f}s call     tests/test_cli.py::test_c",
         f"===== 259 passed, 1 skipped in {wall:.2f}s =====",
     ])
 
@@ -251,17 +317,22 @@ def test_tier1_alternates_sides_and_keeps_medians():
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     out = bench_pairs.summarize_tier1(runs)
     assert out["parent"] == {"wall_s": 52.0, "wall_s_runs": [51.4, 54.2, 52.0],
+                             "tests_s": 16.3, "tests_s_runs": [16.0, 17.7, 16.3],
                              "results": ["259 passed, 1 skipped"] * 3,
                              "criterion_s": {"2": 7.1, "4": 8.2}}
     assert out["change"]["wall_s"] == 56.5
+    assert out["change"]["tests_s_runs"] == [18.5, 16.0, 16.4]
+    assert out["change"]["tests_s"] == 16.4
     assert out["change"]["criterion_s"] == {"2": 7.0, "4": 8.4}
 
 
 def test_tier1_medians_skip_what_a_run_did_not_report():
-    crashed = {"wall_s": None, "result": "error", "criterion_s": {}}
+    crashed = {"wall_s": None, "tests_s": None, "result": "error", "criterion_s": {}}
     ran = bench_pairs.parse_tier1(durations_output(50.0, 8.0, 7.0))
     out = bench_pairs.summarize_tier1({"parent": [crashed, ran, ran], "change": [crashed]})
     assert out["parent"]["wall_s"] == 50.0
+    assert out["parent"]["tests_s"] == 16.0
     assert out["parent"]["criterion_s"] == {"2": 7.0, "4": 8.0}
-    assert out["change"] == {"wall_s": None, "wall_s_runs": [None], "results": ["error"],
+    assert out["change"] == {"wall_s": None, "wall_s_runs": [None], "tests_s": None,
+                             "tests_s_runs": [None], "results": ["error"],
                              "criterion_s": {}}

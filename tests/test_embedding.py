@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -90,10 +91,10 @@ class TestHashingEmbedder:
 
 
 def unmemoized_embed(text, dim):
-    """`HashingEmbedder.embed` with every token hashed afresh, through the
-    function the memo wraps."""
+    """The embedding written out as a numpy loop over `split` pieces, with
+    every token hashed afresh through the function the memo wraps."""
     vec = np.zeros(dim)
-    for token in embedding._TOKEN_SPLIT.split(text.lower()):
+    for token in re.split(r"[^0-9a-z]+", text.lower()):
         if token:
             bucket, sign = embedding._token_bucket_sign.__wrapped__(token, dim)
             vec[bucket] += sign
@@ -114,9 +115,17 @@ def fresh_tokens(n):
 # words that recur, so the memo hits, beside text with digits and non-ASCII
 WORDS = st.sampled_from(["add", "two", "numbers", "café", "中文", "x1", "42",
                          "ünïcode", "reason", "step"])
+# separators a wrong tokenizer would read apart: at either end, the
+# information separators, NEL and LINE SEPARATOR; and letters that lowercase
+# to ASCII ("\u212a", KELVIN SIGN, to "k") or to more than one code point
+SEPARATORS = "-\x1c\x1d\x1e\x1f\x85\u2028\u212a\u0130"
 TEXTS = st.one_of(
     st.text(max_size=400),
     st.text(alphabet=st.sampled_from("ab09 -é中\n"), max_size=2000),
+    st.text(alphabet=st.sampled_from("ak0 " + SEPARATORS), max_size=200),
+    st.tuples(st.sampled_from(SEPARATORS), st.lists(WORDS, max_size=20),
+              st.sampled_from(SEPARATORS)).map(
+        lambda t: t[0] + t[0].join(t[1]) + t[2]),
     st.lists(WORDS, max_size=300).map(" ".join),
 )
 

@@ -30,21 +30,12 @@ from maas.registry import (
     builtin_registry,
 )
 from maas.sampler import Architecture, build_dag
-from tests.helpers import any_value_anywhere, make_spec
+from tests.helpers import any_value_anywhere, make_spec, tiny_registry
 
 
 def record(difficulty=0.0, answer="42"):
     return QueryRecord(id="q1", query="question", answer=answer,
                        domain="d", difficulty=difficulty)
-
-
-def registry_with(ids):
-    reg = OperatorRegistry()
-    for op_id in ids:
-        reg.register(make_spec(op_id))
-    reg.register(make_spec("exit", KIND_EARLY_EXIT))
-    reg.register(make_spec("io", KIND_DIRECT_IO))
-    return reg
 
 
 def arch_of(layers):
@@ -166,7 +157,7 @@ class TestExecute:
         return SyntheticEnv(profiles)
 
     def test_direct_io_forced_success(self):
-        reg = registry_with(["a", "b", "c"])
+        reg = tiny_registry(["a", "b", "c"])
         trace = execute(arch_of([["io"]]), record(), self._env(), reg,
                         np.random.default_rng(0))
         assert trace.utility == 1.0
@@ -175,13 +166,13 @@ class TestExecute:
         assert trace.final_answer == "42"
 
     def test_all_fail_forced_failure(self):
-        reg = registry_with(["a", "b", "c"])
+        reg = tiny_registry(["a", "b", "c"])
         trace = execute(arch_of([["a", "b"], ["c"]]), record(), self._env(base=0.0),
                         reg, np.random.default_rng(0))
         assert trace.utility == 0.0
 
     def test_cost_additive(self):
-        reg = registry_with(["a", "b", "c"])
+        reg = tiny_registry(["a", "b", "c"])
         env = self._env(costs={"a": 2.0, "b": 3.0, "c": 4.0})
         trace = execute(arch_of([["a", "b"], ["c"]]), record(), env, reg,
                         np.random.default_rng(0))
@@ -203,7 +194,7 @@ class TestExecute:
         assert trace.llm_calls == 4
 
     def test_reproducible_with_fixed_seed(self):
-        reg = registry_with(["a", "b", "c"])
+        reg = tiny_registry(["a", "b", "c"])
         env = self._env(base=0.5)
         arch = arch_of([["a", "b"], ["c"]])
         env1, env2 = RecordingEnv(env), RecordingEnv(env)
@@ -218,7 +209,7 @@ class TestExecute:
         layers = [["b", "a"], ["c", "a"], ["b"]]
         env = RecordingEnv()
         trace = execute(arch_of(layers), record(), env,
-                        registry_with(["a", "b", "c"]), np.random.default_rng(0))
+                        tiny_registry(["a", "b", "c"]), np.random.default_rng(0))
         assert env.seen == [
             ("out0:b", []), ("out1:a", []),
             ("out2:c", ["out0:b", "out1:a"]), ("out3:a", ["out0:b", "out1:a"]),
@@ -244,7 +235,7 @@ def OperatorSpec_with_agents(spec, n):
 
 class TestMajorityVote:
     def _reg(self):
-        return registry_with(["a", "b", "c"])
+        return tiny_registry(["a", "b", "c"])
 
     def test_unanimous(self):
         assert _majority_vote(["x", "x", "x"], self._reg(), ["a", "b", "c"]) == "x"

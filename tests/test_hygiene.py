@@ -34,6 +34,9 @@
   so a file reads and writes the same under any locale.
 - No module under `tests/` imports a test module: what two of them share
   lives in `tests/helpers.py` and `tests/conftest.py`.
+- `perfbench/refspeed.py`, the reference kernel every timing is scaled by,
+  imports no `maas` module, directly or through a module beside it, so a
+  change to the program cannot move the scale it is measured on.
 """
 
 import ast
@@ -580,3 +583,42 @@ def test_no_test_module_imports_another():
     offenders = [f"{path.relative_to(ROOT)}:{line}: {module}" for path in files
                  for line, module in imports_of_test_modules(path.read_text())]
     assert offenders == []
+
+
+def program_imports(source, siblings):
+    """(line, module) of each import that can bring in `maas` code: `maas`
+    or a submodule, a relative import, or a module named in `siblings` (the
+    modules beside the file, which may import `maas` themselves)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if m.startswith(".") or m.split(".")[0] in ("maas", *siblings)]
+    return found
+
+
+def test_checker_flags_imports_that_reach_maas():
+    source = (
+        "import json, maas\n"
+        "from maas.embedding import HashingEmbedder\n"
+        "import maasive, re\n"
+        "from . import stubs\n"
+        "import tracer\n"
+        "def f():\n"
+        "    import maas.executor as ex\n"
+    )
+    assert program_imports(source, ("tracer", "run")) == [
+        (1, "maas"), (2, "maas.embedding"), (4, "."), (5, "tracer"),
+        (7, "maas.executor")]
+
+
+def test_reference_kernel_imports_no_maas_code():
+    bench = ROOT / "perfbench"
+    siblings = tuple(p.stem for p in bench.glob("*.py") if p.stem != "refspeed")
+    assert "tracer" in siblings
+    assert program_imports((bench / "refspeed.py").read_text(), siblings) == []

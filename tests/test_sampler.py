@@ -6,12 +6,7 @@ import pytest
 from maas.controller import init_params, score_layer, select_deterministic
 from maas.embedding import HashingEmbedder, layer_feature
 from maas.errors import MaasError
-from maas.registry import (
-    KIND_DIRECT_IO,
-    KIND_EARLY_EXIT,
-    OperatorRegistry,
-    builtin_registry,
-)
+from maas.registry import builtin_registry
 from maas.sampler import (
     SINK,
     SOURCE,
@@ -22,16 +17,7 @@ from maas.sampler import (
     build_dag,
     sample_architecture,
 )
-from tests.helpers import make_spec
-
-
-def tiny_registry():
-    """direct_io + early_exit + one generative op."""
-    reg = OperatorRegistry()
-    reg.register(make_spec("solver"))
-    reg.register(make_spec("exit", KIND_EARLY_EXIT))
-    reg.register(make_spec("io", KIND_DIRECT_IO))
-    return reg
+from tests.helpers import tiny_registry
 
 
 def force_logits(state, per_layer_logits):

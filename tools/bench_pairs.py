@@ -14,15 +14,20 @@ the change first on even seeds. Then one `--trace 1` run of each tree per
 workload, at seed 2, parent first, checks that every count-valued metric is
 unchanged. The tier-1 suite then runs `TIER1_RUNS` times in each tree,
 alternating as the pairs do, and the record keeps each side's median wall
-time and the median time of each acceptance criterion: one run swings more
-than most changes move it. The record holds, per workload,
-the medians (with the median `timed_units`, against which `peak_rss_mb` is
-read), the quartiles, how many pairs the change won and tied,
+time, the median of `tests_s` (the sum of every setup, call and teardown
+duration pytest prints; the gap between the two is start-up, collection and
+reporting) and the median time of each acceptance criterion: one run swings
+more than most changes move it. The record holds, per workload, the medians
+(with the median `timed_units`, against which `peak_rss_mb` is read), the
+quartiles, how many pairs the change won and tied,
 `rss_bytes_per_extra_unit` (the median over pairs of the change's extra peak
 RSS in bytes per extra timed unit, which tells the benchmark's per-unit
 buffers apart from growth of the program), `bound_check` (each end-to-end
 metric read against its bound in `BENCHMARK.json`: "over", "unresolved" or
-"within"), `failed_share_check` ("over" when the change failed a larger share
+"within"), `gain_check` (each end-to-end metric read against the claim rule:
+"met" when the change is better in at least nine tenths of the pairs and its
+median beats the parent's by more than the parent's IQR, else "not met"),
+`failed_share_check` ("over" when the change failed a larger share
 of its attempted operations than the parent, else "within"), the checkpoint
 sha256 per seed with `checkpoint_sha256_equal` (true when every seed's is the
 same on both sides), and the traced metrics with `counts_equal`.
@@ -124,6 +129,23 @@ def bound_check(runs, end_to_end):
     return out
 
 
+def gain_check(summary, directions):
+    """Each end-to-end metric of a `summarize_pairs` record read against the
+    claim rule: "met" when the change is better in at least nine tenths of
+    the pairs (a tie counts for neither side) and its median is better than
+    the parent's by more than the parent's IQR of that metric, else "not
+    met"."""
+    out = {}
+    for name, direction in directions.items():
+        sign = 1 if direction == "higher" else -1  # so that higher is better
+        q1, q3 = summary["quartiles"]["parent"][name]
+        gap = sign * (summary["change"][name] - summary["parent"][name])
+        met = (10 * summary["pairs_change_better"][name] >= 9 * summary["pairs"]
+               and gap > q3 - q1)
+        out[name] = "met" if met else "not met"
+    return out
+
+
 def failed_share_check(parent, change):
     """"over" when the change's failed/attempted, over all its runs, exceeds
     the parent's, else "within"; `parent` and `change` hold each side's
@@ -173,6 +195,7 @@ def summarize_pairs(seeds, runs, directions):
         for side in ("parent", "change")}
     q1, q3 = out["quartiles"]["parent"]["throughput_per_s"]
     out["parent_throughput_iqr"] = q3 - q1
+    out["gain_check"] = gain_check(out, directions)
     return out
 
 
@@ -214,15 +237,19 @@ def collect(workloads, trace_seed, run):
 
 
 def parse_tier1(stdout):
-    """Wall time, the result line and the seconds per acceptance criterion
-    from `pytest -q --durations=0` output."""
+    """Wall time, the result line, `tests_s` (the sum of every setup, call
+    and teardown duration) and the seconds per acceptance criterion from
+    `pytest -q --durations=0 --durations-min=0` output; `tests_s` is None
+    when no duration was printed."""
     criterion_s = {}
+    durations = re.findall(r"^([\d.]+)s (?:setup|call|teardown)\s", stdout, re.M)
     for m in re.finditer(r"^([\d.]+)s \w+\s+\S*TestCriterion(\d+)", stdout, re.M):
         criterion_s[m.group(2)] = round(criterion_s.get(m.group(2), 0.0)
                                         + float(m.group(1)), 2)
     last = stdout.strip().splitlines()[-1].strip("= ")
     wall = re.search(r" in ([\d.]+)s", last)
     return {"wall_s": float(wall.group(1)) if wall else None,
+            "tests_s": round(sum(map(float, durations)), 2) if durations else None,
             "result": last.split(" in ")[0],
             "criterion_s": dict(sorted(criterion_s.items(), key=lambda kv: int(kv[0])))}
 
@@ -244,15 +271,18 @@ def _median(values):
 
 
 def summarize_tier1(runs):
-    """Per side: the median wall time over its runs (None when no run
-    reported one), each run's wall time and result line, and the median
-    seconds of each acceptance criterion over the runs that timed it."""
+    """Per side: the median wall time and `tests_s` over its runs (None
+    when no run reported one), each run's wall time, `tests_s` and result
+    line, and the median seconds of each acceptance criterion over the runs
+    that timed it."""
     out = {}
     for side, side_runs in runs.items():
         criteria = sorted({c for r in side_runs for c in r["criterion_s"]}, key=int)
         out[side] = {
             "wall_s": _median(r["wall_s"] for r in side_runs),
             "wall_s_runs": [r["wall_s"] for r in side_runs],
+            "tests_s": _median(r["tests_s"] for r in side_runs),
+            "tests_s_runs": [r["tests_s"] for r in side_runs],
             "results": [r["result"] for r in side_runs],
             "criterion_s": {c: _median(r["criterion_s"].get(c) for r in side_runs)
                             for c in criteria},
@@ -295,7 +325,7 @@ def _tier1(tree):
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider", "--durations=0"],
+         "-p", "no:cacheprovider", "--durations=0", "--durations-min=0"],
         cwd=tree, capture_output=True, text=True, env=env)
     return parse_tier1(proc.stdout)
 
@@ -354,11 +384,14 @@ def main(argv=None):
     }
     record["tier1"] = {
         "command": ("PYTHONPATH=src python -m pytest -q"
-                    " --continue-on-collection-errors --durations=0"),
+                    " --continue-on-collection-errors --durations=0"
+                    " --durations-min=0"),
         "runs_per_side": TIER1_RUNS,
         **tier1,
         "note": ("medians over the runs of each side, parent and change"
-                 " alternating, on the same host")}
+                 " alternating, on the same host; tests_s sums every setup,"
+                 " call and teardown duration pytest printed; wall_s minus"
+                 " tests_s is start-up, collection and reporting")}
     record["src_maas_lines"] = lines
     record["workloads"] = {
         name: {**summarize_pairs(seeds, paired[name], directions),
