@@ -18,24 +18,21 @@ lands within rounding of a CDF boundary.
 layer's arrays being views of it, and a gradient vector of the same layout,
 so the training update is one scale and one add over a prefix of each. Only
 this module binds a layer's arrays; a split or merge lays the vectors out
-anew. A checkpoint holds the vector as one base64 string of its
-little-endian float64 bytes beside the counts that give its layout (format
-2); `SupernetState.from_format1` still reads format 1's per-layer lists of
-values.
+anew. `maas.checkpoint` writes and reads the vector with the counts that
+give its layout.
 """
 
 from __future__ import annotations
 
-import base64
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
 from . import kernels
-from .errors import DataError, MaasError
+from .errors import MaasError
 
 INIT_SCALE = 0.1
 SPLIT_NOISE_SCALE = 0.01
@@ -84,29 +81,6 @@ def _views(vector, layout):
         layers.append(LayerController(*arrays))
         offsets.append(start)
     return layers, offsets
-
-
-def _checked_entry(entry, position):
-    """The (shape, values) of a checkpoint layer entry's W1, b1, W2 and b2;
-    `DataError` unless `layer_index` is the integer `position`, each shape a
-    list of integers and each `values` a list of numbers, none of them a
-    bool, as many as its shape holds."""
-    if type(entry["layer_index"]) is not int:
-        raise DataError(f"layer_index {entry['layer_index']!r} is not an integer")
-    if entry["layer_index"] != position:
-        raise DataError(f"layer {position} has layer_index {entry['layer_index']}")
-    arrays = []
-    for name in ("W1", "b1", "W2", "b2"):
-        shape, values = entry[name]["shape"], entry[name]["values"]
-        if type(shape) is not list or not all(type(n) is int for n in shape):
-            raise DataError(f"{name} shape {shape!r} is not a list of integers")
-        if type(values) is not list or not set(map(type, values)) <= {float, int}:
-            raise DataError(f"{name} values are not a list of numbers")
-        if len(values) != math.prod(shape):
-            raise DataError(f"layer {position} {name} holds {len(values)} values"
-                            f" for shape {shape}")
-        arrays.append((tuple(shape), values))
-    return arrays
 
 
 class SupernetState:
@@ -183,70 +157,6 @@ class SupernetState:
         params = np.concatenate([np.ravel(piece) for piece in pieces])
         self._lay_out(params, n_ops, self.num_layers)
         self.bump_version()
-
-    def to_dict(self):
-        """The controllers as checkpoint format 2 holds them: the dims, the
-        counts, the version, and `params` as base64 of its little-endian
-        float64 bytes, so every value reads back bit for bit."""
-        return {
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "version": self.version,
-            "num_layers": self.num_layers,
-            "n_ops": self.n_ops,
-            "params": base64.b64encode(self.params.astype("<f8").tobytes()).decode("ascii"),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        """The state `to_dict` gave; `DataError` unless the version is an
-        integer, the dims and counts are positive integers, and `params` is
-        a base64 string of 8 bytes per value of the shapes `_layout` gives
-        for them. The values are copied out of the decoded bytes, so
-        `params` is writable."""
-        counts = {name: d[name] for name in ("embed_dim", "hidden_dim", "n_ops", "num_layers")}
-        for name, value in counts.items():
-            if type(value) is not int or value < 1:
-                raise DataError(f"{name} {value!r} is not a positive integer")
-        if type(d["version"]) is not int:
-            raise DataError(f"version {d['version']!r} is not an integer")
-        if type(d["params"]) is not str:
-            raise DataError("params is not a string")
-        try:
-            blob = base64.b64decode(d["params"], validate=True)
-        except ValueError as exc:  # binascii.Error, or a character that is not ASCII
-            raise DataError(f"params is not base64: {exc}") from exc
-        size = _size(*counts.values())
-        if len(blob) != 8 * size:
-            raise DataError(f"params holds {len(blob)} bytes, expected {8 * size}")
-        params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-        return cls(params, **counts, version=d["version"])
-
-    @classmethod
-    def from_format1(cls, d):
-        """The state in a format-1 checkpoint's controllers, which hold one
-        entry per layer with each array's shape and values; `DataError`
-        unless the dims and version are integers and the layers are valid
-        entries, at least one, each at the position its index names, in the
-        shapes `_layout` gives for the dims and layer 1's operator count."""
-        for name in ("embed_dim", "hidden_dim", "version"):
-            if type(d[name]) is not int:
-                raise DataError(f"{name} {d[name]!r} is not an integer")
-        dims = d["embed_dim"], d["hidden_dim"]
-        entries = [_checked_entry(entry, position)
-                   for position, entry in enumerate(d["layers"], start=1)]
-        if not entries:
-            raise DataError("controllers hold no layers")
-        n_ops = len(entries[0][3][1])  # layer 1's b2 values
-        layout = _layout(*dims, n_ops, len(entries))
-        for ell, (arrays, shapes) in enumerate(zip(entries, layout), start=1):
-            if [shape for shape, _ in arrays] != shapes:
-                raise DataError(f"layer {ell} has shapes {[s for s, _ in arrays]},"
-                                f" expected {shapes}")
-        values = [values for arrays in entries for _, values in arrays]
-        params = np.fromiter(chain.from_iterable(values), dtype=np.float64,
-                             count=sum(map(len, values)))
-        return cls(params, *dims, n_ops, len(entries), d["version"])
 
 
 @dataclass

@@ -19,7 +19,7 @@ mutator that proposes prompt/temperature/structure edits.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,17 +76,6 @@ class TrainConfig:
             raise DataError("seed must be >= 0")
         if self.mutator not in MUTATORS:
             raise DataError(f"mutator {self.mutator!r} is not one of {MUTATORS}")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        """The config `to_dict` gave; a format-1 `patch_every` of null (no
-        patching) reads as `mutator="none"` at the default cadence."""
-        if isinstance(d, dict) and d.get("patch_every", 1) is None:
-            d = {**d, "patch_every": cls.patch_every, "mutator": "none"}
-        return cls(**d)
 
 
 def importance_weights(utilities, costs, cost_lambda):

@@ -252,7 +252,7 @@ class OperatorRegistry:
     @classmethod
     def from_dict(cls, d):
         """`DataError` unless the registry holds one early-exit and one
-        direct-io operator. An older checkpoint's `rewire_ids` key is ignored."""
+        direct-io operator."""
         reg = cls()
         for spec_d in d["operators"]:
             reg.register(OperatorSpec.from_dict(spec_d))

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from maas import checkpoint as ckpt
-from maas.controller import SupernetState, init_params
+from maas.controller import init_params
 from maas.datagen import _profile_dicts, default_profiles, make_mixed_dataset
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile
 from maas.optimizer import TrainConfig, Trainer
@@ -176,6 +176,19 @@ def any_value_anywhere(doc):
                      JSON_VALUES)
 
 
+def encoded(state):
+    """The checkpoint `build_checkpoint` writes of `state`, with the built-in
+    registry and the default config."""
+    return ckpt.build_checkpoint(state, builtin_registry(), TrainConfig())
+
+
+def decoded(checkpoint):
+    """The state the format-2 reader gives for `checkpoint`'s controllers,
+    before `restore` checks it against the config and registry."""
+    state, _ = ckpt._READERS[ckpt.FORMAT_VERSION](checkpoint)
+    return state
+
+
 def small_checkpoint():
     registry = builtin_registry()
     config = TrainConfig(num_layers=2, embed_dim=4, hidden_dim=4)
@@ -216,9 +229,9 @@ def with_state(corrupt_state):
     """The checkpoint whose controllers hold its state after
     `corrupt_state(state)`."""
     def corrupt(checkpoint):
-        state = SupernetState.from_dict(checkpoint["controllers"])
+        state = decoded(checkpoint)
         corrupt_state(state)
-        checkpoint["controllers"] = state.to_dict()
+        checkpoint["controllers"] = encoded(state)["controllers"]
         return checkpoint
     return corrupt
 
@@ -230,7 +243,7 @@ def with_counts(**counts):
         c = checkpoint["controllers"]
         fields = {"d": c["embed_dim"], "h": c["hidden_dim"], "num_layers": c["num_layers"],
                   "n_ops": c["n_ops"], **counts}
-        checkpoint["controllers"] = init_params(0, **fields).to_dict()
+        checkpoint["controllers"] = encoded(init_params(0, **fields))["controllers"]
         return checkpoint
     return corrupt
 
@@ -325,6 +338,13 @@ def with_zero_embed_dim(checkpoint):
     return checkpoint
 
 
+def with_null_cadence(checkpoint):
+    """The checkpoint with `patch_every: null` in its config, which only
+    format 1 wrote (for a run without patching)."""
+    checkpoint["config"]["patch_every"] = None
+    return checkpoint
+
+
 def with_long_prompt(checkpoint):
     """The checkpoint with a "cot" prompt one char over `MAX_PROMPT_CHARS`."""
     [cot] = [op for op in checkpoint["registry"]["operators"] if op["id"] == "cot"]
@@ -368,6 +388,7 @@ BAD_CHECKPOINTS = {
                             r" expected \[\(-4, 4\)"),
     "long_prompt": (with_long_prompt, f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1}"
                     f" chars, over {MAX_PROMPT_CHARS}"),
+    "format2_null_cadence": (with_null_cadence, "patch_every None is not an integer"),
     "params_not_a_string": (with_controller_field("params", [0.0]),
                             "params is not a string"),
     "params_not_base64": (with_params_text(lambda text: text[:8] + "*" + text[8:]),

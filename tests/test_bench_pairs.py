@@ -1,10 +1,12 @@
 """tools/bench_pairs.py: its summary of canned `perfbench/run.py` output.
 
-Nothing here starts a process: `collect` takes the runner as an argument.
+Nothing here starts a process but `git`, in a throwaway repository:
+`collect` takes the runner as an argument.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -336,3 +338,29 @@ def test_tier1_medians_skip_what_a_run_did_not_report():
     assert out["change"] == {"wall_s": None, "wall_s_runs": [None], "tests_s": None,
                              "tests_s_runs": [None], "results": ["error"],
                              "criterion_s": {}}
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_benchmark_files_equal_reads_only_the_benchmark_paths(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src").mkdir()
+    files = {"perfbench/run.py": "a\n", "BENCHMARK.json": "{}\n", "src/x.py": "b\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    git(tmp_path, "init", "-q")
+    git(tmp_path, "add", "-A")
+    git(tmp_path, "commit", "-q", "-m", "parent")
+    assert bench_pairs.benchmark_files_equal("HEAD", tmp_path)
+    (tmp_path / "src" / "x.py").write_text("changed\n")
+    assert bench_pairs.benchmark_files_equal("HEAD", tmp_path)
+    for name in ("perfbench/run.py", "BENCHMARK.json"):
+        (tmp_path / name).write_text("changed\n")
+        assert not bench_pairs.benchmark_files_equal("HEAD", tmp_path)
+        (tmp_path / name).write_text(files[name])
+        assert bench_pairs.benchmark_files_equal("HEAD", tmp_path)
+    git(tmp_path, "rm", "-q", "perfbench/run.py")
+    assert not bench_pairs.benchmark_files_equal("HEAD", tmp_path)

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from maas.harness import run_eval
 from maas.optimizer import TrainConfig
 from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
-from tests.helpers import BAD_CHECKPOINTS, make_trainer, train_args, write_jsonl
+from tests.helpers import (BAD_CHECKPOINTS, as_format1, make_trainer, train_args,
+                           with_null_cadence, write_jsonl)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,7 +193,7 @@ class TestTrainCommand:
     def test_hyperparameter_defaults_are_train_config_defaults(self):
         """Each option that sets a `TrainConfig` field defaults to it."""
         defaults = TrainConfig()
-        fields = set(defaults.to_dict())
+        fields = set(asdict(defaults))
         options = {p.name: p.default for p in main.commands["train"].params
                    if p.name in fields}
         assert set(options) == fields - {"embed_dim", "hidden_dim"}
@@ -257,8 +259,7 @@ class TestEvalCommand:
         runner = CliRunner()
         trained = json.loads((workdir / "ckpt.json").read_text())
         old = workdir / "old.json"
-        old.write_text(json.dumps({**trained,
-                                   "config": {**trained["config"], "patch_every": None}}))
+        old.write_text(json.dumps(with_null_cadence(as_format1(trained))))
         _, _, config = ckpt.restore(ckpt.load(old))
         assert (config.mutator, config.patch_every) == ("none", TrainConfig().patch_every)
         data = ["--dataset", str(workdir / "mix.jsonl"),

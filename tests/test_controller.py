@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from maas.controller import (
     INIT_SCALE,
     ScoreVector,
-    SupernetState,
     grad_log_prob,
     init_params,
     sample_selection,
@@ -28,7 +27,7 @@ from maas.controller import (
     selection_log_prob,
 )
 from maas.errors import MaasError
-from tests.helpers import flat_layout_faults
+from tests.helpers import decoded, encoded, flat_layout_faults
 
 
 def forward_oracle(ctrl, feature):
@@ -48,12 +47,12 @@ class TestInitParams:
     def test_same_seed_identical(self):
         a = init_params(7, 8, 8, 2, 3)
         b = init_params(7, 8, 8, 2, 3)
-        assert a.to_dict() == b.to_dict()
+        assert encoded(a) == encoded(b)
 
     def test_different_seed_differs(self):
         a = init_params(7, 8, 8, 2, 3)
         b = init_params(8, 8, 8, 2, 3)
-        assert a.to_dict() != b.to_dict()
+        assert encoded(a) != encoded(b)
 
     def test_shapes_scale_with_layer(self):
         state = init_params(0, 64, 64, 4, 9)
@@ -535,7 +534,7 @@ class TestFlatLayout:
     def test_layout_after_init_restore_split_and_merge(self):
         state = init_params(3, 4, 5, 3, 6)
         assert flat_layout_faults(state) == []
-        restored = SupernetState.from_dict(state.to_dict())
+        restored = decoded(encoded(state))
         assert flat_layout_faults(restored) == []
         assert restored.params.tobytes() == state.params.tobytes()
         rng = np.random.default_rng(0)
@@ -579,5 +578,5 @@ class TestFlatLayout:
         other = clone(state)
         assert flat_layout_faults(other) == []
         assert not np.shares_memory(other.params, state.params)
-        assert other.to_dict() == state.to_dict()
+        assert encoded(other) == encoded(state)
         assert (other.n_ops, other.num_layers, other.version) == (6, 3, 1)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 
 from maas import checkpoint as ckpt
 from maas import sampler
-from maas.controller import SupernetState, init_params
+from maas.controller import init_params
 from maas.data import load_dataset, split_dataset
 from maas.datagen import default_env
 from maas.errors import DataError
@@ -17,8 +17,8 @@ from maas.executor import SyntheticEnv, SyntheticOperatorProfile, execute
 from maas.harness import EVAL_RNG_OFFSET, run_eval, run_train
 from maas.optimizer import TrainConfig
 from maas.registry import OperatorPatch, builtin_registry
-from tests.helpers import (BAD_CHECKPOINTS, any_value_anywhere, as_format1, fill_workdir,
-                           small_checkpoint, write_jsonl)
+from tests.helpers import (BAD_CHECKPOINTS, any_value_anywhere, as_format1, decoded,
+                           encoded, fill_workdir, small_checkpoint, write_jsonl)
 
 
 def rows(n, difficulty=0.1, domain="easy"):
@@ -234,7 +234,7 @@ class TestCheckpointFormats:
         return ckpt.build_checkpoint(state, registry, config, {"steps": 0})
 
     def test_both_formats_restore_the_same_bits(self, planted, tmp_path):
-        want = SupernetState.from_dict(planted["controllers"]).params
+        want = decoded(planted).params
         assert np.signbit(want[0]) and want[1] == 5e-324
         restored = []
         for name, checkpoint in (("f2.json", planted), ("f1.json", as_format1(planted))):
@@ -280,7 +280,7 @@ class TestRunTrain:
         assert metrics == []
         assert checkpoint["metrics_summary"] == {"steps": 0}
         fresh = init_params(cfg.seed, 8, 8, 2, len(builtin_registry()))
-        assert checkpoint["controllers"] == fresh.to_dict()
+        assert checkpoint["controllers"] == encoded(fresh)["controllers"]
 
     @pytest.mark.parametrize("field, value, message", [
         ("seed", 1.5, "seed 1.5 is not an integer"),

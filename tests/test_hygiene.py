@@ -32,6 +32,9 @@
   bound in their place anywhere else would drop out of every update.
 - Every `open(...)` in `src/maas` in text mode passes `encoding="utf-8"`,
   so a file reads and writes the same under any locale.
+- No module in `src/maas` but `checkpoint.py` imports `base64` or holds a
+  string that spells `"format_version"`, so the checkpoint file format is
+  written and read in one module.
 - No module under `tests/` imports a test module: what two of them share
   lives in `tests/helpers.py` and `tests/conftest.py`.
 - `perfbench/refspeed.py`, the reference kernel every timing is scaled by,
@@ -542,6 +545,49 @@ def test_every_text_open_in_src_names_utf8():
     assert any(p.name == "checkpoint.py" for p in sources)
     offenders = [f"{path.relative_to(ROOT)}:{line}" for path in sources
                  for line in text_opens_without_utf8(path.read_text())]
+    assert offenders == []
+
+
+def format_spellings(source):
+    """(line, what) of each import of `base64` (or a submodule) and each
+    string constant that holds "format_version", f-string parts included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        found += [(node.lineno, "base64") for m in modules if m.split(".")[0] == "base64"]
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "format_version" in node.value):
+            found.append((node.lineno, "format_version"))
+    return found
+
+
+def test_checker_flags_format_spellings():
+    source = (
+        "import base64\n"
+        "import json, base64.x as b\n"
+        "from base64 import b64decode\n"
+        "from . import base64ish\n"
+        "version = d['format_version']\n"
+        "message = f'format_version {v}'\n"
+        "name = 'format'\n"
+        "format_version = 2\n"
+    )
+    assert format_spellings(source) == [
+        (1, "base64"), (2, "base64"), (3, "base64"), (5, "format_version"),
+        (6, "format_version")]
+
+
+def test_only_checkpoint_knows_the_file_format():
+    sources = sorted((ROOT / "src" / "maas").glob("*.py"))
+    checkpoint = ROOT / "src" / "maas" / "checkpoint.py"
+    assert format_spellings(checkpoint.read_text())
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {what}" for path in sources
+                 if path != checkpoint for line, what in format_spellings(path.read_text())]
     assert offenders == []
 
 

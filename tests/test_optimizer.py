@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maas import checkpoint as ckpt
 from maas import kernels, sampler
 from maas import optimizer as optimizer_module
 from maas.controller import grad_log_prob, init_params, score_layer, \
@@ -43,8 +44,8 @@ from maas.sampler import (
     architecture_log_prob,
     sample_architecture,
 )
-from tests.helpers import (JSON_VALUES, bitwise_equal, flat_layout_faults, make_trainer,
-                           registry_json, simple_env)
+from tests.helpers import (JSON_VALUES, bitwise_equal, encoded, flat_layout_faults,
+                           make_trainer, registry_json, simple_env)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -333,7 +334,7 @@ class TestFlatUpdate:
             trainers[1].step(query(f"q{i}"))
         assert twin.version == state.version > 10  # the steps and the edits
         assert flat_layout_faults(twin) == flat_layout_faults(state) == []
-        assert twin.to_dict() == state.to_dict()
+        assert encoded(twin) == encoded(state)
         assert registry_json(twin_reg) == registry_json(reg)
 
 
@@ -1126,7 +1127,10 @@ class TestTrainConfig:
 
     def test_round_trip(self):
         cfg = TrainConfig(lr=0.1, seed=7)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        reg = builtin_registry()
+        state = init_params(0, cfg.embed_dim, cfg.hidden_dim, cfg.num_layers, len(reg))
+        _, _, restored = ckpt.restore(ckpt.build_checkpoint(state, reg, cfg))
+        assert restored == cfg
 
     @pytest.mark.parametrize("field,value", [
         ("num_layers", 0), ("thres", 0.0), ("thres", 1.0),

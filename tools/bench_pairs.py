@@ -30,7 +30,9 @@ median beats the parent's by more than the parent's IQR, else "not met"),
 `failed_share_check` ("over" when the change failed a larger share
 of its attempted operations than the parent, else "within"), the checkpoint
 sha256 per seed with `checkpoint_sha256_equal` (true when every seed's is the
-same on both sides), and the traced metrics with `counts_equal`.
+same on both sides), the traced metrics with `counts_equal`, and
+`benchmark_files_equal` (true when `perfbench/` and `BENCHMARK.json` in the
+working tree are as they are at the parent commit).
 """
 
 import argparse
@@ -300,6 +302,15 @@ def src_lines(tree):
     return total
 
 
+def benchmark_files_equal(parent, tree="."):
+    """Whether `git diff --quiet <parent> -- perfbench BENCHMARK.json`
+    succeeds in `tree`: the benchmark's tracked files are as they are at
+    `parent`."""
+    proc = subprocess.run(["git", "diff", "--quiet", parent, "--", "perfbench",
+                           "BENCHMARK.json"], cwd=tree, capture_output=True)
+    return proc.returncode == 0
+
+
 def _cpu_model():
     try:
         with open("/proc/cpuinfo") as fh:
@@ -376,6 +387,7 @@ def main(argv=None):
         "command": (f"python3 perfbench/run.py --workload <w> --seed <n>"
                     f" --seconds {seconds:g} --trace 0"),
         "pairing": PAIRING,
+        "benchmark_files_equal": benchmark_files_equal(args.parent),
         "trace_command": (f"python3 perfbench/run.py --workload <w> --seed"
                           f" {TRACE_SEED} --seconds {seconds:g} --trace 1,"
                           " parent then change; counts_equal compares every"
