@@ -11,6 +11,7 @@ import click
 
 from . import checkpoint as ckpt
 from . import sampler
+from .embedding import HashingEmbedder
 from .errors import BackendError, DataError, MaasError
 from .executor import CHECKERS, SyntheticEnv, LiveEnv
 from .harness import run_eval, run_train
@@ -157,11 +158,12 @@ def sample(checkpoint_path, query, explain):
 def inspect(checkpoint_path):
     """Print per-layer score vectors averaged over a built-in probe set."""
     state, registry, config = ckpt.restore(ckpt.load(checkpoint_path))
+    embedder = HashingEmbedder(config.embed_dim)  # embeds each profile once
     sums = {}
     counts = {}
     for q in PROBE_QUERIES:
         arch = sampler.sample_architecture(
-            state, registry, q, config.thres, sampler.MODE_EVAL
+            state, registry, q, config.thres, sampler.MODE_EVAL, embedder=embedder
         )
         for ell, sv in enumerate(arch.forward, start=1):
             sums[ell] = sums.get(ell, 0.0) + sv.scores

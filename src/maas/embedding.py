@@ -17,6 +17,10 @@ Token hashes are memoized in one bounded, process-wide LRU cache keyed on
 words recur on every query, so after the first query almost only the fresh
 number tokens are hashed. A cached (bucket, sign) pair is exactly what the
 hash gives, so embeddings are unchanged bit for bit.
+
+Each embedder keeps a memo, text -> read-only vector, for `embed_memo`. Only
+texts of bounded sets go through it, operator profiles and training queries;
+eval queries, each new, would only grow it.
 """
 
 from __future__ import annotations
@@ -67,6 +71,16 @@ class HashingEmbedder:
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
+        self.memo = {}
+
+    def embed_memo(self, text: str) -> np.ndarray:
+        """`embed(text)`, read-only, from `memo`; embedded there on a miss."""
+        vec = self.memo.get(text)
+        if vec is None:
+            vec = self.embed(text)
+            vec.setflags(write=False)
+            self.memo[text] = vec
+        return vec
 
     def embed(self, text: str) -> np.ndarray:
         dim = self.dim

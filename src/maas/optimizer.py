@@ -4,7 +4,7 @@ Each training step samples K architectures for one query, executes them,
 weights each sample by normalized utility minus a cost-penalty term, and
 takes one likelihood-ratio ascent step on the controller parameters. Each
 query text and each operator profile text is embedded once per run
-(`Trainer.embedding_cache`); layer 1 is scored once per step and its
+(through the embedder's memo); layer 1 is scored once per step and its
 forward pass shared by the K samples; and the gradient backpropagates
 through the forward passes the sampler recorded, with one backward per
 layer over the rows of every sample that reached it, into the state's
@@ -294,18 +294,16 @@ def textual_gradient(registry, traces, mutator):
 class Trainer:
     """Stateful training loop over (controller parameters, operator registry).
 
-    The trainer owns one `embedding_cache` for its whole life, text ->
-    read-only embedding, for query texts and operator profile texts alike
-    (an embedding depends on its text alone), so each distinct text is
+    The trainer owns one embedder for its whole life and embeds query texts
+    and operator profile texts through its memo, so each distinct text is
     embedded once per run. Each step scores layer 1 once and hands that
-    forward pass to its K samples. Keyed on text, the cache needs no
-    invalidation when a patch edits, splits or merges operators, and
-    patches add no profile text (they leave profile texts alone, and split
-    clones copy their parent's). It builds the mutator its config names
-    ("mock" as `mock_mutator`, "llm" as `LLMMutator()`) unless a callable
-    `mutator` replaces it, and patches every `patch_every` steps; "none",
-    the one off switch, ignores a passed `mutator`. Any other `mutator` but
-    None raises `BackendError`."""
+    forward pass to its K samples. Keyed on text, the memo needs no
+    invalidation when a patch edits, splits or merges operators, and patches
+    add no profile text (split clones copy their parent's). It builds the
+    mutator its config names ("mock" as `mock_mutator`, "llm" as
+    `LLMMutator()`) unless a callable `mutator` replaces it, and patches
+    every `patch_every` steps; "none", the one off switch, ignores a passed
+    `mutator`. Any other `mutator` but None raises `BackendError`."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, mutator=None):
         self.state = state
@@ -322,13 +320,11 @@ class Trainer:
         self.mutator = mutator if patching else None
         self.step_count = 0
         self.window = []
-        self.embedding_cache = {}
 
     def step(self, query) -> dict:
         cfg = self.config
         traces = []
-        query_vec = sampler.cached_embed(self.embedder, query.query, self.embedding_cache)
-        first = ctl.score_layer(self.state, 1, query_vec)
+        first = ctl.score_layer(self.state, 1, self.embedder.embed_memo(query.query))
         for _ in range(cfg.samples_k):
             arch = sampler.sample_architecture(
                 self.state,
@@ -339,7 +335,6 @@ class Trainer:
                 self.rng,
                 self.embedder,
                 first=first,
-                profile_cache=self.embedding_cache,
             )
             traces.append(execute(arch, query, self.env, self.registry, self.rng))
 

@@ -16,11 +16,11 @@ running the layer again. The selection log-probability is derived from
 those forward passes when `Architecture.log_prob` is read; training and
 eval do not read it. Layer 1's forward pass depends on the query alone,
 so a caller drawing K samples at the same parameters can score it once and
-pass it in as `first`. Each next layer's feature is the previous feature
-with the selected operators' profile sum appended, built from profile
-embeddings looked up by text in a `profile_cache`: a caller that passes
-one dict to every call embeds each distinct profile text once. `Trainer`
-does both.
+pass it in as `first`; `Trainer` does. Each next layer's feature is the
+previous feature with the selected operators' profile sum appended, from
+the embedder's memo (`embed_memo`) of profile embeddings. The query goes
+through plain `embed`: eval queries are new texts, which the memo must not
+hold.
 """
 
 from __future__ import annotations
@@ -76,23 +76,12 @@ def exit_histogram(archs) -> dict:
     return {key: keys.count(key) for key in dict.fromkeys(keys)}
 
 
-def cached_embed(embedder, text, cache):
-    """The embedding of `text` from `cache` (text -> read-only vector),
-    embedded and stored there on a miss."""
-    vec = cache.get(text)
-    if vec is None:
-        vec = embedder.embed(text)
-        vec.setflags(write=False)
-        cache[text] = vec
-    return vec
-
-
-def _profile_sum(registry, embedder, op_ids, profile_cache):
-    """Sum of the operators' profile embeddings from `profile_cache`, added
-    in drawn order."""
+def _profile_sum(registry, embedder, op_ids):
+    """Sum of the operators' profile embeddings from the embedder's memo,
+    added in drawn order."""
     total = np.zeros(embedder.dim, dtype=np.float64)
     for op_id in op_ids:
-        total += cached_embed(embedder, registry.get(op_id).profile_text, profile_cache)
+        total += embedder.embed_memo(registry.get(op_id).profile_text)
     return total
 
 
@@ -105,17 +94,15 @@ def sample_architecture(
     rng: np.random.Generator | None = None,
     embedder=None,
     first: ctl.ScoreVector | None = None,
-    profile_cache: dict | None = None,
 ) -> Architecture:
     """Sample (train) or select (eval) one architecture for the query.
     `first`, when given, is layer 1's forward pass (`score_layer` on the
     query embedding, its `.feature`), so callers drawing several samples
     for one query at the same parameters embed and score it once; a
-    feature of the wrong length raises `MaasError`.
-    `profile_cache` maps profile text to its read-only embedding; pass the
-    same dict to every call to embed each profile text once, or None to use
-    a fresh dict for this call only. Keyed on text, it needs no
-    invalidation when operators are patched, split or merged."""
+    feature of the wrong length raises `MaasError`. Profile embeddings come
+    from `embedder`'s memo: pass the same embedder to every call to embed
+    each profile text once. Keyed on text, the memo needs no invalidation
+    when operators are patched, split or merged."""
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == MODE_TRAIN and rng is None:
@@ -132,8 +119,6 @@ def sample_architecture(
             f"layer 1 feature has shape {first.feature.shape},"
             f" expected ({state.embed_dim},)"
         )
-    if profile_cache is None:
-        profile_cache = {}
 
     layers: list[list[str]] = []
     selections: list[list[int]] = []
@@ -144,7 +129,7 @@ def sample_architecture(
         if ell == 1:
             score_vec = first
         else:
-            profile_sum = _profile_sum(registry, embedder, layers[-1], profile_cache)
+            profile_sum = _profile_sum(registry, embedder, layers[-1])
             score_vec = ctl.score_layer(
                 state, ell, np.concatenate([score_vec.feature, profile_sum]))
         forward.append(score_vec)
@@ -186,7 +171,7 @@ def architecture_log_prob(
     for ell, selected in enumerate(arch.selections, start=1):
         feature = layer_feature(
             query_vec,
-            [_profile_sum(registry, embedder, ids, {}) for ids in executed[: ell - 1]],
+            [_profile_sum(registry, embedder, ids) for ids in executed[: ell - 1]],
         )
         score_vec = ctl.score_layer(state, ell, feature)
         log_prob += ctl.selection_log_prob(score_vec, selected)

@@ -230,11 +230,36 @@ def test_summarize_trace_compares_counts_only():
                                       "executor.execute.calls", "sampler.depth_mean"]
     assert out["counts_equal"] is True
     assert out["change"]["throughput_per_s"] == 120
+    assert out["counts_differing"] == []
     moved = bench_pairs.parse_run(run_output(
         120, 0.8, counts={**counts, "executor.execute.calls": (801, "count")}))
     assert bench_pairs.summarize_trace(parent, moved)["counts_equal"] is False
     failing = bench_pairs.parse_run(run_output(120, 0.8, failed=1, counts=counts))
     assert bench_pairs.summarize_trace(parent, failing)["counts_equal"] is False
+
+
+@pytest.mark.parametrize("failed, changed, expected", [
+    (0, {}, []),
+    (0, {"embedding.embed.calls": (3005, "count"),
+         "embedding.embed.repeat_frac": (0.0, "frac")},
+     ["embedding.embed.calls", "embedding.embed.repeat_frac"]),
+    (2, {"sampler.depth_mean": (2.6, "layers")}, ["failed", "sampler.depth_mean"]),
+    # a count on one side only differs too
+    (0, {"registry.apply_patch.calls": (4, "count")}, ["registry.apply_patch.calls"]),
+])
+def test_summarize_trace_names_the_counts_that_differ(failed, changed, expected):
+    counts = {"embedding.embed.calls": (6463, "count"),
+              "embedding.embed.repeat_frac": (0.535, "frac"),
+              "sampler.depth_mean": (2.5, "layers"),
+              "embedding.embed.self_s": (0.4, "s")}
+    parent = bench_pairs.parse_run(run_output(100, 1.0, counts=counts))
+    # timings differ on every run; they are no count
+    change = bench_pairs.parse_run(run_output(
+        150, 0.7, failed=failed,
+        counts={**counts, "embedding.embed.self_s": (0.2, "s"), **changed}))
+    out = bench_pairs.summarize_trace(parent, change)
+    assert out["counts_differing"] == expected
+    assert out["counts_equal"] is (expected == [])
 
 
 def test_collect_alternates_pair_order_then_traces():

@@ -20,6 +20,7 @@ from maas.cli import PROBE_QUERIES, main
 from maas.controller import init_params
 from maas.data import load_dataset
 from maas.datagen import default_env, make_mixed_dataset
+from maas.embedding import HashingEmbedder
 from maas.harness import run_eval
 from maas.optimizer import TrainConfig
 from maas.registry import builtin_registry
@@ -490,6 +491,23 @@ class TestInspectCommand:
         for ell, rows in by_layer.items():
             np.testing.assert_allclose(means[ell], np.mean(rows, axis=0),
                                        rtol=1e-12, atol=0)
+
+    def test_inspect_embeds_each_profile_text_once(self, workdir, monkeypatch):
+        texts = []
+        embed = HashingEmbedder.embed
+
+        def recording_embed(self, text):
+            texts.append(text)
+            return embed(self, text)
+
+        monkeypatch.setattr(HashingEmbedder, "embed", recording_embed)
+        result = CliRunner().invoke(main, [
+            "inspect", "--checkpoint", str(workdir / "ckpt.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert [t for t in texts if t in PROBE_QUERIES] == PROBE_QUERIES
+        profile_embeds = [t for t in texts if t not in PROBE_QUERIES]
+        assert profile_embeds and len(profile_embeds) == len(set(profile_embeds))
 
 
 def sample_from(workdir, query):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from maas import sampler
 from maas.controller import init_params
 from maas.data import load_dataset, split_dataset
 from maas.datagen import default_env
+from maas.embedding import HashingEmbedder
 from maas.errors import DataError
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile, execute
 from maas.harness import EVAL_RNG_OFFSET, run_eval, run_train
@@ -19,6 +21,9 @@ from maas.optimizer import TrainConfig
 from maas.registry import OperatorPatch, builtin_registry
 from tests.helpers import (BAD_CHECKPOINTS, any_value_anywhere, as_format1, decoded,
                            encoded, fill_workdir, small_checkpoint, write_jsonl)
+
+
+SHIPPED_MIX = str(Path(__file__).resolve().parent.parent / "data" / "synthetic_mix.jsonl")
 
 
 def rows(n, difficulty=0.1, domain="easy"):
@@ -370,6 +375,37 @@ class TestRunEval:
                 "n": len(rows), "accuracy": accuracy, "mean_cost": cost,
                 "mean_exit_depth": depth,
             }
+
+    def test_embeds_each_query_once_and_memoizes_only_profiles(self, monkeypatch):
+        """`run_eval` embeds each record's query once, by plain `embed`, and
+        each distinct profile text at most once; its embedder's memo holds
+        profile texts only."""
+        cfg = TrainConfig(iterations=0, num_layers=3, embed_dim=8, hidden_dim=8,
+                          thres=0.1, seed=2)  # deep architectures sum profiles
+        checkpoint, _ = run_train(cfg, SHIPPED_MIX, default_env())
+        embedders, texts = [], []
+        init, embed = HashingEmbedder.__init__, HashingEmbedder.embed
+
+        def recording_init(self, dim):
+            init(self, dim)
+            embedders.append(self)
+
+        def recording_embed(self, text):
+            texts.append(text)
+            return embed(self, text)
+
+        monkeypatch.setattr(HashingEmbedder, "__init__", recording_init)
+        monkeypatch.setattr(HashingEmbedder, "embed", recording_embed)
+        run_eval(checkpoint, SHIPPED_MIX, default_env())
+        _, reg, _ = ckpt.restore(checkpoint)
+        profiles = {s.profile_text for s in reg.specs()}
+        queries = [rec.query for rec in load_dataset(SHIPPED_MIX)]
+        assert not profiles & set(queries)
+        assert [t for t in texts if t not in profiles] == queries
+        profile_embeds = [t for t in texts if t in profiles]
+        assert profile_embeds and len(profile_embeds) == len(set(profile_embeds))
+        (embedder,) = embedders
+        assert set(embedder.memo) == set(profile_embeds)
 
     def test_eval_does_not_mutate_checkpoint(self, mix_path, tiny_run):
         checkpoint, _ = tiny_run(1)

@@ -490,7 +490,7 @@ class TestQueryCache:
         trainer.step(q)
         trainer.step(q)
         assert texts.count(q.query) == 1
-        vec = trainer.embedding_cache[q.query]
+        vec = trainer.embedder.memo[q.query]
         assert np.array_equal(vec, embed(trainer.embedder, q.query))
         assert not vec.flags.writeable
         with pytest.raises(ValueError):
@@ -724,8 +724,8 @@ class TestTrainer:
         assert query_embeds == [query().query]
         # each distinct profile text is embedded at most once over the run
         assert len(profile_embeds) == len(set(profile_embeds))
-        # one cache holds the query text and the profile texts
-        cached = set(trainer.embedding_cache)
+        # the embedder's one memo holds the query text and the profile texts
+        cached = set(trainer.embedder.memo)
         assert set(profile_embeds) | {query().query} == cached
         assert {reg.get(op_id).profile_text for op_id in summed_ops} | {query().query} \
             == cached

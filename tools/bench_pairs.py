@@ -30,7 +30,8 @@ median beats the parent's by more than the parent's IQR, else "not met"),
 `failed_share_check` ("over" when the change failed a larger share
 of its attempted operations than the parent, else "within"), the checkpoint
 sha256 per seed with `checkpoint_sha256_equal` (true when every seed's is the
-same on both sides), the traced metrics with `counts_equal`, and
+same on both sides), the traced metrics with `counts_equal` and
+`counts_differing` (the count-valued metrics, and `failed`, that differ), and
 `benchmark_files_equal` (true when `perfbench/` and `BENCHMARK.json` in the
 working tree are as they are at the parent commit).
 """
@@ -207,18 +208,23 @@ def count_metrics(units):
 
 
 def summarize_trace(parent, change):
-    """Traced metrics of both sides, and whether every count-valued one (and
-    `failed`) is equal."""
+    """Traced metrics of both sides; `counts_differing`, the names of the
+    count-valued metrics of either side (and `failed`) whose values differ,
+    so that a count a change moves by design shows by name; and whether
+    every count-valued one (and `failed`) is equal."""
     counts = count_metrics(parent["units"])
     sides = {}
     for side, run in (("parent", parent), ("change", change)):
         sides[side] = {"failed": run["failed"],
                        "traced_units": run["info"].get("traced_units"),
                        **run["metrics"]}
-    equal = (parent["failed"] == change["failed"]
-             and count_metrics(change["units"]) == counts
-             and all(parent["metrics"][k] == change["metrics"][k] for k in counts))
-    return {**sides, "counts_compared": counts, "counts_equal": equal}
+    change_counts = count_metrics(change["units"])
+    differing = ["failed"] if parent["failed"] != change["failed"] else []
+    differing += [k for k in sorted(set(counts) | set(change_counts))
+                  if parent["metrics"].get(k) != change["metrics"].get(k)]
+    equal = not differing and change_counts == counts
+    return {**sides, "counts_compared": counts, "counts_differing": differing,
+            "counts_equal": equal}
 
 
 def collect(workloads, trace_seed, run):
@@ -392,7 +398,8 @@ def main(argv=None):
                           f" {TRACE_SEED} --seconds {seconds:g} --trace 1,"
                           " parent then change; counts_equal compares every"
                           " count-valued metric (unit count, layers or chars, and"
-                          " embed.repeat_frac) plus failed"),
+                          " embed.repeat_frac) plus failed, and"
+                          " counts_differing names those that differ"),
     }
     record["tier1"] = {
         "command": ("PYTHONPATH=src python -m pytest -q"
