@@ -2,7 +2,7 @@
 
 The only module that knows the file format: canonical JSON (sorted keys,
 fixed separators), which `build_checkpoint` writes in format 2 and `restore`
-reads through one reader per format in `_READERS`. Format 2's controllers
+reads through `_READERS`, one reader per format. Format 2's controllers
 hold their dims, counts and version, and the parameter vector as base64 of
 its little-endian float64 bytes, so every value reads back bit for bit and
 save -> load -> save is byte-identical.
@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from bisect import bisect_right
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
-from .controller import SupernetState, _layout, _size
+from .controller import SupernetState, _size
 from .errors import DataError
 from .optimizer import TrainConfig
 from .registry import OperatorRegistry
@@ -91,66 +89,7 @@ def _read_format2(checkpoint):
     return state, TrainConfig(**checkpoint["config"])
 
 
-# -- format 1 ----------------------------------------------------------------
-
-def _checked_entry(entry, position):
-    """The (shape, values) of a format-1 layer entry's W1, b1, W2 and b2;
-    `DataError` unless `layer_index` is the integer `position`, each shape a
-    list of integers and each `values` a list of numbers, none of them a
-    bool, as many as its shape holds."""
-    if type(entry["layer_index"]) is not int:
-        raise DataError(f"layer_index {entry['layer_index']!r} is not an integer")
-    if entry["layer_index"] != position:
-        raise DataError(f"layer {position} has layer_index {entry['layer_index']}")
-    arrays = []
-    for name in ("W1", "b1", "W2", "b2"):
-        shape, values = entry[name]["shape"], entry[name]["values"]
-        if type(shape) is not list or not all(type(n) is int for n in shape):
-            raise DataError(f"{name} shape {shape!r} is not a list of integers")
-        if type(values) is not list or not set(map(type, values)) <= {float, int}:
-            raise DataError(f"{name} values are not a list of numbers")
-        if len(values) != math.prod(shape):
-            raise DataError(f"layer {position} {name} holds {len(values)} values"
-                            f" for shape {shape}")
-        arrays.append((tuple(shape), values))
-    return arrays
-
-
-def _read_format1(checkpoint):
-    """The (state, config) of a format-1 checkpoint, whose controllers hold
-    one entry per layer with each array's shape and values; `DataError`
-    unless the dims and version are integers and the layers are valid
-    entries, at least one, each at the position its index names, in the
-    shapes `_layout` gives for the dims and layer 1's operator count. A
-    `patch_every` of null (no patching) reads as `mutator="none"` at the
-    default cadence. A format-1 registry may still hold a `rewire_ids` key,
-    which `OperatorRegistry.from_dict` does not read."""
-    d = checkpoint["controllers"]
-    for name in ("embed_dim", "hidden_dim", "version"):
-        if type(d[name]) is not int:
-            raise DataError(f"{name} {d[name]!r} is not an integer")
-    dims = d["embed_dim"], d["hidden_dim"]
-    entries = [_checked_entry(entry, position)
-               for position, entry in enumerate(d["layers"], start=1)]
-    if not entries:
-        raise DataError("controllers hold no layers")
-    n_ops = len(entries[0][3][1])  # layer 1's b2 values
-    layout = _layout(*dims, n_ops, len(entries))
-    for ell, (arrays, shapes) in enumerate(zip(entries, layout), start=1):
-        if [shape for shape, _ in arrays] != shapes:
-            raise DataError(f"layer {ell} has shapes {[s for s, _ in arrays]},"
-                            f" expected {shapes}")
-    values = [values for arrays in entries for _, values in arrays]
-    params = np.fromiter(chain.from_iterable(values), dtype=np.float64,
-                         count=sum(map(len, values)))
-    state = SupernetState(params, *dims, n_ops, len(entries), d["version"])
-    config = checkpoint["config"]
-    if isinstance(config, dict) and config.get("patch_every", 1) is None:
-        config = {**config, "patch_every": TrainConfig.patch_every, "mutator": "none"}
-    return state, TrainConfig(**config)
-
-
-_READERS = {1: _read_format1, FORMAT_VERSION: _read_format2}
+_READERS = {FORMAT_VERSION: _read_format2}
 
 
 def restore(checkpoint: dict):
@@ -163,8 +102,12 @@ def restore(checkpoint: dict):
         version = checkpoint["format_version"]
         read = _READERS.get(version) if type(version) is int else None
         if read is None:
+            oldest = min(_READERS)
+            convert = (f"; load and save it with an earlier maas to convert it to"
+                       f" format {oldest}" if type(version) is int and version < oldest
+                       else "")
             raise DataError(f"checkpoint format {version!r}, expected one of"
-                            f" {sorted(_READERS)}")
+                            f" {sorted(_READERS)}{convert}")
         state, config = read(checkpoint)
         registry = OperatorRegistry.from_dict(checkpoint["registry"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -115,10 +115,10 @@ class SupernetState:
     def __setstate__(self, fields):
         self.__init__(*fields)
 
-    def layer(self, layer_index: int) -> LayerController:
-        if not 1 <= layer_index <= self.num_layers:
-            raise MaasError(f"no layer {layer_index}")
-        return self.layers[layer_index - 1]
+    def layer(self, ell: int) -> LayerController:
+        if not 1 <= ell <= self.num_layers:
+            raise MaasError(f"no layer {ell}")
+        return self.layers[ell - 1]
 
     def bump_version(self):
         self.version += 1
@@ -181,13 +181,13 @@ def init_params(seed, d, h, num_layers, n_ops) -> SupernetState:
     return SupernetState(params, d, h, n_ops, num_layers)
 
 
-def score_layer(state: SupernetState, layer_index: int, feature: np.ndarray) -> ScoreVector:
-    ctrl = state.layer(layer_index)
+def score_layer(state: SupernetState, ell: int, feature: np.ndarray) -> ScoreVector:
+    ctrl = state.layer(ell)
     expected = ctrl.W1.shape[1]
     feature = np.ascontiguousarray(feature, dtype=np.float64)
     if feature.shape != (expected,):
         raise MaasError(
-            f"layer {layer_index} expects feature of length {expected},"
+            f"layer {ell} expects feature of length {expected},"
             f" got {feature.shape}"
         )
     hidden, logits = kernels.ffn_forward(ctrl.W1, ctrl.b1, ctrl.W2, ctrl.b2, feature)
@@ -260,13 +260,13 @@ def selection_log_prob(score_vec: ScoreVector, selected) -> float:
 
 
 def grad_log_prob(
-    state: SupernetState, layer_index: int, feature: np.ndarray, selected
+    state: SupernetState, ell: int, feature: np.ndarray, selected
 ) -> LayerController:
     """Exact gradient of the selection's prefix log-probability w.r.t. the
     layer's parameters (through softmax and the two-layer network), from a
     fresh forward pass: the one-row case of the training update's backward."""
-    score_vec = score_layer(state, layer_index, feature)
-    ctrl = state.layer(layer_index)
+    score_vec = score_layer(state, ell, feature)
+    ctrl = state.layer(ell)
     selected = np.asarray(selected, dtype=np.int64)
     if selected.size and (selected.min() < 0 or selected.max() >= ctrl.W2.shape[0]):
         raise MaasError("selection index out of range")

@@ -14,7 +14,8 @@ REQUIRED_FIELDS = ("id", "query", "answer", "domain", "difficulty")
 
 
 def load_dataset(path) -> list[QueryRecord]:
-    """Read a JSONL dataset; one record per line, file order preserved."""
+    """Read a JSONL dataset; one record per line, file order preserved. Each
+    `DataError` names the file."""
     records = []
     seen = set()
     with open(path, encoding="utf-8") as fh:
@@ -29,15 +30,15 @@ def load_dataset(path) -> list[QueryRecord]:
             try:
                 obj = json.loads(line)
             except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
-                raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+                raise DataError(f"dataset {path} line {line_no}: invalid JSON: {exc}") from exc
             except RecursionError as exc:
                 raise DataError(f"dataset {path} line {line_no}: JSON nested past the"
                                 f" recursion limit") from exc
             if not isinstance(obj, dict):
-                raise DataError(f"line {line_no}: not a JSON object")
+                raise DataError(f"dataset {path} line {line_no}: not a JSON object")
             for field in REQUIRED_FIELDS:
                 if field not in obj:
-                    raise DataError(f"line {line_no}: missing field {field!r}")
+                    raise DataError(f"dataset {path} line {line_no}: missing field {field!r}")
             try:
                 record = QueryRecord(
                     id=str(obj["id"]),
@@ -47,9 +48,10 @@ def load_dataset(path) -> list[QueryRecord]:
                     difficulty=obj["difficulty"],
                 )
             except DataError as exc:
-                raise DataError(f"line {line_no}: {exc}") from exc
+                raise DataError(f"dataset {path} line {line_no}: {exc}") from exc
             if record.id in seen:
-                raise DataError(f"duplicate query id {record.id!r}")
+                raise DataError(f"dataset {path} line {line_no}: duplicate query id"
+                                f" {record.id!r}")
             seen.add(record.id)
             records.append(record)
     return records

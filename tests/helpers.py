@@ -196,35 +196,6 @@ def small_checkpoint():
     return json.loads(ckpt.dumps(ckpt.build_checkpoint(state, registry, config)))
 
 
-def format1_controllers(state):
-    """`state`'s controllers as checkpoint format 1 wrote them: one entry per
-    layer, each array's shape and values (by their shortest repr in JSON)."""
-    return {
-        "embed_dim": state.embed_dim,
-        "hidden_dim": state.hidden_dim,
-        "version": state.version,
-        "layers": [
-            {"layer_index": ell,
-             **{name: {"shape": list(array.shape), "values": array.ravel().tolist()}
-                for name, array in zip(("W1", "b1", "W2", "b2"), ctrl.param_arrays())}}
-            for ell, ctrl in enumerate(state.layers, start=1)
-        ],
-    }
-
-
-def as_format1(checkpoint):
-    """The format-1 checkpoint of the same run as `checkpoint`, as format 1
-    wrote it: per-layer controllers and a null `rng_state`."""
-    state, _, _ = ckpt.restore(checkpoint)
-    return json.loads(json.dumps({**checkpoint, "format_version": 1, "rng_state": None,
-                                  "controllers": format1_controllers(state)}))
-
-
-def in_format1(corrupt):
-    """`corrupt` applied to the format-1 form of the checkpoint."""
-    return lambda checkpoint: corrupt(as_format1(checkpoint))
-
-
 def with_state(corrupt_state):
     """The checkpoint whose controllers hold its state after
     `corrupt_state(state)`."""
@@ -265,15 +236,6 @@ def with_react_as_second_exit(checkpoint):
     return checkpoint
 
 
-def with_parameter(name, value):
-    """The format-1 checkpoint with `value` as the first entry of layer 1's
-    `name`."""
-    def corrupt(checkpoint):
-        checkpoint["controllers"]["layers"][0][name]["values"][0] = value
-        return checkpoint
-    return corrupt
-
-
 def with_blob_value(layer, name, value):
     """The checkpoint with `value` as the first entry of layer `layer`'s
     `name` in its parameter blob (for W1, where the layer starts)."""
@@ -296,53 +258,20 @@ def with_blob_bytes(edit):
         lambda text: base64.b64encode(edit(base64.b64decode(text))).decode("ascii"))
 
 
-def with_controller_field(name, value, layer=None):
-    """The checkpoint with `value` as the controllers' `name`, or as the
-    `name` of (format 1) layer `layer`'s entry."""
+def with_controller_field(name, value):
+    """The checkpoint with `value` as the controllers' `name`."""
     def corrupt(checkpoint):
-        controllers = checkpoint["controllers"]
-        entry = controllers if layer is None else controllers["layers"][layer - 1]
-        entry[name] = value
+        checkpoint["controllers"][name] = value
         return checkpoint
     return corrupt
 
 
-def with_short_b2(layer):
-    """The format-1 checkpoint with one operator fewer in layer `layer`'s b2
-    than in its W2 (and in layer 1's b2)."""
+def with_config_field(name, value):
+    """The checkpoint with `value` as its config's `name`."""
     def corrupt(checkpoint):
-        b2 = checkpoint["controllers"]["layers"][layer - 1]["b2"]
-        b2["shape"] = [b2["shape"][0] - 1]
-        del b2["values"][-1]
+        checkpoint["config"][name] = value
         return checkpoint
     return corrupt
-
-
-def with_short_values(name):
-    """The format-1 checkpoint with one value fewer in layer 1's `name` than
-    its shape holds."""
-    def corrupt(checkpoint):
-        del checkpoint["controllers"]["layers"][0][name]["values"][-1]
-        return checkpoint
-    return corrupt
-
-
-def with_zero_embed_dim(checkpoint):
-    """The format-1 checkpoint with embed_dim 0 in its config and its
-    controllers, and each W1 shaped to match: consistent, but no embedder
-    has 0 dimensions."""
-    checkpoint["config"]["embed_dim"] = 0
-    checkpoint["controllers"]["embed_dim"] = 0
-    for layer in checkpoint["controllers"]["layers"]:
-        layer["W1"] = {"shape": [layer["W1"]["shape"][0], 0], "values": []}
-    return checkpoint
-
-
-def with_null_cadence(checkpoint):
-    """The checkpoint with `patch_every: null` in its config, which only
-    format 1 wrote (for a run without patching)."""
-    checkpoint["config"]["patch_every"] = None
-    return checkpoint
 
 
 def with_long_prompt(checkpoint):
@@ -352,43 +281,17 @@ def with_long_prompt(checkpoint):
     return checkpoint
 
 
-# each maps a (format-2) checkpoint dict to a bad one, with the fault
-# `restore` names; the cases of format 1's per-layer controllers corrupt the
-# format-1 form of the checkpoint
+# each maps a checkpoint dict to a bad one, with the fault `restore` names
 BAD_CHECKPOINTS = {
     "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
     "no_direct_io": (without_operator("direct_io"), "lacks its early-exit or direct-io"),
     "second_exit": (with_react_as_second_exit, "already has an early-exit"),
-    "nan_b2": (in_format1(with_parameter("b2", float("nan"))),
-               "layer 1 holds a parameter that is not finite"),
-    "inf_W1": (in_format1(with_parameter("W1", float("inf"))),
-               "layer 1 holds a parameter that is not finite"),
-    "string_embed_dim": (in_format1(with_controller_field("embed_dim", "4")),
-                         "embed_dim '4' is not an integer"),
-    "float_layer_index": (in_format1(with_controller_field("layer_index", 2.9, layer=2)),
-                          "layer_index 2.9 is not an integer"),
-    "swapped_layer_index": (in_format1(with_controller_field("layer_index", 1, layer=2)),
-                            "layer 2 has layer_index 1"),
-    "string_value": (in_format1(with_parameter("b2", "0.1")),
-                     "b2 values are not a list of numbers"),
-    "bool_value": (in_format1(with_parameter("W1", True)),
-                   "W1 values are not a list of numbers"),
-    "float_shape": (in_format1(with_controller_field(
-                        "b1", {"shape": [4.0], "values": [0.0] * 4}, layer=1)),
-                    r"b1 shape \[4.0\] is not a list of integers"),
-    "zero_embed_dim": (in_format1(with_zero_embed_dim), "embed_dim must be >= 1"),
-    "no_layers": (in_format1(with_controller_field("layers", [])),
-                  "controllers hold no layers"),
-    "mismatched_shapes": (in_format1(with_short_b2(2)), r"layer 2 has shapes \[\(4, 8\),"
-                          r" \(4,\), \(9, 4\), \(8,\)\], expected"),
-    "values_short_of_shape": (in_format1(with_short_values("W2")),
-                              r"layer 1 W2 holds 35 values for shape \[9, 4\]"),
-    "negative_hidden_dim": (in_format1(with_controller_field("hidden_dim", -4)),
-                            r"layer 1 has shapes \[\(4, 4\), \(4,\), \(9, 4\), \(9,\)\],"
-                            r" expected \[\(-4, 4\)"),
     "long_prompt": (with_long_prompt, f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1}"
                     f" chars, over {MAX_PROMPT_CHARS}"),
-    "format2_null_cadence": (with_null_cadence, "patch_every None is not an integer"),
+    "format2_null_cadence": (with_config_field("patch_every", None),
+                             "patch_every None is not an integer"),
+    # in the config only: `TrainConfig` refuses it before the dims are compared
+    "zero_embed_dim": (with_config_field("embed_dim", 0), "embed_dim must be >= 1"),
     "params_not_a_string": (with_controller_field("params", [0.0]),
                             "params is not a string"),
     "params_not_base64": (with_params_text(lambda text: text[:8] + "*" + text[8:]),
@@ -400,6 +303,8 @@ BAD_CHECKPOINTS = {
                                "params holds 1160 bytes, expected 1168$"),
     "params_one_byte_long": (with_blob_bytes(lambda blob: blob + b"\0"),
                              "params holds 1169 bytes, expected 1168$"),
+    "nan_b2": (with_blob_value(1, "b2", float("nan")),
+               "layer 1 holds a parameter that is not finite"),
     "nan_in_params": (with_blob_value(2, "b2", float("nan")),
                       "layer 2 holds a parameter that is not finite"),
     "inf_in_params": (with_blob_value(1, "W1", float("inf")),
@@ -419,6 +324,12 @@ BAD_CHECKPOINTS = {
                     " integer"),
     "zero_hidden_dim": (with_controller_field("hidden_dim", 0),
                         "hidden_dim 0 is not a positive integer"),
+    "negative_hidden_dim": (with_controller_field("hidden_dim", -4),
+                            "hidden_dim -4 is not a positive integer"),
+    "string_embed_dim": (with_controller_field("embed_dim", "4"),
+                         "embed_dim '4' is not a positive integer"),
+    "no_layers": (with_controller_field("num_layers", 0),
+                  "num_layers 0 is not a positive integer"),
     "huge_num_layers": (with_controller_field("num_layers", 10**18),
                         r"params holds 1168 bytes, expected \d{30,}$"),
     "float_version": (with_controller_field("version", 1.0),

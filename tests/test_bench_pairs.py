@@ -88,13 +88,19 @@ def test_rss_bytes_per_extra_unit_is_the_median_over_pairs():
                 for units, mb in rows]
 
     # per pair: +1 MB over +10,000 units, +2 MB over +10,000, +0.5 MB over
-    # -5,000 (fewer units, more RSS), and no extra units, which is left out
-    parent = side([(100_000, 50.0), (100_000, 50.0), (100_000, 51.0), (90_000, 50.0)])
-    change = side([(110_000, 51.0), (110_000, 52.0), (95_000, 51.5), (90_000, 55.0)])
-    out = bench_pairs.summarize_pairs([1, 2, 3, 4], {"parent": parent, "change": change},
-                                      DIRECTIONS)
+    # -5,000 (fewer units, more RSS; 5% of the parent's, the least kept), no
+    # extra units, and +10 MB over +1,000 (1%), which would read 10,485.8 B:
+    # the last two are left out
+    parent = side([(100_000, 50.0), (100_000, 50.0), (100_000, 51.0), (90_000, 50.0),
+                   (100_000, 50.0)])
+    change = side([(110_000, 51.0), (110_000, 52.0), (95_000, 51.5), (90_000, 55.0),
+                   (101_000, 60.0)])
+    assert bench_pairs.MIN_EXTRA_UNIT_SHARE == 0.05
+    out = bench_pairs.summarize_pairs([1, 2, 3, 4, 5],
+                                      {"parent": parent, "change": change}, DIRECTIONS)
     assert out["rss_bytes_per_extra_unit"] == round(2**20 / 10_000, 1) == 104.9
-    assert bench_pairs.rss_bytes_per_extra_unit(parent[3:], change[3:]) is None
+    assert bench_pairs.rss_bytes_per_extra_unit(parent[3:4], change[3:4]) is None
+    assert bench_pairs.rss_bytes_per_extra_unit(parent[4:], change[4:]) is None
     # runs without peak_rss_mb give no figure
     plain = [bench_pairs.parse_run(run_output(100, 1.0, timed_units=u)) for u in (1, 2)]
     assert bench_pairs.rss_bytes_per_extra_unit(plain[:1], plain[1:]) is None

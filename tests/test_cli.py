@@ -25,8 +25,7 @@ from maas.harness import run_eval
 from maas.optimizer import TrainConfig
 from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
-from tests.helpers import (BAD_CHECKPOINTS, as_format1, make_trainer, train_args,
-                           with_null_cadence, write_jsonl)
+from tests.helpers import BAD_CHECKPOINTS, make_trainer, train_args, write_jsonl
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -253,23 +252,6 @@ class TestEvalCommand:
         assert result.exit_code == 3, result.output
         assert "data error: " in result.output
 
-    def test_format1_null_cadence_reads_as_mutator_none(self, workdir):
-        """A format-1 checkpoint whose config holds `patch_every: null`, as
-        one trained without patching may, restores with `mutator == "none"`
-        at the default cadence, and `maas eval` runs on it."""
-        runner = CliRunner()
-        trained = json.loads((workdir / "ckpt.json").read_text())
-        old = workdir / "old.json"
-        old.write_text(json.dumps(with_null_cadence(as_format1(trained))))
-        _, _, config = ckpt.restore(ckpt.load(old))
-        assert (config.mutator, config.patch_every) == ("none", TrainConfig().patch_every)
-        data = ["--dataset", str(workdir / "mix.jsonl"),
-                "--env-profile", str(workdir / "profiles.json")]
-        old_eval, new_eval = (runner.invoke(main, ["eval", "--checkpoint", str(path), *data])
-                              for path in (old, workdir / "ckpt.json"))
-        assert old_eval.exit_code == 0, old_eval.output
-        assert old_eval.output == new_eval.output
-
     def test_checker_reaches_the_synthetic_env(self, workdir):
         runner = CliRunner()
         yes = write_jsonl(workdir / "yes.jsonl",
@@ -320,7 +302,7 @@ def with_string_tools(trained):
 class TestBadCheckpoint:
     # each case maps the checkpoint `maas train` writes to the text of a bad one
     @pytest.mark.parametrize("corrupt", [
-        lambda trained: '{"format_version": 1}\n',
+        lambda trained: '{"format_version": 2}\n',
         lambda trained: "{broken\n",
         without_react,
         lambda trained: json.dumps({**trained, "format_version": 99}),
@@ -350,6 +332,16 @@ class TestBadCheckpoint:
         result = CliRunner().invoke(main, [command, "--checkpoint", str(path), *extra])
         assert result.exit_code == 3, result.output
         assert result.output.startswith("data error: ") and result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
+    def test_format_1_exits_3_saying_how_to_convert(self, workdir, command):
+        path = workdir / "ckpt.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 1}))
+        result = CliRunner().invoke(main, valid_args(workdir, command))
+        assert result.exit_code == 3, result.output
+        assert result.output == ("data error: checkpoint format 1, expected one of [2]; load"
+                                 " and save it with an earlier maas to convert it to format"
+                                 " 2\n")
 
 
 def valid_args(workdir, command):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from maas.executor import SyntheticEnv, SyntheticOperatorProfile, execute
 from maas.harness import EVAL_RNG_OFFSET, run_eval, run_train
 from maas.optimizer import TrainConfig
 from maas.registry import OperatorPatch, builtin_registry
-from tests.helpers import (BAD_CHECKPOINTS, any_value_anywhere, as_format1, decoded,
+from tests.helpers import (BAD_CHECKPOINTS, any_value_anywhere, decoded,
                            encoded, fill_workdir, small_checkpoint, write_jsonl)
 
 
@@ -51,32 +52,37 @@ class TestLoadDataset:
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(rows(1)[0]) + "\n{not json\n")
-        with pytest.raises(DataError, match=r"^line 2: "):
+        with pytest.raises(DataError, match=rf"^dataset {re.escape(str(path))} line 2: invalid"
+                           r" JSON: .*$"):
             load_dataset(path)
 
     def test_int_of_too_many_digits_is_invalid_json(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("1" * 5000 + "\n")
-        with pytest.raises(DataError, match=r"^line 1: invalid JSON"):
+        with pytest.raises(DataError, match=rf"^dataset {re.escape(str(path))} line 1: invalid"
+                           r" JSON: .*$"):
             load_dataset(path)
 
     def test_missing_field(self, tmp_path):
         bad = rows(1)[0]
         del bad["answer"]
         path = write_jsonl(tmp_path / "d.jsonl", [bad])
-        with pytest.raises(DataError, match="^line 1: missing field 'answer'$"):
+        with pytest.raises(DataError, match=rf"^dataset {re.escape(path)} line 1: missing field"
+                           r" 'answer'$"):
             load_dataset(path)
 
     def test_difficulty_out_of_range(self, tmp_path):
         bad = rows(1)[0]
         bad["difficulty"] = 1.5
         path = write_jsonl(tmp_path / "d.jsonl", [bad])
-        with pytest.raises(DataError, match=r"^line 1: difficulty 1\.5 outside \[0, 1\]"):
+        with pytest.raises(DataError, match=rf"^dataset {re.escape(path)} line 1: difficulty"
+                           r" 1\.5 outside \[0, 1\] for 'r0'$"):
             load_dataset(path)
 
     def test_duplicate_id(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", rows(1) + rows(1))
-        with pytest.raises(DataError, match="duplicate query id"):
+        with pytest.raises(DataError, match=rf"^dataset {re.escape(path)} line 2: duplicate"
+                           r" query id 'r0'$"):
             load_dataset(path)
 
     def test_text_fields_of_any_value_load_as_text(self, tmp_path):
@@ -91,7 +97,8 @@ class TestLoadDataset:
     def test_difficulty_not_a_finite_number(self, tmp_path, difficulty):
         bad = {**rows(1)[0], "difficulty": difficulty}
         path = write_jsonl(tmp_path / "d.jsonl", [bad])
-        with pytest.raises(DataError, match="^line 1: difficulty .* is not"):
+        with pytest.raises(DataError, match=rf"^dataset {re.escape(path)} line 1: difficulty"
+                           r" .* is not .*$"):
             load_dataset(path)
 
     @settings(max_examples=200, deadline=None,
@@ -210,19 +217,14 @@ class TestRestore:
         except DataError:
             pass
 
-    @settings(max_examples=300, deadline=None)
-    @given(checkpoint=any_value_anywhere(as_format1(small_checkpoint())))
-    def test_any_format1_checkpoint_restores_or_is_a_data_error(self, checkpoint):
-        """As above, for format 1, whose controllers hold one entry per layer."""
-        try:
-            ckpt.restore(checkpoint)
-        except DataError:
-            pass
-
-    @pytest.mark.parametrize("version", [0, 3, 99, True, 2.0, "2", None])
+    @pytest.mark.parametrize("version", [0, 1, 3, 99, True, 2.0, "2", None])
     def test_unknown_format_is_data_error(self, version):
-        with pytest.raises(DataError, match=r"checkpoint format .*, expected one of \[1, 2\]"):
+        """Only an integer below the oldest format read gets told how to
+        convert the file."""
+        expected = r"^checkpoint format .*, expected one of \[2\]"
+        with pytest.raises(DataError, match=expected) as raised:
             ckpt.restore({**small_checkpoint(), "format_version": version})
+        assert ("earlier maas" in str(raised.value)) == (type(version) is int and version < 2)
 
 
 class TestCheckpointFormats:
@@ -238,17 +240,13 @@ class TestCheckpointFormats:
         state.params[-1] = -np.finfo(float).tiny
         return ckpt.build_checkpoint(state, registry, config, {"steps": 0})
 
-    def test_both_formats_restore_the_same_bits(self, planted, tmp_path):
+    def test_a_saved_file_restores_the_same_bits(self, planted, tmp_path):
         want = decoded(planted).params
         assert np.signbit(want[0]) and want[1] == 5e-324
-        restored = []
-        for name, checkpoint in (("f2.json", planted), ("f1.json", as_format1(planted))):
-            ckpt.save(checkpoint, tmp_path / name)
-            state, _, _ = ckpt.restore(ckpt.load(tmp_path / name))
-            assert state.params.flags.writeable and state.params.dtype == np.float64
-            restored.append(state.params.view(np.uint64))
-        assert np.array_equal(restored[0], restored[1])
-        assert np.array_equal(restored[0], want.view(np.uint64))
+        ckpt.save(planted, tmp_path / "c.json")
+        state, _, _ = ckpt.restore(ckpt.load(tmp_path / "c.json"))
+        assert state.params.flags.writeable and state.params.dtype == np.float64
+        assert np.array_equal(state.params.view(np.uint64), want.view(np.uint64))
 
     def test_format2_round_trip_is_byte_identical(self, planted, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -261,15 +259,6 @@ class TestCheckpointFormats:
                                "metrics_summary"}
         assert loaded["format_version"] == 2 and isinstance(
             loaded["controllers"]["params"], str)
-
-    def test_resaving_a_format1_file_writes_format2(self, planted, tmp_path):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        ckpt.save(as_format1(planted), old)
-        loaded = ckpt.load(old)
-        assert loaded["format_version"] == 1
-        ckpt.save(ckpt.build_checkpoint(*ckpt.restore(loaded), loaded["metrics_summary"]),
-                  new)
-        assert new.read_text() == ckpt.dumps(planted)
 
     def test_restored_params_are_a_vector_of_their_own(self, planted):
         state, _, _ = ckpt.restore(planted)

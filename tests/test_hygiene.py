@@ -492,7 +492,7 @@ def test_checker_flags_parameter_rebinds():
         "x = ctrl.b1\n"
         "ctrl.W3 = x\n"
         "setattr(ctrl, name, x)\n"
-        "LayerController(W1=a, b1=b, W2=c, b2=d, layer_index=1)\n"
+        "LayerController(W1=a, b1=b, W2=c, b2=d)\n"
     )
     assert parameter_rebinds(source) == [(1, "W1"), (2, "b2"), (3, "W2"), (4, "b1")]
 

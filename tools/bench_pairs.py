@@ -22,7 +22,9 @@ more than most changes move it. The record holds, per workload, the medians
 quartiles, how many pairs the change won and tied,
 `rss_bytes_per_extra_unit` (the median over pairs of the change's extra peak
 RSS in bytes per extra timed unit, which tells the benchmark's per-unit
-buffers apart from growth of the program), `bound_check` (each end-to-end
+buffers apart from growth of the program; only pairs whose extra units are
+at least `MIN_EXTRA_UNIT_SHARE` of the parent's count, since RSS noise over a
+few extra units reads as any figure at all), `bound_check` (each end-to-end
 metric read against its bound in `BENCHMARK.json`: "over", "unresolved" or
 "within"), `gain_check` (each end-to-end metric read against the claim rule:
 "met" when the change is better in at least nine tenths of the pairs and its
@@ -51,6 +53,7 @@ import tempfile
 COUNT_UNITS = ("count", "layers", "chars")
 COUNT_FRACS = ("embedding.embed.repeat_frac",)
 TRACE_SEED = 2
+MIN_EXTRA_UNIT_SHARE = 0.05  # of the parent's timed units, for rss_bytes_per_extra_unit
 TIER1_RUNS = 3  # per side
 PAIRING = ("parent and change on the same seed, one after the other, the parent"
            " first on odd seeds and the change first on even seeds; medians and"
@@ -97,12 +100,15 @@ def _quartiles(values):
 def rss_bytes_per_extra_unit(parent_runs, change_runs):
     """Median over pairs of Δ`peak_rss_mb`·2**20 / Δ`timed_units`, change
     minus parent: the bytes of peak RSS each extra timed unit brings. A pair
-    that timed as many units on both sides is left out; None when no pair
-    is left, or when the runs report no `peak_rss_mb`."""
+    whose extra (or missing) units are under `MIN_EXTRA_UNIT_SHARE` of the
+    parent's is left out; None when no pair is left, or when the runs report
+    no `peak_rss_mb`."""
     ratios = []
     for p, c in zip(parent_runs, change_runs):
-        extra_units = c["info"]["timed_units"] - p["info"]["timed_units"]
-        if extra_units and "peak_rss_mb" in p["metrics"]:
+        units = p["info"]["timed_units"]
+        extra_units = c["info"]["timed_units"] - units
+        if extra_units and abs(extra_units) >= MIN_EXTRA_UNIT_SHARE * units \
+                and "peak_rss_mb" in p["metrics"]:
             extra_mb = c["metrics"]["peak_rss_mb"] - p["metrics"]["peak_rss_mb"]
             ratios.append(extra_mb * 2**20 / extra_units)
     return round(statistics.median(ratios), 1) if ratios else None
