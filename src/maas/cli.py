@@ -10,11 +10,9 @@ import sys
 import click
 
 from . import checkpoint as ckpt
-from . import sampler
-from .embedding import HashingEmbedder
 from .errors import BackendError, DataError, MaasError
 from .executor import CHECKERS, SyntheticEnv, LiveEnv
-from .harness import run_eval, run_train
+from .harness import Evaluator, run_eval, run_train
 from .optimizer import MUTATORS, TrainConfig
 
 DEFAULTS = TrainConfig()  # every `maas train` hyperparameter default
@@ -141,10 +139,7 @@ def eval_cmd(checkpoint_path, dataset, env_name, env_profile, checker, report_ou
 @_exit_codes
 def sample(checkpoint_path, query, explain):
     """Print the architecture the checkpoint selects for one query."""
-    state, registry, config = ckpt.restore(ckpt.load(checkpoint_path))
-    arch = sampler.sample_architecture(
-        state, registry, query, config.thres, sampler.MODE_EVAL
-    )
+    arch = Evaluator(ckpt.load(checkpoint_path)).select(query)
     out = arch.to_dict()
     if explain:
         out["per_layer_scores"] = [sv.scores.tolist() for sv in arch.forward]
@@ -157,19 +152,16 @@ def sample(checkpoint_path, query, explain):
 @_exit_codes
 def inspect(checkpoint_path):
     """Print per-layer score vectors averaged over a built-in probe set."""
-    state, registry, config = ckpt.restore(ckpt.load(checkpoint_path))
-    embedder = HashingEmbedder(config.embed_dim)  # embeds each profile once
+    evaluator = Evaluator(ckpt.load(checkpoint_path))
     sums = {}
     counts = {}
     for q in PROBE_QUERIES:
-        arch = sampler.sample_architecture(
-            state, registry, q, config.thres, sampler.MODE_EVAL, embedder=embedder
-        )
+        arch = evaluator.select(q)
         for ell, sv in enumerate(arch.forward, start=1):
             sums[ell] = sums.get(ell, 0.0) + sv.scores
             counts[ell] = counts.get(ell, 0) + 1
     report = {
-        "operator_ids": registry.ids(),
+        "operator_ids": evaluator.registry.ids(),
         "probe_queries": PROBE_QUERIES,
         "mean_scores_by_layer": {
             str(ell): (sums[ell] / counts[ell]).tolist() for ell in sorted(sums)

@@ -8,12 +8,10 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import sampler
-from .controller import init_params
 from .data import load_dataset, split_dataset
 from .embedding import HashingEmbedder
 from .executor import execute
 from .optimizer import TrainConfig, Trainer
-from .registry import builtin_registry
 
 EVAL_RNG_OFFSET = 1_000_003
 
@@ -27,20 +25,8 @@ def run_train(config: TrainConfig, dataset_path, env, checkpoint_path=None,
     """
     records = load_dataset(dataset_path)
     train, _ = split_dataset(records, config.seed)
-
-    registry = builtin_registry()
-    state = init_params(
-        config.seed, config.embed_dim, config.hidden_dim, config.num_layers,
-        len(registry),
-    )
-    rng = np.random.default_rng(config.seed)
-    trainer = Trainer(state, registry, env, config, rng)
-
-    metrics = []
-    order_rng = np.random.default_rng(config.seed)
-    for _ in range(config.iterations):
-        for i in order_rng.permutation(len(train)):
-            metrics.append(trainer.step(train[i]))
+    trainer = Trainer.start(config, env)
+    metrics = trainer.run(train, config.iterations)
 
     if metrics:
         tail = metrics[-len(train):]
@@ -52,7 +38,8 @@ def run_train(config: TrainConfig, dataset_path, env, checkpoint_path=None,
     else:
         summary = {"steps": 0}
 
-    checkpoint = ckpt.build_checkpoint(state, registry, config, metrics_summary=summary)
+    checkpoint = ckpt.build_checkpoint(trainer.state, trainer.registry, config,
+                                       metrics_summary=summary)
     if checkpoint_path:
         ckpt.save(checkpoint, checkpoint_path)
     if metrics_path:
@@ -62,23 +49,38 @@ def run_train(config: TrainConfig, dataset_path, env, checkpoint_path=None,
     return checkpoint, metrics
 
 
+class Evaluator:
+    """Deterministic eval of one checkpoint: its restored state, registry
+    and config, one embedder whose memo embeds each profile text once, and
+    the generator every execution draws from, seeded `config.seed +
+    EVAL_RNG_OFFSET`. Restoring a bad checkpoint raises `DataError`."""
+
+    def __init__(self, checkpoint):
+        self.state, self.registry, self.config = ckpt.restore(checkpoint)
+        self.embedder = HashingEmbedder(self.config.embed_dim)
+        self.rng = np.random.default_rng(self.config.seed + EVAL_RNG_OFFSET)
+
+    def select(self, text) -> sampler.Architecture:
+        """The architecture the checkpoint selects for the query `text`."""
+        return sampler.sample_architecture(self.state, self.registry, text,
+                                           self.config.thres, sampler.MODE_EVAL,
+                                           embedder=self.embedder)
+
+    def query(self, record, env):
+        """The trace of the architecture selected for `record` run on `env`."""
+        return execute(self.select(record.query), record, env, self.registry, self.rng)
+
+
 def run_eval(checkpoint, dataset_path, env) -> dict:
     """Evaluate every record in the dataset with deterministic selection;
     each figure is a mean over the records' traces, or one domain's."""
-    state, registry, config = ckpt.restore(checkpoint)
+    evaluator = Evaluator(checkpoint)
     records = load_dataset(dataset_path)
-    embedder = HashingEmbedder(config.embed_dim)
-    rng = np.random.default_rng(config.seed + EVAL_RNG_OFFSET)
-    traces = [
-        execute(sampler.sample_architecture(state, registry, record.query, config.thres,
-                                            sampler.MODE_EVAL, embedder=embedder),
-                record, env, registry, rng)
-        for record in records
-    ]
+    traces = [evaluator.query(record, env) for record in records]
     by_domain = {}
     for record, trace in zip(records, traces):
         by_domain.setdefault(record.domain, []).append(trace)
-    full_depth = config.num_layers + 1  # the depth of "never exited"
+    full_depth = evaluator.config.num_layers + 1  # the depth of "never exited"
     return {
         "n_records": len(traces),
         "accuracy": _mean(t.utility for t in traces),

@@ -30,7 +30,7 @@ from . import kernels, sampler
 from .embedding import HashingEmbedder, layer_feature  # noqa: F401
 from .errors import BackendError, DataError, MaasError, check_fields
 from .executor import execute, live_call, resolve_endpoint
-from .registry import OperatorPatch
+from .registry import OperatorPatch, builtin_registry
 
 MOCK_PATCH_SENTENCE = "\nDouble-check each intermediate step before answering."
 TEMPERATURE_STEP = 0.1
@@ -320,6 +320,26 @@ class Trainer:
         self.mutator = mutator if patching else None
         self.step_count = 0
         self.window = []
+
+    @classmethod
+    def start(cls, config: TrainConfig, env, mutator=None):
+        """A trainer on `env` at the start of a run: the builtin registry,
+        `init_params` at `config.seed` sized by the config and that registry,
+        and a sampling generator seeded `config.seed`."""
+        registry = builtin_registry()
+        state = ctl.init_params(config.seed, config.embed_dim, config.hidden_dim,
+                                config.num_layers, len(registry))
+        return cls(state, registry, env, config, np.random.default_rng(config.seed),
+                   mutator=mutator)
+
+    def run(self, train, iterations) -> list:
+        """The metric dicts of `iterations` passes over the records `train`,
+        one `step` each, every pass in a shuffled order. The orders come from
+        a generator made anew per call and seeded `config.seed`, as the one
+        `start` samples from is, so the two draw the same stream."""
+        order_rng = np.random.default_rng(self.config.seed)
+        return [self.step(train[i]) for _ in range(iterations)
+                for i in order_rng.permutation(len(train))]
 
     def step(self, query) -> dict:
         cfg = self.config

@@ -55,16 +55,12 @@ def simple_env():
 
 
 def make_trainer(env=None, proposer=None, **fields):
-    """The set-up most trainer tests share: `TrainConfig(**fields)`, at 2
-    layers of 8 dims unless `fields` say otherwise, the builtin registry,
-    `init_params` at seed 0 sized by that config, and a `Trainer` on `env`
-    (`simple_env()` if None) drawing from `default_rng(0)`, with `proposer`
-    as its `mutator`."""
+    """The set-up most trainer tests share: `Trainer.start` of
+    `TrainConfig(**fields)`, at 2 layers of 8 dims unless `fields` say
+    otherwise, on `env` (`simple_env()` if None), with `proposer` as its
+    `mutator`."""
     cfg = TrainConfig(**{"num_layers": 2, "embed_dim": 8, "hidden_dim": 8, **fields})
-    reg = builtin_registry()
-    state = init_params(0, cfg.embed_dim, cfg.hidden_dim, cfg.num_layers, len(reg))
-    return Trainer(state, reg, simple_env() if env is None else env, cfg,
-                   np.random.default_rng(0), mutator=proposer)
+    return Trainer.start(cfg, simple_env() if env is None else env, mutator=proposer)
 
 
 def make_spec(op_id, kind=KIND_GENERATIVE, temperature=1.0, prompt="p {input}"):

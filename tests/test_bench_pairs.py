@@ -1,12 +1,16 @@
 """tools/bench_pairs.py: its summary of canned `perfbench/run.py` output.
 
-Nothing here starts a process but `git`, in a throwaway repository:
-`collect` takes the runner as an argument.
+Nothing here starts a process but `git`, in a throwaway repository, and
+one Python process that runs `main` there until it stops itself with
+SIGTERM: `collect` takes the runner as an argument.
 """
 
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -395,3 +399,41 @@ def test_benchmark_files_equal_reads_only_the_benchmark_paths(tmp_path):
         assert bench_pairs.benchmark_files_equal("HEAD", tmp_path)
     git(tmp_path, "rm", "-q", "perfbench/run.py")
     assert not bench_pairs.benchmark_files_equal("HEAD", tmp_path)
+
+
+# runs `main` of the bench_pairs.py named by argv[1] in the current directory,
+# with a `collect` that stops the process by SIGTERM while the parent tree is
+# exported; prints whether SIGTERM's handler is the default again
+STOPPED_RUN = """
+import importlib.util, os, signal, sys, time
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+def stopped(*args):
+    os.kill(os.getpid(), signal.SIGTERM)
+    time.sleep(30)
+
+bench_pairs.collect = stopped
+try:
+    bench_pairs.main(["--parent", "HEAD", "--out", "out.json", "--what", "stopped",
+                      "--workload", "train_mix:1"])
+finally:
+    print(signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)
+"""
+
+
+def test_sigterm_removes_the_parent_export(tmp_path):
+    repo, tmp = tmp_path / "repo", tmp_path / "tmp"
+    repo.mkdir()
+    tmp.mkdir()
+    (repo / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}\n')
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "parent")
+    proc = subprocess.run(
+        [sys.executable, "-c", STOPPED_RUN, str(ROOT / "tools" / "bench_pairs.py")],
+        cwd=repo, env={**os.environ, "TMPDIR": str(tmp)}, capture_output=True,
+        text=True, timeout=60)
+    assert list(tmp.glob("bench-parent-*")) == []
+    assert (proc.returncode, proc.stdout) == (128 + signal.SIGTERM, "True\n"), proc.stderr

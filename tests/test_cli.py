@@ -49,6 +49,16 @@ GOLDEN_SEED3 = {
     "checkpoint": "e25c0304a8e38c07e9935b951d47356d684f82aa7344fa106d1286bee00e6199",
     "metrics": "876f935f499d9421ae9b9e99fce58e9809b1fa7b88ac5dc64dcbbb58597db4b6",
     "eval": "de4eef2a11c9a68809bcee6e35172ceb3b5da07a01fbbd7af8d2c835ea2f8e77",
+    # the stdout of `maas sample --explain` of that checkpoint, per query: an
+    # easy one that exits at layer 1 and a hard one that exits at layer 4
+    "sample": {
+        "what is 15 plus 29":
+            "40b1c03b40b7081e94eab45e375d8ffe41134a328abe500e531d68b0a4cbf3c8",
+        "evaluate the contour integral of z^3 over the unit circle times 1":
+            "dec34393d4cf3e45692202f7e5660546a2cb740bdb84a1b4b56a1af033102a4f",
+    },
+    # the stdout of `maas inspect` of that checkpoint
+    "inspect": "5a22e80366c179b615d605218d6a94f50435b13c790f0e9fc8624c315cbb44ad",
 }
 
 
@@ -673,14 +683,14 @@ def test_seed7_checkpoint_is_byte_identical(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT["sha256"]
 
 
-def test_seed3_checkpoint_and_metrics_are_byte_identical(tmp_path):
-    """1,000 steps with 100 patch rounds, and many layers reached by one
-    sample only: pins the one-row backward, the update and the patch
-    rounds over a longer run than the seed-7 pin; then `maas eval` of the
-    checkpoint on the same data, whose architectures exit at layers 1 and
-    4, pins every figure of the eval report."""
+@pytest.fixture(scope="module")
+def seed3_run(tmp_path_factory):
+    """The checkpoint and the metrics file `maas train` writes on the shipped
+    data, 100 iterations at seed 3: trained once for the tests that read
+    them, and skipped where the golden hashes were not recorded."""
     skip_unless_golden_numpy()
-    path, metrics = tmp_path / "ckpt.json", tmp_path / "metrics.jsonl"
+    tmp = tmp_path_factory.mktemp("seed3")
+    path, metrics = tmp / "ckpt.json", tmp / "metrics.jsonl"
     result = CliRunner().invoke(main, [
         "train",
         "--dataset", str(ROOT / "data" / "synthetic_mix.jsonl"),
@@ -692,6 +702,16 @@ def test_seed3_checkpoint_and_metrics_are_byte_identical(tmp_path):
         "--metrics-out", str(metrics),
     ])
     assert result.exit_code == 0, result.output
+    return path, metrics
+
+
+def test_seed3_checkpoint_and_metrics_are_byte_identical(seed3_run):
+    """1,000 steps with 100 patch rounds, and many layers reached by one
+    sample only: pins the one-row backward, the update and the patch
+    rounds over a longer run than the seed-7 pin; then `maas eval` of the
+    checkpoint on the same data, whose architectures exit at layers 1 and
+    4, pins every figure of the eval report."""
+    path, metrics = seed3_run
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SEED3["checkpoint"]
     assert hashlib.sha256(metrics.read_bytes()).hexdigest() == GOLDEN_SEED3["metrics"]
     result = CliRunner().invoke(main, [
@@ -702,3 +722,18 @@ def test_seed3_checkpoint_and_metrics_are_byte_identical(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_SEED3["eval"]
+
+
+def test_seed3_sample_and_inspect_output_is_byte_identical(seed3_run):
+    """Pins what `maas sample --explain` and `maas inspect` print for the
+    seed-3 checkpoint: each selected architecture, its per-layer scores and
+    the probe set's mean scores."""
+    path, _ = seed3_run
+    for query, sha256 in GOLDEN_SEED3["sample"].items():
+        result = CliRunner().invoke(main, ["sample", "--checkpoint", str(path),
+                                           "--query", query, "--explain"])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == sha256, query
+    result = CliRunner().invoke(main, ["inspect", "--checkpoint", str(path)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_SEED3["inspect"]

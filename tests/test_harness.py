@@ -17,7 +17,7 @@ from maas.datagen import default_env
 from maas.embedding import HashingEmbedder
 from maas.errors import DataError
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile, execute
-from maas.harness import EVAL_RNG_OFFSET, run_eval, run_train
+from maas.harness import EVAL_RNG_OFFSET, Evaluator, run_eval, run_train
 from maas.optimizer import TrainConfig
 from maas.registry import OperatorPatch, builtin_registry
 from tests.helpers import (BAD_CHECKPOINTS, any_value_anywhere, decoded,
@@ -364,6 +364,24 @@ class TestRunEval:
                 "n": len(rows), "accuracy": accuracy, "mean_cost": cost,
                 "mean_exit_depth": depth,
             }
+
+    def test_evaluator_runs_each_selection_on_one_eval_generator(self, mix_path, tiny_run):
+        """`select` is the eval-mode sample of the restored checkpoint, and
+        `query` executes it drawing from one generator seeded `config.seed +
+        EVAL_RNG_OFFSET`, query after query."""
+        checkpoint, _ = tiny_run(1)
+        evaluator = Evaluator(checkpoint)
+        state, reg, config = ckpt.restore(checkpoint)
+        rng = np.random.default_rng(config.seed + EVAL_RNG_OFFSET)
+        env = default_env()
+        for rec in load_dataset(mix_path):
+            arch = sampler.sample_architecture(state, reg, rec.query, config.thres,
+                                               sampler.MODE_EVAL)
+            assert evaluator.select(rec.query).to_dict() == arch.to_dict()
+            trace, expected = evaluator.query(rec, env), execute(arch, rec, env, reg, rng)
+            assert ((trace.final_answer, trace.utility, trace.cost, trace.llm_calls)
+                    == (expected.final_answer, expected.utility, expected.cost,
+                        expected.llm_calls))
 
     def test_embeds_each_query_once_and_memoizes_only_profiles(self, monkeypatch):
         """`run_eval` embeds each record's query once, by plain `embed`, and

@@ -7,6 +7,8 @@
 - The files under `data/` are what `maas.datagen` writes today.
 - Every function `perfbench/tracer.py` wraps still exists where it looks
   it up, so a rename in `src/` fails here rather than in a traced run.
+- perfbench's `TrainMix` builds its trainer as `Trainer.start` does, so
+  the benchmark measures the program's own set-up of a run.
 - Every field of a `@dataclass` in `src/maas` is read as an attribute
   somewhere in `src/maas` or `perfbench/`, so no object carries state that
   nothing reads. Fields are matched by name, whatever the object.
@@ -47,6 +49,9 @@ import importlib
 from pathlib import Path
 
 from maas import datagen
+from maas.datagen import default_env
+from maas.optimizer import TrainConfig, Trainer
+from tests.helpers import registry_json
 
 ROOT = Path(__file__).resolve().parent.parent
 NOQA = "# noqa: F401"
@@ -59,6 +64,9 @@ UNREAD_FIELDS_KEPT = {
 DEFAULTS_KEPT = {
     "make_mixed_dataset.n_easy": "tests build smaller mixes",
     "make_mixed_dataset.n_hard": "tests build smaller mixes",
+    "Trainer.start.mutator": ("perfbench's SelfEditLive passes a stub-backed LLMMutator"
+                              " once it builds its trainer through start; tests pass"
+                              " proposers until then"),
 }
 
 
@@ -460,6 +468,23 @@ def test_tracer_targets_resolve(monkeypatch):
                for span, owner, attr in places
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_perfbench_trainer_is_built_as_trainer_start_builds_it(monkeypatch):
+    """The same parameter bytes, registry, generator state, config and
+    mutator: the benchmark builds its trainer by hand, so a change to how
+    `start` sets up a run must reach it too."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.chdir(ROOT)  # the workloads read the shipped data by relative path
+    bench = importlib.import_module("workloads").TrainMix(0)
+    bench.setup()
+    ours = Trainer.start(TrainConfig(), default_env())
+    theirs = bench.trainer
+    assert theirs.state.params.tobytes() == ours.state.params.tobytes()
+    assert registry_json(theirs.registry) == registry_json(ours.registry)
+    assert theirs.rng.bit_generator.state == ours.rng.bit_generator.state
+    assert theirs.config == ours.config
+    assert theirs.mutator is ours.mutator is not None  # both the mock mutator
 
 
 PARAMETER_ARRAYS = ("W1", "b1", "W2", "b2")

@@ -658,6 +658,18 @@ class TestTrainer:
 
         assert run() == run()
 
+    def test_run_orders_each_pass_by_a_generator_seeded_at_the_config(self):
+        """`run` steps through one permutation of the records per pass, each
+        drawn in turn from a fresh generator seeded `config.seed`."""
+        train = [query(f"q{i}") for i in range(5)]
+        trainer = make_trainer(seed=4)
+        metrics = trainer.run(train, 3)
+        order_rng = np.random.default_rng(4)
+        assert [m["query_id"] for m in metrics] == [
+            train[i].id for _ in range(3) for i in order_rng.permutation(5)]
+        assert [m["step"] for m in metrics] == list(range(1, 16))
+        assert trainer.run(train, 0) == []
+
     def test_mutator_none_never_patches(self):
         trainer = make_trainer(mutator="none", patch_every=2)
         reg = trainer.registry
@@ -846,16 +858,13 @@ class TestTrainer:
             TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator=name)
 
     def test_llm_config_builds_llm_mutator(self, monkeypatch):
-        reg = builtin_registry()
-        cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, mutator="llm")
-        state = init_params(0, 8, 8, 2, len(reg))
         monkeypatch.setenv("MAAS_BASE_URL", "http://env/")
-        trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+        trainer = make_trainer(mutator="llm")
         assert isinstance(trainer.mutator, LLMMutator)
         assert trainer.mutator.base_url == "http://env"
         monkeypatch.delenv("MAAS_BASE_URL")
         with pytest.raises(BackendError, match="no base URL"):
-            Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0))
+            make_trainer(mutator="llm")
 
     @pytest.mark.parametrize("mutator,patch_every", [("none", 1)])
     def test_patching_off_ignores_a_passed_mutator(self, mutator, patch_every):

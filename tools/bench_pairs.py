@@ -7,7 +7,8 @@ Run from the root of a checkout:
         --workload eval_fresh:31-33 --workload selfedit_live:31-33
 
 The parent commit is exported with `git archive` into a temporary directory,
-so the run adds no worktree to the repository. Each pair runs
+so the run adds no worktree to the repository; the directory is removed when
+the run ends, also when SIGTERM stops it. Each pair runs
 `perfbench/run.py --trace 0` for the `run_seconds` of `BENCHMARK.json` on one
 seed in both trees, one after the other: the parent first on odd seeds and
 the change first on even seeds. Then one `--trace 1` run of each tree per
@@ -43,6 +44,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -353,6 +355,11 @@ def _tier1(tree):
     return parse_tier1(proc.stdout)
 
 
+def _exit_on_sigterm(signum, frame):
+    """Turn SIGTERM into `SystemExit`, so `finally` blocks run on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -370,6 +377,9 @@ def main(argv=None):
     seconds = benchmark["run_seconds"]
     commit = subprocess.run(["git", "rev-parse", "--short", args.parent],
                             capture_output=True, text=True, check=True).stdout.strip()
+    # SIGTERM's default action skips `finally`, which would leave the export
+    # of the parent tree behind
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     tmp = tempfile.mkdtemp(prefix="bench-parent-")
     trees = {"parent": os.path.join(tmp, "tree"), "change": os.getcwd()}
     try:
@@ -388,6 +398,7 @@ def main(argv=None):
         lines = {side: src_lines(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
 
     env = next(iter(paired.values()))["change"][0]["info"]["environment"]
     record = {
