@@ -204,7 +204,7 @@ def select_deterministic(score_vec: ScoreVector, thres: float) -> list[int]:
     values = scores.tolist()
     cum = 0.0
     chosen = []
-    for idx in np.argsort(-scores, kind="stable").tolist():
+    for idx in (-scores).argsort(kind="stable").tolist():
         chosen.append(idx)
         cum += values[idx]
         if cum > thres:

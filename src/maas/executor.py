@@ -308,7 +308,11 @@ def _parse_decimal(text):
 
 def _majority_vote(outputs, registry, layer_ids):
     """Majority over exact strings; ties go to the output of the operator
-    with the lowest registry index."""
+    with the lowest registry index. A lone output, as an easy query's
+    one-operator last layer gives, is returned as it is: it wins any vote,
+    and returning it skips the count and the registry lookup."""
+    if len(outputs) == 1:
+        return outputs[0]
     counts = {}
     for out in outputs:
         counts[out] = counts.get(out, 0) + 1

@@ -11,7 +11,13 @@ wrappers around the same reductions, and `@` leaves BLAS when its inner
 dimension is 1, as it is when one sample reaches a layer, where `np.dot`
 stays in it with the same values. (BLAS's fused multiply-add keeps the sign
 of a product that underflows to zero, which `@` makes +0.0; a parameter it
-is added to stays the same unless it is itself zero.) The prefix gradient
+is added to stays the same unless it is itself zero.) The forward pass and
+softmax work in place in the arrays they return: the bias is added into the
+product, and tanh, exp and the division write over their own input, with
+the bytes the expressions would give. So each allocates only what it
+returns and never writes an argument, which `ScoreVector` keeps. The
+forward pass keeps `@`: on an inner dimension of 1, `np.dot` keeps the sign
+of a -0.0 product, where `@` adds it to +0.0. The prefix gradient
 walks about one score per operator, so it runs on Python floats from one
 `tolist()` and returns its row as a list: the float operations it ran on
 numpy scalars, in the same order, hence bitwise the same values without
@@ -27,15 +33,21 @@ import numpy as np
 
 
 def ffn_forward(W1, b1, W2, b2, x):
-    """Two-layer tanh network: returns (hidden, logits)."""
-    h = np.tanh(W1 @ x + b1)
-    logits = W2 @ h + b2
+    """Two-layer tanh network: returns (hidden, logits), two fresh arrays."""
+    h = W1 @ x
+    h += b1
+    np.tanh(h, out=h)
+    logits = W2 @ h
+    logits += b2
     return h, logits
 
 
 def softmax(logits):
-    e = np.exp(logits - np.maximum.reduce(logits))
-    return e / np.add.reduce(e)
+    """Scores of `logits` in one fresh array; `logits` is not written."""
+    e = logits - np.maximum.reduce(logits)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e)
+    return e
 
 
 def divide(a, b):

@@ -1,8 +1,9 @@
 """tools/bench_pairs.py: its summary of canned `perfbench/run.py` output.
 
-Nothing here starts a process but `git`, in a throwaway repository, and
-one Python process that runs `main` there until it stops itself with
-SIGTERM: `collect` takes the runner as an argument.
+Nothing here starts a process but `git`, in a throwaway repository, one
+Python process that runs `main` there until it stops itself with SIGTERM
+(`collect` takes the runner as an argument), and the short-lived Python
+processes whose CPU seconds `run_counting_cpu` reads.
 """
 
 import importlib.util
@@ -344,19 +345,24 @@ def durations_output(wall, criterion4, criterion2, other=1.0):
 def test_tier1_alternates_sides_and_keeps_medians():
     canned = {"parent": [(51.4, 8.0, 7.0), (54.2, 9.5, 7.2), (52.0, 8.2, 7.1)],
               "change": [(69.2, 10.0, 7.5), (56.5, 8.1, 6.9), (53.0, 8.4, 7.0)]}
+    cpu = {"parent": [47.1, 46.0, 49.9], "change": [45.0, 44.2, 46.3]}
     calls = []
 
     def fake_run(side):
         calls.append(side)
-        return bench_pairs.parse_tier1(durations_output(*canned[side][calls.count(side) - 1]))
+        i = calls.count(side) - 1
+        return {**bench_pairs.parse_tier1(durations_output(*canned[side][i])),
+                "cpu_s": cpu[side][i]}
 
     runs = bench_pairs.collect_tier1(fake_run)
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     out = bench_pairs.summarize_tier1(runs)
     assert out["parent"] == {"wall_s": 52.0, "wall_s_runs": [51.4, 54.2, 52.0],
                              "tests_s": 16.3, "tests_s_runs": [16.0, 17.7, 16.3],
+                             "cpu_s": 47.1, "cpu_s_runs": [47.1, 46.0, 49.9],
                              "results": ["259 passed, 1 skipped"] * 3,
                              "criterion_s": {"2": 7.1, "4": 8.2}}
+    assert out["change"]["cpu_s"] == 45.0
     assert out["change"]["wall_s"] == 56.5
     assert out["change"]["tests_s_runs"] == [18.5, 16.0, 16.4]
     assert out["change"]["tests_s"] == 16.4
@@ -364,15 +370,37 @@ def test_tier1_alternates_sides_and_keeps_medians():
 
 
 def test_tier1_medians_skip_what_a_run_did_not_report():
-    crashed = {"wall_s": None, "tests_s": None, "result": "error", "criterion_s": {}}
-    ran = bench_pairs.parse_tier1(durations_output(50.0, 8.0, 7.0))
+    crashed = {"wall_s": None, "tests_s": None, "result": "error", "criterion_s": {},
+               "cpu_s": 0.4}
+    ran = {**bench_pairs.parse_tier1(durations_output(50.0, 8.0, 7.0)), "cpu_s": 48.0}
     out = bench_pairs.summarize_tier1({"parent": [crashed, ran, ran], "change": [crashed]})
     assert out["parent"]["wall_s"] == 50.0
     assert out["parent"]["tests_s"] == 16.0
+    assert out["parent"]["cpu_s"] == 48.0
     assert out["parent"]["criterion_s"] == {"2": 7.0, "4": 8.0}
     assert out["change"] == {"wall_s": None, "wall_s_runs": [None], "tests_s": None,
-                             "tests_s_runs": [None], "results": ["error"],
-                             "criterion_s": {}}
+                             "tests_s_runs": [None], "cpu_s": 0.4, "cpu_s_runs": [0.4],
+                             "results": ["error"], "criterion_s": {}}
+
+
+BURN = "import sys, time\nwhile time.process_time() < 0.3:\n    pass\n"
+BURN_CMD = [sys.executable, "-c", BURN]
+# runs its arguments as a child and waits for it
+PARENT_CMD = [sys.executable, "-c",
+              "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"]
+SLEEP_CMD = [sys.executable, "-c", "import time; time.sleep(0.3)"]
+
+
+@pytest.mark.parametrize("cmd, lo, hi", [(BURN_CMD, 0.3, None),
+                                         (PARENT_CMD + BURN_CMD, 0.3, None),
+                                         (SLEEP_CMD, 0.0, 0.25)],
+                         ids=["burn", "burn-in-child", "sleep"])
+def test_run_counting_cpu_counts_the_process_and_what_it_waited_for(cmd, lo, hi):
+    """A run that burns 0.3 CPU seconds, itself or in a child it waits for,
+    reads at least that; one that sleeps 0.3 s reads only its start-up."""
+    proc, cpu_s = bench_pairs.run_counting_cpu(cmd, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert cpu_s >= lo and (hi is None or cpu_s < hi)
 
 
 def git(repo, *args):

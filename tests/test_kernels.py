@@ -274,3 +274,48 @@ def test_ffn_backward_underflowing_product_equals_matmul_form_in_value():
                   elements=st.floats(-60.0, 60.0, allow_subnormal=False)))
 def test_softmax_equals_method_form_bitwise(logits):
     assert bitwise_equal(kernels.softmax(logits), method_softmax(logits))
+
+
+def operator_ffn_forward(W1, b1, W2, b2, x):
+    h = np.tanh(W1 @ x + b1)
+    return h, W2 @ h + b2
+
+
+@st.composite
+def forward_cases(draw):
+    """Any dims from 1 up; weights and features with zeros of either sign,
+    and biases with -0.0 entries (all of them at `zero_frac` 1), so that a
+    form that lost the sign of a zero sum would show."""
+    n, h, d = draw(st.integers(1, 12)), draw(st.integers(1, 9)), draw(st.integers(1, 24))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W1 = signed_values(rng, (h, d), zero_frac)
+    x = signed_values(rng, d, zero_frac)
+    W2 = signed_values(rng, (n, h), zero_frac)
+    b1, b2 = signed_values(rng, h, zero_frac), signed_values(rng, n, zero_frac)
+    for b in (b1, b2):
+        b[rng.random(b.size) < 0.5] = -0.0
+    return W1, b1, W2, b2, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(forward_cases())
+def test_ffn_forward_equals_operator_form_bitwise(case):
+    for got, want in zip(kernels.ffn_forward(*case), operator_ffn_forward(*case)):
+        assert bitwise_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forward_cases())
+def test_forward_and_softmax_return_fresh_arrays_and_write_no_argument(case):
+    """`ScoreVector` keeps the feature and logits a layer was scored on, so
+    a kernel writing into its argument would change a recorded pass."""
+    before = [a.tobytes() for a in case]
+    h, logits = kernels.ffn_forward(*case)
+    assert [a.tobytes() for a in case] == before
+    assert not any(np.shares_memory(r, a) for r in (h, logits) for a in case)
+    assert not np.shares_memory(h, logits)
+    logits_bytes = logits.tobytes()
+    scores = kernels.softmax(logits)
+    assert logits.tobytes() == logits_bytes
+    assert not np.shares_memory(scores, logits)

@@ -17,7 +17,10 @@ unchanged. The tier-1 suite then runs `TIER1_RUNS` times in each tree,
 alternating as the pairs do, and the record keeps each side's median wall
 time, the median of `tests_s` (the sum of every setup, call and teardown
 duration pytest prints; the gap between the two is start-up, collection and
-reporting) and the median time of each acceptance criterion: one run swings
+reporting), the median `cpu_s` (the user+sys CPU seconds of pytest and the
+processes it waited for, which leave out the time other guests of the host
+steal from the run) and the median time of each acceptance criterion: one
+run swings
 more than most changes move it. The record holds, per workload, the medians
 (with the median `timed_units`, against which `peak_rss_mb` is read), the
 quartiles, how many pairs the change won and tied,
@@ -43,6 +46,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import shutil
 import signal
 import statistics
@@ -287,10 +291,10 @@ def _median(values):
 
 
 def summarize_tier1(runs):
-    """Per side: the median wall time and `tests_s` over its runs (None
-    when no run reported one), each run's wall time, `tests_s` and result
-    line, and the median seconds of each acceptance criterion over the runs
-    that timed it."""
+    """Per side: the median wall time, `tests_s` and `cpu_s` over its runs
+    (None when no run reported one), each run's wall time, `tests_s`,
+    `cpu_s` and result line, and the median seconds of each acceptance
+    criterion over the runs that timed it."""
     out = {}
     for side, side_runs in runs.items():
         criteria = sorted({c for r in side_runs for c in r["criterion_s"]}, key=int)
@@ -299,6 +303,8 @@ def summarize_tier1(runs):
             "wall_s_runs": [r["wall_s"] for r in side_runs],
             "tests_s": _median(r["tests_s"] for r in side_runs),
             "tests_s_runs": [r["tests_s"] for r in side_runs],
+            "cpu_s": _median(r["cpu_s"] for r in side_runs),
+            "cpu_s_runs": [r["cpu_s"] for r in side_runs],
             "results": [r["result"] for r in side_runs],
             "criterion_s": {c: _median(r["criterion_s"].get(c) for r in side_runs)
                             for c in criteria},
@@ -346,13 +352,27 @@ def _perfbench(tree, workload, seed, seconds, trace):
     return parse_run(proc.stdout)
 
 
+def _children_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_counting_cpu(cmd, **kwargs):
+    """`subprocess.run(cmd, **kwargs)`, and the user+sys CPU seconds of the
+    process and of every process it waited for: the `RUSAGE_CHILDREN` delta
+    across the call, rounded to 0.01 s."""
+    before = _children_cpu_s()
+    proc = subprocess.run(cmd, **kwargs)
+    return proc, round(_children_cpu_s() - before, 2)
+
+
 def _tier1(tree):
     env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run(
+    proc, cpu_s = run_counting_cpu(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=0", "--durations-min=0"],
         cwd=tree, capture_output=True, text=True, env=env)
-    return parse_tier1(proc.stdout)
+    return {**parse_tier1(proc.stdout), "cpu_s": cpu_s}
 
 
 def _exit_on_sigterm(signum, frame):
@@ -427,7 +447,9 @@ def main(argv=None):
         "note": ("medians over the runs of each side, parent and change"
                  " alternating, on the same host; tests_s sums every setup,"
                  " call and teardown duration pytest printed; wall_s minus"
-                 " tests_s is start-up, collection and reporting")}
+                 " tests_s is start-up, collection and reporting; cpu_s is"
+                 " the user+sys CPU seconds of pytest and every process it"
+                 " waited for (the RUSAGE_CHILDREN delta)")}
     record["src_maas_lines"] = lines
     record["workloads"] = {
         name: {**summarize_pairs(seeds, paired[name], directions),
