@@ -18,9 +18,11 @@ eval do not read it. Layer 1's forward pass depends on the query alone,
 so a caller drawing K samples at the same parameters can score it once and
 pass it in as `first`; `Trainer` does. Each next layer's feature is the
 previous feature with the selected operators' profile sum appended, from
-the embedder's memo (`embed_memo`) of profile embeddings. The query goes
-through plain `embed`: eval queries are new texts, which the memo must not
-hold.
+the embedder's memo (`embed_memo`) of profile embeddings. The sum starts
+from the first operator's vector, not from zeros: an embedding holds no
+-0.0, so `0.0 + v` is `v` bitwise, and a lone operator's vector is appended
+as it is (the concatenation copies it). The query goes through plain
+`embed`: eval queries are new texts, which the memo must not hold.
 """
 
 from __future__ import annotations
@@ -78,11 +80,9 @@ def exit_histogram(archs) -> dict:
 
 def _profile_sum(registry, embedder, op_ids):
     """Sum of the operators' profile embeddings from the embedder's memo,
-    added in drawn order."""
-    total = np.zeros(embedder.dim, dtype=np.float64)
-    for op_id in op_ids:
-        total += embedder.embed_memo(registry.get(op_id).profile_text)
-    return total
+    added in drawn order; a lone operator's read-only memo vector itself."""
+    vecs = [embedder.embed_memo(registry.get(op_id).profile_text) for op_id in op_ids]
+    return sum(vecs[1:], vecs[0]) if vecs else np.zeros(embedder.dim)
 
 
 def sample_architecture(

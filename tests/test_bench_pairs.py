@@ -236,7 +236,7 @@ def test_summarize_trace_compares_counts_only():
               "sampler.depth_mean": (2.5, "layers")}
     parent = bench_pairs.parse_run(run_output(100, 1.0, counts=counts))
     faster = bench_pairs.parse_run(run_output(120, 0.8, counts=counts))
-    out = bench_pairs.summarize_trace(parent, faster)
+    out = bench_pairs.summarize_trace([parent], [faster])
     assert out["counts_compared"] == ["embedding.embed.repeat_frac",
                                       "executor.execute.calls", "sampler.depth_mean"]
     assert out["counts_equal"] is True
@@ -244,9 +244,9 @@ def test_summarize_trace_compares_counts_only():
     assert out["counts_differing"] == []
     moved = bench_pairs.parse_run(run_output(
         120, 0.8, counts={**counts, "executor.execute.calls": (801, "count")}))
-    assert bench_pairs.summarize_trace(parent, moved)["counts_equal"] is False
+    assert bench_pairs.summarize_trace([parent], [moved])["counts_equal"] is False
     failing = bench_pairs.parse_run(run_output(120, 0.8, failed=1, counts=counts))
-    assert bench_pairs.summarize_trace(parent, failing)["counts_equal"] is False
+    assert bench_pairs.summarize_trace([parent], [failing])["counts_equal"] is False
 
 
 @pytest.mark.parametrize("failed, changed, expected", [
@@ -268,9 +268,51 @@ def test_summarize_trace_names_the_counts_that_differ(failed, changed, expected)
     change = bench_pairs.parse_run(run_output(
         150, 0.7, failed=failed,
         counts={**counts, "embedding.embed.self_s": (0.2, "s"), **changed}))
-    out = bench_pairs.summarize_trace(parent, change)
+    out = bench_pairs.summarize_trace([parent], [change])
     assert out["counts_differing"] == expected
     assert out["counts_equal"] is (expected == [])
+
+
+def traced_runs(self_s, counts=None, failed=(0, 0, 0)):
+    """Parsed traced runs with these `embedding.embed.self_s` values, the
+    same counts in each unless `counts` gives a run's own."""
+    base = {"embedding.embed.calls": (3005, "count"),
+            "sampler.depth_mean": (1.75, "layers")}
+    return [bench_pairs.parse_run(run_output(
+        100, 1.0, failed=f,
+        counts={**base, **(counts or {}).get(i, {}),
+                "embedding.embed.self_s": (t, "s")}))
+        for i, (t, f) in enumerate(zip(self_s, failed))]
+
+
+def test_summarize_trace_takes_the_median_of_each_metric():
+    # one run reads a third high, as one traced run did on an untouched layer
+    parent = traced_runs([0.040, 0.054, 0.039])
+    change = traced_runs([0.030, 0.031, 0.029])
+    out = bench_pairs.summarize_trace(parent, change)
+    assert out["parent"]["embedding.embed.self_s"] == 0.040
+    assert out["change"]["embedding.embed.self_s"] == 0.030
+    assert out["parent"]["runs"] == out["change"]["runs"] == 3
+    assert out["change"]["embedding.embed.calls"] == 3005
+    assert out["counts_equal"] is True
+
+
+@pytest.mark.parametrize("side, counts, failed, expected", [
+    # a count that moves in one run only, on either side, is no median's
+    ("parent", {1: {"embedding.embed.calls": (3006, "count")}}, (0, 0, 0),
+     ["embedding.embed.calls"]),
+    ("change", {2: {"sampler.depth_mean": (1.5, "layers")}}, (0, 0, 0),
+     ["sampler.depth_mean"]),
+    ("change", {}, (0, 0, 1), ["failed"]),
+    ("change", {0: {"registry.apply_patch.calls": (4, "count")}}, (0, 0, 0),
+     ["registry.apply_patch.calls"]),
+])
+def test_summarize_trace_needs_equal_counts_in_every_run(side, counts, failed, expected):
+    runs = {"parent": traced_runs([0.04] * 3), "change": traced_runs([0.03] * 3)}
+    runs[side] = traced_runs([0.04] * 3, counts, failed)
+    out = bench_pairs.summarize_trace(runs["parent"], runs["change"])
+    assert out["counts_differing"] == expected
+    assert out["counts_equal"] is False
 
 
 def test_collect_alternates_pair_order_then_traces():
@@ -287,10 +329,15 @@ def test_collect_alternates_pair_order_then_traces():
         ("change", "train_mix", 2, 0), ("parent", "train_mix", 2, 0),
         ("parent", "eval_fresh", 3, 0), ("change", "eval_fresh", 3, 0),
         ("parent", "train_mix", 2, 1), ("change", "train_mix", 2, 1),
+        ("change", "train_mix", 2, 1), ("parent", "train_mix", 2, 1),
+        ("parent", "train_mix", 2, 1), ("change", "train_mix", 2, 1),
+        ("parent", "eval_fresh", 2, 1), ("change", "eval_fresh", 2, 1),
+        ("change", "eval_fresh", 2, 1), ("parent", "eval_fresh", 2, 1),
         ("parent", "eval_fresh", 2, 1), ("change", "eval_fresh", 2, 1),
     ]
+    assert bench_pairs.TRACE_RUNS == 3
     assert [r["seed"] for r in paired["train_mix"]["change"]] == [1, 2]
-    assert traced["eval_fresh"]["change"] == {"side": "change", "seed": 2}
+    assert traced["eval_fresh"]["change"] == [{"side": "change", "seed": 2}] * 3
 
 
 @pytest.mark.parametrize("tail", ["259 passed, 1 skipped in 44.95s",

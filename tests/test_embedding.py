@@ -7,7 +7,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maas import embedding
 from maas.embedding import HashingEmbedder, layer_feature
@@ -44,6 +44,53 @@ def oracle_embed(text, dim):
     return vec / norm if norm > 0 else vec
 
 
+def cancelling_pair(dim):
+    """Two tokens that hash to one bucket at `dim` with opposite signs."""
+    seen = {}
+    for i in itertools.count():
+        token = f"w{i}"
+        bucket, sign = embedding._token_bucket_sign.__wrapped__(token.encode(), dim)
+        if (bucket, -sign) in seen:
+            other = seen[(bucket, -sign)]
+            return (token, other) if sign > 0 else (other, token)
+        seen[(bucket, sign)] = token
+
+
+def split_tokens(text):
+    """The tokens `embed` hashes, from one `translate` of the lowered text's
+    ASCII bytes and one `split`."""
+    return text.lower().encode("ascii", "replace").translate(embedding._KEEP).split()
+
+
+# any code point, lone surrogates included, mixed with ASCII letters and
+# digits (so digits sit next to letters), the separators above and letters
+# that lowercase to ASCII; and texts of separators alone
+UNICODE_TEXTS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=80),
+    st.text(st.one_of(st.characters(exclude_categories=()),
+                      st.sampled_from(string.ascii_letters + string.digits),
+                      st.sampled_from(SEPARATORS + "\ud800\udc00\udfff\u017f")),
+            max_size=80),
+    st.text(st.sampled_from(" .!-_\t\n\x00\x7f\x1c\x1f\x85\xa0\u2028\u3000"),
+            max_size=40),
+)
+
+
+class TestTokenizer:
+    @settings(max_examples=150)
+    @given(UNICODE_TEXTS)
+    @example("\u212a\u0130 K\u212aX")
+    @example("a1b2 12abc\ud800x\udfff9")
+    @example(" -\x1c\x85\u2028. ")
+    def test_tokens_are_the_findall_tokens(self, text):
+        assert split_tokens(text) == [t.encode()
+                                      for t in re.findall(r"[0-9a-z]+", text.lower())]
+
+    def test_letters_lowercasing_to_ascii_are_read(self):
+        # KELVIN SIGN lowercases to "k"; U+0130 to "i" and a combining dot
+        assert split_tokens("\u212aa \u0130x") == [b"ka", b"i", b"x"]
+
+
 class TestHashingEmbedder:
     def test_blake2b_is_hashlibs(self):
         """The embedder's blake2b, from `_blake2`, is the one `hashlib`
@@ -68,10 +115,22 @@ class TestHashingEmbedder:
         vec = HashingEmbedder(64).embed("add two numbers")
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
 
-    @given(ORACLE_TEXTS, st.sampled_from([8, 64, 128]))
+    @given(ORACLE_TEXTS, st.sampled_from([1, 8, 64, 128]))
     def test_matches_independent_oracle(self, text, dim):
         assert (HashingEmbedder(dim).embed(text).tobytes()
                 == oracle_embed(text, dim).tobytes())
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64])
+    def test_cancelled_counts_match_the_oracle_bitwise(self, dim):
+        """Two tokens of one bucket and opposite signs cancel: alone they give
+        the zero vector, and beside another token their bucket is +0.0."""
+        plus, minus = cancelling_pair(dim)
+        for text in (f"{plus} {minus}", f"{minus}-{plus}.{plus} {minus}!",
+                     f"{plus} {minus} {plus}{minus} 7"):
+            vec = HashingEmbedder(dim).embed(text)
+            assert vec.tobytes() == oracle_embed(text, dim).tobytes()
+        for text in (f"{plus} {minus}", f"{minus}-{plus}.{plus} {minus}!"):
+            assert HashingEmbedder(dim).embed(text).tobytes() == bytes(8 * dim)
 
     def test_keyed_states_stay_empty(self):
         for text in ("add two numbers", "café 中文 x1", "a b c " * 50):
@@ -108,7 +167,7 @@ def unmemoized_embed(text, dim):
     vec = np.zeros(dim)
     for token in re.split(r"[^0-9a-z]+", text.lower()):
         if token:
-            bucket, sign = embedding._token_bucket_sign.__wrapped__(token, dim)
+            bucket, sign = embedding._token_bucket_sign.__wrapped__(token.encode(), dim)
             vec[bucket] += sign
     norm = np.linalg.norm(vec)
     if norm > 0.0:

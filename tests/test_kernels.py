@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maas import kernels
@@ -269,11 +269,49 @@ def test_ffn_backward_underflowing_product_equals_matmul_form_in_value():
         assert np.array_equal(got, want)
 
 
+@st.composite
+def logit_rows(draw):
+    """Finite logits; or with NaN, +inf or -inf (one of them per row) at
+    some positions, the first included or not."""
+    logits = draw(hnp.arrays(np.float64, st.integers(2, 39),
+                             elements=st.floats(-60.0, 60.0, allow_subnormal=False)))
+    special = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if special is not None:
+        logits = logits.copy()
+        logits[draw(st.lists(st.integers(0, logits.size - 1), min_size=1))] = special
+    return logits
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(2, 39),
-                  elements=st.floats(-60.0, 60.0, allow_subnormal=False)))
+@given(logit_rows())
+@example(np.array([math.nan]))
+@example(np.array([math.inf]))
+@example(np.array([-math.inf]))
+@example(np.array([0.0, -0.0]))
+@example(np.array([-0.0, 0.0]))
 def test_softmax_equals_method_form_bitwise(logits):
-    assert bitwise_equal(kernels.softmax(logits), method_softmax(logits))
+    """Python's `max` skips a NaN that is not first, where numpy's
+    propagates it; the NaN reaches every score either way, as the same
+    NaN. Bytes are compared, as `bitwise_equal` reads no NaN as equal. A
+    row holding a NaN beside an infinity, or a negative NaN, is compared
+    only in value, in the next test."""
+    assert kernels.softmax(logits).tobytes() == method_softmax(logits).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("logits", [[math.inf, math.nan], [-math.inf, math.nan],
+                                    [1.0, math.inf, math.nan], [-math.nan, 1.0]])
+def test_softmax_nan_beside_infinity_equals_method_form_with_equal_nan(logits):
+    """The rows compared only with `equal_nan`: NaN beside an infinity, where
+    the shifts differ (numpy's is the NaN, Python's the infinity, and
+    inf - inf is x86's negative default NaN), and a negative NaN that
+    Python's `max` skips. Every score is NaN on both sides, of another sign
+    bit in some."""
+    logits = np.array(logits)
+    got, want = kernels.softmax(logits), method_softmax(logits)
+    assert np.isnan(got).all() and np.isnan(want).all()
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def operator_ffn_forward(W1, b1, W2, b2, x):

@@ -1,7 +1,9 @@
-"""Sampler: exit semantics, DAG shape/acyclicity, log-prob bookkeeping."""
+"""Sampler: exit semantics, DAG shape/acyclicity, log-prob bookkeeping,
+profile sums."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maas.controller import init_params, score_layer, select_deterministic
 from maas.embedding import HashingEmbedder, layer_feature
@@ -13,6 +15,7 @@ from maas.sampler import (
     Architecture,
     MODE_EVAL,
     MODE_TRAIN,
+    _profile_sum,
     architecture_log_prob,
     build_dag,
     sample_architecture,
@@ -197,6 +200,39 @@ class TestProfileCache:
             sample_architecture(state, reg, q, 0.3, MODE_EVAL, embedder=emb)
         assert emb.memo and set(emb.memo) <= profiles
         assert not set(emb.memo) & set(queries)
+
+
+BUILTIN_IDS = builtin_registry().ids()
+# words that recur, so that at a small dim many counts cancel to zero
+WORDS = st.sampled_from(["add", "two", "numbers", "x1", "42", "step", "lemma", "prove"])
+
+
+class TestProfileSum:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(BUILTIN_IDS), max_size=4), st.sampled_from([1, 2, 8, 16]))
+    def test_equals_the_zeros_then_add_form_bitwise(self, op_ids, dim):
+        reg, emb = builtin_registry(), HashingEmbedder(dim)
+        want = np.zeros(dim)
+        for op_id in op_ids:
+            want += emb.embed(reg.get(op_id).profile_text)
+        got = _profile_sum(reg, emb, op_ids)
+        assert got.tobytes() == want.tobytes()
+        # a lone operator's memo vector comes back as it is; no sum writes one
+        if len(op_ids) == 1:
+            assert got is emb.memo[reg.get(op_ids[0]).profile_text]
+        else:
+            assert all(got is not vec for vec in emb.memo.values())
+        for text, vec in emb.memo.items():
+            assert vec.tobytes() == emb.embed(text).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.lists(WORDS, max_size=40).map(" ".join), st.text(max_size=200)),
+           st.sampled_from([1, 2, 3, 8, 64]))
+    def test_embeddings_hold_no_negative_zero(self, text, dim):
+        """What lets the sum start from the first vector: `0.0 + v` is `v`
+        bitwise unless `v` holds -0.0."""
+        vec = HashingEmbedder(dim).embed(text)
+        assert not np.signbit(vec[vec == 0.0]).any()
 
 
 def running_sum_log_prob(arch):

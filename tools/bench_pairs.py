@@ -9,37 +9,38 @@ Run from the root of a checkout:
 The parent commit is exported with `git archive` into a temporary directory,
 so the run adds no worktree to the repository; the directory is removed when
 the run ends, also when SIGTERM stops it. Each pair runs
-`perfbench/run.py --trace 0` for the `run_seconds` of `BENCHMARK.json` on one
-seed in both trees, one after the other: the parent first on odd seeds and
-the change first on even seeds. Then one `--trace 1` run of each tree per
-workload, at seed 2, parent first, checks that every count-valued metric is
-unchanged. The tier-1 suite then runs `TIER1_RUNS` times in each tree,
-alternating as the pairs do, and the record keeps each side's median wall
-time, the median of `tests_s` (the sum of every setup, call and teardown
-duration pytest prints; the gap between the two is start-up, collection and
-reporting), the median `cpu_s` (the user+sys CPU seconds of pytest and the
-processes it waited for, which leave out the time other guests of the host
-steal from the run) and the median time of each acceptance criterion: one
-run swings
-more than most changes move it. The record holds, per workload, the medians
-(with the median `timed_units`, against which `peak_rss_mb` is read), the
-quartiles, how many pairs the change won and tied,
-`rss_bytes_per_extra_unit` (the median over pairs of the change's extra peak
-RSS in bytes per extra timed unit, which tells the benchmark's per-unit
-buffers apart from growth of the program; only pairs whose extra units are
-at least `MIN_EXTRA_UNIT_SHARE` of the parent's count, since RSS noise over a
-few extra units reads as any figure at all), `bound_check` (each end-to-end
-metric read against its bound in `BENCHMARK.json`: "over", "unresolved" or
-"within"), `gain_check` (each end-to-end metric read against the claim rule:
-"met" when the change is better in at least nine tenths of the pairs and its
-median beats the parent's by more than the parent's IQR, else "not met"),
-`failed_share_check` ("over" when the change failed a larger share
-of its attempted operations than the parent, else "within"), the checkpoint
-sha256 per seed with `checkpoint_sha256_equal` (true when every seed's is the
-same on both sides), the traced metrics with `counts_equal` and
-`counts_differing` (the count-valued metrics, and `failed`, that differ), and
-`benchmark_files_equal` (true when `perfbench/` and `BENCHMARK.json` in the
-working tree are as they are at the parent commit).
+`perfbench/run.py --trace 0` for the `run_seconds` of `BENCHMARK.json` on one seed in both
+trees, one after the other: the parent first on odd seeds and the change first
+on even seeds. Then `TRACE_RUNS` `--trace 1` runs of each tree per workload,
+at seed 2, alternating as the pairs do, give the median of each per-layer
+metric (one traced run swings a per-layer time by a third) and check that
+every count-valued metric is unchanged in every run. The tier-1 suite then
+runs `TIER1_RUNS` times in each tree, alternating likewise, and the record
+keeps each side's median wall time, the median of `tests_s` (the sum of every
+setup, call and teardown duration pytest prints; the gap between the two is
+start-up, collection and reporting), the median `cpu_s` (the user+sys CPU
+seconds of pytest and the processes it waited for, which leave out the time
+other guests of the host steal from the run) and the median time of each
+acceptance criterion: one run swings more than most changes move it. The
+record holds, per workload, the medians (with the median `timed_units`,
+against which `peak_rss_mb` is read), the quartiles, how many pairs the change
+won and tied, `rss_bytes_per_extra_unit` (the median over pairs of the
+change's extra peak RSS in bytes per extra timed unit, which tells the
+benchmark's per-unit buffers apart from growth of the program; only pairs
+whose extra units are at least `MIN_EXTRA_UNIT_SHARE` of the parent's count,
+since RSS noise over a few extra units reads as any figure at all),
+`bound_check` (each end-to-end metric read against its bound in
+`BENCHMARK.json`: "over", "unresolved" or "within"), `gain_check` (each
+end-to-end metric read against the claim rule: "met" when the change is better
+in at least nine tenths of the pairs and its median beats the parent's by more
+than the parent's IQR, else "not met"), `failed_share_check` ("over" when the
+change failed a larger share of its attempted operations than the parent, else
+"within"), the checkpoint sha256 per seed with `checkpoint_sha256_equal` (true
+when every seed's is the same on both sides), the traced metrics' medians with
+`counts_equal` and `counts_differing` (the count-valued metrics, and `failed`,
+that differ in any traced run), and `benchmark_files_equal` (true when
+`perfbench/` and `BENCHMARK.json` in the working tree are as they are at the
+parent commit).
 """
 
 import argparse
@@ -61,6 +62,7 @@ COUNT_FRACS = ("embedding.embed.repeat_frac",)
 TRACE_SEED = 2
 MIN_EXTRA_UNIT_SHARE = 0.05  # of the parent's timed units, for rss_bytes_per_extra_unit
 TIER1_RUNS = 3  # per side
+TRACE_RUNS = 3  # per side and workload, all at TRACE_SEED
 PAIRING = ("parent and change on the same seed, one after the other, the parent"
            " first on odd seeds and the change first on even seeds; medians and"
            " quartiles over the pairs; ties count in pairs_equal, not in"
@@ -220,29 +222,46 @@ def count_metrics(units):
 
 
 def summarize_trace(parent, change):
-    """Traced metrics of both sides; `counts_differing`, the names of the
-    count-valued metrics of either side (and `failed`) whose values differ,
-    so that a count a change moves by design shows by name; and whether
-    every count-valued one (and `failed`) is equal."""
-    counts = count_metrics(parent["units"])
+    """Traced metrics of the runs of both sides, `parent` and `change` each a
+    list of parsed runs of one seed: per side the number of runs, their
+    summed `failed` and the median of every metric; `counts_differing`, the
+    names of the count-valued metrics of any run (and `failed`) whose value
+    in some run differs from the parent's first run, so that a count a
+    change moves by design shows by name; and whether none differs."""
+    every = parent + change
+    reference = every[0]
     sides = {}
-    for side, run in (("parent", parent), ("change", change)):
-        sides[side] = {"failed": run["failed"],
-                       "traced_units": run["info"].get("traced_units"),
-                       **run["metrics"]}
-    change_counts = count_metrics(change["units"])
-    differing = ["failed"] if parent["failed"] != change["failed"] else []
-    differing += [k for k in sorted(set(counts) | set(change_counts))
-                  if parent["metrics"].get(k) != change["metrics"].get(k)]
-    equal = not differing and change_counts == counts
-    return {**sides, "counts_compared": counts, "counts_differing": differing,
-            "counts_equal": equal}
+    for side, side_runs in (("parent", parent), ("change", change)):
+        names = dict.fromkeys(k for r in side_runs for k in r["metrics"])
+        sides[side] = {
+            "runs": len(side_runs),
+            "failed": sum(r["failed"] for r in side_runs),
+            "traced_units": statistics.median(r["info"]["traced_units"]
+                                              for r in side_runs),
+            **{k: statistics.median(r["metrics"][k] for r in side_runs
+                                    if k in r["metrics"]) for k in names}}
+    counts = sorted(set().union(*(count_metrics(r["units"]) for r in every)))
+    differing = ["failed"] if any(r["failed"] != reference["failed"] for r in every) else []
+    differing += [k for k in counts
+                  if any(r["metrics"].get(k) != reference["metrics"].get(k) for r in every)]
+    return {**sides, "counts_compared": count_metrics(reference["units"]),
+            "counts_differing": differing, "counts_equal": not differing}
+
+
+def alternate(rounds, run):
+    """`run(side)` `rounds` times per side, alternating: the parent first in
+    odd rounds and the change first in even ones. Returns {side: [results]}."""
+    runs = {"parent": [], "change": []}
+    for i in range(1, rounds + 1):
+        for side in pair_order(i):
+            runs[side].append(run(side))
+    return runs
 
 
 def collect(workloads, trace_seed, run):
     """Every run the record needs, in order. `run(side, workload, seed,
     trace)` returns one parsed run. Returns ({workload: {side: [runs]}},
-    {workload: {side: traced run}})."""
+    {workload: {side: [`TRACE_RUNS` traced runs]}})."""
     paired, traced = {}, {}
     for workload, seeds in workloads:
         runs = {"parent": [], "change": []}
@@ -251,8 +270,8 @@ def collect(workloads, trace_seed, run):
                 runs[side].append(run(side, workload, seed, 0))
         paired[workload] = runs
     for workload, _ in workloads:
-        traced[workload] = {side: run(side, workload, trace_seed, 1)
-                            for side in ("parent", "change")}
+        traced[workload] = alternate(
+            TRACE_RUNS, lambda side: run(side, workload, trace_seed, 1))
     return paired, traced
 
 
@@ -275,14 +294,9 @@ def parse_tier1(stdout):
 
 
 def collect_tier1(run):
-    """`TIER1_RUNS` tier-1 runs per side, alternating: the parent first in
-    odd rounds and the change first in even ones. `run(side)` returns one
-    `parse_tier1` result. Returns {side: [results]}."""
-    runs = {"parent": [], "change": []}
-    for i in range(1, TIER1_RUNS + 1):
-        for side in pair_order(i):
-            runs[side].append(run(side))
-    return runs
+    """`TIER1_RUNS` tier-1 runs per side, alternating; `run(side)` returns
+    one `parse_tier1` result. Returns {side: [results]}."""
+    return alternate(TIER1_RUNS, run)
 
 
 def _median(values):
@@ -433,10 +447,12 @@ def main(argv=None):
         "benchmark_files_equal": benchmark_files_equal(args.parent),
         "trace_command": (f"python3 perfbench/run.py --workload <w> --seed"
                           f" {TRACE_SEED} --seconds {seconds:g} --trace 1,"
-                          " parent then change; counts_equal compares every"
-                          " count-valued metric (unit count, layers or chars, and"
-                          " embed.repeat_frac) plus failed, and"
-                          " counts_differing names those that differ"),
+                          f" {TRACE_RUNS} runs per side alternating as the pairs"
+                          " do; each metric is the median over a side's runs;"
+                          " counts_equal compares every count-valued metric"
+                          " (unit count, layers or chars, and embed.repeat_frac)"
+                          " plus failed in every run, and counts_differing names"
+                          " those that differ"),
     }
     record["tier1"] = {
         "command": ("PYTHONPATH=src python -m pytest -q"
