@@ -1,12 +1,14 @@
 """Operator registry: the feasible set of agentic operators.
 
 An operator bundles a prompt template, a model binding, a sampling
-temperature, a tool list and an internal call count. The registry keeps
-operators in insertion order; that order is the canonical operator index
-used by the controller, so structural edits (split/merge) report how
-indices moved and the controller remaps its output rows accordingly. The
-registry holds the lookups each sample makes (ids, early-exit index,
-direct-io id) and recomputes them when an operator is added or removed.
+temperature, a tool list and an internal call count. A registry is built
+whole from a list of specs; it always holds exactly one early-exit and one
+direct-io operator, and at most `MAX_OPERATORS` operators. It keeps
+operators in order; that order is the canonical operator index used by the
+controller, so structural edits (split/merge) report how indices moved and
+the controller remaps its output rows accordingly. The registry holds the
+lookups each sample makes (ids, early-exit index, direct-io id) and
+recomputes them when an operator is added or removed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ DIRECT_IO_ID = "direct_io"
 # far above the builtin prompts (at most 187 chars); a split and a merge back
 # double a prompt, so the bound ends that growth in a rejected patch
 MAX_PROMPT_CHARS = 16_384
+# the catalogue's 9 operators with room for 23 split clones; each operator
+# adds a row to every layer's scores and is drawn from each layer's CDF, so
+# step time grows close to the square of the count, and the cap ends that
+# growth in a rejected split
+MAX_OPERATORS = 32
 
 
 @dataclass(frozen=True)
@@ -118,15 +125,34 @@ class StructuralChange:
 
 
 class OperatorRegistry:
-    """Insertion-ordered operator set with exactly one exit and one direct-io.
+    """Ordered operator set with exactly one exit and one direct-io operator.
 
     It holds the lookups a sample makes: the id list, the early-exit
     operator's index and the direct-io operator's id, recomputed whenever
-    an operator is added or removed (a register, a split or a merge). A
-    prompt or temperature patch keeps every id and kind, so they hold."""
+    an operator is added or removed (a split or a merge). A prompt or
+    temperature patch keeps every id and kind, so they hold."""
 
-    def __init__(self):
+    def __init__(self, specs):
+        """The registry of `specs`, in their order. `DataError` at the first
+        spec that repeats an id, adds a second early-exit or direct-io
+        operator or passes `MAX_OPERATORS`, and then if either of the two is
+        missing."""
         self._specs: list[OperatorSpec] = []
+        ids, kinds = set(), set()
+        for spec in specs:
+            if len(self._specs) == MAX_OPERATORS:
+                raise DataError(f"registry cannot hold more than {MAX_OPERATORS} operators")
+            if spec.id in ids:
+                raise DataError(f"operator id {spec.id!r} already registered")
+            if spec.kind == KIND_EARLY_EXIT and spec.kind in kinds:
+                raise DataError("registry already has an early-exit operator")
+            if spec.kind == KIND_DIRECT_IO and spec.kind in kinds:
+                raise DataError("registry already has a direct-io operator")
+            self._specs.append(spec)
+            ids.add(spec.id)
+            kinds.add(spec.kind)
+        if not {KIND_EARLY_EXIT, KIND_DIRECT_IO} <= kinds:
+            raise DataError("registry lacks its early-exit or direct-io operator")
         self._reindex()
 
     def _reindex(self):
@@ -134,10 +160,8 @@ class OperatorRegistry:
         self._ids = [s.id for s in self._specs]
         self._by_id = {op_id: i for i, op_id in enumerate(self._ids)}
         kinds = [s.kind for s in self._specs]
-        self._early_exit_index = (kinds.index(KIND_EARLY_EXIT)
-                                  if KIND_EARLY_EXIT in kinds else None)
-        self._direct_io_id = (self._ids[kinds.index(KIND_DIRECT_IO)]
-                              if KIND_DIRECT_IO in kinds else None)
+        self._early_exit_index = kinds.index(KIND_EARLY_EXIT)
+        self._direct_io_id = self._ids[kinds.index(KIND_DIRECT_IO)]
 
     # -- queries -----------------------------------------------------------
 
@@ -164,33 +188,14 @@ class OperatorRegistry:
         return self._by_id[op_id]
 
     @property
-    def early_exit_index(self) -> int | None:
-        """The early-exit operator's index; None while there is none."""
+    def early_exit_index(self) -> int:
         return self._early_exit_index
 
     @property
-    def early_exit_id(self) -> str | None:
-        index = self._early_exit_index
-        return None if index is None else self._ids[index]
-
-    @property
-    def direct_io_id(self) -> str | None:
-        """The direct-io operator's id; None while there is none."""
+    def direct_io_id(self) -> str:
         return self._direct_io_id
 
     # -- mutation ----------------------------------------------------------
-
-    def register(self, spec: OperatorSpec):
-        """Append `spec`; every check runs before the first write."""
-        if spec.id in self._by_id:
-            raise DataError(f"operator id {spec.id!r} already registered")
-        if spec.kind == KIND_EARLY_EXIT and self._early_exit_index is not None:
-            raise DataError("registry already has an early-exit operator")
-        if spec.kind == KIND_DIRECT_IO and self._direct_io_id is not None:
-            raise DataError("registry already has a direct-io operator")
-        self._specs.append(spec)
-        self._reindex()
-        return self
 
     def apply_patch(self, patch: OperatorPatch) -> StructuralChange | None:
         """Apply one patch in place; returns index bookkeeping for split/merge.
@@ -198,7 +203,8 @@ class OperatorRegistry:
         Every check runs before the first write, so a patch that raises
         leaves the registry unchanged. A split appends a clone of the target
         under the first free id of `<id>-b`, `<id>-b2`, `<id>-b3`, ..., so an
-        operator can be split any number of times."""
+        operator can be split any number of times while the registry holds
+        fewer than `MAX_OPERATORS`."""
         idx = self.index_of(patch.target_id)
         target = self._specs[idx]
         if target.kind == KIND_EARLY_EXIT:
@@ -212,11 +218,13 @@ class OperatorRegistry:
         if patch.structure_action == "split":
             if target.kind == KIND_DIRECT_IO:
                 raise DataError("cannot split the direct-io operator")
+            if len(self._specs) == MAX_OPERATORS:
+                raise DataError(f"registry cannot hold more than {MAX_OPERATORS} operators")
             suffix = self._clone_suffix(target.id)
-            clone = replace(target, id=f"{target.id}-{suffix}",
-                            name=f"{target.name} ({suffix})")
-            self.register(clone)
             self._specs[idx] = target
+            self._specs.append(replace(target, id=f"{target.id}-{suffix}",
+                                       name=f"{target.name} ({suffix})"))
+            self._reindex()
             return StructuralChange("split", idx)
         if patch.structure_action == "merge":
             partner_id = patch.merge_with_id
@@ -251,14 +259,7 @@ class OperatorRegistry:
 
     @classmethod
     def from_dict(cls, d):
-        """`DataError` unless the registry holds one early-exit and one
-        direct-io operator."""
-        reg = cls()
-        for spec_d in d["operators"]:
-            reg.register(OperatorSpec.from_dict(spec_d))
-        if reg.early_exit_id is None or reg.direct_io_id is None:
-            raise DataError("registry lacks its early-exit or direct-io operator")
-        return reg
+        return cls(OperatorSpec.from_dict(spec_d) for spec_d in d["operators"])
 
 
 def builtin_catalog() -> list[OperatorSpec]:
@@ -434,7 +435,4 @@ def builtin_catalog() -> list[OperatorSpec]:
 
 
 def builtin_registry() -> OperatorRegistry:
-    reg = OperatorRegistry()
-    for spec in builtin_catalog():
-        reg.register(spec)
-    return reg
+    return OperatorRegistry(builtin_catalog())

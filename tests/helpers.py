@@ -16,8 +16,8 @@ from maas.datagen import _profile_dicts, default_profiles, make_mixed_dataset
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile
 from maas.optimizer import TrainConfig, Trainer
 from maas.registry import (KIND_DIRECT_IO, KIND_EARLY_EXIT, KIND_GENERATIVE,
-                           MAX_PROMPT_CHARS, OperatorRegistry, OperatorSpec,
-                           builtin_registry)
+                           MAX_OPERATORS, MAX_PROMPT_CHARS, OperatorRegistry,
+                           OperatorSpec, builtin_registry)
 
 
 def train_args(workdir, extra=()):
@@ -77,15 +77,15 @@ def make_spec(op_id, kind=KIND_GENERATIVE, temperature=1.0, prompt="p {input}"):
     )
 
 
+def with_exit_and_io(*specs):
+    """`specs`, then an early-exit operator `exit` and a direct-io `io`."""
+    return [*specs, make_spec("exit", KIND_EARLY_EXIT), make_spec("io", KIND_DIRECT_IO)]
+
+
 def tiny_registry(ids=("solver",)):
     """The generative operators `ids`, then `exit` (early exit) and `io`
     (direct io)."""
-    reg = OperatorRegistry()
-    for op_id in ids:
-        reg.register(make_spec(op_id))
-    reg.register(make_spec("exit", KIND_EARLY_EXIT))
-    reg.register(make_spec("io", KIND_DIRECT_IO))
-    return reg
+    return OperatorRegistry(with_exit_and_io(*map(make_spec, ids)))
 
 
 def registry_json(reg):
@@ -277,11 +277,30 @@ def with_long_prompt(checkpoint):
     return checkpoint
 
 
+def with_first_id_repeated(checkpoint):
+    """The checkpoint whose second operator takes the first one's id."""
+    operators = checkpoint["registry"]["operators"]
+    operators[1]["id"] = operators[0]["id"]
+    return checkpoint
+
+
+def with_operators_past_the_cap(checkpoint):
+    """The checkpoint whose registry holds clones of its first operator up to
+    one past `MAX_OPERATORS`; its controllers score the operators it had."""
+    operators = checkpoint["registry"]["operators"]
+    operators += [{**operators[0], "id": f"clone{i}"}
+                  for i in range(MAX_OPERATORS + 1 - len(operators))]
+    return checkpoint
+
+
 # each maps a checkpoint dict to a bad one, with the fault `restore` names
 BAD_CHECKPOINTS = {
     "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
     "no_direct_io": (without_operator("direct_io"), "lacks its early-exit or direct-io"),
     "second_exit": (with_react_as_second_exit, "already has an early-exit"),
+    "duplicate_id": (with_first_id_repeated, "operator id 'cot' already registered"),
+    "past_the_cap": (with_operators_past_the_cap,
+                     f"registry cannot hold more than {MAX_OPERATORS} operators"),
     "long_prompt": (with_long_prompt, f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1}"
                     f" chars, over {MAX_PROMPT_CHARS}"),
     "format2_null_cadence": (with_config_field("patch_every", None),

@@ -23,14 +23,12 @@ from maas.executor import (
 from maas.datagen import _profile_dicts, default_env, sabotaged_profiles
 from maas.optimizer import MUTATOR_PROMPT, LLMMutator
 from maas.registry import (
-    KIND_DIRECT_IO,
-    KIND_EARLY_EXIT,
     OperatorPatch,
     OperatorRegistry,
     builtin_registry,
 )
 from maas.sampler import Architecture, build_dag
-from tests.helpers import any_value_anywhere, make_spec, tiny_registry
+from tests.helpers import any_value_anywhere, make_spec, tiny_registry, with_exit_and_io
 
 
 def record(difficulty=0.0, answer="42"):
@@ -179,12 +177,8 @@ class TestExecute:
         assert trace.cost == 9.0
 
     def test_llm_calls_sum_agent_counts(self):
-        reg = OperatorRegistry()
-        spec = make_spec("a")
-        reg.register(OperatorSpec_with_agents(spec, 3))
-        reg.register(make_spec("b"))
-        reg.register(make_spec("exit", KIND_EARLY_EXIT))
-        reg.register(make_spec("io", KIND_DIRECT_IO))
+        reg = OperatorRegistry(with_exit_and_io(OperatorSpec_with_agents(make_spec("a"), 3),
+                                                make_spec("b")))
         env = SyntheticEnv([
             SyntheticOperatorProfile("a", 1.0, 0.0, 1.0),
             SyntheticOperatorProfile("b", 1.0, 0.0, 1.0),

@@ -1052,13 +1052,12 @@ class TestMutatorArchive:
         """One mutator renders the archive as `json.dumps(..., indent=2)`
         does after every patch, and keeps the renderings of exactly the
         registry's specs."""
-        reg = OperatorRegistry()
-        for spec in builtin_registry().specs():
-            reg.register(spec)
-        for i, text in enumerate(prompts):
-            reg.register(replace(reg.get("ensemble"), id=f"extra{i}", prompt=text,
-                                 tools=("web_search",) if i % 2 else (),
-                                 temperature=i % 3))
+        builtin = builtin_registry()
+        reg = OperatorRegistry([
+            *builtin.specs(),
+            *(replace(builtin.get("ensemble"), id=f"extra{i}", prompt=text,
+                      tools=("web_search",) if i % 2 else (), temperature=i % 3)
+              for i, text in enumerate(prompts))])
         mutator = LLMMutator(base_url="http://stub")
         assert mutator.archive(reg.specs()) == parent_archive(reg)
         for patch in patches:

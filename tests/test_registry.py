@@ -1,6 +1,7 @@
 """Registry: catalog contents, patch semantics, structural invariants."""
 
 import json
+import re
 from dataclasses import asdict, replace
 
 import pytest
@@ -10,6 +11,7 @@ from maas.errors import DataError
 from maas.registry import (
     KIND_DIRECT_IO,
     KIND_EARLY_EXIT,
+    MAX_OPERATORS,
     MAX_PROMPT_CHARS,
     OperatorPatch,
     OperatorRegistry,
@@ -17,7 +19,7 @@ from maas.registry import (
     builtin_catalog,
     builtin_registry,
 )
-from tests.helpers import make_spec, registry_json
+from tests.helpers import make_spec, registry_json, with_exit_and_io
 
 
 class TestBuiltinCatalog:
@@ -51,43 +53,52 @@ class TestBuiltinCatalog:
 
 
 class TestRegister:
+    """`OperatorRegistry(specs)` builds a registry whole, or raises."""
+
     def test_single_registration(self):
-        reg = OperatorRegistry().register(make_spec("exit", KIND_EARLY_EXIT))
-        assert len(reg) == 1
+        reg = OperatorRegistry(with_exit_and_io())  # the least a registry holds
+        assert (len(reg), reg.early_exit_index, reg.direct_io_id) == (2, 0, "io")
 
     def test_duplicate_id_rejected(self):
-        reg = OperatorRegistry().register(make_spec("cot"))
-        with pytest.raises(DataError, match="already registered"):
-            reg.register(make_spec("cot"))
+        with pytest.raises(DataError, match="^operator id 'cot' already registered$"):
+            OperatorRegistry(with_exit_and_io(make_spec("cot"), make_spec("cot")))
 
     def test_second_early_exit_rejected(self):
-        reg = OperatorRegistry().register(make_spec("exit", KIND_EARLY_EXIT))
-        with pytest.raises(DataError, match="already has an early-exit"):
-            reg.register(make_spec("exit2", KIND_EARLY_EXIT))
+        with pytest.raises(DataError, match="^registry already has an early-exit operator$"):
+            OperatorRegistry(with_exit_and_io(make_spec("exit2", KIND_EARLY_EXIT)))
 
     def test_second_direct_io_rejected(self):
-        reg = OperatorRegistry().register(make_spec("io", KIND_DIRECT_IO))
-        with pytest.raises(DataError, match="already has a direct-io"):
-            reg.register(make_spec("io2", KIND_DIRECT_IO))
+        with pytest.raises(DataError, match="^registry already has a direct-io operator$"):
+            OperatorRegistry(with_exit_and_io(make_spec("io2", KIND_DIRECT_IO)))
+
+    @pytest.mark.parametrize("kind", [KIND_EARLY_EXIT, KIND_DIRECT_IO])
+    def test_missing_exit_or_direct_io_rejected(self, kind):
+        specs = [s for s in with_exit_and_io(make_spec("cot")) if s.kind != kind]
+        with pytest.raises(DataError, match="^registry lacks its early-exit or direct-io"
+                                            " operator$"):
+            OperatorRegistry(specs)
 
     def test_bad_temperature_rejected(self):
         with pytest.raises(DataError, match=r"temperature 2\.5 outside \[0, 2\] for 'hot'"):
-            OperatorRegistry().register(make_spec("hot", temperature=2.5))
+            make_spec("hot", temperature=2.5)
 
-    @pytest.mark.parametrize("spec,message", [
-        (make_spec("cot"), "already registered"),
-        (make_spec("exit2", KIND_EARLY_EXIT), "already has an early-exit"),
-        (make_spec("io2", KIND_DIRECT_IO), "already has a direct-io"),
-    ], ids=["duplicate_id", "second_exit", "second_direct_io"])
-    def test_rejected_registration_leaves_registry_unchanged(self, spec, message):
-        reg = OperatorRegistry()
-        for op in (make_spec("cot"), make_spec("exit", KIND_EARLY_EXIT),
-                   make_spec("io", KIND_DIRECT_IO)):
-            reg.register(op)
+    def test_operator_count_is_capped(self):
+        """At `MAX_OPERATORS` a registry builds, and a split is refused
+        before its first write; one more operator and it does not build."""
+        specs = with_exit_and_io(*(make_spec(f"op{i}") for i in range(MAX_OPERATORS - 2)))
+        reg = OperatorRegistry(specs)
+        assert len(reg) == MAX_OPERATORS
         before = (registry_json(reg), held_lookups(reg))
-        with pytest.raises(DataError, match=message):
-            reg.register(spec)
+        with pytest.raises(DataError, match=f"^registry cannot hold more than"
+                                            f" {MAX_OPERATORS} operators$"):
+            reg.apply_patch(OperatorPatch("op0", new_prompt="edited {input}",
+                                          structure_action="split"))
         assert (registry_json(reg), held_lookups(reg)) == before
+        with pytest.raises(DataError, match=f"more than {MAX_OPERATORS} operators"):
+            OperatorRegistry([*specs, make_spec("one_more")])
+        # the catalogue, split once per operator as the benchmark's stub
+        # splits, stays below the cap
+        assert 2 * len(builtin_catalog()) < MAX_OPERATORS
 
     def test_prompt_length_is_bounded(self):
         make_spec("long", prompt="x" * MAX_PROMPT_CHARS)  # at the bound: accepted
@@ -291,17 +302,57 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
 
 def scanned_lookups(reg):
     """The lookups the registry holds, by a fresh scan of its operators:
-    ids, index of each id, early-exit index and id, direct-io id."""
+    ids, index of each id, early-exit index, direct-io id."""
     specs = reg.specs()
-    exit_index = next(i for i, s in enumerate(specs) if s.kind == KIND_EARLY_EXIT)
-    return ([s.id for s in specs], {s.id: i for i, s in enumerate(specs)}, exit_index,
-            specs[exit_index].id, next(s.id for s in specs if s.kind == KIND_DIRECT_IO))
+    return ([s.id for s in specs], {s.id: i for i, s in enumerate(specs)},
+            next(i for i, s in enumerate(specs) if s.kind == KIND_EARLY_EXIT),
+            next(s.id for s in specs if s.kind == KIND_DIRECT_IO))
 
 
 def held_lookups(reg):
     ids = reg.ids()
     return (ids, {op_id: reg.index_of(op_id) for op_id in ids}, reg.early_exit_index,
-            reg.early_exit_id, reg.direct_io_id)
+            reg.direct_io_id)
+
+
+def first_fault(specs):
+    """The message of the first fault `OperatorRegistry(specs)` meets,
+    walking `specs` in order; None for a list it builds."""
+    for i, spec in enumerate(specs):
+        earlier = specs[:i]
+        if i == MAX_OPERATORS:
+            return f"registry cannot hold more than {MAX_OPERATORS} operators"
+        if spec.id in [s.id for s in earlier]:
+            return f"operator id {spec.id!r} already registered"
+        for kind, article in ((KIND_EARLY_EXIT, "an early-exit"),
+                              (KIND_DIRECT_IO, "a direct-io")):
+            if spec.kind == kind and kind in [s.kind for s in earlier]:
+                return f"registry already has {article} operator"
+    kinds = [s.kind for s in specs]
+    if KIND_EARLY_EXIT not in kinds or KIND_DIRECT_IO not in kinds:
+        return "registry lacks its early-exit or direct-io operator"
+    return None
+
+
+SPEC_IDS = st.sampled_from(["a", "b", "c", "exit", "io"])
+
+
+@given(st.lists(SPEC_IDS, max_size=5), st.lists(SPEC_IDS, max_size=2),
+       st.lists(SPEC_IDS, max_size=2), st.data())
+def test_constructor_builds_a_registry_or_names_the_first_fault(generative, exits,
+                                                                 direct, data):
+    """Any order of generative operators with 0-2 early-exit and 0-2
+    direct-io operators, ids repeated among all of them."""
+    specs = data.draw(st.permutations(
+        [*map(make_spec, generative), *(make_spec(i, KIND_EARLY_EXIT) for i in exits),
+         *(make_spec(i, KIND_DIRECT_IO) for i in direct)]))
+    fault = first_fault(specs)
+    if fault is None:
+        reg = OperatorRegistry(iter(specs))
+        assert reg.specs() == specs and held_lookups(reg) == scanned_lookups(reg)
+    else:
+        with pytest.raises(DataError, match=f"^{re.escape(fault)}$"):
+            OperatorRegistry(iter(specs))
 
 
 @given(PATCH_ACTIONS, PATCH_ACTIONS)

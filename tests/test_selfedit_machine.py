@@ -3,9 +3,11 @@
 Each rule is one patch round: the scripted mutator answers with one reply
 text, parsed as the LLM mutator parses it, and `Trainer.step` trains on a
 query and applies what parses. Whatever the replies, the registry keeps
-exactly one early-exit and one direct-io operator, every prompt within
-`MAX_PROMPT_CHARS`, and the controller keeps one output row per operator,
-its arrays views of one flat vector.
+exactly one early-exit and one direct-io operator, at most `MAX_OPERATORS`
+operators and every prompt within `MAX_PROMPT_CHARS`, and the controller
+keeps one output row per operator, its arrays views of one flat vector. A
+round whose reply is refused leaves the registry, the parameter bytes and
+the sampling generator as they were when the mutator was asked.
 """
 
 import json
@@ -16,7 +18,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from maas.datagen import default_env, make_mixed_dataset
 from maas.executor import QueryRecord
 from maas.optimizer import parse_mutation
-from maas.registry import KIND_DIRECT_IO, KIND_EARLY_EXIT, MAX_PROMPT_CHARS
+from maas.registry import (KIND_DIRECT_IO, KIND_EARLY_EXIT, MAX_OPERATORS,
+                           MAX_PROMPT_CHARS, OperatorPatch)
 from tests.helpers import flat_layout_faults, make_trainer, registry_json
 
 RECORDS = [QueryRecord(**r) for r in make_mixed_dataset(2, 2)]
@@ -37,9 +40,17 @@ class SelfEditMachine(RuleBasedStateMachine):
         self.trainer = make_trainer(default_env(), self._reply, samples_k=2, patch_every=1)
         self.registry, self.state = self.trainer.registry, self.trainer.state
         self.reply_text = None
+        self.at_reply = None
 
     def _reply(self, registry, traces):
+        self.at_reply = self._snapshot()
         return [parse_mutation(self.reply_text)]
+
+    def _snapshot(self):
+        """What a refused reply must leave as it was: the registry, the
+        parameter bytes and the sampling generator's state."""
+        return (registry_json(self.registry), self.state.params.tobytes(),
+                self.trainer.rng.bit_generator.state)
 
     def _round(self, reply):
         """One training step whose patch round answers with `reply` (a dict
@@ -49,9 +60,8 @@ class SelfEditMachine(RuleBasedStateMachine):
         return self.trainer.step(query)["patches_applied"]
 
     def _round_changes_nothing(self, reply):
-        before = registry_json(self.registry)
         assert self._round(reply) == 0
-        assert registry_json(self.registry) == before
+        assert self._snapshot() == self.at_reply
 
     @rule(op_id=OP_IDS, marker=st.sampled_from(["Be brief.", "Check twice."]))
     def edit_prompt(self, op_id, marker):
@@ -70,6 +80,17 @@ class SelfEditMachine(RuleBasedStateMachine):
         self._round({"target_id": op_id, "structure_action": "merge",
                      "merge_with_id": partner})
 
+    @rule()
+    def split_at_the_cap(self):
+        """Split rounds until the registry holds `MAX_OPERATORS`, then one
+        more split, which is refused."""
+        op_id = next(s.id for s in self.registry.specs()
+                     if s.kind not in (KIND_EARLY_EXIT, KIND_DIRECT_IO))
+        split = {"target_id": op_id, "structure_action": "split"}
+        while len(self.registry) < MAX_OPERATORS:
+            assert self._round(split) == 1
+        self._round_changes_nothing(split)
+
     @rule(op_id=OP_IDS)
     def rewire(self, op_id):
         self._round_changes_nothing({"target_id": op_id,
@@ -86,7 +107,8 @@ class SelfEditMachine(RuleBasedStateMachine):
         assert kinds.count(KIND_DIRECT_IO) == 1
 
     @invariant()
-    def prompts_within_the_bound(self):
+    def within_the_bounds(self):
+        assert len(self.registry) <= MAX_OPERATORS
         assert all(len(s.prompt) <= MAX_PROMPT_CHARS for s in self.registry.specs())
 
     @invariant()
@@ -102,3 +124,19 @@ SelfEditMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=12, deadline=None
 )
 TestSelfEditMachine = SelfEditMachine.TestCase
+
+
+def test_a_mutator_that_always_splits_stops_at_the_cap():
+    """Every round splits "cot": each split is applied until the registry
+    holds `MAX_OPERATORS`, the rest are skipped, and the run ends with one
+    controller row per operator."""
+    split = OperatorPatch("cot", structure_action="split")
+    trainer = make_trainer(default_env(), lambda registry, traces: [split],
+                           samples_k=2, patch_every=1)
+    room = MAX_OPERATORS - len(trainer.registry)
+    metrics = trainer.run(RECORDS, iterations=8)
+    assert [m["patches_applied"] for m in metrics] \
+        == [1] * room + [0] * (len(metrics) - room) and len(metrics) > room
+    assert len(trainer.registry) == trainer.state.n_ops == MAX_OPERATORS
+    assert all(ctrl.W2.shape[0] == MAX_OPERATORS for ctrl in trainer.state.layers)
+    assert flat_layout_faults(trainer.state) == []

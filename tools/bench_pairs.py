@@ -125,10 +125,11 @@ def rss_bytes_per_extra_unit(parent_runs, change_runs):
 def bound_check(runs, end_to_end):
     """Each end-to-end metric of `BENCHMARK.json` (its `better` direction and
     its `bound`, a fraction of the parent's median) read over the runs of
-    both sides: "over" when the change's median is worse than the parent's
-    by more than the bound; "unresolved" when the parent's IQR exceeds the
-    bound times its median and not every change run beats every parent run;
-    else "within"."""
+    both sides: "unresolved" when the parent's IQR exceeds the bound times
+    its median and not every change run beats every parent run (such a
+    parent cannot tell a change past the bound from noise); else "over"
+    when the change's median is worse than the parent's by more than the
+    bound; else "within"."""
     out = {}
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
@@ -137,10 +138,10 @@ def bound_check(runs, end_to_end):
         change = [sign * r["metrics"][name] for r in runs["change"]]
         median = statistics.median(parent)
         q1, q3 = _quartiles(parent)
-        if statistics.median(change) < median - bound * abs(median):
-            out[name] = "over"
-        elif q3 - q1 > bound * abs(median) and min(change) <= max(parent):
+        if q3 - q1 > bound * abs(median) and min(change) <= max(parent):
             out[name] = "unresolved"
+        elif statistics.median(change) < median - bound * abs(median):
+            out[name] = "over"
         else:
             out[name] = "within"
     return out
