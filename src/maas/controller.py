@@ -161,13 +161,12 @@ class SupernetState:
 
 @dataclass
 class ScoreVector:
-    """One layer's forward pass: scores from logits, plus the input feature
+    """One layer's forward pass: the softmax scores, plus the input feature
     and tanh hidden state the gradient backpropagates through."""
 
-    logits: np.ndarray
     scores: np.ndarray
-    hidden: np.ndarray | None = None
-    feature: np.ndarray | None = None
+    hidden: np.ndarray
+    feature: np.ndarray
 
 
 def init_params(seed, d, h, num_layers, n_ops) -> SupernetState:
@@ -191,16 +190,13 @@ def score_layer(state: SupernetState, ell: int, feature: np.ndarray) -> ScoreVec
             f" got {feature.shape}"
         )
     hidden, logits = kernels.ffn_forward(ctrl.W1, ctrl.b1, ctrl.W2, ctrl.b2, feature)
-    return ScoreVector(
-        logits=logits, scores=kernels.softmax(logits), hidden=hidden, feature=feature
-    )
+    return ScoreVector(kernels.softmax(logits), hidden, feature)
 
 
-def select_deterministic(score_vec: ScoreVector, thres: float) -> list[int]:
+def select_deterministic(scores: np.ndarray, thres: float) -> list[int]:
     """Minimal descending-score prefix whose cumulative mass strictly exceeds
     thres; ties broken by ascending operator index. Raises ValueError when a
     NaN score enters the prefix (NaN sorts last)."""
-    scores = score_vec.scores
     values = scores.tolist()
     cum = 0.0
     chosen = []
@@ -214,7 +210,7 @@ def select_deterministic(score_vec: ScoreVector, thres: float) -> list[int]:
     return chosen
 
 
-def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Generator):
+def sample_selection(scores: np.ndarray, thres: float, rng: np.random.Generator):
     """Draw operators sequentially without replacement in proportion to their
     scores; stop once the drawn set's original score mass strictly exceeds
     thres. Returns the drawn index sequence; `selection_log_prob` gives its
@@ -228,7 +224,7 @@ def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Genera
     rounds up to the total (a subnormal total) takes the first index that
     reaches it. Raises ValueError when the remaining total is not a positive
     finite number: NaN or infinite weights, or no mass left."""
-    scores = score_vec.scores.tolist()
+    scores = scores.tolist()
     weights = scores.copy()  # drawn operators zeroed
     drawn = []
     cum = 0.0
@@ -245,12 +241,12 @@ def sample_selection(score_vec: ScoreVector, thres: float, rng: np.random.Genera
     return drawn
 
 
-def selection_log_prob(score_vec: ScoreVector, selected) -> float:
+def selection_log_prob(scores: np.ndarray, selected) -> float:
     """sum_j log(s_{i_j} / (1 - sum_{t<j} s_{i_t})), the prefix
     log-probability of a fixed drawn sequence under the scores, in draw
     order. `np.log`, since `math.log` differs in the last bit on about one
     value in a thousand."""
-    scores = score_vec.scores.tolist()
+    scores = scores.tolist()
     log_prob = 0.0
     rem = 1.0
     for idx in selected:

@@ -15,11 +15,12 @@ it is itself zero.) The forward pass and softmax work in place in the arrays
 they return: the bias is added into the product, and tanh, exp and the
 division write over their own input, with the bytes the expressions would
 give. So each allocates only what it returns and never writes an argument,
-which `ScoreVector` keeps. Softmax shifts by `max(logits.tolist())`, twice
-as fast as `np.maximum.reduce` on a layer's few scores, with the same bytes:
-a max rounds nothing and a zero shift's sign cannot change `exp` (Python's
-`max` skips a NaN numpy's propagates, so a row with a NaN beside an
-infinity, or a negative NaN, can give NaNs of the other sign). The forward
+such as the feature that `ScoreVector` keeps. Softmax shifts by
+`max(logits.tolist())`, twice as fast as `np.maximum.reduce` on a layer's
+few scores, with the same bytes: a max rounds nothing and a zero shift's
+sign cannot change `exp` (Python's `max` skips a NaN numpy's propagates, so
+a row with a NaN beside an infinity, or a negative NaN, can give NaNs of the
+other sign). The forward
 pass keeps `@`: on an inner dimension of 1, `np.dot` keeps the sign of a
 -0.0 product, where `@` adds it to +0.0. The prefix gradient walks about one
 score per operator, so it runs on Python floats from one `tolist()` and

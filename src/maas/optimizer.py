@@ -11,9 +11,10 @@ layer over the rows of every sample that reached it, into the state's
 flat gradient vector. So every sampled layer runs its scoring network
 once, and the update is one scale and one add over the reached prefix of
 the flat parameter and gradient vectors. On a fixed cadence the
-operator set itself is revised through textual patches: either a
-deterministic mock mutator (used by all automated tests) or an LLM-backed
-mutator that proposes prompt/temperature/structure edits.
+operator set itself is revised through a textual patch: a mutator reads
+the `(layers, utility)` pairs of the traces since the last round and
+proposes one `OperatorPatch` or None, either by a deterministic rule (the
+mock mutator, used by all automated tests) or through an LLM.
 """
 
 from __future__ import annotations
@@ -141,29 +142,28 @@ def update_distribution(state: ctl.SupernetState, archs, weights, lr):
     return state
 
 
-def _success_rates(registry, traces):
+def _success_rates(registry, window):
     stats = {}
-    for trace in traces:
+    for layers, utility in window:
         # in drawn order, so that rates tied in the LLM mutator's failure
         # summary keep an order that no hash seed moves
-        seen = dict.fromkeys(op_id for layer in trace.architecture.layers
-                             for op_id in layer)
+        seen = dict.fromkeys(op_id for layer in layers for op_id in layer)
         for op_id in seen:
             if op_id not in registry:
                 continue  # merged away since this trace was recorded
             total, hits = stats.get(op_id, (0, 0))
-            stats[op_id] = (total + 1, hits + (1 if trace.utility > 0 else 0))
+            stats[op_id] = (total + 1, hits + (1 if utility > 0 else 0))
     return {op_id: hits / total for op_id, (total, hits) in stats.items()}
 
 
-def mock_mutator(registry, traces):
+def mock_mutator(registry, window):
     """Deterministic patch rule: take the executed operator with the lowest
     empirical success rate (ties to the lowest registry index), append a
     fixed double-check sentence to its prompt, and move its temperature one
-    0.1 step toward 0.5. No-op patches are suppressed."""
-    rates = _success_rates(registry, traces)
+    0.1 step toward 0.5. None in place of a no-op patch."""
+    rates = _success_rates(registry, window)
     if not rates:
-        return []
+        return None
     target_id = min(rates, key=lambda op_id: (rates[op_id], registry.index_of(op_id)))
     spec = registry.get(target_id)
     new_prompt = None
@@ -177,18 +177,16 @@ def mock_mutator(registry, traces):
             stepped = min(spec.temperature + TEMPERATURE_STEP, TEMPERATURE_TARGET)
         new_temperature = round(stepped, 10)
     if new_prompt is None and new_temperature is None:
-        return []
-    return [
-        OperatorPatch(
-            target_id=target_id,
-            new_prompt=new_prompt,
-            new_temperature=new_temperature,
-            rationale=(
-                f"lowest empirical success rate ({rates[target_id]:.3f}) over"
-                f" {len(traces)} recent traces"
-            ),
-        )
-    ]
+        return None
+    return OperatorPatch(
+        target_id=target_id,
+        new_prompt=new_prompt,
+        new_temperature=new_temperature,
+        rationale=(
+            f"lowest empirical success rate ({rates[target_id]:.3f}) over"
+            f" {len(window)} recent traces"
+        ),
+    )
 
 
 MUTATOR_PROMPT = """\
@@ -247,8 +245,8 @@ class LLMMutator:
         self._rendered = rendered
         return "[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]"
 
-    def __call__(self, registry, traces):
-        rates = _success_rates(registry, traces)
+    def __call__(self, registry, window):
+        rates = _success_rates(registry, window)
         failures = [
             {"operator_id": op_id, "success_rate": round(rate, 4)}
             for op_id, rate in sorted(rates.items(), key=lambda kv: kv[1])
@@ -265,7 +263,7 @@ class LLMMutator:
             api_key=self.api_key,
             transport=self._transport,
         )
-        return [parse_mutation(content)]
+        return parse_mutation(content)
 
 
 def parse_mutation(reply_text) -> OperatorPatch:
@@ -285,10 +283,10 @@ def parse_mutation(reply_text) -> OperatorPatch:
                          rationale=data.get("thought", ""))
 
 
-def textual_gradient(registry, traces, mutator):
-    """The patches `mutator(registry, traces)` proposes from a window of
-    execution traces; none from an empty window."""
-    return mutator(registry, traces) if traces else []
+def textual_gradient(registry, window, mutator):
+    """The patch `mutator(registry, window)` proposes from a window of
+    `(layers, utility)` pairs, or None; None from an empty window."""
+    return mutator(registry, window) if window else None
 
 
 class Trainer:
@@ -369,9 +367,9 @@ class Trainer:
         patches_applied = 0
         if self.mutator is not None:
             # only the mutator reads the window: kept only while patching is on
-            self.window.extend(traces)
+            self.window.extend((t.architecture.layers, t.utility) for t in traces)
             if self.step_count % cfg.patch_every == 0:
-                patches_applied = self._apply_patches()
+                patches_applied = self._apply_patch()
                 self.window.clear()
 
         return {
@@ -383,25 +381,21 @@ class Trainer:
             "patches_applied": patches_applied,
         }
 
-    def _apply_patches(self) -> int:
-        """Apply the mutator's patches. A proposal that does not parse, or a
-        patch the registry rejects (leaving itself as it was), raises
-        `DataError`, so it is skipped and not counted: a mutator's reply is
-        input from outside the program and must not end the run."""
+    def _apply_patch(self) -> int:
+        """1 if the mutator's patch was applied, else 0. A proposal that does
+        not parse, or a patch the registry rejects (leaving itself as it
+        was), raises `DataError`, so it is skipped and not counted: a
+        mutator's reply is input from outside the program and must not end
+        the run."""
         try:
-            patches = textual_gradient(self.registry, self.window, self.mutator)
+            patch = textual_gradient(self.registry, self.window, self.mutator)
+            if patch is None:
+                return 0
+            moved = self.registry.apply_patch(patch)
         except DataError:
             return 0
-        applied = 0
-        for patch in patches:
-            try:
-                change = self.registry.apply_patch(patch)
-            except DataError:
-                continue
-            if change is not None:
-                if change.action == "split":
-                    self.state.split_output(change.index, self.rng)
-                elif change.action == "merge":
-                    self.state.merge_output(change.index)
-            applied += 1
-        return applied
+        if patch.structure_action == "split":
+            self.state.split_output(moved, self.rng)
+        elif patch.structure_action == "merge":
+            self.state.merge_output(moved)
+        return 1

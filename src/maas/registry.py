@@ -5,10 +5,11 @@ temperature, a tool list and an internal call count. A registry is built
 whole from a list of specs; it always holds exactly one early-exit and one
 direct-io operator, and at most `MAX_OPERATORS` operators. It keeps
 operators in order; that order is the canonical operator index used by the
-controller, so structural edits (split/merge) report how indices moved and
-the controller remaps its output rows accordingly. The registry holds the
-lookups each sample makes (ids, early-exit index, direct-io id) and
-recomputes them when an operator is added or removed.
+controller, so a split or a merge returns the one controller row it moved
+(the row a split cloned, the row a merge removed) and the controller remaps
+its output rows accordingly. The registry holds the lookups each sample
+makes (ids, early-exit index, direct-io id) and recomputes them when an
+operator is added or removed.
 """
 
 from __future__ import annotations
@@ -112,18 +113,6 @@ class OperatorPatch:
             raise DataError("merge requires merge_with_id")
 
 
-@dataclass(frozen=True)
-class StructuralChange:
-    """Index bookkeeping for the controller after split/merge.
-
-    action: "split" (the row at `index` cloned and appended at the end) or
-    "merge" (the row at `index` deleted; later indices shift down by one).
-    """
-
-    action: str
-    index: int
-
-
 class OperatorRegistry:
     """Ordered operator set with exactly one exit and one direct-io operator.
 
@@ -197,8 +186,11 @@ class OperatorRegistry:
 
     # -- mutation ----------------------------------------------------------
 
-    def apply_patch(self, patch: OperatorPatch) -> StructuralChange | None:
-        """Apply one patch in place; returns index bookkeeping for split/merge.
+    def apply_patch(self, patch: OperatorPatch) -> int | None:
+        """Apply one patch in place. Returns the controller row it moved: the
+        index a split cloned (its clone is appended at the end) or the index
+        a merge removed (later indices shift down by one); None for any other
+        patch.
 
         Every check runs before the first write, so a patch that raises
         leaves the registry unchanged. A split appends a clone of the target
@@ -225,7 +217,7 @@ class OperatorRegistry:
             self._specs.append(replace(target, id=f"{target.id}-{suffix}",
                                        name=f"{target.name} ({suffix})"))
             self._reindex()
-            return StructuralChange("split", idx)
+            return idx
         if patch.structure_action == "merge":
             partner_id = patch.merge_with_id
             partner = self.get(partner_id)
@@ -239,7 +231,7 @@ class OperatorRegistry:
             )
             del self._specs[removed]
             self._reindex()
-            return StructuralChange("merge", removed)
+            return removed
         self._specs[idx] = target
         return None
 

@@ -57,7 +57,7 @@ class Architecture:
         passes: each layer's `selection_log_prob` added in layer order."""
         log_prob = 0.0
         for score_vec, selected in zip(self.forward, self.selections):
-            log_prob += ctl.selection_log_prob(score_vec, selected)
+            log_prob += ctl.selection_log_prob(score_vec.scores, selected)
         return log_prob
 
     def to_dict(self):
@@ -134,9 +134,9 @@ def sample_architecture(
                 state, ell, np.concatenate([score_vec.feature, profile_sum]))
         forward.append(score_vec)
         if mode == MODE_TRAIN:
-            selected = ctl.sample_selection(score_vec, thres, rng)
+            selected = ctl.sample_selection(score_vec.scores, thres, rng)
         else:
-            selected = ctl.select_deterministic(score_vec, thres)
+            selected = ctl.select_deterministic(score_vec.scores, thres)
         selections.append(selected)
         if exit_idx in selected:
             exit_layer = ell
@@ -173,8 +173,8 @@ def architecture_log_prob(
             query_vec,
             [_profile_sum(registry, embedder, ids) for ids in executed[: ell - 1]],
         )
-        score_vec = ctl.score_layer(state, ell, feature)
-        log_prob += ctl.selection_log_prob(score_vec, selected)
+        log_prob += ctl.selection_log_prob(
+            ctl.score_layer(state, ell, feature).scores, selected)
     return log_prob
 
 

@@ -11,8 +11,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from maas import checkpoint as ckpt
-from maas.controller import init_params
+from maas.controller import init_params, score_layer
 from maas.datagen import _profile_dicts, default_profiles, make_mixed_dataset
+from maas.embedding import layer_feature
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile
 from maas.optimizer import TrainConfig, Trainer
 from maas.registry import (KIND_DIRECT_IO, KIND_EARLY_EXIT, KIND_GENERATIVE,
@@ -86,6 +87,44 @@ def tiny_registry(ids=("solver",)):
     """The generative operators `ids`, then `exit` (early exit) and `io`
     (direct io)."""
     return OperatorRegistry(with_exit_and_io(*map(make_spec, ids)))
+
+
+def selection_sequences(scores, thres):
+    """Every index sequence the stochastic selection rule can draw at
+    `thres`, with its Plackett-Luce probability, by exhaustive enumeration:
+    the exact distribution of `sample_selection`."""
+    results = []
+
+    def rec(prefix, cum, rem, prob):
+        if cum > thres:
+            results.append((tuple(prefix), prob))
+            return
+        for i in range(len(scores)):
+            if i not in prefix:
+                rec(prefix + [i], cum + scores[i], rem - scores[i],
+                    prob * scores[i] / rem)
+
+    rec([], 0.0, 1.0, 1.0)
+    return results
+
+
+def two_layer_table(state, registry, embedder, query, thres):
+    """The probability of every selection-sequence tuple a two-layer train
+    sample of `query` can draw, by enumeration: `(seq1,)` when layer 1 draws
+    the exit, else `(seq1, seq2)`."""
+    ids = registry.ids()
+    q = embedder.embed(query)
+    table = {}
+    for seq1, p1 in selection_sequences(
+            score_layer(state, 1, layer_feature(q, [])).scores, thres):
+        if registry.early_exit_index in seq1:
+            table[(seq1,)] = p1
+            continue
+        sums = [sum(embedder.embed(registry.get(ids[i]).profile_text) for i in seq1)]
+        scores = score_layer(state, 2, layer_feature(q, sums)).scores
+        for seq2, p2 in selection_sequences(scores, thres):
+            table[(seq1, seq2)] = p1 * p2
+    return table
 
 
 def registry_json(reg):

@@ -23,12 +23,12 @@ from maas.controller import (
     selection_log_prob,
 )
 from maas.datagen import default_env, sabotaged_profiles
-from maas.embedding import HashingEmbedder, layer_feature
+from maas.embedding import HashingEmbedder
 from maas.executor import SyntheticEnv
 from maas.harness import run_eval, run_train
 from maas.optimizer import TrainConfig, importance_weights
 from maas.registry import builtin_registry
-from tests.helpers import tiny_registry
+from tests.helpers import tiny_registry, two_layer_table
 
 DATASET = os.path.join(os.path.dirname(__file__), "..", "data", "synthetic_mix.jsonl")
 
@@ -53,8 +53,7 @@ class TestCriterion1GradientCorrectness:
             h = int(rng.integers(3, 7))
             state = init_params(int(rng.integers(0, 10**6)), d, h, ell, n_ops)
             feature = rng.normal(size=d * ell)
-            sv = score_layer(state, ell, feature)
-            selected = sample_selection(sv, 0.3, rng)
+            selected = sample_selection(score_layer(state, ell, feature).scores, 0.3, rng)
             g = grad_log_prob(state, ell, feature, selected)
             ctrl = state.layer(ell)
             for arr, g_arr in zip(ctrl.param_arrays(), (g.W1, g.b1, g.W2, g.b2)):
@@ -64,11 +63,11 @@ class TestCriterion1GradientCorrectness:
                     orig = arr[idx]
                     arr[idx] = orig + eps
                     lp_p = selection_log_prob(
-                        score_layer(state, ell, feature), selected
+                        score_layer(state, ell, feature).scores, selected
                     )
                     arr[idx] = orig - eps
                     lp_m = selection_log_prob(
-                        score_layer(state, ell, feature), selected
+                        score_layer(state, ell, feature).scores, selected
                     )
                     arr[idx] = orig
                     fd = (lp_p - lp_m) / (2 * eps)
@@ -80,49 +79,13 @@ class TestCriterion1GradientCorrectness:
 
 
 class TestCriterion2DistributionNormalization:
-    def _analytic(self, state, reg, emb, query, thres):
-        """Probability of every reachable selection-sequence tuple."""
-        exit_idx = reg.index_of("exit")
-        ids = reg.ids()
-        q = emb.embed(query)
-
-        def layer_sequences(scores):
-            out = []
-
-            def rec(prefix, cum, rem, p):
-                if cum > thres:
-                    out.append((tuple(prefix), p))
-                    return
-                for i in range(len(scores)):
-                    if i in prefix:
-                        continue
-                    rec(prefix + [i], cum + scores[i], rem - scores[i],
-                        p * scores[i] / rem)
-
-            rec([], 0.0, 1.0, 1.0)
-            return out
-
-        table = {}
-        sv1 = score_layer(state, 1, layer_feature(q, []))
-        for seq1, p1 in layer_sequences(sv1.scores):
-            if exit_idx in seq1:
-                table[(seq1,)] = table.get((seq1,), 0.0) + p1
-                continue
-            layer1 = [ids[i] for i in seq1]
-            sums = [sum(emb.embed(reg.get(i).profile_text) for i in layer1)]
-            sv2 = score_layer(state, 2, layer_feature(q, sums))
-            for seq2, p2 in layer_sequences(sv2.scores):
-                key = (seq1, seq2)
-                table[key] = table.get(key, 0.0) + p1 * p2
-        return table
-
     def test_enumeration_and_empirical_frequencies(self):
         t0 = time.time()
         reg = tiny_registry()
         state = init_params(7, 8, 8, 2, len(reg))
         emb = HashingEmbedder(8)
         query = "normalize me"
-        table = self._analytic(state, reg, emb, query, 0.3)
+        table = two_layer_table(state, reg, emb, query, 0.3)
         total = sum(table.values())
 
         n = 100_000
@@ -147,15 +110,12 @@ class TestCriterion2DistributionNormalization:
 
 class TestCriterion3SelectionRuleOracle:
     def test_agrees_with_exhaustive_prefix_scan(self):
-        from maas.controller import ScoreVector
-
         rng = np.random.default_rng(303)
         mismatches = 0
         for _ in range(10_000):
             n = int(rng.integers(2, 9))
             raw = rng.random(n) + 1e-9
             scores = raw / raw.sum()
-            sv = ScoreVector(logits=np.log(scores), scores=scores)
             for thres in (0.1, 0.3, 0.7):
                 order = np.argsort(-scores, kind="stable")
                 expected = None
@@ -163,7 +123,7 @@ class TestCriterion3SelectionRuleOracle:
                     if scores[order[:k]].sum() > thres:
                         expected = [int(i) for i in order[:k]]
                         break
-                if select_deterministic(sv, thres) != expected:
+                if select_deterministic(scores, thres) != expected:
                     mismatches += 1
         report(3, mismatches == 0,
                f"{mismatches} mismatches over 10,000 vectors x 3 thresholds")

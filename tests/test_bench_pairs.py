@@ -480,6 +480,19 @@ def test_benchmark_files_equal_reads_only_the_benchmark_paths(tmp_path):
     assert not bench_pairs.benchmark_files_equal("HEAD", tmp_path)
 
 
+def test_py_lines_counts_the_python_files_directly_in_a_directory(tmp_path):
+    (tmp_path / "a.py").write_text("x = 1\n\n# end\n")
+    (tmp_path / "b.py").write_text("y = 2\nz = 3")  # no final newline
+    (tmp_path / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "c.py").write_text("nor\nthis\n")
+    (tmp_path / "pkg.py").mkdir()  # a directory, whatever its name
+    (tmp_path / "empty.py").write_text("")
+    assert bench_pairs.py_lines(tmp_path) == 5
+    for parts in bench_pairs.LINE_COUNTS.values():
+        assert bench_pairs.py_lines(ROOT.joinpath(*parts)) > 0
+
+
 # runs `main` of the bench_pairs.py named by argv[1] in the current directory,
 # with a `collect` that stops the process by SIGTERM while the parent tree is
 # exported; prints whether SIGTERM's handler is the default again

@@ -518,6 +518,20 @@ def sample_from(workdir, query):
     return sample_architecture(state, registry, query, config.thres, MODE_EVAL)
 
 
+def train_six_steps_then_eval(workdir):
+    """Six training steps, patching every two, then an eval of the
+    checkpoint over the workdir's dataset."""
+    trainer = make_trainer(default_env(), num_layers=3, embed_dim=16, hidden_dim=16,
+                           patch_every=2)
+    records = load_dataset(workdir / "mix.jsonl")
+    for record in records[:6]:
+        trainer.step(record)
+    assert trainer.step_count == 6
+    report = run_eval(ckpt.build_checkpoint(trainer.state, trainer.registry, trainer.config),
+                      workdir / "mix.jsonl", default_env())
+    assert report["n_records"] == len(records)
+
+
 class TestDagOnlyWhenPrinted:
     """`sampler.build_dag` runs once per architecture `maas sample` prints
     and never while training, evaluating or inspecting."""
@@ -535,16 +549,7 @@ class TestDagOnlyWhenPrinted:
         return calls
 
     def test_training_steps_and_eval_build_no_dag(self, workdir, dag_calls):
-        trainer = make_trainer(default_env(), num_layers=3, embed_dim=16, hidden_dim=16,
-                               patch_every=2)
-        state, registry, cfg = trainer.state, trainer.registry, trainer.config
-        records = load_dataset(workdir / "mix.jsonl")
-        for record in records[:6]:
-            trainer.step(record)
-        assert trainer.step_count == 6
-        report = run_eval(ckpt.build_checkpoint(state, registry, cfg),
-                          workdir / "mix.jsonl", default_env())
-        assert report["n_records"] == len(records)
+        train_six_steps_then_eval(workdir)
         assert dag_calls == []
 
     @pytest.mark.usefixtures("trained")
@@ -573,24 +578,15 @@ class TestLogProbOnlyWhenRead:
         calls = []
         selection_log_prob = controller.selection_log_prob
 
-        def counting(score_vec, selected):
+        def counting(scores, selected):
             calls.append(selected)
-            return selection_log_prob(score_vec, selected)
+            return selection_log_prob(scores, selected)
 
         monkeypatch.setattr(controller, "selection_log_prob", counting)
         return calls
 
     def test_training_steps_and_eval_compute_no_log_prob(self, workdir, log_prob_calls):
-        trainer = make_trainer(default_env(), num_layers=3, embed_dim=16, hidden_dim=16,
-                               patch_every=2)
-        state, registry, cfg = trainer.state, trainer.registry, trainer.config
-        records = load_dataset(workdir / "mix.jsonl")
-        for record in records[:6]:
-            trainer.step(record)
-        assert trainer.step_count == 6
-        report = run_eval(ckpt.build_checkpoint(state, registry, cfg),
-                          workdir / "mix.jsonl", default_env())
-        assert report["n_records"] == len(records)
+        train_six_steps_then_eval(workdir)
         assert log_prob_calls == []
 
     @pytest.mark.parametrize("mode", [sampler.MODE_TRAIN, MODE_EVAL])

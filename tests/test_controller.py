@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from maas.controller import (
     INIT_SCALE,
-    ScoreVector,
     grad_log_prob,
     init_params,
     sample_selection,
@@ -27,20 +26,20 @@ from maas.controller import (
     selection_log_prob,
 )
 from maas.errors import MaasError
-from tests.helpers import decoded, encoded, flat_layout_faults
+from tests.helpers import decoded, encoded, flat_layout_faults, selection_sequences
 
 
 def forward_oracle(ctrl, feature):
-    """Independent reimplementation of the two-layer tanh forward pass."""
+    """Independent reimplementation of the two-layer tanh forward pass:
+    (hidden, scores)."""
     h = np.tanh(ctrl.W1 @ feature + ctrl.b1)
     logits = ctrl.W2 @ h + ctrl.b2
     e = np.exp(logits - logits.max())
-    return logits, e / e.sum()
+    return h, e / e.sum()
 
 
-def scores_vec(values):
-    values = np.asarray(values, dtype=np.float64)
-    return ScoreVector(logits=np.log(values), scores=values)
+def as_scores(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestInitParams:
@@ -86,9 +85,10 @@ class TestScoreLayer:
         for ell in (1, 2, 3):
             feature = rng.normal(size=8 * ell)
             sv = score_layer(state, ell, feature)
-            logits, scores = forward_oracle(state.layer(ell), feature)
-            np.testing.assert_allclose(sv.logits, logits, atol=1e-12)
+            hidden, scores = forward_oracle(state.layer(ell), feature)
+            np.testing.assert_allclose(sv.hidden, hidden, atol=1e-12)
             np.testing.assert_allclose(sv.scores, scores, atol=1e-12)
+            assert np.array_equal(sv.feature, feature)
 
     def test_softmax_shift_invariance(self):
         from maas.kernels import softmax
@@ -122,18 +122,18 @@ def brute_force_prefix(scores, thres):
 
 class TestSelectDeterministic:
     def test_single_dominant(self):
-        assert select_deterministic(scores_vec([0.5, 0.3, 0.2]), 0.3) == [0]
+        assert select_deterministic(as_scores([0.5, 0.3, 0.2]), 0.3) == [0]
 
     def test_uniform_takes_two(self):
-        sel = select_deterministic(scores_vec([0.25, 0.25, 0.25, 0.25]), 0.3)
+        sel = select_deterministic(as_scores([0.25, 0.25, 0.25, 0.25]), 0.3)
         assert sel == [0, 1]
 
     def test_near_one_threshold_takes_all(self):
-        sel = select_deterministic(scores_vec([0.4, 0.35, 0.25]), 0.999)
+        sel = select_deterministic(as_scores([0.4, 0.35, 0.25]), 0.999)
         assert sorted(sel) == [0, 1, 2]
 
     def test_tie_break_ascending_index(self):
-        sel = select_deterministic(scores_vec([0.25, 0.25, 0.25, 0.25]), 0.4)
+        sel = select_deterministic(as_scores([0.25, 0.25, 0.25, 0.25]), 0.4)
         assert sel == [0, 1]
 
     def test_agrees_with_brute_force_scan(self):
@@ -143,53 +143,34 @@ class TestSelectDeterministic:
             raw = rng.random(n) + 1e-9
             scores = raw / raw.sum()
             for thres in (0.1, 0.3, 0.7):
-                sv = scores_vec(scores)
-                assert select_deterministic(sv, thres) == brute_force_prefix(
+                assert select_deterministic(scores, thres) == brute_force_prefix(
                     scores, thres
                 )
-
-
-def enumerate_sequences(scores, thres):
-    """All stop-compliant drawn sequences with their PL probabilities."""
-    results = []
-
-    def rec(prefix, cum, rem, prob):
-        if cum > thres:
-            results.append((tuple(prefix), prob))
-            return
-        for i in range(len(scores)):
-            if i in prefix:
-                continue
-            rec(prefix + [i], cum + scores[i], rem - scores[i],
-                prob * scores[i] / rem)
-
-    rec([], 0.0, 1.0, 1.0)
-    return results
 
 
 class TestSampleSelection:
     def test_dominant_score_selected(self):
         eps = 1e-6
-        sv = scores_vec([1.0 - 2 * eps, eps, eps])
+        scores = as_scores([1.0 - 2 * eps, eps, eps])
         rng = np.random.default_rng(0)
         hits = 0
         for _ in range(200):
-            sel = sample_selection(sv, 0.3, rng)
+            sel = sample_selection(scores, 0.3, rng)
             if sel == [0]:
                 hits += 1
-                lp = selection_log_prob(sv, sel)
+                lp = selection_log_prob(scores, sel)
                 assert abs(lp - math.log(1.0 - 2 * eps)) < 1e-12
         assert hits == 200  # probability >= 1 - 3e-6 per draw
 
     def test_single_op_log_prob_zero(self):
-        sv = scores_vec([1.0])
-        sel = sample_selection(sv, 0.3, np.random.default_rng(0))
+        scores = as_scores([1.0])
+        sel = sample_selection(scores, 0.3, np.random.default_rng(0))
         assert sel == [0]
-        assert selection_log_prob(sv, sel) == 0.0
+        assert selection_log_prob(scores, sel) == 0.0
 
     def test_enumeration_sums_to_one(self):
         for scores in ([0.4, 0.35, 0.25], [0.7, 0.1, 0.1, 0.1], [0.5, 0.5]):
-            total = sum(p for _, p in enumerate_sequences(np.asarray(scores), 0.3))
+            total = sum(p for _, p in selection_sequences(np.asarray(scores), 0.3))
             assert abs(total - 1.0) < 1e-12
 
     def test_log_prob_matches_selection_log_prob(self):
@@ -198,21 +179,19 @@ class TestSampleSelection:
         rng = np.random.default_rng(9)
         raw = rng.random(5) + 1e-6
         scores = raw / raw.sum()
-        sv = scores_vec(scores)
-        analytic = dict(enumerate_sequences(scores, 0.3))
+        analytic = dict(selection_sequences(scores, 0.3))
         for _ in range(50):
-            sel = sample_selection(sv, 0.3, rng)
-            assert abs(selection_log_prob(sv, sel) - math.log(analytic[tuple(sel)])) < 1e-12
+            sel = sample_selection(scores, 0.3, rng)
+            assert abs(selection_log_prob(scores, sel) - math.log(analytic[tuple(sel)])) < 1e-12
 
     def test_empirical_matches_analytic(self):
         scores = np.asarray([0.4, 0.35, 0.25])
-        sv = scores_vec(scores)
-        analytic = dict(enumerate_sequences(scores, 0.3))
+        analytic = dict(selection_sequences(scores, 0.3))
         rng = np.random.default_rng(123)
         counts = {}
         n = 20000
         for _ in range(n):
-            sel = sample_selection(sv, 0.3, rng)
+            sel = sample_selection(scores, 0.3, rng)
             counts[tuple(sel)] = counts.get(tuple(sel), 0) + 1
         tv = 0.5 * sum(
             abs(counts.get(seq, 0) / n - p) for seq, p in analytic.items()
@@ -261,15 +240,14 @@ def draw_cases():
 class TestInlinedDraw:
     def test_matches_rng_choice_indices_and_generator_state(self):
         for scores in draw_cases():
-            sv = scores_vec(scores)
             seeds = range(40 if len(scores) <= 12 else 10)  # long draws cost more
             for thres in (0.05, 0.3, 0.9):
                 for seed in seeds:
                     rng = np.random.default_rng(seed)
                     ref_rng = np.random.default_rng(seed)
                     for _ in range(5):
-                        drawn = sample_selection(sv, thres, rng)
-                        got = drawn, selection_log_prob(sv, drawn)
+                        drawn = sample_selection(scores, thres, rng)
+                        got = drawn, selection_log_prob(scores, drawn)
                         want = choice_selection(scores, thres, ref_rng)
                         assert got == want
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -281,15 +259,15 @@ class TestInlinedDraw:
         [0.0, 0.0, 0.0],  # all mass gone: 0 / 0
     ])
     def test_nan_scores_raise(self, scores):
-        sv = ScoreVector(logits=np.zeros(3), scores=np.asarray(scores))
+        scores = as_scores(scores)
         with pytest.raises(ValueError):
-            sample_selection(sv, 0.3, np.random.default_rng(0))
+            sample_selection(scores, 0.3, np.random.default_rng(0))
 
     def test_mass_running_out_before_threshold_raises(self):
         # the first draw takes all the mass (0.2) and leaves cum below 0.3
-        sv = ScoreVector(logits=np.zeros(3), scores=np.asarray([0.2, 0.0, 0.0]))
+        scores = as_scores([0.2, 0.0, 0.0])
         with pytest.raises(ValueError):
-            sample_selection(sv, 0.3, np.random.default_rng(0))
+            sample_selection(scores, 0.3, np.random.default_rng(0))
 
 
 class Uniforms:
@@ -325,12 +303,11 @@ _uniforms = st.lists(
 class TestPlainDraw:
     def test_one_random_per_drawn_operator(self):
         for scores in draw_cases():
-            sv = scores_vec(scores)
             for thres in (0.05, 0.3, 0.9):
                 rng = np.random.default_rng(7)
                 ref_rng = np.random.default_rng(7)
                 for _ in range(5):
-                    drawn = sample_selection(sv, thres, rng)
+                    drawn = sample_selection(scores, thres, rng)
                     for _ in drawn:
                         ref_rng.random()
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -343,11 +320,11 @@ class TestPlainDraw:
         [0.0],
     ])
     def test_non_finite_or_zero_mass_raises(self, scores):
-        sv = ScoreVector(logits=np.zeros(len(scores)), scores=np.asarray(scores))
+        scores = as_scores(scores)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="not a positive finite number"):
-            sample_selection(sv, 0.3, rng)
+            sample_selection(scores, 0.3, rng)
         assert rng.bit_generator.state == state  # raised before drawing
 
     @pytest.mark.parametrize("weights, want", [
@@ -358,14 +335,13 @@ class TestPlainDraw:
     def test_product_rounding_up_to_the_total_takes_the_last_positive(
             self, weights, want):
         # (1 - 2**-53) * total rounds up to a subnormal total
-        sv = ScoreVector(logits=np.zeros(len(weights)), scores=np.asarray(weights))
-        assert sample_selection(sv, 0.0, Uniforms([1.0 - 2.0**-53])) == want
+        assert sample_selection(as_scores(weights), 0.0, Uniforms([1.0 - 2.0**-53])) == want
 
     @settings(max_examples=300, deadline=None)
     @given(_weights, _uniforms, st.sampled_from([0.0, 0.5]))
     def test_never_draws_a_zero_weight(self, weights, uniforms, frac):
-        sv = ScoreVector(logits=np.zeros(len(weights)), scores=np.asarray(weights))
-        drawn = sample_selection(sv, frac * sum(weights), Uniforms(cycle(uniforms)))
+        drawn = sample_selection(as_scores(weights), frac * sum(weights),
+                                 Uniforms(cycle(uniforms)))
         assert drawn
         assert len(set(drawn)) == len(drawn)
         assert all(weights[idx] > 0.0 for idx in drawn)
@@ -397,39 +373,37 @@ def numpy_selection_log_prob(scores, selected):
 class TestFloatLoopsMatchNumpy:
     def test_rules_equal_numpy_scalar_references(self):
         for scores in draw_cases():
-            sv = scores_vec(scores)
             for thres in (0.05, 0.3, 0.9):
-                chosen = select_deterministic(sv, thres)
+                chosen = select_deterministic(scores, thres)
                 assert chosen == numpy_select_deterministic(scores, thres)
-                assert selection_log_prob(sv, chosen) == numpy_selection_log_prob(
+                assert selection_log_prob(scores, chosen) == numpy_selection_log_prob(
                     scores, chosen)
                 rng = np.random.default_rng(int(thres * 100))
                 for _ in range(5):
-                    drawn = sample_selection(sv, thres, rng)
-                    assert selection_log_prob(sv, drawn) == numpy_selection_log_prob(
+                    drawn = sample_selection(scores, thres, rng)
+                    assert selection_log_prob(scores, drawn) == numpy_selection_log_prob(
                         scores, drawn)
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_zero_scores_give_numpy_infinities(self):
         scores = np.asarray([0.5, 0.5, 0.0])
-        sv = scores_vec(scores)
         for selected in ([2], [0, 2], [0, 1, 2], [0, 1]):
-            got = selection_log_prob(sv, selected)
+            got = selection_log_prob(scores, selected)
             want = numpy_selection_log_prob(scores, selected)
             assert got == want or (math.isnan(got) and math.isnan(want))
-        assert selection_log_prob(sv, [2]) == -math.inf
+        assert selection_log_prob(scores, [2]) == -math.inf
 
     def test_select_deterministic_nan_scores_raise(self):
         # at numpy scalars, cum never exceeded thres and every index came back
         for scores in ([math.nan] * 4, [0.1, 0.1, math.nan]):
             with pytest.raises(ValueError):
-                select_deterministic(scores_vec(scores), 0.3)
+                select_deterministic(as_scores(scores), 0.3)
 
     def test_select_deterministic_nan_after_the_prefix_is_not_read(self):
         # NaN sorts last, so a prefix that exceeds thres first never sees it
-        sv = ScoreVector(logits=np.zeros(3), scores=np.asarray([math.nan, 0.5, 0.5]))
-        assert select_deterministic(sv, 0.3) == [1]
+        scores = as_scores([math.nan, 0.5, 0.5])
+        assert select_deterministic(scores, 0.3) == [1]
 
 
 class TestGradLogProb:
@@ -443,9 +417,9 @@ class TestGradLogProb:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                lp_plus = selection_log_prob(score_layer(state, ell, feature), selected)
+                lp_plus = selection_log_prob(score_layer(state, ell, feature).scores, selected)
                 arr[idx] = orig - eps
-                lp_minus = selection_log_prob(score_layer(state, ell, feature), selected)
+                lp_minus = selection_log_prob(score_layer(state, ell, feature).scores, selected)
                 arr[idx] = orig
                 g[idx] = (lp_plus - lp_minus) / (2 * eps)
             grads.append(g)
@@ -456,8 +430,7 @@ class TestGradLogProb:
         state = init_params(17, 4, 5, 2, 4)
         for ell in (1, 2):
             feature = rng.normal(size=4 * ell)
-            sv = score_layer(state, ell, feature)
-            selected = sample_selection(sv, 0.3, rng)
+            selected = sample_selection(score_layer(state, ell, feature).scores, 0.3, rng)
             g = grad_log_prob(state, ell, feature, selected)
             fd = self._fd_grad(state, ell, feature, selected)
             for analytic, numeric in zip((g.W1, g.b1, g.W2, g.b2), fd):

@@ -57,7 +57,6 @@ ROOT = Path(__file__).resolve().parent.parent
 NOQA = "# noqa: F401"
 # dataclass fields that nothing in src/maas or perfbench/ reads, and why
 UNREAD_FIELDS_KEPT = {
-    "ScoreVector.logits": "the tests pin it as the forward pass's oracle",
     "OperatorPatch.rationale": "ROADMAP item 5 stores patch rationales",
 }
 # defaulted parameters that no call in src/maas or perfbench/ passes, and why

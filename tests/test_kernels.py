@@ -346,8 +346,9 @@ def test_ffn_forward_equals_operator_form_bitwise(case):
 @settings(max_examples=100, deadline=None)
 @given(forward_cases())
 def test_forward_and_softmax_return_fresh_arrays_and_write_no_argument(case):
-    """`ScoreVector` keeps the feature and logits a layer was scored on, so
-    a kernel writing into its argument would change a recorded pass."""
+    """`ScoreVector` keeps the feature a layer was scored on, and the hidden
+    state and scores computed from it, so a kernel writing into its argument
+    or returning a shared array would change a recorded pass."""
     before = [a.tobytes() for a in case]
     h, logits = kernels.ffn_forward(*case)
     assert [a.tobytes() for a in case] == before

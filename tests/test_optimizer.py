@@ -22,7 +22,7 @@ from maas.data import load_dataset
 from maas.datagen import default_env, sabotaged_profiles
 from maas.embedding import HashingEmbedder, layer_feature
 from maas.errors import BackendError, DataError, MaasError
-from maas.executor import ExecutionTrace, QueryRecord, SyntheticEnv
+from maas.executor import QueryRecord, SyntheticEnv
 from maas.optimizer import (
     MOCK_PATCH_SENTENCE,
     MUTATOR_PROMPT,
@@ -154,7 +154,7 @@ class TestTraceGradients:
 
         def objective():
             return sum(m_k * selection_log_prob(
-                score_layer(state, ell, score_vec.feature), selected)
+                score_layer(state, ell, score_vec.feature).scores, selected)
                 for arch, m_k in zip(archs, weights)
                 for ell, (score_vec, selected) in enumerate(
                     zip(arch.forward, arch.selections), start=1))
@@ -273,12 +273,12 @@ class TestUpdateDistribution:
             update_distribution(state, archs, [1.0], 0.05)
 
 
-def split_then_merge(registry, traces):
+def split_then_merge(registry, window):
     """A mutator that splits "cot" while it has no clone, and else merges
     the clone into "debate"."""
     if "cot-b" in registry:
-        return [OperatorPatch("debate", structure_action="merge", merge_with_id="cot-b")]
-    return [OperatorPatch("cot", structure_action="split")]
+        return OperatorPatch("debate", structure_action="merge", merge_with_id="cot-b")
+    return OperatorPatch("cot", structure_action="split")
 
 
 class TestFlatUpdate:
@@ -497,36 +497,25 @@ class TestQueryCache:
             vec[0] = 1.0
 
 
-def trace_for(layers, utility):
-    from maas.sampler import Architecture
-
-    arch = Architecture(layers=layers, selections=[], exit_layer=None,
-                        params_version=0)
-    return ExecutionTrace(arch, "", utility, 1.0, 1)
-
-
 class TestMockMutator:
     def test_targets_lowest_success_rate(self):
         reg = builtin_registry()
-        traces = [trace_for([["cot"]], 0.0)] * 3 + [
-            trace_for([["react"]], 0.0), trace_for([["react"]], 1.0),
-            trace_for([["react"]], 1.0),
-        ]
-        patches = mock_mutator(reg, traces)
-        assert len(patches) == 1
-        assert patches[0].target_id == "cot"
-        assert patches[0].new_prompt.endswith(MOCK_PATCH_SENTENCE)
+        window = [([["cot"]], 0.0)] * 3 + [
+            ([["react"]], 0.0), ([["react"]], 1.0), ([["react"]], 1.0)]
+        patch = mock_mutator(reg, window)
+        assert patch.target_id == "cot"
+        assert patch.new_prompt.endswith(MOCK_PATCH_SENTENCE)
+        assert patch.rationale.endswith("over 6 recent traces")
 
     def test_tie_break_lowest_index(self):
         reg = builtin_registry()
-        traces = [trace_for([["debate"]], 0.0), trace_for([["testing"]], 0.0)]
-        patches = mock_mutator(reg, traces)
-        assert patches[0].target_id == "debate"  # index 1 < index 5
+        window = [([["debate"]], 0.0), ([["testing"]], 0.0)]
+        assert mock_mutator(reg, window).target_id == "debate"  # index 1 < index 5
 
     def test_temperature_steps_toward_half(self):
         reg = builtin_registry()
-        patches = mock_mutator(reg, [trace_for([["cot"]], 0.0)])
-        assert patches[0].new_temperature == pytest.approx(0.9)
+        patch = mock_mutator(reg, [([["cot"]], 0.0)])
+        assert patch.new_temperature == pytest.approx(0.9)
 
     def test_idempotent_when_fully_patched(self):
         reg = builtin_registry()
@@ -535,10 +524,13 @@ class TestMockMutator:
             new_prompt=reg.get("cot").prompt + MOCK_PATCH_SENTENCE,
             new_temperature=0.5,
         ))
-        assert mock_mutator(reg, [trace_for([["cot"]], 0.0)]) == []
+        assert mock_mutator(reg, [([["cot"]], 0.0)]) is None
 
     def test_no_traces_no_patches(self):
-        assert textual_gradient(builtin_registry(), [], mock_mutator) == []
+        def asked(registry, window):
+            pytest.fail("the mutator was asked about an empty window")
+
+        assert textual_gradient(builtin_registry(), [], asked) is None
 
 
 OPERATOR_IDS = st.sampled_from([*builtin_registry().ids(), "cot-b", "ghost"])
@@ -689,10 +681,10 @@ class TestTrainer:
 
     def test_one_forward_pass_per_sampled_layer_and_one_query_embed(
             self, monkeypatch):
-        def split_cot_once(registry, traces):
+        def split_cot_once(registry, window):
             if "cot-b" in registry:
-                return []
-            return [OperatorPatch("cot", structure_action="split")]
+                return None
+            return OperatorPatch("cot", structure_action="split")
 
         trainer = make_trainer(proposer=split_cot_once, num_layers=4, patch_every=1)
         reg, cfg = trainer.registry, trainer.config
@@ -753,6 +745,45 @@ class TestTrainer:
             trainer.step(query(f"q{i}"))
         assert trainer.window == []
 
+    def test_window_holds_the_pairs_of_the_traces_since_the_last_round(
+            self, monkeypatch):
+        """After each step the window holds the `(layers, utility)` pair of
+        every trace since the last round, K a step in execution order; the
+        mutator is asked about all of them, and a round empties it."""
+        executed, asked = [], []
+        execute = optimizer_module.execute
+
+        def recording_execute(*args):
+            executed.append(execute(*args))
+            return executed[-1]
+
+        def asking_mock(registry, window):
+            asked.append(list(window))
+            return mock_mutator(registry, window)
+
+        monkeypatch.setattr(optimizer_module, "execute", recording_execute)
+        trainer = make_trainer(proposer=asking_mock, patch_every=3)
+        k = trainer.config.samples_k
+        for i in range(1, 7):
+            trainer.step(query(f"q{i}"))
+            since = executed[-k * (3 if i % 3 == 0 else i % 3):]
+            pairs = [(t.architecture.layers, t.utility) for t in since]
+            if i % 3 == 0:
+                assert trainer.window == [] and asked[-1] == pairs
+            else:
+                assert trainer.window == pairs
+            assert all(type(pair) is tuple for pair in trainer.window)
+        assert len(asked) == 2 and len(executed) == 6 * k
+
+    def test_a_mutator_proposing_none_applies_nothing(self):
+        trainer = make_trainer(proposer=lambda registry, window: None, patch_every=1)
+        reg, state = trainer.registry, trainer.state
+        before = registry_json(reg)
+        for i in range(3):
+            assert trainer.step(query(f"q{i}"))["patches_applied"] == 0
+        assert registry_json(reg) == before
+        assert state.n_ops == len(reg) and state.version == 3  # the 3 updates alone
+
     def test_mock_resolves_to_mock_mutator(self):
         trainer = make_trainer(mutator="mock", patch_every=2)
         assert trainer.mutator is mock_mutator
@@ -766,35 +797,39 @@ class TestTrainer:
                       merge_with_id="nope"),  # no merge partner 'nope'
     ])
     def test_rejected_patch_is_skipped_not_fatal(self, bad_patch):
+        """A round whose patch is rejected applies nothing and the run goes
+        on; the next round's patch is applied."""
         reg = builtin_registry()
         reg.apply_patch(OperatorPatch("cot", structure_action="split"))
         cfg = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8, patch_every=1)
         state = init_params(0, 8, 8, 2, len(reg))
         good = OperatorPatch("react", new_temperature=0.5)
+        proposals = iter([bad_patch, good])
 
-        def mutator(registry, traces):
-            return [bad_patch, good]
+        def mutator(registry, window):
+            return next(proposals)
 
         trainer = Trainer(state, reg, simple_env(), cfg, np.random.default_rng(0),
                           mutator=mutator)
         before = registry_json(reg)
-        assert trainer.step(query())["patches_applied"] == 1
+        assert trainer.step(query())["patches_applied"] == 0
+        assert registry_json(reg) == before
+        assert trainer.step(query("q2"))["patches_applied"] == 1
         after = builtin_registry()
         after.apply_patch(OperatorPatch("cot", structure_action="split"))
         after.apply_patch(good)
         assert registry_json(reg) == registry_json(after) != before
         assert state.n_ops == len(reg)
-        trainer.step(query("q2"))
 
     def test_prompt_doubling_ends_in_a_skipped_patch(self):
         """Splitting "cot" and merging the clone back doubles its prompt; the
         merge that would take it past `MAX_PROMPT_CHARS` is skipped and
         leaves the registry as it was."""
-        def split_and_merge_back(registry, traces):
+        def split_and_merge_back(registry, window):
             if "cot-b" in registry:
-                return [OperatorPatch("cot", structure_action="merge",
-                                      merge_with_id="cot-b")]
-            return [OperatorPatch("cot", structure_action="split")]
+                return OperatorPatch("cot", structure_action="merge",
+                                     merge_with_id="cot-b")
+            return OperatorPatch("cot", structure_action="split")
 
         trainer = make_trainer(proposer=split_and_merge_back, patch_every=1)
         reg, state = trainer.registry, trainer.state
@@ -811,8 +846,8 @@ class TestTrainer:
         assert "cot-b" in reg and state.n_ops == len(reg)
 
     def test_unparseable_proposal_is_skipped_not_fatal(self):
-        def mutator(registry, traces):
-            return [parse_mutation("not json")]
+        def mutator(registry, window):
+            return parse_mutation("not json")
 
         trainer = make_trainer(proposer=mutator, patch_every=1)
         reg = trainer.registry
@@ -822,8 +857,8 @@ class TestTrainer:
 
     @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
     def test_malformed_reply_neither_raises_nor_corrupts(self, reply):
-        def mutator(registry, traces):
-            return [parse_mutation(reply)]
+        def mutator(registry, window):
+            return parse_mutation(reply)
 
         trainer = make_trainer(SyntheticEnv(*sabotaged_profiles()), proposer=mutator,
                                patch_every=1)
@@ -868,8 +903,8 @@ class TestTrainer:
 
     @pytest.mark.parametrize("mutator,patch_every", [("none", 1)])
     def test_patching_off_ignores_a_passed_mutator(self, mutator, patch_every):
-        def split_cot(registry, traces):
-            return [OperatorPatch("cot", structure_action="split")]
+        def split_cot(registry, window):
+            return OperatorPatch("cot", structure_action="split")
 
         trainer = make_trainer(proposer=split_cot, mutator=mutator,
                                patch_every=patch_every)
@@ -881,10 +916,10 @@ class TestTrainer:
         assert registry_json(reg) == before
 
     def test_structural_patch_remaps_controller(self):
-        def splitting_mutator(registry, traces):
+        def splitting_mutator(registry, window):
             if "cot-b" in registry:
-                return []
-            return [OperatorPatch("cot", structure_action="split")]
+                return None
+            return OperatorPatch("cot", structure_action="split")
 
         trainer = make_trainer(proposer=splitting_mutator, patch_every=1)
         reg, state = trainer.registry, trainer.state
@@ -896,10 +931,10 @@ class TestTrainer:
 
 
     def test_operator_split_twice(self):
-        def split_cot_twice(registry, traces):
+        def split_cot_twice(registry, window):
             if "cot-b2" in registry:
-                return []
-            return [OperatorPatch("cot", structure_action="split")]
+                return None
+            return OperatorPatch("cot", structure_action="split")
 
         trainer = make_trainer(proposer=split_cot_twice, patch_every=1)
         reg, state, env = trainer.registry, trainer.state, trainer.env
@@ -943,9 +978,8 @@ class TestLLMMutator:
             '{"thought": "too hot", "target_id": "react", "new_temperature": 0.4}'
         )
         mutator = LLMMutator(model="m", base_url="http://stub/", transport=transport)
-        patches = mutator(builtin_registry(), [trace_for([["react"]], 0.0)])
-        assert patches == [OperatorPatch("react", new_temperature=0.4,
-                                         rationale="too hot")]
+        patch = mutator(builtin_registry(), [([["react"]], 0.0)])
+        assert patch == OperatorPatch("react", new_temperature=0.4, rationale="too hot")
         (url, payload), = transport.calls
         assert url == "http://stub/v1/chat/completions"
         assert payload["model"] == "m"
@@ -954,7 +988,7 @@ class TestLLMMutator:
     def test_non_json_reply_unparseable(self):
         mutator = LLMMutator(base_url="http://stub", transport=chat_reply("cot is weak"))
         with pytest.raises(DataError, match="reply is not JSON"):
-            mutator(builtin_registry(), [trace_for([["cot"]], 0.0)])
+            mutator(builtin_registry(), [([["cot"]], 0.0)])
 
     def test_prompt_does_not_depend_on_the_hash_seed(self):
         """The failure summary of operators with tied rates is the same in
@@ -962,10 +996,8 @@ class TestLLMMutator:
         code = textwrap.dedent("""\
             import sys
             from maas.errors import DataError
-            from maas.executor import ExecutionTrace
             from maas.optimizer import LLMMutator
             from maas.registry import builtin_registry
-            from maas.sampler import Architecture
 
             def transport(url, payload, headers):
                 sys.stdout.write(payload["messages"][0]["content"])
@@ -973,11 +1005,9 @@ class TestLLMMutator:
 
             registry = builtin_registry()
             ids = [spec.id for spec in registry.specs()]
-            arch = Architecture(layers=[ids[:4], ids[4:]], selections=[],
-                                exit_layer=None, params_version=0)
             mutator = LLMMutator(base_url="http://stub", transport=transport)
             try:
-                mutator(registry, [ExecutionTrace(arch, "", 0.0, 1.0, 1)])
+                mutator(registry, [([ids[:4], ids[4:]], 0.0)])
             except DataError:
                 pass  # the reply "{}" lacks target_id
             """)

@@ -135,7 +135,7 @@ class TestSpecToDict:
 class TestApplyPatch:
     def test_temperature_patch(self):
         reg = builtin_registry()
-        reg.apply_patch(OperatorPatch("cot", new_temperature=0.5))
+        assert reg.apply_patch(OperatorPatch("cot", new_temperature=0.5)) is None
         assert reg.get("cot").temperature == 0.5
         # everything else untouched
         assert reg.get("debate").temperature == 1.0
@@ -143,17 +143,16 @@ class TestApplyPatch:
 
     def test_prompt_patch(self):
         reg = builtin_registry()
-        reg.apply_patch(OperatorPatch("cot", new_prompt="new {input}"))
+        assert reg.apply_patch(OperatorPatch("cot", new_prompt="new {input}")) is None
         assert reg.get("cot").prompt == "new {input}"
 
     def test_split_appends_clone(self):
         reg = builtin_registry()
-        change = reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        moved = reg.apply_patch(OperatorPatch("cot", structure_action="split"))
         assert len(reg) == 10
         assert reg.ids()[-1] == "cot-b"
         assert reg.get("cot-b").profile_text == reg.get("cot").profile_text
-        assert change.action == "split"
-        assert change.index == 0
+        assert moved == 0  # the row the clone copies
         # untouched indices stable
         assert reg.index_of("debate") == 1
 
@@ -167,23 +166,22 @@ class TestApplyPatch:
             == ["Chain-of-Thought (b)", "Chain-of-Thought (b2)"]
         reg.apply_patch(OperatorPatch("cot", structure_action="merge",
                                       merge_with_id="cot-b"))
-        change = reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        moved = reg.apply_patch(OperatorPatch("cot", structure_action="split"))
         assert reg.ids()[-1] == "cot-b"  # freed by the merge
-        assert change.index == reg.index_of("cot")
+        assert moved == reg.index_of("cot")
         assert len(set(reg.ids())) == len(reg) == 13
 
     def test_merge_removes_partner_and_concatenates(self):
         reg = builtin_registry()
         cot_prompt = reg.get("cot").prompt
         testing_prompt = reg.get("testing").prompt
-        change = reg.apply_patch(
+        moved = reg.apply_patch(
             OperatorPatch("cot", structure_action="merge", merge_with_id="testing")
         )
         assert len(reg) == 8
         assert "testing" not in reg
         assert reg.get("cot").prompt == cot_prompt + "\n" + testing_prompt
-        assert change.action == "merge"
-        assert change.index == 5
+        assert moved == 5  # the row merged away
         # indices past the removed one shift down by one
         assert reg.index_of("react") == 5
 

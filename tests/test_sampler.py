@@ -20,7 +20,7 @@ from maas.sampler import (
     build_dag,
     sample_architecture,
 )
-from tests.helpers import tiny_registry
+from tests.helpers import tiny_registry, two_layer_table
 
 
 def force_logits(state, per_layer_logits):
@@ -93,7 +93,7 @@ class TestSampleArchitecture:
         q = emb.embed("trace me")
         ids = reg.ids()
         sv1 = score_layer(state, 1, layer_feature(q, []))
-        sel1 = select_deterministic(sv1, 0.3)
+        sel1 = select_deterministic(sv1.scores, 0.3)
         assert arch.selections[0] == sel1
         exit_idx = reg.index_of("exit")
         if exit_idx not in sel1:
@@ -101,7 +101,7 @@ class TestSampleArchitecture:
             assert arch.layers[0] == expected_layer1
             sums = [sum(emb.embed(reg.get(i).profile_text) for i in expected_layer1)]
             sv2 = score_layer(state, 2, layer_feature(q, sums))
-            assert arch.selections[1] == select_deterministic(sv2, 0.3)
+            assert arch.selections[1] == select_deterministic(sv2.scores, 0.3)
 
     def test_train_mode_requires_rng(self):
         reg = tiny_registry()
@@ -303,38 +303,7 @@ class TestArchitectureLogProb:
         reg = tiny_registry()
         state = init_params(5, 8, 8, 2, len(reg))
         emb = HashingEmbedder(8)
-        q = emb.embed("enumerate")
-        exit_idx = reg.index_of("exit")
-        ids = reg.ids()
-        thres = 0.3
-
-        def layer_sequences(scores):
-            out = []
-
-            def rec(prefix, cum, rem, lp):
-                if cum > thres:
-                    out.append((tuple(prefix), lp))
-                    return
-                for i in range(len(scores)):
-                    if i in prefix:
-                        continue
-                    rec(prefix + [i], cum + scores[i], rem - scores[i],
-                        lp + np.log(scores[i] / rem))
-
-            rec([], 0.0, 1.0, 0.0)
-            return out
-
-        total = 0.0
-        sv1 = score_layer(state, 1, layer_feature(q, []))
-        for seq1, lp1 in layer_sequences(sv1.scores):
-            if exit_idx in seq1:
-                total += np.exp(lp1)
-                continue
-            layer1 = [ids[i] for i in seq1]
-            sums = [sum(emb.embed(reg.get(i).profile_text) for i in layer1)]
-            sv2 = score_layer(state, 2, layer_feature(q, sums))
-            for _, lp2 in layer_sequences(sv2.scores):
-                total += np.exp(lp1 + lp2)
+        total = sum(two_layer_table(state, reg, emb, "enumerate", 0.3).values())
         assert abs(total - 1.0) < 1e-9
 
 

@@ -42,9 +42,9 @@ class SelfEditMachine(RuleBasedStateMachine):
         self.reply_text = None
         self.at_reply = None
 
-    def _reply(self, registry, traces):
+    def _reply(self, registry, window):
         self.at_reply = self._snapshot()
-        return [parse_mutation(self.reply_text)]
+        return parse_mutation(self.reply_text)
 
     def _snapshot(self):
         """What a refused reply must leave as it was: the registry, the
@@ -131,7 +131,7 @@ def test_a_mutator_that_always_splits_stops_at_the_cap():
     holds `MAX_OPERATORS`, the rest are skipped, and the run ends with one
     controller row per operator."""
     split = OperatorPatch("cot", structure_action="split")
-    trainer = make_trainer(default_env(), lambda registry, traces: [split],
+    trainer = make_trainer(default_env(), lambda registry, window: split,
                            samples_k=2, patch_every=1)
     room = MAX_OPERATORS - len(trainer.registry)
     metrics = trainer.run(RECORDS, iterations=8)

@@ -38,9 +38,10 @@ change failed a larger share of its attempted operations than the parent, else
 "within"), the checkpoint sha256 per seed with `checkpoint_sha256_equal` (true
 when every seed's is the same on both sides), the traced metrics' medians with
 `counts_equal` and `counts_differing` (the count-valued metrics, and `failed`,
-that differ in any traced run), and `benchmark_files_equal` (true when
+that differ in any traced run), `benchmark_files_equal` (true when
 `perfbench/` and `BENCHMARK.json` in the working tree are as they are at the
-parent commit).
+parent commit), and per side the lines of the `.py` files in `src/maas`
+(`src_maas_lines`) and in `tests/` (`tests_lines`).
 """
 
 import argparse
@@ -63,6 +64,8 @@ TRACE_SEED = 2
 MIN_EXTRA_UNIT_SHARE = 0.05  # of the parent's timed units, for rss_bytes_per_extra_unit
 TIER1_RUNS = 3  # per side
 TRACE_RUNS = 3  # per side and workload, all at TRACE_SEED
+# record key -> the directory, under each tree, whose .py lines it counts
+LINE_COUNTS = {"src_maas_lines": ("src", "maas"), "tests_lines": ("tests",)}
 PAIRING = ("parent and change on the same seed, one after the other, the parent"
            " first on odd seeds and the change first on even seeds; medians and"
            " quartiles over the pairs; ties count in pairs_equal, not in"
@@ -327,12 +330,14 @@ def summarize_tier1(runs):
     return out
 
 
-def src_lines(tree):
-    src = os.path.join(tree, "src", "maas")
+def py_lines(directory):
+    """The lines of every `.py` file directly in `directory`, its
+    subdirectories left out."""
     total = 0
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name)) as fh:
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        if name.endswith(".py") and os.path.isfile(path):
+            with open(path) as fh:
                 total += sum(1 for _ in fh)
     return total
 
@@ -430,7 +435,9 @@ def main(argv=None):
 
         paired, traced = collect(workloads, TRACE_SEED, run)
         tier1 = summarize_tier1(collect_tier1(lambda side: _tier1(trees[side])))
-        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        lines = {key: {side: py_lines(os.path.join(tree, *parts))
+                       for side, tree in trees.items()}
+                 for key, parts in LINE_COUNTS.items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
         signal.signal(signal.SIGTERM, previous)
@@ -467,7 +474,7 @@ def main(argv=None):
                  " tests_s is start-up, collection and reporting; cpu_s is"
                  " the user+sys CPU seconds of pytest and every process it"
                  " waited for (the RUSAGE_CHILDREN delta)")}
-    record["src_maas_lines"] = lines
+    record.update(lines)
     record["workloads"] = {
         name: {**summarize_pairs(seeds, paired[name], directions),
                "bound_check": bound_check(paired[name], benchmark["end_to_end"])}
