@@ -174,7 +174,7 @@ def init_params(seed, d, h, num_layers, n_ops) -> SupernetState:
     as one vector in `params` order: the same values, and the same generator
     state after, as one draw per array in that order."""
     if min(d, h, num_layers, n_ops) < 1:
-        raise ValueError("all dims must be positive")
+        raise MaasError("all dims must be positive")
     size = _size(d, h, n_ops, num_layers)
     params = np.random.default_rng(seed).uniform(-INIT_SCALE, INIT_SCALE, size)
     return SupernetState(params, d, h, n_ops, num_layers)
@@ -195,7 +195,7 @@ def score_layer(state: SupernetState, ell: int, feature: np.ndarray) -> ScoreVec
 
 def select_deterministic(scores: np.ndarray, thres: float) -> list[int]:
     """Minimal descending-score prefix whose cumulative mass strictly exceeds
-    thres; ties broken by ascending operator index. Raises ValueError when a
+    thres; ties broken by ascending operator index. Raises MaasError when a
     NaN score enters the prefix (NaN sorts last)."""
     values = scores.tolist()
     cum = 0.0
@@ -206,7 +206,7 @@ def select_deterministic(scores: np.ndarray, thres: float) -> list[int]:
         if cum > thres:
             return chosen
     if math.isnan(cum):
-        raise ValueError("selection scores are NaN")
+        raise MaasError("selection scores are NaN")
     return chosen
 
 
@@ -222,7 +222,7 @@ def sample_selection(scores: np.ndarray, thres: float, rng: np.random.Generator)
     call advances the generator by one `random()` per drawn operator. A zero
     weight never raises the running sum, so it is never drawn; a product that
     rounds up to the total (a subnormal total) takes the first index that
-    reaches it. Raises ValueError when the remaining total is not a positive
+    reaches it. Raises MaasError when the remaining total is not a positive
     finite number: NaN or infinite weights, or no mass left."""
     scores = scores.tolist()
     weights = scores.copy()  # drawn operators zeroed
@@ -232,7 +232,7 @@ def sample_selection(scores: np.ndarray, thres: float, rng: np.random.Generator)
         cdf = list(accumulate(weights))
         total = cdf[-1]
         if not 0.0 < total < math.inf:  # also catches NaN
-            raise ValueError(f"selection mass {total} is not a positive finite number")
+            raise MaasError(f"selection mass {total} is not a positive finite number")
         x = rng.random() * total
         idx = bisect_right(cdf, x) if x < total else cdf.index(total)
         drawn.append(idx)

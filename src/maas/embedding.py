@@ -73,7 +73,7 @@ class HashingEmbedder:
 
     def __init__(self, dim: int):
         if dim < 1:
-            raise ValueError("dim must be positive")
+            raise MaasError("dim must be positive")
         self.dim = dim
         self.memo = {}
 

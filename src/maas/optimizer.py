@@ -109,7 +109,7 @@ def trace_gradients(state, archs, weights):
         if arch.params_version != state.version:
             raise MaasError("parameters changed since sampling")
         if len(arch.forward) != len(arch.selections):
-            raise ValueError("architecture carries no recorded forward pass")
+            raise MaasError("architecture carries no recorded forward pass")
         for ell, (score_vec, selected) in enumerate(
                 zip(arch.forward, arch.selections), start=1):
             g_logits = kernels.pl_grad_logits(score_vec.scores, selected)

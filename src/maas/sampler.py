@@ -104,9 +104,9 @@ def sample_architecture(
     each profile text once. Keyed on text, the memo needs no invalidation
     when operators are patched, split or merged."""
     if mode not in (MODE_TRAIN, MODE_EVAL):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise MaasError(f"unknown mode {mode!r}")
     if mode == MODE_TRAIN and rng is None:
-        raise ValueError("train mode needs an rng")
+        raise MaasError("train mode needs an rng")
     if embedder is None:
         embedder = HashingEmbedder(state.embed_dim)
 

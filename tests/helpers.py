@@ -171,6 +171,39 @@ def bitwise_equal(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+def operator_ffn_forward(W1, b1, W2, b2, x):
+    """The two-layer tanh forward pass written with `@`: (hidden, logits),
+    which `kernels.ffn_forward` must equal bitwise."""
+    h = np.tanh(W1 @ x + b1)
+    return h, W2 @ h + b2
+
+
+def method_softmax(logits):
+    """Softmax with the `max()` and `sum()` methods, which `kernels.softmax`
+    must equal bitwise."""
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def central_differences(arrays, objective, eps):
+    """The gradient of `objective()` with respect to each of `arrays`, in
+    their shapes, by central differences: each entry is moved by +eps and
+    -eps in place, then restored."""
+    grads = []
+    for arr in arrays:
+        numeric = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            plus = objective()
+            arr[idx] = orig - eps
+            minus = objective()
+            arr[idx] = orig
+            numeric[idx] = (plus - minus) / (2 * eps)
+        grads.append(numeric)
+    return grads
+
+
 # 10**400 is an int past the float range
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
@@ -264,11 +297,13 @@ def without_operator(op_id):
     return corrupt
 
 
-def with_react_as_second_exit(checkpoint):
-    for op in checkpoint["registry"]["operators"]:
-        if op["id"] == "react":
-            op["kind"] = "early_exit"
-    return checkpoint
+def with_operator_field(op_id, name, value):
+    """The checkpoint with `value` as the `name` of operator `op_id`."""
+    def corrupt(checkpoint):
+        [op] = [op for op in checkpoint["registry"]["operators"] if op["id"] == op_id]
+        op[name] = value
+        return checkpoint
+    return corrupt
 
 
 def with_blob_value(layer, name, value):
@@ -309,13 +344,6 @@ def with_config_field(name, value):
     return corrupt
 
 
-def with_long_prompt(checkpoint):
-    """The checkpoint with a "cot" prompt one char over `MAX_PROMPT_CHARS`."""
-    [cot] = [op for op in checkpoint["registry"]["operators"] if op["id"] == "cot"]
-    cot["prompt"] = "x" * (MAX_PROMPT_CHARS + 1)
-    return checkpoint
-
-
 def with_first_id_repeated(checkpoint):
     """The checkpoint whose second operator takes the first one's id."""
     operators = checkpoint["registry"]["operators"]
@@ -336,14 +364,27 @@ def with_operators_past_the_cap(checkpoint):
 BAD_CHECKPOINTS = {
     "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
     "no_direct_io": (without_operator("direct_io"), "lacks its early-exit or direct-io"),
-    "second_exit": (with_react_as_second_exit, "already has an early-exit"),
+    "no_controllers": (lambda checkpoint: {"format_version": 2},
+                       "malformed checkpoint: KeyError: 'controllers'"),
+    "second_exit": (with_operator_field("react", "kind", "early_exit"),
+                    "already has an early-exit"),
     "duplicate_id": (with_first_id_repeated, "operator id 'cot' already registered"),
     "past_the_cap": (with_operators_past_the_cap,
                      f"registry cannot hold more than {MAX_OPERATORS} operators"),
-    "long_prompt": (with_long_prompt, f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1}"
-                    f" chars, over {MAX_PROMPT_CHARS}"),
+    "long_prompt": (with_operator_field("cot", "prompt", "x" * (MAX_PROMPT_CHARS + 1)),
+                    f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1} chars, over"
+                    f" {MAX_PROMPT_CHARS}"),
+    "int_prompt": (with_operator_field("cot", "prompt", 5), "prompt 5 is not a string"),
+    "string_tools": (with_operator_field("react", "tools", "cx"),
+                     "tools 'cx' of operator 'react' is not a list"),
     "format2_null_cadence": (with_config_field("patch_every", None),
                              "patch_every None is not an integer"),
+    "float_embed_dim": (with_config_field("embed_dim", 64.0),
+                        "embed_dim 64.0 is not an integer"),
+    "float_seed": (with_config_field("seed", 1.5), "seed 1.5 is not an integer"),
+    "negative_seed": (with_config_field("seed", -1), "seed must be >= 0"),
+    "unknown_mutator": (with_config_field("mutator", "mock2"),
+                        r"mutator 'mock2' is not one of \('mock', 'llm', 'none'\)"),
     # in the config only: `TrainConfig` refuses it before the dims are compared
     "zero_embed_dim": (with_config_field("embed_dim", 0), "embed_dim must be >= 1"),
     "params_not_a_string": (with_controller_field("params", [0.0]),

@@ -16,6 +16,7 @@ import pytest
 from maas import checkpoint as ckpt
 from maas import sampler
 from maas.controller import (
+    grad_log_prob,
     init_params,
     sample_selection,
     score_layer,
@@ -28,7 +29,7 @@ from maas.executor import SyntheticEnv
 from maas.harness import run_eval, run_train
 from maas.optimizer import TrainConfig, importance_weights
 from maas.registry import builtin_registry
-from tests.helpers import tiny_registry, two_layer_table
+from tests.helpers import central_differences, tiny_registry, two_layer_table
 
 DATASET = os.path.join(os.path.dirname(__file__), "..", "data", "synthetic_mix.jsonl")
 
@@ -42,8 +43,6 @@ class TestCriterion1GradientCorrectness:
     def test_grad_matches_finite_differences(self):
         t0 = time.time()
         rng = np.random.default_rng(101)
-        from maas.controller import grad_log_prob
-
         worst = 0.0
         eps = 1e-5
         for i in range(50):
@@ -55,24 +54,14 @@ class TestCriterion1GradientCorrectness:
             feature = rng.normal(size=d * ell)
             selected = sample_selection(score_layer(state, ell, feature).scores, 0.3, rng)
             g = grad_log_prob(state, ell, feature, selected)
-            ctrl = state.layer(ell)
-            for arr, g_arr in zip(ctrl.param_arrays(), (g.W1, g.b1, g.W2, g.b2)):
-                it = np.nditer(arr, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    orig = arr[idx]
-                    arr[idx] = orig + eps
-                    lp_p = selection_log_prob(
-                        score_layer(state, ell, feature).scores, selected
-                    )
-                    arr[idx] = orig - eps
-                    lp_m = selection_log_prob(
-                        score_layer(state, ell, feature).scores, selected
-                    )
-                    arr[idx] = orig
-                    fd = (lp_p - lp_m) / (2 * eps)
-                    rel = abs(g_arr[idx] - fd) / max(abs(fd), 1e-8)
-                    worst = max(worst, rel)
+            numeric = central_differences(
+                state.layer(ell).param_arrays(),
+                lambda: selection_log_prob(score_layer(state, ell, feature).scores,
+                                           selected),
+                eps)
+            for analytic, fd in zip((g.W1, g.b1, g.W2, g.b2), numeric):
+                rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8)
+                worst = max(worst, float(rel.max()))
         elapsed = time.time() - t0
         ok = worst < 1e-4 and elapsed < 10.0
         report(1, ok, f"max rel err {worst:.3e} over 50 instances, {elapsed:.1f}s")

@@ -399,14 +399,14 @@ def test_tier1_alternates_sides_and_keeps_medians():
     cpu = {"parent": [47.1, 46.0, 49.9], "change": [45.0, 44.2, 46.3]}
     calls = []
 
-    def fake_run(side):
-        calls.append(side)
-        i = calls.count(side) - 1
-        return {**bench_pairs.parse_tier1(durations_output(*canned[side][i])),
-                "cpu_s": cpu[side][i]}
+    def fake_run(side, key):
+        calls.append((side, key))
+        return {**bench_pairs.parse_tier1(durations_output(*canned[side][key - 1])),
+                "cpu_s": cpu[side][key - 1]}
 
-    runs = bench_pairs.collect_tier1(fake_run)
-    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    runs = bench_pairs.alternate(range(1, bench_pairs.TIER1_RUNS + 1), fake_run)
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3)]
     out = bench_pairs.summarize_tier1(runs)
     assert out["parent"] == {"wall_s": 52.0, "wall_s_runs": [51.4, 54.2, 52.0],
                              "tests_s": 16.3, "tests_s_runs": [16.0, 17.7, 16.3],

@@ -25,7 +25,8 @@ from maas.harness import run_eval
 from maas.optimizer import TrainConfig
 from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
-from tests.helpers import BAD_CHECKPOINTS, make_trainer, train_args, write_jsonl
+from tests.helpers import (BAD_CHECKPOINTS, make_trainer, train_args, with_state,
+                           write_jsonl)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -282,53 +283,14 @@ class TestEvalCommand:
         assert accuracy["numeric"] == 0.0
 
 
-def without_react(trained):
-    operators = trained["registry"]["operators"]
-    trained["registry"]["operators"] = [op for op in operators if op["id"] != "react"]
-    return json.dumps(trained)
-
-
-def with_int_prompt(trained):
-    for op in trained["registry"]["operators"]:
-        if op["id"] == "cot":
-            op["prompt"] = 5
-    return json.dumps(trained)
-
-
-def with_config(**fields):
-    def corrupt(trained):
-        return json.dumps({**trained, "config": {**trained["config"], **fields}})
-    return corrupt
-
-
-def with_string_tools(trained):
-    for op in trained["registry"]["operators"]:
-        if op["id"] == "react":
-            op["tools"] = "cx"
-    return json.dumps(trained)
-
-
 @pytest.mark.usefixtures("trained")
 class TestBadCheckpoint:
     # each case maps the checkpoint `maas train` writes to the text of a bad one
     @pytest.mark.parametrize("corrupt", [
-        lambda trained: '{"format_version": 2}\n',
         lambda trained: "{broken\n",
-        without_react,
-        lambda trained: json.dumps({**trained, "format_version": 99}),
-        with_int_prompt,
-        with_config(embed_dim=64.0),
-        with_config(seed=1.5),
-        with_config(seed=-1),
-        with_config(mutator="mock2"),
-        with_config(num_layers=1),
-        with_string_tools,
         *(lambda trained, corrupt=corrupt: json.dumps(corrupt(trained))
           for corrupt, _ in BAD_CHECKPOINTS.values()),
-    ], ids=["no_controllers", "not_json", "registry_without_react", "unknown_format",
-            "int_prompt", "float_embed_dim", "float_seed", "negative_seed",
-            "unknown_mutator", "fewer_layers_than_controllers", "string_tools",
-            *BAD_CHECKPOINTS])
+    ], ids=["not_json", *BAD_CHECKPOINTS])
     @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
     def test_is_data_error(self, workdir, command, corrupt):
         path = workdir / "bad.json"
@@ -342,6 +304,24 @@ class TestBadCheckpoint:
         result = CliRunner().invoke(main, [command, "--checkpoint", str(path), *extra])
         assert result.exit_code == 3, result.output
         assert result.output.startswith("data error: ") and result.output.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
+    def test_overflowing_forward_pass_exits_1_in_one_line(self, workdir, command):
+        """Parameters alternating +-1e308 are finite, so `restore` takes them,
+        but the forward pass overflows into NaN scores: a broken contract,
+        reported in one line."""
+        def alternate_extremes(state):
+            state.params[0::2], state.params[1::2] = 1e308, -1e308
+
+        path = workdir / "ckpt.json"
+        overflowing = with_state(alternate_extremes)(json.loads(path.read_text()))
+        path.write_text(json.dumps(overflowing))
+        result = CliRunner().invoke(main, valid_args(workdir, command))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output == "error: selection scores are NaN\n"
 
     @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
     def test_format_1_exits_3_saying_how_to_convert(self, workdir, command):

@@ -157,7 +157,7 @@ class TestHashingEmbedder:
                 assert not np.array_equal(vecs[i], vecs[j])
 
     def test_bad_dim_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MaasError):
             HashingEmbedder(0)
 
 

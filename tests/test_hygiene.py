@@ -1,9 +1,9 @@
 """Repository hygiene.
 
 - No module imports a name it never reads. pyflakes and ruff are not
-  dependencies, so this is a small AST check over `src/maas/*.py` (without
-  `__init__.py`, whose imports are its exports) and `tests/*.py`. An import
-  line carrying `# noqa: F401` is exempt.
+  dependencies, so this is a small AST check over `src/maas/*.py` and
+  `tests/*.py`; `maas/__init__.py` is checked too, so it re-exports
+  nothing. An import line carrying `# noqa: F401` is exempt.
 - The files under `data/` are what `maas.datagen` writes today.
 - Every function `perfbench/tracer.py` wraps still exists where it looks
   it up, so a rename in `src/` fails here rather than in a traced run.
@@ -24,10 +24,10 @@
   them in its own `__post_init__`, so no caller has to remember to.
 - Every function and class in `src/maas` is named in `src/maas` outside its
   own body, so nothing lives on only for the tests or only for itself.
-  Names are matched by name. Dunders, `@main.command` functions and the
-  names `__init__.py` re-exports are left out, and a public name also
-  passes when `perfbench/` names it (as a name, an attribute or a tracer
-  target's string), since the benchmark runs it.
+  Names are matched by name. Dunders and `@main.command` functions are
+  left out, and a public name also passes when `perfbench/` names it (as a
+  name, an attribute or a tracer target's string), since the benchmark
+  runs it.
 - No module but `src/maas/controller.py` assigns to an attribute named `W1`,
   `b1`, `W2` or `b2`, by `=`, an augmented assignment, `del` or `setattr`.
   A layer's arrays are views of its state's flat `params`, so an array
@@ -89,9 +89,8 @@ def unused_imports(source):
 
 
 def checked_files():
-    src = [p for p in sorted((ROOT / "src" / "maas").glob("*.py"))
-           if p.name != "__init__.py"]
-    return src + sorted((ROOT / "tests").glob("*.py"))
+    return [*sorted((ROOT / "src" / "maas").glob("*.py")),
+            *sorted((ROOT / "tests").glob("*.py"))]
 
 
 def test_checker_flags_unused_imports_and_honours_noqa():
@@ -109,7 +108,7 @@ def test_checker_flags_unused_imports_and_honours_noqa():
 
 def test_no_unused_imports():
     files = checked_files()
-    assert any(p.name == "sampler.py" for p in files)
+    assert ROOT / "src" / "maas" / "__init__.py" in files
     offenders = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in files
@@ -351,17 +350,16 @@ def is_command(node):
                for d in node.decorator_list)
 
 
-def unreferenced_definitions(sources, outside=(), exempt=()):
-    """The name of each function or class (not a `__dunder__`, a command or
-    a name in `exempt`), at any depth of the `sources`, that no name or
-    attribute in them loads outside its own definition. A public name also
-    passes when a source in `outside` names it: as a name, an attribute or a
-    string."""
+def unreferenced_definitions(sources, outside=()):
+    """The name of each function or class (not a `__dunder__` or a command),
+    at any depth of the `sources`, that no name or attribute in them loads
+    outside its own definition. A public name also passes when a source in
+    `outside` names it: as a name, an attribute or a string."""
     trees = [ast.parse(source) for source in sources]
     definitions = [node for tree in trees for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                   and node.name not in exempt and not is_command(node)]
+                   and not is_command(node)]
     refs = [(getattr(node, "id", getattr(node, "attr", None)), node)
             for tree in trees for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
@@ -420,8 +418,6 @@ def test_checker_flags_public_names_nothing_reaches():
         "        return 0\n"
         "def helper():\n"
         "    return Registry()\n"
-        "def exported():\n"
-        "    pass\n"
         "def _private():\n"
         "    pass\n"
         "@main.command()\n"
@@ -429,23 +425,19 @@ def test_checker_flags_public_names_nothing_reaches():
         "    pass\n"
     )
     assert sorted(unreferenced_definitions([source])) == [
-        "_private", "exported", "helper", "to_json", "traced"]
+        "_private", "helper", "to_json", "traced"]
     # perfbench may name a public definition as a name, an attribute or a
     # string, but not a private one
     outside = "helper()\nTARGETS = [(Registry, 'traced')]\nx._private()\n"
-    assert sorted(unreferenced_definitions([source], [outside], {"exported"})) == [
+    assert sorted(unreferenced_definitions([source], [outside])) == [
         "_private", "to_json"]
 
 
 def test_every_function_and_class_is_named_outside_its_body():
     src = sorted((ROOT / "src" / "maas").glob("*.py"))
-    init = ast.parse((ROOT / "src" / "maas" / "__init__.py").read_text())
-    exports = {alias.asname or alias.name for node in init.body
-               if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "sample_architecture" in exports
     perfbench = sorted((ROOT / "perfbench").glob("*.py"))
     assert unreferenced_definitions([p.read_text() for p in src],
-                                    [p.read_text() for p in perfbench], exports) == []
+                                    [p.read_text() for p in perfbench]) == []
 
 
 SHIPPED = ("synthetic_mix.jsonl", "synthetic_profiles.json", "sabotaged_profiles.json")

@@ -2,11 +2,11 @@
 
 The `ref_*` references use scalar Python arithmetic in another summation
 order, so values agree to a float64 tolerance fixed up front, not bitwise.
-The `numpy_*` references are the same kernels on numpy scalars and numpy's
-reductions; the kernels, which run on Python floats, must equal them bitwise.
-`matmul_ffn_backward` and `method_softmax` are the backward pass with `@`
-and softmax with the `max()`/`sum()` methods, which the kernels must equal
-bitwise, the sign of zero included.
+`numpy_pl_grad_logits` is the prefix gradient on numpy scalars; the kernel,
+which runs on Python floats, must equal it bitwise. `matmul_ffn_backward`,
+and `operator_ffn_forward` and `method_softmax` from `tests/helpers.py`, are
+the passes with `@` and softmax with the `max()`/`sum()` methods, which the
+kernels must equal bitwise, the sign of zero included.
 """
 
 import math
@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maas import kernels
-from tests.helpers import bitwise_equal
+from tests.helpers import bitwise_equal, method_softmax, operator_ffn_forward
 
 TOL = 1e-12
 
@@ -63,12 +63,6 @@ def ref_pl_grad_logits(scores, selected):
             for m in range(n):
                 g[m] += scores[t] * ((1.0 if m == t else 0.0) - scores[m]) / rem
     return np.array(g)
-
-
-def numpy_softmax(logits):
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / np.sum(e)
 
 
 def numpy_pl_grad_logits(scores, selected):
@@ -163,7 +157,7 @@ def test_softmax_and_pl_grad_equal_numpy_references_bitwise():
         for spread in (0.1, 3.0, 30.0):
             logits = rng.normal(size=n) * spread
             scores = kernels.softmax(logits)
-            assert np.array_equal(scores, numpy_softmax(logits))
+            assert np.array_equal(scores, method_softmax(logits))
             for _ in range(10):
                 k = int(rng.integers(1, n + 1))
                 selected = rng.permutation(n)[:k]
@@ -193,11 +187,6 @@ def matmul_ffn_backward(W2, X, H, G):
     gW1 = g_z1.T @ X
     gb1 = g_z1.sum(axis=0)
     return gW1, gb1, gW2, gb2
-
-
-def method_softmax(logits):
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
 
 
 def signed_values(rng, shape, zero_frac):
@@ -312,11 +301,6 @@ def test_softmax_nan_beside_infinity_equals_method_form_with_equal_nan(logits):
     got, want = kernels.softmax(logits), method_softmax(logits)
     assert np.isnan(got).all() and np.isnan(want).all()
     assert np.array_equal(got, want, equal_nan=True)
-
-
-def operator_ffn_forward(W1, b1, W2, b2, x):
-    h = np.tanh(W1 @ x + b1)
-    return h, W2 @ h + b2
 
 
 @st.composite

@@ -106,13 +106,13 @@ class TestSampleArchitecture:
     def test_train_mode_requires_rng(self):
         reg = tiny_registry()
         state = init_params(0, 8, 8, 1, len(reg))
-        with pytest.raises(ValueError):
+        with pytest.raises(MaasError):
             sample_architecture(state, reg, "q", 0.3, MODE_TRAIN)
 
     def test_unknown_mode(self):
         reg = tiny_registry()
         state = init_params(0, 8, 8, 1, len(reg))
-        with pytest.raises(ValueError):
+        with pytest.raises(MaasError):
             sample_architecture(state, reg, "q", 0.3, "test")
 
     def test_given_first_is_bitwise_equal_to_own(self):

@@ -252,13 +252,13 @@ def summarize_trace(parent, change):
             "counts_differing": differing, "counts_equal": not differing}
 
 
-def alternate(rounds, run):
-    """`run(side)` `rounds` times per side, alternating: the parent first in
-    odd rounds and the change first in even ones. Returns {side: [results]}."""
+def alternate(keys, run):
+    """`run(side, key)` on both sides for each key in turn: the parent first
+    on odd keys and the change first on even ones. Returns {side: [results]}."""
     runs = {"parent": [], "change": []}
-    for i in range(1, rounds + 1):
-        for side in pair_order(i):
-            runs[side].append(run(side))
+    for key in keys:
+        for side in pair_order(key):
+            runs[side].append(run(side, key))
     return runs
 
 
@@ -266,16 +266,11 @@ def collect(workloads, trace_seed, run):
     """Every run the record needs, in order. `run(side, workload, seed,
     trace)` returns one parsed run. Returns ({workload: {side: [runs]}},
     {workload: {side: [`TRACE_RUNS` traced runs]}})."""
-    paired, traced = {}, {}
-    for workload, seeds in workloads:
-        runs = {"parent": [], "change": []}
-        for seed in seeds:
-            for side in pair_order(seed):
-                runs[side].append(run(side, workload, seed, 0))
-        paired[workload] = runs
-    for workload, _ in workloads:
-        traced[workload] = alternate(
-            TRACE_RUNS, lambda side: run(side, workload, trace_seed, 1))
+    paired = {workload: alternate(seeds, lambda side, seed: run(side, workload, seed, 0))
+              for workload, seeds in workloads}
+    traced = {workload: alternate(range(1, TRACE_RUNS + 1),
+                                  lambda side, _: run(side, workload, trace_seed, 1))
+              for workload, _ in workloads}
     return paired, traced
 
 
@@ -295,12 +290,6 @@ def parse_tier1(stdout):
             "tests_s": round(sum(map(float, durations)), 2) if durations else None,
             "result": last.split(" in ")[0],
             "criterion_s": dict(sorted(criterion_s.items(), key=lambda kv: int(kv[0])))}
-
-
-def collect_tier1(run):
-    """`TIER1_RUNS` tier-1 runs per side, alternating; `run(side)` returns
-    one `parse_tier1` result. Returns {side: [results]}."""
-    return alternate(TIER1_RUNS, run)
 
 
 def _median(values):
@@ -434,7 +423,8 @@ def main(argv=None):
             return _perfbench(trees[side], workload, seed, seconds, trace)
 
         paired, traced = collect(workloads, TRACE_SEED, run)
-        tier1 = summarize_tier1(collect_tier1(lambda side: _tier1(trees[side])))
+        tier1 = summarize_tier1(alternate(range(1, TIER1_RUNS + 1),
+                                          lambda side, _: _tier1(trees[side])))
         lines = {key: {side: py_lines(os.path.join(tree, *parts))
                        for side, tree in trees.items()}
                  for key, parts in LINE_COUNTS.items()}
