@@ -25,8 +25,8 @@ from maas.harness import run_eval
 from maas.optimizer import TrainConfig
 from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
-from tests.helpers import (BAD_CHECKPOINTS, make_trainer, train_args, with_state,
-                           write_jsonl)
+from tests.helpers import (BAD_CHECKPOINTS, make_trainer, train_args,
+                           with_config_field, with_state, write_jsonl)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -283,14 +283,23 @@ class TestEvalCommand:
         assert accuracy["numeric"] == 0.0
 
 
+def without_react(trained):
+    """The registry without "react", its controller rows left in place."""
+    operators = trained["registry"]["operators"]
+    trained["registry"]["operators"] = [op for op in operators if op["id"] != "react"]
+    return trained
+
+
 @pytest.mark.usefixtures("trained")
 class TestBadCheckpoint:
     # each case maps the checkpoint `maas train` writes to the text of a bad one
     @pytest.mark.parametrize("corrupt", [
         lambda trained: "{broken\n",
         *(lambda trained, corrupt=corrupt: json.dumps(corrupt(trained))
-          for corrupt, _ in BAD_CHECKPOINTS.values()),
-    ], ids=["not_json", *BAD_CHECKPOINTS])
+          for corrupt in (without_react, with_config_field("num_layers", 1),
+                          *(corrupt for corrupt, _ in BAD_CHECKPOINTS.values()))),
+    ], ids=["not_json", "registry_without_react", "fewer_layers_than_controllers",
+            *BAD_CHECKPOINTS])
     @pytest.mark.parametrize("command", ["eval", "sample", "inspect"])
     def test_is_data_error(self, workdir, command, corrupt):
         path = workdir / "bad.json"

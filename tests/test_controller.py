@@ -26,8 +26,9 @@ from maas.controller import (
     selection_log_prob,
 )
 from maas.errors import MaasError
-from tests.helpers import (bitwise_equal, decoded, encoded, flat_layout_faults,
-                           method_softmax, operator_ffn_forward, selection_sequences)
+from tests.helpers import (bitwise_equal, central_differences, decoded, encoded,
+                           flat_layout_faults, method_softmax, operator_ffn_forward,
+                           selection_sequences)
 
 
 def as_scores(values):
@@ -104,6 +105,14 @@ class TestScoreLayer:
             score_layer(state, 2, np.zeros(8))  # layer 2 wants 16
 
 
+def brute_force_prefix(scores, thres):
+    order = np.argsort(-scores, kind="stable")
+    for k in range(1, len(scores) + 1):
+        if scores[order[:k]].sum() > thres:
+            return [int(i) for i in order[:k]]
+    return [int(i) for i in order]
+
+
 class TestSelectDeterministic:
     def test_single_dominant(self):
         assert select_deterministic(as_scores([0.5, 0.3, 0.2]), 0.3) == [0]
@@ -119,6 +128,17 @@ class TestSelectDeterministic:
     def test_tie_break_ascending_index(self):
         sel = select_deterministic(as_scores([0.25, 0.25, 0.25, 0.25]), 0.4)
         assert sel == [0, 1]
+
+    def test_agrees_with_brute_force_scan(self):
+        rng = np.random.default_rng(42)
+        for _ in range(2000):
+            n = int(rng.integers(2, 9))
+            raw = rng.random(n) + 1e-9
+            scores = raw / raw.sum()
+            for thres in (0.1, 0.3, 0.7):
+                assert select_deterministic(scores, thres) == brute_force_prefix(
+                    scores, thres
+                )
 
 
 class TestSampleSelection:
@@ -380,6 +400,22 @@ class TestFloatLoopsMatchNumpy:
 
 
 class TestGradLogProb:
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(17)
+        state = init_params(17, 4, 5, 2, 4)
+        for ell in (1, 2):
+            feature = rng.normal(size=4 * ell)
+            selected = sample_selection(score_layer(state, ell, feature).scores, 0.3, rng)
+            g = grad_log_prob(state, ell, feature, selected)
+            fd = central_differences(
+                state.layer(ell).param_arrays(),
+                lambda: selection_log_prob(score_layer(state, ell, feature).scores,
+                                           selected),
+                1e-5)
+            for analytic, numeric in zip((g.W1, g.b1, g.W2, g.b2), fd):
+                denom = np.maximum(np.abs(numeric), 1e-8)
+                assert (np.abs(analytic - numeric) / denom).max() < 1e-4
+
     def test_single_op_zero_gradient(self):
         state = init_params(0, 4, 4, 1, 1)
         g = grad_log_prob(state, 1, np.ones(4), [0])

@@ -158,6 +158,14 @@ def tiny_run(tmp_path_factory):
 
 
 class TestCheckpoint:
+    def test_byte_identical_round_trip(self, tmp_path, tiny_run):
+        checkpoint, _ = tiny_run(2)
+        p1 = tmp_path / "a.json"
+        p2 = tmp_path / "b.json"
+        ckpt.save(checkpoint, p1)
+        ckpt.save(ckpt.load(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_int_temperature_patch_round_trips_byte_equal(self):
         registry = builtin_registry()
         registry.apply_patch(OperatorPatch("cot", new_temperature=1))
@@ -173,6 +181,14 @@ class TestCheckpoint:
         assert state.num_layers == 2
         assert len(registry) >= 9
         assert config.embed_dim == 8
+
+    def test_eval_identical_after_round_trip(self, mix_path, tmp_path, tiny_run):
+        checkpoint, _ = tiny_run(2)
+        path = tmp_path / "c.json"
+        ckpt.save(checkpoint, path)
+        r1 = run_eval(checkpoint, mix_path, default_env())
+        r2 = run_eval(ckpt.load(path), mix_path, default_env())
+        assert r1 == r2
 
     def test_old_rewire_ids_key_restores(self, tiny_run):
         checkpoint, _ = tiny_run(1)
