@@ -6,6 +6,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import click
 
@@ -46,12 +47,18 @@ def _in_existing_directory(ctx, param, path):
 
 def _exit_codes(command):
     """Run `command`, reporting a `DataError` with exit 3, a `BackendError`
-    with exit 4 and any other `MaasError` with exit 1."""
+    with exit 4 and any other `MaasError` with exit 1. numpy's floating-point
+    warnings are silenced: scores that overflow end in a `MaasError` that
+    says so in one line."""
 
     @functools.wraps(command)
     def run(**kwargs):
         try:
-            command(**kwargs)
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", "(overflow|invalid value|divide by zero) encountered",
+                    RuntimeWarning)
+                command(**kwargs)
         except DataError as exc:
             click.echo(f"data error: {exc}", err=True)
             sys.exit(EXIT_DATA_ERROR)

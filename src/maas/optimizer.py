@@ -29,7 +29,7 @@ from . import kernels, sampler
 # layer_feature is unused here but kept importable: perfbench/tracer.py wraps
 # it at every module that binds the name.
 from .embedding import HashingEmbedder, layer_feature  # noqa: F401
-from .errors import BackendError, DataError, MaasError, check_fields
+from .errors import DataError, MaasError, check_fields
 from .executor import execute, live_call, resolve_endpoint
 from .registry import OperatorPatch, builtin_registry
 
@@ -206,44 +206,26 @@ performs better on the observed failures.
 Reply with a single JSON object with keys "thought" (your analysis), \
 "target_id" (the operator to revise), and any of "new_prompt", \
 "new_temperature", "structure_action" (one of "none", "split", "merge"), \
-"merge_with_id". Propose prompt, temperature, or structure \
+"merge_with_id". A "new_prompt" must keep the placeholder "{{input}}", \
+where the operator's query goes. Propose prompt, temperature, or structure \
 changes only; do not propose executable code.
 """
 
 class LLMMutator:
     """Textual-gradient mutator backed by a chat-completions endpoint. Its
-    prompt is `MUTATOR_PROMPT` holding the registry's operators as
-    `json.dumps([s.to_dict() for s in specs], indent=2)` gives them and the
-    executed operators' success rates, lowest first. The JSON of each
-    operator is rendered once and reused while the registry holds that spec
-    object: specs are frozen, so the text cannot go stale, and only specs
-    the registry still holds are kept. Each call asks `model` at
-    `MUTATOR_TEMPERATURE`. It raises `BackendError` at construction when
-    `resolve_endpoint` finds no base URL, and when a call fails as
-    `live_call` says; a reply that does not parse raises `DataError`."""
+    prompt is `MUTATOR_PROMPT` holding, as compact JSON, the registry's
+    operators (`json.dumps([s.to_dict() for s in specs])`) and the executed
+    operators' success rates, lowest first. A proposed prompt must keep the
+    `{input}` placeholder, where an operator's query goes, or the registry
+    rejects the patch. Each call asks `model` at `MUTATOR_TEMPERATURE`. It
+    raises `BackendError` at construction when `resolve_endpoint` finds no
+    base URL, and when a call fails as `live_call` says; a reply that does
+    not parse raises `DataError`."""
 
     def __init__(self, model="default", base_url=None, api_key=None, transport=None):
         self.model = model
         self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
         self._transport = transport
-        # id(spec) -> (spec, its JSON as an entry of the indented list); keyed
-        # on identity, since equal specs can render differently (-0.0 and 0.0),
-        # and holding the spec so that its id cannot be reused
-        self._rendered = {}
-
-    def archive(self, specs):
-        """`json.dumps([s.to_dict() for s in specs], indent=2)`, built from
-        one cached rendering per spec."""
-        rendered, texts = {}, []
-        for spec in specs:
-            entry = self._rendered.get(id(spec))
-            if entry is None:
-                text = json.dumps(spec.to_dict(), indent=2)
-                entry = (spec, text.replace("\n", "\n  "))
-            rendered[id(spec)] = entry
-            texts.append(entry[1])
-        self._rendered = rendered
-        return "[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]"
 
     def __call__(self, registry, window):
         rates = _success_rates(registry, window)
@@ -252,8 +234,8 @@ class LLMMutator:
             for op_id, rate in sorted(rates.items(), key=lambda kv: kv[1])
         ]
         prompt = MUTATOR_PROMPT.format(
-            archive=self.archive(registry.specs()),
-            failures=json.dumps(failures, indent=2),
+            archive=json.dumps([s.to_dict() for s in registry.specs()]),
+            failures=json.dumps(failures),
         )
         content, _, _ = live_call(
             self.model,
@@ -301,7 +283,7 @@ class Trainer:
     mutator its config names ("mock" as `mock_mutator`, "llm" as
     `LLMMutator()`) unless a callable `mutator` replaces it, and patches
     every `patch_every` steps; "none", the one off switch, ignores a passed
-    `mutator`. Any other `mutator` but None raises `BackendError`."""
+    `mutator`. Any other `mutator` but None raises `MaasError`."""
 
     def __init__(self, state, registry, env, config: TrainConfig, rng, mutator=None):
         self.state = state
@@ -311,7 +293,7 @@ class Trainer:
         self.rng = rng
         self.embedder = HashingEmbedder(config.embed_dim)
         if mutator is not None and not callable(mutator):
-            raise BackendError(f"mutator {mutator!r} is not callable")
+            raise MaasError(f"mutator {mutator!r} is not callable")
         patching = config.mutator != "none"
         if patching and mutator is None:
             mutator = mock_mutator if config.mutator == "mock" else LLMMutator()

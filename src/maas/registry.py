@@ -203,6 +203,11 @@ class OperatorRegistry:
             raise DataError("cannot patch the early-exit operator")
 
         if patch.new_prompt is not None:
+            if "{input}" not in patch.new_prompt:
+                # `render_prompt` puts the query there: without it the
+                # operator would never see its question
+                raise DataError(f"new prompt for {target.id!r} lacks the"
+                                " {input} placeholder")
             target = replace(target, prompt=patch.new_prompt)
         if patch.new_temperature is not None:
             target = replace(target, temperature=patch.new_temperature)

@@ -489,8 +489,7 @@ class TestLiveEnv:
         LLMMutator(model="big", base_url="http://x", api_key="k", transport=capture)(
             reg, [])
         mutator_prompt = MUTATOR_PROMPT.format(
-            archive=json.dumps([s.to_dict() for s in reg.specs()], indent=2),
-            failures="[]")
+            archive=json.dumps([s.to_dict() for s in reg.specs()]), failures="[]")
         url, headers = "http://x/v1/chat/completions", {"Authorization": "Bearer k"}
         assert sent == [
             (url, '{"model": "small", "temperature": 0.3, "messages": [{"role": "user",'

@@ -235,7 +235,10 @@ class TestApplyPatch:
                        merge_with_id="direct_io"), "cannot merge away 'direct_io'"),
         (OperatorPatch("cot", new_prompt="edited {input}", structure_action="merge",
                        merge_with_id="nope"), "no operator 'nope'"),
-    ], ids=["split_direct_io", "merge_itself", "merge_direct_io", "merge_unknown"])
+        (OperatorPatch("cot", new_prompt="Solve it.", structure_action="split"),
+         r"new prompt for 'cot' lacks the \{input\} placeholder"),
+    ], ids=["split_direct_io", "merge_itself", "merge_direct_io", "merge_unknown",
+            "prompt_without_input"])
     def test_rejected_patch_leaves_registry_unchanged(self, patch, message):
         reg = builtin_registry()
         reg.apply_patch(OperatorPatch("cot", structure_action="split"))
