@@ -206,21 +206,21 @@ performs better on the observed failures.
 Reply with a single JSON object with keys "thought" (your analysis), \
 "target_id" (the operator to revise), and any of "new_prompt", \
 "new_temperature", "structure_action" (one of "none", "split", "merge"), \
-"merge_with_id". A "new_prompt" must keep the placeholder "{{input}}", \
-where the operator's query goes. Propose prompt, temperature, or structure \
-changes only; do not propose executable code.
+"merge_with_id". A "new_prompt" must hold the placeholder "{{input}}" \
+exactly once, where the operator's query goes. Propose prompt, temperature, \
+or structure changes only; do not propose executable code.
 """
 
 class LLMMutator:
     """Textual-gradient mutator backed by a chat-completions endpoint. Its
     prompt is `MUTATOR_PROMPT` holding, as compact JSON, the registry's
     operators (`json.dumps([s.to_dict() for s in specs])`) and the executed
-    operators' success rates, lowest first. A proposed prompt must keep the
-    `{input}` placeholder, where an operator's query goes, or the registry
-    rejects the patch. Each call asks `model` at `MUTATOR_TEMPERATURE`. It
-    raises `BackendError` at construction when `resolve_endpoint` finds no
-    base URL, and when a call fails as `live_call` says; a reply that does
-    not parse raises `DataError`."""
+    operators' success rates, lowest first. A proposed prompt must hold the
+    `{input}` placeholder exactly once, where an operator's query goes, or the
+    registry rejects the patch. Each call asks `model` at
+    `MUTATOR_TEMPERATURE`. It raises `BackendError` at construction when
+    `resolve_endpoint` finds no base URL, and when a call fails as `live_call`
+    says; a reply that does not parse raises `DataError`."""
 
     def __init__(self, model="default", base_url=None, api_key=None, transport=None):
         self.model = model

@@ -27,8 +27,10 @@ VALID_KINDS = {KIND_GENERATIVE, KIND_AGGREGATOR, KIND_EARLY_EXIT, KIND_DIRECT_IO
 
 EARLY_EXIT_ID = "early_exit"
 DIRECT_IO_ID = "direct_io"
-# far above the builtin prompts (at most 187 chars); a split and a merge back
-# double a prompt, so the bound ends that growth in a rejected patch
+# far above the builtin prompts (at most 187 chars); a merge keeps the
+# target's prompt and appends each new partner's text, so a mutator that
+# merges distinct prompts into one operator grows it, and the bound ends that
+# growth in a rejected patch
 MAX_PROMPT_CHARS = 16_384
 # the catalogue's 9 operators with room for 23 split clones; each operator
 # adds a row to every layer's scores and is drawn from each layer's CDF, so
@@ -193,22 +195,29 @@ class OperatorRegistry:
         patch.
 
         Every check runs before the first write, so a patch that raises
-        leaves the registry unchanged. A split appends a clone of the target
+        leaves the registry unchanged. A new prompt must hold the `{input}`
+        placeholder exactly once. A split appends a clone of the target
         under the first free id of `<id>-b`, `<id>-b2`, `<id>-b3`, ..., so an
         operator can be split any number of times while the registry holds
-        fewer than `MAX_OPERATORS`."""
+        fewer than `MAX_OPERATORS`. A merge keeps the target's prompt when
+        the partner's equals it, so merging back an unedited clone undoes
+        its split; otherwise it appends the partner's text without its
+        `{input}`, so the query still goes out once."""
         idx = self.index_of(patch.target_id)
         target = self._specs[idx]
         if target.kind == KIND_EARLY_EXIT:
             raise DataError("cannot patch the early-exit operator")
 
         if patch.new_prompt is not None:
+            # `render_prompt` puts the query there: without it the operator
+            # would never see its question, and twice over it would send it twice
             if "{input}" not in patch.new_prompt:
-                # `render_prompt` puts the query there: without it the
-                # operator would never see its question
                 raise DataError(f"new prompt for {target.id!r} lacks the"
                                 " {input} placeholder")
             target = replace(target, prompt=patch.new_prompt)
+            if patch.new_prompt.count("{input}") > 1:
+                raise DataError(f"new prompt for {target.id!r} holds the"
+                                " {input} placeholder more than once")
         if patch.new_temperature is not None:
             target = replace(target, temperature=patch.new_temperature)
 
@@ -230,10 +239,11 @@ class OperatorRegistry:
                 raise DataError("cannot merge an operator with itself")
             if partner.kind in (KIND_EARLY_EXIT, KIND_DIRECT_IO):
                 raise DataError(f"cannot merge away {partner_id!r}")
+            prompt = target.prompt
+            if partner.prompt != prompt:
+                prompt += "\n" + partner.prompt.replace("{input}", "")
             removed = self._by_id[partner_id]
-            self._specs[idx] = replace(
-                target, prompt=target.prompt + "\n" + partner.prompt
-            )
+            self._specs[idx] = replace(target, prompt=prompt)
             del self._specs[removed]
             self._reindex()
             return removed

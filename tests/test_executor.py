@@ -499,6 +499,33 @@ class TestLiveEnv:
                   ' "content": ' + json.dumps(mutator_prompt) + '}]}', headers),
         ]
 
+    def test_split_and_unedited_merge_back_send_the_same_request(self):
+        """After "react" is split and its unedited clone merged back, the
+        operator's chat request is byte for byte the one it sent before the
+        split, and its tokens cost the same."""
+        sent = []
+
+        def tokens_by_length(url, payload, headers):
+            sent.append(json.dumps(payload))
+            content = payload["messages"][0]["content"]
+            return 200, {"choices": [{"message": {"content": "7"}}],
+                         "usage": {"prompt_tokens": len(content) // 4,
+                                   "completion_tokens": 2}}
+
+        env = LiveEnv(base_url="http://x", api_key="k", transport=tokens_by_length)
+        reg = builtin_registry()
+
+        def run_react():
+            return env.run_node(reg.get("react"), record(), ["7"],
+                                np.random.default_rng(0))
+
+        before = run_react()
+        reg.apply_patch(OperatorPatch("react", structure_action="split"))
+        reg.apply_patch(OperatorPatch("react", structure_action="merge",
+                                      merge_with_id="react-b"))
+        assert run_react() == before
+        assert len(sent) == 2 and sent[1] == sent[0]
+
     def test_run_node_costs_tokens(self):
         env = LiveEnv(base_url="http://x", api_key="k",
                       transport=lambda *a: (200, TestLiveCall.BODY),

@@ -528,7 +528,8 @@ OPERATOR_IDS = st.sampled_from([*builtin_registry().ids(), "cot-b", "ghost"])
 REPLIES = JSON_VALUES | st.fixed_dictionaries({}, optional={
     "thought": JSON_VALUES,
     "target_id": OPERATOR_IDS | JSON_VALUES,
-    "new_prompt": st.text(max_size=8).map(lambda text: text + "{input}")
+    "new_prompt": st.text(max_size=8).filter(lambda text: "{input}" not in text)
+                  .map(lambda text: text + "{input}")
                   | st.text(max_size=8) | JSON_VALUES,
     "new_temperature": st.floats(0.0, 2.0) | st.integers(0, 2) | JSON_VALUES,
     "structure_action": st.sampled_from(["none", "split", "merge", "rewire"]) | JSON_VALUES,
@@ -813,16 +814,20 @@ class TestTrainer:
         assert state.n_ops == len(reg)
 
     def test_prompt_doubling_ends_in_a_skipped_patch(self):
-        """Splitting "cot" and merging the clone back doubles its prompt; the
+        """Splitting "cot", giving the clone a stricter variant of the
+        parent's prompt and merging it back about doubles the prompt; the
         merge that would take it past `MAX_PROMPT_CHARS` is skipped and
         leaves the registry as it was."""
-        def split_and_merge_back(registry, window):
-            if "cot-b" in registry:
-                return OperatorPatch("cot", structure_action="merge",
-                                     merge_with_id="cot-b")
-            return OperatorPatch("cot", structure_action="split")
+        def split_edit_and_merge_back(registry, window):
+            if "cot-b" not in registry:
+                return OperatorPatch("cot", structure_action="split")
+            clone = registry.get("cot-b").prompt
+            if clone == registry.get("cot").prompt:
+                return OperatorPatch("cot-b", new_prompt="Check every step twice.\n"
+                                     + clone)
+            return OperatorPatch("cot", structure_action="merge", merge_with_id="cot-b")
 
-        trainer = make_trainer(proposer=split_and_merge_back, patch_every=1)
+        trainer = make_trainer(proposer=split_edit_and_merge_back, patch_every=1)
         reg, state = trainer.registry, trainer.state
         for i in range(40):
             before = registry_json(reg)
@@ -830,11 +835,13 @@ class TestTrainer:
                 break
         else:
             pytest.fail("no patch was skipped")
-        assert i > 10  # six split/merge-back cycles ran first
+        assert i > 10  # six split/edit/merge-back cycles ran first
         assert registry_json(reg) == before
-        prompt = reg.get("cot").prompt
-        assert len(prompt) <= MAX_PROMPT_CHARS < 2 * len(prompt) + 1
-        assert "cot-b" in reg and state.n_ops == len(reg)
+        prompt, clone = reg.get("cot").prompt, reg.get("cot-b").prompt
+        assert clone != prompt and prompt.count("{input}") == clone.count("{input}") == 1
+        merged = len(prompt) + len("\n" + clone.replace("{input}", ""))
+        assert len(prompt) <= MAX_PROMPT_CHARS < merged
+        assert state.n_ops == len(reg)
 
     def test_unparseable_proposal_is_skipped_not_fatal(self):
         def mutator(registry, window):
@@ -865,11 +872,21 @@ class TestTrainer:
         """A proposed prompt without `{input}` would leave an operator that
         never sees its question: the trainer skips it, and the registry, the
         parameters and the sampling generator stay as the reply found them."""
+        self.assert_prompt_reply_skipped("Solve it.")
+
+    def test_prompt_with_a_second_input_is_skipped(self):
+        """A proposed prompt holding `{input}` twice would send its question
+        twice: the trainer skips it as it skips one without `{input}`."""
+        self.assert_prompt_reply_skipped("{input}\nAgain: {input}")
+
+    @staticmethod
+    def assert_prompt_reply_skipped(new_prompt):
         at_reply = []
 
         def mutator(registry, window):
             at_reply.append(snapshot())
-            return parse_mutation('{"target_id": "cot", "new_prompt": "Solve it."}')
+            return parse_mutation(json.dumps({"target_id": "cot",
+                                              "new_prompt": new_prompt}))
 
         def snapshot():
             return (registry_json(trainer.registry), trainer.state.params.tobytes(),

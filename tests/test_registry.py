@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maas.errors import DataError
+from maas.executor import render_prompt
 from maas.registry import (
     KIND_DIRECT_IO,
     KIND_EARLY_EXIT,
@@ -180,10 +181,28 @@ class TestApplyPatch:
         )
         assert len(reg) == 8
         assert "testing" not in reg
-        assert reg.get("cot").prompt == cot_prompt + "\n" + testing_prompt
+        merged = reg.get("cot").prompt
+        assert merged == cot_prompt + "\n" + testing_prompt.replace("{input}", "")
+        # one placeholder, and both instruction texts kept
+        assert merged.count("{input}") == 1 and merged.startswith(cot_prompt)
+        assert testing_prompt.split("{input}")[0] in merged
         assert moved == 5  # the row merged away
         # indices past the removed one shift down by one
         assert reg.index_of("react") == 5
+
+    def test_merged_operator_renders_its_query_once(self):
+        reg = builtin_registry()
+        reg.apply_patch(OperatorPatch("cot", structure_action="merge",
+                                      merge_with_id="debate"))
+        assert render_prompt(reg.get("cot"), "QUERYTEXT", []).count("QUERYTEXT") == 1
+
+    def test_merging_back_an_unedited_clone_undoes_the_split(self):
+        reg = builtin_registry()
+        before = reg.to_dict()
+        reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        reg.apply_patch(OperatorPatch("cot", structure_action="merge",
+                                      merge_with_id="cot-b"))
+        assert reg.to_dict() == before
 
     def test_patch_on_exit_rejected(self):
         with pytest.raises(DataError, match="cannot patch the early-exit"):
@@ -237,8 +256,11 @@ class TestApplyPatch:
                        merge_with_id="nope"), "no operator 'nope'"),
         (OperatorPatch("cot", new_prompt="Solve it.", structure_action="split"),
          r"new prompt for 'cot' lacks the \{input\} placeholder"),
+        (OperatorPatch("cot", new_prompt="{input}\nAgain: {input}",
+                       structure_action="split"),
+         r"new prompt for 'cot' holds the \{input\} placeholder more than once"),
     ], ids=["split_direct_io", "merge_itself", "merge_direct_io", "merge_unknown",
-            "prompt_without_input"])
+            "prompt_without_input", "prompt_with_two_inputs"])
     def test_rejected_patch_leaves_registry_unchanged(self, patch, message):
         reg = builtin_registry()
         reg.apply_patch(OperatorPatch("cot", structure_action="split"))
@@ -299,6 +321,20 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
     specs = reg.specs()
     assert sum(s.kind == KIND_EARLY_EXIT for s in specs) == 1
     assert sum(s.kind == KIND_DIRECT_IO for s in specs) == 1
+
+
+@given(PATCH_ACTIONS)
+def test_patched_registry_sends_each_query_once(actions):
+    """After any patch sequence every operator but the early exit holds the
+    `{input}` placeholder exactly once."""
+    reg = builtin_registry()
+    for act in actions:
+        try:
+            apply_action(reg, act)
+        except DataError:
+            pass
+    assert all(s.prompt.count("{input}") == 1
+               for s in reg.specs() if s.kind != KIND_EARLY_EXIT)
 
 
 def scanned_lookups(reg):

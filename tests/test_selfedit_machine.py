@@ -5,7 +5,8 @@ text, parsed as the LLM mutator parses it, and `Trainer.step` trains on a
 query and applies what parses. Whatever the replies, the registry keeps
 exactly one early-exit and one direct-io operator, at most `MAX_OPERATORS`
 operators and every prompt within `MAX_PROMPT_CHARS`, and the controller
-keeps one output row per operator, its arrays views of one flat vector. A
+keeps one output row per operator, its arrays views of one flat vector;
+every operator but the early exit holds the `{input}` placeholder once. A
 round whose reply is refused leaves the registry, the parameter bytes and
 the sampling generator as they were when the mutator was asked.
 """
@@ -110,6 +111,11 @@ class SelfEditMachine(RuleBasedStateMachine):
     def within_the_bounds(self):
         assert len(self.registry) <= MAX_OPERATORS
         assert all(len(s.prompt) <= MAX_PROMPT_CHARS for s in self.registry.specs())
+
+    @invariant()
+    def each_query_goes_out_once(self):
+        assert all(s.prompt.count("{input}") == 1 for s in self.registry.specs()
+                   if s.kind != KIND_EARLY_EXIT)
 
     @invariant()
     def controller_rows_match_registry(self):
