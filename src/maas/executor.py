@@ -131,15 +131,17 @@ class SyntheticEnv:
             output = query.answer
         else:
             output = "WRONG:" + spec.id
+        # the modelled operator runs `agent_count` agents, one call each
         return output, profile.unit_cost, spec.agent_count
 
 
 class LiveEnv:
     """Executes operators through an OpenAI-compatible chat endpoint, asking
-    each operator's `model_binding` at its `temperature`; a node's cost is its
-    reply's prompt plus completion tokens, and a reply whose usage counts no
-    tokens raises `BackendError`. It checks its checker, then its endpoint
-    (`resolve_endpoint`), when it is built."""
+    each operator's `model_binding` at its `temperature`. A node sends one
+    request, so it counts one LLM call whatever its `agent_count`; its cost
+    is the reply's prompt plus completion tokens, and a reply whose usage
+    counts no tokens raises `BackendError`. It checks its checker, then its
+    endpoint (`resolve_endpoint`), when it is built."""
 
     def __init__(self, base_url=None, api_key=None, checker="exact_match",
                  transport=None, sleep=time.sleep):
@@ -163,7 +165,7 @@ class LiveEnv:
         if tokens <= 0:
             raise BackendError(f"chat reply for operator {spec.id!r} reports no token"
                                " usage, so its cost is unknown")
-        return content.strip(), float(tokens), spec.agent_count
+        return content.strip(), float(tokens), 1
 
 
 def resolve_endpoint(base_url, api_key):
@@ -179,9 +181,11 @@ def resolve_endpoint(base_url, api_key):
 
 
 def render_prompt(spec, query_text, predecessor_outputs):
+    """The one user message a live node sends: the operator's prompt with
+    the query in place of `{input}` (the query alone for an empty prompt),
+    then the earlier layer's outputs, one per line, if it has any. The
+    operator's tools are not listed: nothing in the program runs a tool."""
     prompt = spec.prompt.replace("{input}", query_text) if spec.prompt else query_text
-    if spec.tools:
-        prompt += "\n\nAvailable tools: " + ", ".join(spec.tools)
     if predecessor_outputs:
         prompt += "\n\nCandidate answers from earlier agents:\n" + "\n".join(
             f"- {out}" for out in predecessor_outputs

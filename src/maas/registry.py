@@ -1,7 +1,9 @@
 """Operator registry: the feasible set of agentic operators.
 
 An operator bundles a prompt template, a model binding, a sampling
-temperature, a tool list and an internal call count. A registry is built
+temperature, the names of the tools it was designed for (carried in the
+spec and the checkpoint, but never sent: nothing in the program runs a
+tool) and an internal call count. A registry is built
 whole from a list of specs; it always holds exactly one early-exit and one
 direct-io operator, and at most `MAX_OPERATORS` operators. It keeps
 operators in order; that order is the canonical operator index used by the
@@ -201,8 +203,11 @@ class OperatorRegistry:
         operator can be split any number of times while the registry holds
         fewer than `MAX_OPERATORS`. A merge keeps the target's prompt when
         the partner's equals it, so merging back an unedited clone undoes
-        its split; otherwise it appends the partner's text without its
-        `{input}`, so the query still goes out once."""
+        its split. Otherwise it appends, on a new line, the partner's text
+        before `{input}` up to its last blank line and then the partner's
+        text after `{input}`: the query still goes out once, and the
+        paragraph that led into the partner's query (the builtin prompts'
+        "Problem:" header) goes with it, so no header is left empty."""
         idx = self.index_of(patch.target_id)
         target = self._specs[idx]
         if target.kind == KIND_EARLY_EXIT:
@@ -241,7 +246,8 @@ class OperatorRegistry:
                 raise DataError(f"cannot merge away {partner_id!r}")
             prompt = target.prompt
             if partner.prompt != prompt:
-                prompt += "\n" + partner.prompt.replace("{input}", "")
+                head, _, tail = partner.prompt.partition("{input}")
+                prompt += "\n" + head.rpartition("\n\n")[0] + tail
             removed = self._by_id[partner_id]
             self._specs[idx] = replace(target, prompt=prompt)
             del self._specs[removed]

@@ -78,6 +78,14 @@ def make_spec(op_id, kind=KIND_GENERATIVE, temperature=1.0, prompt="p {input}"):
     )
 
 
+def empty_headers(text):
+    """Each line of `text` that ends in ":", a header, with nothing or a
+    blank line under it."""
+    lines = text.split("\n")
+    return [line for line, below in zip(lines, lines[1:] + [""])
+            if line.endswith(":") and not below.strip()]
+
+
 def with_exit_and_io(*specs):
     """`specs`, then an early-exit operator `exit` and a direct-io `io`."""
     return [*specs, make_spec("exit", KIND_EARLY_EXIT), make_spec("io", KIND_DIRECT_IO)]

@@ -448,10 +448,13 @@ class TestRenderPrompt:
         assert "- ans1" in out and "- ans2" in out
 
     def test_tools_listed(self):
+        """A spec's tools are carried but not sent: nothing runs a tool."""
         from dataclasses import replace
 
-        spec = replace(make_spec("op"), tools=("code_interpreter",))
-        assert "code_interpreter" in render_prompt(spec, "q", [])
+        spec = make_spec("op")
+        with_tools = replace(spec, tools=("code_interpreter", "web_search"))
+        for preds in ([], ["ans1"]):
+            assert render_prompt(with_tools, "q", preds) == render_prompt(spec, "q", preds)
 
     def test_empty_prompt_uses_query(self):
         from dataclasses import replace
@@ -525,6 +528,20 @@ class TestLiveEnv:
                                       merge_with_id="react-b"))
         assert run_react() == before
         assert len(sent) == 2 and sent[1] == sent[0]
+
+    def test_llm_calls_count_the_requests_sent(self):
+        """A layer of `self_consistency` (5 agents) and `debate` (3) sends
+        one request per node, and the trace counts those two calls."""
+        sent = []
+
+        def transport(url, payload, headers):
+            sent.append(payload)
+            return 200, TestLiveCall.BODY
+
+        env = LiveEnv(base_url="http://x", api_key="k", transport=transport)
+        trace = execute(arch_of([["self_consistency", "debate"]]), record(), env,
+                        builtin_registry(), np.random.default_rng(0))
+        assert len(sent) == trace.llm_calls == 2
 
     def test_run_node_costs_tokens(self):
         env = LiveEnv(base_url="http://x", api_key="k",

@@ -9,6 +9,10 @@
   it up, so a rename in `src/` fails here rather than in a traced run.
 - perfbench's `TrainMix` builds its trainer as `Trainer.start` does, so
   the benchmark measures the program's own set-up of a run.
+- One `selfedit_live` episode passes its check on every step: its stub
+  backend finds each operator by matching what `render_prompt` sends, so a
+  change to a live request that the stubs cannot follow fails here rather
+  than as failed units in a benchmark run.
 - Every field of a `@dataclass` in `src/maas` is read as an attribute
   somewhere in `src/maas` or `perfbench/`, so no object carries state that
   nothing reads. Fields are matched by name, whatever the object.
@@ -476,6 +480,23 @@ def test_perfbench_trainer_is_built_as_trainer_start_builds_it(monkeypatch):
     assert theirs.rng.bit_generator.state == ours.rng.bit_generator.state
     assert theirs.config == ours.config
     assert theirs.mutator is ours.mutator is not None  # both the mock mutator
+
+
+def test_selfedit_live_episode_passes_every_check(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.chdir(ROOT)  # the workloads read the shipped data by relative path
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads, "OUT_DIR", str(tmp_path))
+    bench = workloads.SelfEditLive(1)
+    bench.setup()
+    failed = []
+    while not bench.episode_done():
+        if not bench.check(bench.unit(bench.next_input())):
+            failed.append(bench.trainer.step_count)
+    assert bench.trainer.step_count == bench.episode_steps
+    assert failed == [] and bench.finish() == 0
+    # the step-100 round trip ran, and wrote where it was pointed
+    assert bench.checkpoint_sha256 and any(tmp_path.iterdir())
 
 
 PARAMETER_ARRAYS = ("W1", "b1", "W2", "b2")

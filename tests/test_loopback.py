@@ -155,8 +155,13 @@ class TestCommands:
             "eval", "--checkpoint", str(workdir / "ckpt.json"),
             "--dataset", str(workdir / "mix.jsonl"), "--env", "live"])
         assert result.exit_code == 0, result.output
-        assert json.loads(result.output)["n_records"] == 20
+        report = json.loads(result.output)
+        assert report["n_records"] == 20
+        # one request per node, whatever its agent count, and no tool list
         assert server.seen
+        assert report["mean_llm_calls"] * 20 == pytest.approx(len(server.seen))
+        assert not [p for _, _, p in server.seen
+                    if "Available tools" in p["messages"][0]["content"]]
 
     def test_unauthorized_exits_4_after_one_request(self, server, workdir):
         server.reply = (401, "text/html", HTML, 0)

@@ -20,7 +20,7 @@ from maas.registry import (
     builtin_catalog,
     builtin_registry,
 )
-from tests.helpers import make_spec, registry_json, with_exit_and_io
+from tests.helpers import empty_headers, make_spec, registry_json, with_exit_and_io
 
 
 class TestBuiltinCatalog:
@@ -182,10 +182,14 @@ class TestApplyPatch:
         assert len(reg) == 8
         assert "testing" not in reg
         merged = reg.get("cot").prompt
-        assert merged == cot_prompt + "\n" + testing_prompt.replace("{input}", "")
+        # testing's text goes in without its "Problem:" header and its query
+        assert merged == cot_prompt + (
+            "\nDesign concrete test cases for the candidate solution to the"
+            " problem below, run them mentally, and report whether the"
+            " solution survives.")
         # one placeholder, and both instruction texts kept
         assert merged.count("{input}") == 1 and merged.startswith(cot_prompt)
-        assert testing_prompt.split("{input}")[0] in merged
+        assert testing_prompt.split("\n\n")[0] in merged
         assert moved == 5  # the row merged away
         # indices past the removed one shift down by one
         assert reg.index_of("react") == 5
@@ -195,6 +199,29 @@ class TestApplyPatch:
         reg.apply_patch(OperatorPatch("cot", structure_action="merge",
                                       merge_with_id="debate"))
         assert render_prompt(reg.get("cot"), "QUERYTEXT", []).count("QUERYTEXT") == 1
+
+    def test_merged_operator_leaves_no_header_empty(self):
+        """The query sits under the last header of the rendered merge."""
+        reg = builtin_registry()
+        reg.apply_patch(OperatorPatch("cot", structure_action="merge",
+                                      merge_with_id="debate"))
+        rendered = render_prompt(reg.get("cot"), "QUERYTEXT", [])
+        assert empty_headers(rendered) == []
+        lines = rendered.split("\n")
+        last_header = max(i for i, line in enumerate(lines) if line.endswith(":"))
+        assert lines[last_header + 1] == "QUERYTEXT"
+
+    def test_merge_keeps_the_text_after_the_partners_query(self):
+        """A partner edited after `{input}`, as the mock mutator edits,
+        keeps that text in the merge."""
+        reg = builtin_registry()
+        reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+        clone = reg.get("cot-b").prompt
+        reg.apply_patch(OperatorPatch("cot-b", new_prompt=clone + "\nCheck twice."))
+        reg.apply_patch(OperatorPatch("cot", structure_action="merge",
+                                      merge_with_id="cot-b"))
+        assert reg.get("cot").prompt == clone + "\n" + clone.split("\n\n")[0] + (
+            "\nCheck twice.")
 
     def test_merging_back_an_unedited_clone_undoes_the_split(self):
         reg = builtin_registry()
@@ -284,16 +311,23 @@ class TestApplyPatch:
 
 
 # patch sequences: each action a patch `apply_action` applies
-PATCH_ACTIONS = st.lists(st.sampled_from(["split_cot", "merge", "temp", "rewire"]),
-                         max_size=6)
+PATCH_ACTIONS = st.lists(st.sampled_from(["split_cot", "merge", "temp", "rewire",
+                                           "edit_clone", "merge_back"]), max_size=6)
 
 
 def apply_action(reg, act):
     """Apply the patch `act` names; a patch whose operator a merge took
-    away raises `DataError` "no operator", and a rewire leaves the registry
-    as it was."""
+    away, or that names `cot-b` before a split, raises `DataError` "no
+    operator", and a rewire leaves the registry as it was."""
     if act == "split_cot":
         reg.apply_patch(OperatorPatch("cot", structure_action="split"))
+    elif act == "edit_clone":
+        # as the mock mutator edits: a sentence after the query
+        reg.apply_patch(OperatorPatch("cot-b", new_prompt=(
+            reg.get("cot-b").prompt + "\nDouble-check each step.")))
+    elif act == "merge_back":
+        reg.apply_patch(OperatorPatch("cot", structure_action="merge",
+                                      merge_with_id="cot-b"))
     elif act == "merge":
         reg.apply_patch(
             OperatorPatch("debate", structure_action="merge", merge_with_id="ensemble")
@@ -325,16 +359,20 @@ def test_patched_registry_keeps_distinguished_invariant(actions):
 
 @given(PATCH_ACTIONS)
 def test_patched_registry_sends_each_query_once(actions):
-    """After any patch sequence every operator but the early exit holds the
-    `{input}` placeholder exactly once."""
+    """After any patch sequence, and then a merge of the distinct `testing`
+    into `cot`, every operator but the early exit holds the `{input}`
+    placeholder exactly once, and renders with no header left empty."""
     reg = builtin_registry()
     for act in actions:
         try:
             apply_action(reg, act)
         except DataError:
             pass
-    assert all(s.prompt.count("{input}") == 1
-               for s in reg.specs() if s.kind != KIND_EARLY_EXIT)
+    reg.apply_patch(OperatorPatch("cot", structure_action="merge", merge_with_id="testing"))
+    specs = [s for s in reg.specs() if s.kind != KIND_EARLY_EXIT]
+    assert all(s.prompt.count("{input}") == 1 for s in specs)
+    assert [empty_headers(render_prompt(s, "QUERYTEXT", [])) for s in specs] == (
+        [[]] * len(specs))
 
 
 def scanned_lookups(reg):
