@@ -1,11 +1,11 @@
 """Checkpoint persistence: supernet parameters + config + registry.
 
 The only module that knows the file format: canonical JSON (sorted keys,
-fixed separators), which `build_checkpoint` writes in format 2 and `restore`
-reads through `_READERS`, one reader per format. Format 2's controllers
-hold their dims, counts and version, and the parameter vector as base64 of
-its little-endian float64 bytes, so every value reads back bit for bit and
-save -> load -> save is byte-identical.
+fixed separators), which `build_checkpoint` writes in format 3 and `restore`
+reads through `_READERS`, one reader per format. Format 3's controllers hold
+their version and the parameter vector, as base64 of its little-endian
+float64 bytes, in the layout the config and registry give; so every value
+reads back bit for bit and save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import DataError
 from .optimizer import TrainConfig
 from .registry import OperatorRegistry
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def build_checkpoint(state: SupernetState, registry: OperatorRegistry,
@@ -32,11 +32,7 @@ def build_checkpoint(state: SupernetState, registry: OperatorRegistry,
         "config": asdict(config),
         "registry": registry.to_dict(),
         "controllers": {
-            "embed_dim": state.embed_dim,
-            "hidden_dim": state.hidden_dim,
             "version": state.version,
-            "num_layers": state.num_layers,
-            "n_ops": state.n_ops,
             "params": base64.b64encode(state.params.astype("<f8").tobytes()).decode("ascii"),
         },
         "metrics_summary": metrics_summary or {},
@@ -62,34 +58,71 @@ def load(path) -> dict:
             raise DataError(f"checkpoint {path} is not JSON: {exc}") from exc
 
 
-def _read_format2(checkpoint):
-    """The (state, config) of format 2; `DataError` unless the
-    controllers' version is an integer, their dims and counts are positive
-    integers, and `params` is a base64 string of 8 bytes per value of the
-    shapes `_layout` gives for them. The values are copied out of the
-    decoded bytes, so `params` is writable."""
-    d = checkpoint["controllers"]
-    counts = {name: d[name] for name in ("embed_dim", "hidden_dim", "n_ops", "num_layers")}
-    for name, value in counts.items():
-        if type(value) is not int or value < 1:
-            raise DataError(f"{name} {value!r} is not a positive integer")
-    if type(d["version"]) is not int:
-        raise DataError(f"version {d['version']!r} is not an integer")
-    if type(d["params"]) is not str:
+def _blob(controllers):
+    """`params` decoded; `DataError` unless it is base64 and the version an int."""
+    if type(controllers["version"]) is not int:
+        raise DataError(f"version {controllers['version']!r} is not an integer")
+    if type(controllers["params"]) is not str:
         raise DataError("params is not a string")
     try:
-        blob = base64.b64decode(d["params"], validate=True)
+        return base64.b64decode(controllers["params"], validate=True)
     except ValueError as exc:  # binascii.Error, or a character that is not ASCII
         raise DataError(f"params is not base64: {exc}") from exc
-    size = _size(*counts.values())
+
+
+def _read_format3(checkpoint):
+    """(state, registry, config); `DataError` unless the config and registry
+    build and `params` holds 8 bytes per value of the layout they give. The
+    values are copied out of the decoded bytes, so `params` is writable."""
+    controllers = checkpoint["controllers"]
+    config = TrainConfig(**checkpoint["config"])
+    registry = OperatorRegistry.from_dict(checkpoint["registry"])
+    layout = d, h, n, layers = (config.embed_dim, config.hidden_dim, len(registry),
+                                config.num_layers)
+    blob, size = _blob(controllers), _size(*layout)
+    if len(blob) != 8 * size:
+        raise DataError(f"params holds {len(blob)} bytes, expected {8 * size} for"
+                        f" {layers} layers of dims {d}x{h} scoring {n} operators")
+    params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    return SupernetState(params, *layout, version=controllers["version"]), registry, config
+
+
+def _read_format2(checkpoint):
+    """Format 2 read as format 3, after the checks it always made: positive
+    integer dims and counts that fit `params` and agree with the config and
+    registry, and each operator's `tools` a list of distinct strings."""
+    controllers = checkpoint["controllers"]
+    names = ("embed_dim", "hidden_dim", "n_ops", "num_layers")
+    counts = d, h, n, layers = [controllers[name] for name in names]
+    for name, value in zip(names, counts):
+        if type(value) is not int or value < 1:
+            raise DataError(f"{name} {value!r} is not a positive integer")
+    blob, size = _blob(controllers), _size(*counts)
     if len(blob) != 8 * size:
         raise DataError(f"params holds {len(blob)} bytes, expected {8 * size}")
-    params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    state = SupernetState(params, **counts, version=d["version"])
-    return state, TrainConfig(**checkpoint["config"])
+    config = TrainConfig(**checkpoint["config"])
+    for op in checkpoint["registry"]["operators"]:
+        tools = op["tools"]
+        if not isinstance(tools, list):
+            raise DataError(f"tools {tools!r} of operator {op['id']!r} is not a list")
+        if not all(isinstance(tool, str) for tool in tools):
+            raise DataError(f"tools {tuple(tools)!r} is not a tuple of strings")
+        if len(set(tools)) != len(tools):
+            raise DataError(f"duplicate tools for {op['id']!r}")
+    registry = OperatorRegistry.from_dict(checkpoint["registry"])
+    if layers != config.num_layers:
+        raise DataError(f"checkpoint has {layers} controllers, its config"
+                        f" {config.num_layers} layers")
+    if (d, h) != (config.embed_dim, config.hidden_dim):
+        raise DataError(f"checkpoint controllers have dims {d}x{h}, its config"
+                        f" {config.embed_dim}x{config.hidden_dim}")
+    if n != len(registry):
+        raise DataError(f"checkpoint controllers score {n} operators, its registry"
+                        f" holds {len(registry)}")
+    return _read_format3(checkpoint)
 
 
-_READERS = {FORMAT_VERSION: _read_format2}
+_READERS = {2: _read_format2, FORMAT_VERSION: _read_format3}
 
 
 def restore(checkpoint: dict):
@@ -108,20 +141,9 @@ def restore(checkpoint: dict):
                        else "")
             raise DataError(f"checkpoint format {version!r}, expected one of"
                             f" {sorted(_READERS)}{convert}")
-        state, config = read(checkpoint)
-        registry = OperatorRegistry.from_dict(checkpoint["registry"])
+        state, registry, config = read(checkpoint)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
-    if state.num_layers != config.num_layers:
-        raise DataError(f"checkpoint has {state.num_layers} controllers, its config"
-                        f" {config.num_layers} layers")
-    d, h, n = config.embed_dim, config.hidden_dim, len(registry)
-    if (state.embed_dim, state.hidden_dim) != (d, h):
-        raise DataError(f"checkpoint controllers have dims {state.embed_dim}x"
-                        f"{state.hidden_dim}, its config {d}x{h}")
-    if state.n_ops != n:
-        raise DataError(f"checkpoint controllers score {state.n_ops} operators, its"
-                        f" registry holds {n}")
     finite = np.isfinite(state.params)
     if not finite.all():
         ell = bisect_right(state.offsets, int(finite.argmin()))

@@ -28,7 +28,6 @@ _ACCEPTS = {
     str: ((str,), "a string"),
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
-    tuple: ((tuple,), "a tuple of strings"),
 }
 
 
@@ -47,18 +46,16 @@ def _field_rules(cls):
 def check_fields(obj):
     """`DataError` unless each field of the dataclass `obj` holds its
     annotated type: a str; an int that is not a bool; for a float, a finite
-    int or float that is not a bool, stored back as a float; a tuple of strs;
-    None only where the annotation is `X | None`. Each class that holds
-    values from outside the program calls it in its `__post_init__`."""
+    int or float that is not a bool, stored back as a float; None only
+    where the annotation is `X | None`. Each class that holds values from
+    outside the program calls it in its `__post_init__`."""
     for name, kind, accepts, described, optional in _field_rules(type(obj)):
         value = getattr(obj, name)
-        # a value of exactly its field's type needs no type test, but a tuple's
-        # items do
-        if type(value) is not kind or kind is tuple:
+        # a value of exactly its field's type needs no type test
+        if type(value) is not kind:
             if value is None and optional:
                 continue
-            if (isinstance(value, bool) or not isinstance(value, accepts)
-                    or kind is tuple and not all(isinstance(t, str) for t in value)):
+            if isinstance(value, bool) or not isinstance(value, accepts):
                 raise DataError(f"{name} {value!r} is not {described}")
         if kind is float:
             try:

@@ -183,8 +183,7 @@ def resolve_endpoint(base_url, api_key):
 def render_prompt(spec, query_text, predecessor_outputs):
     """The one user message a live node sends: the operator's prompt with
     the query in place of `{input}` (the query alone for an empty prompt),
-    then the earlier layer's outputs, one per line, if it has any. The
-    operator's tools are not listed: nothing in the program runs a tool."""
+    then the earlier layer's outputs, one per line, if it has any."""
     prompt = spec.prompt.replace("{input}", query_text) if spec.prompt else query_text
     if predecessor_outputs:
         prompt += "\n\nCandidate answers from earlier agents:\n" + "\n".join(

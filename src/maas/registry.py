@@ -1,17 +1,15 @@
 """Operator registry: the feasible set of agentic operators.
 
 An operator bundles a prompt template, a model binding, a sampling
-temperature, the names of the tools it was designed for (carried in the
-spec and the checkpoint, but never sent: nothing in the program runs a
-tool) and an internal call count. A registry is built
-whole from a list of specs; it always holds exactly one early-exit and one
-direct-io operator, and at most `MAX_OPERATORS` operators. It keeps
-operators in order; that order is the canonical operator index used by the
-controller, so a split or a merge returns the one controller row it moved
-(the row a split cloned, the row a merge removed) and the controller remaps
-its output rows accordingly. The registry holds the lookups each sample
-makes (ids, early-exit index, direct-io id) and recomputes them when an
-operator is added or removed.
+temperature and an internal call count; it names no tools, since nothing
+in the program runs one. A registry is built whole from a list of specs;
+it always holds exactly one early-exit and one direct-io operator, and at
+most `MAX_OPERATORS` operators. It keeps operators in order; that order is
+the canonical operator index used by the controller, so a split or a merge
+returns the one controller row it moved (the row a split cloned, the row a
+merge removed) and the controller remaps its output rows accordingly. The
+registry holds the lookups each sample makes (ids, early-exit index,
+direct-io id) and recomputes them when an operator is added or removed.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ class OperatorSpec:
     prompt: str
     model_binding: str
     temperature: float
-    tools: tuple
     agent_count: int
     profile_text: str
     kind: str
@@ -62,29 +59,22 @@ class OperatorSpec:
             raise DataError(f"prompt of {self.id!r} holds {len(self.prompt)} chars,"
                             f" over {MAX_PROMPT_CHARS}")
         if not 0.0 <= self.temperature <= 2.0:
-            raise DataError(
-                f"temperature {self.temperature} outside [0, 2] for {self.id!r}"
-            )
+            raise DataError(f"temperature {self.temperature} outside [0, 2] for"
+                            f" {self.id!r}")
         if self.agent_count < 1:
             raise DataError(f"agent_count must be >= 1 for {self.id!r}")
-        if len(set(self.tools)) != len(self.tools):
-            raise DataError(f"duplicate tools for {self.id!r}")
         if self.kind not in VALID_KINDS:
             raise DataError(f"unknown kind {self.kind!r} for {self.id!r}")
         if self.kind != KIND_EARLY_EXIT and not self.profile_text:
             raise DataError(f"profile_text required for non-exit operator {self.id!r}")
 
     def to_dict(self):
-        # the fields in declaration order, as `asdict` gives them, without
-        # its deep copy (every value but `tools` is an immutable scalar)
-        return {**vars(self), "tools": list(self.tools)}
+        # the fields in declaration order, as `asdict` gives them, uncopied
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d["tools"], list):
-            raise DataError(f"tools {d['tools']!r} of operator {d['id']!r} is not a list")
-        fields = {name: d[name] for name in cls.__dataclass_fields__}
-        return cls(**{**fields, "tools": tuple(d["tools"])})
+        return cls(**{name: d[name] for name in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -289,7 +279,6 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             model_binding="default",
             temperature=1.0,
-            tools=(),
             agent_count=1,
             profile_text=(
                 "A single-agent reasoner that decomposes the problem into"
@@ -310,7 +299,6 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             model_binding="default",
             temperature=1.0,
-            tools=(),
             agent_count=3,
             profile_text=(
                 "Three agents argue over candidate solutions across up to two"
@@ -330,7 +318,6 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             model_binding="default",
             temperature=1.0,
-            tools=(),
             agent_count=5,
             profile_text=(
                 "Draws five independent stepwise reasoning paths for the same"
@@ -349,7 +336,6 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             model_binding="default",
             temperature=1.0,
-            tools=(),
             agent_count=3,
             profile_text=(
                 "Generates an initial answer and iteratively self-critiques and"
@@ -368,7 +354,6 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             model_binding="default",
             temperature=1.0,
-            tools=(),
             agent_count=3,
             profile_text=(
                 "Collects answers from three differently-sourced agents and"
@@ -388,7 +373,6 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             model_binding="default",
             temperature=1.0,
-            tools=(),
             agent_count=1,
             profile_text=(
                 "Generates targeted test cases for a candidate solution and"
@@ -408,7 +392,6 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             model_binding="default",
             temperature=1.0,
-            tools=("code_interpreter", "web_search"),
             agent_count=1,
             profile_text=(
                 "Interleaves reasoning steps with tool invocations such as a"
@@ -424,7 +407,6 @@ def builtin_catalog() -> list[OperatorSpec]:
             prompt="",
             model_binding="default",
             temperature=1.0,
-            tools=(),
             agent_count=1,
             profile_text="",
             kind=KIND_EARLY_EXIT,
@@ -435,7 +417,6 @@ def builtin_catalog() -> list[OperatorSpec]:
             prompt="Answer the following directly and concisely.\n\n{input}",
             model_binding="default",
             temperature=1.0,
-            tools=(),
             agent_count=1,
             profile_text=(
                 "A single zero-shot call that answers the query directly with"

@@ -71,7 +71,6 @@ def make_spec(op_id, kind=KIND_GENERATIVE, temperature=1.0, prompt="p {input}"):
         prompt=prompt if kind != KIND_EARLY_EXIT else "",
         model_binding="default",
         temperature=temperature,
-        tools=(),
         agent_count=1,
         profile_text="" if kind == KIND_EARLY_EXIT else f"profile of {op_id}",
         kind=kind,
@@ -253,15 +252,17 @@ def any_value_anywhere(doc):
 
 
 def encoded(state):
-    """The checkpoint `build_checkpoint` writes of `state`, with the built-in
-    registry and the default config."""
-    return ckpt.build_checkpoint(state, builtin_registry(), TrainConfig())
+    """The checkpoint `build_checkpoint` writes of `state`, with a config of
+    its dims and layer count and a `tiny_registry` of its operator count."""
+    config = TrainConfig(num_layers=state.num_layers, embed_dim=state.embed_dim,
+                         hidden_dim=state.hidden_dim)
+    registry = tiny_registry([f"op{i}" for i in range(state.n_ops - 2)])
+    return ckpt.build_checkpoint(state, registry, config)
 
 
 def decoded(checkpoint):
-    """The state the format-2 reader gives for `checkpoint`'s controllers,
-    before `restore` checks it against the config and registry."""
-    state, _ = ckpt._READERS[ckpt.FORMAT_VERSION](checkpoint)
+    """The state `restore` gives for `checkpoint`."""
+    state, _, _ = ckpt.restore(checkpoint)
     return state
 
 
@@ -283,25 +284,45 @@ def with_state(corrupt_state):
     return corrupt
 
 
+def as_format2(checkpoint):
+    """`checkpoint` as format 2 held it: its controllers with the dims and
+    layer count of its config and the operator count of its registry, and
+    each operator with an empty `tools` list."""
+    config, operators = checkpoint["config"], checkpoint["registry"]["operators"]
+    checkpoint["format_version"] = 2
+    checkpoint["controllers"].update(
+        embed_dim=config["embed_dim"], hidden_dim=config["hidden_dim"],
+        n_ops=len(operators), num_layers=config["num_layers"])
+    for op in operators:
+        op["tools"] = []
+    return checkpoint
+
+
+def in_format2(corrupt):
+    """`corrupt` of the checkpoint's format-2 form."""
+    return lambda checkpoint: corrupt(as_format2(checkpoint))
+
+
 def with_counts(**counts):
-    """The checkpoint whose controllers hold a fresh state of its counts but
-    `counts` (d, h, num_layers or n_ops): consistent in itself."""
+    """The format-2 checkpoint whose controllers hold a fresh state of its
+    counts but `counts` (d, h, num_layers or n_ops): consistent in itself."""
     def corrupt(checkpoint):
         c = checkpoint["controllers"]
         fields = {"d": c["embed_dim"], "h": c["hidden_dim"], "num_layers": c["num_layers"],
                   "n_ops": c["n_ops"], **counts}
-        checkpoint["controllers"] = encoded(init_params(0, **fields))["controllers"]
+        checkpoint["controllers"] = as_format2(encoded(init_params(0, **fields)))[
+            "controllers"]
         return checkpoint
-    return corrupt
+    return in_format2(corrupt)
 
 
 def without_operator(op_id):
     """The checkpoint without the operator `op_id` and its controller rows."""
     def corrupt(checkpoint):
-        operators = checkpoint["registry"]["operators"]
-        i = [op["id"] for op in operators].index(op_id)
-        del operators[i]
-        return with_state(lambda state: state.merge_output(i))(checkpoint)
+        i = [op["id"] for op in checkpoint["registry"]["operators"]].index(op_id)
+        checkpoint = with_state(lambda state: state.merge_output(i))(checkpoint)
+        del checkpoint["registry"]["operators"][i]
+        return checkpoint
     return corrupt
 
 
@@ -359,6 +380,24 @@ def with_first_id_repeated(checkpoint):
     return checkpoint
 
 
+def with_operator_added(checkpoint):
+    """The checkpoint whose registry holds a clone of its first operator as
+    well; its controllers score the operators it had."""
+    operators = checkpoint["registry"]["operators"]
+    operators.append({**operators[0], "id": "clone"})
+    return checkpoint
+
+
+def without_operator_entry(op_id):
+    """The checkpoint without the operator `op_id`; its controllers score the
+    operators it had."""
+    def corrupt(checkpoint):
+        operators = checkpoint["registry"]["operators"]
+        operators[:] = [op for op in operators if op["id"] != op_id]
+        return checkpoint
+    return corrupt
+
+
 def with_operators_past_the_cap(checkpoint):
     """The checkpoint whose registry holds clones of its first operator up to
     one past `MAX_OPERATORS`; its controllers score the operators it had."""
@@ -368,11 +407,16 @@ def with_operators_past_the_cap(checkpoint):
     return checkpoint
 
 
-# each maps a checkpoint dict to a bad one, with the fault `restore` names
+# each maps a checkpoint dict to a bad one, with the fault `restore` names;
+# the small checkpoint holds 146 values, 8 * 146 = 1168 bytes, for its 2
+# layers of dims 4x4 scoring 9 operators. The rows of `in_format2` (and
+# `with_counts`) corrupt its format-2 form, whose controllers repeat those
+# counts and whose operators hold `tools`.
 BAD_CHECKPOINTS = {
     "no_exit": (without_operator("early_exit"), "lacks its early-exit or direct-io"),
     "no_direct_io": (without_operator("direct_io"), "lacks its early-exit or direct-io"),
-    "no_controllers": (lambda checkpoint: {"format_version": 2},
+    "no_controllers": (lambda checkpoint: {key: value for key, value in checkpoint.items()
+                                           if key != "controllers"},
                        "malformed checkpoint: KeyError: 'controllers'"),
     "second_exit": (with_operator_field("react", "kind", "early_exit"),
                     "already has an early-exit"),
@@ -383,29 +427,42 @@ BAD_CHECKPOINTS = {
                     f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1} chars, over"
                     f" {MAX_PROMPT_CHARS}"),
     "int_prompt": (with_operator_field("cot", "prompt", 5), "prompt 5 is not a string"),
-    "string_tools": (with_operator_field("react", "tools", "cx"),
-                     "tools 'cx' of operator 'react' is not a list"),
-    "format2_null_cadence": (with_config_field("patch_every", None),
-                             "patch_every None is not an integer"),
     "float_embed_dim": (with_config_field("embed_dim", 64.0),
                         "embed_dim 64.0 is not an integer"),
     "float_seed": (with_config_field("seed", 1.5), "seed 1.5 is not an integer"),
     "negative_seed": (with_config_field("seed", -1), "seed must be >= 0"),
     "unknown_mutator": (with_config_field("mutator", "mock2"),
                         r"mutator 'mock2' is not one of \('mock', 'llm', 'none'\)"),
-    # in the config only: `TrainConfig` refuses it before the dims are compared
+    # in the config only: `TrainConfig` refuses it before the layout is read
     "zero_embed_dim": (with_config_field("embed_dim", 0), "embed_dim must be >= 1"),
+    "config_num_layers_edited": (with_config_field("num_layers", 3),
+                                 "params holds 1168 bytes, expected 1944 for 3 layers of"
+                                 " dims 4x4 scoring 9 operators$"),
+    "config_embed_dim_edited": (with_config_field("embed_dim", 5),
+                                "params holds 1168 bytes, expected 1264 for 2 layers of"
+                                " dims 5x4 scoring 9 operators$"),
+    "config_hidden_dim_edited": (with_config_field("hidden_dim", 5),
+                                 "params holds 1168 bytes, expected 1424 for 2 layers of"
+                                 " dims 4x5 scoring 9 operators$"),
+    "operator_added": (with_operator_added, "params holds 1168 bytes, expected 1248 for"
+                       " 2 layers of dims 4x4 scoring 10 operators$"),
+    "operator_removed": (without_operator_entry("react"), "params holds 1168 bytes,"
+                         " expected 1088 for 2 layers of dims 4x4 scoring 8 operators$"),
     "params_not_a_string": (with_controller_field("params", [0.0]),
                             "params is not a string"),
     "params_not_base64": (with_params_text(lambda text: text[:8] + "*" + text[8:]),
                           "params is not base64"),
     "params_not_ascii": (with_controller_field("params", "AAAAAAA\u00e9"),
                          "params is not base64"),
-    # the small checkpoint holds 146 values: 8 * 146 = 1168 bytes
     "params_one_value_short": (with_blob_bytes(lambda blob: blob[:-8]),
-                               "params holds 1160 bytes, expected 1168$"),
+                               "params holds 1160 bytes, expected 1168 for 2 layers of"
+                               " dims 4x4 scoring 9 operators$"),
+    "params_one_value_long": (with_blob_bytes(lambda blob: blob + bytes(8)),
+                              "params holds 1176 bytes, expected 1168 for 2 layers of"
+                              " dims 4x4 scoring 9 operators$"),
     "params_one_byte_long": (with_blob_bytes(lambda blob: blob + b"\0"),
-                             "params holds 1169 bytes, expected 1168$"),
+                             "params holds 1169 bytes, expected 1168 for 2 layers of"
+                             " dims 4x4 scoring 9 operators$"),
     "nan_b2": (with_blob_value(1, "b2", float("nan")),
                "layer 1 holds a parameter that is not finite"),
     "nan_in_params": (with_blob_value(2, "b2", float("nan")),
@@ -414,27 +471,37 @@ BAD_CHECKPOINTS = {
                       "layer 1 holds a parameter that is not finite"),
     "minus_inf_in_params": (with_blob_value(2, "W1", -float("inf")),
                             "layer 2 holds a parameter that is not finite"),
+    "float_version": (with_controller_field("version", 1.0),
+                      "version 1.0 is not an integer"),
+    # format 2
+    "string_tools": (in_format2(with_operator_field("react", "tools", "cx")),
+                     "tools 'cx' of operator 'react' is not a list"),
+    "format2_int_in_tools": (in_format2(with_operator_field("react", "tools", ["cx", 3])),
+                             r"tools \('cx', 3\) is not a tuple of strings"),
+    "format2_duplicate_tools": (in_format2(with_operator_field("react", "tools",
+                                                               ["cx", "cx"])),
+                                "duplicate tools for 'react'"),
+    "format2_null_cadence": (in_format2(with_config_field("patch_every", None)),
+                             "patch_every None is not an integer"),
     "n_ops_off_registry": (with_counts(n_ops=10), "controllers score 10 operators, its"
                            " registry holds 9"),
     "num_layers_off_config": (with_counts(num_layers=3), "checkpoint has 3 controllers,"
                               " its config 2 layers"),
     "hidden_dim_off_config": (with_counts(h=5), "controllers have dims 4x5, its config 4x4"),
-    "n_ops_off_blob": (with_controller_field("n_ops", 8),
+    "n_ops_off_blob": (in_format2(with_controller_field("n_ops", 8)),
                        "params holds 1168 bytes, expected 1088$"),
-    "bool_num_layers": (with_controller_field("num_layers", True),
+    "bool_num_layers": (in_format2(with_controller_field("num_layers", True)),
                         "num_layers True is not a positive integer"),
-    "float_n_ops": (with_controller_field("n_ops", 9.0), "n_ops 9.0 is not a positive"
-                    " integer"),
-    "zero_hidden_dim": (with_controller_field("hidden_dim", 0),
+    "float_n_ops": (in_format2(with_controller_field("n_ops", 9.0)),
+                    "n_ops 9.0 is not a positive integer"),
+    "zero_hidden_dim": (in_format2(with_controller_field("hidden_dim", 0)),
                         "hidden_dim 0 is not a positive integer"),
-    "negative_hidden_dim": (with_controller_field("hidden_dim", -4),
+    "negative_hidden_dim": (in_format2(with_controller_field("hidden_dim", -4)),
                             "hidden_dim -4 is not a positive integer"),
-    "string_embed_dim": (with_controller_field("embed_dim", "4"),
+    "string_embed_dim": (in_format2(with_controller_field("embed_dim", "4")),
                          "embed_dim '4' is not a positive integer"),
-    "no_layers": (with_controller_field("num_layers", 0),
+    "no_layers": (in_format2(with_controller_field("num_layers", 0)),
                   "num_layers 0 is not a positive integer"),
-    "huge_num_layers": (with_controller_field("num_layers", 10**18),
+    "huge_num_layers": (in_format2(with_controller_field("num_layers", 10**18)),
                         r"params holds 1168 bytes, expected \d{30,}$"),
-    "float_version": (with_controller_field("version", 1.0),
-                      "version 1.0 is not an integer"),
 }

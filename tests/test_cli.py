@@ -26,7 +26,8 @@ from maas.optimizer import TrainConfig
 from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
 from tests.helpers import (BAD_CHECKPOINTS, make_trainer, train_args,
-                           with_config_field, with_state, write_jsonl)
+                           with_config_field, with_state, without_operator_entry,
+                           write_jsonl)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # differ between numpy versions and between the SIMD targets a CPU runs.
 # "simd" lists each set of targets on which both pinned hashes were checked.
 GOLDEN_CHECKPOINT = {
-    "sha256": "a95475ea4610bbb7b6d25fa847519c85524abb2d371b151975c54c5c10992481",
+    "sha256": "8b249cea1867296c5098dfbbae3e0ce04586609a389b945396c6d11c098f372e",
     "numpy": "2.4.6",
     "platform": "linux-x86_64",
     "simd": [
@@ -47,7 +48,7 @@ GOLDEN_CHECKPOINT = {
 # metrics and the stdout of `maas eval` on the same data; recorded where
 # GOLDEN_CHECKPOINT was
 GOLDEN_SEED3 = {
-    "checkpoint": "e25c0304a8e38c07e9935b951d47356d684f82aa7344fa106d1286bee00e6199",
+    "checkpoint": "d4acc2adc37a53f7dc07e6363e193196f9fb154e857b231659589ec6655441e5",
     "metrics": "876f935f499d9421ae9b9e99fce58e9809b1fa7b88ac5dc64dcbbb58597db4b6",
     "eval": "de4eef2a11c9a68809bcee6e35172ceb3b5da07a01fbbd7af8d2c835ea2f8e77",
     # the stdout of `maas sample --explain` of that checkpoint, per query: an
@@ -283,20 +284,14 @@ class TestEvalCommand:
         assert accuracy["numeric"] == 0.0
 
 
-def without_react(trained):
-    """The registry without "react", its controller rows left in place."""
-    operators = trained["registry"]["operators"]
-    trained["registry"]["operators"] = [op for op in operators if op["id"] != "react"]
-    return trained
-
-
 @pytest.mark.usefixtures("trained")
 class TestBadCheckpoint:
     # each case maps the checkpoint `maas train` writes to the text of a bad one
     @pytest.mark.parametrize("corrupt", [
         lambda trained: "{broken\n",
         *(lambda trained, corrupt=corrupt: json.dumps(corrupt(trained))
-          for corrupt in (without_react, with_config_field("num_layers", 1),
+          for corrupt in (without_operator_entry("react"),
+                          with_config_field("num_layers", 1),
                           *(corrupt for corrupt, _ in BAD_CHECKPOINTS.values()))),
     ], ids=["not_json", "registry_without_react", "fewer_layers_than_controllers",
             *BAD_CHECKPOINTS])
@@ -336,9 +331,9 @@ class TestBadCheckpoint:
         path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 1}))
         result = CliRunner().invoke(main, valid_args(workdir, command))
         assert result.exit_code == 3, result.output
-        assert result.output == ("data error: checkpoint format 1, expected one of [2]; load"
-                                 " and save it with an earlier maas to convert it to format"
-                                 " 2\n")
+        assert result.output == ("data error: checkpoint format 1, expected one of [2, 3];"
+                                 " load and save it with an earlier maas to convert it to"
+                                 " format 2\n")
 
 
 def valid_args(workdir, command):

@@ -447,15 +447,6 @@ class TestRenderPrompt:
         out = render_prompt(make_spec("op"), "q", ["ans1", "ans2"])
         assert "- ans1" in out and "- ans2" in out
 
-    def test_tools_listed(self):
-        """A spec's tools are carried but not sent: nothing runs a tool."""
-        from dataclasses import replace
-
-        spec = make_spec("op")
-        with_tools = replace(spec, tools=("code_interpreter", "web_search"))
-        for preds in ([], ["ans1"]):
-            assert render_prompt(with_tools, "q", preds) == render_prompt(spec, "q", preds)
-
     def test_empty_prompt_uses_query(self):
         from dataclasses import replace
 

@@ -3,11 +3,13 @@
 import copy
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from maas import checkpoint as ckpt
 from maas import sampler
@@ -20,7 +22,7 @@ from maas.executor import SyntheticEnv, SyntheticOperatorProfile, execute
 from maas.harness import EVAL_RNG_OFFSET, Evaluator, run_eval, run_train
 from maas.optimizer import TrainConfig
 from maas.registry import OperatorPatch, builtin_registry
-from tests.helpers import (BAD_CHECKPOINTS, any_value_anywhere, decoded,
+from tests.helpers import (BAD_CHECKPOINTS, any_value_anywhere, as_format2, decoded,
                            encoded, fill_workdir, small_checkpoint, write_jsonl)
 
 
@@ -157,6 +159,20 @@ def tiny_run(tmp_path_factory):
     return run
 
 
+# the patches of a round-trip sequence: a split of `cot`, a merge of `cot`
+# with its last clone (the test names which), and prompt and temperature
+# patches of any operator but the early exit
+PATCHES = st.one_of(
+    st.just(OperatorPatch("cot", structure_action="split")),
+    st.just(OperatorPatch("cot", structure_action="merge", merge_with_id="cot-b")),
+    st.builds(OperatorPatch, st.sampled_from(["cot", "debate", "react", "direct_io"]),
+              new_prompt=st.text(st.characters(exclude_characters="{}"), max_size=12)
+              .map(lambda text: text + "{input}")),
+    st.builds(OperatorPatch, st.sampled_from(["cot", "self_refine", "direct_io"]),
+              new_temperature=st.integers(0, 2) | st.floats(0.0, 2.0)),
+)
+
+
 class TestCheckpoint:
     def test_byte_identical_round_trip(self, tmp_path, tiny_run):
         checkpoint, _ = tiny_run(2)
@@ -166,14 +182,35 @@ class TestCheckpoint:
         ckpt.save(ckpt.load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_int_temperature_patch_round_trips_byte_equal(self):
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(patches=st.lists(PATCHES, max_size=8))
+    def test_int_temperature_patch_round_trips_byte_equal(self, tmp_path, patches):
+        """An int temperature patch, then any sequence of splits of `cot`
+        (to `cot-b`, `cot-b2`, ...), merges back of its last clone, prompt
+        and temperature patches, each applied to the registry and its
+        controller rows: save, load, restore and save gives the same
+        bytes."""
         registry = builtin_registry()
-        registry.apply_patch(OperatorPatch("cot", new_temperature=1))
-        state = init_params(0, 8, 8, 2, len(registry))
-        config = TrainConfig(num_layers=2, embed_dim=8, hidden_dim=8)
-        saved = ckpt.dumps(ckpt.build_checkpoint(state, registry, config))
-        restored = ckpt.restore(json.loads(saved))
-        assert ckpt.dumps(ckpt.build_checkpoint(*restored)) == saved
+        state = init_params(0, 3, 2, 2, len(registry))
+        rng = np.random.default_rng(0)
+        for patch in [OperatorPatch("cot", new_temperature=1), *patches]:
+            clones = [op_id for op_id in registry.ids() if op_id.startswith("cot-")]
+            if patch.merge_with_id and not clones:
+                continue
+            if patch.merge_with_id:
+                patch = replace(patch, merge_with_id=clones[-1])
+            row = registry.apply_patch(patch)
+            if patch.structure_action == "split":
+                state.split_output(row, rng)
+            elif patch.structure_action == "merge":
+                state.merge_output(row)
+        config = TrainConfig(num_layers=2, embed_dim=3, hidden_dim=2)
+        path = tmp_path / "c.json"
+        ckpt.save(ckpt.build_checkpoint(state, registry, config), path)
+        saved = path.read_bytes()
+        ckpt.save(ckpt.build_checkpoint(*ckpt.restore(ckpt.load(path))), path)
+        assert path.read_bytes() == saved
 
     def test_restore_reproduces_state(self, tiny_run):
         checkpoint, _ = tiny_run(1)
@@ -190,6 +227,18 @@ class TestCheckpoint:
         r2 = run_eval(ckpt.load(path), mix_path, default_env())
         assert r1 == r2
 
+    def test_format2_of_a_trained_checkpoint_restores_the_same(self, tiny_run):
+        """A trained checkpoint in the form format 2 wrote, with its counts
+        and an empty `tools` list per operator, restores to the same
+        parameter bytes, registry and config."""
+        checkpoint, _ = tiny_run(2)
+        state, registry, config = ckpt.restore(checkpoint)
+        old_state, old_registry, old_config = ckpt.restore(
+            as_format2(json.loads(ckpt.dumps(checkpoint))))
+        assert old_state.params.tobytes() == state.params.tobytes()
+        assert old_registry.to_dict() == registry.to_dict()
+        assert old_config == config
+
     def test_old_rewire_ids_key_restores(self, tiny_run):
         checkpoint, _ = tiny_run(1)
         old = json.loads(ckpt.dumps(checkpoint))
@@ -204,8 +253,9 @@ class TestRestore:
     @pytest.mark.parametrize("name", BAD_CHECKPOINTS)
     def test_bad_checkpoint_is_data_error(self, name):
         corrupt, message = BAD_CHECKPOINTS[name]
+        bad = corrupt(small_checkpoint())
         with pytest.raises(DataError, match=message):
-            ckpt.restore(corrupt(small_checkpoint()))
+            ckpt.restore(bad)
 
     @settings(max_examples=300, deadline=None)
     @given(checkpoint=any_value_anywhere(small_checkpoint()))
@@ -217,11 +267,11 @@ class TestRestore:
         except DataError:
             pass
 
-    @pytest.mark.parametrize("version", [0, 1, 3, 99, True, 2.0, "2", None])
+    @pytest.mark.parametrize("version", [0, 1, 4, 99, True, 2.0, "2", None])
     def test_unknown_format_is_data_error(self, version):
         """Only an integer below the oldest format read gets told how to
         convert the file."""
-        expected = r"^checkpoint format .*, expected one of \[2\]"
+        expected = r"^checkpoint format .*, expected one of \[2, 3\]"
         with pytest.raises(DataError, match=expected) as raised:
             ckpt.restore({**small_checkpoint(), "format_version": version})
         assert ("earlier maas" in str(raised.value)) == (type(version) is int and version < 2)
@@ -248,17 +298,31 @@ class TestCheckpointFormats:
         assert state.params.flags.writeable and state.params.dtype == np.float64
         assert np.array_equal(state.params.view(np.uint64), want.view(np.uint64))
 
+    def test_a_new_checkpoint_holds_each_fact_once(self, planted, tmp_path):
+        """Format 3: the controllers hold their version and parameters only,
+        as the config and registry give their layout, and no operator
+        names tools."""
+        ckpt.save(planted, tmp_path / "c.json")
+        loaded = ckpt.load(tmp_path / "c.json")
+        assert set(loaded) == {"format_version", "config", "registry", "controllers",
+                               "metrics_summary"}
+        assert loaded["format_version"] == 3
+        assert set(loaded["controllers"]) == {"version", "params"}
+        assert isinstance(loaded["controllers"]["params"], str)
+        assert '"tools"' not in (tmp_path / "c.json").read_text()
+
     def test_format2_round_trip_is_byte_identical(self, planted, tmp_path):
+        """A format-2 file, loaded, restored and saved, is the format-3
+        file of the same checkpoint, byte for byte."""
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         ckpt.save(planted, first)
-        loaded = ckpt.load(first)
+        old = as_format2(ckpt.load(first))
+        old["registry"]["operators"][0]["tools"] = ["code_interpreter", "web_search"]
+        ckpt.save(old, second)
+        loaded = ckpt.load(second)
         ckpt.save(ckpt.build_checkpoint(*ckpt.restore(loaded), loaded["metrics_summary"]),
                   second)
         assert first.read_bytes() == second.read_bytes()
-        assert set(loaded) == {"format_version", "config", "registry", "controllers",
-                               "metrics_summary"}
-        assert loaded["format_version"] == 2 and isinstance(
-            loaded["controllers"]["params"], str)
 
     def test_restored_params_are_a_vector_of_their_own(self, planted):
         state, _, _ = ckpt.restore(planted)

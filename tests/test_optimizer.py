@@ -1012,6 +1012,7 @@ class TestLLMMutator:
         assert url == "http://stub/v1/chat/completions"
         assert payload["model"] == "m"
         assert '"id": "react"' in payload["messages"][0]["content"]
+        assert '"tools"' not in payload["messages"][0]["content"]
 
     def test_non_json_reply_unparseable(self):
         mutator = LLMMutator(base_url="http://stub", transport=chat_reply("cot is weak"))
