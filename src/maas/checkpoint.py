@@ -5,7 +5,8 @@ fixed separators), which `build_checkpoint` writes in format 3 and `restore`
 reads through `_READERS`, one reader per format. Format 3's controllers hold
 their version and the parameter vector, as base64 of its little-endian
 float64 bytes, in the layout the config and registry give; so every value
-reads back bit for bit and save -> load -> save is byte-identical.
+reads back bit for bit and save -> load -> save is byte-identical. Format 3
+refuses any other key in them or in an operator.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .controller import SupernetState, _size
 from .errors import DataError
 from .optimizer import TrainConfig
-from .registry import OperatorRegistry
+from .registry import OperatorRegistry, OperatorSpec
 
 FORMAT_VERSION = 3
 
@@ -71,6 +72,20 @@ def _blob(controllers):
 
 
 def _read_format3(checkpoint):
+    """`_build`, after a check that the controllers hold no key but `version`
+    and `params` and each operator none but the fields of `OperatorSpec`, so
+    no count or `tools` list left from format 2 is read unchecked."""
+    for key in checkpoint["controllers"]:
+        if key not in ("version", "params"):
+            raise DataError(f"unknown key {key!r} in the controllers")
+    for op in checkpoint["registry"]["operators"]:
+        for key in op:
+            if key not in OperatorSpec.__dataclass_fields__:
+                raise DataError(f"unknown key {key!r} in operator {op['id']!r}")
+    return _build(checkpoint)
+
+
+def _build(checkpoint):
     """(state, registry, config); `DataError` unless the config and registry
     build and `params` holds 8 bytes per value of the layout they give. The
     values are copied out of the decoded bytes, so `params` is writable."""
@@ -88,7 +103,7 @@ def _read_format3(checkpoint):
 
 
 def _read_format2(checkpoint):
-    """Format 2 read as format 3, after the checks it always made: positive
+    """Format 2 built as format 3, after the checks it always made: positive
     integer dims and counts that fit `params` and agree with the config and
     registry, and each operator's `tools` a list of distinct strings."""
     controllers = checkpoint["controllers"]
@@ -119,7 +134,7 @@ def _read_format2(checkpoint):
     if n != len(registry):
         raise DataError(f"checkpoint controllers score {n} operators, its registry"
                         f" holds {len(registry)}")
-    return _read_format3(checkpoint)
+    return _build(checkpoint)
 
 
 _READERS = {2: _read_format2, FORMAT_VERSION: _read_format3}

@@ -182,9 +182,9 @@ def resolve_endpoint(base_url, api_key):
 
 def render_prompt(spec, query_text, predecessor_outputs):
     """The one user message a live node sends: the operator's prompt with
-    the query in place of `{input}` (the query alone for an empty prompt),
-    then the earlier layer's outputs, one per line, if it has any."""
-    prompt = spec.prompt.replace("{input}", query_text) if spec.prompt else query_text
+    the query in place of its one `{input}`, then the earlier layer's
+    outputs, one per line, if it has any."""
+    prompt = spec.prompt.replace("{input}", query_text)
     if predecessor_outputs:
         prompt += "\n\nCandidate answers from earlier agents:\n" + "\n".join(
             f"- {out}" for out in predecessor_outputs

@@ -2,14 +2,14 @@
 
 An operator bundles a prompt template, a model binding, a sampling
 temperature and an internal call count; it names no tools, since nothing
-in the program runs one. A registry is built whole from a list of specs;
-it always holds exactly one early-exit and one direct-io operator, and at
-most `MAX_OPERATORS` operators. It keeps operators in order; that order is
-the canonical operator index used by the controller, so a split or a merge
-returns the one controller row it moved (the row a split cloned, the row a
-merge removed) and the controller remaps its output rows accordingly. The
-registry holds the lookups each sample makes (ids, early-exit index,
-direct-io id) and recomputes them when an operator is added or removed.
+in the program runs one. A registry is built whole from a list of specs,
+and a patch builds the next list whole; each list passes one check, so the
+registry always holds exactly one early-exit and one direct-io operator,
+and at most `MAX_OPERATORS` operators. Its order is the canonical operator
+index used by the controller, so a split or a merge returns the one
+controller row it moved (the row a split cloned, the row a merge removed)
+and the controller remaps its output rows accordingly. The registry holds
+the lookups each sample makes (ids, early-exit index, direct-io id).
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ class OperatorSpec:
         if len(self.prompt) > MAX_PROMPT_CHARS:
             raise DataError(f"prompt of {self.id!r} holds {len(self.prompt)} chars,"
                             f" over {MAX_PROMPT_CHARS}")
+        # `render_prompt` puts the query there: without it the operator would
+        # never see its question, and twice over it would send it twice
+        if self.kind != KIND_EARLY_EXIT and self.prompt.count("{input}") != 1:
+            raise DataError(f"prompt of {self.id!r} holds the {{input}} placeholder"
+                            f" {self.prompt.count('{input}')} times, not once")
         if not 0.0 <= self.temperature <= 2.0:
             raise DataError(f"temperature {self.temperature} outside [0, 2] for"
                             f" {self.id!r}")
@@ -111,40 +116,36 @@ class OperatorRegistry:
     """Ordered operator set with exactly one exit and one direct-io operator.
 
     It holds the lookups a sample makes: the id list, the early-exit
-    operator's index and the direct-io operator's id, recomputed whenever
-    an operator is added or removed (a split or a merge). A prompt or
-    temperature patch keeps every id and kind, so they hold."""
+    operator's index and the direct-io operator's id, which `_set`
+    recomputes with every operator list it makes the registry's."""
 
     def __init__(self, specs):
-        """The registry of `specs`, in their order. `DataError` at the first
-        spec that repeats an id, adds a second early-exit or direct-io
-        operator or passes `MAX_OPERATORS`, and then if either of the two is
-        missing."""
-        self._specs: list[OperatorSpec] = []
-        ids, kinds = set(), set()
-        for spec in specs:
-            if len(self._specs) == MAX_OPERATORS:
-                raise DataError(f"registry cannot hold more than {MAX_OPERATORS} operators")
-            if spec.id in ids:
-                raise DataError(f"operator id {spec.id!r} already registered")
-            if spec.kind == KIND_EARLY_EXIT and spec.kind in kinds:
-                raise DataError("registry already has an early-exit operator")
-            if spec.kind == KIND_DIRECT_IO and spec.kind in kinds:
-                raise DataError("registry already has a direct-io operator")
-            self._specs.append(spec)
-            ids.add(spec.id)
-            kinds.add(spec.kind)
-        if not {KIND_EARLY_EXIT, KIND_DIRECT_IO} <= kinds:
-            raise DataError("registry lacks its early-exit or direct-io operator")
-        self._reindex()
+        """The registry of `specs`, in their order; `DataError` as `_set`."""
+        self._set(list(specs))
 
-    def _reindex(self):
-        """Recompute the held lookups from the operators."""
-        self._ids = [s.id for s in self._specs]
-        self._by_id = {op_id: i for i, op_id in enumerate(self._ids)}
-        kinds = [s.kind for s in self._specs]
-        self._early_exit_index = kinds.index(KIND_EARLY_EXIT)
-        self._direct_io_id = self._ids[kinds.index(KIND_DIRECT_IO)]
+    def _set(self, specs):
+        """Make the list `specs` the operators and recompute the held
+        lookups: the one way a spec list becomes the registry's state.
+        `DataError`, with the registry as it was, at the first spec that
+        passes `MAX_OPERATORS`, repeats an id or adds a second early-exit or
+        direct-io operator, and then if either of the two is missing."""
+        by_id, first = {}, {}  # the index of each id, and of each kind's first
+        for i, spec in enumerate(specs):
+            if i == MAX_OPERATORS:
+                raise DataError(f"registry cannot hold more than {MAX_OPERATORS} operators")
+            if spec.id in by_id:
+                raise DataError(f"operator id {spec.id!r} already registered")
+            if spec.kind == KIND_EARLY_EXIT and spec.kind in first:
+                raise DataError("registry already has an early-exit operator")
+            if spec.kind == KIND_DIRECT_IO and spec.kind in first:
+                raise DataError("registry already has a direct-io operator")
+            by_id[spec.id] = i
+            first.setdefault(spec.kind, i)
+        if not {KIND_EARLY_EXIT, KIND_DIRECT_IO} <= first.keys():
+            raise DataError("registry lacks its early-exit or direct-io operator")
+        self._specs, self._ids, self._by_id = specs, list(by_id), by_id
+        self._early_exit_index = first[KIND_EARLY_EXIT]
+        self._direct_io_id = specs[first[KIND_DIRECT_IO]].id
 
     # -- queries -----------------------------------------------------------
 
@@ -186,65 +187,46 @@ class OperatorRegistry:
         a merge removed (later indices shift down by one); None for any other
         patch.
 
-        Every check runs before the first write, so a patch that raises
-        leaves the registry unchanged. A new prompt must hold the `{input}`
-        placeholder exactly once. A split appends a clone of the target
-        under the first free id of `<id>-b`, `<id>-b2`, `<id>-b3`, ..., so an
-        operator can be split any number of times while the registry holds
-        fewer than `MAX_OPERATORS`. A merge keeps the target's prompt when
-        the partner's equals it, so merging back an unedited clone undoes
-        its split. Otherwise it appends, on a new line, the partner's text
-        before `{input}` up to its last blank line and then the partner's
-        text after `{input}`: the query still goes out once, and the
-        paragraph that led into the partner's query (the builtin prompts'
-        "Problem:" header) goes with it, so no header is left empty."""
+        It edits a copy of the operator list and gives it to `_set`, so a
+        patch that raises leaves the registry unchanged by construction. A
+        split appends a clone of the target under the first free id of
+        `<id>-b`, `<id>-b2`, `<id>-b3`, ..., so an operator can be split any
+        number of times while the registry holds fewer than `MAX_OPERATORS`.
+        A merge keeps the target's prompt when the partner's equals it, so
+        merging back an unedited clone undoes its split. Otherwise it
+        appends, on a new line, the partner's text before `{input}` up to its
+        last blank line and then the partner's text after `{input}`: the
+        query still goes out once, and the paragraph that led into the
+        partner's query (the builtin prompts' "Problem:" header) goes with
+        it, so no header is left empty."""
         idx = self.index_of(patch.target_id)
         target = self._specs[idx]
         if target.kind == KIND_EARLY_EXIT:
             raise DataError("cannot patch the early-exit operator")
-
         if patch.new_prompt is not None:
-            # `render_prompt` puts the query there: without it the operator
-            # would never see its question, and twice over it would send it twice
-            if "{input}" not in patch.new_prompt:
-                raise DataError(f"new prompt for {target.id!r} lacks the"
-                                " {input} placeholder")
             target = replace(target, prompt=patch.new_prompt)
-            if patch.new_prompt.count("{input}") > 1:
-                raise DataError(f"new prompt for {target.id!r} holds the"
-                                " {input} placeholder more than once")
         if patch.new_temperature is not None:
             target = replace(target, temperature=patch.new_temperature)
-
+        specs = list(self._specs)
+        specs[idx] = target
+        moved = None
         if patch.structure_action == "split":
-            if target.kind == KIND_DIRECT_IO:
-                raise DataError("cannot split the direct-io operator")
-            if len(self._specs) == MAX_OPERATORS:
-                raise DataError(f"registry cannot hold more than {MAX_OPERATORS} operators")
             suffix = self._clone_suffix(target.id)
-            self._specs[idx] = target
-            self._specs.append(replace(target, id=f"{target.id}-{suffix}",
-                                       name=f"{target.name} ({suffix})"))
-            self._reindex()
-            return idx
-        if patch.structure_action == "merge":
-            partner_id = patch.merge_with_id
-            partner = self.get(partner_id)
-            if partner_id == target.id:
+            specs.append(replace(target, id=f"{target.id}-{suffix}",
+                                 name=f"{target.name} ({suffix})"))
+            moved = idx
+        elif patch.structure_action == "merge":
+            moved = self.index_of(patch.merge_with_id)
+            if moved == idx:
                 raise DataError("cannot merge an operator with itself")
-            if partner.kind in (KIND_EARLY_EXIT, KIND_DIRECT_IO):
-                raise DataError(f"cannot merge away {partner_id!r}")
-            prompt = target.prompt
-            if partner.prompt != prompt:
+            partner = specs[moved]
+            if partner.prompt != target.prompt:
                 head, _, tail = partner.prompt.partition("{input}")
-                prompt += "\n" + head.rpartition("\n\n")[0] + tail
-            removed = self._by_id[partner_id]
-            self._specs[idx] = replace(target, prompt=prompt)
-            del self._specs[removed]
-            self._reindex()
-            return removed
-        self._specs[idx] = target
-        return None
+                specs[idx] = replace(target, prompt=target.prompt + "\n"
+                                     + head.rpartition("\n\n")[0] + tail)
+            del specs[moved]
+        self._set(specs)
+        return moved
 
     def _clone_suffix(self, op_id) -> str:
         """"b", "b2", "b3", ...: the first that makes `<op_id>-<suffix>` a

@@ -427,6 +427,17 @@ BAD_CHECKPOINTS = {
                     f"prompt of 'cot' holds {MAX_PROMPT_CHARS + 1} chars, over"
                     f" {MAX_PROMPT_CHARS}"),
     "int_prompt": (with_operator_field("cot", "prompt", 5), "prompt 5 is not a string"),
+    "prompt_without_input": (with_operator_field("cot", "prompt", "Solve it."),
+                             r"^prompt of 'cot' holds the \{input\} placeholder 0 times,"
+                             " not once$"),
+    "prompt_with_two_inputs": (with_operator_field("cot", "prompt", "{input}\nAgain: {input}"),
+                               r"^prompt of 'cot' holds the \{input\} placeholder 2 times,"
+                               " not once$"),
+    # keys format 2 held, which format 3 refuses rather than leave unchecked
+    "stale_n_ops": (with_controller_field("n_ops", 9),
+                    "^unknown key 'n_ops' in the controllers$"),
+    "stale_tools": (with_operator_field("react", "tools", []),
+                    "^unknown key 'tools' in operator 'react'$"),
     "float_embed_dim": (with_config_field("embed_dim", 64.0),
                         "embed_dim 64.0 is not an integer"),
     "float_seed": (with_config_field("seed", 1.5), "seed 1.5 is not an integer"),
@@ -483,6 +494,12 @@ BAD_CHECKPOINTS = {
                                 "duplicate tools for 'react'"),
     "format2_null_cadence": (in_format2(with_config_field("patch_every", None)),
                              "patch_every None is not an integer"),
+    "format2_prompt_without_input": (
+        in_format2(with_operator_field("cot", "prompt", "Solve it.")),
+        r"^prompt of 'cot' holds the \{input\} placeholder 0 times, not once$"),
+    "format2_prompt_with_two_inputs": (
+        in_format2(with_operator_field("cot", "prompt", "{input}\nAgain: {input}")),
+        r"^prompt of 'cot' holds the \{input\} placeholder 2 times, not once$"),
     "n_ops_off_registry": (with_counts(n_ops=10), "controllers score 10 operators, its"
                            " registry holds 9"),
     "num_layers_off_config": (with_counts(num_layers=3), "checkpoint has 3 controllers,"

@@ -447,12 +447,6 @@ class TestRenderPrompt:
         out = render_prompt(make_spec("op"), "q", ["ans1", "ans2"])
         assert "- ans1" in out and "- ans2" in out
 
-    def test_empty_prompt_uses_query(self):
-        from dataclasses import replace
-
-        spec = replace(make_spec("op"), prompt="")
-        assert render_prompt(spec, "just the query", []) == "just the query"
-
 
 class TestLiveEnv:
     def test_missing_url_raises_at_construction(self, monkeypatch):

@@ -36,6 +36,11 @@
   `b1`, `W2` or `b2`, by `=`, an augmented assignment, `del` or `setattr`.
   A layer's arrays are views of its state's flat `params`, so an array
   bound in their place anywhere else would drop out of every update.
+- No function but `OperatorRegistry._set` binds a registry's `_specs`:
+  none assigns or deletes it, stores or deletes through an index or slice
+  of it, or calls a list method that edits it in place. `_set` checks a
+  whole operator list before it takes it, so a list edited anywhere else
+  would skip that check.
 - Every `open(...)` in `src/maas` in text mode passes `encoding="utf-8"`,
   so a file reads and writes the same under any locale.
 - No module in `src/maas` but `checkpoint.py` imports `base64` or holds a
@@ -540,6 +545,78 @@ def test_only_controller_binds_parameter_arrays():
     assert any(p.name == "optimizer.py" for p in files)
     offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
                  for path in files for line, name in parameter_rebinds(path.read_text())]
+    assert offenders == []
+
+
+LIST_EDITS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def spec_list_writes(source):
+    """(line, qualified name of the function that holds it) of each write
+    to an attribute named `_specs`: `x._specs = ...`, `x._specs += ...`,
+    `del x._specs`, `setattr(x, "_specs", ...)`, a store or `del` through
+    `x._specs[...]`, or `x._specs.append(...)` and the other list methods
+    that edit in place. Code outside any function is `<module>`."""
+    found = []
+
+    def is_spec_list(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_specs"
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        stored = (is_spec_list(node) or isinstance(node, ast.Subscript)
+                  and is_spec_list(node.value)) and not isinstance(node.ctx, ast.Load)
+        edited = isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr in LIST_EDITS
+            and is_spec_list(node.func.value)
+            or is_named(node.func, "setattr") and len(node.args) > 1
+            and getattr(node.args[1], "value", None) == "_specs")
+        if stored or edited:
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_spec_list_writes():
+    source = (
+        "class OperatorRegistry:\n"
+        "    def _set(self, specs):\n"
+        "        self._specs = specs\n"
+        "    def apply_patch(self, patch):\n"
+        "        self._specs[0] = patch\n"
+        "        del self._specs[1]\n"
+        "        self._specs.append(patch)\n"
+        "        self._specs += [patch]\n"
+        "        self._specs[2:] = []\n"
+        "        spec = self._specs[0]\n"
+        "        return len(self._specs), self.specs().pop(), self._ids.append(spec)\n"
+        "def restore(reg):\n"
+        "    setattr(reg, '_specs', [])\n"
+        "    reg._specs.sort()\n"
+        "    del reg._specs\n"
+        "    setattr(reg, '_ids', [])\n"
+        "reg._specs = []\n"
+    )
+    patch = "OperatorRegistry.apply_patch"
+    assert spec_list_writes(source) == [
+        (3, "OperatorRegistry._set"), (5, patch), (6, patch), (7, patch), (8, patch),
+        (9, patch), (13, "restore"), (14, "restore"), (15, "restore"), (17, "<module>")]
+
+
+def test_only_set_binds_the_spec_list():
+    files = (checked_files() + sorted((ROOT / "perfbench").glob("*.py"))
+             + sorted((ROOT / "tools").glob("*.py")))
+    registry = ROOT / "src" / "maas" / "registry.py"
+    assert registry in files
+    writes = {path: spec_list_writes(path.read_text()) for path in files}
+    assert {scope for _, scope in writes[registry]} == {"OperatorRegistry._set"}
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {scope}"
+                 for path, found in writes.items() for line, scope in found
+                 if (path, scope) != (registry, "OperatorRegistry._set")]
     assert offenders == []
 
 

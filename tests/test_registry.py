@@ -101,10 +101,11 @@ class TestRegister:
         assert 2 * len(builtin_catalog()) < MAX_OPERATORS
 
     def test_prompt_length_is_bounded(self):
-        make_spec("long", prompt="x" * MAX_PROMPT_CHARS)  # at the bound: accepted
+        at_bound = "{input}" + "x" * (MAX_PROMPT_CHARS - len("{input}"))
+        make_spec("long", prompt=at_bound)  # accepted
         with pytest.raises(DataError, match=f"prompt of 'long' holds"
                            f" {MAX_PROMPT_CHARS + 1} chars, over {MAX_PROMPT_CHARS}"):
-            make_spec("long", prompt="x" * (MAX_PROMPT_CHARS + 1))
+            make_spec("long", prompt=at_bound + "x")
         assert max(len(s.prompt) for s in builtin_catalog()) < MAX_PROMPT_CHARS // 64
 
     def test_insertion_order_is_index(self):
@@ -263,26 +264,27 @@ class TestApplyPatch:
             OperatorPatch(**{"target_id": "cot", "new_prompt": "x", **fields})
 
     def test_split_direct_io_rejected(self):
-        with pytest.raises(DataError, match="cannot split the direct-io"):
+        with pytest.raises(DataError, match="^registry already has a direct-io operator$"):
             builtin_registry().apply_patch(
                 OperatorPatch("direct_io", structure_action="split")
             )
 
     @pytest.mark.parametrize("patch,message", [
         (OperatorPatch("direct_io", new_prompt="edited {input}",
-                       structure_action="split"), "cannot split the direct-io"),
+                       structure_action="split"), "registry already has a direct-io"),
         (OperatorPatch("cot", new_prompt="edited {input}", new_temperature=0.2,
                        structure_action="merge", merge_with_id="cot"),
          "cannot merge an operator with itself"),
         (OperatorPatch("cot", new_prompt="edited {input}", structure_action="merge",
-                       merge_with_id="direct_io"), "cannot merge away 'direct_io'"),
+                       merge_with_id="direct_io"),
+         "registry lacks its early-exit or direct-io operator"),
         (OperatorPatch("cot", new_prompt="edited {input}", structure_action="merge",
                        merge_with_id="nope"), "no operator 'nope'"),
         (OperatorPatch("cot", new_prompt="Solve it.", structure_action="split"),
-         r"new prompt for 'cot' lacks the \{input\} placeholder"),
+         r"prompt of 'cot' holds the \{input\} placeholder 0 times, not once"),
         (OperatorPatch("cot", new_prompt="{input}\nAgain: {input}",
                        structure_action="split"),
-         r"new prompt for 'cot' holds the \{input\} placeholder more than once"),
+         r"prompt of 'cot' holds the \{input\} placeholder 2 times, not once"),
     ], ids=["split_direct_io", "merge_itself", "merge_direct_io", "merge_unknown",
             "prompt_without_input", "prompt_with_two_inputs"])
     def test_rejected_patch_leaves_registry_unchanged(self, patch, message):
@@ -294,7 +296,8 @@ class TestApplyPatch:
         assert registry_json(reg) == before
 
     def test_merge_away_protected_rejected(self):
-        with pytest.raises(DataError, match="cannot merge away 'direct_io'"):
+        with pytest.raises(DataError, match="^registry lacks its early-exit or direct-io"
+                                            " operator$"):
             builtin_registry().apply_patch(
                 OperatorPatch("cot", structure_action="merge", merge_with_id="direct_io")
             )
@@ -454,10 +457,16 @@ def test_ids_is_a_copy():
     ("id", 5), ("name", None), ("prompt", 5), ("model_binding", ["m"]),
     ("profile_text", 1.5), ("kind", 0), ("agent_count", True), ("agent_count", 2.0),
     ("agent_count", "3"), ("temperature", True), ("temperature", "1.0"),
-    ("temperature", None),
+    ("temperature", None), ("prompt", "Solve it."), ("prompt", "{input}\nAgain: {input}"),
 ])
 def test_spec_field_of_wrong_type_rejected(field, value):
-    with pytest.raises(DataError, match="is not (a string|an integer|a number)$"):
+    """A value of the wrong type, or a prompt string without the `{input}`
+    placeholder exactly once."""
+    message = (rf"^prompt of 'op' holds the \{{input\}} placeholder"
+               rf" {value.count('{input}')} times, not once$"
+               if field == "prompt" and isinstance(value, str)
+               else "is not (a string|an integer|a number)$")
+    with pytest.raises(DataError, match=message):
         replace(make_spec("op"), **{field: value})
 
 

@@ -6,9 +6,12 @@ query and applies what parses. Whatever the replies, the registry keeps
 exactly one early-exit and one direct-io operator, at most `MAX_OPERATORS`
 operators and every prompt within `MAX_PROMPT_CHARS`, and the controller
 keeps one output row per operator, its arrays views of one flat vector;
-every operator but the early exit holds the `{input}` placeholder once. A
-round whose reply is refused leaves the registry, the parameter bytes and
-the sampling generator as they were when the mutator was asked.
+every operator but the early exit holds the `{input}` placeholder once.
+The registry states these rules once, in the check every operator list
+passes before the registry takes it and in `OperatorSpec`; the invariants
+see that no reply gets a state past them. A round whose reply is refused
+leaves the registry, the parameter bytes and the sampling generator as
+they were when the mutator was asked.
 """
 
 import json
