@@ -6,7 +6,8 @@ reads through `_READERS`, one reader per format. Format 3's controllers hold
 their version and the parameter vector, as base64 of its little-endian
 float64 bytes, in the layout the config and registry give; so every value
 reads back bit for bit and save -> load -> save is byte-identical. Format 3
-refuses any other key in them or in an operator.
+refuses any key it does not write, anywhere but in the free-form
+`metrics_summary`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .controller import SupernetState, _size
-from .errors import DataError
+from .errors import DataError, check_keys
 from .optimizer import TrainConfig
 from .registry import OperatorRegistry, OperatorSpec
 
@@ -72,16 +73,15 @@ def _blob(controllers):
 
 
 def _read_format3(checkpoint):
-    """`_build`, after a check that the controllers hold no key but `version`
-    and `params` and each operator none but the fields of `OperatorSpec`, so
-    no count or `tools` list left from format 2 is read unchecked."""
-    for key in checkpoint["controllers"]:
-        if key not in ("version", "params"):
-            raise DataError(f"unknown key {key!r} in the controllers")
+    """`_build`, after a check that no key is there but those that
+    `build_checkpoint` writes, so no key left from an older format is read
+    unchecked."""
+    check_keys(checkpoint, ("format_version", "config", "registry", "controllers",
+                            "metrics_summary"), "in the checkpoint")
+    check_keys(checkpoint["registry"], ("operators",), "in the registry")
+    check_keys(checkpoint["controllers"], ("version", "params"), "in the controllers")
     for op in checkpoint["registry"]["operators"]:
-        for key in op:
-            if key not in OperatorSpec.__dataclass_fields__:
-                raise DataError(f"unknown key {key!r} in operator {op['id']!r}")
+        check_keys(op, OperatorSpec.__dataclass_fields__, f"in operator {op['id']!r}")
     return _build(checkpoint)
 
 

@@ -10,10 +10,11 @@ to regenerate ``data/``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from .executor import PromptSuccessOverride, SyntheticEnv, SyntheticOperatorProfile
 from .optimizer import MOCK_PATCH_SENTENCE
+
+N_EASY = N_HARD = 25  # records of each class in the shipped mix
 
 EASY_TEMPLATES = [
     "add {a} and {b}",
@@ -30,9 +31,10 @@ HARD_TEMPLATES = [
 ]
 
 
-def make_mixed_dataset(n_easy=25, n_hard=25):
+def make_mixed_dataset():
+    """The shipped mix: `N_EASY` easy records, then `N_HARD` hard ones."""
     records = []
-    for i in range(n_easy):
+    for i in range(N_EASY):
         a, b = 2 + i, 3 + 2 * i
         records.append(
             {
@@ -43,7 +45,7 @@ def make_mixed_dataset(n_easy=25, n_hard=25):
                 "difficulty": 0.1,
             }
         )
-    for i in range(n_hard):
+    for i in range(N_HARD):
         a, b = 3 + i, 1 + i
         records.append(
             {
@@ -97,11 +99,6 @@ def default_env() -> SyntheticEnv:
     return SyntheticEnv(default_profiles())
 
 
-def _profile_dicts(profiles, overrides=()):
-    return {"profiles": [asdict(p) for p in profiles],
-            "prompt_success_overrides": [asdict(o) for o in overrides]}
-
-
 def write_shipped_files(data_dir):
     import os
 
@@ -110,16 +107,11 @@ def write_shipped_files(data_dir):
     with open(dataset_path, "w", encoding="utf-8") as fh:
         for rec in make_mixed_dataset():
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(os.path.join(data_dir, "synthetic_profiles.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(_profile_dicts(default_profiles()), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    sab_profiles, sab_overrides = sabotaged_profiles()
-    with open(os.path.join(data_dir, "sabotaged_profiles.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(_profile_dicts(sab_profiles, sab_overrides), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    for name, env in (("synthetic_profiles.json", default_env()),
+                      ("sabotaged_profiles.json", SyntheticEnv(*sabotaged_profiles()))):
+        with open(os.path.join(data_dir, name), "w", encoding="utf-8") as fh:
+            json.dump(env.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """The three maas errors, one per way the CLI handles an error: a `DataError`
 exits 3, a `BackendError` exits 4 and any other `MaasError` exits 1. And the
-one type rule for values from outside the program, `check_fields`."""
+type and key rules for values from outside the program, `check_fields` and
+`check_keys`."""
 
 import functools
 import math
@@ -65,3 +66,11 @@ def check_fields(obj):
             if not math.isfinite(number):
                 raise DataError(f"{name} {value!r} is not finite")
             object.__setattr__(obj, name, number)  # the classes may be frozen
+
+
+def check_keys(mapping, keys, where):
+    """`DataError` naming the first key of `mapping`, read from outside the
+    program, that is not among `keys`: "unknown key 'k' <where>"."""
+    for key in mapping:
+        if key not in keys:
+            raise DataError(f"unknown key {key!r} {where}")

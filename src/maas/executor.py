@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import BackendError, DataError, MaasError, check_fields
+from .errors import BackendError, DataError, MaasError, check_fields, check_keys
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 1.0
@@ -89,21 +89,27 @@ class SyntheticEnv:
 
     @classmethod
     def from_file(cls, path, checker):
-        """The environment in a profile file as `maas.datagen` writes it,
-        scored by `checker`. A file that is not JSON, or not in that format,
-        raises `DataError` naming the file."""
+        """The environment in a profile file as `to_dict` gives it (overrides
+        may be left out), scored by `checker`. A file that is not JSON, not in
+        that format or with another top-level key raises `DataError` naming it."""
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
             profiles = [SyntheticOperatorProfile(**d) for d in data["profiles"]]
             overrides = [PromptSuccessOverride(**d)
                          for d in data.get("prompt_success_overrides", ())]
+            check_keys(data, ("profiles", "prompt_success_overrides"), "at the top level")
         # JSON and UTF-8 errors are ValueErrors, and nesting past the recursion
-        # limit a RecursionError; a DataError is a bad entry
+        # limit a RecursionError; a DataError is a bad entry or key
         except (KeyError, TypeError, ValueError, RecursionError, DataError) as exc:
             raise DataError(f"malformed profile file {path}: {type(exc).__name__}:"
                             f" {exc}") from exc
         return cls(profiles, overrides, checker)
+
+    def to_dict(self):
+        """The profile file's content, which `from_file` reads back."""
+        return {"profiles": [asdict(p) for p in self.profiles.values()],
+                "prompt_success_overrides": [asdict(o) for o in self.overrides]}
 
     def profile_for(self, spec) -> SyntheticOperatorProfile:
         # split clones ("x-b", and "x-b-b" for a clone's clone) inherit the
@@ -140,27 +146,18 @@ class LiveEnv:
     each operator's `model_binding` at its `temperature`. A node sends one
     request, so it counts one LLM call whatever its `agent_count`; its cost
     is the reply's prompt plus completion tokens, and a reply whose usage
-    counts no tokens raises `BackendError`. It checks its checker, then its
-    endpoint (`resolve_endpoint`), when it is built."""
+    counts no tokens raises `BackendError`. It checks its checker, then
+    resolves its `endpoint` (`resolve_endpoint`), when it is built."""
 
     def __init__(self, base_url=None, api_key=None, checker="exact_match",
                  transport=None, sleep=time.sleep):
         self.checker = _known_checker(checker)
-        self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
-        self._transport = transport
-        self._sleep = sleep
+        self.endpoint = resolve_endpoint(base_url, api_key, transport, sleep)
 
     def run_node(self, spec, query: QueryRecord, predecessor_outputs, rng):
         prompt = render_prompt(spec, query.query, predecessor_outputs)
         content, prompt_tokens, completion_tokens = live_call(
-            spec.model_binding,
-            spec.temperature,
-            prompt,
-            base_url=self.base_url,
-            api_key=self.api_key,
-            transport=self._transport,
-            sleep=self._sleep,
-        )
+            self.endpoint, spec.model_binding, spec.temperature, prompt)
         tokens = prompt_tokens + completion_tokens
         if tokens <= 0:
             raise BackendError(f"chat reply for operator {spec.id!r} reports no token"
@@ -168,16 +165,30 @@ class LiveEnv:
         return content.strip(), float(tokens), 1
 
 
-def resolve_endpoint(base_url, api_key):
-    """(base URL without a trailing slash, API key) of the chat endpoint:
-    each argument given wins over `MAAS_BASE_URL` / `MAAS_API_KEY`. The one
-    check that a chat client has an endpoint: `BackendError` without a base
-    URL (any scheme passes); an unset API key is ""."""
+@dataclass(frozen=True)
+class ChatEndpoint:
+    """Where and how a chat client sends: the full chat-completions `url`, the
+    `headers` of every request, the `transport` that POSTs one and the `sleep`
+    between retries."""
+
+    url: str
+    headers: dict
+    transport: object
+    sleep: object
+
+
+def resolve_endpoint(base_url, api_key, transport=None, sleep=time.sleep):
+    """A chat client's `ChatEndpoint`, built once: each argument given wins
+    over `MAAS_BASE_URL` / `MAAS_API_KEY`, a None `transport` is
+    `_urllib_transport`. The one check that a chat client has an endpoint:
+    `BackendError` without a base URL (any scheme passes); no API key is ""."""
     base_url = (base_url or os.environ.get("MAAS_BASE_URL", "")).rstrip("/")
     if not base_url:
         raise BackendError("no base URL configured: pass one or set MAAS_BASE_URL")
     api_key = api_key if api_key is not None else os.environ.get("MAAS_API_KEY", "")
-    return base_url, api_key
+    return ChatEndpoint(base_url + "/v1/chat/completions",
+                        {"Authorization": f"Bearer {api_key}"},
+                        _urllib_transport if transport is None else transport, sleep)
 
 
 def render_prompt(spec, query_text, predecessor_outputs):
@@ -192,30 +203,24 @@ def render_prompt(spec, query_text, predecessor_outputs):
     return prompt
 
 
-def live_call(model, temperature, rendered_prompt, base_url, api_key,
-              transport=None, sleep=time.sleep):
-    """POST a chat completion that asks `model` at `temperature`, with
-    `rendered_prompt` as its one user message (through `_urllib_transport`
-    when `transport` is None); returns (content, prompt_tokens,
-    completion_tokens). The status is judged before the body, and an error
-    body is never parsed. A transport error (an `OSError`), 429 or 5xx is
-    retried, up to MAX_ATTEMPTS calls in all, with a sleep of BACKOFF_BASE_S
-    seconds that doubles after each failure; any other status, a 200 whose
-    body is not JSON, a malformed reply and any other exception raise at
-    once."""
-    if transport is None:
-        transport = _urllib_transport
-    url = base_url + "/v1/chat/completions"
+def live_call(endpoint, model, temperature, rendered_prompt):
+    """POST through `endpoint` (a `ChatEndpoint`) a chat completion that asks
+    `model` at `temperature`, with `rendered_prompt` as its one user message;
+    returns (content, prompt_tokens, completion_tokens). The status is judged
+    before the body, and an error body is never parsed. A transport error (an
+    `OSError`), 429 or 5xx is retried, up to MAX_ATTEMPTS calls in all, after
+    an `endpoint.sleep` of BACKOFF_BASE_S seconds that doubles after each
+    failure; any other status, a 200 whose body is not JSON, a malformed
+    reply and any other exception raise at once."""
     payload = {
         "model": model,
         "temperature": temperature,
         "messages": [{"role": "user", "content": rendered_prompt}],
     }
-    headers = {"Authorization": f"Bearer {api_key}"}
     last_error = None
     for attempt in range(MAX_ATTEMPTS):
         try:
-            status, body = transport(url, payload, headers)
+            status, body = endpoint.transport(endpoint.url, payload, endpoint.headers)
         except OSError as exc:
             last_error = exc
         else:
@@ -228,7 +233,7 @@ def live_call(model, temperature, rendered_prompt, base_url, api_key,
             if status != 429 and not 500 <= status < 600:
                 raise last_error
         if attempt < MAX_ATTEMPTS - 1:
-            sleep(BACKOFF_BASE_S * (2**attempt))
+            endpoint.sleep(BACKOFF_BASE_S * (2**attempt))
     raise BackendError(f"chat endpoint failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 

@@ -218,14 +218,14 @@ class LLMMutator:
     operators' success rates, lowest first. A proposed prompt must hold the
     `{input}` placeholder exactly once, where an operator's query goes, or the
     registry rejects the patch. Each call asks `model` at
-    `MUTATOR_TEMPERATURE`. It raises `BackendError` at construction when
-    `resolve_endpoint` finds no base URL, and when a call fails as `live_call`
-    says; a reply that does not parse raises `DataError`."""
+    `MUTATOR_TEMPERATURE` through the `endpoint` that `resolve_endpoint` builds,
+    which sleeps for real between retries. It raises `BackendError` at
+    construction when that finds no base URL, and when a call fails as
+    `live_call` says; a reply that does not parse raises `DataError`."""
 
     def __init__(self, model="default", base_url=None, api_key=None, transport=None):
         self.model = model
-        self.base_url, self.api_key = resolve_endpoint(base_url, api_key)
-        self._transport = transport
+        self.endpoint = resolve_endpoint(base_url, api_key, transport)
 
     def __call__(self, registry, window):
         rates = _success_rates(registry, window)
@@ -237,14 +237,7 @@ class LLMMutator:
             archive=json.dumps([s.to_dict() for s in registry.specs()]),
             failures=json.dumps(failures),
         )
-        content, _, _ = live_call(
-            self.model,
-            MUTATOR_TEMPERATURE,
-            prompt,
-            base_url=self.base_url,
-            api_key=self.api_key,
-            transport=self._transport,
-        )
+        content, _, _ = live_call(self.endpoint, self.model, MUTATOR_TEMPERATURE, prompt)
         return parse_mutation(content)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from maas import checkpoint as ckpt
 from maas.controller import init_params, score_layer
-from maas.datagen import _profile_dicts, default_profiles, make_mixed_dataset
+from maas.datagen import N_EASY, default_env, make_mixed_dataset
 from maas.embedding import layer_feature
 from maas.executor import SyntheticEnv, SyntheticOperatorProfile
 from maas.optimizer import TrainConfig, Trainer
@@ -41,10 +41,16 @@ def write_jsonl(path, rows):
     return str(path)
 
 
+def small_mix(n):
+    """The first `n` easy and the first `n` hard records of the shipped mix."""
+    rows = make_mixed_dataset()
+    return rows[:n] + rows[N_EASY:N_EASY + n]
+
+
 def fill_workdir(path):
     """`path` with the dataset and the profile file `train_args` names."""
-    write_jsonl(path / "mix.jsonl", make_mixed_dataset(10, 10))
-    (path / "profiles.json").write_text(json.dumps(_profile_dicts(default_profiles())))
+    write_jsonl(path / "mix.jsonl", small_mix(10))
+    (path / "profiles.json").write_text(json.dumps(default_env().to_dict()))
     return path
 
 
@@ -438,6 +444,12 @@ BAD_CHECKPOINTS = {
                     "^unknown key 'n_ops' in the controllers$"),
     "stale_tools": (with_operator_field("react", "tools", []),
                     "^unknown key 'tools' in operator 'react'$"),
+    # keys no format wrote, beside the checkpoint's and the registry's own
+    "stale_top": (lambda checkpoint: replaced(checkpoint, ("stale_top",), 1),
+                  "^unknown key 'stale_top' in the checkpoint$"),
+    "stale_rewire_ids": (lambda checkpoint: replaced(checkpoint, ("registry", "rewire_ids"),
+                                                     ["react"]),
+                         "^unknown key 'rewire_ids' in the registry$"),
     "float_embed_dim": (with_config_field("embed_dim", 64.0),
                         "embed_dim 64.0 is not an integer"),
     "float_seed": (with_config_field("seed", 1.5), "seed 1.5 is not an integer"),

@@ -19,13 +19,13 @@ from maas import cli, controller, executor, sampler
 from maas.cli import PROBE_QUERIES, main
 from maas.controller import init_params
 from maas.data import load_dataset
-from maas.datagen import default_env, make_mixed_dataset
+from maas.datagen import default_env
 from maas.embedding import HashingEmbedder
 from maas.harness import run_eval
 from maas.optimizer import TrainConfig
 from maas.registry import builtin_registry
 from maas.sampler import MODE_EVAL, sample_architecture
-from tests.helpers import (BAD_CHECKPOINTS, make_trainer, train_args,
+from tests.helpers import (BAD_CHECKPOINTS, make_trainer, small_mix, train_args,
                            with_config_field, with_state, without_operator_entry,
                            write_jsonl)
 
@@ -160,7 +160,7 @@ class TestTrainCommand:
             pytest.fail("a chat request or a retry sleep ran")
 
         monkeypatch.setattr(executor, "_urllib_transport", forbidden)
-        for fn in (executor.LiveEnv.__init__, executor.live_call):
+        for fn in (executor.LiveEnv.__init__, executor.resolve_endpoint):
             *others, sleep = fn.__defaults__
             assert sleep is time.sleep
             monkeypatch.setattr(fn, "__defaults__", (*others, forbidden))
@@ -245,6 +245,26 @@ class TestEvalCommand:
         assert result.exit_code == 3, result.output
         assert f"data error: malformed profile file {bad}" in result.output
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_misspelled_profile_key_exits_3(self, workdir, command):
+        """A file whose `prompt_success_overrides` is misspelled would run
+        the sabotaged env without its overrides; it exits 3 naming the key."""
+        bad = workdir / "bad_profiles.json"
+        profiles = json.loads((ROOT / "data" / "sabotaged_profiles.json").read_text())
+        profiles["prompt_success_override"] = profiles.pop("prompt_success_overrides")
+        bad.write_text(json.dumps(profiles))
+        args = {
+            "train": train_args(workdir, ["--env-profile", str(bad),
+                                          "--checkpoint", str(workdir / "new.json")]),
+            "eval": ["eval", "--checkpoint", str(workdir / "ckpt.json"),
+                     "--dataset", str(workdir / "mix.jsonl"), "--env-profile", str(bad)],
+        }[command]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.output == (f"data error: malformed profile file {bad}: DataError:"
+                                 " unknown key 'prompt_success_override' at the top level\n")
+        assert not (workdir / "new.json").exists()
+
     @pytest.mark.parametrize("override", [
         {"operator_id": "cot", "substring": 5, "base_success": 0.9},
         {"operator_id": ["cot"], "substring": "x", "base_success": 0.9},
@@ -267,7 +287,7 @@ class TestEvalCommand:
     def test_checker_reaches_the_synthetic_env(self, workdir):
         runner = CliRunner()
         yes = write_jsonl(workdir / "yes.jsonl",
-                          [{**rec, "answer": "yes"} for rec in make_mixed_dataset(5, 5)])
+                          [{**rec, "answer": "yes"} for rec in small_mix(5)])
         accuracy = {}
         for checker in ("exact_match", "numeric"):
             result = runner.invoke(main, [
@@ -588,7 +608,7 @@ def test_utf8_dataset_trains_and_evals_under_the_c_locale(workdir):
     """Every file is read as UTF-8, whatever the locale: under `LC_ALL=C`,
     with UTF-8 mode and locale coercion off, a dataset whose queries hold
     "café" trains and evaluates."""
-    rows = [{**rec, "query": rec["query"] + " café"} for rec in make_mixed_dataset(10, 10)]
+    rows = [{**rec, "query": rec["query"] + " café"} for rec in small_mix(10)]
     (workdir / "mix.jsonl").write_bytes(
         "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode("utf-8"))
     eval_args = ["eval", "--checkpoint", str(workdir / "ckpt.json"),

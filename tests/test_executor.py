@@ -19,8 +19,9 @@ from maas.executor import (
     execute,
     live_call,
     render_prompt,
+    resolve_endpoint,
 )
-from maas.datagen import _profile_dicts, default_env, sabotaged_profiles
+from maas.datagen import default_env, sabotaged_profiles
 from maas.optimizer import MUTATOR_PROMPT, LLMMutator
 from maas.registry import (
     OperatorPatch,
@@ -34,6 +35,12 @@ from tests.helpers import any_value_anywhere, make_spec, tiny_registry, with_exi
 def record(difficulty=0.0, answer="42"):
     return QueryRecord(id="q1", query="question", answer=answer,
                        domain="d", difficulty=difficulty)
+
+
+def endpoint(transport, sleep, api_key="k"):
+    """The endpoint at http://x that sends through `transport` and sleeps
+    through `sleep`."""
+    return resolve_endpoint("http://x", api_key, transport, sleep)
 
 
 def arch_of(layers):
@@ -127,7 +134,7 @@ class TestSyntheticFormula:
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(profiles=any_value_anywhere(_profile_dicts(*sabotaged_profiles())))
+    @given(profiles=any_value_anywhere(SyntheticEnv(*sabotaged_profiles()).to_dict()))
     def test_any_profile_file_loads_or_is_a_data_error(self, tmp_path, profiles):
         """Any JSON value in a profile entry, an override entry or anywhere
         else: `from_file` returns an env or raises `DataError`."""
@@ -137,6 +144,22 @@ class TestSyntheticFormula:
             SyntheticEnv.from_file(path, "exact_match")
         except DataError:
             pass
+
+    def test_profile_file_reads_back_what_to_dict_writes(self, tmp_path):
+        env = SyntheticEnv(*sabotaged_profiles())
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(env.to_dict()))
+        assert SyntheticEnv.from_file(path, "exact_match").to_dict() == env.to_dict()
+
+    @pytest.mark.parametrize("key", ["prompt_success_override", "metadata"])
+    def test_unknown_top_level_key_is_refused(self, tmp_path, key):
+        """A misspelled `prompt_success_overrides` would load with no
+        overrides at all, so any key the format lacks is refused."""
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps({**default_env().to_dict(), key: []}))
+        with pytest.raises(DataError, match=f"^malformed profile file {path}: DataError:"
+                                            f" unknown key '{key}' at the top level$"):
+            SyntheticEnv.from_file(path, "exact_match")
 
     def test_profile_validation(self):
         with pytest.raises(DataError):
@@ -307,9 +330,8 @@ class TestLiveCall:
 
     def test_parses_content_and_tokens(self):
         content, p, c = live_call(
-            "default", 1.0, "prompt", "http://x", "key",
-            transport=lambda *a: (200, self.BODY), sleep=lambda s: None,
-        )
+            endpoint(lambda *a: (200, self.BODY), lambda s: None, api_key="key"),
+            "default", 1.0, "prompt")
         assert content == "the answer"
         assert p + c == 200
 
@@ -332,10 +354,8 @@ class TestLiveCall:
             return 200, self.BODY
 
         slept = []
-        content, _, _ = live_call(
-            "default", 1.0, "prompt", "http://x", "key",
-            transport=flaky, sleep=slept.append,
-        )
+        content, _, _ = live_call(endpoint(flaky, slept.append, api_key="key"),
+                                  "default", 1.0, "prompt")
         assert content == "the answer"
         assert calls["n"] == 3
         assert slept == [1.0, 2.0]  # exponential backoff, base 1s
@@ -349,8 +369,7 @@ class TestLiveCall:
 
         slept = []
         with pytest.raises(TypeError, match="transport bug"):
-            live_call("default", 1.0, "p", "http://x", "k",
-                      transport=buggy, sleep=slept.append)
+            live_call(endpoint(buggy, slept.append), "default", 1.0, "p")
         assert calls["n"] == 1
         assert slept == []
 
@@ -359,14 +378,12 @@ class TestLiveCall:
             raise ConnectionError("down")
 
         with pytest.raises(BackendError, match="failed after 3 attempts: down"):
-            live_call("default", 1.0, "p", "http://x", "k",
-                      transport=dead, sleep=lambda s: None)
+            live_call(endpoint(dead, lambda s: None), "default", 1.0, "p")
 
     def test_http_error_retried_then_raised(self):
         with pytest.raises(BackendError,
                            match="failed after 3 attempts: chat endpoint returned 503"):
-            live_call("default", 1.0, "p", "http://x", "k",
-                      transport=lambda *a: (503, {}), sleep=lambda s: None)
+            live_call(endpoint(lambda *a: (503, {}), lambda s: None), "default", 1.0, "p")
 
     def test_client_error_not_retried(self):
         calls = {"n": 0}
@@ -377,8 +394,7 @@ class TestLiveCall:
 
         slept = []
         with pytest.raises(BackendError, match="^chat endpoint returned 401$"):
-            live_call("default", 1.0, "p", "http://x", "k",
-                      transport=unauthorized, sleep=slept.append)
+            live_call(endpoint(unauthorized, slept.append), "default", 1.0, "p")
         assert calls["n"] == 1
         assert slept == []
 
@@ -389,8 +405,7 @@ class TestLiveCall:
             return statuses.pop(0), self.BODY
 
         slept = []
-        content, _, _ = live_call("default", 1.0, "p", "http://x", "k",
-                                  transport=limited, sleep=slept.append)
+        content, _, _ = live_call(endpoint(limited, slept.append), "default", 1.0, "p")
         assert content == "the answer"
         assert statuses == []
         assert slept == [1.0]
@@ -403,8 +418,7 @@ class TestLiveCall:
             return 200, {"choices": []}
 
         with pytest.raises(BackendError, match="bad chat completion payload"):
-            live_call("default", 1.0, "p", "http://x", "k",
-                      transport=bad, sleep=lambda s: None)
+            live_call(endpoint(bad, lambda s: None), "default", 1.0, "p")
         assert calls["n"] == 1
 
     def test_bad_usage_is_malformed_not_retried(self):
@@ -416,8 +430,7 @@ class TestLiveCall:
                          "usage": {"prompt_tokens": "many"}}
 
         with pytest.raises(BackendError, match="bad chat completion payload"):
-            live_call("default", 1.0, "p", "http://x", "k",
-                      transport=bad_usage, sleep=lambda s: None)
+            live_call(endpoint(bad_usage, lambda s: None), "default", 1.0, "p")
         assert calls["n"] == 1
 
     def test_payload_carries_operator_binding(self):
@@ -429,8 +442,8 @@ class TestLiveCall:
             seen["auth"] = headers["Authorization"]
             return 200, self.BODY
 
-        live_call("small", 0.25, "rendered", "http://x", "secret",
-                  transport=capture, sleep=lambda s: None)
+        live_call(endpoint(capture, lambda s: None, api_key="secret"),
+                  "small", 0.25, "rendered")
         assert seen["url"] == "http://x/v1/chat/completions"
         assert seen["model"] == "small"
         assert seen["temperature"] == 0.25

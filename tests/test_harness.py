@@ -239,10 +239,13 @@ class TestCheckpoint:
         assert old_registry.to_dict() == registry.to_dict()
         assert old_config == config
 
-    def test_old_rewire_ids_key_restores(self, tiny_run):
+    def test_format2_ignores_keys_beside_its_own(self, tiny_run):
+        """Format 2 never checked the keys at the top of a checkpoint or
+        beside its registry's `operators`, and still reads such a file as it
+        did."""
         checkpoint, _ = tiny_run(1)
-        old = json.loads(ckpt.dumps(checkpoint))
-        old["registry"]["rewire_ids"] = ["react"]
+        old = as_format2(json.loads(ckpt.dumps(checkpoint)))
+        old["stale_top"], old["registry"]["rewire_ids"] = 1, ["react"]
         state, registry, config = ckpt.restore(old)
         rebuilt = ckpt.build_checkpoint(state, registry, config,
                                         checkpoint["metrics_summary"])

@@ -26,6 +26,9 @@
 - No function in `src/maas` calls a `.validate()` method but
   `TrainConfig.__post_init__`: a class whose values come from outside checks
   them in its own `__post_init__`, so no caller has to remember to.
+- No function in `src/maas` but `executor.resolve_endpoint` reads
+  `os.environ` or calls `os.getenv`, so `MAAS_BASE_URL` and `MAAS_API_KEY`
+  are read in one place and every chat client gets its endpoint there.
 - Every function and class in `src/maas` is named in `src/maas` outside its
   own body, so nothing lives on only for the tests or only for itself.
   Names are matched by name. Dunders and `@main.command` functions are
@@ -70,8 +73,6 @@ UNREAD_FIELDS_KEPT = {
 }
 # defaulted parameters that no call in src/maas or perfbench/ passes, and why
 DEFAULTS_KEPT = {
-    "make_mixed_dataset.n_easy": "tests build smaller mixes",
-    "make_mixed_dataset.n_hard": "tests build smaller mixes",
     "Trainer.start.mutator": ("perfbench's SelfEditLive passes a stub-backed LLMMutator"
                               " once it builds its trainer through start; tests pass"
                               " proposers until then"),
@@ -314,20 +315,26 @@ def test_every_error_class_is_handled():
     assert unhandled_classes(errors, [p.read_text() for p in src]) == []
 
 
-def validate_callers(source):
+def enclosing_names(source, matches):
     """The dotted name of the function or class (or "<module>") around each
-    call of a `.validate()` method in `source`."""
-    callers = []
+    node of `source` that `matches`."""
+    found = []
 
     def visit(node, names):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "validate":
-                callers.append(".".join(names) or "<module>")
+            if matches(child):
+                found.append(".".join(names) or "<module>")
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, [*names, child.name] if named else names)
 
     visit(ast.parse(source), [])
-    return callers
+    return found
+
+
+def validate_callers(source):
+    """Where `source` calls a `.validate()` method (see `enclosing_names`)."""
+    return enclosing_names(source, lambda node: isinstance(node, ast.Call)
+                           and getattr(node.func, "attr", None) == "validate")
 
 
 def test_checker_flags_validate_calls():
@@ -351,6 +358,40 @@ def test_only_train_config_calls_validate():
                for p in sorted((ROOT / "src" / "maas").glob("*.py"))
                for caller in validate_callers(p.read_text())]
     assert callers == ["optimizer.py:TrainConfig.__post_init__"]
+
+
+ENVIRONMENT_NAMES = ("environ", "getenv")
+
+
+def environment_readers(source):
+    """Where `source` names `environ` or `getenv`, as an attribute (`os.environ`)
+    or as a bare name imported from `os` (see `enclosing_names`)."""
+    return enclosing_names(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+        or isinstance(node, ast.Name) and node.id in ENVIRONMENT_NAMES))
+
+
+def test_checker_flags_environment_reads():
+    source = (
+        "import os\n"
+        "from os import environ, getenv\n"
+        "X = os.environ.get('A')\n"
+        "def f():\n"
+        "    return os.getenv('B')\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return environ['C'] + getenv('D')\n"
+        "def g(env, name):\n"
+        "    return env.get(name)\n"
+    )
+    assert environment_readers(source) == ["<module>", "f", "C.m", "C.m"]
+
+
+def test_only_resolve_endpoint_reads_the_environment():
+    readers = {f"{p.name}:{reader}"
+               for p in sorted((ROOT / "src" / "maas").glob("*.py"))
+               for reader in environment_readers(p.read_text())}
+    assert readers == {"executor.py:resolve_endpoint"}
 
 
 def is_command(node):

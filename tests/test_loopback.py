@@ -18,7 +18,7 @@ from click.testing import CliRunner
 
 from maas.cli import main
 from maas.errors import BackendError
-from maas.executor import live_call
+from maas.executor import live_call, resolve_endpoint
 from maas.optimizer import MUTATOR_PROMPT
 from tests.helpers import train_args
 
@@ -78,7 +78,8 @@ def call(base_url):
     error's text, the sleeps it asked for)."""
     slept = []
     try:
-        content, _, _ = live_call("default", 1.0, "p", base_url, "k", sleep=slept.append)
+        content, _, _ = live_call(resolve_endpoint(base_url, "k", sleep=slept.append),
+                                  "default", 1.0, "p")
     except BackendError as exc:
         return str(exc), slept
     return content, slept
@@ -123,8 +124,8 @@ def test_a_url_without_a_scheme_fails_at_once():
 
 
 def test_request_is_a_json_post_with_the_bearer_key(server):
-    content, _, _ = live_call("small", 0.25, "rendered", server.url, "secret",
-                              sleep=pytest.fail)
+    content, _, _ = live_call(resolve_endpoint(server.url, "secret", sleep=pytest.fail),
+                              "small", 0.25, "rendered")
     assert content == "42"
     [(path, headers, payload)] = server.seen
     assert path == "/v1/chat/completions"

@@ -924,7 +924,7 @@ class TestTrainer:
         monkeypatch.setenv("MAAS_BASE_URL", "http://env/")
         trainer = make_trainer(mutator="llm")
         assert isinstance(trainer.mutator, LLMMutator)
-        assert trainer.mutator.base_url == "http://env"
+        assert trainer.mutator.endpoint.url == "http://env/v1/chat/completions"
         monkeypatch.delenv("MAAS_BASE_URL")
         with pytest.raises(BackendError, match="no base URL"):
             make_trainer(mutator="llm")
@@ -1073,7 +1073,7 @@ class TestLLMMutator:
 
     def test_url_from_environment(self, monkeypatch):
         monkeypatch.setenv("MAAS_BASE_URL", "http://env/")
-        assert LLMMutator().base_url == "http://env"
+        assert LLMMutator().endpoint.url == "http://env/v1/chat/completions"
 
 
 class TestMutatorArchive:

@@ -19,14 +19,14 @@ import json
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from maas.datagen import default_env, make_mixed_dataset
+from maas.datagen import default_env
 from maas.executor import QueryRecord
 from maas.optimizer import parse_mutation
 from maas.registry import (KIND_DIRECT_IO, KIND_EARLY_EXIT, MAX_OPERATORS,
                            MAX_PROMPT_CHARS, OperatorPatch)
-from tests.helpers import flat_layout_faults, make_trainer, registry_json
+from tests.helpers import flat_layout_faults, make_trainer, registry_json, small_mix
 
-RECORDS = [QueryRecord(**r) for r in make_mixed_dataset(2, 2)]
+RECORDS = [QueryRecord(**r) for r in small_mix(2)]
 # the first operators in the catalogue, split clones of `cot` (present once
 # it has been split), the protected pair and an id that never exists
 OP_IDS = st.sampled_from(["cot", "cot", "debate", "react", "cot-b", "cot-b2",
