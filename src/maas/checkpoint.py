@@ -7,7 +7,7 @@ their version and the parameter vector, as base64 of its little-endian
 float64 bytes, in the layout the config and registry give; so every value
 reads back bit for bit and save -> load -> save is byte-identical. Format 3
 refuses any key it does not write, anywhere but in the free-form
-`metrics_summary`.
+`metrics_summary`, and a config that lacks a field.
 """
 
 from __future__ import annotations
@@ -75,11 +75,15 @@ def _blob(controllers):
 def _read_format3(checkpoint):
     """`_build`, after a check that no key is there but those that
     `build_checkpoint` writes, so no key left from an older format is read
-    unchecked."""
+    unchecked, and that no config field is missing, to restore as its default."""
     check_keys(checkpoint, ("format_version", "config", "registry", "controllers",
                             "metrics_summary"), "in the checkpoint")
     check_keys(checkpoint["registry"], ("operators",), "in the registry")
     check_keys(checkpoint["controllers"], ("version", "params"), "in the controllers")
+    check_keys(checkpoint["config"], TrainConfig.__dataclass_fields__, "in the config")
+    for key in TrainConfig.__dataclass_fields__:
+        if key not in checkpoint["config"]:
+            raise DataError(f"missing key {key!r} in the config")
     for op in checkpoint["registry"]["operators"]:
         check_keys(op, OperatorSpec.__dataclass_fields__, f"in operator {op['id']!r}")
     return _build(checkpoint)

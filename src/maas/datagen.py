@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .executor import PromptSuccessOverride, SyntheticEnv, SyntheticOperatorProfile
+from .executor import SyntheticEnv, SyntheticOperatorProfile
 from .optimizer import MOCK_PATCH_SENTENCE
 
 N_EASY = N_HARD = 25  # records of each class in the shipped mix
@@ -85,14 +85,13 @@ def default_profiles():
 
 def sabotaged_profiles():
     """Like default_profiles but with cot made useless everywhere; the mock
-    mutator's appended sentence restores it to 0.9 via a prompt override."""
-    profiles = [
+    mutator's appended sentence, cot's marker, restores it to 0.9."""
+    return [
         p if p.operator_id != "cot"
-        else SyntheticOperatorProfile("cot", 0.02, 0.0, p.unit_cost, 0.0)
+        else SyntheticOperatorProfile("cot", 0.02, 0.0, p.unit_cost, 0.0,
+                                      MOCK_PATCH_SENTENCE.strip(), 0.9)
         for p in default_profiles()
     ]
-    overrides = [PromptSuccessOverride("cot", MOCK_PATCH_SENTENCE.strip(), 0.9)]
-    return profiles, overrides
 
 
 def default_env() -> SyntheticEnv:
@@ -108,7 +107,7 @@ def write_shipped_files(data_dir):
         for rec in make_mixed_dataset():
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     for name, env in (("synthetic_profiles.json", default_env()),
-                      ("sabotaged_profiles.json", SyntheticEnv(*sabotaged_profiles()))):
+                      ("sabotaged_profiles.json", SyntheticEnv(sabotaged_profiles()))):
         with open(os.path.join(data_dir, name), "w", encoding="utf-8") as fh:
             json.dump(env.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -1,11 +1,11 @@
 """Architecture execution against synthetic and live environments.
 
 The synthetic environment is a seeded stand-in for LLM execution: each
-operator carries a success profile (base rate, difficulty slope, a bonus
-when a predecessor already produced the right answer) and a fixed unit
-cost. It makes end-to-end training behavior testable on a desk. The live
-environment calls any OpenAI-compatible chat-completions endpoint and
-accounts cost in tokens.
+operator has one profile (base rate, difficulty slope, a bonus when a
+predecessor already produced the right answer, unit cost, and a marker
+that swaps the base rate while its prompt holds it). It makes end-to-end
+training testable on a desk. The live environment calls any
+OpenAI-compatible chat-completions endpoint and accounts cost in tokens.
 """
 
 from __future__ import annotations
@@ -49,11 +49,16 @@ class ExecutionTrace:
 
 @dataclass(frozen=True)
 class SyntheticOperatorProfile:
+    """One operator's record. While the operator's prompt holds `marker`, set
+    together with `marker_success`, its base success rate is `marker_success`."""
+
     operator_id: str
     base_success: float
     difficulty_slope: float
     unit_cost: float
     combine_bonus: float = 0.0
+    marker: str | None = None
+    marker_success: float | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -63,53 +68,45 @@ class SyntheticOperatorProfile:
             raise DataError(f"unit_cost must be positive for {self.operator_id!r}")
         if not 0.0 <= self.combine_bonus <= 1.0:
             raise DataError(f"combine_bonus outside [0, 1] for {self.operator_id!r}")
-
-
-@dataclass(frozen=True)
-class PromptSuccessOverride:
-    """Replace an operator's base success rate when its current prompt
-    contains a marker substring. Lets prompt patches change synthetic
-    behavior, which is what the mutator ablation exercises."""
-
-    operator_id: str
-    substring: str
-    base_success: float
-
-    def __post_init__(self):
-        check_fields(self)
-        if not 0.0 <= self.base_success <= 1.0:
-            raise DataError(f"override base_success outside [0, 1] for {self.operator_id!r}")
+        if (self.marker is None) != (self.marker_success is None):
+            raise DataError(f"marker and marker_success are set together for"
+                            f" {self.operator_id!r}")
+        if self.marker is not None and not 0.0 <= self.marker_success <= 1.0:
+            raise DataError(f"marker_success outside [0, 1] for {self.operator_id!r}")
 
 
 class SyntheticEnv:
-    def __init__(self, profiles, overrides=(), checker="exact_match"):
-        self.profiles = {p.operator_id: p for p in profiles}
-        self.overrides = list(overrides)
+    """Runs each node by its operator's profile, one per operator id."""
+
+    def __init__(self, profiles, checker="exact_match"):
+        self.profiles = {}
+        for p in profiles:
+            if p.operator_id in self.profiles:
+                raise DataError(f"second profile for operator {p.operator_id!r}")
+            self.profiles[p.operator_id] = p
         self.checker = _known_checker(checker)
 
     @classmethod
     def from_file(cls, path, checker):
-        """The environment in a profile file as `to_dict` gives it (overrides
-        may be left out), scored by `checker`. A file that is not JSON, not in
-        that format or with another top-level key raises `DataError` naming it."""
+        """The environment in a profile file as `to_dict` gives it, scored by
+        `checker`. A file that is not JSON, not in that format (one key,
+        `profiles`) or that profiles an operator twice raises `DataError` naming it."""
+        _known_checker(checker)  # first: an unknown checker is no fault of the file
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-            profiles = [SyntheticOperatorProfile(**d) for d in data["profiles"]]
-            overrides = [PromptSuccessOverride(**d)
-                         for d in data.get("prompt_success_overrides", ())]
-            check_keys(data, ("profiles", "prompt_success_overrides"), "at the top level")
+            check_keys(data, ("profiles",), "at the top level")
+            return cls([SyntheticOperatorProfile(**d) for d in data["profiles"]], checker)
         # JSON and UTF-8 errors are ValueErrors, and nesting past the recursion
         # limit a RecursionError; a DataError is a bad entry or key
         except (KeyError, TypeError, ValueError, RecursionError, DataError) as exc:
             raise DataError(f"malformed profile file {path}: {type(exc).__name__}:"
                             f" {exc}") from exc
-        return cls(profiles, overrides, checker)
 
     def to_dict(self):
-        """The profile file's content, which `from_file` reads back."""
-        return {"profiles": [asdict(p) for p in self.profiles.values()],
-                "prompt_success_overrides": [asdict(o) for o in self.overrides]}
+        """The profile file's content, which `from_file` reads back; unset markers left out."""
+        return {"profiles": [{k: v for k, v in asdict(p).items() if v is not None}
+                             for p in self.profiles.values()]}
 
     def profile_for(self, spec) -> SyntheticOperatorProfile:
         # split clones ("x-b", and "x-b-b" for a clone's clone) inherit the
@@ -121,15 +118,11 @@ class SyntheticEnv:
             op_id = op_id.rsplit("-", 1)[0]
         return self.profiles[op_id]
 
-    def _effective_base(self, spec, profile):
-        for ov in self.overrides:
-            if ov.operator_id == profile.operator_id and ov.substring in spec.prompt:
-                return ov.base_success
-        return profile.base_success
-
     def run_node(self, spec, query: QueryRecord, predecessor_outputs, rng):
         profile = self.profile_for(spec)
-        base = self._effective_base(spec, profile)
+        base = profile.base_success
+        if profile.marker is not None and profile.marker in spec.prompt:
+            base = profile.marker_success
         bonus = profile.combine_bonus if query.answer in predecessor_outputs else 0.0
         p = base - profile.difficulty_slope * query.difficulty + bonus
         p = min(max(p, 0.0), 1.0)
@@ -309,7 +302,7 @@ def _known_checker(checker):
 
 def _parse_decimal(text):
     try:
-        return float(text.strip().lstrip("+"))
+        return float(text.strip())
     except (ValueError, AttributeError):
         return None
 

@@ -247,11 +247,16 @@ class OperatorRegistry:
         return cls(OperatorSpec.from_dict(spec_d) for spec_d in d["operators"])
 
 
+def _builtin(**fields) -> OperatorSpec:
+    """A shipped operator: it asks the default model at temperature 1."""
+    return OperatorSpec(model_binding="default", temperature=1.0, **fields)
+
+
 def builtin_catalog() -> list[OperatorSpec]:
     """The shipped operator set: eight reasoning/aggregation blocks plus a
     zero-shot direct-io answerer used when sampling exits at the first layer."""
     return [
-        OperatorSpec(
+        _builtin(
             id="cot",
             name="Chain-of-Thought",
             prompt=(
@@ -259,8 +264,6 @@ def builtin_catalog() -> list[OperatorSpec]:
                 " each intermediate deduction before stating the final"
                 " answer.\n\nProblem:\n{input}"
             ),
-            model_binding="default",
-            temperature=1.0,
             agent_count=1,
             profile_text=(
                 "A single-agent reasoner that decomposes the problem into"
@@ -270,7 +273,7 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             kind=KIND_GENERATIVE,
         ),
-        OperatorSpec(
+        _builtin(
             id="debate",
             name="LLM-Debate",
             prompt=(
@@ -279,8 +282,6 @@ def builtin_catalog() -> list[OperatorSpec]:
                 " shown, and revise toward the most defensible answer.\n\n"
                 "Problem:\n{input}"
             ),
-            model_binding="default",
-            temperature=1.0,
             agent_count=3,
             profile_text=(
                 "Three agents argue over candidate solutions across up to two"
@@ -290,7 +291,7 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             kind=KIND_GENERATIVE,
         ),
-        OperatorSpec(
+        _builtin(
             id="self_consistency",
             name="Self-Consistency",
             prompt=(
@@ -298,8 +299,6 @@ def builtin_catalog() -> list[OperatorSpec]:
                 " below. Your reasoning path will be voted against others.\n\n"
                 "Problem:\n{input}"
             ),
-            model_binding="default",
-            temperature=1.0,
             agent_count=5,
             profile_text=(
                 "Draws five independent stepwise reasoning paths for the same"
@@ -308,7 +307,7 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             kind=KIND_AGGREGATOR,
         ),
-        OperatorSpec(
+        _builtin(
             id="self_refine",
             name="Self-Refine",
             prompt=(
@@ -316,8 +315,6 @@ def builtin_catalog() -> list[OperatorSpec]:
                 " critique your own draft and rewrite it until no further"
                 " defect is found.\n\nProblem:\n{input}"
             ),
-            model_binding="default",
-            temperature=1.0,
             agent_count=3,
             profile_text=(
                 "Generates an initial answer and iteratively self-critiques and"
@@ -326,7 +323,7 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             kind=KIND_GENERATIVE,
         ),
-        OperatorSpec(
+        _builtin(
             id="ensemble",
             name="Ensemble",
             prompt=(
@@ -334,8 +331,6 @@ def builtin_catalog() -> list[OperatorSpec]:
                 " against answers from differently-configured agents.\n\n"
                 "Problem:\n{input}"
             ),
-            model_binding="default",
-            temperature=1.0,
             agent_count=3,
             profile_text=(
                 "Collects answers from three differently-sourced agents and"
@@ -345,7 +340,7 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             kind=KIND_AGGREGATOR,
         ),
-        OperatorSpec(
+        _builtin(
             id="testing",
             name="Testing",
             prompt=(
@@ -353,8 +348,6 @@ def builtin_catalog() -> list[OperatorSpec]:
                 " problem below, run them mentally, and report whether the"
                 " solution survives.\n\nProblem:\n{input}"
             ),
-            model_binding="default",
-            temperature=1.0,
             agent_count=1,
             profile_text=(
                 "Generates targeted test cases for a candidate solution and"
@@ -364,7 +357,7 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             kind=KIND_GENERATIVE,
         ),
-        OperatorSpec(
+        _builtin(
             id="react",
             name="ReAct",
             prompt=(
@@ -372,8 +365,6 @@ def builtin_catalog() -> list[OperatorSpec]:
                 " actions. Think, act with a tool when needed, observe, and"
                 " repeat until you can answer.\n\nProblem:\n{input}"
             ),
-            model_binding="default",
-            temperature=1.0,
             agent_count=1,
             profile_text=(
                 "Interleaves reasoning steps with tool invocations such as a"
@@ -383,22 +374,18 @@ def builtin_catalog() -> list[OperatorSpec]:
             ),
             kind=KIND_GENERATIVE,
         ),
-        OperatorSpec(
+        _builtin(
             id=EARLY_EXIT_ID,
             name="Early Exit",
             prompt="",
-            model_binding="default",
-            temperature=1.0,
             agent_count=1,
             profile_text="",
             kind=KIND_EARLY_EXIT,
         ),
-        OperatorSpec(
+        _builtin(
             id=DIRECT_IO_ID,
             name="Direct I/O",
             prompt="Answer the following directly and concisely.\n\n{input}",
-            model_binding="default",
-            temperature=1.0,
             agent_count=1,
             profile_text=(
                 "A single zero-shot call that answers the query directly with"

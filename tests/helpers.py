@@ -379,6 +379,14 @@ def with_config_field(name, value):
     return corrupt
 
 
+def without_config_field(name):
+    """The checkpoint whose config lacks `name`."""
+    def corrupt(checkpoint):
+        del checkpoint["config"][name]
+        return checkpoint
+    return corrupt
+
+
 def with_first_id_repeated(checkpoint):
     """The checkpoint whose second operator takes the first one's id."""
     operators = checkpoint["registry"]["operators"]
@@ -450,6 +458,13 @@ BAD_CHECKPOINTS = {
     "stale_rewire_ids": (lambda checkpoint: replaced(checkpoint, ("registry", "rewire_ids"),
                                                      ["react"]),
                          "^unknown key 'rewire_ids' in the registry$"),
+    # a config field left out would restore as its default, and a stray one
+    # would otherwise fail as a TypeError
+    "config_missing_thres": (without_config_field("thres"),
+                             "^missing key 'thres' in the config$"),
+    "config_missing_seed": (without_config_field("seed"),
+                            "^missing key 'seed' in the config$"),
+    "config_unknown_key": (with_config_field("x", 1), "^unknown key 'x' in the config$"),
     "float_embed_dim": (with_config_field("embed_dim", 64.0),
                         "embed_dim 64.0 is not an integer"),
     "float_seed": (with_config_field("seed", 1.5), "seed 1.5 is not an integer"),

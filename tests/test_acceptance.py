@@ -212,7 +212,7 @@ class TestCriterion8MockMutatorAblation:
             finals = {}
             for mut in ("mock", "none"):
                 cfg = TrainConfig(iterations=50, seed=seed, mutator=mut)
-                env = SyntheticEnv(*sabotaged_profiles())
+                env = SyntheticEnv(sabotaged_profiles())
                 checkpoint, _ = run_train(cfg, DATASET, env)
                 finals[mut] = checkpoint["metrics_summary"]["final_mean_utility"]
             wins += finals["mock"] > finals["none"]

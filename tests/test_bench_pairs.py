@@ -493,6 +493,28 @@ def test_py_lines_counts_the_python_files_directly_in_a_directory(tmp_path):
         assert bench_pairs.py_lines(ROOT.joinpath(*parts)) > 0
 
 
+def test_py_code_lines_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    """Three code lines among a module, a class and a function docstring, a
+    comment on a line of its own and blank lines; a string that is no
+    docstring, and a comment after code, leave their line counted."""
+    (tmp_path / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n\n'
+        "# a comment\n"
+        "class A:\n"
+        "    '''One line.'''\n"
+        "\n"
+        "    def f(self):\n"
+        '        """Two\n        lines."""\n'
+        "        return 'not a docstring'  # code\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text("not = 'counted'\n")
+    assert bench_pairs.code_lines((tmp_path / "a.py").read_text()) == 3
+    assert bench_pairs.py_code_lines(tmp_path) == 3
+    for parts in bench_pairs.CODE_LINE_COUNTS.values():
+        src = ROOT.joinpath(*parts)
+        assert 0 < bench_pairs.py_code_lines(src) < bench_pairs.py_lines(src)
+
+
 # runs `main` of the bench_pairs.py named by argv[1] in the current directory,
 # with a `collect` that stops the process by SIGTERM while the parent tree is
 # exported; prints whether SIGTERM's handler is the default again

@@ -247,34 +247,60 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_misspelled_profile_key_exits_3(self, workdir, command):
-        """A file whose `prompt_success_overrides` is misspelled would run
-        the sabotaged env without its overrides; it exits 3 naming the key."""
+        """A file whose `profiles` key is misspelled exits 3 naming the key."""
         bad = workdir / "bad_profiles.json"
         profiles = json.loads((ROOT / "data" / "sabotaged_profiles.json").read_text())
-        profiles["prompt_success_override"] = profiles.pop("prompt_success_overrides")
+        profiles["profile"] = profiles.pop("profiles")
         bad.write_text(json.dumps(profiles))
-        args = {
-            "train": train_args(workdir, ["--env-profile", str(bad),
-                                          "--checkpoint", str(workdir / "new.json")]),
-            "eval": ["eval", "--checkpoint", str(workdir / "ckpt.json"),
-                     "--dataset", str(workdir / "mix.jsonl"), "--env-profile", str(bad)],
-        }[command]
-        result = CliRunner().invoke(main, args)
+        result = CliRunner().invoke(main, with_env_profile(workdir, command, bad))
         assert result.exit_code == 3, result.output
         assert result.output == (f"data error: malformed profile file {bad}: DataError:"
-                                 " unknown key 'prompt_success_override' at the top level\n")
+                                 " unknown key 'profile' at the top level\n")
+        assert not (workdir / "new.json").exists()
+
+    @pytest.mark.parametrize("fault,message", [
+        ("second_cot", "second profile for operator 'cot'"),
+        ("override_list", "unknown key 'prompt_success_overrides' at the top level"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_profile_file_of_another_shape_exits_3(self, workdir, command, fault, message):
+        """The shipped profiles with a second `cot` at base success 0.99,
+        which keying by operator id would read as cot's only profile, and the
+        shipped sabotaged profiles in the shape that kept cot's marker in a
+        `prompt_success_overrides` list: each exits 3 naming the file and the
+        fault, and no checkpoint is written."""
+        bad = workdir / "bad_profiles.json"
+        if fault == "second_cot":
+            profiles = json.loads((ROOT / "data" / "synthetic_profiles.json").read_text())
+            cot = next(p for p in profiles["profiles"] if p["operator_id"] == "cot")
+            profiles["profiles"].append({**cot, "base_success": 0.99})
+        else:
+            profiles = json.loads((ROOT / "data" / "sabotaged_profiles.json").read_text())
+            cot = next(p for p in profiles["profiles"] if p["operator_id"] == "cot")
+            profiles["prompt_success_overrides"] = [{
+                "operator_id": "cot", "substring": cot.pop("marker"),
+                "base_success": cot.pop("marker_success")}]
+        bad.write_text(json.dumps(profiles))
+        result = CliRunner().invoke(main, with_env_profile(workdir, command, bad))
+        assert result.exit_code == 3, result.output
+        assert result.output == (f"data error: malformed profile file {bad}: DataError:"
+                                 f" {message}\n")
         assert not (workdir / "new.json").exists()
 
     @pytest.mark.parametrize("override", [
-        {"operator_id": "cot", "substring": 5, "base_success": 0.9},
-        {"operator_id": ["cot"], "substring": "x", "base_success": 0.9},
-        {"operator_id": "cot", "substring": "x", "base_success": 1.5},
+        {"marker": 5},
+        {"operator_id": ["cot"]},
+        {"marker_success": 1.5},
     ], ids=["int_substring", "list_operator", "base_success_above_1"])
     def test_malformed_prompt_override_is_data_error(self, workdir, override):
+        """The sabotaged profiles with cot's marker an int, its operator id a
+        list, or its marker's success rate above 1."""
         runner = CliRunner()
         bad = workdir / "bad_profiles.json"
         profiles = json.loads((ROOT / "data" / "sabotaged_profiles.json").read_text())
-        bad.write_text(json.dumps({**profiles, "prompt_success_overrides": [override]}))
+        profiles["profiles"] = [{**p, **override} if p["operator_id"] == "cot" else p
+                                for p in profiles["profiles"]]
+        bad.write_text(json.dumps(profiles))
         result = runner.invoke(main, [
             "eval",
             "--checkpoint", str(workdir / "ckpt.json"),
@@ -354,6 +380,17 @@ class TestBadCheckpoint:
         assert result.output == ("data error: checkpoint format 1, expected one of [2, 3];"
                                  " load and save it with an earlier maas to convert it to"
                                  " format 2\n")
+
+
+def with_env_profile(workdir, command, profile):
+    """Arguments of `train` (writing `new.json`) or `eval` under `workdir`
+    that run the synthetic env of the file `profile`."""
+    return {
+        "train": train_args(workdir, ["--env-profile", str(profile),
+                                      "--checkpoint", str(workdir / "new.json")]),
+        "eval": ["eval", "--checkpoint", str(workdir / "ckpt.json"),
+                 "--dataset", str(workdir / "mix.jsonl"), "--env-profile", str(profile)],
+    }[command]
 
 
 def valid_args(workdir, command):

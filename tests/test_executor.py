@@ -2,6 +2,7 @@
 
 import json
 import urllib.error
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from maas.errors import BackendError, DataError
 from maas.executor import (
     LiveEnv,
-    PromptSuccessOverride,
     QueryRecord,
     SyntheticEnv,
     SyntheticOperatorProfile,
@@ -21,8 +21,8 @@ from maas.executor import (
     render_prompt,
     resolve_endpoint,
 )
-from maas.datagen import default_env, sabotaged_profiles
-from maas.optimizer import MUTATOR_PROMPT, LLMMutator
+from maas.datagen import default_env, default_profiles, sabotaged_profiles
+from maas.optimizer import MOCK_PATCH_SENTENCE, MUTATOR_PROMPT, LLMMutator
 from maas.registry import (
     OperatorPatch,
     OperatorRegistry,
@@ -30,6 +30,8 @@ from maas.registry import (
 )
 from maas.sampler import Architecture, build_dag
 from tests.helpers import any_value_anywhere, make_spec, tiny_registry, with_exit_and_io
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def record(difficulty=0.0, answer="42"):
@@ -123,8 +125,8 @@ class TestSyntheticFormula:
 
     def test_prompt_override_replaces_base(self):
         env = SyntheticEnv(
-            [SyntheticOperatorProfile("op", 0.0, 0.0, 1.0)],
-            [PromptSuccessOverride("op", "magic marker", 1.0)],
+            [SyntheticOperatorProfile("op", 0.0, 0.0, 1.0, marker="magic marker",
+                                      marker_success=1.0)],
         )
         plain = make_spec("op")
         patched = make_spec("op", prompt="p magic marker {input}")
@@ -134,10 +136,10 @@ class TestSyntheticFormula:
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(profiles=any_value_anywhere(SyntheticEnv(*sabotaged_profiles()).to_dict()))
+    @given(profiles=any_value_anywhere(SyntheticEnv(sabotaged_profiles()).to_dict()))
     def test_any_profile_file_loads_or_is_a_data_error(self, tmp_path, profiles):
-        """Any JSON value in a profile entry, an override entry or anywhere
-        else: `from_file` returns an env or raises `DataError`."""
+        """Any JSON value in a profile entry, a marker or anywhere else:
+        `from_file` returns an env or raises `DataError`."""
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps(profiles))
         try:
@@ -146,15 +148,17 @@ class TestSyntheticFormula:
             pass
 
     def test_profile_file_reads_back_what_to_dict_writes(self, tmp_path):
-        env = SyntheticEnv(*sabotaged_profiles())
+        env = SyntheticEnv(sabotaged_profiles())
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps(env.to_dict()))
         assert SyntheticEnv.from_file(path, "exact_match").to_dict() == env.to_dict()
 
-    @pytest.mark.parametrize("key", ["prompt_success_override", "metadata"])
+    @pytest.mark.parametrize("key", ["prompt_success_override", "metadata",
+                                     "prompt_success_overrides"])
     def test_unknown_top_level_key_is_refused(self, tmp_path, key):
-        """A misspelled `prompt_success_overrides` would load with no
-        overrides at all, so any key the format lacks is refused."""
+        """A key the format lacks would otherwise be ignored, so it is
+        refused: a stray one, or the list of prompt overrides that an older
+        file kept beside `profiles`, whose operator would run without them."""
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps({**default_env().to_dict(), key: []}))
         with pytest.raises(DataError, match=f"^malformed profile file {path}: DataError:"
@@ -166,6 +170,33 @@ class TestSyntheticFormula:
             SyntheticOperatorProfile("op", 1.5, 0.0, 1.0)
         with pytest.raises(DataError):
             SyntheticOperatorProfile("op", 0.5, 0.0, 0.0)
+
+    def test_second_profile_for_an_operator_is_refused(self):
+        """Keying by operator id would keep the last of two profiles for one
+        operator and drop the first without a word."""
+        profiles = [*default_profiles(), SyntheticOperatorProfile("cot", 0.99, 0.0, 3.0)]
+        with pytest.raises(DataError, match="^second profile for operator 'cot'$"):
+            SyntheticEnv(profiles)
+
+    @pytest.mark.parametrize("fields", [{"marker": "m"}, {"marker_success": 0.9}],
+                             ids=["marker_alone", "marker_success_alone"])
+    def test_marker_needs_its_success_rate(self, fields):
+        with pytest.raises(DataError, match="^marker and marker_success are set together"
+                                            " for 'op'$"):
+            SyntheticOperatorProfile("op", 0.5, 0.0, 1.0, **fields)
+
+    @pytest.mark.parametrize("marker_success", [-0.1, 1.5])
+    def test_marker_success_is_a_rate(self, marker_success):
+        with pytest.raises(DataError, match="^marker_success outside"):
+            SyntheticOperatorProfile("op", 0.5, 0.0, 1.0, 0.0, "m", marker_success)
+
+    def test_marker_fields_are_written_only_when_set(self):
+        written = {d["operator_id"]: d
+                   for d in SyntheticEnv(sabotaged_profiles()).to_dict()["profiles"]}
+        assert (written["cot"]["marker"], written["cot"]["marker_success"]) == (
+            MOCK_PATCH_SENTENCE.strip(), 0.9)
+        assert all("marker" not in d and "marker_success" not in d
+                   for op_id, d in written.items() if op_id != "cot")
 
 
 class TestExecute:
@@ -300,6 +331,7 @@ class TestEvaluateAnswer:
     def test_numeric_normalization(self):
         assert evaluate_answer("3.140000", "3.14", "numeric") == 1.0
         assert evaluate_answer("+3.14", "3.14", "numeric") == 1.0
+        assert evaluate_answer("++3", "3", "numeric") == 0.0
         assert evaluate_answer(" 3.14 ", "3.14", "numeric") == 1.0
 
     def test_numeric_tolerance(self):
@@ -316,9 +348,11 @@ class TestEvaluateAnswer:
     @pytest.mark.parametrize("make_env", [
         lambda: SyntheticEnv([], checker="fuzzy"),
         lambda: LiveEnv(checker="fuzzy"),
-    ], ids=["synthetic", "live"])
+        # the file is sound, so the error does not name it
+        lambda: SyntheticEnv.from_file(DATA / "synthetic_profiles.json", "fuzzy"),
+    ], ids=["synthetic", "live", "synthetic_from_file"])
     def test_unknown_checker_fails_at_construction(self, make_env):
-        with pytest.raises(DataError, match="unknown checker 'fuzzy'"):
+        with pytest.raises(DataError, match="^unknown checker 'fuzzy'$"):
             make_env()
 
 

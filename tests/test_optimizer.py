@@ -858,7 +858,7 @@ class TestTrainer:
         def mutator(registry, window):
             return parse_mutation(reply)
 
-        trainer = make_trainer(SyntheticEnv(*sabotaged_profiles()), proposer=mutator,
+        trainer = make_trainer(SyntheticEnv(sabotaged_profiles()), proposer=mutator,
                                patch_every=1)
         reg, state = trainer.registry, trainer.state
         before = registry_json(reg)

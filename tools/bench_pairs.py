@@ -41,10 +41,13 @@ when every seed's is the same on both sides), the traced metrics' medians with
 that differ in any traced run), `benchmark_files_equal` (true when
 `perfbench/` and `BENCHMARK.json` in the working tree are as they are at the
 parent commit), and per side the lines of the `.py` files in `src/maas`
-(`src_maas_lines`) and in `tests/` (`tests_lines`).
+(`src_maas_lines`) and in `tests/` (`tests_lines`), and the code lines of
+those in `src/maas` (`src_maas_code_lines`: not blank, not comment-only and
+not inside a docstring).
 """
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -64,8 +67,10 @@ TRACE_SEED = 2
 MIN_EXTRA_UNIT_SHARE = 0.05  # of the parent's timed units, for rss_bytes_per_extra_unit
 TIER1_RUNS = 3  # per side
 TRACE_RUNS = 3  # per side and workload, all at TRACE_SEED
-# record key -> the directory, under each tree, whose .py lines it counts
+# record key -> the directory, under each tree, whose .py lines it counts,
+# and the code lines alone (`py_code_lines`)
 LINE_COUNTS = {"src_maas_lines": ("src", "maas"), "tests_lines": ("tests",)}
+CODE_LINE_COUNTS = {"src_maas_code_lines": ("src", "maas")}
 PAIRING = ("parent and change on the same seed, one after the other, the parent"
            " first on odd seeds and the change first on even seeds; medians and"
            " quartiles over the pairs; ties count in pairs_equal, not in"
@@ -319,15 +324,47 @@ def summarize_tier1(runs):
     return out
 
 
+def _py_files(directory):
+    """The `.py` files directly in `directory`, sorted, its subdirectories
+    left out."""
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        if name.endswith(".py") and os.path.isfile(path):
+            yield path
+
+
 def py_lines(directory):
     """The lines of every `.py` file directly in `directory`, its
     subdirectories left out."""
     total = 0
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
-        if name.endswith(".py") and os.path.isfile(path):
-            with open(path) as fh:
-                total += sum(1 for _ in fh)
+    for path in _py_files(directory):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
+def code_lines(source):
+    """The lines of the Python `source` that are not blank, not comment-only
+    and not inside a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#")
+               and number not in docstrings)
+
+
+def py_code_lines(directory):
+    """`code_lines` summed over the `.py` files directly in `directory`."""
+    total = 0
+    for path in _py_files(directory):
+        with open(path) as fh:
+            total += code_lines(fh.read())
     return total
 
 
@@ -425,9 +462,11 @@ def main(argv=None):
         paired, traced = collect(workloads, TRACE_SEED, run)
         tier1 = summarize_tier1(alternate(range(1, TIER1_RUNS + 1),
                                           lambda side, _: _tier1(trees[side])))
-        lines = {key: {side: py_lines(os.path.join(tree, *parts))
+        lines = {key: {side: count(os.path.join(tree, *parts))
                        for side, tree in trees.items()}
-                 for key, parts in LINE_COUNTS.items()}
+                 for counts, count in ((LINE_COUNTS, py_lines),
+                                       (CODE_LINE_COUNTS, py_code_lines))
+                 for key, parts in counts.items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
         signal.signal(signal.SIGTERM, previous)
